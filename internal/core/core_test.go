@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/embedding"
+	"repro/internal/mlp"
 	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -200,6 +201,40 @@ func TestFusedEmbeddingMatchesTwoStep(t *testing.T) {
 		for i := range a.Tables[ti].W {
 			if d := math.Abs(float64(a.Tables[ti].W[i] - b.Tables[ti].W[i])); d > 1e-4 {
 				t.Fatalf("fused diverged at table %d by %g", ti, d)
+			}
+		}
+	}
+}
+
+// TestTrainerStepIndependentOfPoolSize: every parallel sweep of the step —
+// GEMM row groups, fused epilogue, dz sweep, block-range transposes, chunked
+// SGD (tensors here span a partial second chunk) — partitions work whose
+// result does not depend on the partition, so one worker and three produce
+// the same weights bit for bit.
+func TestTrainerStepIndependentOfPoolSize(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.DenseIn, cfg.BotHidden, cfg.TopHidden = 64, []int{96}, []int{128, 64}
+	ds := tinyDataset(cfg)
+	a, b := NewModel(cfg, 16, 3), NewModel(cfg, 16, 3)
+	trA := NewTrainer(a, par.NewPool(1), embedding.RaceFree, 0.05, FP32)
+	trB := NewTrainer(b, par.NewPool(3), embedding.RaceFree, 0.05, FP32)
+	for i := 0; i < 3; i++ {
+		mb := ds.Batch(i, cfg.MB)
+		if la, lb := trA.Step(mb), trB.Step(mb); la != lb {
+			t.Fatalf("step %d: loss %v on one worker, %v on three", i, la, lb)
+		}
+	}
+	params := func(m *Model) (ps [][]float32) {
+		for _, stack := range []*mlp.MLP{m.Bot, m.Top} {
+			stack.VisitParams(func(_ string, p []float32) { ps = append(ps, p) })
+		}
+		return ps
+	}
+	pa, pb := params(a), params(b)
+	for ti := range pa {
+		for i := range pa[ti] {
+			if math.Float32bits(pa[ti][i]) != math.Float32bits(pb[ti][i]) {
+				t.Fatalf("tensor %d element %d: %g vs %g", ti, i, pa[ti][i], pb[ti][i])
 			}
 		}
 	}

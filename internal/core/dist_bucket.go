@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/mlp"
@@ -113,12 +111,8 @@ func (dc DistConfig) prepareBuckets(cm *comm.Comm, ws *DistWorkspace, fn *funcSt
 	ws.botBwdT = layerBackwardTimes(ws.botBwdT, botSizes, shardN, sock, cores, botBwdTotal)
 
 	if fn != nil {
-		if got, want := len(fn.model.Top.Layers), len(topSizes)-1; got != want {
-			panic(fmt.Sprintf("core: bucketed run: RunCfg top MLP has %d layers, paper config %d", got, want))
-		}
-		if got, want := len(fn.model.Bot.Layers), len(botSizes)-1; got != want {
-			panic(fmt.Sprintf("core: bucketed run: RunCfg bottom MLP has %d layers, paper config %d", got, want))
-		}
+		// Validate has checked that the functional model has Cfg's layer
+		// counts, so the plans above index its layers one to one.
 		ws.topOff = gradOffsets(ws.topOff, fn.model.Top)
 		ws.botOff = gradOffsets(ws.botOff, fn.model.Bot)
 	}

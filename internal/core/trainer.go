@@ -74,6 +74,7 @@ type Trainer struct {
 
 	step      int
 	mlpOpts   []optim.Optimizer
+	sgd       sgdCall
 	embSplits []*bf16.Split
 
 	// ws owns every buffer Step reuses across iterations; it is shared with
@@ -201,14 +202,43 @@ func (tr *Trainer) mlpStep() {
 	i := 0
 	for _, m := range [...]*mlp.MLP{tr.M.Bot, tr.M.Top} {
 		for _, l := range m.Layers {
-			tr.mlpOpts[i].Step(l.DW.Data, tr.LR)
-			i++
-			tr.mlpOpts[i].Step(l.DBias, tr.LR)
-			i++
+			tr.optStep(tr.mlpOpts[i], l.DW.Data)
+			tr.optStep(tr.mlpOpts[i+1], l.DBias)
+			i += 2
 		}
 	}
 	tr.M.Bot.InvalidateTransposes()
 	tr.M.Top.InvalidateTransposes()
+}
+
+// sgdChunk is the parameter count one worker updates at a time: large
+// enough that a bias vector is not worth a parallel region.
+const sgdChunk = 4096
+
+// sgdCall is the argument block of sgdBody (persistent on the Trainer so
+// the parallel sweep allocates nothing).
+type sgdCall struct {
+	opt  *optim.SGD
+	grad []float32
+	lr   float32
+}
+
+func sgdBody(arg any, tid, lo, hi int) {
+	c := arg.(*sgdCall)
+	c.opt.StepRange(c.grad, c.lr, lo*sgdChunk, min(hi*sgdChunk, len(c.grad)))
+}
+
+// optStep applies one tensor's optimizer: plain SGD in chunk ranges over
+// the pool, the stateful mixed-precision optimizers whole.
+func (tr *Trainer) optStep(o optim.Optimizer, grad []float32) {
+	sgd, ok := o.(*optim.SGD)
+	if !ok {
+		o.Step(grad, tr.LR)
+		return
+	}
+	tr.sgd = sgdCall{opt: sgd, grad: grad, lr: tr.LR}
+	tr.Pool.ForNArg((len(grad)+sgdChunk-1)/sgdChunk, sgdBody, &tr.sgd)
+	tr.sgd = sgdCall{}
 }
 
 // Step runs one training iteration and returns the minibatch loss. Phase

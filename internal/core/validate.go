@@ -148,6 +148,18 @@ func (dc *DistConfig) Validate() error {
 			return fmt.Errorf("core: functional RunCfg has %d tables, paper-scale Cfg %d — shards would not line up",
 				dc.RunCfg.Tables, dc.Cfg.Tables)
 		}
+		// The bucket plan is carved from Cfg's per-layer volumes and applied
+		// to the RunCfg model's gradients layer by layer.
+		if dc.EffectiveBucketBytes() > 0 {
+			if got, want := len(dc.RunCfg.TopHidden), len(dc.Cfg.TopHidden); got != want {
+				return fmt.Errorf("core: bucketed functional run: RunCfg top MLP has %d layers, paper-scale Cfg %d — buckets would not line up",
+					got+1, want+1)
+			}
+			if got, want := len(dc.RunCfg.BotHidden), len(dc.Cfg.BotHidden); got != want {
+				return fmt.Errorf("core: bucketed functional run: RunCfg bottom MLP has %d layers, paper-scale Cfg %d — buckets would not line up",
+					got+1, want+1)
+			}
+		}
 	}
 	return nil
 }

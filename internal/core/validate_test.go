@@ -128,6 +128,20 @@ func TestValidateRejections(t *testing.T) {
 			dc.RunCfg = &run
 			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
 		}, "shards would not line up"},
+		{"functional top layer-count mismatch", func(dc *DistConfig) {
+			run := dc.Cfg
+			run.TopHidden = run.TopHidden[:len(run.TopHidden)-1]
+			dc.RunCfg = &run
+			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			dc.Sync, dc.BucketBytes = false, 0
+		}, "top MLP has 3 layers, paper-scale Cfg 4"},
+		{"functional bottom layer-count mismatch", func(dc *DistConfig) {
+			run := dc.Cfg
+			run.BotHidden = append([]int{128}, run.BotHidden...)
+			dc.RunCfg = &run
+			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			dc.Sync, dc.BucketBytes = false, 0
+		}, "bottom MLP has 3 layers, paper-scale Cfg 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

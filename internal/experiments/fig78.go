@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
+	"repro/internal/gemm"
 	"repro/internal/par"
 	"repro/internal/trace"
 )
@@ -113,7 +114,7 @@ func RunFig78(o Fig7Opts) *Fig78Result {
 	}
 	fig7.AddNote("paper (full-scale SKX): Small 4288→38.3 ms (~110x); MLPerf 272→34.8 ms (~8x)")
 	fig7.AddNote("tables scaled by %.3g to fit host memory; single-core hosts mute the contention gap between Atomic/RTM and RaceFree", o.RowScale)
-	fig7.AddNote("pure-Go MLP kernels run ~100x below AVX512, so the end-to-end ratio compresses; the 'emb' columns isolate the kernel the paper optimizes")
+	fig7.AddNote("MLPs on the %s GEMM kernel; the embedding kernels are scalar Go, so the end-to-end ratio compresses — the 'emb' columns isolate the kernel the paper optimizes", gemm.KernelISA())
 	fig8.AddNote("paper: after optimization Small spends ~30%% in embeddings; MLPerf <20%%")
 	return &Fig78Result{Fig7: fig7, Fig8: fig8}
 }

@@ -11,6 +11,12 @@
 //	activations X  [Cb][Nb][bn][bc]
 //	outputs     Y  [Kb][Nb][bn][bk]   (the Acts layout of the next layer)
 //
+// One micro-kernel, batchReduce (kernel.go), serves all three passes. On
+// amd64 it runs hand-written register tiles (brgemm_amd64.s: AVX-512F where
+// CPUID and XCR0 report it, else AVX2+FMA, chosen once at init — see
+// KernelISA); elsewhere, and as the test oracle, a portable Go loop. The
+// tensors are read in place: there is no packing buffer.
+//
 // The blocked kernels are allocation-free in steady state: per-worker tile
 // pointer lists (Scratch) are cached on the pool via par.Attached, and the
 // parallel bodies are package-level functions dispatched through
@@ -32,99 +38,23 @@ import (
 //	out[bn][bk] += Σ_i  B_i(bn×bc) · A_i(bc×bk)
 //
 // where A_i are weight tiles (input-feature major, output contiguous) and
-// B_i are activation tiles (sample major, input-feature contiguous). This is
-// the JIT-ed kernel of the paper in pure Go: the inner loop broadcasts one
-// input scalar against a contiguous run of bk outputs, which the compiler
-// vectorizes after bounds-check elimination.
-//
-// This is the dense variant: like the paper's JIT-ed kernel it carries no
-// data-dependent branches, so on dense activations the unrolled FMA stream
-// runs unperturbed. Callers whose B tiles are sparse (many exact zeros, e.g.
-// one-hot or heavily ReLU-thinned inputs) should select
-// BatchReduceKernelSkipZeros instead.
+// B_i are activation tiles (sample major, input-feature contiguous). Like
+// the paper's JIT-ed kernel it keeps the output tile in vector registers
+// across the whole reduction and carries no data-dependent branches; see
+// batchReduce for the dispatch and the reduction-order contract.
 //
 // If zeroOut is true the output tile is cleared before accumulation.
 func BatchReduceKernel(aTiles, bTiles [][]float32, out []float32, bn, bc, bk int, zeroOut bool) {
-	if zeroOut {
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	for t := range aTiles {
-		a := aTiles[t]
-		b := bTiles[t]
-		for ni := 0; ni < bn; ni++ {
-			bRow := b[ni*bc : ni*bc+bc]
-			yRow := out[ni*bk : ni*bk+bk]
-			// Unroll the reduction dimension 4-wide: four broadcast
-			// multiply-adds per output store, which is what keeps the
-			// scalar kernel from being store-bound.
-			ci := 0
-			for ; ci+4 <= bc; ci += 4 {
-				x0, x1, x2, x3 := bRow[ci], bRow[ci+1], bRow[ci+2], bRow[ci+3]
-				a0 := a[ci*bk : ci*bk+bk]
-				a1 := a[(ci+1)*bk : (ci+1)*bk+bk]
-				a2 := a[(ci+2)*bk : (ci+2)*bk+bk]
-				a3 := a[(ci+3)*bk : (ci+3)*bk+bk]
-				for ki := range yRow {
-					yRow[ki] += x0*a0[ki] + x1*a1[ki] + x2*a2[ki] + x3*a3[ki]
-				}
-			}
-			for ; ci < bc; ci++ {
-				x := bRow[ci]
-				aRow := a[ci*bk : ci*bk+bk]
-				for ki := range yRow {
-					yRow[ki] += x * aRow[ki]
-				}
-			}
-		}
-	}
+	batchReduce(aTiles, bTiles, out, bn, bc, bk, bc, 1, zeroOut)
 }
 
-// BatchReduceKernelSkipZeros is the sparsity-aware variant of
-// BatchReduceKernel: groups of four (and single) activation scalars that are
-// exactly zero skip their multiply-add entirely. On activations with real
-// sparsity (embedding-style one-hot inputs, interaction gradients) the
-// skipped memory traffic wins; on dense activations the checks are pure
-// branch overhead, which is why the dense MLP path uses BatchReduceKernel.
+// BatchReduceKernelSkipZeros is BatchReduceKernel. It used to test each
+// activation scalar for zero; a register tile shares every loaded weight
+// vector between four rows, so a zero scalar no longer has a load to skip,
+// and the dense kernel is the faster one on every workload measured
+// (docs/PERF.md). The name stays for callers that select it.
 func BatchReduceKernelSkipZeros(aTiles, bTiles [][]float32, out []float32, bn, bc, bk int, zeroOut bool) {
-	if zeroOut {
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	for t := range aTiles {
-		a := aTiles[t]
-		b := bTiles[t]
-		for ni := 0; ni < bn; ni++ {
-			bRow := b[ni*bc : ni*bc+bc]
-			yRow := out[ni*bk : ni*bk+bk]
-			ci := 0
-			for ; ci+4 <= bc; ci += 4 {
-				x0, x1, x2, x3 := bRow[ci], bRow[ci+1], bRow[ci+2], bRow[ci+3]
-				if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
-					continue
-				}
-				a0 := a[ci*bk : ci*bk+bk]
-				a1 := a[(ci+1)*bk : (ci+1)*bk+bk]
-				a2 := a[(ci+2)*bk : (ci+2)*bk+bk]
-				a3 := a[(ci+3)*bk : (ci+3)*bk+bk]
-				for ki := range yRow {
-					yRow[ki] += x0*a0[ki] + x1*a1[ki] + x2*a2[ki] + x3*a3[ki]
-				}
-			}
-			for ; ci < bc; ci++ {
-				x := bRow[ci]
-				if x == 0 {
-					continue
-				}
-				aRow := a[ci*bk : ci*bk+bk]
-				for ki := range yRow {
-					yRow[ki] += x * aRow[ki]
-				}
-			}
-		}
-	}
+	BatchReduceKernel(aTiles, bTiles, out, bn, bc, bk, zeroOut)
 }
 
 // Scratch holds per-worker tile pointer lists so the hot loop does not
@@ -172,51 +102,72 @@ func (st *poolState) worker(tid, n int) *Scratch {
 	return s
 }
 
+// Epilogue finishes freshly computed output values in the worker that
+// produced them, while they are still in L1 — the paper's fused bias +
+// activation. Apply receives rows×bk values of output-feature block kb,
+// row-major with stride bk, after their reduction is complete.
+type Epilogue interface {
+	Apply(kb int, blk []float32, rows int)
+}
+
 // fwdArgs carries one Forward call's parameters to the static body.
 type fwdArgs struct {
-	st         *poolState
-	w          *tensor.Weights
-	x, y       *tensor.Acts
-	cols       int // Nb: output-block grid columns
-	cb         int // reduction block count
-	bn, bc, bk int
-	skipZeros  bool
+	st     *poolState
+	w      *tensor.Weights
+	x, y   *tensor.Acts
+	ep     Epilogue
+	rows   int // samples per task
+	chunks int // tasks per output-feature block: ceil(N / rows)
 }
+
+// smallBNRows is the task height Forward uses when the tensors' own bn is
+// below the 4-row register tile (serving runs bn = 1).
+const smallBNRows = 16
 
 func fwdBody(arg any, tid, lo, hi int) {
 	a := arg.(*fwdArgs)
-	s := a.st.worker(tid, a.cb)
-	kern := BatchReduceKernel
-	if a.skipZeros {
-		kern = BatchReduceKernelSkipZeros
-	}
+	w, x, y := a.w, a.x, a.y
+	s := a.st.worker(tid, w.Cb)
+	n, bc, bk := x.N, w.BC, w.BK
 	for i := lo; i < hi; i++ {
-		kb, nb := i/a.cols, i%a.cols
-		for j := 0; j < a.cb; j++ {
-			s.A[j] = a.w.Block(kb, j)
-			s.B[j] = a.x.Block(j, nb)
+		kb, n0 := i/a.chunks, i%a.chunks*a.rows
+		rows := min(a.rows, n-n0)
+		for j := range s.A {
+			s.A[j] = w.Block(kb, j)
+			s.B[j] = x.Data[(j*n+n0)*bc : (j*n+n0+rows)*bc]
 		}
-		kern(s.A, s.B, a.y.Block(kb, nb), a.bn, a.bc, a.bk, true)
+		out := y.Data[(kb*n+n0)*bk : (kb*n+n0+rows)*bk]
+		batchReduce(s.A, s.B, out, rows, bc, bk, bc, 1, true)
+		if a.ep != nil {
+			a.ep.Apply(kb, out, rows)
+		}
 	}
 }
 
 // Forward computes Y = X · Wᵀ over blocked tensors (logical Y[N×K] from
 // X[N×C] and W[K×C]) following Algorithm 5: each worker owns a set of output
 // blocks, gathers the A/B tile pointer lists over the reduction dimension
-// Cb, and issues one batch-reduce GEMM per output block. Dense micro-kernel;
-// see ForwardSkipZeros for sparse activations.
+// Cb, and issues one batch-reduce GEMM per output block.
+//
+// In the [Cb][Nb][bn][bc] layout the samples of one feature block are
+// contiguous across its Nb tiles, so an output block may span any run of
+// samples: bn of them normally, smallBNRows when bn is too small to fill a
+// register tile. By the kernel's reduction-order contract the result does
+// not depend on that choice.
 func Forward(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts) {
-	forward(p, w, x, y, false)
+	ForwardFused(p, w, x, y, nil)
 }
 
-// ForwardSkipZeros is Forward with the sparsity-aware micro-kernel, for
-// callers whose activations carry many exact zeros (embedding-style inputs,
-// ReLU-thinned tensors on the backward-by-data path).
+// ForwardSkipZeros is Forward; see BatchReduceKernelSkipZeros.
 func ForwardSkipZeros(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts) {
-	forward(p, w, x, y, true)
+	Forward(p, w, x, y)
 }
 
-func forward(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts, skipZeros bool) {
+// ForwardFused is Forward with ep (when non-nil) applied to every output
+// block right after its batch-reduce, by the same worker. Fused and
+// Forward-then-sweep results are identical bit for bit: the kernel stores
+// the finished sum and ep reads it back.
+func ForwardFused(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts, ep Epilogue) {
 	if x.C != w.C || x.BC != w.BC {
 		panic(fmt.Sprintf("gemm: forward C mismatch x(C=%d,bc=%d) w(C=%d,bc=%d)", x.C, x.BC, w.C, w.BC))
 	}
@@ -227,12 +178,14 @@ func forward(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts, ski
 	st.mu.Lock()
 	defer st.mu.Unlock() // deferred so a panicking kernel cannot wedge the state
 	a := &st.fwd
-	a.st, a.w, a.x, a.y = st, w, x, y
-	a.cols, a.cb = x.Nb, w.Cb
-	a.bn, a.bc, a.bk = x.BN, x.BC, w.BK
-	a.skipZeros = skipZeros
-	p.ForNArg(w.Kb*x.Nb, fwdBody, a)
-	a.w, a.x, a.y = nil, nil, nil
+	a.st, a.w, a.x, a.y, a.ep = st, w, x, y, ep
+	a.rows = x.BN
+	if a.rows < 4 {
+		a.rows = smallBNRows
+	}
+	a.chunks = (x.N + a.rows - 1) / a.rows
+	p.ForNArg(w.Kb*a.chunks, fwdBody, a)
+	a.w, a.x, a.y, a.ep = nil, nil, nil, nil
 }
 
 // BackwardData computes dX = dY · W over blocked tensors (logical dX[N×C]
@@ -241,141 +194,44 @@ func forward(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts, ski
 // once per weight update via tensor.Weights.TransposeBlocked.
 func BackwardData(p *par.Pool, wT *tensor.Weights, dy *tensor.Acts, dx *tensor.Acts) {
 	// wT is W transposed: logical C×K blocked [Cb][Kb][bk][bc].
-	forward(p, wT, dy, dx, false)
+	ForwardFused(p, wT, dy, dx, nil)
 }
 
-// BackwardDataSkipZeros is BackwardData with the sparsity-aware kernel: dY
-// downstream of a ReLU carries exact zeros wherever the unit was inactive.
+// BackwardDataSkipZeros is BackwardData; see BatchReduceKernelSkipZeros.
 func BackwardDataSkipZeros(p *par.Pool, wT *tensor.Weights, dy *tensor.Acts, dx *tensor.Acts) {
-	forward(p, wT, dy, dx, true)
+	BackwardData(p, wT, dy, dx)
 }
 
 // bwdWArgs carries one BackwardWeights call's parameters to the static body.
 type bwdWArgs struct {
-	dy, x      *tensor.Acts
-	dw         *tensor.Weights
-	cols       int // Cb: weight-block grid columns
-	nb         int
-	bn, bc, bk int
-	skipZeros  bool
+	st    *poolState
+	dy, x *tensor.Acts
+	dw    *tensor.Weights
 }
 
+// bwdWBody computes dW blocks with the forward kernel, the reduction now
+// running over samples: block (kb, cb) is out[ci][ki] = Σ_n X[n][ci] ·
+// dY[n][ki], i.e. batchReduce with A = dY's feature block kb, B = X's
+// feature block cb read down its columns (sbm = 1, sbr = bc). The Nb tiles
+// of a feature block are contiguous, so the batch is one tile of N rows.
 func bwdWBody(arg any, tid, lo, hi int) {
 	a := arg.(*bwdWArgs)
+	dy, x, dw := a.dy, a.x, a.dw
+	s := a.st.worker(tid, 1)
+	n, bc, bk := x.N, dw.BC, dw.BK
 	for i := lo; i < hi; i++ {
-		kb, cb := i/a.cols, i%a.cols
-		out := a.dw.Block(kb, cb)
-		for j := range out {
-			out[j] = 0
-		}
-		if a.skipZeros {
-			bwdWBlockSkipZeros(a, kb, cb, out)
-		} else {
-			bwdWBlock(a, kb, cb, out)
-		}
-	}
-}
-
-// bwdWBlock accumulates one dW block, dense inner loops.
-func bwdWBlock(a *bwdWArgs, kb, cb int, out []float32) {
-	bn, bc, bk := a.bn, a.bc, a.bk
-	for n := 0; n < a.nb; n++ {
-		dyTile := a.dy.Block(kb, n) // bn×bk, sample major
-		xTile := a.x.Block(cb, n)   // bn×bc, sample major
-		// Reduce over the samples 4-wide per output store (see
-		// BatchReduceKernel).
-		ni := 0
-		for ; ni+4 <= bn; ni += 4 {
-			dy0 := dyTile[ni*bk : ni*bk+bk]
-			dy1 := dyTile[(ni+1)*bk : (ni+1)*bk+bk]
-			dy2 := dyTile[(ni+2)*bk : (ni+2)*bk+bk]
-			dy3 := dyTile[(ni+3)*bk : (ni+3)*bk+bk]
-			for ci := 0; ci < bc; ci++ {
-				x0 := xTile[ni*bc+ci]
-				x1 := xTile[(ni+1)*bc+ci]
-				x2 := xTile[(ni+2)*bc+ci]
-				x3 := xTile[(ni+3)*bc+ci]
-				dwRow := out[ci*bk : ci*bk+bk]
-				for ki := range dwRow {
-					dwRow[ki] += x0*dy0[ki] + x1*dy1[ki] + x2*dy2[ki] + x3*dy3[ki]
-				}
-			}
-		}
-		for ; ni < bn; ni++ {
-			dyRow := dyTile[ni*bk : ni*bk+bk]
-			xRow := xTile[ni*bc : ni*bc+bc]
-			for ci := 0; ci < bc; ci++ {
-				xv := xRow[ci]
-				dwRow := out[ci*bk : ci*bk+bk]
-				for ki := range dwRow {
-					dwRow[ki] += xv * dyRow[ki]
-				}
-			}
-		}
-	}
-}
-
-// bwdWBlockSkipZeros accumulates one dW block skipping all-zero activation
-// groups — profitable when X is a ReLU output with real sparsity.
-func bwdWBlockSkipZeros(a *bwdWArgs, kb, cb int, out []float32) {
-	bn, bc, bk := a.bn, a.bc, a.bk
-	for n := 0; n < a.nb; n++ {
-		dyTile := a.dy.Block(kb, n)
-		xTile := a.x.Block(cb, n)
-		ni := 0
-		for ; ni+4 <= bn; ni += 4 {
-			dy0 := dyTile[ni*bk : ni*bk+bk]
-			dy1 := dyTile[(ni+1)*bk : (ni+1)*bk+bk]
-			dy2 := dyTile[(ni+2)*bk : (ni+2)*bk+bk]
-			dy3 := dyTile[(ni+3)*bk : (ni+3)*bk+bk]
-			for ci := 0; ci < bc; ci++ {
-				x0 := xTile[ni*bc+ci]
-				x1 := xTile[(ni+1)*bc+ci]
-				x2 := xTile[(ni+2)*bc+ci]
-				x3 := xTile[(ni+3)*bc+ci]
-				if x0 == 0 && x1 == 0 && x2 == 0 && x3 == 0 {
-					continue
-				}
-				dwRow := out[ci*bk : ci*bk+bk]
-				for ki := range dwRow {
-					dwRow[ki] += x0*dy0[ki] + x1*dy1[ki] + x2*dy2[ki] + x3*dy3[ki]
-				}
-			}
-		}
-		for ; ni < bn; ni++ {
-			dyRow := dyTile[ni*bk : ni*bk+bk]
-			xRow := xTile[ni*bc : ni*bc+bc]
-			for ci := 0; ci < bc; ci++ {
-				xv := xRow[ci]
-				if xv == 0 {
-					continue
-				}
-				dwRow := out[ci*bk : ci*bk+bk]
-				for ki := range dwRow {
-					dwRow[ki] += xv * dyRow[ki]
-				}
-			}
-		}
+		kb, cb := i/dw.Cb, i%dw.Cb
+		s.A[0] = dy.Data[kb*n*bk : (kb+1)*n*bk]
+		s.B[0] = x.Data[cb*n*bc : (cb+1)*n*bc]
+		batchReduce(s.A, s.B, dw.Block(kb, cb), bc, n, bk, 1, bc, true)
 	}
 }
 
 // BackwardWeights computes dW = dYᵀ · X over blocked tensors (logical
 // dW[K×C] from dY[N×K] and X[N×C]), reducing over the minibatch dimension.
 // The activation layout [Cb][Nb][bn][bc] was chosen precisely so this pass
-// sees the same contiguous tile accesses as the forward pass. Dense inner
-// loops; see BackwardWeightsSkipZeros for sparse activations.
+// sees the same contiguous tile accesses as the forward pass.
 func BackwardWeights(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.Weights) {
-	backwardWeights(p, dy, x, dw, false)
-}
-
-// BackwardWeightsSkipZeros is BackwardWeights with the sparsity-aware inner
-// loop, for callers whose saved activations carry many exact zeros (e.g.
-// post-ReLU hidden activations).
-func BackwardWeightsSkipZeros(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.Weights) {
-	backwardWeights(p, dy, x, dw, true)
-}
-
-func backwardWeights(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.Weights, skipZeros bool) {
 	if dy.N != x.N || dy.BN != x.BN {
 		panic("gemm: backwardWeights N mismatch")
 	}
@@ -386,10 +242,13 @@ func backwardWeights(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.We
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	a := &st.bwdW
-	a.dy, a.x, a.dw = dy, x, dw
-	a.cols, a.nb = dw.Cb, x.Nb
-	a.bn, a.bc, a.bk = x.BN, x.BC, dw.BK
-	a.skipZeros = skipZeros
+	a.st, a.dy, a.x, a.dw = st, dy, x, dw
 	p.ForNArg(dw.Kb*dw.Cb, bwdWBody, a)
 	a.dy, a.x, a.dw = nil, nil, nil
+}
+
+// BackwardWeightsSkipZeros is BackwardWeights; see
+// BatchReduceKernelSkipZeros.
+func BackwardWeightsSkipZeros(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.Weights) {
+	BackwardWeights(p, dy, x, dw)
 }

@@ -1,8 +1,9 @@
 // Package mlp builds multi-layer perceptrons from the blocked GEMM kernels:
-// fully-connected layers with fused bias and activation (the paper fuses
-// ReLU into the GEMM epilogue while the C tile is hot in cache), the three
-// training passes (forward, backward-by-data, backward-by-weights), and a
-// stack type used for DLRM's bottom and top MLPs.
+// fully-connected layers with bias and activation fused into the GEMM
+// epilogue (applied to each output block by the worker that just computed
+// it, while the block is hot in cache, as the paper's kernel does), the
+// three training passes (forward, backward-by-data, backward-by-weights),
+// and a stack type used for DLRM's bottom and top MLPs.
 package mlp
 
 import (
@@ -57,11 +58,11 @@ type Layer struct {
 	BN, BC, BK int // block sizes (BN fixed by the owning MLP)
 	Act        Activation
 
-	// SparseInput marks layers whose input activations carry many exact
-	// zeros (e.g. the output of an upstream ReLU). Such layers select the
-	// sparsity-aware GEMM kernels for the passes that stream the input
-	// (forward, backward-by-weights); dense layers use the branch-free
-	// kernels.
+	// SparseInput records that the layer's input activations carry many
+	// exact zeros (the output of an upstream ReLU). The register-tiled
+	// GEMM kernel is dense whatever the input, so nothing in this package
+	// branches on it any more; measurement code reads it to build inputs
+	// of the matching sparsity.
 	SparseInput bool
 
 	W    *tensor.Weights
@@ -85,7 +86,7 @@ type Layer struct {
 	// functions and the state on the layer makes the hot path
 	// allocation-free (no closure captures).
 	y, dz, dx *tensor.Acts
-	cur       *tensor.Acts // tensor the current parallel body operates on
+	dy        *tensor.Acts // Backward's incoming gradient, for dzBody
 }
 
 // NewLayer constructs a layer with Kaiming-uniform init (scale 1/√C), which
@@ -116,16 +117,21 @@ func NewLayer(c, k, bn int, act Activation, rng *rand.Rand) *Layer {
 func (l *Layer) InvalidateTranspose() { l.wTValid = false }
 
 // transposed returns the cached blocked transpose of W, re-transposing into
-// the persistent buffer when stale.
-func (l *Layer) transposed() *tensor.Weights {
+// the persistent buffer (block ranges over the pool) when stale.
+func (l *Layer) transposed(p *par.Pool) *tensor.Weights {
 	if !l.wTValid {
 		if l.wT == nil {
 			l.wT = tensor.NewWeights(l.W.C, l.W.K, l.W.BC, l.W.BK)
 		}
-		l.W.TransposeBlockedInto(l.wT)
+		p.ForNArg(l.W.Kb*l.W.Cb, transposeBody, l)
 		l.wTValid = true
 	}
 	return l.wT
+}
+
+func transposeBody(arg any, tid, lo, hi int) {
+	l := arg.(*Layer)
+	l.W.TransposeBlocksInto(l.wT, lo, hi)
 }
 
 // Forward computes y = act(W·x + bias). The input tensor is retained until
@@ -136,25 +142,23 @@ func (l *Layer) Forward(p *par.Pool, x *tensor.Acts) *tensor.Acts {
 		panic(fmt.Sprintf("mlp: layer forward C=%d want %d", x.C, l.C))
 	}
 	y := tensor.EnsureActs(&l.y, x.N, l.K, x.BN, l.BK)
-	if l.SparseInput {
-		gemm.ForwardSkipZeros(p, l.W, x, y)
-	} else {
-		gemm.Forward(p, l.W, x, y)
-	}
-	l.applyBiasAct(p, y)
+	gemm.ForwardFused(p, l.W, x, y, (*biasAct)(l))
 	l.savedX = x
 	l.savedY = y
 	return y
 }
 
-// biasActBody is the fused bias+activation epilogue over one output block.
-func biasActBody(arg any, tid, kb, nb int) {
-	l := arg.(*Layer)
-	y := l.cur
-	bk, bn := y.BC, y.BN // y's "C" is this layer's K
-	blk := y.Block(kb, nb)
+// biasAct is a Layer seen as its GEMM epilogue.
+type biasAct Layer
+
+// Apply adds the bias and applies the activation to rows×bk finished
+// outputs of feature block kb. The bias is added to the stored sum, not
+// folded into the reduction, so the fused result equals a separate sweep
+// over the plain GEMM output bit for bit.
+func (l *biasAct) Apply(kb int, blk []float32, rows int) {
+	bk := l.BK
 	bias := l.Bias[kb*bk : (kb+1)*bk]
-	for ni := 0; ni < bn; ni++ {
+	for ni := 0; ni < rows; ni++ {
 		row := blk[ni*bk : (ni+1)*bk]
 		switch l.Act {
 		case None:
@@ -162,12 +166,10 @@ func biasActBody(arg any, tid, kb, nb int) {
 				row[i] += bias[i]
 			}
 		case ReLU:
+			// max, not a branch: the sign of a pre-activation is a coin
+			// flip the predictor loses half the time (5× slower).
 			for i := range row {
-				v := row[i] + bias[i]
-				if v < 0 {
-					v = 0
-				}
-				row[i] = v
+				row[i] = max(row[i]+bias[i], 0)
 			}
 		case Sigmoid:
 			for i := range row {
@@ -175,14 +177,6 @@ func biasActBody(arg any, tid, kb, nb int) {
 			}
 		}
 	}
-}
-
-// applyBiasAct adds the bias and applies the activation in one sweep over
-// the blocked output — the fused epilogue.
-func (l *Layer) applyBiasAct(p *par.Pool, y *tensor.Acts) {
-	l.cur = y
-	p.Run2DArg(y.Cb, y.Nb, biasActBody, l)
-	l.cur = nil
 }
 
 func sigmoid32(x float32) float32 {
@@ -197,95 +191,68 @@ func (l *Layer) Backward(p *par.Pool, dy *tensor.Acts, wantDX bool) *tensor.Acts
 	if l.savedX == nil || l.savedY == nil {
 		panic("mlp: Backward before Forward")
 	}
-	// Backprop through the activation on a copy of dy so callers may reuse
-	// their gradient tensor; the copy lives in the layer's workspace.
-	dz := tensor.EnsureActs(&l.dz, dy.N, dy.C, dy.BN, dy.BC)
-	copy(dz.Data, dy.Data)
-	l.backwardAct(p, dz)
-
-	// Bias gradient: column sums of dz.
-	l.biasGrad(p, dz)
-
-	if l.SparseInput {
-		gemm.BackwardWeightsSkipZeros(p, dz, l.savedX, l.DW)
-	} else {
-		gemm.BackwardWeights(p, dz, l.savedX, l.DW)
+	y := l.savedY
+	if dy.N != y.N || dy.C != y.C || dy.BN != y.BN || dy.BC != y.BC {
+		panic(fmt.Sprintf("mlp: Backward dy %dx%d/%dx%d, forward output %dx%d/%dx%d",
+			dy.N, dy.C, dy.BN, dy.BC, y.N, y.C, y.BN, y.BC))
 	}
+	// dz = dy ⊙ act'(y) goes to the layer's workspace so callers may reuse
+	// their gradient tensor.
+	dz := tensor.EnsureActs(&l.dz, dy.N, dy.C, dy.BN, dy.BC)
+	l.dy = dy
+	p.ForNArg(dz.Cb, dzBody, l)
+	l.dy = nil
+
+	gemm.BackwardWeights(p, dz, l.savedX, l.DW)
 	if !wantDX {
 		return nil
 	}
 	dx := tensor.EnsureActs(&l.dx, dz.N, l.C, dz.BN, l.BC)
-	if l.Act == ReLU {
-		// dz was just zeroed wherever this layer's ReLU was inactive, so
-		// the sparsity-aware kernel skips real work here.
-		gemm.BackwardDataSkipZeros(p, l.transposed(), dz, dx)
-	} else {
-		gemm.BackwardData(p, l.transposed(), dz, dx)
-	}
+	gemm.BackwardData(p, l.transposed(p), dz, dx)
 	return dx
 }
 
-// backActBody multiplies one chunk of dz by act'(y) using the saved output.
-func backActBody(arg any, tid, lo, hi int) {
+// dzBody is the backward epilogue for the feature blocks in [lo, hi): one
+// sweep writes dz = dy ⊙ act'(y) from the saved output and accumulates
+// DBias[k] = Σ_n dz[n][k], in sample order.
+func dzBody(arg any, tid, lo, hi int) {
 	l := arg.(*Layer)
-	dz, y := l.cur, l.savedY
-	start, end := lo*64, hi*64
-	if end > len(dz.Data) {
-		end = len(dz.Data)
-	}
-	switch l.Act {
-	case ReLU:
-		for i := start; i < end; i++ {
-			if y.Data[i] <= 0 {
-				dz.Data[i] = 0
-			}
-		}
-	case Sigmoid:
-		for i := start; i < end; i++ {
-			s := y.Data[i]
-			dz.Data[i] *= s * (1 - s)
-		}
-	}
-}
-
-// backwardAct multiplies dz by act'(y) elementwise using the saved output.
-func (l *Layer) backwardAct(p *par.Pool, dz *tensor.Acts) {
-	if l.Act == None {
-		return
-	}
-	l.cur = dz
-	p.ForNArg(len(dz.Data)/64+1, backActBody, l)
-	l.cur = nil
-}
-
-// biasGradBody writes DBias[k] = Σ_n dz[n][k] for the feature blocks in
-// [lo, hi).
-func biasGradBody(arg any, tid, lo, hi int) {
-	l := arg.(*Layer)
-	dz := l.cur
-	bk := dz.BC
+	bk, per := l.dz.BC, l.dz.N*l.dz.BC // a feature block's samples are contiguous
 	for kb := lo; kb < hi; kb++ {
-		out := l.DBias[kb*bk : (kb+1)*bk]
-		for i := range out {
-			out[i] = 0
-		}
-		for nb := 0; nb < dz.Nb; nb++ {
-			blk := dz.Block(kb, nb)
-			for ni := 0; ni < dz.BN; ni++ {
-				row := blk[ni*bk : (ni+1)*bk]
-				for i := range out {
-					out[i] += row[i]
+		dy := l.dy.Data[kb*per : (kb+1)*per]
+		dz := l.dz.Data[kb*per : (kb+1)*per]
+		y := l.savedY.Data[kb*per : (kb+1)*per]
+		db := l.DBias[kb*bk : (kb+1)*bk]
+		clear(db)
+		for o := 0; o < per; o += bk {
+			g, z, s := dy[o:o+bk], dz[o:o+bk], y[o:o+bk]
+			switch l.Act {
+			case None:
+				for i := range db {
+					z[i] = g[i]
+					db[i] += g[i]
+				}
+			case ReLU:
+				// Selecting on the bit pattern compiles to a conditional
+				// move; selecting the float is an unpredictable branch.
+				for i := range db {
+					b := math.Float32bits(g[i])
+					if s[i] <= 0 {
+						b = 0
+					}
+					v := math.Float32frombits(b)
+					z[i] = v
+					db[i] += v
+				}
+			case Sigmoid:
+				for i := range db {
+					v := g[i] * (s[i] * (1 - s[i]))
+					z[i] = v
+					db[i] += v
 				}
 			}
 		}
 	}
-}
-
-// biasGrad writes DBias[k] = Σ_n dz[n][k].
-func (l *Layer) biasGrad(p *par.Pool, dz *tensor.Acts) {
-	l.cur = dz
-	p.ForNArg(dz.Cb, biasGradBody, l)
-	l.cur = nil
 }
 
 // Step applies plain SGD: W -= lr·DW, Bias -= lr·DBias, and invalidates the
@@ -323,11 +290,6 @@ func New(sizes []int, bn int, hiddenAct, lastAct Activation, rng *rand.Rand) *ML
 			act = lastAct
 		}
 		l := NewLayer(sizes[i], sizes[i+1], bn, act, rng)
-		// Hidden layers past the first consume the upstream activation's
-		// output; when that activation is ReLU the input carries exact
-		// zeros, so those layers select the sparsity-aware GEMM kernels.
-		// The first layer sees the dense framework input and keeps the
-		// branch-free kernels (the Fig. 5 configuration).
 		l.SparseInput = i > 0 && hiddenAct == ReLU
 		m.Layers = append(m.Layers, l)
 	}

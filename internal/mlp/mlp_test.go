@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gemm"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
@@ -364,6 +365,88 @@ func TestStepLayersMatchesStep(t *testing.T) {
 		for j := range a.Layers[li].W.Data {
 			if a.Layers[li].W.Data[j] != b.Layers[li].W.Data[j] {
 				t.Fatalf("layer %d W[%d]: Step vs StepLayers diverged", li, j)
+			}
+		}
+	}
+}
+
+// TestFusedForwardEqualsGemmThenSweep: applying bias + activation to each
+// output block in the worker that produced it gives, bit for bit, what a
+// separate sweep over the finished GEMM output gives — for every
+// activation, at training (bn = 8) and serving (bn = 1) blockings, with a
+// masked column tail (K = 100 → bk = 50).
+func TestFusedForwardEqualsGemmThenSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	pool := par.NewPool(2)
+	for _, act := range []Activation{None, ReLU, Sigmoid} {
+		for _, bn := range []int{8, 1} {
+			l := NewLayer(64, 100, bn, act, rng)
+			xD := tensor.NewDense(24, 64)
+			xD.Randomize(rng, 1)
+			x := tensor.PackActs(xD, bn, l.BC)
+			got := l.Forward(pool, x)
+
+			want := tensor.NewActs(24, 100, bn, l.BK)
+			gemm.Forward(pool, l.W, x, want)
+			for kb := 0; kb < want.Cb; kb++ {
+				for nb := 0; nb < want.Nb; nb++ {
+					(*biasAct)(l).Apply(kb, want.Block(kb, nb), bn)
+				}
+			}
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("act=%d bn=%d: fused %g != swept %g at %d", act, bn, got.Data[i], want.Data[i], i)
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardSweepMatchesThreePasses: the single dz sweep (copy, act',
+// bias gradient) equals the three separate passes it replaced, bit for bit,
+// and leaves the caller's dy untouched.
+func TestBackwardSweepMatchesThreePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	pool := par.NewPool(2)
+	for _, act := range []Activation{None, ReLU, Sigmoid} {
+		l := NewLayer(32, 100, 8, act, rng)
+		xD := tensor.NewDense(24, 32)
+		xD.Randomize(rng, 1)
+		y := l.Forward(pool, tensor.PackActs(xD, 8, l.BC))
+		dyD := tensor.NewDense(24, 100)
+		dyD.Randomize(rng, 1)
+		dy := tensor.PackActs(dyD, 8, l.BK)
+		keep := dy.Clone()
+		l.Backward(pool, dy, false)
+
+		wantDz := dy.Clone()
+		for i, s := range y.Data {
+			switch act {
+			case ReLU:
+				if s <= 0 {
+					wantDz.Data[i] = 0
+				}
+			case Sigmoid:
+				wantDz.Data[i] *= s * (1 - s)
+			}
+		}
+		wantDB := make([]float32, l.K)
+		for n := 0; n < 24; n++ {
+			for k := range wantDB {
+				wantDB[k] += wantDz.At(n, k)
+			}
+		}
+		for i := range wantDz.Data {
+			if math.Float32bits(l.dz.Data[i]) != math.Float32bits(wantDz.Data[i]) {
+				t.Fatalf("act=%d: dz[%d] = %g want %g", act, i, l.dz.Data[i], wantDz.Data[i])
+			}
+			if dy.Data[i] != keep.Data[i] {
+				t.Fatalf("act=%d: Backward modified the caller's dy", act)
+			}
+		}
+		for k := range wantDB {
+			if math.Float32bits(l.DBias[k]) != math.Float32bits(wantDB[k]) {
+				t.Fatalf("act=%d: DBias[%d] = %g want %g", act, k, l.DBias[k], wantDB[k])
 			}
 		}
 	}

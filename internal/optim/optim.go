@@ -31,12 +31,18 @@ type SGD struct {
 func NewSGD(params []float32) *SGD { return &SGD{Params: params} }
 
 // Step implements Optimizer.
-func (s *SGD) Step(grad []float32, lr float32) {
+func (s *SGD) Step(grad []float32, lr float32) { s.StepRange(grad, lr, 0, len(s.Params)) }
+
+// StepRange applies the update to parameters [lo, hi) only. The update is
+// elementwise, so disjoint ranges may run concurrently and any partition
+// gives Step's result bit for bit.
+func (s *SGD) StepRange(grad []float32, lr float32, lo, hi int) {
 	if len(grad) != len(s.Params) {
 		panic("optim: SGD grad length mismatch")
 	}
-	for i := range s.Params {
-		s.Params[i] -= lr * grad[i]
+	p, g := s.Params[lo:hi], grad[lo:hi]
+	for i := range p {
+		p[i] -= lr * g[i]
 	}
 }
 

@@ -27,6 +27,26 @@ func TestSGDStep(t *testing.T) {
 	}
 }
 
+// TestSGDStepRangePartition: ranges applied in any order reproduce Step bit
+// for bit — what lets a trainer spread one tensor's update over its pool.
+func TestSGDStepRangePartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 1000
+	init, grad := randSlice(rng, n), randSlice(rng, n)
+	whole := append([]float32(nil), init...)
+	parts := append([]float32(nil), init...)
+	NewSGD(whole).Step(grad, 0.37)
+	s := NewSGD(parts)
+	for _, r := range [][2]int{{600, 1000}, {0, 1}, {1, 600}, {5, 5}} {
+		s.StepRange(grad, 0.37, r[0], r[1])
+	}
+	for i := range whole {
+		if math.Float32bits(whole[i]) != math.Float32bits(parts[i]) {
+			t.Fatalf("p[%d]: ranges %g, Step %g", i, parts[i], whole[i])
+		}
+	}
+}
+
 func TestSplitSGDTracksFP32Exactly(t *testing.T) {
 	// The exact (hi|lo) trajectory must equal plain FP32 SGD bit-for-bit,
 	// while the working weights are the BF16 rounding of it.

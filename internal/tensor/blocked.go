@@ -250,19 +250,38 @@ func (w *Weights) TransposeBlocked() *Weights {
 // the swapped shape and block factors. Layers re-transpose after every
 // weight update, so the steady-state path reuses one buffer.
 func (w *Weights) TransposeBlockedInto(t *Weights) {
+	w.TransposeBlocksInto(t, 0, w.Kb*w.Cb)
+}
+
+// TransposeBlocksInto transposes w's blocks lo ≤ kb·Cb+cb < hi into t —
+// the unit a parallel caller hands each worker (blocks are independent).
+func (w *Weights) TransposeBlocksInto(t *Weights, lo, hi int) {
 	if t.K != w.C || t.C != w.K || t.BK != w.BC || t.BC != w.BK {
 		panic(fmt.Sprintf("tensor: TransposeBlockedInto %dx%d/%dx%d into %dx%d/%dx%d",
 			w.K, w.C, w.BK, w.BC, t.K, t.C, t.BK, t.BC))
 	}
-	for kb := 0; kb < w.Kb; kb++ {
-		for cb := 0; cb < w.Cb; cb++ {
-			src := w.Block(kb, cb)
-			dst := t.Block(cb, kb)
-			// src is (bc×bk) ci-major; dst is (bk×bc) ki-major.
-			for ci := 0; ci < w.BC; ci++ {
-				for ki := 0; ki < w.BK; ki++ {
-					dst[ki*w.BC+ci] = src[ci*w.BK+ki]
-				}
+	bc, bk := w.BC, w.BK
+	for i := lo; i < hi; i++ {
+		kb, cb := i/w.Cb, i%w.Cb
+		src := w.Block(kb, cb) // bc×bk, ci-major
+		dst := t.Block(cb, kb) // bk×bc, ki-major
+		// 4×4 sub-tiles: each pass reads four source rows and writes four
+		// destination rows a quarter cache line at a time, instead of
+		// striding one element through bk destination lines.
+		ci := 0
+		for ; ci+4 <= bc; ci += 4 {
+			s0 := src[ci*bk : ci*bk+bk]
+			s1 := src[(ci+1)*bk : (ci+1)*bk+bk][:len(s0)]
+			s2 := src[(ci+2)*bk : (ci+2)*bk+bk][:len(s0)]
+			s3 := src[(ci+3)*bk : (ci+3)*bk+bk][:len(s0)]
+			for ki := range s0 {
+				d := dst[ki*bc+ci : ki*bc+ci+4 : ki*bc+ci+4]
+				d[0], d[1], d[2], d[3] = s0[ki], s1[ki], s2[ki], s3[ki]
+			}
+		}
+		for ; ci < bc; ci++ {
+			for ki, v := range src[ci*bk : ci*bk+bk] {
+				dst[ki*bc+ci] = v
 			}
 		}
 	}

@@ -143,19 +143,44 @@ func TestWeightsBlockLayout(t *testing.T) {
 
 func TestWeightsTransposeBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDense(16, 24)
-	d.Randomize(rng, 1)
-	w := PackWeights(d, 8, 4)
-	wt := w.TransposeBlocked()
-	if wt.K != 24 || wt.C != 16 || wt.BK != 4 || wt.BC != 8 {
-		t.Fatalf("transposed dims wrong: %+v", wt)
-	}
-	for k := 0; k < 16; k++ {
-		for c := 0; c < 24; c++ {
-			if w.At(k, c) != wt.At(c, k) {
-				t.Fatalf("transpose mismatch at (%d,%d)", k, c)
+	// Block heights with and without a remainder against the 4-row
+	// sub-tiles, down to the degenerate bc = 1 of prime feature counts.
+	for _, tc := range []struct{ k, c, bk, bc int }{
+		{16, 24, 8, 4}, {100, 26, 50, 13}, {64, 7, 64, 1}, {3, 128, 1, 64}, {12, 18, 6, 6},
+	} {
+		d := NewDense(tc.k, tc.c)
+		d.Randomize(rng, 1)
+		w := PackWeights(d, tc.bk, tc.bc)
+		wt := w.TransposeBlocked()
+		if wt.K != tc.c || wt.C != tc.k || wt.BK != tc.bc || wt.BC != tc.bk {
+			t.Fatalf("transposed dims wrong: %+v", wt)
+		}
+		// The same transpose done in two block ranges, as a parallel
+		// caller splits it.
+		parts := NewWeights(tc.c, tc.k, tc.bc, tc.bk)
+		mid := w.Kb * w.Cb / 2
+		w.TransposeBlocksInto(parts, mid, w.Kb*w.Cb)
+		w.TransposeBlocksInto(parts, 0, mid)
+		for k := 0; k < tc.k; k++ {
+			for c := 0; c < tc.c; c++ {
+				if w.At(k, c) != wt.At(c, k) || w.At(k, c) != parts.At(c, k) {
+					t.Fatalf("%+v: transpose mismatch at (%d,%d)", tc, k, c)
+				}
 			}
 		}
+	}
+}
+
+func BenchmarkTransposeBlocked1024(b *testing.B) {
+	w := NewWeights(1024, 1024, 64, 64)
+	wt := NewWeights(1024, 1024, 64, 64)
+	for i := range w.Data {
+		w.Data[i] = float32(i)
+	}
+	b.SetBytes(int64(8 * len(w.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.TransposeBlockedInto(wt)
 	}
 }
 
