@@ -27,6 +27,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/embedding"
 	"repro/internal/fabric"
 	"repro/internal/gemm"
 	"repro/internal/perfmodel"
@@ -124,7 +125,8 @@ func main() {
 	fmt.Printf("modeled service %.3f ms per full batch, capacity %.0f req/s, SLO %.2f ms\n",
 		svc*1e3, capacity, sloSec*1e3)
 	if *functional {
-		fmt.Printf("functional: %s scaled x%.3g executes on the %s GEMM kernel\n", cfg.Name, *rowScale, gemm.KernelISA())
+		fmt.Printf("functional: %s scaled x%.3g executes on the %s GEMM kernel and the %s embedding kernel\n",
+			cfg.Name, *rowScale, gemm.KernelISA(), embedding.KernelISA())
 	}
 	fmt.Printf("\n%-18s  %-12s  %7s  %6s  %6s  %8s  %8s  %8s  %10s\n",
 		"policy", "offered q/s", "served", "shed", "mean B", "p50 ms", "p99 ms", "max ms", "served q/s")

@@ -125,8 +125,8 @@ func main() {
 		fmt.Printf("resumed from %s at step %d (lr=%g)\n", *ckptPath, startIter, tr.LR)
 	}
 
-	fmt.Printf("training %s (rows x%.3g), MB=%d, %s, %s, lr=%g, %s GEMM kernel\n",
-		scaled.Name, *rowScale, batch, strat, prec, *lr, gemm.KernelISA())
+	fmt.Printf("training %s (rows x%.3g), MB=%d, %s, %s, lr=%g, %s GEMM kernel, %s embedding kernel\n",
+		scaled.Name, *rowScale, batch, strat, prec, *lr, gemm.KernelISA(), embedding.KernelISA())
 	start := time.Now()
 	// The run owns its streaming loader (RunOpts.Dataset): batch i+1 is
 	// prefetched on its own goroutine while Step trains on batch i,

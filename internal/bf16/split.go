@@ -72,7 +72,7 @@ func (s *Split) SGDStep(g []float32, lr float32) {
 		panic("bf16: SGDStep length mismatch")
 	}
 	for i := range g {
-		w := s.At(i) - lr*g[i]
+		w := s.At(i) - float32(lr*g[i])
 		s.SetFP32(i, w)
 	}
 }

@@ -17,8 +17,8 @@ package data
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -164,6 +164,9 @@ func (r *Random) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 // latent per-row score u_t[m] ~ N(0, TableSignal); the label of a sample is
 // Bernoulli(σ(bias + w·dense + Σ_t mean_s u_t[idx_s])). Indices follow
 // Zipf(Skew), dense features are log-normal-ish like click counters.
+//
+// The exported fields are fixed by the first fill: it builds the generator
+// (samplers, score cache) from them, and later changes have no effect.
 type ClickLog struct {
 	Seed    int64
 	D       int
@@ -177,8 +180,8 @@ type ClickLog struct {
 	Bias        float64 // prior log-odds (negative: clicks are rare-ish)
 
 	denseW []float64
-	// latent scores are generated lazily per (table,row) by hashing so huge
-	// tables need no storage.
+	once   sync.Once
+	t      *teacher
 }
 
 // NewClickLog builds a click-log dataset with sensible teacher defaults.
@@ -187,12 +190,18 @@ func NewClickLog(seed int64, d int, rows []int, lookups int) *ClickLog {
 		Seed: seed, D: d, Rows: rows, Lookups: lookups,
 		Skew: 1.05, TableSignal: 0.6, DenseSignal: 0.4, Bias: -0.4,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	c.denseW = make([]float64, d)
-	for i := range c.denseW {
-		c.denseW[i] = rng.NormFloat64() * c.DenseSignal
-	}
+	c.denseW = teacherDenseW(seed, d, c.DenseSignal)
 	return c
+}
+
+// teacherDenseW draws the dense teacher weights.
+func teacherDenseW(seed int64, d int, signal float64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]float64, d)
+	for i := range w {
+		w[i] = rng.NormFloat64() * signal
+	}
+	return w
 }
 
 // NumTables implements Dataset.
@@ -201,20 +210,11 @@ func (c *ClickLog) NumTables() int { return len(c.Rows) }
 // DenseDim implements Dataset.
 func (c *ClickLog) DenseDim() int { return c.D }
 
-// latent returns the teacher's hidden score for (table, row), computed by
-// hashing so it is stable without materializing huge score tables.
-func (c *ClickLog) latent(table int, row int32) float64 {
-	h := uint64(c.Seed) ^ uint64(table)<<32 ^ uint64(uint32(row))
-	// splitmix64
-	h += 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	h ^= h >> 31
-	// map to approximately N(0,1) via sum of uniforms
-	u1 := float64(h&0xFFFFFFFF) / float64(1<<32)
-	u2 := float64(h>>32) / float64(1<<32)
-	z := math.Sqrt(-2*math.Log(u1+1e-12)) * math.Cos(2*math.Pi*u2)
-	return z * c.TableSignal
+func (c *ClickLog) teacher() *teacher {
+	c.once.Do(func() {
+		c.t = newTeacher(c.Seed, c.Rows, c.Lookups, c.Skew, c.TableSignal, c.Bias, c.denseW)
+	})
+	return c.t
 }
 
 // Batch implements Dataset.
@@ -225,51 +225,20 @@ func (c *ClickLog) Batch(i, n int) *MiniBatch { return materialize(c, i, n) }
 // the per-(sample, table) streams, so the label a shard computes is
 // bit-identical to the one the full-batch read computes.
 func (c *ClickLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
-	mb.Reset(hi-lo, c.D, len(c.Rows))
-	zipf := embedding.Zipf{S: c.Skew}
+	t := c.teacher()
+	mb.Reset(hi-lo, c.D, len(t.tables))
 	for s := lo; s < hi; s++ {
-		g := sampleStream(c.Seed, clickTag, i, s)
-		logit := c.Bias
-		row := mb.Dense.Row(s - lo)
-		for j := range row {
-			// counter-like features: |N(0,1)| compressed by log1p, centered
-			// so the teacher's dense term is ~zero-mean.
-			v := math.Log1p(math.Abs(g.norm())*3) - 1.2
-			row[j] = float32(v)
-			logit += c.denseW[j] * v
-		}
-		for t, rows := range c.Rows {
-			gt := tableStream(c.Seed, clickTag, i, s, t)
-			b := mb.Sparse[t]
-			var acc float64
-			for l := 0; l < c.Lookups; l++ {
-				idx := zipf.DrawU(gt.f64(), rows)
-				b.Indices = append(b.Indices, idx)
-				acc += c.latent(t, idx)
-			}
-			b.Offsets[s-lo+1] = int32(len(b.Indices))
-			logit += acc / float64(c.Lookups)
-		}
-		pCTR := 1 / (1 + math.Exp(-logit))
-		lbl := sampleStream(c.Seed, clickLblTag, i, s)
-		if lbl.f64() < pCTR {
-			mb.Labels[s-lo] = 1
-		} else {
-			mb.Labels[s-lo] = 0
-		}
+		t.fillSample(mb, s-lo, sampleStream(t.seed, clickTag, i, s), clickTag, i, s,
+			sampleStream(t.seed, clickLblTag, i, s))
 	}
 }
 
 // FillTableColumn implements Dataset.
 func (c *ClickLog) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	b.Reset(hi - lo)
-	zipf := embedding.Zipf{S: c.Skew}
-	rows := c.Rows[t]
+	tch := c.teacher()
 	for s := lo; s < hi; s++ {
-		gt := tableStream(c.Seed, clickTag, i, s, t)
-		for l := 0; l < c.Lookups; l++ {
-			b.Indices = append(b.Indices, zipf.DrawU(gt.f64(), rows))
-		}
+		tch.appendBag(b, t, clickTag, i, s)
 		b.Offsets[s-lo+1] = int32(len(b.Indices))
 	}
 }

@@ -80,7 +80,7 @@ func TestClickLogZipfSkewPresent(t *testing.T) {
 }
 
 func TestLatentStableAndZeroMeanish(t *testing.T) {
-	ds := NewClickLog(5, 4, []int{1000}, 1)
+	ds := NewClickLog(5, 4, []int{10000, 10000}, 1).teacher()
 	if ds.latent(0, 42) != ds.latent(0, 42) {
 		t.Fatal("latent must be deterministic")
 	}
@@ -99,8 +99,8 @@ func TestLatentStableAndZeroMeanish(t *testing.T) {
 	if math.Abs(mean) > 0.05 {
 		t.Fatalf("latent mean %.3f not ≈0", mean)
 	}
-	if math.Abs(std-ds.TableSignal) > 0.1 {
-		t.Fatalf("latent std %.3f want ≈%.2f", std, ds.TableSignal)
+	if math.Abs(std-ds.signal) > 0.1 {
+		t.Fatalf("latent std %.3f want ≈%.2f", std, ds.signal)
 	}
 }
 

@@ -1,8 +1,7 @@
 package data
 
 import (
-	"math"
-	"math/rand"
+	"sync"
 
 	"repro/internal/embedding"
 )
@@ -41,6 +40,9 @@ type RequestLog struct {
 	Bias        float64
 
 	denseW []float64
+	once   sync.Once
+	t      *teacher
+	entity embedding.ZipfSampler
 }
 
 // NewRequestLog builds a serving request log with click-log defaults:
@@ -52,11 +54,7 @@ func NewRequestLog(seed int64, d int, rows []int, lookups int) *RequestLog {
 		Universe: 100_000, EntitySkew: 1.05, RowSkew: 1.05,
 		TableSignal: 0.6, DenseSignal: 0.4, Bias: -0.4,
 	}
-	rng := rand.New(rand.NewSource(seed))
-	r.denseW = make([]float64, d)
-	for i := range r.denseW {
-		r.denseW[i] = rng.NormFloat64() * r.DenseSignal
-	}
+	r.denseW = teacherDenseW(seed, d, r.DenseSignal)
 	return r
 }
 
@@ -66,80 +64,45 @@ func (r *RequestLog) NumTables() int { return len(r.Rows) }
 // DenseDim implements Dataset.
 func (r *RequestLog) DenseDim() int { return r.D }
 
+func (r *RequestLog) teacher() *teacher {
+	r.once.Do(func() {
+		r.t = newTeacher(r.Seed, r.Rows, r.Lookups, r.RowSkew, r.TableSignal, r.Bias, r.denseW)
+		r.entity = embedding.Zipf{S: r.EntitySkew}.Sampler(r.Universe)
+	})
+	return r.t
+}
+
 // Entity returns the entity request (i, s) belongs to — exported so
 // serving-side caches and tests can key on it.
 func (r *RequestLog) Entity(i, s int) int32 {
-	g := sampleStream(r.Seed, reqTag, i, s)
-	return embedding.Zipf{S: r.EntitySkew}.DrawU(g.f64(), r.Universe)
-}
-
-// entityRows appends entity e's row set for table t to b.Indices — the
-// same rows on every request of e, which is the whole point.
-func (r *RequestLog) entityRows(e int32, t int, b *embedding.Batch) {
-	g := tableStream(r.Seed, reqProfTag, int(e), 0, t)
-	zipf := embedding.Zipf{S: r.RowSkew}
-	for l := 0; l < r.Lookups; l++ {
-		b.Indices = append(b.Indices, zipf.DrawU(g.f64(), r.Rows[t]))
-	}
-}
-
-// latent mirrors ClickLog's hashed teacher score for (table, row).
-func (r *RequestLog) latent(table int, row int32) float64 {
-	h := uint64(r.Seed) ^ uint64(table)<<32 ^ uint64(uint32(row))
-	h += 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	h ^= h >> 31
-	u1 := float64(h&0xFFFFFFFF) / float64(1<<32)
-	u2 := float64(h>>32) / float64(1<<32)
-	z := math.Sqrt(-2*math.Log(u1+1e-12)) * math.Cos(2*math.Pi*u2)
-	return z * r.TableSignal
+	t := r.teacher()
+	g := sampleStream(t.seed, reqTag, i, s)
+	return r.entity.DrawU(g.f64())
 }
 
 // Batch implements Dataset.
 func (r *RequestLog) Batch(i, n int) *MiniBatch { return materialize(r, i, n) }
 
-// FillRange implements Dataset: dense features come from the entity's
-// profile stream (a returning user presents the same features), the label
-// is a per-request Bernoulli draw under the teacher's click probability.
+// FillRange implements Dataset: dense features and every table's rows come
+// from the entity's profile streams (a returning user presents the same
+// features and the same rows — the whole point), the label is a per-request
+// Bernoulli draw under the teacher's click probability.
 func (r *RequestLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
-	mb.Reset(hi-lo, r.D, len(r.Rows))
+	t := r.teacher()
+	mb.Reset(hi-lo, r.D, len(t.tables))
 	for s := lo; s < hi; s++ {
-		e := r.Entity(i, s)
-		gd := sampleStream(r.Seed, reqProfTag, int(e), -1)
-		logit := r.Bias
-		row := mb.Dense.Row(s - lo)
-		for j := range row {
-			v := math.Log1p(math.Abs(gd.norm())*3) - 1.2
-			row[j] = float32(v)
-			logit += r.denseW[j] * v
-		}
-		for t := range r.Rows {
-			b := mb.Sparse[t]
-			base := len(b.Indices)
-			r.entityRows(e, t, b)
-			var acc float64
-			for _, idx := range b.Indices[base:] {
-				acc += r.latent(t, idx)
-			}
-			b.Offsets[s-lo+1] = int32(len(b.Indices))
-			logit += acc / float64(r.Lookups)
-		}
-		pCTR := 1 / (1 + math.Exp(-logit))
-		lbl := sampleStream(r.Seed, reqLblTag, i, s)
-		if lbl.f64() < pCTR {
-			mb.Labels[s-lo] = 1
-		} else {
-			mb.Labels[s-lo] = 0
-		}
+		e := int(r.Entity(i, s))
+		t.fillSample(mb, s-lo, sampleStream(t.seed, reqProfTag, e, -1), reqProfTag, e, 0,
+			sampleStream(t.seed, reqLblTag, i, s))
 	}
 }
 
 // FillTableColumn implements Dataset.
 func (r *RequestLog) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	b.Reset(hi - lo)
+	tch := r.teacher()
 	for s := lo; s < hi; s++ {
-		r.entityRows(r.Entity(i, s), t, b)
+		tch.appendBag(b, t, reqProfTag, int(r.Entity(i, s)), 0)
 		b.Offsets[s-lo+1] = int32(len(b.Indices))
 	}
 }

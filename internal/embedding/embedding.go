@@ -119,17 +119,8 @@ func fwdBody(arg any, tid, lo, hi int) {
 	t := arg.(*Table)
 	b, out, e := t.ka.b, t.ka.out, t.E
 	for bag := lo; bag < hi; bag++ {
-		y := out[bag*e : (bag+1)*e]
-		for i := range y {
-			y[i] = 0
-		}
 		start, end := b.Offsets[bag], b.Offsets[bag+1]
-		for s := start; s < end; s++ {
-			row := t.Row(int(b.Indices[s]))
-			for i := range y {
-				y[i] += row[i]
-			}
-		}
+		bagSum(out[bag*e:(bag+1)*e], t.W, b.Indices[start:], int(end-start))
 	}
 }
 
@@ -179,24 +170,10 @@ func (t *Table) Backward(p *par.Pool, b *Batch, dOut, dW []float32) {
 func fusedBody(arg any, tid, workers int) {
 	t := arg.(*Table)
 	b, dOut, lr, e := t.ka.b, t.ka.dOut, t.ka.lr, t.E
-	n := b.NumBags()
-	mStart, mEnd := par.Chunk(t.M, workers, tid)
-	for bag := 0; bag < n; bag++ {
+	lo, hi := par.Chunk(t.M, workers, tid)
+	for bag := 0; bag < b.NumBags(); bag++ {
 		start, end := b.Offsets[bag], b.Offsets[bag+1]
-		if start == end {
-			continue
-		}
-		g := dOut[bag*e : (bag+1)*e]
-		for s := start; s < end; s++ {
-			ind := int(b.Indices[s])
-			if ind < mStart || ind >= mEnd {
-				continue
-			}
-			row := t.Row(ind)
-			for i := range row {
-				row[i] -= lr * g[i]
-			}
-		}
+		updateRows(t.W, e, b.Indices[start:], int(end-start), lo, hi, dOut[bag*e:(bag+1)*e], 0, lr)
 	}
 }
 

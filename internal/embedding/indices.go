@@ -52,26 +52,69 @@ type Zipf struct {
 func (z Zipf) Draw(rng *rand.Rand, m int) int32 { return z.DrawU(rng.Float64(), m) }
 
 // DrawU maps a uniform u ∈ [0, 1) to a Zipf-distributed row index — the
-// inverse-CDF core of Draw, usable with any uniform source.
-func (z Zipf) DrawU(u float64, m int) int32 {
+// inverse-CDF core of Draw, usable with any uniform source. Callers that
+// draw many indices from one table keep its Sampler instead.
+func (z Zipf) DrawU(u float64, m int) int32 { return z.Sampler(m).DrawU(u) }
+
+// ZipfSampler draws from one Zipf over one table's m rows: everything in
+// the inverse CDF that does not depend on the uniform is computed once.
+type ZipfSampler struct {
+	m    int
+	one  bool    // s = 1: x = exp(u·a), a = log(m+1)
+	a    float64 // otherwise x = (u·a + 1)^inv, a = (m+1)^(1-s) - 1
+	inv  float64 // 1/(1-s)
+	fast bool    // |inv| small enough for DrawU's error argument
+}
+
+// Sampler returns the sampler for a table of m rows.
+func (z Zipf) Sampler(m int) ZipfSampler {
 	s := z.S
 	if s <= 0 {
 		s = 1
 	}
-	// Inverse CDF of the continuous analogue p(x) ∝ x^-s on [1, m+1).
-	var x float64
 	if s == 1 {
-		x = math.Exp(u * math.Log(float64(m)+1))
+		return ZipfSampler{m: m, one: true, a: math.Log(float64(m) + 1)}
+	}
+	inv := 1 / (1 - s)
+	return ZipfSampler{m: m, a: math.Pow(float64(m)+1, 1-s) - 1, inv: inv, fast: math.Abs(inv) <= zipfMaxInv}
+}
+
+// zipfGuard and zipfMaxInv carry DrawU's error argument. The row is
+// floor(x) - 1 for x = v^inv ∈ [1, m+1), m < 2³¹, so only floor(x) matters.
+// DrawU first computes x′ = exp(inv·log v). Take Log and Exp each within
+// 1e-15 relative (several ulp; both are tested tighter): |inv·log v| = ln x
+// ≤ 21.5, so x′ is within 21.5·(1e-15 + 1.1e-16) + 1e-15 < 2.5e-14 of the
+// true power. math.Pow, the definition of the draw, raises a mantissa by
+// repeated squaring, which doubles the relative error each time and adds
+// half an ulp: within |inv|·2.3e-16 ≤ 2.3e-13 for |inv| ≤ zipfMaxInv. So the
+// two differ by less than 2.6e-13·x, and when x′ is farther than zipfGuard·x′
+// = 1e-11·x′ (forty times that) from every integer no integer lies between
+// them: same floor, same row. Otherwise — about x·2e-11 of the draws — Pow
+// decides.
+const (
+	zipfGuard  = 1e-11
+	zipfMaxInv = 1000
+)
+
+// DrawU maps a uniform u ∈ [0, 1) to a row in [0, m).
+func (z ZipfSampler) DrawU(u float64) int32 {
+	var x float64
+	if z.one {
+		x = math.Exp(u * z.a)
 	} else {
-		hi := math.Pow(float64(m)+1, 1-s)
-		x = math.Pow(u*(hi-1)+1, 1/(1-s))
+		// Inverse CDF of the continuous analogue p(x) ∝ x^-s on [1, m+1).
+		v := u*z.a + 1
+		x = math.Exp(z.inv * math.Log(v))
+		if f := x - math.Floor(x); !(z.fast && f > x*zipfGuard && 1-f > x*zipfGuard) {
+			x = math.Pow(v, z.inv)
+		}
 	}
 	r := int32(x) - 1
 	if r < 0 {
 		r = 0
 	}
-	if int(r) >= m {
-		r = int32(m - 1)
+	if int(r) >= z.m {
+		r = int32(z.m - 1)
 	}
 	return r
 }

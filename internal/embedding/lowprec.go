@@ -19,7 +19,7 @@ func splitBody(arg any, tid, workers int) {
 		src := dW[s*e : (s+1)*e]
 		base := ind * e
 		for i := 0; i < e; i++ {
-			w := split.At(base+i) - lr*src[i]
+			w := split.At(base+i) - float32(lr*src[i])
 			split.SetFP32(base+i, w)
 			t.W[base+i] = split.HiFloat(base + i)
 		}
@@ -55,7 +55,7 @@ func quantBody(arg any, tid, workers int) {
 		row := t.Row(ind)
 		src := dW[s*e : (s+1)*e]
 		for i := range row {
-			row[i] = quant(row[i] - lr*src[i])
+			row[i] = quant(row[i] - float32(lr*src[i]))
 		}
 	}
 }
@@ -100,7 +100,7 @@ func fp16StochBody(arg any, tid, workers int) {
 			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 			z ^= z >> 31
 			u := float32(z>>40) / float32(1<<24)
-			row[i] = bf16.StochasticRoundFP16(row[i]-lr*src[i], u)
+			row[i] = bf16.StochasticRoundFP16(row[i]-float32(lr*src[i]), u)
 		}
 	}
 }

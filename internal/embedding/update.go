@@ -97,7 +97,7 @@ func (t *Table) updateReference(b *Batch, dW []float32, lr float32) {
 		}
 	}
 	for i := range t.W {
-		t.W[i] -= lr * dense[i]
+		t.W[i] -= float32(lr * dense[i])
 	}
 }
 
@@ -123,7 +123,7 @@ func atomicBody(arg any, tid, lo, hi int) {
 		row := t.Row(ind)
 		src := dW[s*e : (s+1)*e]
 		for i := range row {
-			atomicAddFloat32(&row[i], -lr*src[i])
+			atomicAddFloat32(&row[i], float32(-lr*src[i]))
 		}
 	}
 }
@@ -140,13 +140,10 @@ func rtmBody(arg any, tid, lo, hi int) {
 	b, dW, lr, e := t.ka.b, t.ka.dW, t.ka.lr, t.E
 	for s := lo; s < hi; s++ {
 		ind := int(b.Indices[s])
-		src := dW[s*e : (s+1)*e]
+		row, src := t.Row(ind), dW[s*e:(s+1)*e] // a bad index panics here, not under the lock
 		mu := &rtmLocks[ind&(rtmStripes-1)]
 		mu.Lock()
-		row := t.Row(ind)
-		for i := range row {
-			row[i] -= lr * src[i]
-		}
+		UpdateRow(row, src, lr)
 		mu.Unlock()
 	}
 }
@@ -161,20 +158,9 @@ func (t *Table) updateRTM(p *par.Pool, b *Batch, dW []float32, lr float32) {
 // (Algorithm 4).
 func raceFreeBody(arg any, tid, workers int) {
 	t := arg.(*Table)
-	b, dW, lr, e := t.ka.b, t.ka.dW, t.ka.lr, t.E
-	ns := b.NumLookups()
-	mStart, mEnd := par.Chunk(t.M, workers, tid)
-	for s := 0; s < ns; s++ {
-		ind := int(b.Indices[s])
-		if ind < mStart || ind >= mEnd {
-			continue
-		}
-		row := t.Row(ind)
-		src := dW[s*e : (s+1)*e]
-		for i := range row {
-			row[i] -= lr * src[i]
-		}
-	}
+	b := t.ka.b
+	lo, hi := par.Chunk(t.M, workers, tid)
+	updateRows(t.W, t.E, b.Indices, len(b.Indices), lo, hi, t.ka.dW, t.E, t.ka.lr)
 }
 
 func (t *Table) updateRaceFree(p *par.Pool, b *Batch, dW []float32, lr float32) {

@@ -100,3 +100,96 @@ func TestZipfHeadMassProperties(t *testing.T) {
 		t.Errorf("s=0 fallback: %v != s=1 mass %v", a, b)
 	}
 }
+
+// drawUExact is Zipf.DrawU as it was before samplers existed — every draw
+// two math.Pow — and stays here as the definition the sampler must equal.
+func drawUExact(s, u float64, m int) int32 {
+	var x float64
+	if s == 1 {
+		x = math.Exp(u * math.Log(float64(m)+1))
+	} else {
+		hi := math.Pow(float64(m)+1, 1-s)
+		x = math.Pow(u*(hi-1)+1, 1/(1-s))
+	}
+	r := int32(x) - 1
+	if r < 0 {
+		r = 0
+	}
+	if int(r) >= m {
+		r = int32(m - 1)
+	}
+	return r
+}
+
+// TestSamplerEqualsExactDraw holds the sampler's fast path to the integer the
+// exact formula gives, where it is most likely to differ — a few ulp either
+// side of every u at which the continuous draw crosses an integer (every
+// threshold of the small tables, a sample of them up to the largest Criteo
+// table) — and on ten million uniform draws.
+func TestSamplerEqualsExactDraw(t *testing.T) {
+	const ulps = 40
+	check := func(s float64, z ZipfSampler, m int, u float64) {
+		if u < 0 || u >= 1 {
+			return
+		}
+		if got, want := z.DrawU(u), drawUExact(s, u, m); got != want {
+			t.Fatalf("s=%v m=%d u=%v (%#x): sampler row %d, exact row %d", s, m, u, math.Float64bits(u), got, want)
+		}
+	}
+	var ctr uint64
+	for _, s := range []float64{0.5, 1, 1.05, 2} {
+		for _, m := range []int{1, 3, 17, 1000, 38_949, 100_000, 250_000, 39_884_406} {
+			z := Zipf{S: s}.Sampler(m)
+			// About a thousand thresholds per table: all of them when the
+			// table is that small, else every stride-th plus the last ones.
+			stride := max(1, m/1000)
+			for k := 1; k <= m+1; k++ {
+				if k%stride != 0 && k < m-16 {
+					continue
+				}
+				// u at which x = k: the CDF of p(x) ∝ x^-s on [1, m+1).
+				var u float64
+				if s == 1 {
+					u = math.Log(float64(k)) / math.Log(float64(m)+1)
+				} else {
+					u = (math.Pow(float64(k), 1-s) - 1) / (math.Pow(float64(m)+1, 1-s) - 1)
+				}
+				lo, hi := u, u
+				check(s, z, m, u)
+				for i := 0; i < ulps; i++ {
+					lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
+					check(s, z, m, lo)
+					check(s, z, m, hi)
+				}
+			}
+			for i := 0; i < 320_000; i++ {
+				check(s, z, m, zipfTestU(ctr))
+				ctr++
+			}
+		}
+	}
+	if ctr < 10_000_000 {
+		t.Fatalf("only %d random draws", ctr)
+	}
+}
+
+// BenchmarkZipfDraw times one draw at the train-emb table shape: the sampler
+// and the exact two-Pow formula it replaced.
+func BenchmarkZipfDraw(b *testing.B) {
+	const m = 250_000
+	b.Run("sampler", func(b *testing.B) {
+		z := Zipf{S: 1.05}.Sampler(m)
+		var sink int32
+		for i := 0; i < b.N; i++ {
+			sink += z.DrawU(zipfTestU(uint64(i)))
+		}
+		_ = sink
+	})
+	b.Run("exact", func(b *testing.B) {
+		var sink int32
+		for i := 0; i < b.N; i++ {
+			sink += drawUExact(1.05, zipfTestU(uint64(i)), m)
+		}
+		_ = sink
+	})
+}

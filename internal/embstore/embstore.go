@@ -306,22 +306,18 @@ func (s *Store) access(li int, r int32, write bool) []float32 {
 }
 
 // Forward computes the batch's bag sums for local table li into out
-// (NumBags × e), reading rows through the cache. The per-bag accumulation
-// order matches Table.Forward exactly (zero, then += in lookup order), and
-// a cached copy is bit-for-bit the table row it shadows, so the result is
-// bit-identical to the untiered path.
+// (NumBags × e), reading rows through the cache. A bag is zeroed and its rows
+// accumulated in lookup order with embedding's own row primitive (an
+// admission may reuse the slot of a row this bag has already added, so rows
+// are added as they are resolved), and a cached copy is bit-for-bit the table
+// row it shadows, so the result is bit-identical to Table.Forward.
 func (s *Store) Forward(li int, b *embedding.Batch, out []float32) {
 	e := s.e
 	for bag := 0; bag < b.NumBags(); bag++ {
 		y := out[bag*e : (bag+1)*e]
-		for i := range y {
-			y[i] = 0
-		}
+		clear(y)
 		for _, r := range b.Indices[b.Offsets[bag]:b.Offsets[bag+1]] {
-			row := s.access(li, r, false)
-			for i := range y {
-				y[i] += row[i]
-			}
+			embedding.UpdateRow(y, s.access(li, r, false), -1) // y += row, exactly
 		}
 	}
 }
@@ -329,16 +325,13 @@ func (s *Store) Forward(li int, b *embedding.Batch, out []float32) {
 // Update applies the SGD step row[i] -= lr·dW[s·e+i] for every lookup s in
 // ascending order, writing through the cache with dirty marking. The
 // race-free update strategy applies per-row deltas in exactly this lookup
-// order (each worker scans all lookups and claims its row range), so the
-// cached path is bit-identical to Table.Update with embedding.RaceFree.
+// order (each worker scans all lookups and claims its row range) with the
+// same row primitive, so the cached path is bit-identical to Table.Update
+// with embedding.RaceFree.
 func (s *Store) Update(li int, b *embedding.Batch, dW []float32, lr float32) {
 	e := s.e
 	for j := 0; j < b.NumLookups(); j++ {
-		row := s.access(li, b.Indices[j], true)
-		src := dW[j*e : (j+1)*e]
-		for i := range row {
-			row[i] -= lr * src[i]
-		}
+		embedding.UpdateRow(s.access(li, b.Indices[j], true), dW[j*e:(j+1)*e], lr)
 	}
 }
 

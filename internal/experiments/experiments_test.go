@@ -128,17 +128,16 @@ func TestFig78ShapeReferenceSlowest(t *testing.T) {
 		t.Fatalf("Reference should be embedding-heavy, got %v%%\n%s", refEmb, f8)
 	}
 	// That the optimized Small / RaceFree step is no longer embedding-bound
-	// is asserted free of MLP speed, which sets how far a share can fall
-	// (the same 12 ms of embeddings is 8% of the step beside the Go GEMM
-	// kernel and 47% beside a vector one, so "half the Reference share"
-	// meant a ≥ 3.3–4.4× faster embedding phase on the former and ≥ 10× on
-	// the latter): the embedding phase itself is ≥ 5× faster than
-	// Reference's, and embeddings do not dominate the optimized step
-	// (measured 7–9% and 46–48%; the paper's full-scale Small is ~30%).
+	// is asserted two ways: the embedding phase itself is ≥ 5× faster than
+	// Reference's (free of MLP speed, which sets how far a share can fall),
+	// and embeddings take no more of the optimized step than in the paper's
+	// full-scale Small, ~30% (measured 17–21% with forward and update on the
+	// vector kernels beside the vector GEMM, five runs; 7–9% beside the Go
+	// GEMM kernel, whose MLP time dwarfs everything).
 	if ref, opt := parseF(t, cell(f7, 0, 4)), parseF(t, cell(f7, 3, 4)); ref < 5*opt {
 		t.Fatalf("Small Reference emb (%.2fms) should be ≥ 5x Race Free emb (%.2fms)\n%s", ref, opt, f7)
 	}
-	if optEmb := parseF(t, cell(f8, 3, 2)); optEmb > 55 {
+	if optEmb := parseF(t, cell(f8, 3, 2)); optEmb > 30 {
 		t.Fatalf("optimized step is embedding-dominated: %v%% (Reference %v%%)\n%s", optEmb, refEmb, f8)
 	}
 }

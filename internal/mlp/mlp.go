@@ -260,10 +260,10 @@ func dzBody(arg any, tid, lo, hi int) {
 // this afterwards.
 func (l *Layer) Step(lr float32) {
 	for i := range l.W.Data {
-		l.W.Data[i] -= lr * l.DW.Data[i]
+		l.W.Data[i] -= float32(lr * l.DW.Data[i])
 	}
 	for i := range l.Bias {
-		l.Bias[i] -= lr * l.DBias[i]
+		l.Bias[i] -= float32(lr * l.DBias[i])
 	}
 	l.InvalidateTranspose()
 }

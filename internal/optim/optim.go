@@ -35,14 +35,16 @@ func (s *SGD) Step(grad []float32, lr float32) { s.StepRange(grad, lr, 0, len(s.
 
 // StepRange applies the update to parameters [lo, hi) only. The update is
 // elementwise, so disjoint ranges may run concurrently and any partition
-// gives Step's result bit for bit.
+// gives Step's result bit for bit. Here and below the product is converted
+// explicitly: that forbids fusing it into the subtraction, so an update is
+// two roundings on every architecture.
 func (s *SGD) StepRange(grad []float32, lr float32, lo, hi int) {
 	if len(grad) != len(s.Params) {
 		panic("optim: SGD grad length mismatch")
 	}
 	p, g := s.Params[lo:hi], grad[lo:hi]
 	for i := range p {
-		p[i] -= lr * g[i]
+		p[i] -= float32(lr * g[i])
 	}
 }
 
@@ -124,7 +126,7 @@ func (q *QuantizedSGD) Step(grad []float32, lr float32) {
 		panic("optim: QuantizedSGD grad length mismatch")
 	}
 	for i := range q.Params {
-		q.Params[i] = q.Quant(q.Params[i] - lr*grad[i])
+		q.Params[i] = q.Quant(q.Params[i] - float32(lr*grad[i]))
 	}
 }
 
@@ -165,7 +167,7 @@ func (m *MasterSGD) Step(grad []float32, lr float32) {
 		panic("optim: MasterSGD grad length mismatch")
 	}
 	for i := range m.Master {
-		m.Master[i] -= lr * grad[i]
+		m.Master[i] -= float32(lr * grad[i])
 		m.Params[i] = m.Quant(m.Master[i])
 	}
 }
