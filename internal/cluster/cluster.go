@@ -1,9 +1,21 @@
 // Package cluster is the multi-socket execution substrate: every rank (one
-// per socket, as in the paper's runs) is a goroutine, collectives move real
-// data between ranks, and *time* is virtual — charged from the perfmodel
-// and fabric cost models. This is the substitution that lets the paper's 8-
-// and 64-socket experiments regenerate on any machine: functional behaviour
-// is executed, hardware speed is simulated.
+// per socket, as in the paper's runs) executes the same SPMD body,
+// collectives move real data between ranks, and *time* is virtual — charged
+// from the perfmodel and fabric cost models. This is the substitution that
+// lets the paper's 8- and 64-socket experiments regenerate on any machine:
+// functional behaviour is executed, hardware speed is simulated.
+//
+// How a rank body is hosted depends on whether it does real work. By
+// default — timing mode, where a body only advances virtual clocks between
+// collectives — Run is a lockstep engine: each body is a coroutine
+// (iter.Pull) resumed in rank order on the caller's goroutine; a rank that
+// reaches an incomplete rendezvous yields, and the last arriver runs the
+// leader and carries on. One rank runs at any instant, so nothing is locked
+// or woken across threads and host cost is the same at any GOMAXPROCS.
+// Bodies that compute between collectives (functional training) set
+// Config.Parallel and run as goroutines parking on a condition variable, so
+// their kernels overlap. Only how a waiting rank parks differs between the
+// two; the results are byte-identical.
 //
 // Each rank owns a compute stream (its virtual clock, advanced by Compute)
 // and one or more communication channels (advanced by collectives). The two
@@ -22,6 +34,8 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/fabric"
@@ -84,6 +98,17 @@ type Config struct {
 	// many jobs (figure sweeps, benchmarks) pass a shared *Pools so the
 	// worker goroutines persist across runs.
 	Pools *Pools
+
+	// Parallel states that the rank bodies do real work between collectives
+	// (functional training: kernels, data loaders), so Run hosts every rank
+	// on its own goroutine and the work overlaps across host cores. The zero
+	// value is the lockstep engine (see Run), several times cheaper for
+	// bodies that only advance virtual clocks. Results are identical.
+	Parallel bool
+
+	// resumeOrder is a test hook: the order in which a lockstep sweep
+	// resumes the ranks (nil = by rank id). Results must not depend on it.
+	resumeOrder []int
 }
 
 // commSlowdown returns the factor by which collective durations stretch
@@ -132,8 +157,9 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Stats accumulates per-rank virtual-time accounting, keyed by the labels
-// the trainer passes (e.g. "alltoall", "allreduce").
+// Stats is one rank's virtual-time accounting, keyed by the labels the
+// trainer passes (e.g. "alltoall", "allreduce"). Run materialises it when
+// the rank's body returns.
 type Stats struct {
 	Compute  float64            // seconds in compute (after any inflation)
 	Wait     map[string]float64 // exposed wait per collective label
@@ -141,38 +167,51 @@ type Stats struct {
 	Prep     map[string]float64 // framework pre/post processing per label
 }
 
-func newStats() Stats {
-	return Stats{
-		Wait:     map[string]float64{},
-		CommBusy: map[string]float64{},
-		Prep:     map[string]float64{},
+// TotalWait sums exposed waits over all labels (in label order, see
+// AddByLabel).
+func (s *Stats) TotalWait() float64 { return AddByLabel(0, s.Wait) }
+
+// AddByLabel adds a per-label map's values to acc one by one in ascending
+// label order: float addition is not associative, so a sum in Go's random
+// map order differs in its last bits from run to run.
+func AddByLabel(acc float64, m map[string]float64) float64 {
+	var buf [16]string
+	labels := buf[:0]
+	for l := range m {
+		labels = append(labels, l)
 	}
+	slices.Sort(labels)
+	for _, l := range labels {
+		acc += m[l]
+	}
+	return acc
 }
 
-// TotalWait sums exposed waits over all labels.
-func (s *Stats) TotalWait() float64 {
-	var t float64
-	for _, v := range s.Wait {
-		t += v
-	}
-	return t
-}
-
-// Engine coordinates the rank goroutines of one simulated job.
+// Engine coordinates the ranks of one simulated job.
 type Engine struct {
 	Cfg Config
 
-	mu     sync.Mutex
-	cond   *sync.Cond
+	// Under Cfg.Parallel mu guards everything below and cond wakes the ranks
+	// waiting in a rendezvous; in lockstep neither is used (see park).
+	mu   sync.Mutex
+	cond *sync.Cond
+	// progress counts rendezvous arrivals and finished bodies; a lockstep
+	// sweep that leaves it unchanged has deadlocked.
+	progress int
+
 	active []*slot // in-flight collectives (at most a handful; linear scan)
 	free   *slot   // recycled slot free list — steady state allocates none
 	pools  *Pools
 
+	// shared is the job-wide value of a layer above (see Shared).
+	sharedMu sync.Mutex
+	shared   any
+
 	// The contention epoch (Cfg.Contention): time windows and link loads of
 	// charged collectives still in flight, shared across all channels and
 	// ranks. Mutated only from ChargeContended, which runs in leader
-	// context — under e.mu — so no further locking is needed. Records are
-	// recycled through a free list; steady state allocates none.
+	// context — one leader at a time — so no further locking is needed.
+	// Records are recycled through a free list; steady state allocates none.
 	inflight   []*flight
 	flightFree *flight
 }
@@ -180,12 +219,24 @@ type Engine struct {
 // NewEngine builds an engine for cfg with the tuning defaults applied.
 // Run constructs its engine through this; standalone holders — the serving
 // tier prices request-scoped shard fetches through ChargeContended on the
-// same contention epoch — construct one directly, without launching rank
-// goroutines.
+// same contention epoch — construct one directly, without launching ranks.
 func NewEngine(cfg Config) *Engine {
 	e := &Engine{Cfg: cfg.WithDefaults()}
 	e.cond = sync.NewCond(&e.mu)
 	return e
+}
+
+// Shared returns the engine's job-wide value, building it with mk on the
+// first call: how a layer above keeps one instance of rank-free state per
+// job instead of one per rank (comm's collective pricer). Safe to call from
+// every rank's body.
+func (e *Engine) Shared(mk func() any) any {
+	e.sharedMu.Lock()
+	defer e.sharedMu.Unlock()
+	if e.shared == nil {
+		e.shared = mk()
+	}
+	return e.shared
 }
 
 // flight is one charged collective's window on the contention epoch.
@@ -197,6 +248,7 @@ type flight struct {
 
 type slot struct {
 	seq      int64
+	label    string // the first arriver's, for the deadlock report
 	payloads []any
 	ready    []float64
 	arrived  int
@@ -216,7 +268,7 @@ type slot struct {
 // (the same static-body convention as par.ForNArg).
 type LeaderFunc func(arg any, payloads []any, start float64) (dur float64)
 
-// Rank is the per-goroutine handle: virtual clocks plus statistics.
+// Rank is the per-rank handle: virtual clocks plus statistics.
 type Rank struct {
 	ID  int
 	Eng *Engine
@@ -225,7 +277,68 @@ type Rank struct {
 	commFree  []float64
 	asyncFree float64 // background-thread stream (Async): busy until here
 	seq       int64
-	Stats     Stats
+	// yield suspends this rank's coroutine until Run resumes it (lockstep
+	// only); false means Run has given up and the body must unwind.
+	yield func(struct{}) bool
+
+	// The accounting behind Stats: one record per label in first-use order,
+	// found by scanning a handful of entries instead of three map writes
+	// per collective; each label accumulates in program order, as in a map.
+	compute float64
+	acct    []labelAcct
+	acctBuf [8]labelAcct // acct's first backing array
+}
+
+// labelAcct is one label's accumulated times; has records which of the
+// three Stats maps it belongs in (a label that only waited has no Prep).
+type labelAcct struct {
+	label            string
+	wait, busy, prep float64
+	has              uint8
+}
+
+const (
+	hasWait uint8 = 1 << iota
+	hasBusy
+	hasPrep
+)
+
+// account returns label's record, marking it present in the given maps.
+func (r *Rank) account(label string, has uint8) *labelAcct {
+	for i := range r.acct {
+		if a := &r.acct[i]; a.label == label {
+			a.has |= has
+			return a
+		}
+	}
+	if r.acct == nil {
+		r.acct = r.acctBuf[:0]
+	}
+	r.acct = append(r.acct, labelAcct{label: label, has: has})
+	return &r.acct[len(r.acct)-1]
+}
+
+// stats materialises the exported per-label maps.
+func (r *Rank) stats() Stats {
+	s := Stats{
+		Compute:  r.compute,
+		Wait:     map[string]float64{},
+		CommBusy: map[string]float64{},
+		Prep:     map[string]float64{},
+	}
+	for i := range r.acct {
+		a := &r.acct[i]
+		if a.has&hasWait != 0 {
+			s.Wait[a.label] = a.wait
+		}
+		if a.has&hasBusy != 0 {
+			s.CommBusy[a.label] = a.busy
+		}
+		if a.has&hasPrep != 0 {
+			s.Prep[a.label] = a.prep
+		}
+	}
+	return s
 }
 
 // Pool returns this rank's persistent compute worker pool, lazily created
@@ -251,9 +364,22 @@ type Handle struct {
 	finish  float64
 }
 
-// Run executes body on Ranks goroutines and returns the per-rank statistics
-// once all complete. Bodies must be SPMD: every rank issues the same
-// sequence of collectives.
+// Run executes body once per rank and returns the per-rank statistics once
+// all complete. Bodies must be SPMD: every rank issues the same sequence of
+// collectives.
+//
+// By default Run is a lockstep engine: every body is a coroutine, resumed
+// in rank order on the caller's goroutine; a rank that reaches a rendezvous
+// before the others yields, the last arriver runs the leader and keeps
+// going. One rank runs at any instant and leaders run in global issue
+// order, so a result cannot depend on scheduling. A lockstep body may block
+// only on the cluster's own rendezvous (Collective, Barrier): the rank it
+// would otherwise wait for is not running. A body that breaks SPMD — returns
+// early, issues fewer collectives — is reported by a panic naming the open
+// collective and the missing ranks, not a hang, and a panic inside a body is
+// re-raised on the caller's goroutine; every unfinished coroutine is unwound
+// first. With Config.Parallel the ranks are goroutines instead: a body panic
+// takes the process down and a non-SPMD body hangs.
 func Run(cfg Config, body func(r *Rank)) []Stats {
 	cfg = cfg.WithDefaults()
 	if cfg.Ranks < 1 {
@@ -264,30 +390,108 @@ func Run(cfg Config, body func(r *Rank)) []Stats {
 	}
 	e := NewEngine(cfg)
 	e.pools = cfg.Pools
-	ownedPools := e.pools == nil
-	if ownedPools {
+	if e.pools == nil {
 		e.pools = NewPools()
+		defer e.pools.Close()
 	}
 	channels := 1
 	if cfg.Backend == CCLBackend {
 		channels = cfg.CCLChannels
 	}
-	stats := make([]Stats, cfg.Ranks)
-	var wg sync.WaitGroup
-	wg.Add(cfg.Ranks)
-	for id := 0; id < cfg.Ranks; id++ {
-		go func(id int) {
-			defer wg.Done()
-			r := &Rank{ID: id, Eng: e, commFree: make([]float64, channels), Stats: newStats()}
-			body(r)
-			stats[id] = r.Stats
-		}(id)
+	ranks := make([]*Rank, cfg.Ranks)
+	for id := range ranks {
+		ranks[id] = &Rank{ID: id, Eng: e, commFree: make([]float64, channels)}
 	}
-	wg.Wait()
-	if ownedPools {
-		e.pools.Close()
+	stats := make([]Stats, cfg.Ranks)
+	if cfg.Parallel {
+		var wg sync.WaitGroup
+		wg.Add(cfg.Ranks)
+		for _, r := range ranks {
+			go func() {
+				defer wg.Done()
+				body(r)
+				stats[r.ID] = r.stats()
+			}()
+		}
+		wg.Wait()
+	} else {
+		e.runLockstep(ranks, body, stats)
 	}
 	return stats
+}
+
+// stopped is what unwinds a suspended rank body when Run gives up on it.
+type stopped struct{}
+
+// runLockstep hosts every body in a coroutine and resumes them in turn until
+// all have returned.
+func (e *Engine) runLockstep(ranks []*Rank, body func(r *Rank), stats []Stats) {
+	n := len(ranks)
+	next := make([]func() (struct{}, bool), n)
+	stop := make([]func(), n)
+	// If the sweep ends early (a body panicked, the ranks deadlocked) the
+	// bodies still suspended are unwound here — park panics with stopped{},
+	// absorbed below — so no coroutine outlives Run.
+	defer func() {
+		for _, s := range stop {
+			if s != nil {
+				s()
+			}
+		}
+	}()
+	for _, r := range ranks {
+		next[r.ID], stop[r.ID] = iter.Pull(func(yield func(struct{}) bool) {
+			defer func() {
+				if p := recover(); p != nil {
+					if _, ok := p.(stopped); !ok {
+						panic(p) // the body's own: iter.Pull re-raises it in next
+					}
+				}
+			}()
+			r.yield = yield
+			body(r)
+			stats[r.ID] = r.stats()
+		})
+	}
+	for live := n; live > 0; {
+		before := e.progress
+		for id := range n {
+			if e.Cfg.resumeOrder != nil {
+				id = e.Cfg.resumeOrder[id]
+			}
+			if next[id] == nil {
+				continue
+			}
+			if _, ok := next[id](); !ok {
+				next[id] = nil
+				live--
+				e.progress++
+			}
+		}
+		if e.progress == before {
+			panic(e.deadlockReport(ranks))
+		}
+	}
+}
+
+// deadlockReport describes the lowest open rendezvous after a sweep in which
+// no rank moved: everyone left waits for ranks that will never join.
+func (e *Engine) deadlockReport(ranks []*Rank) string {
+	open := e.active[0]
+	for _, s := range e.active[1:] {
+		if s.seq < open.seq {
+			open = s
+		}
+	}
+	var missing []int
+	for _, r := range ranks {
+		if r.seq <= open.seq {
+			missing = append(missing, r.ID)
+		}
+	}
+	return fmt.Sprintf("cluster: deadlock: collective #%d (%q) has %d of %d ranks waiting and rank(s) %v "+
+		"returned without issuing it — rank bodies must be SPMD and may block only on the cluster's rendezvous",
+		open.seq, open.label, open.arrived, e.Cfg.Ranks, missing)
 }
 
 // Now returns the rank's current compute-stream virtual time.
@@ -323,14 +527,14 @@ func (r *Rank) Compute(seconds float64) {
 		}
 	}
 	r.now += seconds
-	r.Stats.Compute += seconds
+	r.compute += seconds
 }
 
 // Prep charges framework pre/post-processing (flat-buffer packing, gradient
 // averaging) to compute time, attributed to the given label.
 func (r *Rank) Prep(label string, seconds float64) {
 	r.now += seconds
-	r.Stats.Prep[label] += seconds
+	r.account(label, hasPrep).prep += seconds
 }
 
 // Async charges seconds of background work — a prefetching loader goroutine,
@@ -352,7 +556,7 @@ func (r *Rank) Async(label string, seconds float64) Handle {
 	}
 	finish := start + seconds
 	r.asyncFree = finish
-	r.Stats.CommBusy[label] += seconds
+	r.account(label, hasBusy).busy += seconds
 	return Handle{Label: label, Channel: -1, finish: finish}
 }
 
@@ -381,9 +585,10 @@ func (r *Rank) Collective(label string, payload, arg any, lead LeaderFunc) Handl
 // FIFO behind everything already issued; either way the channel the
 // operation actually landed on is recorded on the returned Handle.
 func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead LeaderFunc) Handle {
-	cfg := r.Eng.Cfg
+	cfg := &r.Eng.Cfg
 	r.now += cfg.CallOverhead
-	r.Stats.Prep[label] += cfg.CallOverhead
+	a := r.account(label, hasPrep|hasBusy)
+	a.prep += cfg.CallOverhead
 
 	ch := 0
 	if cfg.Backend == CCLBackend {
@@ -399,9 +604,9 @@ func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead Le
 	}
 	seq := r.seq
 	r.seq++
-	finish, dur := r.Eng.exchange(seq, r.ID, payload, ready, arg, lead)
+	finish, dur := r.Eng.exchange(r, seq, label, payload, ready, arg, lead)
 	r.commFree[ch] = finish
-	r.Stats.CommBusy[label] += dur
+	a.busy += dur
 	h := Handle{Label: label, Channel: ch, finish: finish}
 	if cfg.Blocking {
 		r.Wait(h)
@@ -414,7 +619,7 @@ func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead Le
 // no-op.
 func (r *Rank) Wait(h Handle) {
 	if h.finish > r.now {
-		r.Stats.Wait[h.Label] += h.finish - r.now
+		r.account(h.Label, hasWait).wait += h.finish - r.now
 		r.now = h.finish
 	}
 }
@@ -429,8 +634,8 @@ func (r *Rank) Barrier() {
 
 // slotFor returns the rendezvous slot for sequence number seq, reusing a
 // recycled slot (or allocating one, only until the free list warms up) when
-// this rank is the first to arrive. Caller holds e.mu.
-func (e *Engine) slotFor(seq int64) *slot {
+// this rank is the first to arrive.
+func (e *Engine) slotFor(seq int64, label string) *slot {
 	for _, s := range e.active {
 		if s.seq == seq {
 			return s
@@ -446,13 +651,12 @@ func (e *Engine) slotFor(seq int64) *slot {
 			ready:    make([]float64, e.Cfg.Ranks),
 		}
 	}
-	s.seq, s.arrived, s.done, s.finish, s.dur = seq, 0, false, 0, 0
+	s.seq, s.label, s.arrived, s.done, s.finish, s.dur = seq, label, 0, false, 0, 0
 	e.active = append(e.active, s)
 	return s
 }
 
 // release clears a drained slot's payload references and recycles it.
-// Caller holds e.mu.
 func (e *Engine) release(s *slot) {
 	for i := range s.payloads {
 		s.payloads[i] = nil
@@ -472,14 +676,18 @@ func (e *Engine) release(s *slot) {
 
 // exchange is the rendezvous: gathers payloads and ready times from all
 // ranks, runs the leader once, and releases everyone once the data has
-// moved and the duration is known.
-func (e *Engine) exchange(seq int64, rank int, payload any, ready float64, arg any, lead LeaderFunc) (float64, float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.slotFor(seq)
-	s.payloads[rank] = payload
-	s.ready[rank] = ready
+// moved and the duration is known. Under Cfg.Parallel it runs under e.mu;
+// in lockstep the one running rank has the engine to itself.
+func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready float64, arg any, lead LeaderFunc) (float64, float64) {
+	if e.Cfg.Parallel {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	s := e.slotFor(seq, label)
+	s.payloads[r.ID] = payload
+	s.ready[r.ID] = ready
 	s.arrived++
+	e.progress++
 	if s.arrived == e.Cfg.Ranks {
 		start := s.ready[0]
 		for _, t := range s.ready[1:] {
@@ -491,10 +699,12 @@ func (e *Engine) exchange(seq int64, rank int, payload any, ready float64, arg a
 		s.dur = dur
 		s.finish = start + dur
 		s.done = true
-		e.cond.Broadcast()
+		if e.Cfg.Parallel {
+			e.cond.Broadcast()
+		}
 	} else {
 		for !s.done {
-			e.cond.Wait()
+			e.park(r)
 		}
 	}
 	finish, dur := s.finish, s.dur
@@ -504,6 +714,17 @@ func (e *Engine) exchange(seq int64, rank int, payload any, ready float64, arg a
 		e.release(s)
 	}
 	return finish, dur
+}
+
+// park suspends the calling rank inside an incomplete rendezvous — the one
+// place the two engines differ: a goroutine waits on the condition variable
+// (releasing e.mu), a coroutine yields to Run's sweep until a later turn.
+func (e *Engine) park(r *Rank) {
+	if e.Cfg.Parallel {
+		e.cond.Wait()
+	} else if !r.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // ChargeContended prices a collective against the contention epoch and
@@ -530,16 +751,17 @@ func (e *Engine) exchange(seq int64, rank int, payload any, ready float64, arg a
 // instead the op that arrives second pays for the sharing. The discipline
 // is deterministic (leaders run in global issue order: every rank blocks
 // in each rendezvous, so collective k's leader always runs before
-// k+1's) and bounded both ways: the result is ≥ iso (the residual term is
+// k+1's, under either engine) and bounded both ways: the result is ≥ iso (the residual term is
 // non-negative) and each overlapping flight contributes at most its own
 // isolated duration (its per-link bytes/bandwidth never exceed its phase
 // times), so concurrent operations never finish later than they would
 // serialized. Operations whose windows do not overlap — including
 // everything on MPI's single in-order channel — are charged exactly iso.
 //
-// ChargeContended must only be called from leader context: leaders run
-// under e.mu inside the rendezvous, which is what makes the epoch safe to
-// mutate without further locking.
+// ChargeContended must only be called from leader context: leaders run one
+// at a time inside the rendezvous (under e.mu, or as the only running rank
+// in lockstep), which is what makes the epoch safe to mutate without
+// further locking.
 func (e *Engine) ChargeContended(topo fabric.Topology, loads *fabric.LoadSet, start, iso float64) float64 {
 	slow := e.Cfg.commSlowdown()
 	isoS := iso * slow

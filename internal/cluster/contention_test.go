@@ -142,7 +142,7 @@ func TestChargeContendedScaledTime(t *testing.T) {
 func TestHandleChannelResolution(t *testing.T) {
 	cfg := testCfg(2, CCLBackend)
 	cfg.CCLChannels = 4
-	Run(cfg, func(r *Rank) {
+	runEngines(t, cfg, func(r *Rank) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 2, x, x, sumLead); h.Channel != 2 {
 			t.Errorf("pinned channel 2 resolved to %d", h.Channel)
@@ -159,7 +159,7 @@ func TestHandleChannelResolution(t *testing.T) {
 			t.Errorf("async channel %d, want -1", h.Channel)
 		}
 	})
-	Run(testCfg(2, MPIBackend), func(r *Rank) {
+	runEngines(t, testCfg(2, MPIBackend), func(r *Rank) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 3, x, x, sumLead); h.Channel != 0 {
 			t.Errorf("MPI drops hints and has one channel; resolved to %d", h.Channel)
@@ -176,7 +176,7 @@ func TestContentionOffIdenticalPricing(t *testing.T) {
 		cfg := testCfg(2, CCLBackend)
 		cfg.CCLChannels = 4
 		cfg.Contention = cont
-		return Run(cfg, func(r *Rank) {
+		return runEngines(t, cfg, func(r *Rank) {
 			x1 := &sumXchg{dur: 0.4}
 			h1 := r.CollectiveOn("a", 0, x1, x1, sumLead)
 			x2 := &sumXchg{dur: 0.3}

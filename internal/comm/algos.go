@@ -103,11 +103,36 @@ func HierGroupSize(r int) int {
 }
 
 // AllreduceTimeAlgo returns the modeled duration of an allreduce of bytes
-// per rank under the chosen algorithm.
-func (c *Comm) AllreduceTimeAlgo(algo AllreduceAlgo, bytes float64) float64 {
-	r := c.size
-	if r == 1 {
-		return 0
+// per rank under the chosen algorithm (AllreduceAuto: the cost-model
+// minimum, see BestAllreduceAlgo).
+func (p *Pricer) AllreduceTimeAlgo(algo AllreduceAlgo, bytes float64) float64 {
+	return p.time(op{kind: opAllreduce, algo: algo, bytes: bytes})
+}
+
+// BestAllreduceAlgo returns the fastest modeled algorithm and its time for
+// the given volume — what a tuned communication library would pick.
+func (p *Pricer) BestAllreduceAlgo(bytes float64) (AllreduceAlgo, float64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.best(bytes)
+}
+
+// best is BestAllreduceAlgo with p.mu held.
+func (p *Pricer) best(bytes float64) (AllreduceAlgo, float64) {
+	best, bestT := RingRSAG, math.Inf(1)
+	for _, a := range AllreduceAlgos {
+		if t := p.lookup(op{kind: opAllreduce, algo: a, bytes: bytes}, false).dur; t < bestT {
+			best, bestT = a, t
+		}
+	}
+	return best, bestT
+}
+
+// allreduce evaluates one concrete allreduce algorithm (size > 1).
+func (p *Pricer) allreduce(algo AllreduceAlgo, bytes float64) float64 {
+	r := p.size
+	ring := func() float64 {
+		return p.fab.PhaseTimeN(p.Topo, p.ringFlows(bytes/float64(r)), 2*float64(r-1))
 	}
 	switch algo {
 	case RecursiveHalving:
@@ -120,30 +145,30 @@ func (c *Comm) AllreduceTimeAlgo(algo AllreduceAlgo, bytes float64) float64 {
 		vol := bytes / 2
 		for k := 0; k < steps; k++ {
 			dist := 1 << k
-			c.flows = c.flows[:0]
+			p.flows = p.flows[:0]
 			for i := 0; i < r; i++ {
-				c.flows = append(c.flows, fabric.Flow{Src: i, Dst: (i + dist) % r, Bytes: vol})
+				p.flows = append(p.flows, fabric.Flow{Src: i, Dst: (i + dist) % r, Bytes: vol})
 			}
-			total += c.fab.PhaseTimeN(c.Topo, c.flows, 2) // RS phase + mirrored AG phase
+			total += p.fab.PhaseTimeN(p.Topo, p.flows, 2) // RS phase + mirrored AG phase
 			vol /= 2
 		}
 		return total
 	case FlatTree:
 		var total float64
-		c.flows = c.flows[:0]
+		p.flows = p.flows[:0]
 		for i := 1; i < r; i++ {
-			c.flows = append(c.flows, fabric.Flow{Src: i, Dst: 0, Bytes: bytes})
+			p.flows = append(p.flows, fabric.Flow{Src: i, Dst: 0, Bytes: bytes})
 		}
-		total += c.fab.PhaseTime(c.Topo, c.flows)
-		c.flows = c.flows[:0]
+		total += p.fab.PhaseTime(p.Topo, p.flows)
+		p.flows = p.flows[:0]
 		for i := 1; i < r; i++ {
-			c.flows = append(c.flows, fabric.Flow{Src: 0, Dst: i, Bytes: bytes})
+			p.flows = append(p.flows, fabric.Flow{Src: 0, Dst: i, Bytes: bytes})
 		}
-		return total + c.fab.PhaseTime(c.Topo, c.flows)
+		return total + p.fab.PhaseTime(p.Topo, p.flows)
 	case Hierarchical:
 		g := HierGroupSize(r)
 		if g <= 1 {
-			return c.AllreduceTime(bytes)
+			return ring()
 		}
 		n := r / g // nodes
 		var total float64
@@ -151,21 +176,21 @@ func (c *Comm) AllreduceTimeAlgo(algo AllreduceAlgo, bytes float64) float64 {
 		// group; G−1 such phases reduce-scatter, G−1 more all-gather at the
 		// end. Group neighbours share a leaf, so these phases never cross the
 		// trunk and pay the short latency.
-		c.flows = c.flows[:0]
+		p.flows = p.flows[:0]
 		for i := 0; i < r; i++ {
 			base := (i / g) * g
-			c.flows = append(c.flows, fabric.Flow{Src: i, Dst: base + (i-base+1)%g, Bytes: bytes / float64(g)})
+			p.flows = append(p.flows, fabric.Flow{Src: i, Dst: base + (i-base+1)%g, Bytes: bytes / float64(g)})
 		}
-		total += c.fab.PhaseTimeN(c.Topo, c.flows, 2*float64(g-1))
+		total += p.fab.PhaseTimeN(p.Topo, p.flows, 2*float64(g-1))
 		if n > 1 {
 			// Inter-node phase: G concurrent rings (one per local shard
 			// index), each allreducing bytes/G over the n nodes — every rank
 			// sends bytes/R to its same-index peer in the next node.
-			c.flows = c.flows[:0]
+			p.flows = p.flows[:0]
 			for i := 0; i < r; i++ {
-				c.flows = append(c.flows, fabric.Flow{Src: i, Dst: (i + g) % r, Bytes: bytes / float64(r)})
+				p.flows = append(p.flows, fabric.Flow{Src: i, Dst: (i + g) % r, Bytes: bytes / float64(r)})
 			}
-			total += c.fab.PhaseTimeN(c.Topo, c.flows, 2*float64(n-1))
+			total += p.fab.PhaseTimeN(p.Topo, p.flows, 2*float64(n-1))
 		}
 		return total
 	case BinaryTree:
@@ -179,30 +204,23 @@ func (c *Comm) AllreduceTimeAlgo(algo AllreduceAlgo, bytes float64) float64 {
 		depth := bits.Len(uint(r - 1))
 		chunks := BinaryTreeChunks(bytes, r)
 		per := bytes / 2 / float64(chunks)
-		c.flows = c.flows[:0]
+		p.flows = p.flows[:0]
 		for i := 1; i < r; i++ {
 			pa := (i - 1) / 2 // tree A parent (heap order)
-			c.flows = append(c.flows,
+			p.flows = append(p.flows,
 				fabric.Flow{Src: i, Dst: pa, Bytes: per},
 				fabric.Flow{Src: pa, Dst: i, Bytes: per})
 			// Tree B: the same heap shape over reversed rank ids, so interior
 			// ranks of tree A are leaves of tree B and vice versa.
 			child, pb := r-1-i, r-1-(i-1)/2
-			c.flows = append(c.flows,
+			p.flows = append(p.flows,
 				fabric.Flow{Src: child, Dst: pb, Bytes: per},
 				fabric.Flow{Src: pb, Dst: child, Bytes: per})
 		}
 		steps := 2*depth + chunks - 1
-		return c.fab.PhaseTimeN(c.Topo, c.flows, float64(steps))
-	case AllreduceAuto:
-		// Resolve the policy to its concrete winner, then charge that one
-		// algorithm: BestAllreduceAlgo evaluates every candidate with load
-		// accumulation suspended, so only the winner's flows land in any
-		// attached contention footprint.
-		best, _ := c.BestAllreduceAlgo(bytes)
-		return c.AllreduceTimeAlgo(best, bytes)
+		return p.fab.PhaseTimeN(p.Topo, p.flows, float64(steps))
 	default:
-		return c.AllreduceTime(bytes)
+		return ring()
 	}
 }
 
@@ -233,21 +251,4 @@ func BinaryTreeChunks(bytes float64, r int) int {
 		c = lim
 	}
 	return c
-}
-
-// BestAllreduceAlgo returns the fastest modeled algorithm and its time for
-// the given volume — what a tuned communication library would pick. The
-// candidate sweep runs with load accumulation suspended: probing must not
-// count the losers' flows against an attached contention footprint.
-func (c *Comm) BestAllreduceAlgo(bytes float64) (AllreduceAlgo, float64) {
-	saved := c.fab.Accumulate(nil)
-	best := RingRSAG
-	bestT := math.Inf(1)
-	for _, a := range AllreduceAlgos {
-		if t := c.AllreduceTimeAlgo(a, bytes); t < bestT {
-			best, bestT = a, t
-		}
-	}
-	c.fab.Accumulate(saved)
-	return best, bestT
 }

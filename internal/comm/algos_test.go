@@ -3,34 +3,17 @@ package comm
 import (
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
 
-func commAt(ranks int) (*Comm, func()) {
-	return commOn(ranks, fabric.NewPrunedFatTree(ranks, 12.5e9))
-}
-
-// commOn is commAt over an explicit topology, for tests that sweep fabrics.
-func commOn(ranks int, topo fabric.Topology) (*Comm, func()) {
-	done := make(chan *Comm, 1)
-	release := make(chan struct{})
-	go cluster.Run(cluster.Config{Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280, CallOverhead: 1e-9},
-		func(r *cluster.Rank) {
-			if r.ID == 0 {
-				done <- New(r, topo)
-				<-release
-			} else {
-				<-release
-			}
-		})
-	return <-done, func() { close(release) }
+// pricerAt is the cost model the algorithm tests query: the OPA fat-tree at
+// the given size, no cluster needed.
+func pricerAt(ranks int) *Pricer {
+	return NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks)
 }
 
 func TestAllreduceAlgoLargeMessageRingWins(t *testing.T) {
-	c, release := commAt(16)
-	defer release()
+	c := pricerAt(16)
 	const bytes = 1e9 // 1 GB: bandwidth-dominated
 	ring := c.AllreduceTimeAlgo(RingRSAG, bytes)
 	rh := c.AllreduceTimeAlgo(RecursiveHalving, bytes)
@@ -44,8 +27,7 @@ func TestAllreduceAlgoLargeMessageRingWins(t *testing.T) {
 }
 
 func TestAllreduceAlgoSmallMessageLatencyMatters(t *testing.T) {
-	c, release := commAt(32)
-	defer release()
+	c := pricerAt(32)
 	const bytes = 4e3 // 4 KB: latency-dominated
 	ring := c.AllreduceTimeAlgo(RingRSAG, bytes)
 	rh := c.AllreduceTimeAlgo(RecursiveHalving, bytes)
@@ -56,8 +38,7 @@ func TestAllreduceAlgoSmallMessageLatencyMatters(t *testing.T) {
 }
 
 func TestBestAllreduceAlgoPicksMinimum(t *testing.T) {
-	c, release := commAt(16)
-	defer release()
+	c := pricerAt(16)
 	for _, bytes := range []float64{1e3, 1e6, 1e9} {
 		algo, best := c.BestAllreduceAlgo(bytes)
 		for _, a := range AllreduceAlgos {
@@ -70,8 +51,7 @@ func TestBestAllreduceAlgoPicksMinimum(t *testing.T) {
 }
 
 func TestAllreduceAlgoSingleRankFree(t *testing.T) {
-	c, release := commAt(1)
-	defer release()
+	c := pricerAt(1)
 	for _, a := range AllreduceAlgos {
 		if c.AllreduceTimeAlgo(a, 1e9) != 0 {
 			t.Fatalf("%v: single-rank allreduce must be free", a)
@@ -96,8 +76,7 @@ func TestAllreduceAlgoNames(t *testing.T) {
 // the OPA fat-tree at every volume, with the gap largest when latency
 // dominates.
 func TestHierarchicalBeatsRingOnFatTree(t *testing.T) {
-	c, release := commAt(64)
-	defer release()
+	c := pricerAt(64)
 	for _, bytes := range []float64{4e3, 9.5e6, 1e9} {
 		ring := c.AllreduceTimeAlgo(RingRSAG, bytes)
 		hier := c.AllreduceTimeAlgo(Hierarchical, bytes)
@@ -117,10 +96,9 @@ func TestHierarchicalBeatsRingOnFatTree(t *testing.T) {
 // degenerates to the plain ring, charging the identical time.
 func TestHierarchicalFallsBackToRing(t *testing.T) {
 	for _, ranks := range []int{2, 7} {
-		c, release := commAt(ranks)
+		c := pricerAt(ranks)
 		ring := c.AllreduceTimeAlgo(RingRSAG, 1e6)
 		hier := c.AllreduceTimeAlgo(Hierarchical, 1e6)
-		release()
 		if hier != ring {
 			t.Errorf("%dR: hierarchical (%g) must equal ring (%g) without an even grouping", ranks, hier, ring)
 		}
@@ -138,8 +116,7 @@ func TestHierarchicalFallsBackToRing(t *testing.T) {
 // tiny messages, while the interior fan-in keeps it behind the ring (but
 // far ahead of the untuned flat tree) on bandwidth-bound volumes.
 func TestBinaryTreeTradeoffs(t *testing.T) {
-	c, release := commAt(64)
-	defer release()
+	c := pricerAt(64)
 	const tiny, huge = 4e3, 1e9
 	if tree, ring := c.AllreduceTimeAlgo(BinaryTree, tiny), c.AllreduceTimeAlgo(RingRSAG, tiny); tree >= ring {
 		t.Errorf("binary tree (%g) must beat ring (%g) on 4KB: 2log2(R) phases vs 2(R-1)", tree, ring)
@@ -158,12 +135,11 @@ func TestBinaryTreeTradeoffs(t *testing.T) {
 // new algorithms over awkward sizes (odd, non-power-of-two, minimum).
 func TestAllreduceAlgoPositiveAcrossRanks(t *testing.T) {
 	for _, ranks := range []int{2, 3, 5, 6, 26, 64} {
-		c, release := commAt(ranks)
+		c := pricerAt(ranks)
 		for _, a := range AllreduceAlgos {
 			if d := c.AllreduceTimeAlgo(a, 1e6); d <= 0 {
 				t.Errorf("%dR %v: non-positive duration %g", ranks, a, d)
 			}
 		}
-		release()
 	}
 }

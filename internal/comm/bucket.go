@@ -51,7 +51,7 @@ func PlanBuckets(layerBytes []float64, bucketBytes float64) BucketPlan {
 	if len(layerBytes) == 0 {
 		return BucketPlan{}
 	}
-	var buckets []Bucket
+	buckets := make([]Bucket, 0, len(layerBytes))
 	hi := len(layerBytes) - 1
 	var acc float64
 	for lo := hi; lo >= 0; lo-- {
@@ -70,7 +70,7 @@ func PlanBuckets(layerBytes []float64, bucketBytes float64) BucketPlan {
 // keep ring/hierarchical while a small tail bucket flips to halving/tree.
 // The per-bucket choice is recorded in the plan (Bucket.Algo) so figures
 // can expose what was selected.
-func (p BucketPlan) SelectAlgos(c *Comm, algo AllreduceAlgo) {
+func (p BucketPlan) SelectAlgos(c *Pricer, algo AllreduceAlgo) {
 	for i := range p.Buckets {
 		if algo == AllreduceAuto {
 			p.Buckets[i].Algo, _ = c.BestAllreduceAlgo(p.Buckets[i].Bytes)
@@ -84,7 +84,7 @@ func (p BucketPlan) SelectAlgos(c *Comm, algo AllreduceAlgo) {
 // under the per-bucket algorithms SelectAlgos recorded — the quantity the
 // per-bucket-auto property ("never slower than the best single algorithm")
 // is stated over.
-func (p BucketPlan) ModeledTime(c *Comm) float64 {
+func (p BucketPlan) ModeledTime(c *Pricer) float64 {
 	var t float64
 	for _, b := range p.Buckets {
 		t += c.AllreduceTimeAlgo(b.Algo, b.Bytes)

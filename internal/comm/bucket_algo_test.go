@@ -13,7 +13,7 @@ import (
 // BestAllreduceAlgo minimum across volumes and rank counts.
 func TestAutoAllreduceTimeIsMinimum(t *testing.T) {
 	for _, ranks := range []int{2, 8, 64} {
-		c, release := commAt(ranks)
+		c := pricerAt(ranks)
 		for _, bytes := range []float64{4e3, 1e6, 1e9} {
 			auto := c.AllreduceTimeAlgo(AllreduceAuto, bytes)
 			_, best := c.BestAllreduceAlgo(bytes)
@@ -26,7 +26,6 @@ func TestAutoAllreduceTimeIsMinimum(t *testing.T) {
 				}
 			}
 		}
-		release()
 	}
 }
 
@@ -34,8 +33,7 @@ func TestAutoAllreduceTimeIsMinimum(t *testing.T) {
 // AllreduceAuto to concrete per-bucket algorithms (never Auto itself) and
 // copies a concrete request through unchanged.
 func TestSelectAlgosRecordsConcreteAlgos(t *testing.T) {
-	c, release := commAt(8)
-	defer release()
+	c := pricerAt(8)
 	layers := []float64{4e3, 8e3, 64e6, 128e6}
 	p := PlanBuckets(layers, 32e6)
 	p.SelectAlgos(c, AllreduceAuto)
@@ -71,8 +69,7 @@ func TestAutoPlanNeverSlowerThanSingleAlgo(t *testing.T) {
 	for _, fb := range fabrics {
 		for ranks := 2; ranks <= 8; ranks++ {
 			t.Run(fmt.Sprintf("%s/%dR", fb.name, ranks), func(t *testing.T) {
-				c, release := commOn(ranks, fb.mk(ranks))
-				defer release()
+				c := NewPricer(fb.mk(ranks), ranks)
 				rng := rand.New(rand.NewSource(int64(ranks)))
 				for trial := 0; trial < 20; trial++ {
 					nLayers := 1 + rng.Intn(12)

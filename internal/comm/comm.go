@@ -15,10 +15,11 @@
 // as par's *Arg dispatch. Each Comm owns a single xchg record reused as the
 // payload/args of every collective it issues (at most one is in flight per
 // rank — the rendezvous is synchronous), leaders are package-level
-// functions, data lands in caller-provided receive buffers, and the flow
-// lists behind the time models are per-Comm scratch. After warmup a
-// steady-state collective performs zero heap allocations, which is what
-// keeps the distributed training iteration allocation-free in timing mode.
+// functions, data lands in caller-provided receive buffers, and the time
+// models run on the one Pricer the job's engine holds, which memoises each
+// collective's price. After warmup a steady-state collective performs zero
+// heap allocations, which is what keeps the distributed training iteration
+// allocation-free in timing mode.
 package comm
 
 import (
@@ -28,49 +29,23 @@ import (
 	"repro/internal/fabric"
 )
 
-// Comm binds a rank to a topology, providing collectives.
+// Comm binds a rank to its job's Pricer, providing collectives. The
+// embedded Pricer's time methods (AllreduceTime, AlltoallTime, …) and Topo
+// are the rank-free cost model; every Comm of one engine shares it.
 type Comm struct {
-	R    *cluster.Rank
-	Topo fabric.Topology
-	size int
+	R *cluster.Rank
+	*Pricer
 
 	// pay is the reusable payload/args record (see package comment). Its
 	// pointer is what travels through the cluster rendezvous, so issuing a
 	// collective never boxes a slice or allocates a closure.
 	pay xchg
-	// flows and fab are the time-model scratch. They are also used by
-	// leader functions running on this rank, which is safe: the leader runs
-	// while this rank is inside its own Collective call.
-	flows []fabric.Flow
-	fab   fabric.Scratch
-	// opLoads is the per-collective aggregate link footprint the charge
-	// helpers collect (via fab's Accumulate hook) under contention-aware
-	// pricing; reused across collectives like the rest of the scratch.
-	opLoads fabric.LoadSet
 }
 
-// chargeBegin arms the contention charge for one collective: under
-// Cfg.Contention the fabric scratch starts accumulating every subsequent
-// phase's per-link loads into opLoads. Leaders bracket their cost-model
-// evaluation with chargeBegin/chargeEnd; with the knob off both are
-// no-ops and the isolated time passes through untouched, bit-identically.
-func (c *Comm) chargeBegin() {
-	if c.R.Eng.Cfg.Contention {
-		c.opLoads.Reset()
-		c.fab.Accumulate(&c.opLoads)
-	}
-}
-
-// chargeEnd closes the bracket: iso is the isolated duration the cost
-// model just produced (whose phases accumulated into opLoads), start the
-// rendezvous start the leader received. It returns the contended duration
-// from the engine's epoch — or iso unchanged when contention is off.
-func (c *Comm) chargeEnd(start, iso float64) float64 {
-	if !c.R.Eng.Cfg.Contention {
-		return iso
-	}
-	c.fab.Accumulate(nil)
-	return c.R.Eng.ChargeContended(c.Topo, &c.opLoads, start, iso)
+// charge is what a leader returns: o's price against this rank's engine
+// (see Pricer.charge). start is the rendezvous start the leader received.
+func (c *Comm) charge(start float64, o op) float64 {
+	return c.Pricer.charge(c.R.Eng, start, o)
 }
 
 // xchg is one rank's contribution to a collective: the data it sends, the
@@ -89,18 +64,20 @@ type xchg struct {
 	algo     AllreduceAlgo // allreduce cost-model selector (AllreduceAlgoCost)
 }
 
-// New returns the communicator for rank r over topo.
+// New returns the communicator for rank r over topo. The first call on an
+// engine installs the job's Pricer there; the other ranks' calls share it.
 func New(r *cluster.Rank, topo fabric.Topology) *Comm {
-	c := &Comm{R: r, Topo: topo, size: r.Eng.Cfg.Ranks}
+	p := r.Eng.Shared(func() any { return NewPricer(topo, r.Eng.Cfg.Ranks) }).(*Pricer)
+	if p.Topo != topo {
+		panic("comm: the ranks of one job must share one topology")
+	}
+	c := &Comm{R: r, Pricer: p}
 	c.pay.c = c
 	return c
 }
 
 // Rank returns this rank's id.
 func (c *Comm) Rank() int { return c.R.ID }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
 
 // issue resets the parameter fields of the reusable record and hands it to
 // the cluster rendezvous.
@@ -113,98 +90,6 @@ func (c *Comm) issue(label string, lead cluster.LeaderFunc, p xchg) cluster.Hand
 func (c *Comm) issueOn(label string, ch int, lead cluster.LeaderFunc, p xchg) cluster.Handle {
 	c.pay = p
 	return c.R.CollectiveOn(label, ch, &c.pay, &c.pay, lead)
-}
-
-// ringFlows fills the scratch flow list with the neighbour exchanges of one
-// ring phase.
-func (c *Comm) ringFlows(bytes float64) []fabric.Flow {
-	c.flows = c.flows[:0]
-	for i := 0; i < c.size; i++ {
-		c.flows = append(c.flows, fabric.Flow{Src: i, Dst: (i + 1) % c.size, Bytes: bytes})
-	}
-	return c.flows
-}
-
-// AllreduceTime returns the modeled duration of a ring reduce-scatter +
-// all-gather allreduce of bytes per rank: 2(R−1) neighbour phases moving
-// bytes/R each.
-func (c *Comm) AllreduceTime(bytes float64) float64 {
-	r := c.size
-	if r == 1 {
-		return 0
-	}
-	per := bytes / float64(r)
-	return c.fab.PhaseTimeN(c.Topo, c.ringFlows(per), 2*float64(r-1))
-}
-
-// ReduceScatterTime and AllgatherTime are each half of the allreduce, used
-// by the per-layer overlap schedule of Fig. 2. They place their own R−1
-// phases (rather than halving AllreduceTime) so an attached contention
-// footprint counts exactly the phases charged; the value is bit-identical.
-func (c *Comm) ReduceScatterTime(bytes float64) float64 {
-	r := c.size
-	if r == 1 {
-		return 0
-	}
-	return c.fab.PhaseTimeN(c.Topo, c.ringFlows(bytes/float64(r)), float64(r-1))
-}
-
-// AllgatherTime returns the modeled all-gather duration (see ReduceScatterTime).
-func (c *Comm) AllgatherTime(bytes float64) float64 { return c.ReduceScatterTime(bytes) }
-
-// AlltoallTime returns the modeled duration of a pairwise-exchange alltoall
-// where every rank sends blockBytes to every other rank: R−1 phases, phase k
-// pairing i with (i+k) mod R. Multi-hop partners load shared links, which is
-// what keeps the 8-socket twisted hypercube from improving alltoall from 4
-// to 8 sockets (Fig. 15).
-func (c *Comm) AlltoallTime(blockBytes float64) float64 {
-	r := c.size
-	if r == 1 || blockBytes <= 0 {
-		return 0
-	}
-	var total float64
-	for k := 1; k < r; k++ {
-		c.flows = c.flows[:0]
-		for i := 0; i < r; i++ {
-			c.flows = append(c.flows, fabric.Flow{Src: i, Dst: (i + k) % r, Bytes: blockBytes})
-		}
-		total += c.fab.PhaseTime(c.Topo, c.flows)
-	}
-	return total
-}
-
-// ScatterTime returns the modeled duration of one scatter: the root sends
-// blockBytes to every other rank; the root's injection link is the
-// bottleneck, so cost ≈ (R−1)·blockBytes / root bandwidth.
-func (c *Comm) ScatterTime(root int, blockBytes float64) float64 {
-	r := c.size
-	if r == 1 || blockBytes <= 0 {
-		return 0
-	}
-	c.flows = c.flows[:0]
-	for j := 0; j < r; j++ {
-		if j != root {
-			c.flows = append(c.flows, fabric.Flow{Src: root, Dst: j, Bytes: blockBytes})
-		}
-	}
-	return c.fab.PhaseTime(c.Topo, c.flows)
-}
-
-// GatherTime returns the modeled duration of a gather: every rank sends
-// blockBytes to the root, whose receive link is the bottleneck (the mirror
-// image of ScatterTime).
-func (c *Comm) GatherTime(root int, blockBytes float64) float64 {
-	r := c.size
-	if r == 1 || blockBytes <= 0 {
-		return 0
-	}
-	c.flows = c.flows[:0]
-	for j := 0; j < r; j++ {
-		if j != root {
-			c.flows = append(c.flows, fabric.Flow{Src: j, Dst: root, Bytes: blockBytes})
-		}
-	}
-	return c.fab.PhaseTime(c.Topo, c.flows)
 }
 
 // Allreduce sums buf elementwise across all ranks (in place) and returns a
@@ -253,8 +138,7 @@ func allgatherLead(arg any, payloads []any, start float64) float64 {
 			}
 		}
 	}
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.AllgatherTime(float64(4*len(payloads)*a.blockLen)))
+	return a.c.charge(start, op{kind: opReduceScatter, bytes: float64(4 * len(payloads) * a.blockLen)})
 }
 
 // AllgatherInto concatenates every rank's send block into recv (length
@@ -281,17 +165,7 @@ func broadcastLead(arg any, payloads []any, start float64) float64 {
 			copy(payloads[i].(*xchg).send, root.send)
 		}
 	}
-	// Tree broadcast ≈ log2(R) phases of root-link transfers.
-	c := a.c
-	c.chargeBegin()
-	bytes := float64(4 * len(root.send))
-	var dur float64
-	for n := 1; n < c.size; n *= 2 {
-		c.flows = c.flows[:0]
-		c.flows = append(c.flows, fabric.Flow{Src: 0, Dst: c.size - 1, Bytes: bytes})
-		dur += c.fab.PhaseTime(c.Topo, c.flows)
-	}
-	return c.chargeEnd(start, dur)
+	return a.c.charge(start, op{kind: opBroadcast, bytes: float64(4 * len(root.send))})
 }
 
 // Broadcast copies root's buffer to every rank (in place on buf), valid on

@@ -3,6 +3,7 @@ package comm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,20 +12,32 @@ import (
 	"repro/internal/perfmodel"
 )
 
-func runComm(ranks int, backend cluster.Backend, body func(c *Comm)) []cluster.Stats {
+// runComm runs body on every rank under the lockstep engine and again under
+// the goroutine engine, fails the test unless both produce exactly the same
+// statistics, and returns them.
+func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm)) []cluster.Stats {
+	t.Helper()
 	topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
-	cfg := cluster.Config{
+	return runBothEngines(t, cluster.Config{
 		Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
 		Backend: backend, CallOverhead: 1e-9,
+	}, body)
+}
+
+func runBothEngines(t testing.TB, cfg cluster.Config, body func(c *Comm)) []cluster.Stats {
+	t.Helper()
+	rankBody := func(r *cluster.Rank) { body(New(r, cfg.Topo)) }
+	stats := cluster.Run(cfg, rankBody)
+	cfg.Parallel = true
+	if got := cluster.Run(cfg, rankBody); !reflect.DeepEqual(got, stats) {
+		t.Errorf("goroutine engine differs from lockstep:\n got %+v\nwant %+v", got, stats)
 	}
-	return cluster.Run(cfg, func(r *cluster.Rank) {
-		body(New(r, topo))
-	})
+	return stats
 }
 
 func TestAllreduceSums(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 7} {
-		runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 			buf := []float32{float32(c.Rank()), 1, float32(2 * c.Rank())}
 			h := c.Allreduce("ar", buf, false)
 			c.R.Wait(h)
@@ -40,7 +53,7 @@ func TestAllreduceSums(t *testing.T) {
 }
 
 func TestAllreduceAverage(t *testing.T) {
-	runComm(4, cluster.CCLBackend, func(c *Comm) {
+	runComm(t, 4, cluster.CCLBackend, func(c *Comm) {
 		buf := []float32{float32(c.Rank())} // 0,1,2,3 → avg 1.5
 		h := c.Allreduce("ar", buf, true)
 		c.R.Wait(h)
@@ -52,7 +65,7 @@ func TestAllreduceAverage(t *testing.T) {
 
 func TestAlltoallTransposesBlocks(t *testing.T) {
 	const ranks, bl = 4, 3
-	runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 		send := make([]float32, ranks*bl)
 		for j := 0; j < ranks; j++ {
 			for i := 0; i < bl; i++ {
@@ -74,7 +87,7 @@ func TestAlltoallTransposesBlocks(t *testing.T) {
 
 func TestScatterDistributes(t *testing.T) {
 	const ranks, bl = 5, 2
-	runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 		var send []float32
 		const root = 2
 		if c.Rank() == root {
@@ -95,7 +108,7 @@ func TestScatterDistributes(t *testing.T) {
 
 func TestAllgatherConcatenates(t *testing.T) {
 	const ranks = 3
-	runComm(ranks, cluster.CCLBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 		send := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
 		out, h := c.Allgather("ag", send)
 		c.R.Wait(h)
@@ -110,7 +123,7 @@ func TestAllgatherConcatenates(t *testing.T) {
 }
 
 func TestBroadcastReplicates(t *testing.T) {
-	runComm(4, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, 4, cluster.MPIBackend, func(c *Comm) {
 		buf := make([]float32, 8)
 		if c.Rank() == 0 {
 			for i := range buf {
@@ -242,7 +255,7 @@ func TestCollectivesUnderRandomData(t *testing.T) {
 			want[j] += v
 		}
 	}
-	runComm(ranks, cluster.CCLBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 		buf := append([]float32(nil), inputs[c.Rank()]...)
 		h := c.Allreduce("ar", buf, false)
 		c.R.Wait(h)
@@ -270,7 +283,7 @@ func TestAlltoallInvolution(t *testing.T) {
 			}
 		}
 		okAll := true
-		runComm(ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 			send := append([]float32(nil), inputs[c.Rank()]...)
 			recv, h := c.Alltoall("a", send, bl)
 			c.R.Wait(h)
@@ -293,7 +306,7 @@ func TestAlltoallInvolution(t *testing.T) {
 func TestAllreduceLinearity(t *testing.T) {
 	// Property: allreduce(αx) = α·allreduce(x).
 	const ranks = 3
-	runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 		x := []float32{float32(c.Rank() + 1), 2}
 		ax := []float32{3 * float32(c.Rank()+1), 6}
 		h1 := c.Allreduce("x", x, false)

@@ -10,16 +10,13 @@ import (
 
 // runCommContention is runComm with the contention knob and channel count
 // under test control.
-func runCommContention(ranks int, contention bool, body func(c *Comm)) []cluster.Stats {
-	topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
-	cfg := cluster.Config{
-		Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
+func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Comm)) []cluster.Stats {
+	t.Helper()
+	return runBothEngines(t, cluster.Config{
+		Ranks: ranks, Topo: fabric.NewPrunedFatTree(ranks, 12.5e9), Socket: perfmodel.CLX8280,
 		Backend: cluster.CCLBackend, CallOverhead: 1e-9,
 		CCLChannels: 4, Contention: contention,
-	}
-	return cluster.Run(cfg, func(r *cluster.Rank) {
-		body(New(r, topo))
-	})
+	}, body)
 }
 
 // TestConcurrentAllreducesShareTrunk is the tentpole's end-to-end check at
@@ -32,7 +29,7 @@ func runCommContention(ranks int, contention bool, body func(c *Comm)) []cluster
 func TestConcurrentAllreducesShareTrunk(t *testing.T) {
 	const bytes = 64 << 20
 	run := func(cont bool) (iso, busy1, busy2 float64) {
-		stats := runCommContention(64, cont, func(c *Comm) {
+		stats := runCommContention(t, 64, cont, func(c *Comm) {
 			if c.R.ID == 0 { // one writer: 64 ranks storing iso is a data race
 				iso = c.AllreduceTime(bytes)
 			}
@@ -75,7 +72,7 @@ func TestContentionOffBitIdentical(t *testing.T) {
 	const bytes = 8 << 20
 	collect := func(cont bool) map[string]float64 {
 		var out map[string]float64
-		stats := runCommContention(16, cont, func(c *Comm) {
+		stats := runCommContention(t, 16, cont, func(c *Comm) {
 			buf := make([]float32, 1)
 			c.R.Wait(c.AllreduceCost("ar", buf, false, bytes))
 			send := make([]float32, 16)
@@ -109,7 +106,7 @@ func TestContentionOffBitIdentical(t *testing.T) {
 func TestAutoAllreduceContentionChargesWinnerOnly(t *testing.T) {
 	const bytes = 64 << 20
 	run := func(algo AllreduceAlgo) (second float64) {
-		stats := runCommContention(64, true, func(c *Comm) {
+		stats := runCommContention(t, 64, true, func(c *Comm) {
 			buf1 := make([]float32, 1)
 			buf2 := make([]float32, 1)
 			h1 := c.AllreduceAlgoCost("first", 0, buf1, false, bytes, algo)
@@ -126,7 +123,7 @@ func TestAutoAllreduceContentionChargesWinnerOnly(t *testing.T) {
 	// variable is a data race (cluster.Run's join is the read barrier,
 	// but the 64 writers still race each other).
 	var c0 *Comm
-	runCommContention(64, false, func(c *Comm) {
+	runCommContention(t, 64, false, func(c *Comm) {
 		if c.R.ID == 0 {
 			c0 = c
 		}

@@ -47,8 +47,7 @@ func allreduceMove(a *xchg, payloads []any) {
 func allreduceLead(arg any, payloads []any, start float64) float64 {
 	a := arg.(*xchg)
 	allreduceMove(a, payloads)
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.AllreduceTime(a.bytes))
+	return a.c.charge(start, op{kind: opAllreduce, algo: RingRSAG, bytes: a.bytes})
 }
 
 // allreduceAlgoLead moves data exactly like allreduceLead but charges the
@@ -57,8 +56,7 @@ func allreduceLead(arg any, payloads []any, start float64) float64 {
 func allreduceAlgoLead(arg any, payloads []any, start float64) float64 {
 	a := arg.(*xchg)
 	allreduceMove(a, payloads)
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.AllreduceTimeAlgo(a.algo, a.bytes))
+	return a.c.charge(start, op{kind: opAllreduce, algo: a.algo, bytes: a.bytes})
 }
 
 // AllreduceCost is Allreduce with an explicit modeled volume in bytes. The
@@ -88,8 +86,7 @@ func alltoallLead(arg any, payloads []any, start float64) float64 {
 			}
 		}
 	}
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.AlltoallTime(a.bytes))
+	return a.c.charge(start, op{kind: opAlltoall, bytes: a.bytes})
 }
 
 // AlltoallCost is the alltoall with an explicit modeled per-block volume and
@@ -119,8 +116,7 @@ func scatterLead(arg any, payloads []any, start float64) float64 {
 			copy(payloads[j].(*xchg).recv, root.send[j*bl:(j+1)*bl])
 		}
 	}
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.ScatterTime(a.root, a.bytes))
+	return a.c.charge(start, op{kind: opScatter, root: a.root, bytes: a.bytes})
 }
 
 // ScatterCost is the scatter with an explicit modeled per-block volume and a
@@ -147,8 +143,7 @@ func gatherLead(arg any, payloads []any, start float64) float64 {
 			copy(root.recv[j*bl:(j+1)*bl], payloads[j].(*xchg).send)
 		}
 	}
-	a.c.chargeBegin()
-	return a.c.chargeEnd(start, a.c.GatherTime(a.root, a.bytes))
+	return a.c.charge(start, op{kind: opGather, root: a.root, bytes: a.bytes})
 }
 
 // GatherCost collects every rank's send block at root, concatenated in rank

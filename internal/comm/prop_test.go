@@ -47,7 +47,7 @@ func TestAllreducePropertyRandom(t *testing.T) {
 				want[j] /= float64(ranks)
 			}
 		}
-		runComm(ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 			buf := append([]float32(nil), in[c.Rank()]...)
 			h := c.Allreduce("ar", buf, avg)
 			c.R.Wait(h)
@@ -94,7 +94,7 @@ func TestAllreduceAlgoLeadersPropertyRandom(t *testing.T) {
 				want[j] /= float64(ranks)
 			}
 		}
-		stats := runComm(ranks, backend, func(c *Comm) {
+		stats := runComm(t, ranks, backend, func(c *Comm) {
 			buf := append([]float32(nil), in[c.Rank()]...)
 			h := c.AllreduceAlgoCost("ar", ch, buf, avg, float64(4*n), algo)
 			c.R.Wait(h)
@@ -124,7 +124,7 @@ func TestAlltoallPropertyRandom(t *testing.T) {
 		ranks := 2 + rng.Intn(7)
 		bl := 1 + rng.Intn(16)
 		in := randInputs(rng, ranks, ranks*bl)
-		runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 			recv, h := c.Alltoall("a2a", in[c.Rank()], bl)
 			c.R.Wait(h)
 			for src := 0; src < ranks; src++ {
@@ -149,7 +149,7 @@ func TestScatterGatherPropertyRandom(t *testing.T) {
 		root := rng.Intn(ranks)
 		in := randInputs(rng, ranks, bl)
 		rootBuf := randInputs(rng, 1, ranks*bl)[0]
-		runComm(ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 			// Scatter: rank j must receive root's block j.
 			var send []float32
 			if c.Rank() == root {
@@ -191,7 +191,7 @@ func TestAllgatherBroadcastPropertyRandom(t *testing.T) {
 		n := 1 + rng.Intn(32)
 		root := rng.Intn(ranks)
 		in := randInputs(rng, ranks, n)
-		runComm(ranks, cluster.MPIBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
 			out, h := c.Allgather("ag", in[c.Rank()])
 			c.R.Wait(h)
 			for src := 0; src < ranks; src++ {
@@ -218,9 +218,10 @@ func TestAllgatherBroadcastPropertyRandom(t *testing.T) {
 // TestCollectivesConcurrentStress drives 8 ranks through many iterations of
 // interleaved, differently-labeled collectives with real payloads — the
 // pattern that exercises rendezvous-slot recycling, the per-Comm reusable
-// payload record, and CCL's concurrent channels. CI runs this package under
-// -race; the data movement is verified so a lost update would also fail
-// functionally.
+// payload record, the shared pricer's lock, and CCL's concurrent channels —
+// on the goroutine engine, where ranks really run concurrently. CI runs this
+// package under -race; the data movement is verified so a lost update would
+// also fail functionally.
 func TestCollectivesConcurrentStress(t *testing.T) {
 	const ranks, iters, n = 8, 25, 64
 	pools := cluster.NewPools()
@@ -230,6 +231,7 @@ func TestCollectivesConcurrentStress(t *testing.T) {
 		cfg := cluster.Config{
 			Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
 			Backend: backend, CallOverhead: 1e-9, Pools: pools,
+			Parallel: true, // rank goroutines: what -race is here to watch
 		}
 		cluster.Run(cfg, func(r *cluster.Rank) {
 			c := New(r, topo)

@@ -99,7 +99,8 @@ var Configs = []Config{Small, Large, MLPerf}
 
 // BotSizes returns the bottom MLP layer sizes including input and output.
 func (c Config) BotSizes() []int {
-	s := append([]int{c.DenseIn}, c.BotHidden...)
+	s := make([]int, 0, len(c.BotHidden)+2)
+	s = append(append(s, c.DenseIn), c.BotHidden...)
 	return append(s, c.EmbDim)
 }
 
@@ -114,7 +115,8 @@ func (c Config) InterDim() int {
 
 // TopSizes returns the top MLP layer sizes including input and output.
 func (c Config) TopSizes() []int {
-	s := append([]int{c.InterDim()}, c.TopHidden...)
+	s := make([]int, 0, len(c.TopHidden)+2)
+	s = append(append(s, c.InterDim()), c.TopHidden...)
 	return append(s, 1)
 }
 

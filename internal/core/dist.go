@@ -367,11 +367,7 @@ func (r *DistResult) MeanLosses() []float64 {
 
 // TotalCommPerIter returns the exposed communication time per iteration.
 func (r *DistResult) TotalCommPerIter() float64 {
-	var t float64
-	for _, v := range r.WaitPerIter {
-		t += v
-	}
-	return t
+	return cluster.AddByLabel(0, r.WaitPerIter)
 }
 
 // Exposure decomposes one collective label's per-iteration time: Busy is
@@ -454,8 +450,15 @@ func RunDistributed(dc DistConfig) *DistResult {
 }
 
 // run executes an already-validated configuration (DistConfig.Run is the
-// public entry and the only caller).
-func (dc DistConfig) run() *DistResult {
+// public entry and the only caller). Functional ranks run kernels and
+// loaders, which must overlap across host cores, so they get the cluster's
+// goroutine engine; timing-mode ranks only advance clocks and take turns on
+// the lockstep engine.
+func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg != nil) }
+
+// runOn is run with the cluster engine stated (cluster.Config.Parallel) —
+// tests use it to hold the two engines to identical results.
+func (dc DistConfig) runOn(parallel bool) *DistResult {
 	res := &DistResult{
 		WaitPerIter: map[string]float64{},
 		BusyPerIter: map[string]float64{},
@@ -477,6 +480,7 @@ func (dc DistConfig) run() *DistResult {
 		Contention:   dc.Contention,
 		Interference: dc.Interference,
 		Pools:        dc.Pools, // nil ⇒ cluster.Run owns a transient set
+		Parallel:     parallel,
 	}
 	stats := cluster.Run(ccfg, func(r *cluster.Rank) {
 		dc.rankBody(r, wss.get(r.ID), res)
@@ -485,10 +489,9 @@ func (dc DistConfig) run() *DistResult {
 	iters := float64(dc.Iters)
 	var maxNow float64
 	for _, s := range stats {
-		now := s.Compute + s.TotalWait()
-		for _, v := range s.Prep {
-			now += v
-		}
+		// The rank's final clock, rebuilt from its accounting in a fixed
+		// (label) order so the result is bit-reproducible.
+		now := cluster.AddByLabel(s.Compute+s.TotalWait(), s.Prep)
 		if now > maxNow {
 			maxNow = now
 		}

@@ -11,6 +11,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -41,10 +42,15 @@ func distAllocsPerIter(t *testing.T, v Variant, overlap bool, algo comm.Allreduc
 		dc.Sync = !overlap
 		dc.Allreduce = algo
 		dc.BucketBytes = bucketBytes
+		dc.Contention = contention
 		return func() { RunDistributed(dc) }
 	}
 	const short, long = 2, 12
 	run(long)() // warmup: sizes workspaces, fills slot/sudog pools
+	// Collect now so no cycle starts inside a measured run: AllocsPerRun
+	// counts process-wide, and a collection (the process's first above all,
+	// which starts the mark workers) allocates on its own account.
+	runtime.GC()
 	aShort := testing.AllocsPerRun(5, run(short))
 	aLong := testing.AllocsPerRun(5, run(long))
 	return (aLong - aShort) / float64(long-short)
@@ -71,7 +77,7 @@ func TestDistributedStepZeroAllocs(t *testing.T) {
 // TestDistributedStepZeroAllocsAllreduceAlgos extends the invariant to the
 // selectable allreduce algorithms: the hierarchical two-level and the
 // NCCL-style binary-tree cost models must stay allocation-free in steady
-// state too (their flow lists live in the per-Comm scratch).
+// state too (their flow lists live in the engine's one Pricer).
 func TestDistributedStepZeroAllocsAllreduceAlgos(t *testing.T) {
 	v := Variant{Strategy: Alltoall, Backend: cluster.CCLBackend}
 	for _, algo := range []comm.AllreduceAlgo{comm.Hierarchical, comm.BinaryTree, comm.AllreduceAuto} {

@@ -95,8 +95,8 @@ func (dc DistConfig) prepareBuckets(cm *comm.Comm, ws *DistWorkspace, fn *funcSt
 	}
 	ws.botBuckets = comm.PlanBuckets(ws.layerBytes, bb)
 
-	ws.topBuckets.SelectAlgos(cm, dc.Allreduce)
-	ws.botBuckets.SelectAlgos(cm, dc.Allreduce)
+	ws.topBuckets.SelectAlgos(cm.Pricer, dc.Allreduce)
+	ws.botBuckets.SelectAlgos(cm.Pricer, dc.Allreduce)
 
 	if dc.Overlapped() {
 		chans := dc.BucketChannels

@@ -33,23 +33,13 @@ func AblationAllreduce() *Table {
 	}
 	for _, v := range vols {
 		for _, ranks := range []int{8, 32, 64} {
-			topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
-			var row []string
-			cluster.Run(cluster.Config{Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280, CallOverhead: 1e-9},
-				func(r *cluster.Rank) {
-					if r.ID != 0 {
-						return
-					}
-					c := comm.New(r, topo)
-					best, _ := c.BestAllreduceAlgo(v.bytes)
-					row = []string{v.name, fmt.Sprintf("%dR", ranks),
-						ms(c.AllreduceTimeAlgo(comm.RingRSAG, v.bytes)),
-						ms(c.AllreduceTimeAlgo(comm.RecursiveHalving, v.bytes)),
-						ms(c.AllreduceTimeAlgo(comm.FlatTree, v.bytes)),
-						ms(c.AllreduceTimeAlgo(comm.Hierarchical, v.bytes)),
-						ms(c.AllreduceTimeAlgo(comm.BinaryTree, v.bytes)),
-						best.String()}
-				})
+			c := comm.NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks)
+			best, _ := c.BestAllreduceAlgo(v.bytes)
+			row := []string{v.name, fmt.Sprintf("%dR", ranks)}
+			for _, a := range comm.AllreduceAlgos {
+				row = append(row, ms(c.AllreduceTimeAlgo(a, v.bytes)))
+			}
+			row = append(row, best.String())
 			t.AddRow(row...)
 		}
 	}
