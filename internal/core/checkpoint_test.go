@@ -13,7 +13,13 @@ import (
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	cfg := tinyConfig()
+	t.Run("Tiny", func(t *testing.T) { checkpointRoundTrip(t, tinyConfig()) })
+	// The top MLP's first layer is stored padded (383 → 384 columns); the
+	// file holds the pad column like any other.
+	t.Run("MLPerf-mini", func(t *testing.T) { checkpointRoundTrip(t, miniMLPerfConfig()) })
+}
+
+func checkpointRoundTrip(t *testing.T, cfg Config) {
 	ds := tinyDataset(cfg)
 	m := NewModel(cfg, 16, 1)
 	tr := NewTrainer(m, par.NewPool(2), embedding.RaceFree, 0.5, FP32)

@@ -2,9 +2,10 @@ package core
 
 import (
 	"math"
-	"repro/internal/cluster"
+	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/mlp"
@@ -30,6 +31,17 @@ func tinyConfig() Config {
 	}
 }
 
+// miniMLPerfConfig is the benchmark's dist-func4 model at test-sized rows:
+// MLPerf's 26 tables and layer counts at E = 32, so the top MLP's input is
+// 32 + 351 = 383 wide — prime, stored padded to 384.
+func miniMLPerfConfig() Config {
+	return Config{
+		Name: "MLPerf-mini", MB: 64, GlobalMB: 64, LocalMB: 16,
+		Lookups: 1, Tables: 26, EmbDim: 32, Rows: data.ScaleRows(data.CriteoTBRows, 1.0/65536),
+		DenseIn: 13, BotHidden: []int{128, 64}, TopHidden: []int{128, 128, 64},
+	}
+}
+
 func tinyDataset(cfg Config) *data.ClickLog {
 	return data.NewClickLog(42, cfg.DenseIn, cfg.Rows, cfg.Lookups)
 }
@@ -42,6 +54,38 @@ func TestConfigsValid(t *testing.T) {
 	}
 	if err := tinyConfig().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoLayerBlocksBelow8: no layer of the Table I configurations, or of
+// the benchmark's mini MLPerf model, with more than 64 input or output
+// features may run its GEMMs in blocks below 8 — a prime top-MLP input (479,
+// 383) once blocked at 1. Large's 4096² layers are too big to build here, so
+// every stack's input is checked on a one-layer stack and every hidden width
+// through the rule layers apply to it; the small models are also built whole.
+func TestNoLayerBlocksBelow8(t *testing.T) {
+	check := func(name string, l *mlp.Layer) {
+		t.Helper()
+		if (l.C > 64 && l.BC < 8) || (l.K > 64 && l.BK < 8) {
+			t.Errorf("%s: %d→%d layer runs blocks bc=%d bk=%d", name, l.C, l.K, l.BC, l.BK)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, cfg := range append([]Config{miniMLPerfConfig()}, Configs...) {
+		for _, sizes := range [][]int{cfg.BotSizes(), cfg.TopSizes()} {
+			check(cfg.Name+" input", mlp.New([]int{sizes[0], 64}, 16, mlp.ReLU, mlp.None, rng).Layers[0])
+			for _, h := range sizes[1:] {
+				if h > 64 && mlp.BlockPick(h, 64) < 8 {
+					t.Errorf("%s: hidden width %d blocks at %d", cfg.Name, h, mlp.BlockPick(h, 64))
+				}
+			}
+			if cfg.Name == "Large" {
+				continue
+			}
+			for _, l := range mlp.New(sizes, 16, mlp.ReLU, mlp.None, rng).Layers {
+				check(cfg.Name, l)
+			}
+		}
 	}
 }
 

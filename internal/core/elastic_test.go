@@ -73,6 +73,41 @@ func TestElasticChurnLossParity(t *testing.T) {
 	}
 }
 
+// TestElasticChurnPaddedLayer is the churn parity at the benchmark's mini
+// MLPerf shape, whose top MLP stores a padded first layer: the 4-rank
+// shards' checkpoints (pad column included) restore into the 3-rank models
+// and the stitched run matches the uninterrupted one.
+func TestElasticChurnPaddedLayer(t *testing.T) {
+	const globalN, iters = 48, 6
+	cfg := miniMLPerfConfig()
+	v := Variant{Alltoall, cluster.CCLBackend}
+	ref, err := distTestConfig(cfg, 3, globalN, iters, v, true).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := ref.Models[0].Top.Layers[0]; l.C != 383 || l.W.C != 384 {
+		t.Fatalf("top layer 0 is %d wide stored as %d, want 383 as 384", l.C, l.W.C)
+	}
+	ec := ElasticConfig{Base: distTestConfig(cfg, 4, globalN, iters, v, true), CheckpointEvery: 2}
+	ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.RankFail, Iter: 4, Rank: 1}}}
+	res, err := RunElastic(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Recoveries) != 1 || res.Recoveries[0].CkptIter != 2 || res.FinalRanks != 3 {
+		t.Fatalf("recoveries %+v, final ranks %d; want one restore from iteration 2 onto 3 ranks", res.Recoveries, res.FinalRanks)
+	}
+	for i, want := range ref.MeanLosses() {
+		if d := math.Abs(res.Losses[i] - want); d > 1e-6 {
+			t.Fatalf("iter %d loss %v vs uninterrupted %v (Δ=%g > 1e-6)", i, res.Losses[i], want, d)
+		}
+	}
+	final := res.Segments[len(res.Segments)-1].Res
+	for rk := 0; rk < 3; rk++ {
+		checkMLPClose(t, "padded churn", final.Models[rk], ref.Models[rk], 1e-6)
+	}
+}
+
 // TestElasticNoCheckpointBitExact pins the strongest parity: with no
 // checkpoints a failure restarts from a fresh seed re-init at the surviving
 // shape — and because table seeding is rank-count independent, the restart

@@ -38,9 +38,7 @@ func (m *Model) ForwardDense(p *par.Pool, dense *tensor.Dense, embOut [][]float3
 	}
 	ws := m.workspace()
 
-	botIn := tensor.EnsureActs(&ws.botIn, n, dense.Cols, m.BN, mlp.BlockPick(dense.Cols, 64))
-	botIn.PackFrom(dense)
-	botActs := m.Bot.Forward(p, botIn)
+	botActs := m.Bot.Forward(p, m.Bot.PackInput(&ws.botIn, dense))
 	botRows := ensureDense(&ws.botRows, n, botActs.C) // N×E
 	botActs.UnpackInto(botRows)
 
@@ -49,9 +47,7 @@ func (m *Model) ForwardDense(p *par.Pool, dense *tensor.Dense, embOut [][]float3
 	m.Inter.Forward(p, n, botRows.Data, embOut, z)
 
 	ws.zD.Rows, ws.zD.Cols, ws.zD.Data = n, od, z
-	topIn := tensor.EnsureActs(&ws.topIn, n, od, m.BN, mlp.BlockPick(od, 64))
-	topIn.PackFrom(&ws.zD)
-	logitsActs := m.Top.Forward(p, topIn)
+	logitsActs := m.Top.Forward(p, m.Top.PackInput(&ws.topIn, &ws.zD))
 	logitsD := ensureDense(&ws.logitsD, n, logitsActs.C)
 	logitsActs.UnpackInto(logitsD)
 

@@ -157,10 +157,7 @@ func breakdown(title string, weak bool, o ScalingOpts, cases []scalingCase) *Tab
 					}
 					v := core.Variant{Strategy: core.Alltoall, Backend: backend}
 					res := sw.runDist(c.cfg, r, gn, v, blocking, c.loader, o.Iters)
-					compute := res.ComputePerIter
-					for _, p := range res.PrepPerIter {
-						compute += p
-					}
+					compute := cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)
 					t.AddRow(c.cfg.Name, mode, backend.String(), fmt.Sprintf("%dR", r),
 						ms(compute), ms(res.TotalCommPerIter()))
 				}
@@ -271,10 +268,7 @@ func RunFig15(o ScalingOpts) *Table {
 				Pools:       sw.pools,
 				Workspaces:  sw.wss,
 			})
-			compute := res.ComputePerIter
-			for _, p := range res.PrepPerIter {
-				compute += p
-			}
+			compute := cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)
 			t.AddRow(fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB), fmt.Sprintf("%dR", r),
 				ms(compute), ms(res.WaitPerIter["allreduce"]), ms(res.WaitPerIter["alltoall"]))
 		}

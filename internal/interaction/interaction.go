@@ -5,15 +5,31 @@
 // and keeps the strictly-lower triangle, concatenated after the dense
 // features.
 //
-// Both operators are allocation-free in steady state: per-worker feature
-// pointer lists are cached on the operator and the parallel bodies are
-// package-level functions dispatched through par.Pool.ForNArg.
+// The dot op runs that batched GEMM on internal/gemm's batch-reduce register
+// tiles wherever gemm has a vector kernel: each worker gathers a sample's
+// S+1 vectors into a contiguous (S+1)×E panel, forward is Z = X·Xᵀ and
+// backward dX = G·X with G the symmetric, zero-diagonal image of the output
+// gradient's triangle. Reduction-order contract (gemm's, inherited): every
+// Z[i][j] is one chain of fused multiply-adds over e = 0…E−1 and every
+// dX[i][e] one chain over j = 0…S (the bottom row's chain seeded with the
+// dense slice of dOut), so results are bit-identical across AVX2 and
+// AVX-512, across worker counts and across how samples are grouped into
+// calls. Where gemm runs its Go kernel (other architectures, CPUs before
+// AVX2 + FMA) the op runs plain Go loops over the pairs instead, which are
+// also the tests' oracle; they round after every multiply, so the two agree
+// to rounding only.
+//
+// Both operators are allocation-free in steady state: per-worker scratch is
+// cached on the operator and the parallel bodies are package-level functions
+// dispatched through par.Pool.ForNArg.
 package interaction
 
 import (
 	"fmt"
 
+	"repro/internal/gemm"
 	"repro/internal/par"
+	"repro/internal/tensor"
 )
 
 // Op is the interface both interaction operators satisfy: DLRM treats the
@@ -33,9 +49,19 @@ var (
 	_ Op = (*Concat)(nil)
 )
 
-// dotScratch is one worker's feature/gradient pointer lists, reused across
-// calls so the hot loop does not allocate.
+// dotScratch is one worker's buffers, reused across calls so the hot loop
+// does not allocate. The tile bodies use the panels, the Go bodies the
+// pointer lists.
 type dotScratch struct {
+	// x is the sample's gathered (S+1)×E panel (row 0 the bottom feature)
+	// and y a second panel of that size: Xᵀ (E×(S+1)) forward, dX
+	// backward. z holds the Gram matrix; g the symmetric gradient matrix,
+	// whose diagonal is never written and so stays zero.
+	x, y, z, g []float32
+	xw, xtw    tensor.Weights // headers over x and y for the blocked transpose
+	// One-tile operand lists for gemm.BatchReduceKernel.
+	fwdA, fwdB, bwdA, bwdB [1][]float32
+
 	feats, grads [][]float32
 }
 
@@ -45,6 +71,11 @@ type dotScratch struct {
 // of the (S+1)×(S+1) Gram matrix.
 type Dot struct {
 	S, E int
+
+	// tiles selects the gemm-tile bodies over the Go loops: set where gemm
+	// detected a vector kernel at start-up and there is a pair to compute
+	// (tests clear it to run the oracle).
+	tiles bool
 
 	// saved inputs for backward, one row per sample
 	savedBottom []float32   // N×E
@@ -60,7 +91,7 @@ type Dot struct {
 }
 
 // NewDot returns a Dot interaction for S embedding tables of dimension E.
-func NewDot(s, e int) *Dot { return &Dot{S: s, E: e} }
+func NewDot(s, e int) *Dot { return &Dot{S: s, E: e, tiles: s > 0 && gemm.KernelISA() != "go"} }
 
 // OutputDim returns E + (S+1)·S/2.
 func (d *Dot) OutputDim() int { return d.E + (d.S+1)*d.S/2 }
@@ -68,24 +99,65 @@ func (d *Dot) OutputDim() int { return d.E + (d.S+1)*d.S/2 }
 // NumPairs returns the number of interaction terms (S+1)·S/2.
 func (d *Dot) NumPairs() int { return (d.S + 1) * d.S / 2 }
 
-// ensureScratch sizes the per-worker pointer lists for the pool.
+// ensureScratch sizes the per-worker scratch for the pool.
 func (d *Dot) ensureScratch(workers int) {
 	if len(d.ws) >= workers {
 		return
 	}
 	ws := make([]dotScratch, workers)
 	copy(ws, d.ws)
-	for i := range ws {
-		if ws[i].feats == nil {
-			ws[i].feats = make([][]float32, d.S+1)
-			ws[i].grads = make([][]float32, d.S+1)
+	m, e := d.S+1, d.E
+	for i := len(d.ws); i < workers; i++ {
+		w := &ws[i]
+		if !d.tiles {
+			w.feats = make([][]float32, m)
+			w.grads = make([][]float32, m)
+			continue
 		}
+		buf := make([]float32, 2*m*e+2*m*m)
+		w.x, w.y, w.z, w.g = buf[:m*e], buf[m*e:2*m*e], buf[2*m*e:2*m*e+m*m], buf[2*m*e+m*m:]
+		// x as one bc×bk = m×E weight block; its blocked transpose is Xᵀ.
+		w.xw = tensor.Weights{K: e, C: m, BK: e, BC: m, Kb: 1, Cb: 1, Data: w.x}
+		w.xtw = tensor.Weights{K: m, C: e, BK: m, BC: e, Kb: 1, Cb: 1, Data: w.y}
+		// Forward needs rows 1…S of Z only: row 0 has no strictly-lower entry.
+		w.fwdA[0], w.fwdB[0] = w.y, w.x[e:]
+		w.bwdA[0], w.bwdB[0] = w.x, w.g
 	}
 	d.ws = ws
 }
 
-// dotFwdBody computes the interaction rows for samples [lo, hi).
-func dotFwdBody(arg any, tid, lo, hi int) {
+// gather copies sample smp's S+1 feature vectors into the panel x.
+func (d *Dot) gather(x []float32, smp int) {
+	e := d.E
+	copy(x[:e], d.savedBottom[smp*e:(smp+1)*e])
+	for t, z := range d.savedEmb {
+		copy(x[(t+1)*e:(t+2)*e], z[smp*e:(smp+1)*e])
+	}
+}
+
+// dotFwdTiles computes the interaction rows for samples [lo, hi) on gemm's
+// register tiles: Z = X·Xᵀ, then the strictly-lower triangle row by row.
+func dotFwdTiles(arg any, tid, lo, hi int) {
+	d := arg.(*Dot)
+	e, s, od := d.E, d.S, d.OutputDim()
+	m := s + 1
+	w := &d.ws[tid]
+	for smp := lo; smp < hi; smp++ {
+		d.gather(w.x, smp)
+		w.xw.TransposeBlockedInto(&w.xtw)
+		gemm.BatchReduceKernel(w.fwdA[:], w.fwdB[:], w.z[m:], s, e, m, true)
+		row := d.curOut[smp*od : (smp+1)*od]
+		copy(row[:e], w.x[:e])
+		pos := e
+		for i := 1; i <= s; i++ {
+			copy(row[pos:pos+i], w.z[i*m:i*m+i])
+			pos += i
+		}
+	}
+}
+
+// dotFwdGo is the forward in plain Go, one dot product per pair.
+func dotFwdGo(arg any, tid, lo, hi int) {
 	d := arg.(*Dot)
 	e, s, od := d.E, d.S, d.OutputDim()
 	bottom, emb, out := d.savedBottom, d.savedEmb, d.curOut
@@ -126,12 +198,48 @@ func (d *Dot) Forward(p *par.Pool, n int, bottom []float32, emb [][]float32, out
 	d.savedBottom, d.savedEmb, d.n = bottom, emb, n
 	d.ensureScratch(p.NumWorkers())
 	d.curOut = out
-	p.ForNArg(n, dotFwdBody, d)
+	if d.tiles {
+		p.ForNArg(n, dotFwdTiles, d)
+	} else {
+		p.ForNArg(n, dotFwdGo, d)
+	}
 	d.curOut = nil
 }
 
-// dotBwdBody distributes the output gradient for samples [lo, hi).
-func dotBwdBody(arg any, tid, lo, hi int) {
+// dotBwdTiles distributes the output gradient for samples [lo, hi) on
+// gemm's register tiles: out[pos] = <f_i, f_j> ⇒ dX = G·X with G[i][j] =
+// G[j][i] = dOut[pos], continuing from dX's bottom row = the dense slice of
+// dOut (the concat part).
+func dotBwdTiles(arg any, tid, lo, hi int) {
+	d := arg.(*Dot)
+	e, s, od := d.E, d.S, d.OutputDim()
+	m := s + 1
+	w := &d.ws[tid]
+	g, dx := w.g, w.y
+	for smp := lo; smp < hi; smp++ {
+		d.gather(w.x, smp)
+		row := d.curDOut[smp*od : (smp+1)*od]
+		pos := e
+		for i := 1; i <= s; i++ {
+			tri := row[pos : pos+i]
+			copy(g[i*m:], tri)
+			for j, col := 0, g[i:]; j < i; j++ {
+				col[j*m] = tri[j]
+			}
+			pos += i
+		}
+		copy(dx[:e], row[:e])
+		clear(dx[e:])
+		gemm.BatchReduceKernel(w.bwdA[:], w.bwdB[:], dx, m, m, e, false)
+		copy(d.curDBottom[smp*e:(smp+1)*e], dx[:e])
+		for t, dz := range d.curDEmb {
+			copy(dz[smp*e:(smp+1)*e], dx[(t+1)*e:(t+2)*e])
+		}
+	}
+}
+
+// dotBwdGo is the backward in plain Go, two axpys per pair.
+func dotBwdGo(arg any, tid, lo, hi int) {
 	d := arg.(*Dot)
 	e, s, od := d.E, d.S, d.OutputDim()
 	bottom, emb := d.savedBottom, d.savedEmb
@@ -148,10 +256,7 @@ func dotBwdBody(arg any, tid, lo, hi int) {
 		// Concat part: dBottom starts as the dense slice of dOut.
 		copy(grads[0], row[:e])
 		for t := 1; t <= s; t++ {
-			g := grads[t]
-			for k := range g {
-				g[k] = 0
-			}
+			clear(grads[t])
 		}
 		// Dot part: out[pos] = <f_i, f_j> ⇒ df_i += g·f_j, df_j += g·f_i.
 		pos := e
@@ -161,9 +266,6 @@ func dotBwdBody(arg any, tid, lo, hi int) {
 				fj, gj := feats[j], grads[j]
 				g := row[pos]
 				pos++
-				if g == 0 {
-					continue
-				}
 				for k := 0; k < e; k++ {
 					gi[k] += g * fj[k]
 					gj[k] += g * fi[k]
@@ -182,9 +284,18 @@ func (d *Dot) Backward(p *par.Pool, dOut, dBottom []float32, dEmb [][]float32) {
 	if len(dOut) != n*od || len(dBottom) != n*e || len(dEmb) != s {
 		panic("interaction: backward size mismatch")
 	}
+	for t, dz := range dEmb {
+		if len(dz) != n*e {
+			panic(fmt.Sprintf("interaction: backward table %d len %d want %d", t, len(dz), n*e))
+		}
+	}
 	d.ensureScratch(p.NumWorkers())
 	d.curDOut, d.curDBottom, d.curDEmb = dOut, dBottom, dEmb
-	p.ForNArg(n, dotBwdBody, d)
+	if d.tiles {
+		p.ForNArg(n, dotBwdTiles, d)
+	} else {
+		p.ForNArg(n, dotBwdGo, d)
+	}
 	d.curDOut, d.curDBottom, d.curDEmb = nil, nil, nil
 }
 

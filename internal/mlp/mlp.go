@@ -30,8 +30,10 @@ const (
 )
 
 // BlockPick returns the largest block size ≤ cap that divides dim. The
-// paper's configs are mostly powers of two, but MLPerf's 13 dense features
-// and final K=1 need degenerate blocks.
+// paper's configs are mostly powers of two; MLPerf's 13 dense features and
+// final K=1 are narrower than a block and become one block of their own
+// width. A wide dimension with no usable divisor (a prime, such as MLPerf's
+// top-MLP input 479) would block at 1 — see padWidth for how layers avoid it.
 func BlockPick(dim, cap int) int {
 	if dim <= 0 {
 		panic(fmt.Sprintf("mlp: BlockPick dim=%d", dim))
@@ -44,6 +46,17 @@ func BlockPick(dim, cap int) int {
 	return 1
 }
 
+// padWidth returns the physical width an MLP stores for a logical input
+// width: the width itself when it fits one block or BlockPick finds a block
+// of at least 8, otherwise the next multiple of 16 (383 → 384, 479 → 480).
+// The extra columns hold zeros — see Layer.
+func padWidth(dim int) int {
+	if dim <= 64 || BlockPick(dim, 64) >= 8 {
+		return dim
+	}
+	return (dim + 15) &^ 15
+}
+
 // Layer is one fully-connected layer y = act(W·x + bias) over blocked
 // tensors, with storage for the gradients the optimizer consumes.
 //
@@ -53,6 +66,15 @@ func BlockPick(dim, cap int) int {
 // Consequently the tensor returned by Forward is overwritten by the next
 // Forward call on the same layer — callers that need to retain an output
 // across steps must Clone it.
+//
+// C is the logical input width. W, DW and the input / dX tensors are W.C
+// wide, which exceeds C where padWidth pads: the extra input columns are
+// zero (tensor.Acts.PackFrom writes them), the extra weight columns start at
+// zero and their gradients Σ_n dz·0 are exactly zero, so SGD and a gradient
+// allreduce leave them zero. A zero column adds fma(0·w + acc) = acc to a
+// reduction chain whose order over c does not depend on bc, so a padded
+// layer computes bit for bit what the unpadded one does on the vector
+// kernels.
 type Layer struct {
 	C, K       int // input/output features
 	BN, BC, BK int // block sizes (BN fixed by the owning MLP)
@@ -90,20 +112,35 @@ type Layer struct {
 }
 
 // NewLayer constructs a layer with Kaiming-uniform init (scale 1/√C), which
-// the convergence experiments need to reach reference accuracy.
+// the convergence experiments need to reach reference accuracy. Its input
+// is padWidth(c) wide.
 func NewLayer(c, k, bn int, act Activation, rng *rand.Rand) *Layer {
-	bc := BlockPick(c, 64)
+	return newLayer(c, padWidth(c), k, bn, act, rng)
+}
+
+// newLayer builds a layer of logical input width c stored pc wide. W's flat
+// order is (kb, input column, k within block) whatever bc is, so drawing
+// only the logical columns consumes the same random values, in the same
+// order, as the unpadded layout.
+func newLayer(c, pc, k, bn int, act Activation, rng *rand.Rand) *Layer {
+	bc := BlockPick(pc, 64)
 	bk := BlockPick(k, 64)
 	l := &Layer{
 		C: c, K: k, BN: bn, BC: bc, BK: bk, Act: act,
-		W:     tensor.NewWeights(k, c, bk, bc),
+		W:     tensor.NewWeights(k, pc, bk, bc),
 		Bias:  make([]float32, k),
-		DW:    tensor.NewWeights(k, c, bk, bc),
+		DW:    tensor.NewWeights(k, pc, bk, bc),
 		DBias: make([]float32, k),
 	}
 	scale := float32(1 / math.Sqrt(float64(c)))
-	for i := range l.W.Data {
-		l.W.Data[i] = (rng.Float32()*2 - 1) * scale
+	for r := 0; r*bk < len(l.W.Data); r++ {
+		if r%pc >= c {
+			continue
+		}
+		row := l.W.Data[r*bk : (r+1)*bk]
+		for i := range row {
+			row[i] = (rng.Float32()*2 - 1) * scale
+		}
 	}
 	for i := range l.Bias {
 		l.Bias[i] = (rng.Float32()*2 - 1) * scale
@@ -138,8 +175,8 @@ func transposeBody(arg any, tid, lo, hi int) {
 // the next Backward call; the returned output is a per-layer workspace
 // overwritten by the next Forward.
 func (l *Layer) Forward(p *par.Pool, x *tensor.Acts) *tensor.Acts {
-	if x.C != l.C {
-		panic(fmt.Sprintf("mlp: layer forward C=%d want %d", x.C, l.C))
+	if x.C != l.W.C {
+		panic(fmt.Sprintf("mlp: layer forward C=%d want %d", x.C, l.W.C))
 	}
 	y := tensor.EnsureActs(&l.y, x.N, l.K, x.BN, l.BK)
 	gemm.ForwardFused(p, l.W, x, y, (*biasAct)(l))
@@ -207,7 +244,7 @@ func (l *Layer) Backward(p *par.Pool, dy *tensor.Acts, wantDX bool) *tensor.Acts
 	if !wantDX {
 		return nil
 	}
-	dx := tensor.EnsureActs(&l.dx, dz.N, l.C, dz.BN, l.BC)
+	dx := tensor.EnsureActs(&l.dx, dz.N, l.W.C, dz.BN, l.BC)
 	gemm.BackwardData(p, l.transposed(p), dz, dx)
 	return dx
 }
@@ -283,15 +320,22 @@ func New(sizes []int, bn int, hiddenAct, lastAct Activation, rng *rand.Rand) *ML
 	if len(sizes) < 2 {
 		panic("mlp: need at least input and output sizes")
 	}
+	return newMLP(sizes, bn, hiddenAct, lastAct, rng, padWidth(sizes[0]))
+}
+
+// newMLP is New with the stack's input stored pc wide. Only that input is
+// ever padded: a hidden width arrives in the tiles the previous layer wrote.
+func newMLP(sizes []int, bn int, hiddenAct, lastAct Activation, rng *rand.Rand, pc int) *MLP {
 	m := &MLP{Sizes: sizes, BN: bn}
 	for i := 0; i+1 < len(sizes); i++ {
 		act := hiddenAct
 		if i+2 == len(sizes) {
 			act = lastAct
 		}
-		l := NewLayer(sizes[i], sizes[i+1], bn, act, rng)
+		l := newLayer(sizes[i], pc, sizes[i+1], bn, act, rng)
 		l.SparseInput = i > 0 && hiddenAct == ReLU
 		m.Layers = append(m.Layers, l)
+		pc = sizes[i+1]
 	}
 	return m
 }
@@ -306,10 +350,23 @@ func (m *MLP) Forward(p *par.Pool, x *tensor.Acts) *tensor.Acts {
 	return cur
 }
 
+// PackInput packs a dense N×Sizes[0] input into *buf shaped as the stack's
+// blocked input — the first layer's stored width and block — reusing its
+// storage (see tensor.EnsureActs).
+func (m *MLP) PackInput(buf **tensor.Acts, x *tensor.Dense) *tensor.Acts {
+	if x.Cols != m.Sizes[0] {
+		panic(fmt.Sprintf("mlp: input has %d columns, want %d", x.Cols, m.Sizes[0]))
+	}
+	l := m.Layers[0]
+	in := tensor.EnsureActs(buf, x.Rows, l.W.C, m.BN, l.BC)
+	in.PackFrom(x)
+	return in
+}
+
 // ForwardDense packs a dense input and runs Forward.
 func (m *MLP) ForwardDense(p *par.Pool, x *tensor.Dense) *tensor.Acts {
-	bc := BlockPick(x.Cols, 64)
-	return m.Forward(p, tensor.PackActs(x, m.BN, bc))
+	var in *tensor.Acts
+	return m.Forward(p, m.PackInput(&in, x))
 }
 
 // Backward runs the stack's backward passes from the output gradient,
@@ -406,10 +463,13 @@ func (m *MLP) InvalidateTransposes() {
 }
 
 // ParamBytes returns the total parameter size in bytes, the per-rank
-// allreduce volume of Eq. 1 (Σ_l f_i·f_o + f_o, times 4 bytes).
+// allreduce volume of Eq. 1 (Σ_l f_i·f_o + f_o, times 4 bytes) — logical
+// widths, not counting padding.
 func (m *MLP) ParamBytes() int {
 	total := 0
-	m.VisitParams(func(_ string, p []float32) { total += 4 * len(p) })
+	for i := 0; i+1 < len(m.Sizes); i++ {
+		total += 4 * (m.Sizes[i]*m.Sizes[i+1] + m.Sizes[i+1])
+	}
 	return total
 }
 

@@ -1,6 +1,7 @@
 package mlp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,23 +207,38 @@ func TestStepInvalidatesTranspose(t *testing.T) {
 }
 
 func TestVisitParamsGradsAligned(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := New([]int{4, 6, 2}, 2, ReLU, None, rng)
-	var pNames, gNames []string
-	var pLens, gLens []int
-	m.VisitParams(func(n string, p []float32) { pNames = append(pNames, n); pLens = append(pLens, len(p)) })
-	m.VisitGrads(func(n string, g []float32) { gNames = append(gNames, n); gLens = append(gLens, len(g)) })
-	if len(pNames) != 4 || len(gNames) != 4 {
-		t.Fatalf("expected 4 tensors, got %d/%d", len(pNames), len(gNames))
-	}
-	for i := range pNames {
-		if pNames[i] != gNames[i] || pLens[i] != gLens[i] {
-			t.Fatalf("params/grads misaligned at %d: %s/%d vs %s/%d", i, pNames[i], pLens[i], gNames[i], gLens[i])
+	// {4, 6, 2} stores every layer at its logical width; {383, 6, 2} pads
+	// its first layer to 384 columns, which the visited tensors hold and
+	// ParamBytes (Eq. 1's volume) does not count.
+	for _, c := range []struct {
+		sizes []int
+		w0    int
+	}{{[]int{4, 6, 2}, 4 * 6}, {[]int{383, 6, 2}, 384 * 6}} {
+		m := New(c.sizes, 2, ReLU, None, rand.New(rand.NewSource(6)))
+		var pNames, gNames []string
+		var pLens, gLens []int
+		m.VisitParams(func(n string, p []float32) { pNames = append(pNames, n); pLens = append(pLens, len(p)) })
+		m.VisitGrads(func(n string, g []float32) { gNames = append(gNames, n); gLens = append(gLens, len(g)) })
+		if len(pNames) != 4 || len(gNames) != 4 {
+			t.Fatalf("expected 4 tensors, got %d/%d", len(pNames), len(gNames))
 		}
-	}
-	wantBytes := 4 * (4*6 + 6 + 6*2 + 2)
-	if m.ParamBytes() != wantBytes {
-		t.Fatalf("ParamBytes=%d want %d", m.ParamBytes(), wantBytes)
+		for i := range pNames {
+			if pNames[i] != gNames[i] || pLens[i] != gLens[i] {
+				t.Fatalf("params/grads misaligned at %d: %s/%d vs %s/%d", i, pNames[i], pLens[i], gNames[i], gLens[i])
+			}
+		}
+		if pLens[0] != c.w0 {
+			t.Fatalf("%v: layer0.W holds %d values, want %d", c.sizes, pLens[0], c.w0)
+		}
+		for i := range m.Layers {
+			if got, want := m.LayerGradLen(i), pLens[2*i]+pLens[2*i+1]; got != want {
+				t.Fatalf("%v: LayerGradLen(%d) = %d, VisitParams holds %d", c.sizes, i, got, want)
+			}
+		}
+		wantBytes := 4 * (c.sizes[0]*6 + 6 + 6*2 + 2)
+		if m.ParamBytes() != wantBytes {
+			t.Fatalf("ParamBytes=%d want %d", m.ParamBytes(), wantBytes)
+		}
 	}
 }
 
@@ -236,27 +252,152 @@ func TestFlopsPerSample(t *testing.T) {
 }
 
 func TestMLPerfShapes(t *testing.T) {
-	// The MLPerf config has a 13-wide input and a 1-wide output; ensure the
-	// degenerate block sizes work end to end.
+	// The MLPerf config has a 13-wide input, a 1-wide output and a prime
+	// top-MLP input (479 = 128 + 351; 383 = 32 + 351 at the benchmark's
+	// mini model); ensure the degenerate widths work end to end.
 	rng := rand.New(rand.NewSource(8))
 	pool := par.NewPool(4)
 	bot := New([]int{13, 512, 256, 128}, 16, ReLU, ReLU, rng)
-	top := New([]int{128, 512, 512, 256, 1}, 16, ReLU, None, rng)
 	x := tensor.NewDense(32, 13)
 	x.Randomize(rng, 1)
 	h := bot.ForwardDense(pool, x)
 	if h.C != 128 {
 		t.Fatalf("bottom output C=%d", h.C)
 	}
-	hD := h.Unpack()
-	y := top.ForwardDense(pool, hD)
-	if y.C != 1 || y.N != 32 {
-		t.Fatalf("top output %dx%d", y.N, y.C)
+	for _, top := range []*MLP{
+		New([]int{479, 512, 512, 256, 1}, 16, ReLU, None, rng),
+		New([]int{383, 128, 128, 64, 1}, 16, ReLU, None, rng),
+	} {
+		in := tensor.NewDense(32, top.Sizes[0])
+		in.Randomize(rng, 1)
+		y := top.ForwardDense(pool, in)
+		if y.C != 1 || y.N != 32 {
+			t.Fatalf("top output %dx%d", y.N, y.C)
+		}
+		dx := top.Backward(pool, y.Clone(), true)
+		if l := top.Layers[0]; dx.C != l.W.C || l.BC < 8 {
+			t.Fatalf("top input %d: dX is %d wide in blocks of %d, W is %d wide", top.Sizes[0], dx.C, l.BC, l.W.C)
+		}
+		top.Step(0.1)
 	}
-	top.Backward(pool, y.Clone(), true)
 	bot.Backward(pool, h.Clone(), false)
-	top.Step(0.1)
 	bot.Step(0.1)
+}
+
+// TestPadWidth pins the pad rule: widths that block at 8 or more, or fit
+// one block, keep their width (and so their blocks); the rest round up to a
+// multiple of 16.
+func TestPadWidth(t *testing.T) {
+	for _, c := range []struct{ dim, want, bc int }{
+		{1, 1, 1}, {13, 13, 13}, {16, 16, 16}, {61, 61, 61}, {64, 64, 64}, {100, 100, 50},
+		{357, 357, 51}, {512, 512, 64}, {1024, 1024, 64}, {2336, 2336, 32},
+		{383, 384, 64}, {479, 480, 60}, {67, 80, 40}, {134, 144, 48},
+	} {
+		got := padWidth(c.dim)
+		if got != c.want || BlockPick(got, 64) != c.bc {
+			t.Errorf("padWidth(%d) = %d in blocks of %d, want %d in blocks of %d", c.dim, got, BlockPick(got, 64), c.want, c.bc)
+		}
+	}
+}
+
+// unpadded is New with the input stored at its logical width — the bc = 1
+// layout a prime input width had before padWidth. Tests only.
+func unpadded(sizes []int, bn int, hiddenAct, lastAct Activation, rng *rand.Rand) *MLP {
+	return newMLP(sizes, bn, hiddenAct, lastAct, rng, sizes[0])
+}
+
+// TestPaddedEqualsUnpadded holds the padded layer to the layout it
+// replaces, bit for bit, on the vector kernels: same initial weights from
+// the same seed, same forward, dX, DW, DBias, and same weights after SGD
+// steps — with the pad column of W, DW and dX exactly zero throughout.
+func TestPaddedEqualsUnpadded(t *testing.T) {
+	if gemm.KernelISA() == "go" {
+		t.Skip("the Go kernel groups the reduction four at a time, so its rounding depends on bc")
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	const n, bn = 32, 16
+	bits := math.Float32bits
+	for _, sizes := range [][]int{{383, 128, 64}, {479, 64}} {
+		pad := New(sizes, bn, ReLU, None, rand.New(rand.NewSource(11)))
+		ref := unpadded(sizes, bn, ReLU, None, rand.New(rand.NewSource(11)))
+		c := sizes[0]
+		l0, r0 := pad.Layers[0], ref.Layers[0]
+		if l0.C != c || l0.W.C == c || l0.BC < 8 || r0.W.C != c || r0.BC != 1 {
+			t.Fatalf("%v: padded layer %d/%d wide in blocks of %d, reference %d in blocks of %d", sizes, l0.C, l0.W.C, l0.BC, r0.W.C, r0.BC)
+		}
+		// sameWeights compares one weight-shaped tensor of every layer:
+		// logical columns equal, the padded layer's extra columns zero.
+		sameWeights := func(when, name string, of func(*Layer) *tensor.Weights) {
+			t.Helper()
+			for li, l := range pad.Layers {
+				w, r := of(l), of(ref.Layers[li])
+				for k := 0; k < w.K; k++ {
+					for ci := 0; ci < w.C; ci++ {
+						var want float32
+						if ci < l.C {
+							want = r.At(k, ci)
+						}
+						if got := w.At(k, ci); bits(got) != bits(want) {
+							t.Fatalf("%v %s: layer %d %s[%d][%d] = %g, unpadded %g", sizes, when, li, name, k, ci, got, want)
+						}
+					}
+				}
+			}
+		}
+		sameVec := func(when, name string, got, want []float32) {
+			t.Helper()
+			for i := range want {
+				if bits(got[i]) != bits(want[i]) {
+					t.Fatalf("%v %s: %s[%d] = %g, unpadded %g", sizes, when, name, i, got[i], want[i])
+				}
+			}
+		}
+		sameParams := func(when string) {
+			t.Helper()
+			sameWeights(when, "W", func(l *Layer) *tensor.Weights { return l.W })
+			for li, l := range pad.Layers {
+				sameVec(when, "Bias", l.Bias, ref.Layers[li].Bias)
+			}
+		}
+		sameParams("at init")
+
+		rng := rand.New(rand.NewSource(12))
+		for step := 0; step < 10; step++ {
+			when := fmt.Sprintf("step %d", step)
+			xD := tensor.NewDense(n, c)
+			xD.Randomize(rng, 1)
+			dyD := tensor.NewDense(n, sizes[len(sizes)-1])
+			dyD.Randomize(rng, 1)
+			y, ry := pad.ForwardDense(pool, xD), ref.ForwardDense(pool, xD)
+			sameVec(when, "y", y.Data, ry.Data)
+
+			visits := 0
+			dx := pad.BackwardVisit(pool, tensor.PackActs(dyD, bn, y.BC), true, func(int) { visits++ })
+			rdx := ref.Backward(pool, tensor.PackActs(dyD, bn, ry.BC), true)
+			if visits != len(pad.Layers) {
+				t.Fatalf("%v: %d visits", sizes, visits)
+			}
+			for smp := 0; smp < n; smp++ {
+				for ci := 0; ci < dx.C; ci++ {
+					var want float32
+					if ci < c {
+						want = rdx.At(smp, ci)
+					}
+					if got := dx.At(smp, ci); bits(got) != bits(want) {
+						t.Fatalf("%v %s: dX[%d][%d] = %g, unpadded %g", sizes, when, smp, ci, got, want)
+					}
+				}
+			}
+			sameWeights(when, "DW", func(l *Layer) *tensor.Weights { return l.DW })
+			for li, l := range pad.Layers {
+				sameVec(when, "DBias", l.DBias, ref.Layers[li].DBias)
+			}
+			pad.Step(0.05)
+			ref.Step(0.05)
+			sameParams(when + " after Step")
+		}
+	}
 }
 
 // TestBackwardVisitMatchesBackward pins the layer-stepped refactor: driving
@@ -448,6 +589,33 @@ func TestBackwardSweepMatchesThreePasses(t *testing.T) {
 			if math.Float32bits(l.DBias[k]) != math.Float32bits(wantDB[k]) {
 				t.Fatalf("act=%d: DBias[%d] = %g want %g", act, k, l.DBias[k], wantDB[k])
 			}
+		}
+	}
+}
+
+// BenchmarkPrimeInput times forward + backward (with dX) of a stack whose
+// input width is prime, stored padded (New) and at its logical width in
+// blocks of one column (the layout before padWidth).
+func BenchmarkPrimeInput(b *testing.B) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	const n, bn = 256, 16
+	for _, sizes := range [][]int{{383, 128, 64}, {479, 512, 256}} {
+		for name, build := range map[string]func([]int, int, Activation, Activation, *rand.Rand) *MLP{"padded": New, "unpadded": unpadded} {
+			b.Run(fmt.Sprintf("%d/%s", sizes[0], name), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				m := build(sizes, bn, ReLU, None, rng)
+				xD := tensor.NewDense(n, sizes[0])
+				xD.Randomize(rng, 1)
+				var in *tensor.Acts
+				x := m.PackInput(&in, xD)
+				dy := m.Forward(pool, x).Clone()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Forward(pool, x)
+					m.Backward(pool, dy, true)
+				}
+			})
 		}
 	}
 }

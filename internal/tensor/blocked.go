@@ -111,19 +111,24 @@ func PackActs(d *Dense, bn, bc int) *Acts {
 
 // PackFrom fills the blocked tensor from a row-major matrix of the same
 // logical shape, reusing a's storage — the steady-state counterpart of
-// PackActs.
+// PackActs. d may be narrower than a by less than one block: the remaining
+// columns are written as zeros (a layer input padded to a blockable width).
 func (a *Acts) PackFrom(d *Dense) {
-	if d.Rows != a.N || d.Cols != a.C {
+	if d.Rows != a.N || d.Cols > a.C || d.Cols <= a.C-a.BC {
 		panic(fmt.Sprintf("tensor: PackFrom shape %dx%d into %dx%d", d.Rows, d.Cols, a.N, a.C))
 	}
 	bn, bc := a.BN, a.BC
 	for cb := 0; cb < a.Cb; cb++ {
+		w := min(bc, d.Cols-cb*bc)
 		for nb := 0; nb < a.Nb; nb++ {
 			blk := a.Block(cb, nb)
 			for ni := 0; ni < bn; ni++ {
 				n := nb*bn + ni
 				src := d.Data[n*d.Cols+cb*bc:]
-				copy(blk[ni*bc:(ni+1)*bc], src[:bc])
+				copy(blk[ni*bc:ni*bc+w], src[:w])
+				if w < bc {
+					clear(blk[ni*bc+w : (ni+1)*bc])
+				}
 			}
 		}
 	}
@@ -137,17 +142,21 @@ func (a *Acts) Unpack() *Dense {
 }
 
 // UnpackInto writes the row-major image of the blocked tensor into d,
-// reusing d's storage — the steady-state counterpart of Unpack.
+// reusing d's storage — the steady-state counterpart of Unpack. d may be
+// narrower than a by less than one block (see PackFrom): the columns beyond
+// d.Cols are dropped.
 func (a *Acts) UnpackInto(d *Dense) {
-	if d.Rows != a.N || d.Cols != a.C {
+	if d.Rows != a.N || d.Cols > a.C || d.Cols <= a.C-a.BC {
 		panic(fmt.Sprintf("tensor: UnpackInto shape %dx%d into %dx%d", a.N, a.C, d.Rows, d.Cols))
 	}
+	bn, bc := a.BN, a.BC
 	for cb := 0; cb < a.Cb; cb++ {
+		w := min(bc, d.Cols-cb*bc)
 		for nb := 0; nb < a.Nb; nb++ {
 			blk := a.Block(cb, nb)
-			for ni := 0; ni < a.BN; ni++ {
-				n := nb*a.BN + ni
-				copy(d.Data[n*d.Cols+cb*a.BC:n*d.Cols+(cb+1)*a.BC], blk[ni*a.BC:(ni+1)*a.BC])
+			for ni := 0; ni < bn; ni++ {
+				n := nb*bn + ni
+				copy(d.Data[n*d.Cols+cb*bc:n*d.Cols+cb*bc+w], blk[ni*bc:ni*bc+w])
 			}
 		}
 	}

@@ -265,3 +265,47 @@ func TestEnsureActsCapacityReuse(t *testing.T) {
 		t.Fatal("reshaped Acts round-trip diverges")
 	}
 }
+
+// TestPackUnpackNarrowerDense: a dense matrix narrower than the blocked
+// tensor by less than one block packs with the missing columns written as
+// zeros — over whatever a reshaped workspace held — and unpacks with them
+// dropped; a whole missing block, or a wider matrix, still panics.
+func TestPackUnpackNarrowerDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	d := NewDense(8, 21)
+	d.Randomize(rng, 5)
+	a := NewActs(8, 24, 4, 8)
+	for i := range a.Data {
+		a.Data[i] = 7 // stale contents
+	}
+	a.PackFrom(d)
+	for n := 0; n < 8; n++ {
+		for c := 0; c < 24; c++ {
+			var want float32
+			if c < 21 {
+				want = d.At(n, c)
+			}
+			if got := a.At(n, c); got != want {
+				t.Fatalf("packed (%d,%d) = %g, want %g", n, c, got, want)
+			}
+		}
+	}
+	back := NewDense(8, 21)
+	a.UnpackInto(back)
+	if MaxAbsDiff(d, back) != 0 {
+		t.Fatal("narrower round-trip diverges")
+	}
+	for _, cols := range []int{16, 15, 25} {
+		bad := NewDense(8, cols)
+		for name, fn := range map[string]func(){"PackFrom": func() { a.PackFrom(bad) }, "UnpackInto": func() { a.UnpackInto(bad) }} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s with %d columns against 24 in blocks of 8: expected panic", name, cols)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
