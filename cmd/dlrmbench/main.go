@@ -9,8 +9,6 @@
 //	dlrmbench -exp fig9                    # one experiment (see -exp list for names)
 //	dlrmbench -exp fig16 -iters 800        # more training iterations
 //	dlrmbench -exp fig7 -quick             # skip the slow Reference runs
-//	dlrmbench -benchjson BENCH_2026-07-27.json   # machine-readable kernel benchmarks
-//	dlrmbench -benchjson out.json -benchfilter '^Fig9'  # subset of the bench suite
 package main
 
 import (
@@ -189,17 +187,7 @@ func main() {
 		"experiment to run: all, list, or one of "+strings.Join(names, " "))
 	iters := flag.Int("iters", 0, "override iteration count where applicable")
 	quick := flag.Bool("quick", false, "reduce sizes for a fast smoke run")
-	benchJSON := flag.String("benchjson", "", "run the kernel micro-benchmarks and write results as JSON to this file, then exit")
-	benchFilter := flag.String("benchfilter", "", "with -benchjson: only run benchmark cases matching this regexp")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *benchFilter); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *exp == "list" {
 		for _, e := range table {

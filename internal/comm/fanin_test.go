@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/testenv"
 )
 
 // TestFanInMatchesFlowModel checks the isolated gather time is exactly the
@@ -90,7 +91,7 @@ func TestFanInContended(t *testing.T) {
 // TestFanInZeroAllocs pins the steady-state allocation discipline for both
 // variants (the serving event loop prices one fan-in per dispatched batch).
 func TestFanInZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	topo := fabric.NewPrunedFatTree(8, 12.5e9)

@@ -197,7 +197,7 @@ func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *Autotune
 		}
 		c := cands[cand].apply(probeCfg)
 		c.Iters = iters
-		v := RunDistributed(c).IterSeconds
+		v := mustRun(c).IterSeconds
 		memo[k] = v
 		return v
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fabric"
 	"repro/internal/perfmodel"
+	"repro/internal/testenv"
 )
 
 // autotuneBase builds the timing-mode shape the autotuner tests probe:
@@ -28,7 +29,7 @@ func autotuneBase(cfg Config, ranks, globalN int, pools *cluster.Pools, wss *Dis
 // measure runs the config for iters timing-mode iterations.
 func measure(dc DistConfig, iters int) float64 {
 	dc.Iters = iters
-	return RunDistributed(dc).IterSeconds
+	return mustRun(dc).IterSeconds
 }
 
 // TestAutotuneNeverWorseThanIncumbent is the tuner's contract: whatever
@@ -139,7 +140,7 @@ func TestAutotuneDeterminism(t *testing.T) {
 // Structured like distAllocsPerIter: two searches identical except for the
 // probe length are differenced, cancelling the fixed search bookkeeping.
 func TestAutotuneProbingZeroAllocsPerIter(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	pools := cluster.NewPools()

@@ -9,7 +9,8 @@ import (
 )
 
 // contentionCase is one 64-rank Large-config schedule point with its
-// committed PR 6 virtual baseline (ms/iter, from BENCH_2026-08-08-pr6.json).
+// committed PR 6 virtual baseline (ms/iter; the same values
+// experiments.TestVirtualAnchors holds for the whole recipe).
 type contentionCase struct {
 	name    string
 	sync    bool
@@ -37,7 +38,7 @@ func runContentionCase(c contentionCase, contention bool) float64 {
 	dc.BucketBytes = c.bb
 	dc.Allreduce = c.algo
 	dc.Contention = contention
-	return RunDistributed(dc).IterSeconds * 1e3
+	return mustRun(dc).IterSeconds * 1e3
 }
 
 // TestContentionOffBitIdenticalToBaselines pins the knob's default: with
@@ -109,7 +110,7 @@ func TestExposuresPropertyContention(t *testing.T) {
 				dc.Contention = true
 				dc.Pools = pools
 				dc.Workspaces = wss
-				res := RunDistributed(dc)
+				res := mustRun(dc)
 				if len(res.Exposures()) == 0 {
 					t.Fatalf("%v %v bucket=%d: no exposures recorded", strat, algo, bucketBytes)
 				}
@@ -142,7 +143,7 @@ func TestInterferenceOverride(t *testing.T) {
 	run := func(interf float64) float64 {
 		dc := distTestConfig(Large, 16, Large.GlobalMB, 2, Variant{Alltoall, cluster.MPIBackend}, false)
 		dc.Interference = interf
-		return RunDistributed(dc).IterSeconds
+		return mustRun(dc).IterSeconds
 	}
 	def, none := run(0), run(1.0)
 	if none >= def {

@@ -397,7 +397,7 @@ func TestConcatDistributedMatchesSingle(t *testing.T) {
 	cfg.ConcatInteraction = true
 	ref, _ := trainSingle(cfg, 64, 2, 17, 0.5)
 	dc := distTestConfig(cfg, 2, 64, 2, Variant{Alltoall, cluster.CCLBackend}, true)
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	checkMLPClose(t, "concat dist", res.Models[0], ref, 2e-3)
 }
 

@@ -435,20 +435,6 @@ type funcState struct {
 	loader data.Loader
 }
 
-// RunDistributed executes the hybrid-parallel DLRM training loop on the
-// simulated cluster and returns timing (and, in functional mode, models).
-//
-// Deprecated: use DistConfig.Run, which surfaces configuration errors
-// instead of panicking. This wrapper survives for the figure drivers and
-// tests that predate validation.
-func RunDistributed(dc DistConfig) *DistResult {
-	res, err := dc.Run()
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // run executes an already-validated configuration (DistConfig.Run is the
 // public entry and the only caller). Functional ranks run kernels and
 // loaders, which must overlap across host cores, so they get the cluster's

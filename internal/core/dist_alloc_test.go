@@ -18,6 +18,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/embedding"
 	"repro/internal/par"
+	"repro/internal/testenv"
 )
 
 // distAllocsPerIter returns the marginal allocations per timing-mode
@@ -28,7 +29,7 @@ import (
 // records, load sets) must recycle rather than allocate in steady state.
 func distAllocsPerIter(t *testing.T, v Variant, overlap bool, algo comm.AllreduceAlgo, bucketBytes int, contention bool) float64 {
 	t.Helper()
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	pools := cluster.NewPools()
@@ -43,7 +44,7 @@ func distAllocsPerIter(t *testing.T, v Variant, overlap bool, algo comm.Allreduc
 		dc.Allreduce = algo
 		dc.BucketBytes = bucketBytes
 		dc.Contention = contention
-		return func() { RunDistributed(dc) }
+		return func() { mustRun(dc) }
 	}
 	const short, long = 2, 12
 	run(long)() // warmup: sizes workspaces, fills slot/sudog pools
@@ -145,7 +146,7 @@ func TestDistributedStepZeroAllocsContention(t *testing.T) {
 // reuse story: with shared Pools and DistWorkspaces, repeated identical
 // runs settle to a constant allocation count (no per-run buffer regrowth).
 func TestDistributedRunReusesWorkspaces(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	pools := cluster.NewPools()
@@ -154,7 +155,7 @@ func TestDistributedRunReusesWorkspaces(t *testing.T) {
 	dc := distTestConfig(Small, 4, Small.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false)
 	dc.Pools = pools
 	dc.Workspaces = wss
-	run := func() { RunDistributed(dc) }
+	run := func() { mustRun(dc) }
 	run()
 	a := testing.AllocsPerRun(5, run)
 	b := testing.AllocsPerRun(5, run)
@@ -170,7 +171,7 @@ func TestDistributedRunReusesWorkspaces(t *testing.T) {
 // allocate — if someone "fixes" it the baseline bar loses its meaning —
 // while every optimized strategy must stay at zero.
 func TestEmbeddingStrategyAllocExemption(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	rng := rand.New(rand.NewSource(11))
@@ -198,7 +199,7 @@ func TestEmbeddingStrategyAllocExemption(t *testing.T) {
 // alternating between two shapes after warmup must not grow buffers (the
 // ensure helpers retain the larger capacity).
 func TestDistWorkspaceKeyedReuse(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	pools := cluster.NewPools()
@@ -208,7 +209,7 @@ func TestDistWorkspaceKeyedReuse(t *testing.T) {
 		dc := distTestConfig(Small, ranks, Small.GlobalMB, 2, v, false)
 		dc.Pools = pools
 		dc.Workspaces = wss
-		return func() { RunDistributed(dc) }
+		return func() { mustRun(dc) }
 	}
 	a := mk(4, Variant{Alltoall, cluster.CCLBackend})
 	b := mk(8, Variant{FusedScatter, cluster.MPIBackend})
@@ -232,7 +233,7 @@ func TestDistWorkspaceKeyedReuse(t *testing.T) {
 // checkpoint every iteration adds no steady-state allocations under either
 // schedule.
 func TestDistributedStepZeroAllocsCheckpointed(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	v := Variant{Strategy: Alltoall, Backend: cluster.CCLBackend}
@@ -247,7 +248,7 @@ func TestDistributedStepZeroAllocsCheckpointed(t *testing.T) {
 			dc.Sync = !overlap
 			dc.BucketBytes = FlatBuckets
 			dc.CheckpointEvery = 1
-			return func() { RunDistributed(dc) }
+			return func() { mustRun(dc) }
 		}
 		const short, long = 2, 12
 		run(long)() // warmup: sizes workspaces, fills slot/sudog pools

@@ -65,7 +65,7 @@ func TestDistributedMatchesSingleSocket(t *testing.T) {
 	for _, v := range Variants {
 		for _, ranks := range []int{2, 4} {
 			dc := distTestConfig(cfg, ranks, globalN, iters, v, true)
-			res := RunDistributed(dc)
+			res := mustRun(dc)
 
 			// MLP replicas must agree across ranks and with the reference.
 			for rk := 0; rk < ranks; rk++ {
@@ -114,7 +114,7 @@ func TestDistributedRanksStayInSync(t *testing.T) {
 	// training (they see the same reduced gradients).
 	cfg := tinyConfig()
 	dc := distTestConfig(cfg, 4, 64, 3, Variant{Alltoall, cluster.CCLBackend}, true)
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	for rk := 1; rk < 4; rk++ {
 		checkMLPClose(t, "replica sync", res.Models[rk], res.Models[0], 1e-7)
 	}
@@ -123,7 +123,7 @@ func TestDistributedRanksStayInSync(t *testing.T) {
 func TestDistributedLossesRecorded(t *testing.T) {
 	cfg := tinyConfig()
 	dc := distTestConfig(cfg, 2, 64, 4, Variant{Alltoall, cluster.MPIBackend}, true)
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	for rk := 0; rk < 2; rk++ {
 		if len(res.Losses[rk]) != 4 {
 			t.Fatalf("rank %d recorded %d losses want 4", rk, len(res.Losses[rk]))
@@ -136,7 +136,7 @@ func TestTimingOnlyModeRuns(t *testing.T) {
 	// configs and strategies and give sane positive times.
 	for _, v := range Variants {
 		dc := distTestConfig(Small, 8, Small.GlobalMB, 2, v, false)
-		res := RunDistributed(dc)
+		res := mustRun(dc)
 		if res.IterSeconds <= 0 {
 			t.Fatalf("%s: non-positive iteration time", v.Name())
 		}
@@ -157,7 +157,7 @@ func TestAlltoallBeatsScatterList(t *testing.T) {
 	// (the paper reports >2× end-to-end at scale; at minimum the comm time
 	// must be clearly lower).
 	mk := func(v Variant) *DistResult {
-		return RunDistributed(distTestConfig(MLPerf, 16, MLPerf.GlobalMB, 3, v, false))
+		return mustRun(distTestConfig(MLPerf, 16, MLPerf.GlobalMB, 3, v, false))
 	}
 	sl := mk(Variant{ScatterList, cluster.MPIBackend})
 	a2a := mk(Variant{Alltoall, cluster.MPIBackend})
@@ -170,8 +170,8 @@ func TestAlltoallBeatsScatterList(t *testing.T) {
 func TestCCLBeatsMPI(t *testing.T) {
 	// Fig. 9/10: CCL-Alltoall beats MPI-Alltoall (no compute interference,
 	// concurrent channels).
-	mpi := RunDistributed(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.MPIBackend}, false))
-	ccl := RunDistributed(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false))
+	mpi := mustRun(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.MPIBackend}, false))
+	ccl := mustRun(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false))
 	if ccl.IterSeconds >= mpi.IterSeconds {
 		t.Fatalf("CCL (%.1fms) must beat MPI (%.1fms)", ccl.IterSeconds*1e3, mpi.IterSeconds*1e3)
 	}
@@ -179,14 +179,14 @@ func TestCCLBeatsMPI(t *testing.T) {
 	// progress-thread interference of Fig. 10), while CCL's does not.
 	mpiCfg := distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.MPIBackend}, false)
 	mpiCfg.Blocking = true
-	mpiBlocking := RunDistributed(mpiCfg)
+	mpiBlocking := mustRun(mpiCfg)
 	if mpi.ComputePerIter <= mpiBlocking.ComputePerIter*1.01 {
 		t.Fatalf("MPI overlap compute %.2fms must exceed blocking %.2fms",
 			mpi.ComputePerIter*1e3, mpiBlocking.ComputePerIter*1e3)
 	}
 	cclCfg := distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false)
 	cclCfg.Blocking = true
-	cclBlocking := RunDistributed(cclCfg)
+	cclBlocking := mustRun(cclCfg)
 	if rel := math.Abs(ccl.ComputePerIter-cclBlocking.ComputePerIter) / cclBlocking.ComputePerIter; rel > 0.01 {
 		t.Fatalf("CCL compute must not change with overlap (rel diff %.3f)", rel)
 	}
@@ -194,9 +194,9 @@ func TestCCLBeatsMPI(t *testing.T) {
 
 func TestBlockingExposesMoreCommunication(t *testing.T) {
 	base := distTestConfig(Large, 8, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false)
-	overlap := RunDistributed(base)
+	overlap := mustRun(base)
 	base.Blocking = true
-	blocking := RunDistributed(base)
+	blocking := mustRun(base)
 	if blocking.TotalCommPerIter() <= overlap.TotalCommPerIter() {
 		t.Fatalf("blocking comm %.2fms must exceed overlapped %.2fms",
 			blocking.TotalCommPerIter()*1e3, overlap.TotalCommPerIter()*1e3)
@@ -208,7 +208,7 @@ func TestStrongScalingSpeedup(t *testing.T) {
 	// iteration time, with decaying efficiency.
 	iterAt := func(ranks int) float64 {
 		dc := distTestConfig(Large, ranks, Large.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
-		return RunDistributed(dc).IterSeconds
+		return mustRun(dc).IterSeconds
 	}
 	t4, t16, t64 := iterAt(4), iterAt(16), iterAt(64)
 	if !(t16 < t4 && t64 < t16) {
@@ -224,10 +224,10 @@ func TestWeakScalingEfficiencyHigherThanStrong(t *testing.T) {
 	// Fig. 12 vs Fig. 9: weak scaling sustains higher efficiency because
 	// the alltoall volume grows with rank count while allreduce stays fixed.
 	strong := func(r int) float64 {
-		return RunDistributed(distTestConfig(Large, r, Large.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)).IterSeconds
+		return mustRun(distTestConfig(Large, r, Large.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)).IterSeconds
 	}
 	weak := func(r int) float64 {
-		return RunDistributed(distTestConfig(Large, r, Large.LocalMB*r, 2, Variant{Alltoall, cluster.CCLBackend}, false)).IterSeconds
+		return mustRun(distTestConfig(Large, r, Large.LocalMB*r, 2, Variant{Alltoall, cluster.CCLBackend}, false)).IterSeconds
 	}
 	strongEff := strong(4) / strong(32) / 8 // ideal = 1
 	weakEff := weak(4) / weak(32)           // ideal = 1 (per-rank work constant)
@@ -242,7 +242,7 @@ func TestLoaderArtifactGrowsWithGlobalMB(t *testing.T) {
 	mk := func(ranks int) *DistResult {
 		dc := distTestConfig(MLPerf, ranks, MLPerf.LocalMB*ranks, 2, Variant{Alltoall, cluster.CCLBackend}, false)
 		dc.Loader = LoaderGlobalMB
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	small := mk(2)
 	big := mk(16)
@@ -260,7 +260,7 @@ func TestShardedLoaderKillsWeakScalingArtifact(t *testing.T) {
 	mk := func(ranks int, mode LoaderMode) *DistResult {
 		dc := distTestConfig(MLPerf, ranks, MLPerf.LocalMB*ranks, 2, Variant{Alltoall, cluster.CCLBackend}, false)
 		dc.Loader = mode
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	gSmall, gBig := mk(2, LoaderGlobalMB), mk(16, LoaderGlobalMB)
 	if gBig.PrepPerIter["loader"] <= gSmall.PrepPerIter["loader"]*4 {
@@ -303,7 +303,7 @@ func TestLoaderModesLossParity(t *testing.T) {
 				dc.Loader = mode
 				dc.Pools = pools
 				dc.Workspaces = wss
-				res := RunDistributed(dc)
+				res := mustRun(dc)
 				for it := 0; it < iters; it++ {
 					var mean float64
 					for rk := 0; rk < ranks; rk++ {
@@ -332,8 +332,8 @@ func TestMPIInOrderAlltoallArtifact(t *testing.T) {
 	// §VI-D1: with the MPI backend and overlapping communication, allreduce
 	// cost shows up at the alltoall wait (in-order completion), so the
 	// alltoall wait share under MPI exceeds that under CCL.
-	mpi := RunDistributed(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.MPIBackend}, false))
-	ccl := RunDistributed(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false))
+	mpi := mustRun(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.MPIBackend}, false))
+	ccl := mustRun(distTestConfig(Large, 16, Large.GlobalMB, 3, Variant{Alltoall, cluster.CCLBackend}, false))
 	if mpi.WaitPerIter["alltoall"] <= ccl.WaitPerIter["alltoall"] {
 		t.Fatalf("MPI alltoall wait %.2fms must exceed CCL %.2fms (in-order artifact)",
 			mpi.WaitPerIter["alltoall"]*1e3, ccl.WaitPerIter["alltoall"]*1e3)
@@ -346,16 +346,16 @@ func TestDistPanicsOnBadRankCount(t *testing.T) {
 			t.Fatal("expected panic: ranks beyond table count")
 		}
 	}()
-	RunDistributed(distTestConfig(Small, 16, Small.GlobalMB, 1, Variant{Alltoall, cluster.MPIBackend}, false))
+	mustRun(distTestConfig(Small, 16, Small.GlobalMB, 1, Variant{Alltoall, cluster.MPIBackend}, false))
 }
 
 func TestDegradedFabricSlowsTraining(t *testing.T) {
 	// Failure injection: derating one socket's uplink must slow the whole
 	// job — collectives synchronize, so one slow link paces everyone.
 	base := distTestConfig(MLPerf, 8, MLPerf.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
-	healthy := RunDistributed(base)
+	healthy := mustRun(base)
 	base.Topo = fabric.NewDegraded(fabric.NewPrunedFatTree(8, 12.5e9), map[int]float64{2: 0.1})
-	degraded := RunDistributed(base)
+	degraded := mustRun(base)
 	if degraded.IterSeconds <= healthy.IterSeconds*1.2 {
 		t.Fatalf("degraded link should slow iteration: %.2fms vs %.2fms",
 			degraded.IterSeconds*1e3, healthy.IterSeconds*1e3)
@@ -367,7 +367,7 @@ func TestCommCoresKnob(t *testing.T) {
 	mk := func(s int) *DistResult {
 		dc := distTestConfig(Large, 16, Large.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
 		dc.CommCores = s
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	one, four := mk(1), mk(4)
 	if one.TotalCommPerIter() <= four.TotalCommPerIter() {
@@ -390,7 +390,7 @@ func TestOverlapReducesIterationTime(t *testing.T) {
 	mk := func(ranks, gn int, overlap bool) *DistResult {
 		dc := distTestConfig(Large, ranks, gn, 2, v, false)
 		dc.Sync = !overlap
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	for _, ranks := range []int{16, 32, 64} {
 		for _, weak := range []bool{false, true} {
@@ -420,7 +420,7 @@ func TestOverlapHidesBackwardAlltoall(t *testing.T) {
 	mk := func(overlap bool) *DistResult {
 		dc := distTestConfig(Large, 32, Large.GlobalMB, 2, v, false)
 		dc.Sync = !overlap
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	sync, ovl := mk(false), mk(true)
 	if ovl.WaitPerIter["alltoall"] >= sync.WaitPerIter["alltoall"] {
@@ -442,7 +442,7 @@ func TestOverlapHidesLoaderCharge(t *testing.T) {
 		dc := distTestConfig(MLPerf, 16, MLPerf.LocalMB*16, iters, Variant{Alltoall, cluster.CCLBackend}, false)
 		dc.Loader = LoaderSharded
 		dc.Sync = !overlap
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	sync := mk(4, false)
 	ovl := mk(4, true)
@@ -480,7 +480,7 @@ func TestOverlapHidesLoaderCharge(t *testing.T) {
 func TestExposuresAccounting(t *testing.T) {
 	dc := distTestConfig(Large, 32, Large.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
 	dc.Sync = false
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	seen := map[string]bool{}
 	for _, e := range res.Exposures() {
 		seen[e.Label] = true
@@ -513,7 +513,7 @@ func TestHierarchicalAllreduceSelectable(t *testing.T) {
 		dc := distTestConfig(Small, 8, Small.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
 		dc.Sync = false
 		dc.Allreduce = algo
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	ring, hier, tree := mk(comm.RingRSAG), mk(comm.Hierarchical), mk(comm.BinaryTree)
 	if hier.BusyPerIter["allreduce"] >= ring.BusyPerIter["allreduce"] {
@@ -545,7 +545,7 @@ func TestOverlapLossParity(t *testing.T) {
 		dc.Loader = loader
 		dc.Pools = pools
 		dc.Workspaces = wss
-		res := RunDistributed(dc)
+		res := mustRun(dc)
 		for it := 0; it < iters; it++ {
 			var mean float64
 			for rk := 0; rk < ranks; rk++ {
@@ -594,7 +594,7 @@ func TestDistributedLossParity(t *testing.T) {
 			// exactly the reuse pattern the figure sweeps rely on.
 			dc.Pools = pools
 			dc.Workspaces = wss
-			res := RunDistributed(dc)
+			res := mustRun(dc)
 			for it := 0; it < iters; it++ {
 				var mean float64
 				for rk := 0; rk < ranks; rk++ {
@@ -623,7 +623,7 @@ func TestBucketedReducesIterationTime(t *testing.T) {
 		dc := distTestConfig(Large, ranks, gn, 2, v, false)
 		dc.Sync = !overlap
 		dc.BucketBytes = bucketBytes
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	const bucket = 64 << 20
 	for _, ranks := range []int{32, 64} {
@@ -655,7 +655,7 @@ func TestBucketedHidesBothAllreduces(t *testing.T) {
 		dc := distTestConfig(Large, 64, Large.GlobalMB, 2, v, false)
 		dc.Sync = false
 		dc.BucketBytes = bucketBytes
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	flat, bkt := mk(FlatBuckets), mk(64<<20)
 	var top, bot Exposure
@@ -715,7 +715,7 @@ func TestBucketedLossParity(t *testing.T) {
 		dc.BucketBytes = bucketBytes
 		dc.Pools = pools
 		dc.Workspaces = wss
-		res := RunDistributed(dc)
+		res := mustRun(dc)
 		for it := 0; it < iters; it++ {
 			var mean float64
 			for rk := 0; rk < ranks; rk++ {
@@ -765,7 +765,7 @@ func TestAutoLossParity(t *testing.T) {
 		dc.Loader = loader
 		dc.Pools = pools
 		dc.Workspaces = wss
-		res := RunDistributed(dc)
+		res := mustRun(dc)
 		for it := 0; it < iters; it++ {
 			var mean float64
 			for rk := 0; rk < ranks; rk++ {
@@ -805,7 +805,7 @@ func TestDefaultScheduleIsBucketedOverlapped(t *testing.T) {
 			Sync:        sync,
 			BucketBytes: bucketBytes,
 		}
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	def := mk(false, 0) // all schedule knobs at their zero values
 	if def.BusyPerIter["ar-top"] <= 0 || def.BusyPerIter["ar-bot"] <= 0 {
@@ -835,7 +835,7 @@ func TestBucketedReplicasStayInSync(t *testing.T) {
 	dc := distTestConfig(cfg, 4, 64, 3, Variant{Alltoall, cluster.CCLBackend}, true)
 	dc.Sync = false
 	dc.BucketBytes = 4096
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	for rk := 1; rk < 4; rk++ {
 		checkMLPClose(t, "bucketed replica sync", res.Models[rk], res.Models[0], 1e-7)
 	}
@@ -862,7 +862,7 @@ func TestExposuresProperty(t *testing.T) {
 						dc.Loader = LoaderSharded
 						dc.Pools = pools
 						dc.Workspaces = wss
-						res := RunDistributed(dc)
+						res := mustRun(dc)
 						if len(res.Exposures()) == 0 {
 							t.Fatalf("%v/%v overlap=%v %v: no exposures recorded", strat, backend, overlap, algo)
 						}

@@ -158,7 +158,7 @@ func (ws *DistWorkspace) bindGrads(m *Model) {
 
 // DistWorkspaces holds one DistWorkspace per simulated rank. Like
 // cluster.Pools, a set passed through DistConfig persists across
-// RunDistributed calls so figure sweeps and benchmarks reuse buffers; when
+// Run calls so figure sweeps and benchmarks reuse buffers; when
 // DistConfig.Workspaces is nil each run builds (and abandons) its own.
 type DistWorkspaces struct {
 	mu sync.Mutex

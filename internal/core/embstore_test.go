@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/embstore"
+	"repro/internal/testenv"
 )
 
 // TestEmbStoreLossParity: routing the embedding forward and SGD write-back
@@ -32,12 +33,12 @@ func TestEmbStoreLossParity(t *testing.T) {
 			base := distTestConfig(cfg, ranks, globalN, iters, v, true)
 			base.Pools = pools
 			base.Workspaces = wss
-			untiered := RunDistributed(base)
+			untiered := mustRun(base)
 			for _, budget := range []int{8 * rowBytes, 1 << 20} {
 				dc := base
 				dc.EmbCacheBytes = budget
 				dc.ColdTierBW = DefaultColdTierBW
-				res := RunDistributed(dc)
+				res := mustRun(dc)
 				for it := 0; it < iters; it++ {
 					var mean float64
 					for rk := 0; rk < ranks; rk++ {
@@ -84,7 +85,7 @@ func TestEmbStoreLossParityDefaultSchedule(t *testing.T) {
 	dc.BucketBytes = 0
 	dc.EmbCacheBytes = 8 * (4*cfg.EmbDim + embstore.RowOverheadBytes)
 	dc.ColdTierBW = DefaultColdTierBW
-	res := RunDistributed(dc)
+	res := mustRun(dc)
 	for it := 0; it < iters; it++ {
 		var mean float64
 		for rk := 0; rk < ranks; rk++ {
@@ -110,7 +111,7 @@ func TestEmbStoreTimingMonotone(t *testing.T) {
 			dc.ColdTierBW = DefaultColdTierBW
 			dc.EmbSkew = skew
 		}
-		return RunDistributed(dc)
+		return mustRun(dc)
 	}
 	inRAM := run(0, 0)
 	budgets := []int{4 << 10, 16 << 20, 64 << 20, 1 << 30}
@@ -150,7 +151,7 @@ func TestEmbStoreTimingMonotone(t *testing.T) {
 // hit-rate scalars must add no steady-state allocations under either
 // pipeline schedule.
 func TestDistributedStepZeroAllocsEmbStore(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	v := Variant{Strategy: Alltoall, Backend: cluster.CCLBackend}
@@ -166,7 +167,7 @@ func TestDistributedStepZeroAllocsEmbStore(t *testing.T) {
 			dc.BucketBytes = FlatBuckets
 			dc.EmbCacheBytes = 64 << 20
 			dc.ColdTierBW = DefaultColdTierBW
-			return func() { RunDistributed(dc) }
+			return func() { mustRun(dc) }
 		}
 		const short, long = 2, 12
 		run(long)() // warmup: sizes workspaces, fills slot/sudog pools

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/par"
+	"repro/internal/testenv"
 )
 
 // inferTestModel is a small full model plus a dataset for it.
@@ -65,7 +66,7 @@ func TestPredictorBatchSizeInvariance(t *testing.T) {
 // including alternating batch sizes through the same Predictor (the
 // EnsureActs capacity reuse the serving tier needs).
 func TestPredictorZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	_, m, ds := inferTestModel(1)

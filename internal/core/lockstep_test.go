@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fabric"
 	"repro/internal/perfmodel"
+	"repro/internal/testenv"
 )
 
 // timingConfig is a timing-mode run with every optional charge switched on —
@@ -154,7 +155,7 @@ func TestSameAtAnyGOMAXPROCS(t *testing.T) {
 		if !reflect.DeepEqual(got.er, want.er) {
 			t.Errorf("GOMAXPROCS %d: ElasticResult differs from GOMAXPROCS 1", procs)
 		}
-		if raceEnabled {
+		if testenv.Race {
 			continue // allocation counts are perturbed by the race detector
 		}
 		if got.runAllocs != want.runAllocs || got.churnAlloc != want.churnAlloc {
@@ -171,16 +172,16 @@ func TestSameAtAnyGOMAXPROCS(t *testing.T) {
 // iterations allocate exactly the same (per-rank pricing scratch used to
 // cost 133 allocations per simulated iteration here).
 func TestDistributedStepZeroAllocsFig9Shape(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	pools := cluster.NewPools()
 	defer pools.Close()
 	one, nine := simStrong64(1, pools), simStrong64(9, pools)
 	nine.Workspaces = one.Workspaces
-	RunDistributed(nine) // warm-up: sizes workspaces and rendezvous slots
-	a1 := mallocs(func() { RunDistributed(one) })
-	a9 := mallocs(func() { RunDistributed(nine) })
+	mustRun(nine) // warm-up: sizes workspaces and rendezvous slots
+	a1 := mallocs(func() { mustRun(one) })
+	a9 := mallocs(func() { mustRun(nine) })
 	if a1 != a9 {
 		t.Errorf("%d allocations for a 1-iteration run, %d for 9 iterations: %.1f per steady-state iteration, want 0",
 			a1, a9, (float64(a9)-float64(a1))/8)

@@ -28,10 +28,10 @@ func BenchmarkSimStrong64Run(b *testing.B) {
 	defer pools.Close()
 	dc := simStrong64(8, pools)
 	for i := 0; i < 3; i++ {
-		RunDistributed(dc)
+		mustRun(dc)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		RunDistributed(dc)
+		mustRun(dc)
 	}
 }

@@ -323,8 +323,7 @@ type RunOpts struct {
 
 // Run consumes o.Iters batches from the configured source and steps the
 // trainer on each — the single-socket training loop, whose prefetch
-// goroutine generates batch i+1 while Step trains on batch i. This is the
-// blessed entry point; RunLoader is the deprecated positional wrapper.
+// goroutine generates batch i+1 while Step trains on batch i.
 func (tr *Trainer) Run(o RunOpts) error {
 	if o.Iters < 1 {
 		return fmt.Errorf("core: Iters=%d, want >= 1", o.Iters)
@@ -365,21 +364,6 @@ func (tr *Trainer) Run(o RunOpts) error {
 		}
 	}
 	return nil
-}
-
-// RunLoader consumes iters batches from ld and steps the trainer on each.
-// The caller keeps ownership of ld (and closes it).
-//
-// Deprecated: use Run with RunOpts{Loader: ld, Iters: iters, Each: each}.
-// Kept for callers that predate the unified entry; iters < 1 remains the
-// historical no-op instead of an error.
-func (tr *Trainer) RunLoader(ld data.Loader, iters int, each func(it int, loss float64)) {
-	if iters < 1 {
-		return
-	}
-	if err := tr.Run(RunOpts{Loader: ld, Iters: iters, Each: each}); err != nil {
-		panic(err)
-	}
 }
 
 // Predict returns the click probabilities for a batch (no state change

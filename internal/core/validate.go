@@ -165,12 +165,21 @@ func (dc *DistConfig) Validate() error {
 }
 
 // Run validates the configuration and executes the simulated-cluster
-// training run — the single blessed entry point for distributed training.
-// RunDistributed is the thin deprecated wrapper that panics on a Validate
-// error instead of returning it.
+// training run — the single entry point for distributed training.
 func (dc DistConfig) Run() (*DistResult, error) {
 	if err := dc.Validate(); err != nil {
 		return nil, err
 	}
 	return dc.run(), nil
+}
+
+// mustRun is Run for configurations this package built itself (the
+// autotuner's probes, the tests' fixtures): a Validate error there is a bug,
+// so it panics.
+func mustRun(dc DistConfig) *DistResult {
+	res, err := dc.Run()
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -162,30 +162,30 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// TestRunDistributedPanicsOnInvalid pins the deprecated wrapper's contract:
-// the pre-validation panics became Validate errors, surfaced as a panic at
-// the entry point rather than deep inside a rank goroutine.
-func TestRunDistributedPanicsOnInvalid(t *testing.T) {
+// TestMustRunPanicsOnInvalid pins mustRun's contract: a Validate error
+// surfaces as a panic at the entry point rather than deep inside a rank
+// goroutine.
+func TestMustRunPanicsOnInvalid(t *testing.T) {
 	dc := validConfig()
 	dc.GlobalN++
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunDistributed did not panic on an invalid config")
+			t.Fatal("mustRun did not panic on an invalid config")
 		}
 	}()
-	RunDistributed(dc)
+	mustRun(dc)
 }
 
-// TestDistConfigRunMatchesWrapper checks the blessed entry and the
-// deprecated wrapper execute identically.
+// TestDistConfigRunMatchesWrapper checks Run and the panicking wrapper
+// execute identically.
 func TestDistConfigRunMatchesWrapper(t *testing.T) {
 	dc := validConfig()
 	res, err := dc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy := RunDistributed(dc); legacy.IterSeconds != res.IterSeconds {
-		t.Fatalf("Run %v s/iter, RunDistributed %v s/iter", res.IterSeconds, legacy.IterSeconds)
+	if legacy := mustRun(dc); legacy.IterSeconds != res.IterSeconds {
+		t.Fatalf("Run %v s/iter, mustRun %v s/iter", res.IterSeconds, legacy.IterSeconds)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestExposuresOrderContract(t *testing.T) {
 	// And on a real run: two identical runs list identical labels in
 	// identical order (map iteration must not leak through).
 	dc := validConfig()
-	a, b := RunDistributed(dc).Exposures(), RunDistributed(dc).Exposures()
+	a, b := mustRun(dc).Exposures(), mustRun(dc).Exposures()
 	if len(a) != len(b) {
 		t.Fatalf("exposure counts differ: %d vs %d", len(a), len(b))
 	}

@@ -84,7 +84,7 @@ func (c *LoaderConfig) normalize() {
 // LoaderBuffers owns the staging storage loaders fill batches into: the two
 // RankBatch slots a double-buffered loader cycles through, and the global
 // MiniBatch the artifact loader materializes. A LoaderBuffers outlives the
-// (cheap) loader objects borrowing it — e.g. across the many RunDistributed
+// (cheap) loader objects borrowing it — e.g. across the many DistConfig.Run
 // calls of a figure sweep — so steady-state batch production allocates
 // nothing. It may back at most one live loader at a time.
 type LoaderBuffers struct {

@@ -10,13 +10,17 @@
 // steady-state per-batch cost remains.
 package data
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/testenv"
+)
 
 // loaderAllocsPerBatch returns the marginal allocations per Next after
 // warmup, for a loader over ds with the given owned tables.
 func loaderAllocsPerBatch(t *testing.T, ds Dataset, globalN int, owned []int) float64 {
 	t.Helper()
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	bufs := &LoaderBuffers{}
@@ -57,7 +61,7 @@ func TestShardedLoaderSteadyStateZeroAllocs(t *testing.T) {
 // loader reuses its staging buffers (its cost is the O(GlobalN) read, not
 // the allocator), so loader-mode comparisons measure data volume only.
 func TestGlobalReadLoaderSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	ds := NewClickLog(5, 4, []int{200, 40}, 2)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/embedding"
 	"repro/internal/par"
+	"repro/internal/testenv"
 )
 
 // twinTables builds two identically initialized table shards, so the tiered
@@ -251,7 +252,7 @@ func TestZeroBudgetPassThrough(t *testing.T) {
 // the new tier: once constructed, Forward/Update/Flush traffic — hits,
 // misses, admissions, evictions, write-backs — allocates nothing.
 func TestStoreSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	const m, e = 4096, 16

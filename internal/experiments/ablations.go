@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/embedding"
-	"repro/internal/fabric"
 	"repro/internal/par"
-	"repro/internal/perfmodel"
 )
 
 // AblationAllreduce sweeps the allreduce algorithm over the paper's three
@@ -33,7 +30,7 @@ func AblationAllreduce() *Table {
 	}
 	for _, v := range vols {
 		for _, ranks := range []int{8, 32, 64} {
-			c := comm.NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks)
+			c := comm.NewPricer(opaTree(ranks), ranks)
 			best, _ := c.BestAllreduceAlgo(v.bytes)
 			row := []string{v.name, fmt.Sprintf("%dR", ranks)}
 			for _, a := range comm.AllreduceAlgos {
@@ -59,18 +56,9 @@ func AblationCommCores(ranks, iters int) *Table {
 	sw := newDistSweep()
 	defer sw.close()
 	for _, s := range []int{1, 2, 4, 8, 12} {
-		res := mustRun(core.DistConfig{
-			Cfg:        core.Large,
-			Ranks:      ranks,
-			GlobalN:    core.Large.GlobalMB,
-			Iters:      iters,
-			Variant:    core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend},
-			Topo:       fabric.NewPrunedFatTree(ranks, 12.5e9),
-			Socket:     perfmodel.CLX8280,
-			CommCores:  s,
-			Pools:      sw.pools,
-			Workspaces: sw.wss,
-		})
+		dc := sw.opaConfig(core.Large, ranks, core.Large.GlobalMB, cclAlltoall)
+		dc.Iters, dc.CommCores = iters, s
+		res := mustRun(dc)
 		t.AddRow(fmt.Sprint(s), ms(res.ComputePerIter), ms(res.TotalCommPerIter()), ms(res.IterSeconds))
 	}
 	t.AddNote("paper dedicates 4 of 28 cores; the sweet spot balances GEMM slowdown against exposed waits")

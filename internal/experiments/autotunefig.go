@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
 
 // AutotuneFigOpts bounds the self-tuning figure's searches.
@@ -41,39 +38,12 @@ func RunAutotune(o AutotuneFigOpts) *Table {
 	}
 	sw := newDistSweep()
 	defer sw.close()
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
-	cases := []struct {
-		scaling string
-		cfg     core.Config
-		ranks   []int
-		gn      func(cfg core.Config, r int) int
-		loader  core.LoaderMode
-	}{
-		{"strong (Fig9)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, _ int) int { return cfg.GlobalMB }, core.LoaderNone},
-		{"weak (Fig12)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderNone},
-		{"weak (Fig12)", core.MLPerf, []int{16, 26},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderSharded},
-	}
-	for _, c := range cases {
+	for _, c := range scheduleCases() {
 		for _, r := range c.ranks {
-			globalN := c.gn(c.cfg, r)
-			globalN -= globalN % r
-			base := core.DistConfig{
-				Cfg:        c.cfg,
-				Ranks:      r,
-				GlobalN:    globalN,
-				Iters:      o.Iters,
-				Variant:    v,
-				Topo:       fabric.NewPrunedFatTree(r, 12.5e9),
-				Socket:     perfmodel.CLX8280,
-				Loader:     c.loader,
-				Pools:      sw.pools,
-				Workspaces: sw.wss,
-				// Schedule knobs left at their zero values: the incumbent the
-				// tuner must beat IS the shipped default.
-			}
+			// Schedule knobs left at their zero values: the incumbent the
+			// tuner must beat IS the shipped default.
+			base := sw.opaConfig(c.cfg, r, c.globalN(r), cclAlltoall)
+			base.Iters, base.Loader = o.Iters, c.loader
 			_, rep := core.AutotuneDistConfig(base, core.AutotuneOpts{
 				FinalIters:    o.Iters,
 				MaxCandidates: o.MaxCandidates,

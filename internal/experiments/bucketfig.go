@@ -3,34 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
-
-// runDistBucket is runDistOpt with the bucketed-allreduce knob. Pass
-// core.FlatBuckets for the flat per-MLP buffers; 0 is the library default
-// (core.DefaultBucketBytes).
-func (sw *distSweep) runDistBucket(cfg core.Config, ranks, globalN int, v core.Variant,
-	loader core.LoaderMode, iters int, overlap bool, bucketBytes int) *core.DistResult {
-	globalN -= globalN % ranks
-	return mustRun(core.DistConfig{
-		Cfg:         cfg,
-		Ranks:       ranks,
-		GlobalN:     globalN,
-		Iters:       iters,
-		Variant:     v,
-		Topo:        fabric.NewPrunedFatTree(ranks, 12.5e9),
-		Socket:      perfmodel.CLX8280,
-		Loader:      loader,
-		Sync:        !overlap,
-		BucketBytes: bucketBytes,
-		Pools:       sw.pools,
-		Workspaces:  sw.wss,
-	})
-}
 
 // bucketCount returns how many allreduce buckets the config's two MLPs
 // produce at the given bucket size — the same plan the trainer builds,
@@ -65,7 +40,6 @@ func RunBucketFig(o ScalingOpts) *Table {
 	}
 	sw := newDistSweep()
 	defer sw.close()
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
 	modes := []struct {
 		name        string
 		overlap     bool
@@ -76,26 +50,15 @@ func RunBucketFig(o ScalingOpts) *Table {
 		{"flat overlapped", true, core.FlatBuckets},
 		{"bucketed overlapped", true, core.DefaultBucketBytes},
 	}
-	cases := []struct {
-		scaling string
-		cfg     core.Config
-		ranks   []int
-		gn      func(cfg core.Config, r int) int
-		loader  core.LoaderMode
-	}{
-		{"strong (Fig9)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, _ int) int { return cfg.GlobalMB }, core.LoaderNone},
-		{"weak (Fig12)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderNone},
-		{"weak (Fig12)", core.MLPerf, []int{16, 26},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderSharded},
-	}
-	for _, c := range cases {
+	for _, c := range scheduleCases() {
 		topB, botB := bucketCount(c.cfg, core.DefaultBucketBytes)
 		for _, r := range c.ranks {
 			var flatSync float64
 			for _, m := range modes {
-				res := sw.runDistBucket(c.cfg, r, c.gn(c.cfg, r), v, c.loader, o.Iters, m.overlap, m.bucketBytes)
+				dc := sw.opaConfig(c.cfg, r, c.globalN(r), cclAlltoall)
+				dc.Iters, dc.Loader = o.Iters, c.loader
+				dc.Sync, dc.BucketBytes = !m.overlap, m.bucketBytes
+				res := mustRun(dc)
 				delta := "-"
 				if m.name == "flat sync" {
 					flatSync = res.IterSeconds

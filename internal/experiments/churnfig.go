@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
 
 // ChurnFigOpts sizes the elastic-training figure.
@@ -74,19 +72,9 @@ func RunChurn(o ChurnFigOpts) *Table {
 		scales = append(scales, churnScale{"Fig12 weak (LN=32)", core.Large.LocalMB * ranks})
 	}
 	for _, sc := range scales {
-		pools := cluster.NewPools()
-		wss := core.NewDistWorkspaces()
-		base := core.DistConfig{
-			Cfg:        core.Large,
-			Ranks:      ranks,
-			GlobalN:    sc.globalN,
-			Iters:      o.Iters,
-			Variant:    ccl64,
-			Topo:       fabric.NewPrunedFatTree(ranks, 12.5e9),
-			Socket:     perfmodel.CLX8280,
-			Pools:      pools,
-			Workspaces: wss,
-		}
+		sw := newDistSweep()
+		base := sw.opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
+		base.Iters = o.Iters
 		addRow := func(label string, every int, res *core.ElasticResult, baseline float64) {
 			var ttr, det, rst, rep float64
 			for _, r := range res.Recoveries {
@@ -138,38 +126,10 @@ func RunChurn(o ChurnFigOpts) *Table {
 				addRow(fmt.Sprintf("churn %.0f%%", rate*100), every, res, baseline)
 			}
 		}
-		pools.Close()
+		sw.close()
 	}
 	t.AddNote("TTR sums detect (collective timeout, %.1fs) + checkpoint restore + replay over all failures", cluster.DefaultDetectSeconds)
 	t.AddNote("overhead is effective ms/iter vs the fault-free, checkpoint-off baseline at the same scale")
 	t.AddNote("churn rows inject failures at per-boundary rate from a counter-based schedule (seed %d), floored at %d ranks", o.Seed, ranks/2)
 	return t
-}
-
-// Fig9ChurnCase returns the warmed-up elastic benchmark fixture behind the
-// Fig9Strong64RChurn entries of the root benchmarks and dlrmbench
-// -benchjson: the Fig. 9 shape losing rank 13 after iteration 4 of 8, with
-// a 3-iteration checkpoint cadence — one full detect/restore/replay cycle
-// per measured op. The returned cleanup closes the rank pools.
-func Fig9ChurnCase() (core.ElasticConfig, func()) {
-	pools := cluster.NewPools()
-	ec := core.ElasticConfig{
-		Base: core.DistConfig{
-			Cfg:        core.Large,
-			Ranks:      64,
-			GlobalN:    core.Large.GlobalMB,
-			Iters:      8,
-			Variant:    ccl64,
-			Topo:       fabric.NewPrunedFatTree(64, 12.5e9),
-			Socket:     perfmodel.CLX8280,
-			Pools:      pools,
-			Workspaces: core.NewDistWorkspaces(),
-		},
-		Plan: &cluster.FaultPlan{Events: []cluster.FaultEvent{
-			{Kind: cluster.RankFail, Iter: 5, Rank: 13},
-		}},
-		CheckpointEvery: 3,
-	}
-	mustRunElastic(ec) // warmup: size workspaces at both shapes, fill slot pools
-	return ec, pools.Close
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
 
 // ContentionFigOpts bounds the contention figure's runs and its autotune
@@ -25,28 +23,17 @@ type ContentionFigOpts struct {
 // DefaultContentionFigOpts returns the full-depth figure budget.
 func DefaultContentionFigOpts() ContentionFigOpts { return ContentionFigOpts{Iters: 3} }
 
-// runDistContention is the figure's runner: explicit topology, schedule,
-// contention knob, and MPI interference override.
-func (sw *distSweep) runDistContention(cfg core.Config, ranks, globalN int, v core.Variant,
+// runDistContention is the figure's runner — Large over 64 ranks, its one
+// shape — with explicit topology, schedule, contention knob, and MPI
+// interference override.
+func (sw *distSweep) runDistContention(globalN int, v core.Variant,
 	topo fabric.Topology, iters int, overlap bool, bucketBytes int,
 	contention bool, interference float64) *core.DistResult {
-	globalN -= globalN % ranks
-	return mustRun(core.DistConfig{
-		Cfg:          cfg,
-		Ranks:        ranks,
-		GlobalN:      globalN,
-		Iters:        iters,
-		Variant:      v,
-		Topo:         topo,
-		Socket:       perfmodel.CLX8280,
-		Sync:         !overlap,
-		Allreduce:    comm.RingRSAG,
-		BucketBytes:  bucketBytes,
-		Contention:   contention,
-		Interference: interference,
-		Pools:        sw.pools,
-		Workspaces:   sw.wss,
-	})
+	dc := sw.opaConfig(core.Large, 64, globalN, v)
+	dc.Topo, dc.Iters = topo, iters
+	dc.Sync, dc.BucketBytes = !overlap, bucketBytes
+	dc.Contention, dc.Interference = contention, interference
+	return mustRun(dc)
 }
 
 // RunContentionFig is the contention-aware fabric figure: what the virtual
@@ -78,9 +65,8 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 	}
 	sw := newDistSweep()
 	defer sw.close()
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
 	const ranks = 64
-	tree := fabric.NewPrunedFatTree(ranks, 12.5e9)
+	tree := opaTree(ranks)
 
 	type sched struct {
 		name    string
@@ -102,7 +88,7 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 		for _, s := range []sched{flatSync, bucketed} {
 			var off float64
 			for _, cont := range []bool{false, true} {
-				res := sw.runDistContention(core.Large, ranks, sc.globalN, v, tree,
+				res := sw.runDistContention(sc.globalN, cclAlltoall, tree,
 					o.Iters, s.overlap, s.bb, cont, 0)
 				delta := "-"
 				if !cont {
@@ -122,7 +108,7 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 		label := fmt.Sprintf("%d uplinks (%s)", uplinks, trunkRatio(uplinks))
 		var fs float64
 		for _, s := range []sched{flatSync, bucketed} {
-			res := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, v, topo,
+			res := sw.runDistContention(core.Large.GlobalMB, cclAlltoall, topo,
 				o.Iters, s.overlap, s.bb, true, 0)
 			delta := "-"
 			if s.name == flatSync.name {
@@ -147,7 +133,7 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 			topo = fabric.NewDegraded(tree, factors)
 			label = fmt.Sprintf("trunk @ %.0f%%", factor*100)
 		}
-		res := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, v, topo,
+		res := sw.runDistContention(core.Large.GlobalMB, cclAlltoall, topo,
 			o.Iters, bucketed.overlap, bucketed.bb, true, 0)
 		delta := "-"
 		if factor == 1.0 {
@@ -160,19 +146,8 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 
 	// Section (d): the autotuner under contention.
 	for _, sc := range scales {
-		globalN := sc.globalN - sc.globalN%ranks
-		base := core.DistConfig{
-			Cfg:        core.Large,
-			Ranks:      ranks,
-			GlobalN:    globalN,
-			Iters:      o.Iters,
-			Variant:    v,
-			Topo:       tree,
-			Socket:     perfmodel.CLX8280,
-			Contention: true,
-			Pools:      sw.pools,
-			Workspaces: sw.wss,
-		}
+		base := sw.opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
+		base.Iters, base.Contention = o.Iters, true
 		_, rep := core.AutotuneDistConfig(base, core.AutotuneOpts{
 			FinalIters:    o.Iters,
 			MaxCandidates: o.MaxCandidates,
@@ -185,17 +160,17 @@ func RunContentionFig(o ContentionFigOpts) *Table {
 
 	// Section (e): §VI-D1 interference, flat factor vs link-level mechanics.
 	mpi := core.Variant{Strategy: core.Alltoall, Backend: cluster.MPIBackend}
-	mpiOff := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, mpi, tree,
+	mpiOff := sw.runDistContention(core.Large.GlobalMB, mpi, tree,
 		o.Iters, bucketed.overlap, bucketed.bb, false, 1.0)
-	mpiOn := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, mpi, tree,
+	mpiOn := sw.runDistContention(core.Large.GlobalMB, mpi, tree,
 		o.Iters, bucketed.overlap, bucketed.bb, false, 1.3)
 	t.AddRow("§VI-D1", "strong (Fig9)", "2:1 trunk", "MPI overlapped, interference off", "n/a",
 		ms(mpiOff.IterSeconds), "-")
 	t.AddRow("§VI-D1", "strong (Fig9)", "2:1 trunk", "MPI overlapped, interference 1.3x", "n/a",
 		ms(mpiOn.IterSeconds), fmt.Sprintf("%+.1f%%", (mpiOn.IterSeconds/mpiOff.IterSeconds-1)*100))
-	cclOff := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, v, tree,
+	cclOff := sw.runDistContention(core.Large.GlobalMB, cclAlltoall, tree,
 		o.Iters, bucketed.overlap, bucketed.bb, false, 0)
-	cclOn := sw.runDistContention(core.Large, ranks, core.Large.GlobalMB, v, tree,
+	cclOn := sw.runDistContention(core.Large.GlobalMB, cclAlltoall, tree,
 		o.Iters, bucketed.overlap, bucketed.bb, true, 0)
 	t.AddRow("§VI-D1", "strong (Fig9)", "2:1 trunk", "CCL bucketed+overlapped", "off",
 		ms(cclOff.IterSeconds), "-")

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/embstore"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
 
 // EmbStoreFigOpts sizes the tiered-embedding-store figure.
@@ -69,21 +66,11 @@ func RunEmbStore(o EmbStoreFigOpts) *Table {
 		Headers: []string{"budget", "skew", "model hit", "cold fetch ms", "cold wb ms",
 			"virtual ms/iter", "vs in-RAM"},
 	}
-	pools := cluster.NewPools()
-	defer pools.Close()
-	wss := core.NewDistWorkspaces()
+	sw := newDistSweep()
+	defer sw.close()
 	run := func(budget int, skew float64) *core.DistResult {
-		dc := core.DistConfig{
-			Cfg:        cfg,
-			Ranks:      ranks,
-			GlobalN:    cfg.GlobalMB,
-			Iters:      o.Iters,
-			Variant:    ccl64,
-			Topo:       fabric.NewPrunedFatTree(ranks, 12.5e9),
-			Socket:     perfmodel.CLX8280,
-			Pools:      pools,
-			Workspaces: wss,
-		}
+		dc := sw.opaConfig(cfg, ranks, cfg.GlobalMB, cclAlltoall)
+		dc.Iters = o.Iters
 		if budget > 0 {
 			dc.EmbCacheBytes = budget
 			dc.ColdTierBW = core.DefaultColdTierBW
@@ -122,16 +109,4 @@ func RunEmbStore(o EmbStoreFigOpts) *Table {
 	t.AddNote("budget 0 (in-RAM) is bit-identical to the untiered PR 9 baseline; " +
 		"the functional store's loss parity is pinned by core's TestEmbStoreLossParity")
 	return t
-}
-
-// Fig9DistEmbStoreCase returns the strong-scaling headline run with a
-// 256 MiB per-rank hot-row cache over the default cold tier — the workload
-// behind the Fig9Strong64REmbStore benchmarks and the regression gate's
-// tiered-store entry.
-func Fig9DistEmbStoreCase() (core.DistConfig, func()) {
-	dc, cleanup := Fig9DistCase()
-	dc.EmbCacheBytes = 256 << 20
-	dc.ColdTierBW = core.DefaultColdTierBW
-	mustRun(dc) // re-warm: the tiered schedule adds a background write-back
-	return dc, cleanup
 }

@@ -3,8 +3,8 @@
 // series of its table/figure: single-socket experiments (Figs. 5, 7, 8, 16)
 // execute the real kernels and report wall-clock numbers; multi-socket
 // experiments (Figs. 2/6, 9-15) replay the paper-scale runs on the
-// simulated cluster and report virtual times. DESIGN.md carries the index;
-// EXPERIMENTS.md records paper-versus-measured for every entry.
+// simulated cluster and report virtual times. `dlrmbench -exp list` prints
+// the index.
 package experiments
 
 import (
@@ -109,8 +109,8 @@ func timeIt(iters int, fn func()) float64 {
 
 // mustRun executes a figure driver's distributed configuration through the
 // validated entry point (core.DistConfig.Run). The drivers construct their
-// configs statically, so a Validate error here is a programming bug —
-// panic, exactly as the deprecated core.RunDistributed wrapper would.
+// configs statically, so a Validate error here is a programming bug:
+// panic.
 func mustRun(dc core.DistConfig) *core.DistResult {
 	res, err := dc.Run()
 	if err != nil {

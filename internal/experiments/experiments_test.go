@@ -96,7 +96,7 @@ func TestFig6CommunicationHidden(t *testing.T) {
 }
 
 func TestFig78ShapeReferenceSlowest(t *testing.T) {
-	tab := RunFig78(Fig7Opts{Iters: 1, MB: 64, RowScale: 1.0 / 8})
+	tab := RunFig78(Fig7Opts{Iters: 1, MB: 64, RowScale: 1.0 / 32})
 	f7 := tab.Fig7
 	if len(f7.Rows) != 8 {
 		t.Fatalf("Fig7 rows = %d want 8", len(f7.Rows))

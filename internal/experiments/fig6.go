@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/fabric"
 	"repro/internal/perfmodel"
 )
 
@@ -30,7 +29,7 @@ func DefaultFig6Opts() Fig6Opts {
 // how much of it is exposed — the paper's point being that the allgather
 // and reduce-scatter hide completely behind the GEMMs.
 func RunFig6(o Fig6Opts) *Table {
-	topo := fabric.NewPrunedFatTree(o.Ranks, 12.5e9)
+	topo := opaTree(o.Ranks)
 	sock := perfmodel.CLX8280
 	cfg := cluster.Config{
 		Ranks:     o.Ranks,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -23,11 +22,10 @@ func RunLoaderPipeline(o ScalingOpts) *Table {
 	sw := newDistSweep()
 	defer sw.close()
 	cfg := core.MLPerf
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
 	for _, r := range []int{2, 4, 8, 16, 26} {
 		for _, mode := range []core.LoaderMode{core.LoaderGlobalMB, core.LoaderSharded} {
 			gn := cfg.LocalMB * r
-			res := sw.runDist(cfg, r, gn, v, false, mode, o.Iters)
+			res := sw.runDist(cfg, r, gn, cclAlltoall, false, mode, o.Iters)
 			loader := res.PrepPerIter["loader"]
 			t.AddRow(fmt.Sprintf("%s (LN=%d)", cfg.Name, cfg.LocalMB), fmt.Sprintf("%dR", r),
 				mode.String(), ms(res.IterSeconds), ms(loader), pct(loader/res.IterSeconds))

@@ -3,37 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 )
-
-// runDistOpt is runDist with the overlap-pipeline knobs: the overlapped
-// schedule (async backward redistribution, deferred waits, prefetch-hidden
-// loader, per-collective CCL channels) and the allreduce algorithm. The
-// ablation isolates the schedule, so both arms run the flat per-MLP
-// gradient buffers (core.FlatBuckets) rather than the bucketed default.
-func (sw *distSweep) runDistOpt(cfg core.Config, ranks, globalN int, v core.Variant,
-	loader core.LoaderMode, iters int, overlap bool, algo comm.AllreduceAlgo) *core.DistResult {
-	globalN -= globalN % ranks
-	return mustRun(core.DistConfig{
-		Cfg:         cfg,
-		Ranks:       ranks,
-		GlobalN:     globalN,
-		Iters:       iters,
-		Variant:     v,
-		Topo:        fabric.NewPrunedFatTree(ranks, 12.5e9),
-		Socket:      perfmodel.CLX8280,
-		Loader:      loader,
-		Sync:        !overlap,
-		Allreduce:   algo,
-		BucketBytes: core.FlatBuckets,
-		Pools:       sw.pools,
-		Workspaces:  sw.wss,
-	})
-}
 
 // overlapMode is one schedule of the RunOverlap ablation.
 type overlapMode struct {
@@ -82,26 +54,16 @@ func RunOverlap(o ScalingOpts) *Table {
 	}
 	sw := newDistSweep()
 	defer sw.close()
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
-	cases := []struct {
-		scaling string
-		cfg     core.Config
-		ranks   []int
-		gn      func(cfg core.Config, r int) int
-		loader  core.LoaderMode
-	}{
-		{"strong (Fig9)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, _ int) int { return cfg.GlobalMB }, core.LoaderNone},
-		{"weak (Fig12)", core.Large, []int{16, 32, 64},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderNone},
-		{"weak (Fig12)", core.MLPerf, []int{16, 26},
-			func(cfg core.Config, r int) int { return cfg.LocalMB * r }, core.LoaderSharded},
-	}
-	for _, c := range cases {
+	for _, c := range scheduleCases() {
 		for _, r := range c.ranks {
 			var sync float64
 			for _, m := range overlapModes() {
-				res := sw.runDistOpt(c.cfg, r, c.gn(c.cfg, r), v, c.loader, o.Iters, m.overlap, m.algo)
+				// The ablation isolates the schedule, so every arm runs the
+				// flat per-MLP gradient buffers rather than the bucketed default.
+				dc := sw.opaConfig(c.cfg, r, c.globalN(r), cclAlltoall)
+				dc.Iters, dc.Loader = o.Iters, c.loader
+				dc.Sync, dc.Allreduce, dc.BucketBytes = !m.overlap, m.algo, core.FlatBuckets
+				res := mustRun(dc)
 				delta := "-"
 				if m.name == "sync" {
 					sync = res.IterSeconds

@@ -33,8 +33,36 @@ func scalingCases() []scalingCase {
 	}
 }
 
+// scheduleCase is one scaling shape the schedule ablations (overlap,
+// buckets, autotune) sweep.
+type scheduleCase struct {
+	scaling string
+	cfg     core.Config
+	ranks   []int
+	weak    bool
+	loader  core.LoaderMode
+}
+
+// globalN is the case's global batch at r ranks.
+func (c scheduleCase) globalN(r int) int {
+	if c.weak {
+		return c.cfg.LocalMB * r
+	}
+	return c.cfg.GlobalMB
+}
+
+// scheduleCases are the Fig. 9 strong- and Fig. 12 weak-scaling shapes the
+// schedule ablations run at.
+func scheduleCases() []scheduleCase {
+	return []scheduleCase{
+		{"strong (Fig9)", core.Large, []int{16, 32, 64}, false, core.LoaderNone},
+		{"weak (Fig12)", core.Large, []int{16, 32, 64}, true, core.LoaderNone},
+		{"weak (Fig12)", core.MLPerf, []int{16, 26}, true, core.LoaderSharded},
+	}
+}
+
 // distSweep owns the per-rank pools and workspaces a figure's many
-// RunDistributed calls share, so worker goroutines and comm buffers persist
+// DistConfig.Run calls share, so worker goroutines and comm buffers persist
 // across the whole sweep (see docs/PERF.md for the ownership rules).
 type distSweep struct {
 	pools *cluster.Pools
@@ -49,35 +77,49 @@ func newDistSweep() *distSweep {
 // reclaimed by the GC.
 func (sw *distSweep) close() { sw.pools.Close() }
 
+// cclAlltoall is the headline communication variant of Figs. 9/12.
+var cclAlltoall = core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
+
+// opaTree is the paper's cluster fabric: a pruned fat-tree of 12.5 GB/s
+// OPA links.
+func opaTree(ranks int) *fabric.PrunedFatTree { return fabric.NewPrunedFatTree(ranks, 12.5e9) }
+
+// opaConfig is the base recipe of every distributed run on the paper's
+// testbed: cfg over ranks CLX-8280 sockets on the OPA fat-tree, one timing
+// iteration of the library default schedule (bucketed + overlapped), on the
+// sweep's pools and workspaces. globalN is trimmed to a multiple of ranks
+// (the paper's 26-rank runs shard 16K unevenly). Drivers set the knobs
+// their figure varies on the returned value.
+func (sw *distSweep) opaConfig(cfg core.Config, ranks, globalN int, v core.Variant) core.DistConfig {
+	return core.DistConfig{
+		Cfg:        cfg,
+		Ranks:      ranks,
+		GlobalN:    globalN - globalN%ranks,
+		Iters:      1,
+		Variant:    v,
+		Topo:       opaTree(ranks),
+		Socket:     perfmodel.CLX8280,
+		Pools:      sw.pools,
+		Workspaces: sw.wss,
+	}
+}
+
 // runDist executes one timing-only distributed run on the OPA cluster.
 // The paper figures instrument the synchronous flat-allreduce pipeline
 // (§VI-D measures every collective on the critical path), so the schedule
 // is pinned there rather than inheriting the bucketed+overlapped default.
 func (sw *distSweep) runDist(cfg core.Config, ranks, globalN int, v core.Variant, blocking bool, loader core.LoaderMode, iters int) *core.DistResult {
-	globalN -= globalN % ranks // the paper's 26-rank runs shard 16K unevenly; we trim
-	return mustRun(core.DistConfig{
-		Cfg:         cfg,
-		Ranks:       ranks,
-		GlobalN:     globalN,
-		Iters:       iters,
-		Variant:     v,
-		Blocking:    blocking,
-		Topo:        fabric.NewPrunedFatTree(ranks, 12.5e9),
-		Socket:      perfmodel.CLX8280,
-		Loader:      loader,
-		Sync:        true,
-		BucketBytes: core.FlatBuckets,
-		Pools:       sw.pools,
-		Workspaces:  sw.wss,
-	})
+	dc := sw.opaConfig(cfg, ranks, globalN, v)
+	dc.Iters, dc.Blocking, dc.Loader = iters, blocking, loader
+	dc.Sync, dc.BucketBytes = true, core.FlatBuckets
+	return mustRun(dc)
 }
 
 // baselineSeconds returns each config's baseline iteration time: optimized
 // single socket for Small/MLPerf, the 4-rank CCL-Alltoall run for Large
 // (which cannot fit fewer sockets), as in §VI-D.
 func baselineSeconds(sw *distSweep, c scalingCase, globalN func(r int) int, iters int) float64 {
-	v := core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
-	return sw.runDist(c.cfg, c.baseRanks, globalN(c.baseRanks), v, false, c.loader, iters).IterSeconds
+	return sw.runDist(c.cfg, c.baseRanks, globalN(c.baseRanks), cclAlltoall, false, c.loader, iters).IterSeconds
 }
 
 // RunFig9 reproduces the strong-scaling speed-up and efficiency chart: all
@@ -259,7 +301,7 @@ func RunFig15(o ScalingOpts) *Table {
 				Ranks:       r,
 				GlobalN:     c.cfg.GlobalMB - c.cfg.GlobalMB%r,
 				Iters:       o.Iters,
-				Variant:     core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend},
+				Variant:     cclAlltoall,
 				Blocking:    true, // expose components for the stacked bars
 				Topo:        topo,
 				Socket:      perfmodel.SKX8180,

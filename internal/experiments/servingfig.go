@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/perfmodel"
 	"repro/internal/serve"
 )
@@ -41,7 +40,7 @@ func (s servingScale) base() serve.Config {
 	return serve.Config{
 		Cfg:      s.cfg,
 		Replicas: s.replicas,
-		Topo:     fabric.NewPrunedFatTree(s.replicas, 12.5e9),
+		Topo:     opaTree(s.replicas),
 		Socket:   perfmodel.CLX8280,
 		Backend:  cluster.CCLBackend,
 	}
@@ -109,29 +108,4 @@ func RunServing(o ServingFigOpts) *Table {
 	t.AddNote("loads are multiples of each policy's modeled capacity; SLO policies shed " +
 		"what cannot finish in time, so their p99 never exceeds the SLO")
 	return t
-}
-
-// Fig9ServingCase returns the warmed-up serving benchmark fixture: the
-// Fig. 9 cluster shape (Large over 64 sockets, CCL) serving at 1.5x
-// capacity under the SLO policy — the workload behind the
-// Fig9Strong64RServing entries of the root benchmarks and dlrmbench
-// -benchjson. The returned cleanup is a no-op (timing-mode serving holds
-// no pools); it keeps the Dist*Case call shape so the bench harnesses
-// stay uniform.
-func Fig9ServingCase() (serve.Config, func()) {
-	c := servingScale{core.Large, 64}.base()
-	c.Policy = serve.Policy{MaxBatch: 32, MaxWait: 2e-3}
-	c.Requests = 1024
-	c.OfferedQPS = 1
-	svc, err := c.ServiceTime(c.Policy.MaxBatch)
-	if err != nil {
-		panic(err)
-	}
-	c.Policy.SLO = 2 * (c.Policy.MaxWait + svc)
-	c.OfferedQPS = 1.5 * float64(c.Replicas) * float64(c.Policy.MaxBatch) / svc
-	c.Workspaces = serve.NewWorkspaces()
-	if _, err := serve.Run(c); err != nil { // warmup: size the workspace
-		panic(err)
-	}
-	return c, func() {}
 }

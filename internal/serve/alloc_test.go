@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/testenv"
 )
 
 // Steady-state allocation discipline, by differencing: per-run constants
@@ -32,7 +33,7 @@ func serveAllocProbe(t *testing.T, c Config, short, long int) {
 }
 
 func TestServeZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	c := timingConfig()
@@ -43,7 +44,7 @@ func TestServeZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestServeFunctionalZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	c := functionalConfig(8)
