@@ -111,19 +111,14 @@ type Config struct {
 	resumeOrder []int
 }
 
-// commSlowdown returns the factor by which collective durations stretch
+// CommSlowdown returns the factor by which collective durations stretch
 // because the backend cannot saturate the fabric: the MPI backend drives
 // communication from a single progress thread (§VI-D1 observes its pure
 // communication cost exceeds CCL's), while the CCL backend saturates at
 // about 4 dedicated workers (§IV-C: "we need multiple threads to saturate
-// the full communication bandwidth").
-func (c Config) commSlowdown() float64 {
-	return c.CommSlowdown()
-}
-
-// CommSlowdown is the exported view of the backend slowdown factor, for
-// holders that price transfers outside the SPMD collective path (the
-// serving tier charges request-scoped shard fetches with it).
+// the full communication bandwidth"). Exported for holders that price
+// transfers outside the SPMD collective path (the serving tier charges
+// request-scoped shard fetches with it).
 func (c Config) CommSlowdown() float64 {
 	if c.Backend == MPIBackend {
 		return 1.5
@@ -241,7 +236,7 @@ func (e *Engine) Shared(mk func() any) any {
 
 // flight is one charged collective's window on the contention epoch.
 type flight struct {
-	start, finish float64 // scaled (post-commSlowdown) virtual time
+	start, finish float64 // scaled (post-CommSlowdown) virtual time
 	loads         fabric.LoadSet
 	next          *flight // free-list link
 }
@@ -499,13 +494,20 @@ func (r *Rank) Now() float64 { return r.now }
 
 // ComputeCores returns the cores available to compute kernels: all of them
 // under MPI (the progress thread is not reserved — hence interference) and
-// Cores−CommCores under CCL.
-func (r *Rank) ComputeCores() int {
-	if r.Eng.Cfg.Backend == CCLBackend {
-		return r.Eng.Cfg.Socket.Cores - r.Eng.Cfg.CommCores
+// Cores−CommCores under CCL, with the backend's default communication-core
+// count applied. The one definition Rank.ComputeCores, the serving cost model
+// and the distributed plan builder share.
+func (c Config) ComputeCores() int {
+	c = c.WithDefaults()
+	if c.Backend == CCLBackend {
+		return c.Socket.Cores - c.CommCores
 	}
-	return r.Eng.Cfg.Socket.Cores
+	return c.Socket.Cores
 }
+
+// ComputeCores returns the cores available to this rank's compute kernels
+// (Config.ComputeCores of the job's configuration).
+func (r *Rank) ComputeCores() int { return r.Eng.Cfg.ComputeCores() }
 
 // Compute advances the rank's clock by seconds of kernel time. Under the
 // MPI backend, compute that overlaps in-flight communication is inflated by
@@ -695,7 +697,7 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 				start = t
 			}
 		}
-		dur := lead(arg, s.payloads, start) * e.Cfg.commSlowdown()
+		dur := lead(arg, s.payloads, start) * e.Cfg.CommSlowdown()
 		s.dur = dur
 		s.finish = start + dur
 		s.done = true
@@ -730,11 +732,11 @@ func (e *Engine) park(r *Rank) {
 // ChargeContended prices a collective against the contention epoch and
 // registers it there. start is the operation's virtual start (the
 // rendezvous start the leader received), iso its isolated duration from
-// the unchanged cost model (pre-commSlowdown, i.e. exactly what the leader
+// the unchanged cost model (pre-CommSlowdown, i.e. exactly what the leader
 // would have returned), and loads its aggregate per-link byte footprint
 // (every phase summed, copy overhead included — what Scratch.Accumulate
 // collected). topo supplies the link bandwidths. The return value replaces
-// iso as the leader's result; the caller's commSlowdown multiply then
+// iso as the leader's result; the caller's CommSlowdown multiply then
 // reproduces the registered finish time.
 //
 // Sharing discipline — causal residual-drain (work-conserving shared
@@ -763,7 +765,7 @@ func (e *Engine) park(r *Rank) {
 // in lockstep), which is what makes the epoch safe to mutate without
 // further locking.
 func (e *Engine) ChargeContended(topo fabric.Topology, loads *fabric.LoadSet, start, iso float64) float64 {
-	slow := e.Cfg.commSlowdown()
+	slow := e.Cfg.CommSlowdown()
 	isoS := iso * slow
 	// Drop flights that ended before this operation starts. (A later
 	// charge on another channel can still start earlier in virtual time;
@@ -797,7 +799,7 @@ func (e *Engine) ChargeContended(topo fabric.Topology, loads *fabric.LoadSet, st
 				resid += l * (f.finish - lo) / (f.finish - f.start)
 			}
 		}
-		// Residual bytes drain at the backend's effective rate: commSlowdown
+		// Residual bytes drain at the backend's effective rate: CommSlowdown
 		// models a backend that cannot saturate the wire, so in scaled time
 		// every link runs at bandwidth/slow — for the queued residual just
 		// like for the newcomer's own bytes.

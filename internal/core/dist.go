@@ -7,11 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/data"
-	"repro/internal/embedding"
-	"repro/internal/embstore"
 	"repro/internal/fabric"
-	"repro/internal/loss"
-	"repro/internal/par"
 	"repro/internal/perfmodel"
 )
 
@@ -67,11 +63,6 @@ var Variants = []Variant{
 	{Alltoall, cluster.MPIBackend},
 	{Alltoall, cluster.CCLBackend},
 }
-
-// loaderPerSample is the per-sample cost of the framework data loader
-// (§VI-D2), calibrated so 26 ranks × LN=2048 adds ≈20 ms as in Fig. 13
-// under the global-read artifact.
-const loaderPerSample = 400e-9
 
 // LoaderMode selects how the data loader's cost — and, in functional mode,
 // its actual execution — is modeled per rank.
@@ -181,7 +172,7 @@ type DistConfig struct {
 	// the per-rank cache via embstore.HitRate — as a synchronous
 	// "coldtier" fetch before the embedding forward and an asynchronous
 	// "coldtier-wb" dirty write-back drained on the rank's background
-	// stream (the CheckpointBW pattern); functional mode routes the
+	// stream (the checkpoint pattern); functional mode routes the
 	// embedding forward and SGD write-back through a real embstore.Store,
 	// bit-identical to the in-RAM path. 0 disables tiering entirely —
 	// today's all-in-RAM behavior, bit-identical to the committed virtual
@@ -192,9 +183,6 @@ type DistConfig struct {
 	// default — a tiered run must state its cold tier). Only meaningful
 	// with EmbCacheBytes.
 	ColdTierBW float64
-	// ColdTierLat is the modeled per-iteration cold-tier access latency in
-	// seconds (0 = DefaultColdTierLat). Only meaningful with EmbCacheBytes.
-	ColdTierLat float64
 	// EmbSkew is the Zipf exponent the cold-tier charge assumes for lookup
 	// traffic (0 = DefaultEmbSkew, the Criteo-like 1.05). Only meaningful
 	// with EmbCacheBytes.
@@ -211,16 +199,12 @@ type DistConfig struct {
 	// CheckpointEvery takes a periodic shard checkpoint every N global
 	// iterations: each rank snapshots its MLP replica plus owned tables and
 	// drains the write on its background stream (cluster.Rank.Async) at
-	// CheckpointBW, so the write is exposed — a "checkpoint" stall — only
+	// DefaultCheckpointBW, so the write is exposed — a "checkpoint" stall — only
 	// when it outlasts the following iterations' compute. At most one write
 	// is in flight per rank: the next snapshot waits for the previous
 	// drain. 0 disables checkpointing (the default; the committed virtual
 	// baselines carry no checkpoint charge).
 	CheckpointEvery int
-	// CheckpointBW is the modeled per-rank drain bandwidth to durable
-	// storage in bytes/s (0 = DefaultCheckpointBW). Only meaningful with
-	// CheckpointEvery.
-	CheckpointBW float64
 	// CheckpointSink, in functional mode, receives each rank's model at
 	// every checkpoint boundary (iter = the global iteration count just
 	// completed). The sink must serialize synchronously before returning —
@@ -258,9 +242,9 @@ type DistConfig struct {
 // fold into one).
 const DefaultBucketBytes = 64 << 20
 
-// DefaultCheckpointBW is the modeled per-rank checkpoint drain bandwidth
-// when DistConfig.CheckpointBW is zero — 2 GB/s, a burst-buffer/local-NVMe
-// figure for the CLX-era clusters of the paper.
+// DefaultCheckpointBW is the modeled per-rank checkpoint drain and restore
+// bandwidth — 2 GB/s, a burst-buffer/local-NVMe figure for the CLX-era
+// clusters of the paper.
 const DefaultCheckpointBW = 2e9
 
 // DefaultColdTierBW is the conventional cold-tier streaming bandwidth the
@@ -270,8 +254,8 @@ const DefaultCheckpointBW = 2e9
 // it), so configs state the tier they are pricing.
 const DefaultColdTierBW = 8e9
 
-// DefaultColdTierLat is the per-iteration cold-tier access latency when
-// DistConfig.ColdTierLat is zero — 20 µs, one round of batched misses.
+// DefaultColdTierLat is the modeled cold-tier access latency per iteration
+// (per batch, in serving) — 20 µs, one round of batched misses.
 const DefaultColdTierLat = 20e-6
 
 // DefaultEmbSkew is the Zipf exponent the cold-tier charge assumes when
@@ -424,17 +408,6 @@ func (r *DistResult) Exposures() []Exposure {
 	return out
 }
 
-// funcState holds the real-execution state of one rank; the reusable
-// buffers (including the flat MLP gradients) live in the rank's
-// DistWorkspace and the data pipeline's staging buffers behind loader.
-type funcState struct {
-	model  *Model
-	pool   *par.Pool
-	cfg    Config // scaled config
-	shardN int
-	loader data.Loader
-}
-
 // run executes an already-validated configuration (DistConfig.Run is the
 // public entry and the only caller). Functional ranks run kernels and
 // loaders, which must overlap across host cores, so they get the cluster's
@@ -442,8 +415,26 @@ type funcState struct {
 // the lockstep engine.
 func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg != nil) }
 
+// clusterConfig is the simulated machine the run's ranks execute on.
+func (dc *DistConfig) clusterConfig(parallel bool) cluster.Config {
+	return cluster.Config{
+		Ranks:        dc.Ranks,
+		Topo:         dc.Topo,
+		Socket:       dc.Socket,
+		Backend:      dc.Variant.Backend,
+		Blocking:     dc.Blocking,
+		CommCores:    dc.CommCores,
+		Contention:   dc.Contention,
+		Interference: dc.Interference,
+		Pools:        dc.Pools, // nil ⇒ cluster.Run owns a transient set
+		Parallel:     parallel,
+	}
+}
+
 // runOn is run with the cluster engine stated (cluster.Config.Parallel) —
-// tests use it to hold the two engines to identical results.
+// tests use it to hold the two engines to identical results. The iteration
+// is built once, as a step list (buildPlan), and every rank interprets it;
+// a functional run attaches an executor that runs each step's kernel.
 func (dc DistConfig) runOn(parallel bool) *DistResult {
 	res := &DistResult{
 		WaitPerIter: map[string]float64{},
@@ -456,20 +447,16 @@ func (dc DistConfig) runOn(parallel bool) *DistResult {
 	if wss == nil {
 		wss = NewDistWorkspaces()
 	}
-	ccfg := cluster.Config{
-		Ranks:        dc.Ranks,
-		Topo:         dc.Topo,
-		Socket:       dc.Socket,
-		Backend:      dc.Variant.Backend,
-		Blocking:     dc.Blocking,
-		CommCores:    dc.CommCores,
-		Contention:   dc.Contention,
-		Interference: dc.Interference,
-		Pools:        dc.Pools, // nil ⇒ cluster.Run owns a transient set
-		Parallel:     parallel,
-	}
-	stats := cluster.Run(ccfg, func(r *cluster.Rank) {
-		dc.rankBody(r, wss.get(r.ID), res)
+	p := dc.buildPlan()
+	stats := cluster.Run(dc.clusterConfig(parallel), func(r *cluster.Rank) {
+		ws := wss.get(r.ID)
+		ws.prepare(&dc, r.ID)
+		var x *executor
+		if dc.RunCfg != nil {
+			x = newExecutor(&dc, r, ws, res)
+			defer x.close()
+		}
+		p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)
 	})
 	res.Stats = stats
 	iters := float64(dc.Iters)
@@ -494,363 +481,6 @@ func (dc DistConfig) runOn(parallel bool) *DistResult {
 	}
 	res.IterSeconds = maxNow / iters
 	return res
-}
-
-// rankBody is the SPMD program every rank executes. All reusable iteration
-// state lives in ws; compute kernels run on the rank's persistent pool.
-func (dc DistConfig) rankBody(r *cluster.Rank, ws *DistWorkspace, res *DistResult) {
-	cm := comm.New(r, dc.Topo)
-	cfg := dc.Cfg
-	ranks := dc.Ranks
-	shardN := dc.GlobalN / ranks
-	ws.prepare(&dc, r.ID)
-	locT := ws.locT
-	maxLoc := MaxLocalTables(cfg, ranks)
-	cores := r.ComputeCores()
-	sock := dc.Socket
-
-	var fn *funcState
-	if dc.RunCfg != nil {
-		m := NewModelShard(*dc.RunCfg, mlpBlockFor(shardN), dc.Seed, r.ID, ranks)
-		fn = &funcState{
-			model:  m,
-			pool:   r.Pool(),
-			cfg:    *dc.RunCfg,
-			shardN: shardN,
-		}
-		ws.bindGrads(m)
-		if dc.Restore != nil {
-			dc.Restore(r.ID, m)
-		}
-		res.Models[r.ID] = m
-		// Every rank owns a data loader over its slice of the dataset. The
-		// staging buffers live in the rank's workspace, so successive runs
-		// refill the same memory; the loader objects themselves are cheap
-		// and per-run. LoaderGlobalMB executes the real artifact (full
-		// global read + shard copy); everything else streams the sharded
-		// pipeline.
-		lc := data.LoaderConfig{
-			DS: dc.Dataset, GlobalN: dc.GlobalN,
-			Rank: r.ID, Ranks: ranks, Owned: locT,
-			Start:   dc.StartIter,
-			Buffers: &ws.loaderBufs,
-		}
-		if dc.Loader == LoaderGlobalMB {
-			fn.loader = data.NewGlobalReadLoader(lc)
-		} else {
-			fn.loader = data.NewShardedLoader(lc)
-		}
-		defer fn.loader.Close()
-	}
-
-	// Modeled per-pass times from the paper-scale config.
-	botFwd := sock.GemmTime(perfmodel.MLPPassFlops(cfg.BotSizes(), shardN),
-		perfmodel.MLPPassBytes(cfg.BotSizes(), shardN), cores)
-	topFwd := sock.GemmTime(perfmodel.MLPPassFlops(cfg.TopSizes(), shardN),
-		perfmodel.MLPPassBytes(cfg.TopSizes(), shardN), cores)
-	interFwd := sock.GemmTime(
-		2*float64(shardN)*float64(cfg.InterDim()-cfg.EmbDim)*float64(cfg.EmbDim),
-		8*float64(shardN)*float64(cfg.Tables+1)*float64(cfg.EmbDim), cores)
-	embFwd := sock.StreamTime(perfmodel.EmbeddingFwdBytes(len(locT), dc.GlobalN, cfg.Lookups, cfg.EmbDim), cores)
-	embUpd := sock.StreamTime(perfmodel.EmbeddingUpdBytes(len(locT), dc.GlobalN, cfg.Lookups, cfg.EmbDim), cores)
-	sgdTime := sock.StreamTime(3*cfg.AllreduceBytes(), cores)
-
-	// Modeled communication volumes (Table II / Eqs. 1-2).
-	a2aBlockBytes := float64(maxLoc) * float64(shardN) * float64(cfg.EmbDim) * 4
-	scatterBlockBytes := float64(shardN) * float64(cfg.EmbDim) * 4
-	arBytesBot, arBytesTop := mlpParamBytes(cfg.BotSizes()), mlpParamBytes(cfg.TopSizes())
-
-	// Per-iteration loader cost. The §VI-D2 artifact reads the FULL global
-	// minibatch on every rank — O(N·R) cluster-wide; the sharded pipeline
-	// reads only this rank's N/R sample slice plus its owned tables'
-	// full-batch index columns — ≈2 shares, constant in R.
-	var loaderCost float64
-	switch dc.Loader {
-	case LoaderGlobalMB:
-		loaderCost = loaderPerSample * float64(dc.GlobalN)
-	case LoaderSharded:
-		ownedShare := float64(dc.GlobalN) * float64(len(locT)) / float64(cfg.Tables)
-		loaderCost = loaderPerSample * (float64(shardN) + ownedShare)
-	}
-
-	// CCL channel plan: the overlapped pipeline pins each concurrently
-	// in-flight collective to its own channel so the per-channel FIFO model
-	// charges true contention; the sync schedule keeps label-hash placement.
-	chFwd, chTop, chBot, chBwd := -1, -1, -1, -1
-	if dc.Overlapped() {
-		chFwd, chTop, chBot, chBwd = 0, 1, 2, 3
-	}
-
-	// Bucketed gradient allreduce (Fig. 2): carve the per-layer volumes into
-	// buckets and derive the per-layer backward charges once per run; the
-	// flat path (BucketBytes = FlatBuckets) never consults any of it.
-	bucketed := dc.EffectiveBucketBytes() > 0
-	if bucketed {
-		dc.prepareBuckets(cm, ws, fn, cores, shardN, 2*topFwd, 2*botFwd)
-	}
-
-	// Periodic shard checkpoints: each boundary snapshots this rank's MLP
-	// replica plus owned tables and drains the write on the background
-	// stream at CheckpointBW. The Wait on the previous drain's handle keeps
-	// at most one write in flight (a zero Handle's Wait is free), so an
-	// interval shorter than the drain surfaces as a "checkpoint" stall.
-	var ckptH cluster.Handle
-	var ckptCost float64
-	if dc.CheckpointEvery > 0 {
-		bw := dc.CheckpointBW
-		if bw == 0 {
-			bw = DefaultCheckpointBW
-		}
-		ckptCost = shardCheckpointBytes(cfg, r.ID, ranks) / bw
-	}
-
-	// Tiered embedding parameter store (ROADMAP direction 2): with a cache
-	// budget set, the Zipf tail of each iteration's lookups misses the
-	// hot-row cache and goes to the modeled cold tier — a synchronous
-	// "coldtier" fetch of the analytic miss volume before the embedding
-	// forward, and a "coldtier-wb" dirty write-back of the same volume
-	// drained on the background stream after the update (at most one in
-	// flight: the checkpoint pattern). Functional mode routes table access
-	// through a real embstore.Store whose cached path is bit-identical to
-	// the in-RAM one, so the loss curve is unchanged.
-	tiered := dc.EmbCacheBytes > 0 && len(locT) > 0
-	var coldCost float64
-	var coldWBH cluster.Handle
-	var st *embstore.Store
-	if tiered {
-		lat := dc.ColdTierLat
-		if lat == 0 {
-			lat = DefaultColdTierLat
-		}
-		skew := dc.EmbSkew
-		if skew == 0 {
-			skew = DefaultEmbSkew
-		}
-		rows := make([]int, len(locT))
-		for li, t := range locT {
-			rows[li] = cfg.Rows[t]
-		}
-		hit := embstore.HitRate(dc.EmbCacheBytes, cfg.EmbDim, rows, skew)
-		missBytes := (1 - hit) * float64(dc.GlobalN) * float64(cfg.Lookups) *
-			float64(len(locT)) * float64(cfg.EmbDim) * 4
-		coldCost = lat + missBytes/dc.ColdTierBW
-		if fn != nil {
-			owned := make([]*embedding.Table, len(locT))
-			for li, t := range locT {
-				owned[li] = fn.model.Tables[t]
-			}
-			var err error
-			if st, err = embstore.New(dc.EmbCacheBytes, owned); err != nil {
-				panic(err) // unreachable: a config has one EmbDim
-			}
-		}
-	}
-
-	// In the overlapped pipeline the loader is the real double-buffered
-	// prefetch goroutine: batch 0's fetch starts at t=0 and is exposed once
-	// (cold start); every later batch is fetched on the background stream
-	// while the previous iteration computes, surfacing only when compute is
-	// too short to cover it.
-	var loaderH cluster.Handle
-	if dc.Overlapped() && loaderCost > 0 {
-		loaderH = r.Async("loader", loaderCost)
-	}
-
-	for it := 0; it < dc.Iters; it++ {
-		// (0) data loader: wait for the prefetched batch (overlapped) or
-		// charge the read serially (the paper's framework path).
-		if loaderCost > 0 {
-			if dc.Overlapped() {
-				r.Wait(loaderH)
-			} else {
-				r.Prep("loader", loaderCost)
-			}
-		}
-		var rb *data.RankBatch
-		if fn != nil {
-			rb = fn.loader.Next()
-		}
-		if dc.Overlapped() && loaderCost > 0 && it+1 < dc.Iters {
-			// Start prefetching the next batch behind this iteration (none
-			// after the last one, so busy time stays one charge per iter).
-			loaderH = r.Async("loader", loaderCost)
-		}
-
-		// (1) Embedding forward for LOCAL tables over the GLOBAL minibatch
-		// (model parallelism), into the workspace's per-table buffers. Under
-		// the tiered store the cold tail is fetched first.
-		if tiered {
-			r.Prep("coldtier", coldCost)
-		}
-		r.Compute(embFwd)
-		if fn != nil {
-			for li, t := range locT {
-				if st != nil {
-					st.Forward(li, rb.Owned[li], ws.embFull[li])
-				} else {
-					fn.model.Tables[t].Forward(fn.pool, rb.Owned[li], ws.embFull[li])
-				}
-			}
-		}
-
-		// (2) Redistribute embedding outputs (model → data parallel).
-		embOut, embHandles := dc.forwardRedistribute(cm, r, fn, ws, maxLoc, shardN, a2aBlockBytes, scatterBlockBytes, chFwd)
-
-		// (3) Bottom MLP forward on the local shard (overlaps the alltoall:
-		// the only compute that can hide it, §VI-D).
-		r.Compute(botFwd)
-
-		// (4) Consume embedding outputs: wait for the redistribution.
-		for _, h := range embHandles {
-			r.Wait(h)
-		}
-
-		// (5) Interaction + top MLP forward + loss.
-		r.Compute(interFwd + topFwd)
-		var dz []float32
-		if fn != nil {
-			lmb := rb.Local
-			logits := fn.model.ForwardDense(fn.pool, lmb.Dense, embOut)
-			dz = ws.dz
-			l := loss.BCEWithLogits(logits, lmb.Labels, dz)
-			res.Losses[r.ID] = append(res.Losses[r.ID], l)
-			// Rescale from 1/localN to 1/globalN so the allreduce SUM of
-			// MLP grads equals the single-socket global-batch gradient.
-			scale := float32(shardN) / float32(dc.GlobalN)
-			for i := range dz {
-				dz[i] *= scale
-			}
-		}
-
-		var hTop, hBot cluster.Handle
-		if bucketed {
-			// (6-8) Layer-stepped backward (Fig. 2): each gradient bucket's
-			// allreduce is issued the moment its last layer's backward
-			// completes, the backward redistribution launches right after
-			// the interaction backward under Overlap (waited where issued
-			// otherwise), and every bucket's wait is deferred to its slice
-			// of the SGD below.
-			dc.backwardBucketed(cm, r, fn, ws, cores, maxLoc, shardN,
-				interFwd, a2aBlockBytes, scatterBlockBytes, chBwd)
-		} else {
-			// (6) Top MLP backward, then enqueue its gradient allreduce so it
-			// overlaps the remaining backward work (§IV-A).
-			r.Compute(2 * topFwd)
-			var dEmb [][]float32
-			if fn != nil {
-				dEmb = fn.model.BackwardDense(fn.pool, dz)
-				flattenGrads(fn.model.Top, ws.topGrad)
-			}
-			r.Prep("allreduce", sock.StreamTime(2*arBytesTop, cores))
-			hTop = cm.AllreduceAlgoCost("allreduce", chTop, grad(fn, ws, true), false, arBytesTop, dc.Allreduce)
-
-			if dc.Overlapped() {
-				// (7) The interaction backward is what produces the embedding
-				// gradients, so the backward redistribution can launch right
-				// after it — before the bottom-MLP backward and before its
-				// allreduce is enqueued — and the remaining backward compute
-				// hides it. Waits are deferred to the latest consumer: the
-				// redistribution at the embedding update (step 8), the
-				// allreduces at the SGD (step 9).
-				r.Compute(interFwd)
-				dc.backwardRedistributeIssue(cm, r, fn, ws, maxLoc, shardN, dEmb, a2aBlockBytes, scatterBlockBytes, chBwd, false)
-				r.Compute(2 * botFwd)
-				if fn != nil {
-					flattenGrads(fn.model.Bot, ws.botGrad)
-				}
-				r.Prep("allreduce", sock.StreamTime(2*arBytesBot, cores))
-				hBot = cm.AllreduceAlgoCost("allreduce", chBot, grad(fn, ws, false), false, arBytesBot, dc.Allreduce)
-				dc.backwardRedistributeFinish(r, fn, ws, shardN)
-			} else {
-				// (7) Interaction backward + bottom MLP backward, enqueue its
-				// allreduce.
-				r.Compute(interFwd + 2*botFwd)
-				if fn != nil {
-					flattenGrads(fn.model.Bot, ws.botGrad)
-				}
-				r.Prep("allreduce", sock.StreamTime(2*arBytesBot, cores))
-				hBot = cm.AllreduceAlgoCost("allreduce", chBot, grad(fn, ws, false), false, arBytesBot, dc.Allreduce)
-
-				// (8) Redistribute embedding gradients back to their owners
-				// (data → model parallel) into ws.dOutFull, waited where issued
-				// (the instrumented synchronous schedule).
-				dc.backwardRedistribute(cm, r, fn, ws, maxLoc, shardN, dEmb, a2aBlockBytes, scatterBlockBytes)
-			}
-		}
-		r.Compute(embUpd)
-		if fn != nil {
-			for li, t := range locT {
-				tab := fn.model.Tables[t]
-				ob := rb.Owned[li]
-				dW := ensureF32(&ws.dW[li], ob.NumLookups()*tab.E)
-				tab.Backward(fn.pool, ob, ws.dOutFull[li], dW)
-				if st != nil {
-					st.Update(li, ob, dW, dc.LR)
-				} else {
-					tab.Update(fn.pool, embedding.RaceFree, ob, dW, dc.LR)
-				}
-			}
-		}
-		if tiered {
-			// Drain the dirty rows the update left behind to the cold tier
-			// on the background stream; the previous iteration's drain must
-			// finish first (one write in flight per rank).
-			r.Wait(coldWBH)
-			coldWBH = r.Async("coldtier-wb", coldCost)
-		}
-
-		// (9) Wait for the gradient allreduces and run the MLP SGD — bucket
-		// by bucket under the bucketed schedule, so each bucket's slice of
-		// the optimizer sweep runs while later buckets still drain.
-		if bucketed {
-			dc.sgdBucketed(r, fn, ws, cores)
-		} else {
-			r.Wait(hTop)
-			r.Wait(hBot)
-			r.Compute(sgdTime)
-			if fn != nil {
-				unflattenGradsAndStep(fn.model.Top, ws.topGrad, dc.LR)
-				unflattenGradsAndStep(fn.model.Bot, ws.botGrad, dc.LR)
-			}
-		}
-
-		// (10) Periodic shard checkpoint at global-iteration boundaries.
-		if dc.CheckpointEvery > 0 && (dc.StartIter+it+1)%dc.CheckpointEvery == 0 {
-			r.Wait(ckptH)
-			if fn != nil && dc.CheckpointSink != nil {
-				if st != nil {
-					// The cached copies are authoritative; flush so the
-					// checkpointed tables hold the untiered values.
-					st.Flush()
-				}
-				dc.CheckpointSink(r.ID, dc.StartIter+it+1, fn.model)
-			}
-			ckptH = r.Async("checkpoint", ckptCost)
-		}
-	}
-	if st != nil {
-		// Settle the tables before the run's models are inspected: after
-		// the flush they hold exactly the values the untiered path trains.
-		st.Flush()
-	}
-	if bucketed {
-		// Drop the rank/comm references the issue states captured: the
-		// workspace outlives this run, and must not keep its cluster state
-		// (Rank, Comm payload records, flow scratch) reachable.
-		ws.topBS, ws.botBS = bucketState{}, bucketState{}
-	}
-}
-
-// grad returns the flat gradient buffer for the allreduce (nil in
-// timing-only mode).
-func grad(fn *funcState, ws *DistWorkspace, top bool) []float32 {
-	if fn == nil {
-		return nil
-	}
-	if top {
-		return ws.topGrad
-	}
-	return ws.botGrad
 }
 
 func mlpParamBytes(sizes []int) float64 {

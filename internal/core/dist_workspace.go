@@ -1,10 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/comm"
 	"repro/internal/data"
 )
 
@@ -19,56 +19,45 @@ type distKey struct {
 	functional     bool
 }
 
-// DistWorkspace owns every buffer one simulated rank reuses across
-// distributed training iterations: the alltoall / fused-scatter /
-// scatter-list send and receive blocks of both redistribution phases, the
-// per-table embedding outputs and assembled gradient rows, the per-table
-// sparse gradient buffers, the loss gradient, and the flat MLP gradient
-// buffers behind the two allreduces. Together with the rank's persistent
-// par.Pool this makes the steady-state distributed iteration free of heap
-// allocations in timing mode (enforced by dist_alloc_test.go) and
-// allocation-light in functional mode.
+// DistWorkspace owns everything one simulated rank reuses across distributed
+// training iterations: the handle slots of the run's plan and, in functional
+// mode, the executor's buffers — the coalesced send and receive blocks of both
+// redistribution phases, the per-table embedding outputs and assembled
+// gradient rows, the per-table sparse gradient buffers, the loss gradient, and
+// the flat MLP gradient buffers behind the allreduces. Together with the
+// rank's persistent par.Pool this makes the steady-state distributed
+// iteration free of heap allocations in timing mode (enforced by
+// dist_alloc_test.go) and allocation-light in functional mode.
 //
 // A DistWorkspace is owned by a DistWorkspaces set and used by exactly one
 // rank goroutine per run; it is not safe for concurrent use.
 type DistWorkspace struct {
 	key distKey
 
-	handles      []cluster.Handle // forward redistribution (reused per iter)
-	bwdHandles   []cluster.Handle // overlapped backward redistribution
-	tablesByRank [][]int          // rank → owned table ids (round-robin)
-	locT         []int            // this rank's entry of tablesByRank
+	handles []cluster.Handle // the plan's handle slots
+	locT    []int            // this rank's owned table ids (round-robin)
 
-	// Functional-mode buffers; all indexed by local table position li
+	// Functional-mode state; buffers are indexed by local table position li
 	// (table id t = rank + li·ranks) unless noted.
-	embFull  [][]float32 // owned-table bag outputs over the GLOBAL batch, GlobalN×E
-	embOut   [][]float32 // per table id: this rank's shard rows (views into recvs)
-	dOutFull [][]float32 // owned-table assembled gradients, GlobalN×E
-	dW       [][]float32 // owned-table per-lookup gradient rows
-	dz       []float32   // loss gradient, length shardN
+	tablesByRank [][]int     // rank → owned table ids
+	groups       [][]int     // scatter strategies: redistribution group → table ids
+	embFull      [][]float32 // owned-table bag outputs over the GLOBAL batch, GlobalN×E
+	embOut       [][]float32 // per table id: this rank's shard rows (views into the forward receives)
+	dOutFull     [][]float32 // owned-table assembled gradients, GlobalN×E
+	dW           [][]float32 // owned-table per-lookup gradient rows
+	dz           []float32   // loss gradient, length shardN
 
-	a2aSendF, a2aRecvF []float32   // alltoall forward blocks
-	a2aSendB, a2aRecvB []float32   // alltoall backward blocks
-	scRecv             [][]float32 // per table id: scatter-list forward recv, shardN×E
-	fsRecv             [][]float32 // per root rank: fused-scatter forward recv
-	fsSend             []float32   // fused-scatter coalesced send (this rank as root)
-	gaSend             []float32   // fused gather send (coalesced owned-table grads)
-	gaRecv             []float32   // fused gather recv at root
+	// Redistribution blocks. Alltoall: one padded block per peer, both ways.
+	// FusedScatter: the root's coalesced forward send, the coalesced gradient
+	// send and the root's gathered receive. ScatterList moves table rows in
+	// place and uses none of the four.
+	sendF, recvF, sendB, recvB []float32
+	grpRecv                    [][]float32 // per scatter group: forward receive
+	rowLen                     int         // one table's shard rows: shardN × E floats
+	block                      int         // this rank's coalesced block in floats (0 under ScatterList)
 
-	botGrad, topGrad []float32 // flat MLP gradients for the allreduces
-
-	// Bucketed-allreduce state (DistConfig.BucketBytes > 0), rebuilt by
-	// prepareBuckets at the start of every run (layer-count-sized work) and
-	// reused across iterations: the per-MLP bucket plans over the
-	// paper-scale layer volumes, the modeled per-layer backward times, the
-	// per-layer offsets into the flat gradient buffers (functional mode),
-	// and the issue-order bucket handles waited at the SGD.
-	topBuckets, botBuckets comm.BucketPlan
-	topBwdT, botBwdT       []float64
-	topOff, botOff         []int
-	layerBytes             []float64 // plan-construction scratch
-	bktHandles             []cluster.Handle
-	topBS, botBS           bucketState // per-iteration issue state (see bucketState)
+	topGrad, botGrad []float32 // flat MLP gradients for the allreduces
+	topOff, botOff   []int     // per-layer offsets into them
 
 	// loaderBufs is the staging storage behind the rank's data loader
 	// (functional mode): the double-buffered RankBatch ring and, under the
@@ -81,10 +70,9 @@ type DistWorkspace struct {
 }
 
 // prepare sizes the workspace for one run: on a key change it rebuilds the
-// table map and re-ensures every buffer for the new shape; on a key hit it
-// only resets the handle list. Buffer growth is monotonic, so a sweep
-// alternating shapes pays allocation only on first sight of each shape,
-// never per iteration.
+// table lists and re-ensures every buffer for the new shape. Buffer growth is
+// monotonic, so a sweep alternating shapes pays allocation only on first
+// sight of each shape, never per iteration.
 func (ws *DistWorkspace) prepare(dc *DistConfig, rank int) {
 	key := distKey{
 		ranks: dc.Ranks, globalN: dc.GlobalN,
@@ -95,65 +83,81 @@ func (ws *DistWorkspace) prepare(dc *DistConfig, rank int) {
 		key.embDim = dc.RunCfg.EmbDim
 	}
 	if key != ws.key {
-		ws.resize(dc, key, rank)
+		ws.locT = LocalTables(dc.Cfg, rank, key.ranks)
+		if key.functional {
+			ws.resize(dc, key)
+		}
 		ws.key = key
 	}
-	ws.locT = ws.tablesByRank[rank]
-	ws.handles = ws.handles[:0]
-	ws.bwdHandles = ws.bwdHandles[:0]
 }
 
-// resize rebuilds the table map and re-ensures the strategy's buffers for a
-// new key (every field of distKey feeds a size below, which is what makes
-// the key the workspace's reuse unit).
-func (ws *DistWorkspace) resize(dc *DistConfig, key distKey, rank int) {
+// slots returns n cleared handle slots (a zero Handle's Wait is free, which
+// is what the first wait on a background drain relies on).
+func (ws *DistWorkspace) slots(n int) []cluster.Handle {
+	ws.handles = slices.Grow(ws.handles[:0], n)[:n]
+	clear(ws.handles)
+	return ws.handles
+}
+
+// resize re-ensures the executor's buffers for a new key (every field of
+// distKey feeds a size below, which is what makes the key the workspace's
+// reuse unit) and points ws.embOut at where each table's shard rows land.
+func (ws *DistWorkspace) resize(dc *DistConfig, key distKey) {
 	ws.tablesByRank = ws.tablesByRank[:0]
 	for rk := 0; rk < key.ranks; rk++ {
 		ws.tablesByRank = append(ws.tablesByRank, LocalTables(dc.Cfg, rk, key.ranks))
 	}
-	if !key.functional {
-		return
-	}
-
-	e := key.embDim
-	shardN := key.globalN / key.ranks
-	rowLen := shardN * e
-	nLoc := len(ws.tablesByRank[rank])
+	rowLen := key.globalN / key.ranks * key.embDim
+	ws.rowLen, ws.block = rowLen, 0
+	nLoc := len(ws.locT)
 	maxLoc := MaxLocalTables(dc.Cfg, key.ranks)
 
-	ws.embFull = ensureRows(&ws.embFull, nLoc, key.globalN*e)
-	ws.dOutFull = ensureRows(&ws.dOutFull, nLoc, key.globalN*e)
+	ws.embFull = ensureRows(&ws.embFull, nLoc, key.globalN*key.embDim)
+	ws.dOutFull = ensureRows(&ws.dOutFull, nLoc, key.globalN*key.embDim)
 	if len(ws.embOut) != key.tables {
 		ws.embOut = make([][]float32, key.tables)
 	}
 	if len(ws.dW) != nLoc {
 		ws.dW = make([][]float32, nLoc)
 	}
-	ws.dz = ensureF32(&ws.dz, shardN)
+	ws.dz = ensureF32(&ws.dz, key.globalN/key.ranks)
 
-	switch key.strategy {
-	case Alltoall:
+	if key.strategy == Alltoall {
 		blockLen := maxLoc * rowLen
-		ws.a2aSendF = ensureF32(&ws.a2aSendF, key.ranks*blockLen)
-		ws.a2aRecvF = ensureF32(&ws.a2aRecvF, key.ranks*blockLen)
-		ws.a2aSendB = ensureF32(&ws.a2aSendB, key.ranks*blockLen)
-		ws.a2aRecvB = ensureF32(&ws.a2aRecvB, key.ranks*blockLen)
-	case ScatterList:
-		ws.scRecv = ensureRows(&ws.scRecv, key.tables, rowLen)
-	case FusedScatter:
-		// Per-root recv rows padded to the largest per-rank table count so
-		// one rectangular allocation serves every root.
-		ws.fsRecv = ensureRows(&ws.fsRecv, key.ranks, maxLoc*rowLen)
-		ws.fsSend = ensureF32(&ws.fsSend, key.ranks*nLoc*rowLen)
-		ws.gaSend = ensureF32(&ws.gaSend, maxLoc*rowLen)
-		ws.gaRecv = ensureF32(&ws.gaRecv, key.ranks*nLoc*rowLen)
+		ws.block = blockLen
+		for _, buf := range []*[]float32{&ws.sendF, &ws.recvF, &ws.sendB, &ws.recvB} {
+			ensureF32(buf, key.ranks*blockLen)
+		}
+		for src, tabs := range ws.tablesByRank {
+			for li, t := range tabs {
+				ws.embOut[t] = ws.recvF[src*blockLen+li*rowLen : src*blockLen+(li+1)*rowLen]
+			}
+		}
+		return
 	}
-}
-
-// bindGrads sizes the flat MLP gradient buffers for this rank's model.
-func (ws *DistWorkspace) bindGrads(m *Model) {
-	ws.botGrad = ensureF32(&ws.botGrad, mlpGradLen(m.Bot))
-	ws.topGrad = ensureF32(&ws.topGrad, mlpGradLen(m.Top))
+	// The scatter strategies: one receive row per group, padded to the
+	// largest group so one rectangular allocation serves every root.
+	ws.groups = ws.tablesByRank
+	widest := maxLoc
+	if n, coalesce := dc.groups(); coalesce {
+		ws.block = nLoc * rowLen
+		ensureF32(&ws.sendF, key.ranks*nLoc*rowLen)
+		ensureF32(&ws.sendB, maxLoc*rowLen)
+		ensureF32(&ws.recvB, key.ranks*nLoc*rowLen)
+	} else {
+		ids := make([]int, n)
+		ws.groups, widest = make([][]int, n), 1
+		for t := range ids {
+			ids[t] = t
+			ws.groups[t] = ids[t : t+1]
+		}
+	}
+	ws.grpRecv = ensureRows(&ws.grpRecv, len(ws.groups), widest*rowLen)
+	for g, tabs := range ws.groups {
+		for li, t := range tabs {
+			ws.embOut[t] = ws.grpRecv[g][li*rowLen : (li+1)*rowLen]
+		}
+	}
 }
 
 // DistWorkspaces holds one DistWorkspace per simulated rank. Like

@@ -33,19 +33,15 @@ import (
 // the run starts at), a fault plan, and the recovery-model knobs.
 type ElasticConfig struct {
 	// Base is the initial run configuration. The elastic driver owns the
-	// segmentation fields — StartIter, CheckpointEvery, CheckpointBW,
-	// CheckpointSink, Restore must be zero; set the cadence on the
-	// ElasticConfig instead.
+	// segmentation fields — StartIter, CheckpointEvery, CheckpointSink,
+	// Restore must be zero; set the cadence on the ElasticConfig instead.
 	Base DistConfig
 	// Plan is the fault schedule (nil = run uninterrupted).
 	Plan *cluster.FaultPlan
 	// CheckpointEvery is the shard-checkpoint cadence in global iterations
 	// (0 = no checkpoints: every failure replays from iteration 0 with a
-	// fresh seed re-init).
+	// fresh seed re-init). Shards drain and restore at DefaultCheckpointBW.
 	CheckpointEvery int
-	// CheckpointBW is the per-rank checkpoint drain/restore bandwidth in
-	// bytes/s (0 = DefaultCheckpointBW).
-	CheckpointBW float64
 	// DetectSeconds models failure detection — the collective timeout the
 	// survivors hit before agreeing a rank is dead (0 =
 	// cluster.DefaultDetectSeconds).
@@ -192,8 +188,7 @@ func scheduleLabel(dc *DistConfig) string {
 // events.
 func (ec *ElasticConfig) validate() ([]cluster.FaultEvent, error) {
 	base := &ec.Base
-	if base.StartIter != 0 || base.CheckpointEvery != 0 || base.CheckpointBW != 0 ||
-		base.CheckpointSink != nil || base.Restore != nil {
+	if base.StartIter != 0 || base.CheckpointEvery != 0 || base.CheckpointSink != nil || base.Restore != nil {
 		return nil, fmt.Errorf("core: elastic Base must leave StartIter/Checkpoint*/Restore zero — the driver owns segmentation; set the cadence on ElasticConfig")
 	}
 	if err := base.Validate(); err != nil {
@@ -201,12 +196,6 @@ func (ec *ElasticConfig) validate() ([]cluster.FaultEvent, error) {
 	}
 	if ec.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("core: elastic CheckpointEvery=%d, want >= 0", ec.CheckpointEvery)
-	}
-	if ec.CheckpointBW < 0 {
-		return nil, fmt.Errorf("core: elastic CheckpointBW=%v, want >= 0", ec.CheckpointBW)
-	}
-	if ec.CheckpointBW != 0 && ec.CheckpointEvery == 0 {
-		return nil, fmt.Errorf("core: elastic CheckpointBW set without CheckpointEvery — no checkpoints to drain")
 	}
 	if ec.DetectSeconds < 0 {
 		return nil, fmt.Errorf("core: elastic DetectSeconds=%v, want >= 0", ec.DetectSeconds)
@@ -287,10 +276,6 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 	}
 	base := ec.Base
 	functional := base.RunCfg != nil
-	bw := ec.CheckpointBW
-	if bw == 0 {
-		bw = DefaultCheckpointBW
-	}
 	detect := ec.DetectSeconds
 	if detect == 0 {
 		detect = cluster.DefaultDetectSeconds
@@ -325,7 +310,6 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 		seg.StartIter = start
 		seg.Iters = end - start
 		seg.CheckpointEvery = ec.CheckpointEvery
-		seg.CheckpointBW = ec.CheckpointBW
 		if !functional {
 			// Timing mode tolerates non-divisible shapes by trimming the
 			// global batch to the nearest multiple (the survivors train a
@@ -389,7 +373,7 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 			// boundary.
 			c := 0
 			if ec.CheckpointEvery > 0 {
-				drainSec := maxShardCheckpointBytes(base.Cfg, oldRanks) / bw
+				drainSec := maxShardCheckpointBytes(base.Cfg, oldRanks) / DefaultCheckpointBW
 				for b := (f - 1) / ec.CheckpointEvery * ec.CheckpointEvery; b > 0; b -= ec.CheckpointEvery {
 					if b <= start || drainSec <= float64(f-b)*segRes.IterSeconds {
 						c = b
@@ -410,7 +394,7 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 				DetectSeconds: detect,
 			}
 			if c > 0 {
-				rec.RestoreSeconds = maxShardCheckpointBytes(base.Cfg, ranks) / bw
+				rec.RestoreSeconds = maxShardCheckpointBytes(base.Cfg, ranks) / DefaultCheckpointBW
 			}
 			res.TotalSeconds += rec.DetectSeconds + rec.RestoreSeconds
 			res.OverheadSeconds += rec.DetectSeconds + rec.RestoreSeconds
@@ -436,9 +420,9 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 				Kind: ev.Kind, Iter: f, FailedRank: -1,
 				OldRanks: oldRanks, NewRanks: ev.NewRanks,
 				CkptIter:     f,
-				DrainSeconds: maxShardCheckpointBytes(base.Cfg, oldRanks) / bw,
+				DrainSeconds: maxShardCheckpointBytes(base.Cfg, oldRanks) / DefaultCheckpointBW,
 			}
-			rec.RestoreSeconds = maxShardCheckpointBytes(base.Cfg, ev.NewRanks) / bw
+			rec.RestoreSeconds = maxShardCheckpointBytes(base.Cfg, ev.NewRanks) / DefaultCheckpointBW
 			res.TotalSeconds += rec.DrainSeconds + rec.RestoreSeconds
 			res.OverheadSeconds += rec.DrainSeconds + rec.RestoreSeconds
 			res.Recoveries = append(res.Recoveries, rec)

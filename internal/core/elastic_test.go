@@ -247,7 +247,6 @@ func TestElasticValidate(t *testing.T) {
 		{"driver-owned StartIter", func(ec *ElasticConfig) { ec.Base.StartIter = 2 }},
 		{"driver-owned CheckpointEvery", func(ec *ElasticConfig) { ec.Base.CheckpointEvery = 2 }},
 		{"negative cadence", func(ec *ElasticConfig) { ec.CheckpointEvery = -1 }},
-		{"bw without cadence", func(ec *ElasticConfig) { ec.CheckpointBW = 1e9 }},
 		{"negative detect", func(ec *ElasticConfig) { ec.DetectSeconds = -1 }},
 		{"min ranks above start", func(ec *ElasticConfig) { ec.MinRanks = 9 }},
 		{"kills nonexistent rank", func(ec *ElasticConfig) {

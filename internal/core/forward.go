@@ -61,18 +61,18 @@ func (m *Model) ForwardDense(p *par.Pool, dense *tensor.Dense, embOut [][]float3
 // bag outputs (dEmb[t], N×E row-major) for the sparse backward/update. The
 // returned buffers are workspace storage overwritten by the next call.
 func (m *Model) BackwardDense(p *par.Pool, dz []float32) [][]float32 {
-	return m.BackwardDenseVisit(p, dz, nil, nil, nil)
+	dInter := m.Top.Backward(p, m.packLossGrad(dz), true)
+	dBot, dEmb := m.backwardInteraction(p, dInter)
+	m.Bot.Backward(p, dBot, false)
+	return dEmb
 }
 
-// BackwardDenseVisit is the layer-stepped BackwardDense: identical math,
-// but it fires onTopLayer(i)/onBotLayer(i) after each MLP layer's gradients
-// are materialized (last layer first, the backward execution order) and
-// onInter(dEmb) right after the interaction backward produces the embedding
-// gradients. The bucketed distributed pipeline hangs its per-bucket
-// allreduce issues and the backward redistribution launch on these hooks;
-// all callbacks may be nil, making this exactly BackwardDense.
-func (m *Model) BackwardDenseVisit(p *par.Pool, dz []float32,
-	onTopLayer func(i int), onInter func(dEmb [][]float32), onBotLayer func(i int)) [][]float32 {
+// packLossGrad packs dz as the top MLP's output gradient — the head of the
+// backward pass. The distributed executor steps the pass layer by layer from
+// here (mlp.BackwardLayer, then backwardInteraction between the two MLPs) so
+// each gradient bucket's allreduce can be issued the moment its layers are
+// done; BackwardDense is the same pass in one call.
+func (m *Model) packLossGrad(dz []float32) *tensor.Acts {
 	n := m.cache.n
 	if n == 0 {
 		panic("core: BackwardDense before ForwardDense")
@@ -81,26 +81,28 @@ func (m *Model) BackwardDenseVisit(p *par.Pool, dz []float32,
 		panic(fmt.Sprintf("core: dz len %d want %d", len(dz), n))
 	}
 	ws := m.workspace()
-
 	ws.dzD.Rows, ws.dzD.Cols, ws.dzD.Data = n, 1, dz
 	dLogit := tensor.EnsureActs(&ws.dLogit, n, 1, m.BN, 1)
 	dLogit.PackFrom(&ws.dzD)
-	dInterActs := m.Top.BackwardVisit(p, dLogit, true, onTopLayer)
-	od := m.Inter.OutputDim()
-	dInter := ensureDense(&ws.dInter, n, od)
+	return dLogit
+}
+
+// backwardInteraction takes the top MLP's input gradient through the
+// interaction and returns the bottom MLP's packed output gradient and the
+// gradients of each table's bag outputs.
+func (m *Model) backwardInteraction(p *par.Pool, dInterActs *tensor.Acts) (*tensor.Acts, [][]float32) {
+	n := m.cache.n
+	ws := m.workspace()
+	dInter := ensureDense(&ws.dInter, n, m.Inter.OutputDim())
 	dInterActs.UnpackInto(dInter)
 
 	e := m.Cfg.EmbDim
 	dBot := ensureF32(&ws.dBot, n*e)
 	dEmb := ws.DEmb(m.Cfg.Tables, n*e)
 	m.Inter.Backward(p, dInter.Data, dBot, dEmb)
-	if onInter != nil {
-		onInter(dEmb)
-	}
 
 	ws.dBotD.Rows, ws.dBotD.Cols, ws.dBotD.Data = n, e, dBot
 	dBotActs := tensor.EnsureActs(&ws.dBotActs, n, e, m.BN, mlp.BlockPick(e, 64))
 	dBotActs.PackFrom(&ws.dBotD)
-	m.Bot.BackwardVisit(p, dBotActs, false, onBotLayer)
-	return dEmb
+	return dBotActs, dEmb
 }

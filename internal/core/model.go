@@ -98,6 +98,11 @@ func LocalTables(cfg Config, r, ranks int) []int {
 	return out
 }
 
+// numLocalTables is len(LocalTables(cfg, r, ranks)) without building the list.
+func numLocalTables(cfg Config, r, ranks int) int {
+	return (cfg.Tables - r + ranks - 1) / ranks
+}
+
 // MaxLocalTables returns the largest per-rank table count, which sizes the
 // (padded) alltoall blocks when S is not divisible by the rank count.
 func MaxLocalTables(cfg Config, ranks int) int {

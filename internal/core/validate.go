@@ -48,15 +48,25 @@ func (dc *DistConfig) Validate() error {
 	if dc.CommCores < 0 {
 		return fmt.Errorf("core: CommCores=%d, want >= 0", dc.CommCores)
 	}
-	if dc.Socket.Cores > 0 && dc.CommCores >= dc.Socket.Cores {
+	if s := dc.Socket; s.Cores < 1 || !(s.PeakFlops > 0 && s.MemBW > 0 && s.GemmEff > 0 && s.EmbedEff > 0) {
+		// A zero socket would price every kernel at 0, +Inf or NaN and report
+		// it as a measurement.
+		return fmt.Errorf("core: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
+	}
+	if cc := dc.clusterConfig(false).WithDefaults(); cc.CommCores >= dc.Socket.Cores {
 		return fmt.Errorf("core: CommCores=%d leaves no compute cores on a %d-core socket",
-			dc.CommCores, dc.Socket.Cores)
+			cc.CommCores, dc.Socket.Cores)
 	}
 	if dc.Interference != 0 && dc.Interference < 1 {
 		return fmt.Errorf("core: Interference=%v, want >= 1 (or 0 for the backend default)", dc.Interference)
 	}
-	if dc.Topo != nil && dc.Topo.NumSockets() < dc.Ranks {
-		return fmt.Errorf("core: topology has %d sockets for %d ranks", dc.Topo.NumSockets(), dc.Ranks)
+	if dc.Ranks > 1 {
+		if dc.Topo == nil {
+			return fmt.Errorf("core: %d ranks need a fabric topology for the collectives", dc.Ranks)
+		}
+		if dc.Topo.NumSockets() < dc.Ranks {
+			return fmt.Errorf("core: topology has %d sockets for %d ranks", dc.Topo.NumSockets(), dc.Ranks)
+		}
 	}
 	if dc.BucketBytes < FlatBuckets {
 		return fmt.Errorf("core: BucketBytes=%d, want FlatBuckets (%d), 0 (tuned default) or a positive size",
@@ -85,27 +95,16 @@ func (dc *DistConfig) Validate() error {
 	if dc.CheckpointEvery < 0 {
 		return fmt.Errorf("core: CheckpointEvery=%d, want >= 0", dc.CheckpointEvery)
 	}
-	if dc.CheckpointBW < 0 {
-		return fmt.Errorf("core: CheckpointBW=%v, want >= 0", dc.CheckpointBW)
-	}
-	if dc.CheckpointEvery == 0 {
-		// Without a cadence the rest of the checkpoint knobs are inert —
-		// reject rather than silently ignore.
-		if dc.CheckpointBW != 0 {
-			return fmt.Errorf("core: CheckpointBW set without CheckpointEvery — no checkpoints to drain")
-		}
-		if dc.CheckpointSink != nil {
-			return fmt.Errorf("core: CheckpointSink set without CheckpointEvery — it would never be called")
-		}
+	if dc.CheckpointEvery == 0 && dc.CheckpointSink != nil {
+		// Without a cadence the sink is inert — reject rather than silently
+		// ignore.
+		return fmt.Errorf("core: CheckpointSink set without CheckpointEvery — it would never be called")
 	}
 	if dc.EmbCacheBytes < 0 {
 		return fmt.Errorf("core: EmbCacheBytes=%d, want >= 0", dc.EmbCacheBytes)
 	}
 	if dc.ColdTierBW < 0 {
 		return fmt.Errorf("core: ColdTierBW=%v, want >= 0", dc.ColdTierBW)
-	}
-	if dc.ColdTierLat < 0 {
-		return fmt.Errorf("core: ColdTierLat=%v, want >= 0", dc.ColdTierLat)
 	}
 	if dc.EmbSkew < 0 {
 		return fmt.Errorf("core: EmbSkew=%v, want >= 0", dc.EmbSkew)
@@ -120,9 +119,6 @@ func (dc *DistConfig) Validate() error {
 		// reject rather than silently ignore.
 		if dc.ColdTierBW != 0 {
 			return fmt.Errorf("core: ColdTierBW set without EmbCacheBytes — no tiered store to charge")
-		}
-		if dc.ColdTierLat != 0 {
-			return fmt.Errorf("core: ColdTierLat set without EmbCacheBytes — no tiered store to charge")
 		}
 		if dc.EmbSkew != 0 {
 			return fmt.Errorf("core: EmbSkew set without EmbCacheBytes — no tiered store to model")

@@ -35,18 +35,12 @@ func TestServeValidateEmbStore(t *testing.T) {
 		{"negative emb cache", func(c *Config) { c.EmbCacheBytes = -1 }, "EmbCacheBytes=-1"},
 		{"cache without cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"negative cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20; c.ColdTierBW = -2 }, "ColdTierBW"},
-		{"negative cold latency", func(c *Config) {
-			c.EmbCacheBytes = 64 << 20
-			c.ColdTierBW = core.DefaultColdTierBW
-			c.ColdTierLat = -1e-6
-		}, "ColdTierLat"},
 		{"negative skew", func(c *Config) {
 			c.EmbCacheBytes = 64 << 20
 			c.ColdTierBW = core.DefaultColdTierBW
 			c.EmbSkew = -1
 		}, "EmbSkew"},
 		{"cold bw without cache", func(c *Config) { c.ColdTierBW = 8e9 }, "without EmbCacheBytes"},
-		{"cold latency without cache", func(c *Config) { c.ColdTierLat = 20e-6 }, "without EmbCacheBytes"},
 		{"skew without cache", func(c *Config) { c.EmbSkew = 1.05 }, "without EmbCacheBytes"},
 	}
 	for _, tc := range cases {

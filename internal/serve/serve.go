@@ -89,9 +89,6 @@ type Config struct {
 	// CommCores overrides the backend's communication-core count
 	// (0 = backend default, 4 for CCL).
 	CommCores int
-	// CallOverhead overrides the per-batch framework cost in seconds
-	// (0 = the cluster default, 25 µs).
-	CallOverhead float64
 	// Contention charges each batch's embedding fan-in against the shared
 	// contention epoch, so concurrent batches stretch each other on
 	// shared links. Off by default: fan-ins are then priced in isolation
@@ -102,7 +99,8 @@ type Config struct {
 	// embedding parameter store (internal/embstore): the Zipf head of the
 	// lookup volume — the analytic hit rate of a per-replica cache this
 	// many bytes large — streams at socket speed, the cold tail pays the
-	// cold tier's latency and bandwidth. The same knob set as
+	// cold tier's latency (core.DefaultColdTierLat per batch) and bandwidth.
+	// The same knob set as
 	// core.DistConfig; 0 keeps today's all-in-RAM pricing, bit-identical.
 	// When set, ColdTierBW must be set too.
 	EmbCacheBytes int
@@ -110,9 +108,6 @@ type Config struct {
 	// Only meaningful with EmbCacheBytes (core.DefaultColdTierBW is the
 	// conventional value).
 	ColdTierBW float64
-	// ColdTierLat is the per-batch cold-tier access latency in seconds
-	// (0 = core.DefaultColdTierLat). Only meaningful with EmbCacheBytes.
-	ColdTierLat float64
 	// EmbSkew is the Zipf exponent of the request traffic the hit rate is
 	// computed under (0 = core.DefaultEmbSkew). Only meaningful with
 	// EmbCacheBytes.
@@ -174,20 +169,17 @@ func (c Config) Validate() error {
 	if c.CommCores < 0 {
 		return fmt.Errorf("serve: negative CommCores %d", c.CommCores)
 	}
-	if cc := c.clusterConfig(); c.Socket.Cores > 0 && cc.CommCores >= c.Socket.Cores {
-		return fmt.Errorf("serve: CommCores %d leaves no compute cores on a %d-core socket", cc.CommCores, c.Socket.Cores)
+	if s := c.Socket; s.Cores < 1 || !(s.PeakFlops > 0 && s.MemBW > 0 && s.GemmEff > 0 && s.EmbedEff > 0) {
+		return fmt.Errorf("serve: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
 	}
-	if c.CallOverhead < 0 {
-		return fmt.Errorf("serve: negative CallOverhead %g", c.CallOverhead)
+	if cc := c.clusterConfig(); cc.CommCores >= c.Socket.Cores {
+		return fmt.Errorf("serve: CommCores %d leaves no compute cores on a %d-core socket", cc.CommCores, c.Socket.Cores)
 	}
 	if c.EmbCacheBytes < 0 {
 		return fmt.Errorf("serve: EmbCacheBytes=%d, want >= 0", c.EmbCacheBytes)
 	}
 	if c.ColdTierBW < 0 {
 		return fmt.Errorf("serve: ColdTierBW=%v, want >= 0", c.ColdTierBW)
-	}
-	if c.ColdTierLat < 0 {
-		return fmt.Errorf("serve: ColdTierLat=%v, want >= 0", c.ColdTierLat)
 	}
 	if c.EmbSkew < 0 {
 		return fmt.Errorf("serve: EmbSkew=%v, want >= 0", c.EmbSkew)
@@ -198,9 +190,6 @@ func (c Config) Validate() error {
 	if c.EmbCacheBytes == 0 {
 		if c.ColdTierBW != 0 {
 			return fmt.Errorf("serve: ColdTierBW set without EmbCacheBytes — no tiered store to price")
-		}
-		if c.ColdTierLat != 0 {
-			return fmt.Errorf("serve: ColdTierLat set without EmbCacheBytes — no tiered store to price")
 		}
 		if c.EmbSkew != 0 {
 			return fmt.Errorf("serve: EmbSkew set without EmbCacheBytes — no tiered store to model")
@@ -245,24 +234,13 @@ func (c Config) Validate() error {
 // with (defaults applied).
 func (c Config) clusterConfig() cluster.Config {
 	return cluster.Config{
-		Ranks:        c.Replicas,
-		Topo:         c.Topo,
-		Socket:       c.Socket,
-		Backend:      c.Backend,
-		CommCores:    c.CommCores,
-		CallOverhead: c.CallOverhead,
-		Contention:   c.Contention,
+		Ranks:      c.Replicas,
+		Topo:       c.Topo,
+		Socket:     c.Socket,
+		Backend:    c.Backend,
+		CommCores:  c.CommCores,
+		Contention: c.Contention,
 	}.WithDefaults()
-}
-
-// computeCores mirrors cluster.Rank.ComputeCores: CCL pins its
-// communication cores out of the compute budget, MPI computes on all of
-// them.
-func (c Config) computeCores(cc cluster.Config) int {
-	if cc.Backend == cluster.CCLBackend {
-		return cc.Socket.Cores - cc.CommCores
-	}
-	return cc.Socket.Cores
 }
 
 // costModel prices one batch's service on a replica. All durations are
@@ -281,17 +259,16 @@ type costModel struct {
 	// Tiered embedding store pricing (Config.EmbCacheBytes): the hit
 	// fraction of the busiest owner's lookup volume streams at socket
 	// speed, the rest pays the cold tier.
-	tiered  bool
-	hit     float64
-	coldBW  float64
-	coldLat float64
+	tiered bool
+	hit    float64
+	coldBW float64
 }
 
 func (c Config) newCostModel() costModel {
 	cc := c.clusterConfig()
 	cm := costModel{
 		cc:      cc,
-		cores:   c.computeCores(cc),
+		cores:   cc.ComputeCores(),
 		slow:    cc.CommSlowdown(),
 		bot:     c.Cfg.BotSizes(),
 		top:     c.Cfg.TopSizes(),
@@ -314,10 +291,6 @@ func (c Config) newCostModel() costModel {
 	if c.EmbCacheBytes > 0 {
 		cm.tiered = true
 		cm.coldBW = c.ColdTierBW
-		cm.coldLat = c.ColdTierLat
-		if cm.coldLat == 0 {
-			cm.coldLat = core.DefaultColdTierLat
-		}
 		skew := c.EmbSkew
 		if skew == 0 {
 			skew = core.DefaultEmbSkew
@@ -353,7 +326,7 @@ func (cm *costModel) lookupTime(b int) float64 {
 		return cm.cc.Socket.StreamTime(bytes, cm.cores)
 	}
 	return cm.cc.Socket.StreamTime(bytes*cm.hit, cm.cores) +
-		cm.coldLat + bytes*(1-cm.hit)/cm.coldBW
+		core.DefaultColdTierLat + bytes*(1-cm.hit)/cm.coldBW
 }
 
 // mlpTime is the dense forward on the serving replica: bottom MLP,

@@ -65,7 +65,8 @@ func TestServeValidate(t *testing.T) {
 		{"bad backend", func(c *Config) { c.Backend = cluster.Backend(99) }, "backend"},
 		{"negative comm cores", func(c *Config) { c.CommCores = -1 }, "CommCores"},
 		{"comm cores eat socket", func(c *Config) { c.CommCores = perfmodel.CLX8280.Cores }, "no compute cores"},
-		{"negative overhead", func(c *Config) { c.CallOverhead = -1e-6 }, "CallOverhead"},
+		{"zero socket", func(c *Config) { c.Socket = perfmodel.Socket{} }, "Socket"},
+		{"socket without gemm efficiency", func(c *Config) { c.Socket.GemmEff = 0 }, "GemmEff"},
 		{"zero max batch", func(c *Config) { c.Policy.MaxBatch = 0 }, "MaxBatch"},
 		{"negative max wait", func(c *Config) { c.Policy.MaxWait = -1 }, "MaxWait"},
 		{"negative slo", func(c *Config) { c.Policy.SLO = -1 }, "SLO"},
