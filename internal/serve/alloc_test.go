@@ -8,7 +8,7 @@ import (
 )
 
 // Steady-state allocation discipline, by differencing: per-run constants
-// (engine, result, replica models in functional runs) appear in both the
+// (engine, result, the Preds slice in functional runs) appear in both the
 // short and long run and cancel; anything the per-request path allocates
 // would show up in the difference. Counter-based arrivals make the short
 // run an exact prefix of the long one, so both see the same batch-size

@@ -124,10 +124,10 @@ type Config struct {
 	Seed int64
 
 	// RunCfg, when set (with Dataset), runs the tier functionally: real
-	// replica shard models are built (host-sized, typically a Scaled
-	// config) and every served request's probability is computed through
-	// core.Predictor. RunCfg.Tables must match Cfg.Tables so the
-	// functional sharding matches the priced one.
+	// replica shard models (host-sized, typically a Scaled config) compute
+	// every served request's probability through core.Predictor; a shared
+	// Workspaces keeps them across runs. RunCfg.Tables must match Cfg.Tables
+	// so the functional sharding matches the priced one.
 	RunCfg *core.Config
 	// Dataset supplies request features for functional runs: request k is
 	// sample k of one Requests-sized batch.
@@ -136,9 +136,13 @@ type Config struct {
 	// runs; nil creates a transient set per Run. Share one across a sweep
 	// to keep worker teams warm.
 	Pools *cluster.Pools
-	// Workspaces carries the event-loop and staging buffers across runs;
-	// nil allocates per Run. Share one across a sweep for steady-state
-	// allocation-free serving.
+	// Workspaces carries the event-loop and staging buffers and the
+	// functional replica set across runs; nil allocates and builds per Run.
+	// Share one across a sweep: replicas are rebuilt only when RunCfg
+	// (compared by value), Seed or Replicas change, and steady-state
+	// serving allocates nothing. One Run at a time per Workspaces — a Run
+	// started while another holds it returns an error; concurrent callers
+	// each need their own.
 	Workspaces *Workspaces
 }
 
@@ -354,18 +358,14 @@ func (cm *costModel) placeFanIn(r, b int, perSrc []float64) {
 }
 
 // server is one Run's live state: cost model, fan-in pricer, contention
-// engine, and (functionally) the replica models.
+// engine, and (functionally) the replica predictors.
 type server struct {
 	c   Config
 	cm  costModel
 	ws  *Workspaces
 	eng *cluster.Engine
 
-	// functional state, nil in timing-only runs
-	models []*core.Model
-	preds  []*core.Predictor
-	pools  *cluster.Pools
-	ownPls bool
+	preds []*core.Predictor // functional replicas, nil in timing-only runs
 }
 
 // serviceIso prices a b-sample batch on replica r in isolation (no
@@ -474,33 +474,25 @@ func Run(c Config) (*Result, error) {
 	if s.ws == nil {
 		s.ws = NewWorkspaces()
 	}
+	if !s.ws.inUse.CompareAndSwap(false, true) {
+		return nil, errInUse
+	}
+	defer s.ws.inUse.Store(false)
 	s.ws.prepare(c)
 	s.eng = cluster.NewEngine(c.clusterConfig())
 	res := &Result{Policy: c.Policy, OfferedQPS: c.OfferedQPS, Requests: c.Requests}
 
 	if c.RunCfg != nil {
-		s.pools = c.Pools
-		if s.pools == nil {
-			s.pools = cluster.NewPools()
-			s.ownPls = true
+		pools := c.Pools
+		if pools == nil {
+			pools = cluster.NewPools()
+			defer pools.Close()
 		}
-		s.models = make([]*core.Model, c.Replicas)
-		s.preds = make([]*core.Predictor, c.Replicas)
-		for r := 0; r < c.Replicas; r++ {
-			if c.Replicas == 1 {
-				s.models[r] = core.NewModel(*c.RunCfg, 1, c.Seed)
-			} else {
-				s.models[r] = core.NewModelShard(*c.RunCfg, 1, c.Seed, r, c.Replicas)
-			}
-			s.preds[r] = core.NewPredictor(s.models[r], s.pools.Get(r, s.cm.cores))
-		}
+		s.preds = s.ws.replicas(c, pools, s.cm.cores)
 		res.Preds = make([]float32, c.Requests)
 		nan := float32(math.NaN())
 		for i := range res.Preds {
 			res.Preds[i] = nan
-		}
-		if s.ownPls {
-			defer s.pools.Close()
 		}
 	}
 
@@ -625,7 +617,7 @@ func (s *server) evalBatch(r, k0, k1 int, preds []float32) {
 	rows := s.preds[r].EmbOut(bb)
 	for t := 0; t < s.c.Cfg.Tables; t++ {
 		o := core.TableOwner(t, s.c.Replicas)
-		s.models[o].Tables[t].Forward(s.preds[o].Pool, rep.mb.Sparse[t], rows[t])
+		s.preds[o].M.Tables[t].Forward(s.preds[o].Pool, rep.mb.Sparse[t], rows[t])
 	}
 	out := rep.out[:bb]
 	s.preds[r].PredictDense(rep.mb.Dense, rows, out)
