@@ -1,6 +1,9 @@
 package comm
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fabric"
@@ -60,12 +63,17 @@ func TestAllreduceAlgoSingleRankFree(t *testing.T) {
 }
 
 func TestAllreduceAlgoNames(t *testing.T) {
-	for _, a := range AllreduceAlgos {
+	tags := map[string]bool{}
+	for _, a := range append(AllreduceAlgos, AllreduceAuto) {
 		if a.String() == "" || a.String() == "unknown" {
 			t.Fatalf("algo %d has no name", int(a))
 		}
+		if tag := a.ShortString(); tag == "?" || tags[tag] {
+			t.Fatalf("algo %v has tag %q, missing or shared", a, tag)
+		}
+		tags[a.ShortString()] = true
 	}
-	if AllreduceAlgo(99).String() != "unknown" {
+	if AllreduceAlgo(99).String() != "unknown" || AllreduceAlgo(99).ShortString() != "?" {
 		t.Fatal("unknown algo name")
 	}
 }
@@ -140,6 +148,75 @@ func TestAllreduceAlgoPositiveAcrossRanks(t *testing.T) {
 			if d := c.AllreduceTimeAlgo(a, 1e6); d <= 0 {
 				t.Errorf("%dR %v: non-positive duration %g", ranks, a, d)
 			}
+		}
+	}
+}
+
+// TestAutoAllreduceTimeIsMinimum pins the AllreduceAuto cost to the
+// BestAllreduceAlgo minimum across volumes and rank counts.
+func TestAutoAllreduceTimeIsMinimum(t *testing.T) {
+	for _, ranks := range []int{2, 8, 64} {
+		c := pricerAt(ranks)
+		for _, bytes := range []float64{4e3, 1e6, 1e9} {
+			auto := c.AllreduceTimeAlgo(AllreduceAuto, bytes)
+			_, best := c.BestAllreduceAlgo(bytes)
+			if auto != best {
+				t.Errorf("%dR %g bytes: auto charge %g != best algo %g", ranks, bytes, auto, best)
+			}
+			for _, a := range AllreduceAlgos {
+				if tt := c.AllreduceTimeAlgo(a, bytes); tt < auto-1e-15 {
+					t.Errorf("%dR %g bytes: %v (%g) beats auto (%g)", ranks, bytes, a, tt, auto)
+				}
+			}
+		}
+	}
+}
+
+// TestAutoPlanNeverSlowerThanSingleAlgo is the per-bucket selection
+// property: over ranks 2–8 on both modeled fabrics, for random layer-volume
+// profiles and bucket sizes, a bucket plan priced the way the engine prices
+// it under AllreduceAuto — each bucket at its own volume's cheapest
+// algorithm — is never slower in total than the same plan under any single
+// algorithm: per-bucket minima can only improve on a uniform choice.
+func TestAutoPlanNeverSlowerThanSingleAlgo(t *testing.T) {
+	fabrics := []struct {
+		name string
+		mk   func(ranks int) fabric.Topology
+	}{
+		{"fat-tree", func(ranks int) fabric.Topology { return fabric.NewPrunedFatTree(ranks, 12.5e9) }},
+		{"twisted-hypercube", func(int) fabric.Topology { return fabric.NewTwistedHypercube(22e9) }},
+	}
+	for _, fb := range fabrics {
+		for ranks := 2; ranks <= 8; ranks++ {
+			t.Run(fmt.Sprintf("%s/%dR", fb.name, ranks), func(t *testing.T) {
+				c := NewPricer(fb.mk(ranks), ranks)
+				rng := rand.New(rand.NewSource(int64(ranks)))
+				for trial := 0; trial < 20; trial++ {
+					layers := make([]float64, 1+rng.Intn(12))
+					for i := range layers {
+						// Volumes spanning the latency-bound to bandwidth-bound
+						// regimes: 1 KB … 256 MB.
+						layers[i] = float64(1<<10) * math.Pow(2, rng.Float64()*18)
+					}
+					bucketBytes := float64(0)
+					if rng.Intn(4) > 0 {
+						bucketBytes = float64(1<<16) * math.Pow(2, rng.Float64()*12)
+					}
+					price := func(algo AllreduceAlgo) (total float64) {
+						for _, b := range PlanBuckets(layers, bucketBytes).Buckets {
+							total += c.AllreduceTimeAlgo(algo, b.Bytes)
+						}
+						return total
+					}
+					auto := price(AllreduceAuto)
+					for _, a := range AllreduceAlgos {
+						if single := price(a); single < auto-1e-12 {
+							t.Fatalf("trial %d: auto plan (%g) slower than uniform %v (%g); layers=%v bucket=%g",
+								trial, auto, a, single, layers, bucketBytes)
+						}
+					}
+				}
+			})
 		}
 	}
 }

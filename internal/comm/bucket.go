@@ -13,10 +13,9 @@ package comm
 // single allreduce. Because layers are flattened in order, a bucket is also
 // a contiguous slice of the flat gradient buffer.
 type Bucket struct {
-	Lo, Hi  int           // inclusive layer index range, Lo ≤ Hi
-	Bytes   float64       // modeled gradient volume of the bucket
-	Channel int           // CCL channel the allreduce is pinned to (-1 = label hash)
-	Algo    AllreduceAlgo // concrete algorithm the bucket's allreduce runs
+	Lo, Hi  int     // inclusive layer index range, Lo ≤ Hi
+	Bytes   float64 // modeled gradient volume of the bucket
+	Channel int     // CCL channel the allreduce is pinned to (-1 = label hash)
 }
 
 // Layers returns the number of layers the bucket covers.
@@ -62,34 +61,6 @@ func PlanBuckets(layerBytes []float64, bucketBytes float64) BucketPlan {
 		}
 	}
 	return BucketPlan{Buckets: buckets}
-}
-
-// SelectAlgos resolves each bucket's allreduce algorithm. A concrete algo
-// is copied to every bucket; AllreduceAuto instead asks BestAllreduceAlgo
-// per bucket volume, so a plan can mix algorithms — the large head buckets
-// keep ring/hierarchical while a small tail bucket flips to halving/tree.
-// The per-bucket choice is recorded in the plan (Bucket.Algo) so figures
-// can expose what was selected.
-func (p BucketPlan) SelectAlgos(c *Pricer, algo AllreduceAlgo) {
-	for i := range p.Buckets {
-		if algo == AllreduceAuto {
-			p.Buckets[i].Algo, _ = c.BestAllreduceAlgo(p.Buckets[i].Bytes)
-		} else {
-			p.Buckets[i].Algo = algo
-		}
-	}
-}
-
-// ModeledTime returns the summed cost-model time of the plan's allreduces
-// under the per-bucket algorithms SelectAlgos recorded — the quantity the
-// per-bucket-auto property ("never slower than the best single algorithm")
-// is stated over.
-func (p BucketPlan) ModeledTime(c *Pricer) float64 {
-	var t float64
-	for _, b := range p.Buckets {
-		t += c.AllreduceTimeAlgo(b.Algo, b.Bytes)
-	}
-	return t
 }
 
 // AssignChannels pins the plan's buckets round-robin onto the given CCL

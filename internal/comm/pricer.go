@@ -19,8 +19,8 @@ import (
 // so virtual times stay bit-identical while a steady-state iteration
 // re-prices and allocates nothing; under contention-aware charging the
 // per-link footprint is cached beside it. Safe for concurrent use: leaders
-// come one at a time, but rank-context callers (SelectAlgos, the *Time
-// methods) can overlap them under the goroutine engine.
+// come one at a time, but rank-context callers (the *Time methods) can
+// overlap them under the goroutine engine.
 type Pricer struct {
 	Topo fabric.Topology
 	size int

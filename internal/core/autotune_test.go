@@ -5,25 +5,16 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
-	"repro/internal/fabric"
-	"repro/internal/perfmodel"
 	"repro/internal/testenv"
 )
 
 // autotuneBase builds the timing-mode shape the autotuner tests probe:
-// paper config, OPA fat-tree, CCL Alltoall, shared pools/workspaces.
+// paper config, OPA fat-tree, CCL Alltoall, default schedule, shared
+// pools/workspaces.
 func autotuneBase(cfg Config, ranks, globalN int, pools *cluster.Pools, wss *DistWorkspaces) DistConfig {
-	return DistConfig{
-		Cfg:        cfg,
-		Ranks:      ranks,
-		GlobalN:    globalN - globalN%ranks,
-		Iters:      1,
-		Variant:    Variant{Strategy: Alltoall, Backend: cluster.CCLBackend},
-		Topo:       fabric.NewPrunedFatTree(ranks, 12.5e9),
-		Socket:     perfmodel.CLX8280,
-		Pools:      pools,
-		Workspaces: wss,
-	}
+	dc := at(cfg, ranks, defaults, nIters(1))
+	dc.GlobalN, dc.Pools, dc.Workspaces = globalN-globalN%ranks, pools, wss
+	return dc
 }
 
 // measure runs the config for iters timing-mode iterations.
@@ -46,12 +37,9 @@ func TestAutotuneNeverWorseThanIncumbent(t *testing.T) {
 		set  func(*DistConfig)
 	}{
 		{"default", func(*DistConfig) {}},
-		{"flat-sync", func(dc *DistConfig) { dc.Sync = true; dc.BucketBytes = FlatBuckets }},
-		{"sync-tree-1MiB", func(dc *DistConfig) {
-			dc.Sync = true
-			dc.BucketBytes = 1 << 20 // off the search ladder: exercises the appended incumbent
-			dc.Allreduce = comm.BinaryTree
-		}},
+		{"flat-sync", flatSync},
+		// 1 MiB buckets are off the search ladder: this exercises the appended incumbent.
+		{"sync-tree-1MiB", all(flatSync, bucket(1<<20), algo(comm.BinaryTree))},
 	}
 	const final = 4
 	for _, inc := range incumbents {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,35 +37,12 @@ func checkpointRoundTrip(t *testing.T, cfg Config) {
 	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	// Weights must match bit for bit.
-	var a, b [][]float32
-	m.Bot.VisitParams(func(_ string, p []float32) { a = append(a, p) })
-	m.Top.VisitParams(func(_ string, p []float32) { a = append(a, p) })
-	restored.Bot.VisitParams(func(_ string, p []float32) { b = append(b, p) })
-	restored.Top.VisitParams(func(_ string, p []float32) { b = append(b, p) })
-	for pi := range a {
-		for i := range a[pi] {
-			if a[pi][i] != b[pi][i] {
-				t.Fatalf("MLP param %d differs after restore", pi)
-			}
-		}
-	}
-	for ti := range m.Tables {
-		for i := range m.Tables[ti].W {
-			if m.Tables[ti].W[i] != restored.Tables[ti].W[i] {
-				t.Fatalf("table %d differs after restore", ti)
-			}
-		}
-	}
-	// And the restored model must produce identical predictions.
+	// Weights must match bit for bit, and so must the predictions.
+	checkModelsClose(t, "restored", restored, m, 0)
 	mb := ds.Batch(100, cfg.MB)
 	trR := NewTrainer(restored, par.NewPool(2), embedding.RaceFree, 0.5, FP32)
-	pa := tr.Predict(mb)
-	pb := trR.Predict(mb)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("prediction %d differs after restore", i)
-		}
+	if pa, pb := tr.Predict(mb), trR.Predict(mb); !slices.Equal(pa, pb) {
+		t.Fatalf("predictions differ after restore: %v vs %v", pa, pb)
 	}
 }
 
@@ -233,14 +211,7 @@ func TestCheckpointLoadsAcrossBlockings(t *testing.T) {
 	if err := other.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("cross-blocking load rejected: %v", err)
 	}
-	var a, b []float32
-	m.Bot.VisitParams(func(_ string, p []float32) { a = append(a, p...) })
-	other.Bot.VisitParams(func(_ string, p []float32) { b = append(b, p...) })
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("cross-blocking load changed MLP weights")
-		}
-	}
+	checkModelsClose(t, "cross-blocking load", other, m, 0)
 }
 
 func TestCheckpointRejectsNonFinite(t *testing.T) {
@@ -318,10 +289,8 @@ func TestTrainerCheckpointResume(t *testing.T) {
 		Each: func(_ int, l float64) { resLosses = append(resLosses, l) }}); err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range resLosses {
-		if l != refLosses[4+i] {
-			t.Fatalf("resumed step %d loss %v, want bit-exact %v", 4+i, l, refLosses[4+i])
-		}
+	if !slices.Equal(resLosses, refLosses[4:]) {
+		t.Fatalf("resumed losses %v, want bit-exact %v", resLosses, refLosses[4:])
 	}
 
 	// Misconfigurations: cadence without hook, hook without cadence.

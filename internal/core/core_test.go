@@ -3,9 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/mlp"
@@ -91,72 +91,50 @@ func TestNoLayerBlocksBelow8(t *testing.T) {
 
 func TestTableIValues(t *testing.T) {
 	// Spot-check Table I constants.
-	if Small.Tables != 8 || Small.EmbDim != 64 || Small.Lookups != 50 {
-		t.Fatal("Small config wrong")
-	}
-	if len(Small.BotSizes()) != 3 || len(Small.TopSizes()) != 5 {
-		t.Fatalf("Small MLP depths wrong: bot=%v top=%v", Small.BotSizes(), Small.TopSizes())
-	}
-	if Large.Tables != 64 || Large.EmbDim != 256 || Large.Lookups != 100 {
-		t.Fatal("Large config wrong")
-	}
-	if len(Large.BotSizes())-1 != 8 || len(Large.TopSizes())-1 != 16 {
-		t.Fatalf("Large MLP layer counts wrong: %d bot, %d top",
-			len(Large.BotSizes())-1, len(Large.TopSizes())-1)
-	}
-	if MLPerf.Tables != 26 || MLPerf.EmbDim != 128 || MLPerf.DenseIn != 13 || MLPerf.Lookups != 1 {
-		t.Fatal("MLPerf config wrong")
-	}
-	wantBot := []int{13, 512, 256, 128}
-	for i, v := range MLPerf.BotSizes() {
-		if v != wantBot[i] {
-			t.Fatalf("MLPerf bottom %v want %v", MLPerf.BotSizes(), wantBot)
+	for _, c := range []struct {
+		cfg                                        Config
+		tables, dim, lookups, botLayers, topLayers int
+	}{{Small, 8, 64, 50, 2, 4}, {Large, 64, 256, 100, 8, 16}, {MLPerf, 26, 128, 1, 3, 4}} {
+		got := []int{c.cfg.Tables, c.cfg.EmbDim, c.cfg.Lookups, len(c.cfg.BotSizes()) - 1, len(c.cfg.TopSizes()) - 1}
+		if want := []int{c.tables, c.dim, c.lookups, c.botLayers, c.topLayers}; !slices.Equal(got, want) {
+			t.Errorf("%s: tables, E, lookups, bottom and top layers %v, want %v", c.cfg.Name, got, want)
 		}
+	}
+	if got, want := MLPerf.BotSizes(), []int{13, 512, 256, 128}; !slices.Equal(got, want) {
+		t.Fatalf("MLPerf bottom %v want %v", got, want)
 	}
 }
 
 func TestTableIICharacteristics(t *testing.T) {
-	// Memory capacity for all tables (Table II row 1).
-	if gb := Small.TableBytes() / 1e9; math.Abs(gb-2.048) > 0.01 {
-		t.Errorf("Small table capacity %.2f GB want ≈2", gb)
-	}
-	if gb := Large.TableBytes() / 1e9; math.Abs(gb-393.2) > 1 {
-		t.Errorf("Large table capacity %.1f GB want ≈393 (paper: 384)", gb)
-	}
-	if gb := MLPerf.TableBytes() / 1e9; gb < 90 || gb > 105 {
-		t.Errorf("MLPerf table capacity %.1f GB want ≈98", gb)
-	}
-	// Minimum sockets at 192 GB/socket (Table II row 2; Large needs 4... with
-	// 96GB usable the paper says 4 sockets ⇒ they budget ~128 GB/socket).
-	if Large.MinSockets(128e9) != 4 {
-		t.Errorf("Large min sockets %d want 4", Large.MinSockets(128e9))
-	}
-	if Small.MinSockets(128e9) != 1 {
-		t.Error("Small must fit one socket")
-	}
-	// Max ranks = table count (Table II row 3).
-	if Small.MaxRanks() != 8 || Large.MaxRanks() != 64 || MLPerf.MaxRanks() != 26 {
-		t.Error("max ranks wrong")
-	}
-	// Allreduce sizes (Table II row 4: 9.5 MB, 1047 MB, 9.0 MB).
-	if mb := Small.AllreduceBytes() / 1e6; mb < 8 || mb > 12 {
-		t.Errorf("Small allreduce %.1f MB want ≈9.5", mb)
-	}
-	if mb := Large.AllreduceBytes() / 1e6; mb < 900 || mb > 1200 {
-		t.Errorf("Large allreduce %.0f MB want ≈1047", mb)
-	}
-	if mb := MLPerf.AllreduceBytes() / 1e6; mb < 2 || mb > 12 {
-		t.Errorf("MLPerf allreduce %.1f MB want single-digit", mb)
-	}
-	// Alltoall volumes (Table II row 5: 15.8, 1024, 208 MB) in MiB.
-	if mib := Small.AlltoallBytes(8192) / (1 << 20); math.Abs(mib-16) > 0.5 {
-		t.Errorf("Small alltoall %.1f MiB want 16", mib)
-	}
-	if mib := Large.AlltoallBytes(16384) / (1 << 20); math.Abs(mib-1024) > 1 {
-		t.Errorf("Large alltoall %.0f MiB want 1024", mib)
-	}
-	if mib := MLPerf.AlltoallBytes(16384) / (1 << 20); math.Abs(mib-208) > 1 {
-		t.Errorf("MLPerf alltoall %.0f MiB want 208", mib)
+	const mib = 1 << 20
+	for _, c := range []struct {
+		name        string
+		got, lo, hi float64
+	}{
+		// Memory capacity for all tables (row 1), GB: ≈2, ≈393 (paper: 384), ≈98.
+		{"Small table GB", Small.TableBytes() / 1e9, 2.038, 2.058},
+		{"Large table GB", Large.TableBytes() / 1e9, 392.2, 394.2},
+		{"MLPerf table GB", MLPerf.TableBytes() / 1e9, 90, 105},
+		// Minimum sockets (row 2: with 96 GB usable the paper says 4 for
+		// Large, so it budgets ~128 GB per socket).
+		{"Large min sockets", float64(Large.MinSockets(128e9)), 4, 4},
+		{"Small min sockets", float64(Small.MinSockets(128e9)), 1, 1},
+		// Max ranks = table count (row 3).
+		{"Small max ranks", float64(Small.MaxRanks()), 8, 8},
+		{"Large max ranks", float64(Large.MaxRanks()), 64, 64},
+		{"MLPerf max ranks", float64(MLPerf.MaxRanks()), 26, 26},
+		// Allreduce sizes (row 4: 9.5 MB, 1047 MB, single-digit).
+		{"Small allreduce MB", Small.AllreduceBytes() / 1e6, 8, 12},
+		{"Large allreduce MB", Large.AllreduceBytes() / 1e6, 900, 1200},
+		{"MLPerf allreduce MB", MLPerf.AllreduceBytes() / 1e6, 2, 12},
+		// Alltoall volumes (row 5: 15.8, 1024, 208 MB), MiB.
+		{"Small alltoall MiB", Small.AlltoallBytes(8192) / mib, 15.5, 16.5},
+		{"Large alltoall MiB", Large.AlltoallBytes(16384) / mib, 1023, 1025},
+		{"MLPerf alltoall MiB", MLPerf.AlltoallBytes(16384) / mib, 207, 209},
+	} {
+		if c.got < c.lo || c.got > c.hi {
+			t.Errorf("%s = %v, want in [%v, %v]", c.name, c.got, c.lo, c.hi)
+		}
 	}
 }
 
@@ -173,132 +151,95 @@ func TestScaledConfig(t *testing.T) {
 	}
 }
 
-func TestTrainingReducesLossAndLearns(t *testing.T) {
-	cfg := tinyConfig()
-	m := NewModel(cfg, 16, 1)
-	tr := NewTrainer(m, par.NewPool(4), embedding.RaceFree, 1.0, FP32)
+// fit trains a fresh model of cfg (block 16) on tinyDataset's first steps
+// minibatches, with set applied to its trainer first.
+func fit(cfg Config, seed int64, workers int, lr float32, steps int, set ...func(*Trainer)) (*Trainer, []float64) {
+	tr := NewTrainer(NewModel(cfg, 16, seed), par.NewPool(workers), embedding.RaceFree, lr, FP32)
+	for _, s := range set {
+		s(tr)
+	}
 	ds := tinyDataset(cfg)
+	losses := make([]float64, steps)
+	for i := range losses {
+		losses[i] = tr.Step(ds.Batch(i, cfg.MB))
+	}
+	return tr, losses
+}
 
-	eval := ds.Batch(1000, 2048)
-	aucBefore := tr.EvalAUC(eval)
-
-	const iters = 300
+// checkLearns trains cfg for steps minibatches: the mean loss of the last
+// window must be below the first window's, and the AUC on a held-out batch
+// must gain at least gain and reach at least floor.
+func checkLearns(t *testing.T, cfg Config, workers, steps, window int, gain, floor float64) {
+	t.Helper()
+	eval := tinyDataset(cfg).Batch(999, 2048)
+	untrained, _ := fit(cfg, 1, workers, 1.0, 0)
+	tr, losses := fit(cfg, 1, workers, 1.0, steps)
 	var head, tail float64
-	for i := 0; i < iters; i++ {
-		l := tr.Step(ds.Batch(i, cfg.MB))
-		if i < 50 {
-			head += l
-		}
-		if i >= iters-50 {
-			tail += l
-		}
+	for i := range window {
+		head, tail = head+losses[i], tail+losses[steps-window+i]
 	}
-	if !(tail < head) {
-		t.Fatalf("avg loss did not decrease: %g -> %g", head/50, tail/50)
+	before, after := untrained.EvalAUC(eval), tr.EvalAUC(eval)
+	if !(tail < head) || after < before+gain || after < floor {
+		t.Fatalf("mean loss %g → %g, AUC %.4f → %.4f", head/float64(window), tail/float64(window), before, after)
 	}
-	aucAfter := tr.EvalAUC(eval)
-	if aucAfter < aucBefore+0.05 || aucAfter < 0.6 {
-		t.Fatalf("AUC did not improve enough: %.4f -> %.4f", aucBefore, aucAfter)
+}
+
+func TestTrainingReducesLossAndLearns(t *testing.T) {
+	checkLearns(t, tinyConfig(), 4, 300, 50, 0.05, 0.6)
+}
+
+func TestConcatInteractionTrains(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.ConcatInteraction = true
+	if cfg.InterDim() != (cfg.Tables+1)*cfg.EmbDim {
+		t.Fatalf("concat InterDim=%d", cfg.InterDim())
 	}
+	checkLearns(t, cfg, 2, 200, 30, 0.03, 0)
 }
 
 func TestAllStrategiesTrainEquivalently(t *testing.T) {
 	// After a few iterations, every update strategy must land on (nearly)
 	// the same model: they compute the same math.
-	cfg := tinyConfig()
-	ds := tinyDataset(cfg)
-	var ref *Model
-	for _, strat := range []embedding.Strategy{embedding.RaceFree, embedding.AtomicXchg, embedding.RTMStyle} {
-		m := NewModel(cfg, 16, 7)
-		tr := NewTrainer(m, par.NewPool(4), strat, 0.05, FP32)
-		for i := 0; i < 5; i++ {
-			tr.Step(ds.Batch(i, cfg.MB))
-		}
-		if ref == nil {
-			ref = m
-			continue
-		}
-		for ti := range m.Tables {
-			for i := range m.Tables[ti].W {
-				d := math.Abs(float64(m.Tables[ti].W[i] - ref.Tables[ti].W[i]))
-				if d > 1e-3 {
-					t.Fatalf("strategy %v table %d diverged by %g", strat, ti, d)
-				}
-			}
-		}
+	ref, _ := fit(tinyConfig(), 7, 4, 0.05, 5)
+	for _, strat := range []embedding.Strategy{embedding.AtomicXchg, embedding.RTMStyle} {
+		tr, _ := fit(tinyConfig(), 7, 4, 0.05, 5, func(tr *Trainer) { tr.Strategy = strat })
+		checkModelsClose(t, strat.String(), tr.M, ref.M, 1e-3)
 	}
 }
 
 func TestFusedEmbeddingMatchesTwoStep(t *testing.T) {
-	cfg := tinyConfig()
-	ds := tinyDataset(cfg)
-	a := NewModel(cfg, 16, 3)
-	b := NewModel(cfg, 16, 3)
-	trA := NewTrainer(a, par.NewPool(4), embedding.RaceFree, 0.05, FP32)
-	trB := NewTrainer(b, par.NewPool(4), embedding.RaceFree, 0.05, FP32)
-	trB.FusedEmbedding = true
-	for i := 0; i < 5; i++ {
-		trA.Step(ds.Batch(i, cfg.MB))
-		trB.Step(ds.Batch(i, cfg.MB))
-	}
-	for ti := range a.Tables {
-		for i := range a.Tables[ti].W {
-			if d := math.Abs(float64(a.Tables[ti].W[i] - b.Tables[ti].W[i])); d > 1e-4 {
-				t.Fatalf("fused diverged at table %d by %g", ti, d)
-			}
-		}
-	}
+	a, _ := fit(tinyConfig(), 3, 4, 0.05, 5)
+	b, _ := fit(tinyConfig(), 3, 4, 0.05, 5, func(tr *Trainer) { tr.FusedEmbedding = true })
+	checkModelsClose(t, "fused", b.M, a.M, 1e-4)
 }
 
 // TestTrainerStepIndependentOfPoolSize: every parallel sweep of the step —
 // GEMM row groups, fused epilogue, dz sweep, block-range transposes, chunked
 // SGD (tensors here span a partial second chunk) — partitions work whose
 // result does not depend on the partition, so one worker and three produce
-// the same weights bit for bit.
+// the same losses and weights bit for bit.
 func TestTrainerStepIndependentOfPoolSize(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DenseIn, cfg.BotHidden, cfg.TopHidden = 64, []int{96}, []int{128, 64}
-	ds := tinyDataset(cfg)
-	a, b := NewModel(cfg, 16, 3), NewModel(cfg, 16, 3)
-	trA := NewTrainer(a, par.NewPool(1), embedding.RaceFree, 0.05, FP32)
-	trB := NewTrainer(b, par.NewPool(3), embedding.RaceFree, 0.05, FP32)
-	for i := 0; i < 3; i++ {
-		mb := ds.Batch(i, cfg.MB)
-		if la, lb := trA.Step(mb), trB.Step(mb); la != lb {
-			t.Fatalf("step %d: loss %v on one worker, %v on three", i, la, lb)
-		}
+	a, la := fit(cfg, 3, 1, 0.05, 3)
+	b, lb := fit(cfg, 3, 3, 0.05, 3)
+	if !slices.Equal(la, lb) {
+		t.Fatalf("losses %v on one worker, %v on three", la, lb)
 	}
-	params := func(m *Model) (ps [][]float32) {
-		for _, stack := range []*mlp.MLP{m.Bot, m.Top} {
-			stack.VisitParams(func(_ string, p []float32) { ps = append(ps, p) })
-		}
-		return ps
-	}
-	pa, pb := params(a), params(b)
-	for ti := range pa {
-		for i := range pa[ti] {
-			if math.Float32bits(pa[ti][i]) != math.Float32bits(pb[ti][i]) {
-				t.Fatalf("tensor %d element %d: %g vs %g", ti, i, pa[ti][i], pb[ti][i])
-			}
-		}
-	}
+	checkModelsClose(t, "three workers", b.M, a.M, 0)
 }
 
 func TestBF16SplitTrainsCloseToFP32(t *testing.T) {
 	cfg := tinyConfig()
 	ds := tinyDataset(cfg)
-	eval := ds.Batch(999, 1024)
-
-	train := func(prec Precision) float64 {
-		m := NewModel(cfg, 16, 5)
-		tr := NewTrainer(m, par.NewPool(4), embedding.RaceFree, 0.5, prec)
+	auc := func(prec Precision) float64 {
+		tr := NewTrainer(NewModel(cfg, 16, 5), par.NewPool(4), embedding.RaceFree, 0.5, prec)
 		for i := 0; i < 250; i++ {
 			tr.Step(ds.Batch(i, cfg.MB))
 		}
-		return tr.EvalAUC(eval)
+		return tr.EvalAUC(ds.Batch(999, 1024))
 	}
-	fp32 := train(FP32)
-	bf16split := train(BF16Split)
+	fp32, bf16split := auc(FP32), auc(BF16Split)
 	if fp32 < 0.6 {
 		t.Fatalf("FP32 baseline too weak: AUC %.4f", fp32)
 	}
@@ -308,11 +249,7 @@ func TestBF16SplitTrainsCloseToFP32(t *testing.T) {
 }
 
 func TestProfilerBreakdownCoversPhases(t *testing.T) {
-	cfg := tinyConfig()
-	m := NewModel(cfg, 16, 1)
-	tr := NewTrainer(m, par.NewPool(2), embedding.RaceFree, 0.05, FP32)
-	tr.Prof = trace.NewProfile()
-	tr.Step(tinyDataset(cfg).Batch(0, cfg.MB))
+	tr, _ := fit(tinyConfig(), 1, 2, 0.05, 1, func(tr *Trainer) { tr.Prof = trace.NewProfile() })
 	for _, key := range []string{"embeddings", "mlp", "rest"} {
 		if tr.Prof.Total(key) == 0 {
 			t.Errorf("phase %q not profiled", key)
@@ -325,8 +262,7 @@ func TestModelShardOwnership(t *testing.T) {
 	const ranks = 3
 	owned := map[int]int{}
 	for r := 0; r < ranks; r++ {
-		sh := NewModelShard(cfg, 16, 1, r, ranks)
-		for t_, tab := range sh.Tables {
+		for t_, tab := range NewModelShard(cfg, 16, 1, r, ranks).Tables {
 			if tab != nil {
 				owned[t_]++
 				if TableOwner(t_, ranks) != r {
@@ -346,59 +282,9 @@ func TestModelShardOwnership(t *testing.T) {
 }
 
 func TestShardTablesMatchFullModel(t *testing.T) {
-	// Seeded per-table init must make shard tables bit-identical to the full
-	// model's tables.
-	cfg := tinyConfig()
-	full := NewModel(cfg, 16, 9)
-	sh := NewModelShard(cfg, 16, 9, 1, 2)
-	for ti, tab := range sh.Tables {
-		if tab == nil {
-			continue
-		}
-		for i := range tab.W {
-			if tab.W[i] != full.Tables[ti].W[i] {
-				t.Fatalf("table %d differs between shard and full model", ti)
-			}
-		}
-	}
-}
-
-func TestConcatInteractionTrains(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ConcatInteraction = true
-	if cfg.InterDim() != (cfg.Tables+1)*cfg.EmbDim {
-		t.Fatalf("concat InterDim=%d", cfg.InterDim())
-	}
-	m := NewModel(cfg, 16, 1)
-	tr := NewTrainer(m, par.NewPool(2), embedding.RaceFree, 1.0, FP32)
-	ds := tinyDataset(cfg)
-	eval := ds.Batch(999, 2048)
-	before := tr.EvalAUC(eval)
-	var head, tail float64
-	for i := 0; i < 200; i++ {
-		l := tr.Step(ds.Batch(i, cfg.MB))
-		if i < 30 {
-			head += l
-		}
-		if i >= 170 {
-			tail += l
-		}
-	}
-	if tail >= head {
-		t.Fatalf("concat model loss did not decrease: %g -> %g", head/30, tail/30)
-	}
-	if after := tr.EvalAUC(eval); after < before+0.03 {
-		t.Fatalf("concat model AUC did not improve: %.4f -> %.4f", before, after)
-	}
-}
-
-func TestConcatDistributedMatchesSingle(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ConcatInteraction = true
-	ref, _ := trainSingle(cfg, 64, 2, 17, 0.5)
-	dc := distTestConfig(cfg, 2, 64, 2, Variant{Alltoall, cluster.CCLBackend}, true)
-	res := mustRun(dc)
-	checkMLPClose(t, "concat dist", res.Models[0], ref, 2e-3)
+	// Seeded per-table init must make shard tables (and the MLP replica)
+	// bit-identical to the full model's.
+	checkModelsClose(t, "shard", NewModelShard(tinyConfig(), 16, 9, 1, 2), NewModel(tinyConfig(), 16, 9), 0)
 }
 
 func TestTrainerLRSchedule(t *testing.T) {

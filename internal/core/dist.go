@@ -409,10 +409,13 @@ func (r *DistResult) Exposures() []Exposure {
 }
 
 // run executes an already-validated configuration (DistConfig.Run is the
-// public entry and the only caller). Functional ranks run kernels and
-// loaders, which must overlap across host cores, so they get the cluster's
-// goroutine engine; timing-mode ranks only advance clocks and take turns on
-// the lockstep engine.
+// public entry and the only caller). Timing-mode ranks only advance clocks
+// and take turns on the lockstep engine. Functional ranks get the goroutine
+// engine because it is measured faster for them: each rank builds its model
+// shard, copies payloads and runs serial kernel sections, and goroutines
+// overlap that work across host cores — on lockstep alone dist-func4 took
+// 1.3–1.8× longer per step in 12 of 12 alternating pairs (docs/PERF.md,
+// "Why functional runs keep the goroutine engine").
 func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg != nil) }
 
 // clusterConfig is the simulated machine the run's ranks execute on.

@@ -1,52 +1,16 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // The iteration is a list, so its structure can be checked without running
-// it. These tests build the plan of every strategy × backend × schedule ×
-// bucketing × loader × tiering × checkpointing combination at the three
-// figure scales and read the properties off the steps.
-
-const planIters = 4 // with CheckpointEvery 2: boundaries after iterations 2 and 4
-
-// forEachPlanConfig calls fn with every configuration of the matrix.
-func forEachPlanConfig(fn func(name string, dc DistConfig)) {
-	shapes := []struct {
-		cfg   Config
-		ranks int
-	}{{Small, 4}, {MLPerf, 26}, {Large, 64}}
-	for _, sh := range shapes {
-		for _, strat := range []CommStrategy{ScatterList, FusedScatter, Alltoall} {
-			for _, backend := range []cluster.Backend{cluster.MPIBackend, cluster.CCLBackend} {
-				for _, sync := range []bool{true, false} {
-					for _, bucket := range []int{FlatBuckets, 0, 1 << 20} {
-						for _, loader := range []LoaderMode{LoaderNone, LoaderGlobalMB, LoaderSharded} {
-							for _, tiered := range []bool{false, true} {
-								for _, every := range []int{0, 2} {
-									globalN := sh.cfg.GlobalMB / sh.ranks * sh.ranks
-									dc := distTestConfig(sh.cfg, sh.ranks, globalN, planIters, Variant{strat, backend}, false)
-									dc.Sync, dc.BucketBytes, dc.Loader, dc.CheckpointEvery = sync, bucket, loader, every
-									if tiered {
-										dc.EmbCacheBytes, dc.ColdTierBW = 64<<20, DefaultColdTierBW
-									}
-									fn(fmt.Sprintf("%s/%dR/%s/sync=%v/bucket=%d/loader=%v/tiered=%v/ckpt=%d",
-										sh.cfg.Name, sh.ranks, dc.Variant.Name(), sync, bucket, loader, tiered, every), dc)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
+// it: hook 5 of the configuration matrix. These tests build the plan of every
+// configuration of its static view (forEachPlanConfig) and read the
+// properties off the steps. They count no allocations, so they run in
+// parallel (after the tests that do).
 
 // walk calls fn for every step rank executes, in order: the prologue, then
 // each iteration's due steps.
@@ -65,6 +29,7 @@ func (p *plan) walk(rank int, fn func(s *step)) {
 // TestPlanValidMatrix: every configuration of the matrix is one Validate
 // accepts, so the properties below are stated over runnable plans.
 func TestPlanValidMatrix(t *testing.T) {
+	t.Parallel()
 	n := 0
 	forEachPlanConfig(func(name string, dc DistConfig) {
 		n++
@@ -72,7 +37,7 @@ func TestPlanValidMatrix(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	})
-	if want := 3 * 3 * 2 * 2 * 3 * 3 * 2 * 2; n != want {
+	if want := 3 * 6 * 2 * 3 * 3 * 2 * 2; n != want {
 		t.Errorf("matrix has %d configurations, want %d", n, want)
 	}
 }
@@ -81,12 +46,12 @@ func TestPlanValidMatrix(t *testing.T) {
 // collectives — kind, label, channel, root and volume. A mismatch would hang
 // the goroutine engine and panic the lockstep one.
 func TestPlanIsSPMD(t *testing.T) {
+	t.Parallel()
 	type collective struct {
-		coll    collKind
-		label   string
-		channel int
-		root    int
-		bytes   float64
+		coll          collKind
+		label         string
+		channel, root int
+		bytes         float64
 	}
 	forEachPlanConfig(func(name string, dc DistConfig) {
 		p := dc.buildPlan()
@@ -123,6 +88,7 @@ func TestPlanIsSPMD(t *testing.T) {
 // at the end of the run only the documented background drains — the last
 // checkpoint and the last cold-tier write-back — are still pending.
 func TestPlanHandleDiscipline(t *testing.T) {
+	t.Parallel()
 	const (
 		fresh = iota
 		pending
@@ -131,8 +97,7 @@ func TestPlanHandleDiscipline(t *testing.T) {
 	forEachPlanConfig(func(name string, dc DistConfig) {
 		p := dc.buildPlan()
 		for _, rank := range []int{0, dc.Ranks - 1} {
-			state := make([]int, p.slots)
-			label := make([]string, p.slots)
+			state, label := make([]int, p.slots), make([]string, p.slots)
 			p.walk(rank, func(s *step) {
 				switch s.kind {
 				case stepAsync, stepCollective:
@@ -166,6 +131,7 @@ func TestPlanHandleDiscipline(t *testing.T) {
 // and 1 MiB-bucketed plans of one configuration agree to 1e-12 relative, and
 // their allreduce volumes exactly.
 func TestPlanFlatEqualsBucketedInTotal(t *testing.T) {
+	t.Parallel()
 	totals := func(dc DistConfig, rank int) (compute, arBytes float64) {
 		p := dc.buildPlan()
 		for i := range p.iter {
@@ -211,6 +177,7 @@ func TestPlanFlatEqualsBucketedInTotal(t *testing.T) {
 // functional run interprets exactly the list a timing run does — kernel ids
 // included; the attached executor is the only difference.
 func TestPlanIgnoresExecutionMode(t *testing.T) {
+	t.Parallel()
 	forEachPlanConfig(func(name string, dc DistConfig) {
 		timing := dc.buildPlan()
 		run := dc.Cfg
@@ -229,10 +196,7 @@ func TestPlanCollectivesPerIteration(t *testing.T) {
 	for _, c := range []struct {
 		dc   DistConfig
 		want int
-	}{
-		{DistConfig{Cfg: MLPerf, Ranks: 4, GlobalN: 256, Iters: 1, Variant: Variant{Alltoall, cluster.CCLBackend}}, 4},
-		{simStrong64(1, nil), 19},
-	} {
+	}{{at(MLPerf, 4, defaults), 4}, {simStrong64(1, nil), 19}} {
 		n := 0
 		for _, s := range c.dc.buildPlan().iter {
 			if s.kind == stepCollective {

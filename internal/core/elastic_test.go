@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,97 +15,64 @@ func elasticTestConfig(ranks, globalN, iters int, v Variant, functional bool) El
 	return ElasticConfig{Base: distTestConfig(tinyConfig(), ranks, globalN, iters, v, functional)}
 }
 
-// TestElasticChurnLossParity is the headline tentpole check: a run that
-// loses a rank mid-run — restored from a periodic shard checkpoint, lost
-// iterations replayed — must match an uninterrupted run at the surviving
-// shape to float-reassociation tolerance, for every communication strategy
-// and both backends.
-func TestElasticChurnLossParity(t *testing.T) {
+// elastic runs ec through the fault events.
+func elastic(t *testing.T, ec ElasticConfig, events ...cluster.FaultEvent) *ElasticResult {
+	t.Helper()
+	ec.Plan = &cluster.FaultPlan{Events: events}
+	res, err := RunElastic(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkChurn runs cfg on 4 ranks for 6 iterations with a shard checkpoint
+// every 2 and rank fail lost at iteration 4. Restored from the iteration-2
+// checkpoint with 2 iterations replayed, the run must match an uninterrupted
+// one at the surviving shape, 3 ranks, to float-reassociation tolerance:
+// every stitched loss and the final models at 1e-6. It returns that
+// uninterrupted run.
+func checkChurn(t *testing.T, cfg Config, v Variant, fail int) *DistResult {
+	t.Helper()
 	const globalN, iters = 48, 6
+	ref := mustRun(distTestConfig(cfg, 3, globalN, iters, v, true))
+	res := elastic(t, ElasticConfig{Base: distTestConfig(cfg, 4, globalN, iters, v, true), CheckpointEvery: 2},
+		cluster.FaultEvent{Kind: cluster.RankFail, Iter: 4, Rank: fail})
+	if len(res.Recoveries) != 1 || res.FinalRanks != 3 || len(res.Losses) != iters {
+		t.Fatalf("%s: %d recoveries, %d final ranks, %d stitched losses; want 1, 3, %d",
+			v.Name(), len(res.Recoveries), res.FinalRanks, len(res.Losses), iters)
+	}
+	if rec := res.Recoveries[0]; rec.CkptIter != 2 || rec.ReplayIters != 2 || rec.OldRanks != 4 || rec.NewRanks != 3 ||
+		rec.DetectSeconds <= 0 || rec.RestoreSeconds <= 0 || rec.ReplaySeconds <= 0 {
+		t.Fatalf("%s: recovery %+v, want 4 → 3 ranks from iteration 2 replaying 2, every phase charged", v.Name(), rec)
+	}
+	for i, want := range ref.MeanLosses() {
+		if d := math.Abs(res.Losses[i] - want); d > 1e-6 {
+			t.Fatalf("%s: iter %d loss %v vs uninterrupted %v (Δ=%g > 1e-6)", v.Name(), i, res.Losses[i], want, d)
+		}
+	}
+	final := res.Segments[len(res.Segments)-1].Res
+	for rk := 0; rk < 3; rk++ {
+		checkModelsClose(t, v.Name(), final.Models[rk], ref.Models[rk], 1e-6)
+	}
+	return ref
+}
+
+// TestElasticChurnLossParity is the headline elastic check, for every
+// communication strategy and both backends.
+func TestElasticChurnLossParity(t *testing.T) {
 	for _, v := range Variants {
-		// Uninterrupted reference at the surviving shape R' = 3.
-		ref, err := distTestConfig(tinyConfig(), 3, globalN, iters, v, true).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLosses := ref.MeanLosses()
-
-		ec := elasticTestConfig(4, globalN, iters, v, true)
-		ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{
-			{Kind: cluster.RankFail, Iter: 4, Rank: 2},
-		}}
-		ec.CheckpointEvery = 2
-		res, err := RunElastic(ec)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if len(res.Recoveries) != 1 {
-			t.Fatalf("%s: %d recoveries, want 1", v.Name(), len(res.Recoveries))
-		}
-		rec := res.Recoveries[0]
-		if rec.CkptIter != 2 || rec.ReplayIters != 2 {
-			t.Fatalf("%s: restored from iter %d replaying %d, want 2/2", v.Name(), rec.CkptIter, rec.ReplayIters)
-		}
-		if rec.DetectSeconds <= 0 || rec.RestoreSeconds <= 0 || rec.ReplaySeconds <= 0 {
-			t.Fatalf("%s: degenerate recovery breakdown %+v", v.Name(), rec)
-		}
-		if res.FinalRanks != 3 {
-			t.Fatalf("%s: final ranks %d, want 3", v.Name(), res.FinalRanks)
-		}
-		if got := rec.OldRanks*10 + rec.NewRanks; got != 43 {
-			t.Fatalf("%s: recovery %d→%d ranks, want 4→3", v.Name(), rec.OldRanks, rec.NewRanks)
-		}
-		if len(res.Losses) != iters {
-			t.Fatalf("%s: %d stitched losses, want %d", v.Name(), len(res.Losses), iters)
-		}
-		for i := range refLosses {
-			if d := math.Abs(res.Losses[i] - refLosses[i]); d > 1e-6 {
-				t.Fatalf("%s: iter %d loss %v vs uninterrupted %v (Δ=%g > 1e-6)",
-					v.Name(), i, res.Losses[i], refLosses[i], d)
-			}
-		}
-		// The final segment's models must match the uninterrupted run's to
-		// the same tolerance.
-		final := res.Segments[len(res.Segments)-1].Res
-		for rk := 0; rk < 3; rk++ {
-			checkMLPClose(t, v.Name(), final.Models[rk], ref.Models[rk], 1e-6)
-		}
+		checkChurn(t, tinyConfig(), v, 2)
 	}
 }
 
 // TestElasticChurnPaddedLayer is the churn parity at the benchmark's mini
 // MLPerf shape, whose top MLP stores a padded first layer: the 4-rank
-// shards' checkpoints (pad column included) restore into the 3-rank models
-// and the stitched run matches the uninterrupted one.
+// shards' checkpoints (pad column included) restore into the 3-rank models.
 func TestElasticChurnPaddedLayer(t *testing.T) {
-	const globalN, iters = 48, 6
-	cfg := miniMLPerfConfig()
-	v := Variant{Alltoall, cluster.CCLBackend}
-	ref, err := distTestConfig(cfg, 3, globalN, iters, v, true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := checkChurn(t, miniMLPerfConfig(), Variant{Alltoall, cluster.CCLBackend}, 1)
 	if l := ref.Models[0].Top.Layers[0]; l.C != 383 || l.W.C != 384 {
 		t.Fatalf("top layer 0 is %d wide stored as %d, want 383 as 384", l.C, l.W.C)
-	}
-	ec := ElasticConfig{Base: distTestConfig(cfg, 4, globalN, iters, v, true), CheckpointEvery: 2}
-	ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.RankFail, Iter: 4, Rank: 1}}}
-	res, err := RunElastic(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Recoveries) != 1 || res.Recoveries[0].CkptIter != 2 || res.FinalRanks != 3 {
-		t.Fatalf("recoveries %+v, final ranks %d; want one restore from iteration 2 onto 3 ranks", res.Recoveries, res.FinalRanks)
-	}
-	for i, want := range ref.MeanLosses() {
-		if d := math.Abs(res.Losses[i] - want); d > 1e-6 {
-			t.Fatalf("iter %d loss %v vs uninterrupted %v (Δ=%g > 1e-6)", i, res.Losses[i], want, d)
-		}
-	}
-	final := res.Segments[len(res.Segments)-1].Res
-	for rk := 0; rk < 3; rk++ {
-		checkMLPClose(t, "padded churn", final.Models[rk], ref.Models[rk], 1e-6)
 	}
 }
 
@@ -113,30 +81,14 @@ func TestElasticChurnPaddedLayer(t *testing.T) {
 // shape — and because table seeding is rank-count independent, the restart
 // IS an uninterrupted run at that shape, bit for bit.
 func TestElasticNoCheckpointBitExact(t *testing.T) {
-	const globalN, iters = 48, 5
 	v := Variant{Alltoall, cluster.CCLBackend}
-	ref, err := distTestConfig(tinyConfig(), 3, globalN, iters, v, true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refLosses := ref.MeanLosses()
-
-	ec := elasticTestConfig(4, globalN, iters, v, true)
-	ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{
-		{Kind: cluster.RankFail, Iter: 3, Rank: 0},
-	}}
-	res, err := RunElastic(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Recoveries[0]
-	if rec.CkptIter != 0 || rec.ReplayIters != 3 || rec.RestoreSeconds != 0 {
+	ref := mustRun(distTestConfig(tinyConfig(), 3, 48, 5, v, true))
+	res := elastic(t, elasticTestConfig(4, 48, 5, v, true), cluster.FaultEvent{Kind: cluster.RankFail, Iter: 3, Rank: 0})
+	if rec := res.Recoveries[0]; rec.CkptIter != 0 || rec.ReplayIters != 3 || rec.RestoreSeconds != 0 {
 		t.Fatalf("no-checkpoint recovery %+v, want full replay from 0 with no restore read", rec)
 	}
-	for i := range refLosses {
-		if res.Losses[i] != refLosses[i] {
-			t.Fatalf("iter %d loss %v, want bit-exact %v", i, res.Losses[i], refLosses[i])
-		}
+	if want := ref.MeanLosses(); !slices.Equal(res.Losses, want) {
+		t.Fatalf("losses %v, want bit-exact %v", res.Losses, want)
 	}
 }
 
@@ -144,24 +96,12 @@ func TestElasticNoCheckpointBitExact(t *testing.T) {
 // boundary, restart at the new shape, no replay — and the stitched run
 // still tracks the single-socket reference.
 func TestElasticRescale(t *testing.T) {
-	const globalN, iters = 48, 6
-	v := Variant{FusedScatter, cluster.MPIBackend}
-	_, refLosses := trainSingle(tinyConfig(), globalN, iters, 17, 0.5)
-
-	ec := elasticTestConfig(4, globalN, iters, v, true)
-	ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{
-		{Kind: cluster.Rescale, Iter: 3, NewRanks: 2},
-	}}
-	res, err := RunElastic(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Recoveries[0]
-	if rec.Kind != cluster.Rescale || rec.ReplayIters != 0 || rec.DetectSeconds != 0 {
-		t.Fatalf("rescale recovery %+v, want drain+restore only", rec)
-	}
-	if rec.DrainSeconds <= 0 || rec.RestoreSeconds <= 0 {
-		t.Fatalf("rescale without drain/restore charge: %+v", rec)
+	_, refLosses := trainSingle(tinyConfig(), 48, 6, 17, 0.5)
+	res := elastic(t, elasticTestConfig(4, 48, 6, Variant{FusedScatter, cluster.MPIBackend}, true),
+		cluster.FaultEvent{Kind: cluster.Rescale, Iter: 3, NewRanks: 2})
+	if rec := res.Recoveries[0]; rec.Kind != cluster.Rescale || rec.ReplayIters != 0 || rec.DetectSeconds != 0 ||
+		rec.DrainSeconds <= 0 || rec.RestoreSeconds <= 0 {
+		t.Fatalf("rescale recovery %+v, want a charged drain + restore only", rec)
 	}
 	if res.FinalRanks != 2 || len(res.Segments) != 2 || res.Segments[1].Ranks != 2 {
 		t.Fatalf("rescale did not land on 2 ranks: final=%d segments=%+v", res.FinalRanks, res.Segments)
@@ -177,28 +117,15 @@ func TestElasticRescale(t *testing.T) {
 // virtual-time-anchored event and randomized churn resolution — report
 // identical virtual clocks and losses.
 func TestElasticDeterminism(t *testing.T) {
-	const globalN, iters = 48, 6
 	run := func() *ElasticResult {
-		ec := elasticTestConfig(4, globalN, iters, Variant{Alltoall, cluster.CCLBackend}, true)
+		ec := elasticTestConfig(4, 48, 6, Variant{Alltoall, cluster.CCLBackend}, true)
 		ec.CheckpointEvery = 2
-		ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{
-			{Kind: cluster.RankFail, At: 1e-3, Rank: 1}, // virtual-time anchored
-		}}
-		res, err := RunElastic(ec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return elastic(t, ec, cluster.FaultEvent{Kind: cluster.RankFail, At: 1e-3, Rank: 1}) // virtual-time anchored
 	}
 	a, b := run(), run()
-	if a.TotalSeconds != b.TotalSeconds || a.OverheadSeconds != b.OverheadSeconds {
-		t.Fatalf("virtual clocks differ: %v/%v vs %v/%v",
-			a.TotalSeconds, a.OverheadSeconds, b.TotalSeconds, b.OverheadSeconds)
-	}
-	for i := range a.Losses {
-		if a.Losses[i] != b.Losses[i] {
-			t.Fatalf("iter %d losses differ: %v vs %v", i, a.Losses[i], b.Losses[i])
-		}
+	if a.TotalSeconds != b.TotalSeconds || a.OverheadSeconds != b.OverheadSeconds || !slices.Equal(a.Losses, b.Losses) {
+		t.Fatalf("clocks %v/%v vs %v/%v, losses %v vs %v",
+			a.TotalSeconds, a.OverheadSeconds, b.TotalSeconds, b.OverheadSeconds, a.Losses, b.Losses)
 	}
 }
 
@@ -206,18 +133,9 @@ func TestElasticDeterminism(t *testing.T) {
 // autotuner (memoized per rank count) and reports what it chose.
 func TestElasticRetune(t *testing.T) {
 	ec := elasticTestConfig(4, 64, 6, Variant{Alltoall, cluster.CCLBackend}, false)
-	ec.Base.Sync = false
-	ec.Base.BucketBytes = 0
-	ec.Retune = true
-	ec.Tune = AutotuneOpts{ProbeIters: 1, FinalIters: 1, MaxCandidates: 4}
-	ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{
-		{Kind: cluster.RankFail, Iter: 2, Rank: 3},
-		{Kind: cluster.RankFail, Iter: 4, Rank: 0},
-	}}
-	res, err := RunElastic(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ec.Base.Sync, ec.Base.BucketBytes = false, 0
+	ec.Retune, ec.Tune = true, AutotuneOpts{ProbeIters: 1, FinalIters: 1, MaxCandidates: 4}
+	res := elastic(t, ec, cluster.FaultEvent{Kind: cluster.RankFail, Iter: 2, Rank: 3}, cluster.FaultEvent{Kind: cluster.RankFail, Iter: 4, Rank: 0})
 	// Three rank counts (4, 3, 2) → three memoized tuner runs.
 	if len(res.Retunes) != 3 {
 		t.Fatalf("%d retune reports, want 3 (one per distinct rank count)", len(res.Retunes))
@@ -237,8 +155,8 @@ func TestElasticRetune(t *testing.T) {
 // TestElasticValidate is the rejection table for incoherent elastic
 // configurations and impossible fault plans.
 func TestElasticValidate(t *testing.T) {
-	base := func() ElasticConfig {
-		return elasticTestConfig(4, 48, 6, Variant{Alltoall, cluster.CCLBackend}, true)
+	plan := func(ev cluster.FaultEvent) func(*ElasticConfig) {
+		return func(ec *ElasticConfig) { ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{ev}} }
 	}
 	cases := []struct {
 		name string
@@ -249,27 +167,19 @@ func TestElasticValidate(t *testing.T) {
 		{"negative cadence", func(ec *ElasticConfig) { ec.CheckpointEvery = -1 }},
 		{"negative detect", func(ec *ElasticConfig) { ec.DetectSeconds = -1 }},
 		{"min ranks above start", func(ec *ElasticConfig) { ec.MinRanks = 9 }},
-		{"kills nonexistent rank", func(ec *ElasticConfig) {
-			ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.RankFail, Iter: 2, Rank: 7}}}
-		}},
+		{"kills nonexistent rank", plan(cluster.FaultEvent{Kind: cluster.RankFail, Iter: 2, Rank: 7})},
 		{"shrinks below min ranks", func(ec *ElasticConfig) {
 			ec.MinRanks = 4
-			ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.RankFail, Iter: 2, Rank: 0}}}
+			plan(cluster.FaultEvent{Kind: cluster.RankFail, Iter: 2, Rank: 0})(ec)
 		}},
-		{"functional indivisible survivor shape", func(ec *ElasticConfig) {
-			// 48 % 4 == 0 but a rescale to 5 ranks breaks divisibility.
-			ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.Rescale, Iter: 2, NewRanks: 5}}}
-		}},
-		{"rescale beyond table count", func(ec *ElasticConfig) {
-			ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.Rescale, Iter: 2, NewRanks: 12}}}
-		}},
-		{"invalid plan event", func(ec *ElasticConfig) {
-			ec.Plan = &cluster.FaultPlan{Events: []cluster.FaultEvent{{Kind: cluster.RankFail, Iter: -1, Rank: 0}}}
-		}},
+		// 48 % 4 == 0 but a rescale to 5 ranks breaks divisibility.
+		{"functional indivisible survivor shape", plan(cluster.FaultEvent{Kind: cluster.Rescale, Iter: 2, NewRanks: 5})},
+		{"rescale beyond table count", plan(cluster.FaultEvent{Kind: cluster.Rescale, Iter: 2, NewRanks: 12})},
+		{"invalid plan event", plan(cluster.FaultEvent{Kind: cluster.RankFail, Iter: -1, Rank: 0})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ec := base()
+			ec := elasticTestConfig(4, 48, 6, Variant{Alltoall, cluster.CCLBackend}, true)
 			tc.mut(&ec)
 			if _, err := RunElastic(ec); err == nil {
 				t.Fatalf("RunElastic accepted %s", tc.name)
@@ -293,29 +203,23 @@ func TestFailureRemapProperty(t *testing.T) {
 		for failed := 0; failed < ranks; failed++ {
 			newRanks := ranks - 1
 			// (a) Table ownership after the remap: every table exactly once.
-			owners := make([]int, cfg.Tables)
-			for t2 := range owners {
-				owners[t2] = -1
-			}
-			for r := 0; r < newRanks; r++ {
+			owners := map[int]int{}
+			for r := range newRanks {
 				for _, t2 := range LocalTables(cfg, r, newRanks) {
-					if owners[t2] != -1 {
-						t.Fatalf("R=%d fail=%d: table %d owned by ranks %d and %d", ranks, failed, t2, owners[t2], r)
-					}
-					owners[t2] = r
+					owners[t2]++
 					if TableOwner(t2, newRanks) != r {
 						t.Fatalf("R=%d: LocalTables and TableOwner disagree on table %d", newRanks, t2)
 					}
 				}
 			}
-			for t2, o := range owners {
-				if o == -1 {
-					t.Fatalf("R=%d fail=%d: table %d orphaned after remap", ranks, failed, t2)
+			for t2 := range cfg.Tables {
+				if owners[t2] != 1 {
+					t.Fatalf("R=%d fail=%d: table %d owned by %d ranks after the remap", ranks, failed, t2, owners[t2])
 				}
 			}
 			// (b) Survivor data shards partition [0, globalN) exactly.
 			next := 0
-			for r := 0; r < newRanks; r++ {
+			for r := range newRanks {
 				lo, hi := data.ShardRange(globalN, r, newRanks)
 				if lo != next || hi < lo {
 					t.Fatalf("R=%d fail=%d: shard %d is [%d,%d), want to start at %d", ranks, failed, r, lo, hi, next)
@@ -329,19 +233,11 @@ func TestFailureRemapProperty(t *testing.T) {
 			for _, v := range Variants {
 				dc := distTestConfig(cfg, newRanks, globalN, 1, v, false)
 				wss := NewDistWorkspaces()
-				for r := 0; r < newRanks; r++ {
+				for r := range newRanks {
 					ws := wss.get(r)
 					ws.prepare(&dc, r)
-					want := LocalTables(cfg, r, newRanks)
-					if len(ws.locT) != len(want) {
-						t.Fatalf("%s R=%d rank %d: workspace owns %d tables, want %d",
-							v.Name(), newRanks, r, len(ws.locT), len(want))
-					}
-					for i := range want {
-						if ws.locT[i] != want[i] {
-							t.Fatalf("%s R=%d rank %d: workspace table list %v, want %v",
-								v.Name(), newRanks, r, ws.locT, want)
-						}
+					if want := LocalTables(cfg, r, newRanks); !slices.Equal(ws.locT, want) {
+						t.Fatalf("%s R=%d rank %d: workspace table list %v, want %v", v.Name(), newRanks, r, ws.locT, want)
 					}
 				}
 			}

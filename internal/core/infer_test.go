@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -26,11 +27,8 @@ func TestPredictorMatchesTrainerPredict(t *testing.T) {
 	mb := ds.Batch(0, 64)
 	got := make([]float32, mb.N)
 	pr.PredictInto(mb, got)
-	want := tr.Predict(mb)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: Predictor %v, Trainer.Predict %v", i, got[i], want[i])
-		}
+	if want := tr.Predict(mb); !slices.Equal(got, want) {
+		t.Fatalf("Predictor %v, Trainer.Predict %v", got, want)
 	}
 }
 
@@ -39,7 +37,7 @@ func TestPredictorMatchesTrainerPredict(t *testing.T) {
 // is predicted alone or inside any larger batch (row-blocked GEMMs with
 // per-row accumulation order, per-sample interaction and sigmoid).
 func TestPredictorBatchSizeInvariance(t *testing.T) {
-	cfg, m, ds := inferTestModel(1)
+	_, m, ds := inferTestModel(1)
 	pr := NewPredictor(m, par.Default)
 	const B = 32
 	full := ds.Batch(0, B)
@@ -59,7 +57,6 @@ func TestPredictorBatchSizeInvariance(t *testing.T) {
 			}
 		}
 	}
-	_ = cfg
 }
 
 // TestPredictorZeroAllocs pins the steady-state allocation discipline,

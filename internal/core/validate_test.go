@@ -1,11 +1,10 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/embedding"
@@ -16,8 +15,11 @@ import (
 
 // validConfig is a baseline that must pass Validate; each rejection case
 // below breaks exactly one thing.
-func validConfig() DistConfig {
-	return distTestConfig(Small, 4, Small.GlobalMB, 2, Variant{Alltoall, cluster.CCLBackend}, false)
+func validConfig() DistConfig { return at(Small, 4) }
+
+// functional makes dc a functional run of cfg.
+func functional(dc *DistConfig, cfg Config) {
+	dc.RunCfg, dc.Dataset = &cfg, data.NewClickLog(1, cfg.DenseIn, cfg.Rows, cfg.Lookups)
 }
 
 func TestValidateAcceptsBaseline(t *testing.T) {
@@ -27,9 +29,7 @@ func TestValidateAcceptsBaseline(t *testing.T) {
 	}
 	// The overlapped+bucketed default schedule with an explicit channel
 	// set is the other blessed shape.
-	dc.Sync = false
-	dc.BucketBytes = 0
-	dc.BucketChannels = []int{0, 1, 2}
+	dc.Sync, dc.BucketBytes, dc.BucketChannels = false, 0, []int{0, 1, 2}
 	if err := dc.Validate(); err != nil {
 		t.Fatalf("overlapped bucketed config rejected: %v", err)
 	}
@@ -48,11 +48,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero iters", func(dc *DistConfig) { dc.Iters = 0 }, "Iters=0"},
 		{"zero globalN", func(dc *DistConfig) { dc.GlobalN = 0 }, "GlobalN=0"},
 		{"indivisible globalN", func(dc *DistConfig) { dc.GlobalN = 100; dc.Ranks = 3; dc.Topo = nil }, "not divisible"},
-		{"too many ranks", func(dc *DistConfig) {
-			dc.Ranks = Small.Tables + 4
-			dc.GlobalN = (Small.Tables + 4) * 8
-			dc.Topo = fabric.NewPrunedFatTree(dc.Ranks, 12.5e9)
-		}, "exceeds max"},
+		{"too many ranks", all(onRanks(Small.Tables+4), func(dc *DistConfig) { dc.GlobalN = dc.Ranks * 8 }), "exceeds max"},
 		{"broken model config", func(dc *DistConfig) { dc.Cfg.Rows = dc.Cfg.Rows[:2] }, "row counts"},
 		{"unknown strategy", func(dc *DistConfig) { dc.Variant.Strategy = 99 }, "unknown comm strategy"},
 		{"unknown backend", func(dc *DistConfig) { dc.Variant.Backend = 7 }, "unknown backend"},
@@ -67,73 +63,40 @@ func TestValidateRejections(t *testing.T) {
 		{"socket without memory bandwidth", func(dc *DistConfig) { dc.Socket.MemBW = 0 }, "MemBW"},
 		{"socket without embedding efficiency", func(dc *DistConfig) { dc.Socket.EmbedEff = 0 }, "EmbedEff"},
 		{"negative bucket bytes", func(dc *DistConfig) { dc.BucketBytes = -7 }, "BucketBytes=-7"},
-		{"channels with flat buckets", func(dc *DistConfig) {
-			dc.Sync = false
-			dc.BucketBytes = FlatBuckets
-			dc.BucketChannels = []int{0}
-		}, "FlatBuckets"},
-		{"channels with sync schedule", func(dc *DistConfig) {
-			dc.Sync = true
-			dc.BucketBytes = 0
-			dc.BucketChannels = []int{0}
-		}, "Sync"},
-		{"channel out of range", func(dc *DistConfig) {
-			dc.Sync = false
-			dc.BucketBytes = 0
-			dc.BucketChannels = []int{0, 4}
-		}, "out of range"},
+		{"channels with flat buckets", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = false, FlatBuckets, []int{0} }, "FlatBuckets"},
+		{"channels with sync schedule", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = true, 0, []int{0} }, "Sync"},
+		{"channel out of range", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = false, 0, []int{0, 4} }, "out of range"},
 		{"negative emb cache", func(dc *DistConfig) { dc.EmbCacheBytes = -64 }, "EmbCacheBytes=-64"},
-		{"negative cold bw", func(dc *DistConfig) {
-			dc.EmbCacheBytes = 64 << 20
-			dc.ColdTierBW = -1
-		}, "ColdTierBW"},
-		{"negative emb skew", func(dc *DistConfig) {
-			dc.EmbCacheBytes = 64 << 20
-			dc.ColdTierBW = DefaultColdTierBW
-			dc.EmbSkew = -0.5
-		}, "EmbSkew"},
+		{"negative cold bw", func(dc *DistConfig) { dc.EmbCacheBytes, dc.ColdTierBW = 64<<20, -1 }, "ColdTierBW"},
+		{"negative emb skew", tiered(64<<20, -0.5), "EmbSkew"},
 		{"cache without cold bw", func(dc *DistConfig) { dc.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"cold bw without cache", func(dc *DistConfig) { dc.ColdTierBW = DefaultColdTierBW }, "without EmbCacheBytes"},
 		{"emb skew without cache", func(dc *DistConfig) { dc.EmbSkew = 1.05 }, "without EmbCacheBytes"},
 		{"negative start iter", func(dc *DistConfig) { dc.StartIter = -1 }, "StartIter=-1"},
 		{"negative checkpoint cadence", func(dc *DistConfig) { dc.CheckpointEvery = -2 }, "CheckpointEvery=-2"},
 		{"sink without cadence", func(dc *DistConfig) {
-			run := dc.Cfg
-			dc.RunCfg = &run
-			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			functional(dc, dc.Cfg)
 			dc.CheckpointSink = func(int, int, *Model) {}
 		}, "without CheckpointEvery"},
-		{"sink without models", func(dc *DistConfig) {
-			dc.CheckpointEvery = 2
-			dc.CheckpointSink = func(int, int, *Model) {}
-		}, "without RunCfg"},
-		{"restore without models", func(dc *DistConfig) {
-			dc.Restore = func(int, *Model) {}
-		}, "without RunCfg"},
-		{"functional without dataset", func(dc *DistConfig) {
-			run := dc.Cfg
-			dc.RunCfg = &run
-			dc.Dataset = nil
-		}, "requires a Dataset"},
+		{"sink without models", func(dc *DistConfig) { dc.CheckpointEvery, dc.CheckpointSink = 2, func(int, int, *Model) {} }, "without RunCfg"},
+		{"restore without models", func(dc *DistConfig) { dc.Restore = func(int, *Model) {} }, "without RunCfg"},
+		{"functional without dataset", func(dc *DistConfig) { functional(dc, dc.Cfg); dc.Dataset = nil }, "requires a Dataset"},
 		{"functional table mismatch", func(dc *DistConfig) {
 			run := dc.Cfg.Scaled(1)
 			run.Tables = dc.Cfg.Tables / 2
 			run.Rows = run.Rows[:run.Tables]
-			dc.RunCfg = &run
-			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			functional(dc, run)
 		}, "shards would not line up"},
 		{"functional top layer-count mismatch", func(dc *DistConfig) {
 			run := dc.Cfg
 			run.TopHidden = run.TopHidden[:len(run.TopHidden)-1]
-			dc.RunCfg = &run
-			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			functional(dc, run)
 			dc.Sync, dc.BucketBytes = false, 0
 		}, "top MLP has 3 layers, paper-scale Cfg 4"},
 		{"functional bottom layer-count mismatch", func(dc *DistConfig) {
 			run := dc.Cfg
 			run.BotHidden = append([]int{128}, run.BotHidden...)
-			dc.RunCfg = &run
-			dc.Dataset = data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups)
+			functional(dc, run)
 			dc.Sync, dc.BucketBytes = false, 0
 		}, "bottom MLP has 3 layers, paper-scale Cfg 2"},
 	}
@@ -190,34 +153,20 @@ func TestExposuresOrderContract(t *testing.T) {
 		BusyPerIter: map[string]float64{"fwd-a2a": 1, "allreduce": 2, "ar-top:1": 3},
 		WaitPerIter: map[string]float64{"barrier": 4, "allreduce": 1},
 	}
-	exp := res.Exposures()
-	var labels []string
-	for _, e := range exp {
-		labels = append(labels, e.Label)
-	}
-	if !sort.StringsAreSorted(labels) {
-		t.Fatalf("labels not sorted: %v", labels)
-	}
-	want := []string{"allreduce", "ar-top:1", "barrier", "fwd-a2a"}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %v, want %v", labels, want)
-	}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v, want %v", labels, want)
+	labels := func(exps []Exposure) (ls []string) {
+		for _, e := range exps {
+			ls = append(ls, e.Label)
 		}
+		return ls
+	}
+	if got, want := labels(res.Exposures()), []string{"allreduce", "ar-top:1", "barrier", "fwd-a2a"}; !slices.Equal(got, want) {
+		t.Fatalf("labels = %v, want %v", got, want)
 	}
 	// And on a real run: two identical runs list identical labels in
 	// identical order (map iteration must not leak through).
 	dc := validConfig()
-	a, b := mustRun(dc).Exposures(), mustRun(dc).Exposures()
-	if len(a) != len(b) {
-		t.Fatalf("exposure counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label {
-			t.Fatalf("exposure order not deterministic: %q vs %q at %d", a[i].Label, b[i].Label, i)
-		}
+	if a, b := labels(mustRun(dc).Exposures()), labels(mustRun(dc).Exposures()); !slices.Equal(a, b) {
+		t.Fatalf("exposure order not deterministic: %v vs %v", a, b)
 	}
 }
 
@@ -249,17 +198,11 @@ func TestTrainerRunUnifiedEntry(t *testing.T) {
 	_, viaLoader := train(RunOpts{Loader: ld, Iters: 5})
 	ld.Close()
 	_, viaDataset := train(RunOpts{Dataset: ds, Iters: 5})
-	if len(viaLoader) != 5 || len(viaDataset) != 5 {
-		t.Fatalf("iteration counts: %d loader, %d dataset, want 5", len(viaLoader), len(viaDataset))
-	}
-	for i := range viaLoader {
-		if viaLoader[i] != viaDataset[i] {
-			t.Fatalf("iter %d: loss %v via loader, %v via dataset", i, viaLoader[i], viaDataset[i])
-		}
+	if len(viaLoader) != 5 || !slices.Equal(viaLoader, viaDataset) {
+		t.Fatalf("losses %v via loader, %v via dataset, want 5 equal", viaLoader, viaDataset)
 	}
 
-	m := NewModel(cfg, 16, 5)
-	tr := NewTrainer(m, par.Default, embedding.RaceFree, 0.5, FP32)
+	tr := NewTrainer(NewModel(cfg, 16, 5), par.Default, embedding.RaceFree, 0.5, FP32)
 	for _, tc := range []struct {
 		name string
 		o    RunOpts
