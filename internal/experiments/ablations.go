@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/par"
 )
 
-// AblationAllreduce sweeps the allreduce algorithm over the paper's three
+// ablationAllreduce sweeps the allreduce algorithm over the paper's three
 // gradient volumes (Table II: 9.5 MB, 1047 MB, 9.0 MB) and rank counts —
 // the "best allreduce algorithm" requirement of §II made concrete: ring
 // reduce-scatter+all-gather wins the bandwidth-bound regimes, recursive
 // halving the latency-bound ones, and the untuned flat tree loses both.
-func AblationAllreduce() *Table {
+func ablationAllreduce(Opts) *Table {
 	t := &Table{
 		Title: "Ablation: allreduce algorithm vs gradient volume (ms, OPA fat-tree)",
 		Headers: []string{"volume", "ranks", "ring RS+AG", "recursive halving", "flat tree",
@@ -43,12 +44,13 @@ func AblationAllreduce() *Table {
 	return t
 }
 
-// AblationCommCores sweeps S, the number of cores per socket dedicated to
+// ablationCommCores sweeps S, the number of cores per socket dedicated to
 // communication (§IV-A: "we tune the value of S to balance the
 // communication time in SGD and the computation time in GEMMs"), on the
-// Large-config strong-scaling run. Too few comm cores leave communication
-// exposed; too many starve the GEMMs.
-func AblationCommCores(ranks, iters int) *Table {
+// Large-config strong-scaling run at 16 ranks. Too few comm cores leave
+// communication exposed; too many starve the GEMMs.
+func ablationCommCores(o Opts) *Table {
+	const ranks = 16
 	t := &Table{
 		Title:   "Ablation: communication-core count S (Large config, CCL Alltoall)",
 		Headers: []string{"comm cores", "compute (ms)", "comm exposed (ms)", "total (ms)"},
@@ -57,7 +59,7 @@ func AblationCommCores(ranks, iters int) *Table {
 	defer sw.close()
 	for _, s := range []int{1, 2, 4, 8, 12} {
 		dc := sw.opaConfig(core.Large, ranks, core.Large.GlobalMB, cclAlltoall)
-		dc.Iters, dc.CommCores = iters, s
+		dc.Iters, dc.CommCores = o.iters(defaultIters), s
 		res := mustRun(dc)
 		t.AddRow(fmt.Sprint(s), ms(res.ComputePerIter), ms(res.TotalCommPerIter()), ms(res.IterSeconds))
 	}
@@ -65,10 +67,10 @@ func AblationCommCores(ranks, iters int) *Table {
 	return t
 }
 
-// AblationCapacity reproduces the §VII storage argument: bytes per weight of
+// ablationCapacity reproduces the §VII storage argument: bytes per weight of
 // model+optimizer state for each training scheme. Split-SGD-BF16 matches
 // FP32's total while FP16/BF16 master-weight schemes pay 3×16 bits.
-func AblationCapacity() *Table {
+func ablationCapacity(Opts) *Table {
 	t := &Table{
 		Title: "Ablation: storage per weight (model + optimizer state)",
 		Headers: []string{"scheme", "working weights", "optimizer state", "total bits",
@@ -88,15 +90,17 @@ func AblationCapacity() *Table {
 	return t
 }
 
-// AblationFusedEmbedding measures the fused backward+update against the
-// two-step path (§III-A reports up to 1.6× standalone) in a real run.
-func AblationFusedEmbedding(iters int) *Table {
+// ablationFused measures the fused backward+update against the two-step
+// path (§III-A reports up to 1.6× standalone) in a real run, each timed as
+// the mean of 3 sweeps after a warm-up.
+func ablationFused(Opts) *Table {
+	const iters = 3
 	t := &Table{
 		Title:   "Ablation: fused embedding backward+update vs two-step",
 		Headers: []string{"variant", "ms/sweep"},
 	}
 	pool := par.Default
-	rng := newRand(1)
+	rng := rand.New(rand.NewSource(1))
 	tab := embedding.NewTable(500_000, 64, rng, 0.01)
 	batch := embedding.MakeBatch(rng, embedding.Uniform{}, 2048, 50, tab.M)
 	dOut := make([]float32, 2048*64)

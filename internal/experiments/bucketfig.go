@@ -22,7 +22,7 @@ func bucketCount(cfg core.Config, bucketBytes int) (top, bot int) {
 	return plan(cfg.TopSizes()), plan(cfg.BotSizes())
 }
 
-// RunBucketFig reproduces Fig. 2's bucketed overlap as an ablation: the
+// bucketFig reproduces Fig. 2's bucketed overlap as an ablation: the
 // same strong- and weak-scaling runs under flat vs per-layer-bucketed
 // gradient allreduce, each synchronous and overlapped. Flat rows report the
 // single "allreduce" label's exposed/busy split; bucketed rows report the
@@ -31,13 +31,14 @@ func bucketCount(cfg core.Config, bucketBytes int) (top, bot int) {
 // path, because every bucket is issued the moment its layers' backward
 // completes and drains across round-robined CCL channels behind the
 // remaining backward compute.
-func RunBucketFig(o ScalingOpts) *Table {
+func bucketFig(o Opts) *Table {
 	t := &Table{
 		Title: "Bucketed gradient allreduce (Fig. 2): flat vs per-layer buckets × sync vs overlapped " +
 			"(CCL Alltoall; exposed/busy ms per allreduce label)",
 		Headers: []string{"scaling", "config", "ranks", "schedule", "buckets", "ms/iter", "vs flat-sync",
 			"ar exp/busy", "ar-top exp/busy", "ar-bot exp/busy"},
 	}
+	iters := o.iters(defaultIters)
 	sw := newDistSweep()
 	defer sw.close()
 	modes := []struct {
@@ -55,22 +56,22 @@ func RunBucketFig(o ScalingOpts) *Table {
 		for _, r := range c.ranks {
 			var flatSync float64
 			for _, m := range modes {
-				dc := sw.opaConfig(c.cfg, r, c.globalN(r), cclAlltoall)
-				dc.Iters, dc.Loader = o.Iters, c.loader
+				dc := sw.opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
+				dc.Iters, dc.Loader = iters, c.loader
 				dc.Sync, dc.BucketBytes = !m.overlap, m.bucketBytes
 				res := mustRun(dc)
-				delta := "-"
+				vs := "-"
 				if m.name == "flat sync" {
 					flatSync = res.IterSeconds
 				} else {
-					delta = fmt.Sprintf("%+.1f%%", (res.IterSeconds/flatSync-1)*100)
+					vs = delta(res.IterSeconds, flatSync)
 				}
 				buckets := "-"
 				if m.bucketBytes > 0 {
 					buckets = fmt.Sprintf("%d+%d", topB, botB)
 				}
 				t.AddRow(c.scaling, c.cfg.Name, fmt.Sprintf("%dR", r), m.name, buckets,
-					ms(res.IterSeconds), delta,
+					ms(res.IterSeconds), vs,
 					expCell(res, "allreduce"), expCell(res, "ar-top"), expCell(res, "ar-bot"))
 			}
 		}

@@ -7,40 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// ChurnFigOpts sizes the elastic-training figure.
-type ChurnFigOpts struct {
-	// Iters is the productive iteration count of every run.
-	Iters int
-	// Intervals are the checkpoint cadences swept (iterations between
-	// shard checkpoints).
-	Intervals []int
-	// Rates are the per-boundary failure probabilities of the randomized
-	// churn schedules.
-	Rates []float64
-	// Seed drives the counter-based churn schedules (deterministic:
-	// the same seed always injects the same failures).
-	Seed uint64
-	// Fig9Only drops the weak-scaling scale (CI smoke budget).
-	Fig9Only bool
-}
-
-// DefaultChurnFigOpts returns the full-depth figure budget.
-func DefaultChurnFigOpts() ChurnFigOpts {
-	return ChurnFigOpts{Iters: 40, Intervals: []int{2, 5, 10}, Rates: []float64{0.05, 0.10}, Seed: 1}
-}
-
-// QuickChurnFigOpts is the CI smoke budget.
-func QuickChurnFigOpts() ChurnFigOpts {
-	return ChurnFigOpts{Iters: 12, Intervals: []int{3}, Rates: []float64{0.05}, Seed: 1, Fig9Only: true}
-}
-
-// churnScale is one cluster shape of the sweep — the Fig. 9 strong-scaling
-// and Fig. 12 weak-scaling shapes, under churn.
-type churnScale struct {
-	name    string
-	globalN int
-}
-
 // mustRunElastic panics on a driver error (the sweeps construct known-valid
 // configurations).
 func mustRunElastic(ec core.ElasticConfig) *core.ElasticResult {
@@ -51,30 +17,38 @@ func mustRunElastic(ec core.ElasticConfig) *core.ElasticResult {
 	return res
 }
 
-// RunChurn is the elastic-training figure: time-to-recover and
+// churnFig is the elastic-training figure: time-to-recover and
 // throughput-under-churn versus checkpoint interval and failure rate at the
 // Fig. 9/12 cluster shapes. Three case families per scale: the fault-free
 // baseline (with and without the checkpoint cadence, isolating the pure
 // checkpointing tax), a single mid-run rank failure per cadence (the
 // recovery breakdown: detect + restore + replay), and a randomized churn
 // schedule per cadence × rate (survival under repeated failures, down to
-// MinRanks).
-func RunChurn(o ChurnFigOpts) *Table {
-	const ranks = 64
+// MinRanks). Every run trains 40 productive iterations by default, under
+// checkpoint cadences of 2, 5 and 10 iterations and per-boundary failure
+// rates of 5% and 10%, drawn from a counter-based schedule (seed 1: the
+// same failures every time).
+func churnFig(o Opts) *Table {
+	const ranks, seed = 64, 1
+	iters := o.iters(40)
+	intervals, rates := []int{2, 5, 10}, []float64{0.05, 0.10}
 	t := &Table{
 		Title: "Elastic training under churn: recovery time and effective throughput " +
 			"(Large, 64 ranks, OPA cluster, CCL Alltoall, bucketed+overlapped)",
 		Headers: []string{"scale", "case", "ckpt", "fails", "final R",
 			"TTR ms", "detect/restore/replay ms", "eff ms/iter", "overhead"},
 	}
-	scales := []churnScale{{"Fig9 strong (GN=2048)", core.Large.GlobalMB}}
-	if !o.Fig9Only {
-		scales = append(scales, churnScale{"Fig12 weak (LN=32)", core.Large.LocalMB * ranks})
+	scales := []struct {
+		name    string
+		globalN int
+	}{
+		{"Fig9 strong (GN=2048)", core.Large.GlobalMB},
+		{"Fig12 weak (LN=32)", core.Large.LocalMB * ranks},
 	}
 	for _, sc := range scales {
 		sw := newDistSweep()
 		base := sw.opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
-		base.Iters = o.Iters
+		base.Iters = iters
 		addRow := func(label string, every int, res *core.ElasticResult, baseline float64) {
 			var ttr, det, rst, rep float64
 			for _, r := range res.Recoveries {
@@ -101,23 +75,23 @@ func RunChurn(o ChurnFigOpts) *Table {
 		faultFree := mustRunElastic(core.ElasticConfig{Base: base})
 		baseline := faultFree.EffectiveIterSeconds()
 		addRow("fault-free", 0, faultFree, baseline)
-		for _, every := range o.Intervals {
+		for _, every := range intervals {
 			res := mustRunElastic(core.ElasticConfig{Base: base, CheckpointEvery: every})
 			addRow("fault-free", every, res, baseline)
 		}
-		for _, every := range o.Intervals {
+		for _, every := range intervals {
 			res := mustRunElastic(core.ElasticConfig{
 				Base: base,
 				Plan: &cluster.FaultPlan{Events: []cluster.FaultEvent{
-					{Kind: cluster.RankFail, Iter: o.Iters / 2, Rank: 13},
+					{Kind: cluster.RankFail, Iter: iters / 2, Rank: 13},
 				}},
 				CheckpointEvery: every,
 			})
 			addRow("1 failure", every, res, baseline)
 		}
-		for _, every := range o.Intervals {
-			for _, rate := range o.Rates {
-				plan := cluster.RandomChurn(o.Seed, ranks, ranks/2, o.Iters, rate)
+		for _, every := range intervals {
+			for _, rate := range rates {
+				plan := cluster.RandomChurn(seed, ranks, ranks/2, iters, rate)
 				res := mustRunElastic(core.ElasticConfig{
 					Base: base, Plan: plan,
 					CheckpointEvery: every,
@@ -130,6 +104,6 @@ func RunChurn(o ChurnFigOpts) *Table {
 	}
 	t.AddNote("TTR sums detect (collective timeout, %.1fs) + checkpoint restore + replay over all failures", cluster.DefaultDetectSeconds)
 	t.AddNote("overhead is effective ms/iter vs the fault-free, checkpoint-off baseline at the same scale")
-	t.AddNote("churn rows inject failures at per-boundary rate from a counter-based schedule (seed %d), floored at %d ranks", o.Seed, ranks/2)
+	t.AddNote("churn rows inject failures at per-boundary rate from a counter-based schedule (seed %d), floored at %d ranks", seed, ranks/2)
 	return t
 }

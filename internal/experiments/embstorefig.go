@@ -7,34 +7,6 @@ import (
 	"repro/internal/embstore"
 )
 
-// EmbStoreFigOpts sizes the tiered-embedding-store figure.
-type EmbStoreFigOpts struct {
-	// Iters per run; the virtual ms/iter column is the mean.
-	Iters int
-	// Budgets are the hot-cache byte budgets swept (0 is added implicitly
-	// as the in-RAM baseline row).
-	Budgets []int
-	// Skews are the Zipf exponents of the modeled row traffic.
-	Skews []float64
-}
-
-// DefaultEmbStoreFigOpts returns the full-depth figure budget.
-func DefaultEmbStoreFigOpts() EmbStoreFigOpts {
-	return EmbStoreFigOpts{
-		Iters:   4,
-		Budgets: []int{4 << 10, 64 << 20, 256 << 20, 1 << 30},
-		Skews:   []float64{0.8, 1.05, 1.2},
-	}
-}
-
-// QuickEmbStoreFigOpts is the CI smoke budget: same sweep shape, fewer
-// iterations.
-func QuickEmbStoreFigOpts() EmbStoreFigOpts {
-	o := DefaultEmbStoreFigOpts()
-	o.Iters = 1
-	return o
-}
-
 // rank0Rows returns the row counts of the tables rank 0 owns at the given
 // scale — the shard the figure's analytic hit-rate column describes (the
 // round-robin layout makes every rank's shard statistically identical).
@@ -48,15 +20,17 @@ func rank0Rows(cfg core.Config, ranks int) []int {
 	return rows
 }
 
-// RunEmbStore is the tiered-parameter-store figure: virtual time per
+// embstoreFig is the tiered-parameter-store figure: virtual time per
 // iteration of the Fig. 9 strong-scaling run (Large over 64 ranks, CCL
 // alltoall, default bucketed+overlapped schedule) as the per-rank hot-row
 // cache budget and the traffic skew sweep. The in-RAM row (budget 0) is the
 // PR 9 baseline; every tiered row pays the cold tier for its miss mass, so
 // a hot budget at high skew approaches — never beats — in-RAM, while a
 // starved budget degenerates to streaming every batch's rows from the cold
-// tier.
-func RunEmbStore(o EmbStoreFigOpts) *Table {
+// tier. The sweep crosses hot-cache budgets of 4 KiB to 1 GiB with Zipf
+// skews 0.8 to 1.2; the virtual ms/iter column is the mean of 4 timing
+// iterations by default.
+func embstoreFig(o Opts) *Table {
 	const ranks = 64
 	cfg := core.Large
 	t := &Table{
@@ -70,7 +44,7 @@ func RunEmbStore(o EmbStoreFigOpts) *Table {
 	defer sw.close()
 	run := func(budget int, skew float64) *core.DistResult {
 		dc := sw.opaConfig(cfg, ranks, cfg.GlobalMB, cclAlltoall)
-		dc.Iters = o.Iters
+		dc.Iters = o.iters(4)
 		if budget > 0 {
 			dc.EmbCacheBytes = budget
 			dc.ColdTierBW = core.DefaultColdTierBW
@@ -92,8 +66,8 @@ func RunEmbStore(o EmbStoreFigOpts) *Table {
 	t.AddRow("in-RAM", "-", "100%", "-", "-",
 		fmt.Sprintf("%.2f", inRAM.IterSeconds*1e3), "1.00x")
 	shard := rank0Rows(cfg, ranks)
-	for _, skew := range o.Skews {
-		for _, budget := range o.Budgets {
+	for _, skew := range []float64{0.8, 1.05, 1.2} {
+		for _, budget := range []int{4 << 10, 64 << 20, 256 << 20, 1 << 30} {
 			res := run(budget, skew)
 			hit := embstore.HitRate(budget, cfg.EmbDim, shard, skew)
 			t.AddRow(humanBytes(budget), fmt.Sprintf("%.2f", skew),

@@ -4,10 +4,46 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/data"
 )
+
+// run executes a registered experiment the way dlrmbench does, so every
+// shape test covers its registry entry and runs the size the CLI runs.
+func run(t *testing.T, name string, o Opts) *Table {
+	t.Helper()
+	for _, e := range Experiments {
+		if e.Name == name {
+			return e.Run(o)
+		}
+	}
+	t.Fatalf("no experiment %q registered", name)
+	return nil
+}
+
+// TestRegistry holds the -exp table's invariants: every name is unique and
+// not one of dlrmbench's reserved words, every entry has a description and
+// a driver, and `-exp list` prints one line per entry, in registry order —
+// so every name once.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{"all": true, "list": true}
+	for _, e := range Experiments {
+		if seen[e.Name] {
+			t.Errorf("experiment name %q repeated or reserved", e.Name)
+		}
+		seen[e.Name] = true
+		if e.Desc == "" || e.Run == nil {
+			t.Errorf("experiment %q lacks a description or a driver", e.Name)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(List(), "\n"), "\n")
+	if len(lines) != len(Experiments) {
+		t.Fatalf("-exp list prints %d lines, the registry holds %d entries", len(lines), len(Experiments))
+	}
+	for i, line := range lines {
+		if name := strings.Fields(line)[0]; name != Experiments[i].Name {
+			t.Errorf("-exp list line %d names %q, want %q", i, name, Experiments[i].Name)
+		}
+	}
+}
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Headers: []string{"a", "bb"}}
@@ -22,7 +58,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTable1HasAllParameters(t *testing.T) {
-	tab := Table1()
+	t.Parallel()
+	tab := run(t, "table1", Opts{})
 	if len(tab.Rows) != 9 {
 		t.Fatalf("Table I rows = %d, want 9", len(tab.Rows))
 	}
@@ -35,7 +72,8 @@ func TestTable1HasAllParameters(t *testing.T) {
 }
 
 func TestTable2MatchesPaperValues(t *testing.T) {
-	tab := Table2()
+	t.Parallel()
+	tab := run(t, "table2", Opts{})
 	s := tab.String()
 	// Spot values computed from the configs (close to the paper's).
 	for _, want := range []string{"Mem capacity", "Maximum ranks", "26", "64", "1024"} {
@@ -45,7 +83,22 @@ func TestTable2MatchesPaperValues(t *testing.T) {
 	}
 }
 
-func cell(tab *Table, row, col int) string { return tab.Rows[row][col] }
+// find returns the first row of tab whose leading cells start with the
+// given prefixes, column by column.
+func find(t *testing.T, tab *Table, prefixes ...string) []string {
+	t.Helper()
+	for _, row := range tab.Rows {
+		match := true
+		for i, p := range prefixes {
+			match = match && strings.HasPrefix(row[i], p)
+		}
+		if match {
+			return row
+		}
+	}
+	t.Fatalf("no row %q in:\n%s", prefixes, tab)
+	return nil
+}
 
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
@@ -58,7 +111,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestFig5ShapeBlockedBeatsMKL(t *testing.T) {
-	tab := RunFig5(Fig5Opts{N: 64, Sizes: []int{128, 256}, Repeats: 2})
+	tab := run(t, "fig5", Opts{Quick: true})
 	if len(tab.Rows) != 6 {
 		t.Fatalf("Fig5 rows = %d want 6", len(tab.Rows))
 	}
@@ -78,14 +131,15 @@ func TestFig5ShapeBlockedBeatsMKL(t *testing.T) {
 }
 
 func TestFig6CommunicationHidden(t *testing.T) {
-	tab := RunFig6(DefaultFig6Opts())
+	t.Parallel()
+	tab := run(t, "fig6", Opts{})
 	if len(tab.Rows) != 2 {
 		t.Fatal("Fig6 must have BWD and UPD rows")
 	}
 	// The paper's point: communication is fully hidden behind the GEMMs.
-	bwdCompute := parseF(t, cell(tab, 0, 1))
-	bwdBusy := parseF(t, cell(tab, 0, 2))
-	bwdExposed := parseF(t, cell(tab, 0, 3))
+	bwdCompute := parseF(t, tab.Rows[0][1])
+	bwdBusy := parseF(t, tab.Rows[0][2])
+	bwdExposed := parseF(t, tab.Rows[0][3])
 	if bwdBusy <= 0 {
 		t.Fatal("no communication happened")
 	}
@@ -107,26 +161,20 @@ func TestFig6CommunicationHidden(t *testing.T) {
 // being the same batches through the same model — its step the slowest;
 // and it writes more floats than the MLPs hold, while the touched rows stay
 // below that: Reference is embedding-dominated (Fig. 8), the optimized step
-// is not.
+// is not. It calls fig78, which both registry entries wrap, once at the
+// -quick size rather than running the sweep twice.
 func TestFig78ShapeReferenceSlowest(t *testing.T) {
-	o := Fig7Opts{Iters: 1, MB: 64, RowScale: 1.0 / 32}
-	tab := RunFig78(o)
-	if len(tab.Fig7.Rows) != 8 || len(tab.Fig8.Rows) != 8 {
-		t.Fatalf("Fig7 / Fig8 rows = %d / %d want 8 each", len(tab.Fig7.Rows), len(tab.Fig8.Rows))
+	o := Opts{Quick: true}
+	fig7, fig8 := fig78(o)
+	if len(fig7.Rows) != 8 || len(fig8.Rows) != 8 {
+		t.Fatalf("Fig7 / Fig8 rows = %d / %d want 8 each", len(fig7.Rows), len(fig8.Rows))
 	}
-	// RunFig78's inputs.
-	small, mlperf := core.Small.Scaled(o.RowScale), core.MLPerf.Scaled(o.RowScale/8)
-	for _, c := range []struct {
-		cfg   core.Config
-		ds    data.Dataset
-		ratio float64
-	}{
-		{small, &data.Random{Seed: 1, D: small.DenseIn, Tables: small.Tables, Rows: small.Rows[0], Lookups: small.Lookups}, 5},
-		{mlperf, data.NewClickLog(2, mlperf.DenseIn, mlperf.Rows, mlperf.Lookups), 3},
-	} {
-		var dense, touched float64 // floats the update writes per iteration
-		for it := range o.Iters {
-			for ti, b := range c.ds.Batch(it, o.MB).Sparse {
+	iters, mb, rowScale := fig78Size(o)
+	for i, c := range fig78Cases(rowScale) {
+		ratio := []float64{5, 3}[i] // Small, MLPerf
+		var dense, touched float64  // floats the update writes per iteration
+		for it := range iters {
+			for ti, b := range c.ds.Batch(it, mb).Sparse {
 				rows := map[int32]bool{}
 				for _, ix := range b.Indices {
 					rows[ix] = true
@@ -135,16 +183,17 @@ func TestFig78ShapeReferenceSlowest(t *testing.T) {
 				touched += float64(len(rows) * c.cfg.EmbDim)
 			}
 		}
-		mlp := c.cfg.AllreduceBytes() / 4 * float64(o.Iters) // MLP parameters
-		if dense < c.ratio*touched || dense <= mlp || touched >= mlp {
+		mlp := c.cfg.AllreduceBytes() / 4 * float64(iters) // MLP parameters
+		if dense < ratio*touched || dense <= mlp || touched >= mlp {
 			t.Errorf("%s: Reference writes %.3g floats, an optimized update %.3g (want ≥ %g×), the MLPs hold %.3g",
-				c.cfg.Name, dense, touched, c.ratio, mlp)
+				c.name, dense, touched, ratio, mlp)
 		}
 	}
 }
 
 func TestFig9ShapeSpeedupsAndOrdering(t *testing.T) {
-	tab := RunFig9(ScalingOpts{Iters: 2})
+	t.Parallel()
+	tab := run(t, "fig9", Opts{})
 	// Expect rows for all (config, ranks, variant) combos: 3+5+5=13 rank
 	// points × 4 variants.
 	if len(tab.Rows) != 13*4 {
@@ -154,9 +203,9 @@ func TestFig9ShapeSpeedupsAndOrdering(t *testing.T) {
 	// of MPI (at low rank counts CCL's 4 reserved cores can cost more than
 	// its communication savings; the win shows up at scale).
 	for i := 0; i < len(tab.Rows); i += 4 {
-		sl := parseF(t, cell(tab, i, 4))
-		a2a := parseF(t, cell(tab, i+2, 4))
-		ccl := parseF(t, cell(tab, i+3, 4))
+		sl := parseF(t, tab.Rows[i][4])
+		a2a := parseF(t, tab.Rows[i+2][4])
+		ccl := parseF(t, tab.Rows[i+3][4])
 		if ccl < a2a*0.9 {
 			t.Fatalf("row %d: CCL Alltoall (%.2f) must be near MPI Alltoall (%.2f)\n%s", i, ccl, a2a, tab)
 		}
@@ -165,87 +214,48 @@ func TestFig9ShapeSpeedupsAndOrdering(t *testing.T) {
 		}
 	}
 	// At the largest rank count of the Large config, CCL must win outright.
-	for _, row := range tab.Rows {
-		if strings.HasPrefix(row[0], "Large") && row[1] == "64R" {
-			if row[2] == "CCL Alltoall" {
-				ccl := parseF(t, row[4])
-				for _, r2 := range tab.Rows {
-					if strings.HasPrefix(r2[0], "Large") && r2[1] == "64R" && r2[2] == "MPI Alltoall" {
-						if ccl < parseF(t, r2[4]) {
-							t.Fatalf("Large 64R: CCL (%.2f) must beat MPI (%.2f)", ccl, parseF(t, r2[4]))
-						}
-					}
-				}
-			}
-		}
+	ccl := parseF(t, find(t, tab, "Large", "64R", "CCL Alltoall")[4])
+	if mpi := parseF(t, find(t, tab, "Large", "64R", "MPI Alltoall")[4]); ccl < mpi {
+		t.Fatalf("Large 64R: CCL (%.2f) must beat MPI (%.2f)", ccl, mpi)
 	}
 	// Small config: speedup grows with ranks for the best variant.
-	s2 := parseF(t, cell(tab, 3, 4))
-	s8 := parseF(t, cell(tab, 11, 4))
+	s2 := parseF(t, tab.Rows[3][4])
+	s8 := parseF(t, tab.Rows[11][4])
 	if s8 <= s2 {
 		t.Fatalf("Small: 8R speedup %.2f must exceed 2R %.2f", s8, s2)
 	}
 }
 
 func TestFig12WeakBeatsStrongEfficiency(t *testing.T) {
-	weak := RunFig12(ScalingOpts{Iters: 2})
-	strong := RunFig9(ScalingOpts{Iters: 2})
+	t.Parallel()
+	weak, strong := run(t, "fig12", Opts{}), run(t, "fig9", Opts{})
 	// Compare the Large config's best variant at the top rank count:
 	// weak-scaling efficiency must exceed strong-scaling efficiency.
-	var weakEff, strongEff float64
-	for _, tab := range []*Table{weak, strong} {
-		for _, row := range tab.Rows {
-			if strings.HasPrefix(row[0], "Large") && row[1] == "64R" && row[2] == "CCL Alltoall" {
-				v := parseF(t, row[5])
-				if tab == weak {
-					weakEff = v
-				} else {
-					strongEff = v
-				}
-			}
-		}
-	}
-	if weakEff == 0 || strongEff == 0 {
-		t.Fatal("missing Large 64R rows")
-	}
+	weakEff := parseF(t, find(t, weak, "Large", "64R", "CCL Alltoall")[5])
+	strongEff := parseF(t, find(t, strong, "Large", "64R", "CCL Alltoall")[5])
 	if weakEff <= strongEff {
 		t.Fatalf("weak efficiency %v%% must exceed strong %v%%", weakEff, strongEff)
 	}
 }
 
 func TestFig11MPIInOrderArtifact(t *testing.T) {
-	tab := RunFig11(ScalingOpts{Iters: 2})
+	t.Parallel()
+	tab := run(t, "fig11", Opts{})
 	// Find Large overlapping rows at 16R for both backends and compare
 	// alltoall waits: MPI (in-order) > CCL.
-	var mpiWait, cclWait float64
-	for _, row := range tab.Rows {
-		if row[0] == "Large" && row[1] == "overlapping" && row[3] == "16R" {
-			if row[2] == "MPI Backend" {
-				mpiWait = parseF(t, row[4+2])
-			} else {
-				cclWait = parseF(t, row[4+2])
-			}
-		}
-	}
+	mpiWait := parseF(t, find(t, tab, "Large", "overlapping", "MPI Backend", "16R")[6])
+	cclWait := parseF(t, find(t, tab, "Large", "overlapping", "CCL Backend", "16R")[6])
 	if mpiWait <= cclWait {
 		t.Fatalf("MPI alltoall wait (%.2f) must exceed CCL (%.2f)\n%s", mpiWait, cclWait, tab)
 	}
 }
 
 func TestFig15TwistedHypercubeAlltoallSaturation(t *testing.T) {
-	tab := RunFig15(ScalingOpts{Iters: 2})
+	t.Parallel()
+	tab := run(t, "fig15", Opts{})
 	// MLPerf rows: alltoall must NOT improve much from 4R to 8R.
-	var a4, a8 float64
-	for _, row := range tab.Rows {
-		if strings.HasPrefix(row[0], "MLPerf") {
-			if row[1] == "4R" {
-				a4 = parseF(t, row[4])
-			}
-			if row[1] == "8R" {
-				a8 = parseF(t, row[4])
-			}
-		}
-	}
+	a4 := parseF(t, find(t, tab, "MLPerf", "4R")[4])
+	a8 := parseF(t, find(t, tab, "MLPerf", "8R")[4])
 	if a4 == 0 || a8 == 0 {
 		t.Fatalf("missing MLPerf alltoall rows:\n%s", tab)
 	}
@@ -256,23 +266,26 @@ func TestFig15TwistedHypercubeAlltoallSaturation(t *testing.T) {
 
 func TestFig16ShapeQuick(t *testing.T) {
 	// Quick convergence check: BF16 Split-SGD must track FP32 closely and
-	// FP24 must not surpass FP32 by the end.
-	o := Fig16Opts{Iters: 120, MB: 128, EvalN: 4096, LR: 0.5, RowScale: 1.0 / 8192}
-	bf16Gap, fp24Gap := Fig16FinalGap(o)
+	// FP24 must not surpass FP32 by the end. At 100 iterations the last
+	// 5% checkpoint falls on the final iteration.
+	tab := run(t, "fig16", Opts{Quick: true})
+	if len(tab.Rows) != 20 {
+		t.Fatalf("Fig16 rows = %d want 20 (5%% steps)", len(tab.Rows))
+	}
+	final := tab.Rows[19]
+	fp32, bf16, fp24 := parseF(t, final[1]), parseF(t, final[2]), parseF(t, final[3])
+	bf16Gap, fp24Gap := max(fp32-bf16, bf16-fp32), fp32-fp24
 	if bf16Gap > 0.02 {
 		t.Fatalf("BF16 SplitSGD gap vs FP32 = %.4f, want < 0.02", bf16Gap)
 	}
 	if fp24Gap < -0.02 {
 		t.Fatalf("FP24 unexpectedly beats FP32 by %.4f", -fp24Gap)
 	}
-	tab := RunFig16(Fig16Opts{Iters: 60, MB: 128, EvalN: 2048, LR: 0.5, RowScale: 1.0 / 8192})
-	if len(tab.Rows) != 20 {
-		t.Fatalf("Fig16 rows = %d want 20 (5%% steps)", len(tab.Rows))
-	}
 }
 
 func TestAblationAllreduceShape(t *testing.T) {
-	tab := AblationAllreduce()
+	t.Parallel()
+	tab := run(t, "ablation-allreduce", Opts{})
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d want 9", len(tab.Rows))
 	}
@@ -294,17 +307,14 @@ func TestAblationAllreduceShape(t *testing.T) {
 		}
 	}
 	// Latency-bound regime: recursive halving wins at 64 ranks.
-	last := tab.Rows[2]
-	if last[0] != "4 KB (latency-bound)" || last[1] != "64R" {
-		t.Fatalf("unexpected row order: %v", last)
-	}
-	if last[7] != "recursive halving" {
+	if last := find(t, tab, "4 KB (latency-bound)", "64R"); last[7] != "recursive halving" {
 		t.Fatalf("recursive halving should win tiny messages at 64R, got %q", last[7])
 	}
 }
 
 func TestAblationCommCoresTradeoff(t *testing.T) {
-	tab := AblationCommCores(16, 2)
+	t.Parallel()
+	tab := run(t, "ablation-commcores", Opts{})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -324,7 +334,8 @@ func TestAblationCommCoresTradeoff(t *testing.T) {
 }
 
 func TestAblationCapacityTable(t *testing.T) {
-	tab := AblationCapacity()
+	t.Parallel()
+	tab := run(t, "ablation-capacity", Opts{})
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -334,11 +345,32 @@ func TestAblationCapacityTable(t *testing.T) {
 }
 
 func TestAblationFusedEmbeddingFaster(t *testing.T) {
-	tab := AblationFusedEmbedding(2)
+	tab := run(t, "ablation-fused", Opts{})
 	twoStep := parseF(t, tab.Rows[0][1])
 	fused := parseF(t, tab.Rows[1][1])
 	if fused > twoStep {
 		t.Fatalf("fused (%.2fms) should not lose to two-step (%.2fms)", fused, twoStep)
+	}
+}
+
+// TestEmbStoreFigShape smoke-tests the tiered-store figure: the in-RAM row,
+// then 4 budgets ascending per skew; a tiered row never beats in-RAM, and a
+// bigger budget never runs slower at the same skew.
+func TestEmbStoreFigShape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "embstore", Opts{})
+	if len(tab.Rows) != 13 || tab.Rows[0][0] != "in-RAM" {
+		t.Fatalf("want the in-RAM row and 3 skews × 4 budgets:\n%s", tab)
+	}
+	inRAM := parseF(t, tab.Rows[0][5])
+	for i, row := range tab.Rows[1:] {
+		v := parseF(t, row[5])
+		if v < inRAM {
+			t.Errorf("tiered row beats in-RAM %v: %v", inRAM, row)
+		}
+		if prev := tab.Rows[i]; i%4 > 0 && v > parseF(t, prev[5]) {
+			t.Errorf("bigger budget ran slower: %v after %v", row, prev)
+		}
 	}
 }
 
@@ -347,11 +379,11 @@ func TestAblationFusedEmbeddingFaster(t *testing.T) {
 // rows, per-MLP allreduce labels only on bucketed rows, and — the figure's
 // point — the bucketed overlapped schedule beating flat sync at Large 64R.
 func TestBucketFigShape(t *testing.T) {
-	tab := RunBucketFig(ScalingOpts{Iters: 2})
+	t.Parallel()
+	tab := run(t, "buckets", Opts{})
 	if len(tab.Rows)%4 != 0 || len(tab.Rows) == 0 {
 		t.Fatalf("expected 4 schedule rows per case, got %d rows", len(tab.Rows))
 	}
-	var flatSync, bucketedOvl float64
 	for _, row := range tab.Rows {
 		schedule, buckets := row[3], row[4]
 		switch schedule {
@@ -375,22 +407,9 @@ func TestBucketFigShape(t *testing.T) {
 		default:
 			t.Fatalf("unknown schedule %q", schedule)
 		}
-		if row[0] == "strong (Fig9)" && row[2] == "64R" {
-			v, err := strconv.ParseFloat(row[5], 64)
-			if err != nil {
-				t.Fatalf("bad ms cell %q: %v", row[5], err)
-			}
-			switch schedule {
-			case "flat sync":
-				flatSync = v
-			case "bucketed overlapped":
-				bucketedOvl = v
-			}
-		}
 	}
-	if flatSync == 0 || bucketedOvl == 0 {
-		t.Fatal("missing Large strong 64R rows")
-	}
+	flatSync := parseF(t, find(t, tab, "strong (Fig9)", "Large", "64R", "flat sync")[5])
+	bucketedOvl := parseF(t, find(t, tab, "strong (Fig9)", "Large", "64R", "bucketed overlapped")[5])
 	if bucketedOvl >= flatSync*0.85 {
 		t.Fatalf("bucketed overlapped (%.0f ms) should beat flat sync (%.0f ms) by >15%% at Large 64R",
 			bucketedOvl, flatSync)
@@ -399,20 +418,17 @@ func TestBucketFigShape(t *testing.T) {
 
 // TestAutotuneFigShape smoke-tests the self-tuning schedule figure: one row
 // per Fig. 9/12 scale, tuned never worse than the shipped default on every
-// row (the tuner's head-to-head contract holds even under a sampled pool),
-// and — the figure's point — strictly better on at least one scale.
+// row (the tuner's head-to-head contract), and — the figure's point —
+// strictly better on at least one scale.
 func TestAutotuneFigShape(t *testing.T) {
-	tab := RunAutotune(AutotuneFigOpts{Iters: 2, MaxCandidates: 24, Seed: 5})
+	t.Parallel()
+	tab := run(t, "autotune", Opts{})
 	if len(tab.Rows) != 8 {
 		t.Fatalf("expected 8 scale rows, got %d", len(tab.Rows))
 	}
 	better := 0
 	for _, row := range tab.Rows {
-		def, err1 := strconv.ParseFloat(row[3], 64)
-		tuned, err2 := strconv.ParseFloat(row[4], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("bad ms cells in row %v", row)
-		}
+		def, tuned := parseF(t, row[3]), parseF(t, row[4])
 		if tuned > def*1.0001 {
 			t.Errorf("tuned (%.1f ms) worse than default (%.1f ms): %v", tuned, def, row)
 		}
@@ -429,17 +445,11 @@ func TestAutotuneFigShape(t *testing.T) {
 }
 
 func TestContentionFigShape(t *testing.T) {
-	tab := RunContentionFig(ContentionFigOpts{Iters: 1, MaxCandidates: 16, Seed: 5})
+	t.Parallel()
+	tab := run(t, "contention", Opts{})
 	// 8 schedule rows + 8 trunk rows + 3 straggler + 4 autotune + 4 §VI-D1.
 	if len(tab.Rows) != 27 {
 		t.Fatalf("expected 27 rows, got %d", len(tab.Rows))
-	}
-	cell := func(row []string, col int) float64 {
-		v, err := strconv.ParseFloat(row[col], 64)
-		if err != nil {
-			t.Fatalf("bad ms cell %q in row %v", row[col], row)
-		}
-		return v
 	}
 	rows := func(section string) (out [][]string) {
 		for _, r := range tab.Rows {
@@ -454,7 +464,7 @@ func TestContentionFigShape(t *testing.T) {
 	// bucketed+overlapped schedule still beats flat-sync under contention.
 	sched := rows("schedule")
 	for i := 0; i < len(sched); i += 2 {
-		off, on := cell(sched[i], 5), cell(sched[i+1], 5)
+		off, on := parseF(t, sched[i][5]), parseF(t, sched[i+1][5])
 		if on < off {
 			t.Errorf("contention sped up %v: off %v on %v", sched[i][3], off, on)
 		}
@@ -463,7 +473,7 @@ func TestContentionFigShape(t *testing.T) {
 		}
 	}
 	for i := 0; i < len(sched); i += 4 {
-		flatOn, bucketOn := cell(sched[i+1], 5), cell(sched[i+3], 5)
+		flatOn, bucketOn := parseF(t, sched[i+1][5]), parseF(t, sched[i+3][5])
 		if bucketOn >= flatOn {
 			t.Errorf("%s: overlap win must survive contention (bucketed %v vs flat-sync %v)",
 				sched[i][1], bucketOn, flatOn)
@@ -472,36 +482,37 @@ func TestContentionFigShape(t *testing.T) {
 	// Trunk section: more oversubscription never gets cheaper.
 	trunk := rows("trunk")
 	for i := 2; i < len(trunk); i += 2 {
-		if cell(trunk[i], 5) < cell(trunk[i-2], 5) {
+		if parseF(t, trunk[i][5]) < parseF(t, trunk[i-2][5]) {
 			t.Errorf("fewer uplinks must not be faster: %v vs %v", trunk[i], trunk[i-2])
 		}
 	}
 	// Straggler section: a derated trunk only slows things down.
 	strag := rows("straggler")
 	for i := 1; i < len(strag); i++ {
-		if cell(strag[i], 5) < cell(strag[0], 5) {
+		if parseF(t, strag[i][5]) < parseF(t, strag[0][5]) {
 			t.Errorf("derated trunk must not be faster: %v", strag[i])
 		}
 	}
 	// Autotune section: tuned never worse than default under contention.
 	auto := rows("autotune")
 	for i := 0; i < len(auto); i += 2 {
-		if cell(auto[i+1], 5) > cell(auto[i], 5)*1.0001 {
+		if parseF(t, auto[i+1][5]) > parseF(t, auto[i][5])*1.0001 {
 			t.Errorf("tuned-under-contention worse than default: %v vs %v", auto[i+1], auto[i])
 		}
 	}
 	// §VI-D1 section: both interference mechanisms inflate their baseline.
 	vid := rows("§VI-D1")
-	if cell(vid[1], 5) <= cell(vid[0], 5) {
+	if parseF(t, vid[1][5]) <= parseF(t, vid[0][5]) {
 		t.Errorf("flat interference factor must slow the MPI run: %v vs %v", vid[1], vid[0])
 	}
-	if cell(vid[3], 5) <= cell(vid[2], 5) {
+	if parseF(t, vid[3][5]) <= parseF(t, vid[2][5]) {
 		t.Errorf("link-level contention must slow the overlapped CCL run: %v vs %v", vid[3], vid[2])
 	}
 }
 
 func TestServingFigShape(t *testing.T) {
-	tab := RunServing(DefaultServingFigOpts())
+	t.Parallel()
+	tab := run(t, "serving", Opts{})
 	// 2 scales × (B32 unbounded + B32 SLO + B128 SLO) × 3 loads.
 	if len(tab.Rows) != 18 {
 		t.Fatalf("%d rows, want 18:\n%s", len(tab.Rows), tab)
@@ -509,73 +520,78 @@ func TestServingFigShape(t *testing.T) {
 	if len(tab.Headers) != 11 {
 		t.Fatalf("%d headers, want 11", len(tab.Headers))
 	}
-	num := func(row []string, col int) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "x"), 64)
-		if err != nil {
-			t.Fatalf("cell %d of %v: %v", col, row, err)
-		}
-		return v
-	}
 	const (
 		colShed, colP99, colQPS = 6, 9, 10
 	)
 	// MLPerf at 3.0x overload: the unbounded B32 policy (row 2) blows past
 	// the SLO the bounded policy (row 5) holds, which sheds to stay there.
-	if num(tab.Rows[5], colShed) == 0 {
+	if parseF(t, tab.Rows[5][colShed]) == 0 {
 		t.Errorf("SLO policy at 3x overload shed nothing: %v", tab.Rows[5])
 	}
-	if num(tab.Rows[5], colP99) >= num(tab.Rows[2], colP99) {
+	if parseF(t, tab.Rows[5][colP99]) >= parseF(t, tab.Rows[2][colP99]) {
 		t.Errorf("SLO policy p99 %v not below unbounded %v", tab.Rows[5], tab.Rows[2])
 	}
 	// Larger max-batch buys strictly more saturated throughput (B128 row 8
 	// vs B32 row 2 at 3.0x), at both scales (rows 17 vs 11).
 	for _, pair := range [][2]int{{8, 2}, {17, 11}} {
-		if num(tab.Rows[pair[0]], colQPS) <= num(tab.Rows[pair[1]], colQPS) {
+		if parseF(t, tab.Rows[pair[0]][colQPS]) <= parseF(t, tab.Rows[pair[1]][colQPS]) {
 			t.Errorf("B128 throughput %v not above B32 %v", tab.Rows[pair[0]], tab.Rows[pair[1]])
 		}
 	}
 	// Deterministic: a rerun renders bit-identically.
-	if again := RunServing(DefaultServingFigOpts()); again.String() != tab.String() {
+	if again := run(t, "serving", Opts{}); again.String() != tab.String() {
 		t.Error("serving figure is not deterministic across reruns")
 	}
 }
 
 func TestChurnFigShape(t *testing.T) {
-	opts := ChurnFigOpts{Iters: 8, Intervals: []int{2}, Rates: []float64{0.05}, Seed: 1, Fig9Only: true}
-	tab := RunChurn(opts)
-	// Checkpoint-off baseline + fault-free per interval + 1-failure per
-	// interval + churn per interval x rate.
-	if len(tab.Rows) != 4 {
-		t.Fatalf("%d rows, want 4:\n%s", len(tab.Rows), tab)
+	t.Parallel()
+	tab := run(t, "churn", Opts{})
+	// Per scale: checkpoint-off baseline + fault-free per interval (3) +
+	// 1-failure per interval (3) + churn per interval × rate (6).
+	if len(tab.Rows) != 26 {
+		t.Fatalf("%d rows, want 26:\n%s", len(tab.Rows), tab)
 	}
 	if len(tab.Headers) != 9 {
 		t.Fatalf("%d headers, want 9", len(tab.Headers))
 	}
 	const (
-		colFails, colFinalR, colTTR, colOver = 3, 4, 5, 8
+		colCase, colCkpt, colFails, colFinalR, colTTR, colOver = 1, 2, 3, 4, 5, 8
 	)
-	// The checkpoint-off baseline defines 0% overhead and recovers nothing.
-	if tab.Rows[0][colOver] != "0%" || tab.Rows[0][colFails] != "0" {
-		t.Errorf("bad baseline row: %v", tab.Rows[0])
-	}
-	// The checkpointing tax alone must not beat the checkpoint-off baseline.
-	if strings.HasPrefix(tab.Rows[1][colOver], "-") {
-		t.Errorf("fault-free checkpointing beat the no-checkpoint baseline: %v", tab.Rows[1])
-	}
-	// The single mid-run failure loses exactly one of 64 ranks and pays a
-	// positive time-to-recover.
-	if tab.Rows[2][colFails] != "1" || tab.Rows[2][colFinalR] != "63" {
-		t.Errorf("bad single-failure row: %v", tab.Rows[2])
-	}
-	if ttr, err := strconv.ParseFloat(tab.Rows[2][colTTR], 64); err != nil || ttr <= 0 {
-		t.Errorf("single-failure TTR not positive: %v", tab.Rows[2])
-	}
-	// The churn schedule never drops below the floor of 32 ranks.
-	if r, err := strconv.Atoi(tab.Rows[3][colFinalR]); err != nil || r < 32 || r > 64 {
-		t.Errorf("churn final ranks out of [32,64]: %v", tab.Rows[3])
+	for _, row := range tab.Rows {
+		switch {
+		case row[colCase] == "fault-free" && row[colCkpt] == "off":
+			// The checkpoint-off baseline defines 0% overhead and recovers
+			// nothing.
+			if row[colOver] != "0%" || row[colFails] != "0" {
+				t.Errorf("bad baseline row: %v", row)
+			}
+		case row[colCase] == "fault-free":
+			// The checkpointing tax alone must not beat the checkpoint-off
+			// baseline.
+			if strings.HasPrefix(row[colOver], "-") {
+				t.Errorf("fault-free checkpointing beat the no-checkpoint baseline: %v", row)
+			}
+		case row[colCase] == "1 failure":
+			// The single mid-run failure loses exactly one of 64 ranks and
+			// pays a positive time-to-recover.
+			if row[colFails] != "1" || row[colFinalR] != "63" {
+				t.Errorf("bad single-failure row: %v", row)
+			}
+			if ttr, err := strconv.ParseFloat(row[colTTR], 64); err != nil || ttr <= 0 {
+				t.Errorf("single-failure TTR not positive: %v", row)
+			}
+		case strings.HasPrefix(row[colCase], "churn"):
+			// The churn schedule never drops below the floor of 32 ranks.
+			if r, err := strconv.Atoi(row[colFinalR]); err != nil || r < 32 || r > 64 {
+				t.Errorf("churn final ranks out of [32,64]: %v", row)
+			}
+		default:
+			t.Errorf("unknown case %q", row[colCase])
+		}
 	}
 	// Deterministic: a rerun renders bit-identically.
-	if again := RunChurn(opts); again.String() != tab.String() {
+	if again := run(t, "churn", Opts{}); again.String() != tab.String() {
 		t.Error("churn figure is not deterministic across reruns")
 	}
 }

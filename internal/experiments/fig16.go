@@ -9,57 +9,38 @@ import (
 	"repro/internal/par"
 )
 
-// Fig16Opts sizes the mixed-precision convergence experiment. The paper
-// trains the MLPerf config on Criteo Terabyte to ROC AUC ≈ 0.8025; here a
-// scaled MLPerf-shaped model trains on the synthetic click log, evaluating
-// AUC at every 5% of one epoch for each precision.
-type Fig16Opts struct {
-	Iters       int // training iterations per epoch
-	MB          int
-	EvalN       int // held-out evaluation batch size
-	LR          float32
-	Include8LSB bool
-	RowScale    float64 // Criteo table scaling
-}
-
-// DefaultFig16Opts returns host-sized defaults (~1 minute on one core).
-func DefaultFig16Opts() Fig16Opts {
-	return Fig16Opts{Iters: 400, MB: 128, EvalN: 4096, LR: 0.5, RowScale: 1.0 / 4096}
-}
-
-// fig16Config is the MLPerf-shaped model scaled for host execution: same 26
-// Criteo tables (scaled), same 13 dense features, smaller embedding and MLP
-// widths.
-func fig16Config(rowScale float64) core.Config {
-	return core.Config{
+// fig16 reproduces the training-accuracy comparison of §VII: ROC AUC at
+// every 5% of an epoch for FP32, BF16 Split-SGD, FP24 (1-8-15) and the
+// insufficient 8-LSB split. The paper trains the MLPerf config on Criteo
+// Terabyte to ROC AUC ≈ 0.8025; here an MLPerf-shaped model — the same 26
+// Criteo tables scaled by 1/4096, the same 13 dense features, smaller
+// embedding and MLP widths — trains on the synthetic click log for 400
+// iterations (Quick: 100), evaluated on 4096 held-out samples (Quick: 2048).
+func fig16(o Opts) *Table {
+	iters, evalN := 400, 4096
+	if o.Quick {
+		iters, evalN = 100, 2048
+	}
+	iters = o.iters(iters)
+	const mb, lr = 128, 0.5
+	cfg := core.Config{
 		Name:      "MLPerf-mini",
-		MB:        128,
-		GlobalMB:  128,
-		LocalMB:   128,
+		MB:        mb,
+		GlobalMB:  mb,
+		LocalMB:   mb,
 		Lookups:   1,
 		Tables:    26,
 		EmbDim:    16,
-		Rows:      data.ScaleRows(data.CriteoTBRows, rowScale),
+		Rows:      data.ScaleRows(data.CriteoTBRows, 1.0/4096),
 		DenseIn:   13,
 		BotHidden: []int{32},
 		TopHidden: []int{64, 32},
 	}
-}
-
-// RunFig16 reproduces the training-accuracy comparison of §VII: ROC AUC at
-// every 5% of an epoch for FP32, BF16 Split-SGD, and FP24 (1-8-15), plus
-// optionally the insufficient 8-LSB split.
-func RunFig16(o Fig16Opts) *Table {
-	cfg := fig16Config(o.RowScale)
 	ds := data.NewClickLog(1234, cfg.DenseIn, cfg.Rows, cfg.Lookups)
-	eval := ds.Batch(1<<20, o.EvalN)
+	eval := ds.Batch(1<<20, evalN)
 	pool := par.Default
 
-	precisions := []core.Precision{core.FP32, core.BF16Split, core.FP24}
-	if o.Include8LSB {
-		precisions = append(precisions, core.BF16Split8LSB)
-	}
-
+	precisions := []core.Precision{core.FP32, core.BF16Split, core.FP24, core.BF16Split8LSB}
 	headers := []string{"% of epoch"}
 	for _, p := range precisions {
 		headers = append(headers, p.String())
@@ -71,13 +52,10 @@ func RunFig16(o Fig16Opts) *Table {
 	aucs := make([][]float64, len(precisions))
 	for pi, prec := range precisions {
 		m := core.NewModel(cfg, 16, 77)
-		tr := core.NewTrainer(m, pool, embedding.RaceFree, o.LR, prec)
-		step := o.Iters / checkpoints
-		if step == 0 {
-			step = 1
-		}
-		for i := 0; i < o.Iters; i++ {
-			tr.Step(ds.Batch(i, o.MB))
+		tr := core.NewTrainer(m, pool, embedding.RaceFree, lr, prec)
+		step := max(iters/checkpoints, 1)
+		for i := 0; i < iters; i++ {
+			tr.Step(ds.Batch(i, mb))
 			if (i+1)%step == 0 && len(aucs[pi]) < checkpoints {
 				aucs[pi] = append(aucs[pi], tr.EvalAUC(eval))
 			}
@@ -96,31 +74,4 @@ func RunFig16(o Fig16Opts) *Table {
 	t.AddNote("paper (Criteo TB, full scale): FP32 0.8027, BF16 SplitSGD 0.8027 (<0.001%% gap), FP24 0.7947")
 	t.AddNote("expected shape: BF16 SplitSGD tracks FP32; FP24 trails; 8-LSB split is insufficient (§VII)")
 	return t
-}
-
-// Fig16FinalGap returns the final-AUC difference |FP32 − BF16Split| and
-// (FP32 − FP24), used by the regression test that guards the §VII claim.
-func Fig16FinalGap(o Fig16Opts) (bf16Gap, fp24Gap float64) {
-	cfg := fig16Config(o.RowScale)
-	ds := data.NewClickLog(1234, cfg.DenseIn, cfg.Rows, cfg.Lookups)
-	eval := ds.Batch(1<<20, o.EvalN)
-	pool := par.Default
-	final := func(prec core.Precision) float64 {
-		m := core.NewModel(cfg, 16, 77)
-		tr := core.NewTrainer(m, pool, embedding.RaceFree, o.LR, prec)
-		for i := 0; i < o.Iters; i++ {
-			tr.Step(ds.Batch(i, o.MB))
-		}
-		return tr.EvalAUC(eval)
-	}
-	fp32 := final(core.FP32)
-	bf := final(core.BF16Split)
-	fp24 := final(core.FP24)
-	if bf > fp32 {
-		bf16Gap = bf - fp32
-	} else {
-		bf16Gap = fp32 - bf
-	}
-	fp24Gap = fp32 - fp24
-	return bf16Gap, fp24Gap
 }

@@ -10,36 +10,29 @@ import (
 	"repro/internal/tensor"
 )
 
-// Fig5Opts sizes the single-socket MLP kernel comparison. The paper uses
-// N=1024 and C=K ∈ {1024, 2048, 4096} on a 28-core SKX; a small host wants
-// smaller defaults. Only "this work" runs on the vector micro-kernel
-// (gemm.KernelISA): the FB- and MKL-style baselines are still scalar Go
-// loops, so the ratio between the columns is not the paper's, where all
-// three sit on vendor-tuned AVX-512 kernels within 20 % of each other.
-type Fig5Opts struct {
-	N       int
-	Sizes   []int // C=K values
-	Repeats int
-}
-
-// DefaultFig5Opts returns laptop-sized defaults.
-func DefaultFig5Opts() Fig5Opts {
-	return Fig5Opts{N: 256, Sizes: []int{256, 512, 1024}, Repeats: 3}
-}
-
-// RunFig5 reproduces Fig. 5: GFLOPS of the three training passes (FWD,
+// fig5 reproduces Fig. 5: GFLOPS of the three training passes (FWD,
 // BWD-by-data, BWD-by-weights) of a fully-connected layer for three
 // implementations — this work's blocked batch-reduce GEMM, the FB-style
-// thread-blocked GEMM, and the PyTorch/MKL-style large GEMM.
-func RunFig5(o Fig5Opts) *Table {
+// thread-blocked GEMM, and the PyTorch/MKL-style large GEMM. The paper uses
+// N=1024 and C=K ∈ {1024, 2048, 4096} on a 28-core SKX; a small host wants
+// smaller sizes (Quick: N=64, C=K ∈ {128, 256}, best of 2). Only "this
+// work" runs on the vector micro-kernel (gemm.KernelISA): the FB- and
+// MKL-style baselines are still scalar Go loops, so the ratio between the
+// columns is not the paper's, where all three sit on vendor-tuned AVX-512
+// kernels within 20 % of each other.
+func fig5(o Opts) *Table {
+	batch, sizes, repeats := 256, []int{256, 512, 1024}, 3
+	if o.Quick {
+		batch, sizes, repeats = 64, []int{128, 256}, 2
+	}
 	t := &Table{
 		Title:   fmt.Sprintf("Fig. 5: single-socket MLP training kernel performance (GFLOPS), this work on the %s kernel", gemm.KernelISA()),
 		Headers: []string{"C=K", "pass", "this work", "FB-style", "MKL-style", "speedup vs MKL"},
 	}
 	pool := par.Default
 	rng := rand.New(rand.NewSource(1))
-	for _, ck := range o.Sizes {
-		n, c, k := o.N, ck, ck
+	for _, ck := range sizes {
+		n, c, k := batch, ck, ck
 		xD := tensor.NewDense(n, c)
 		xD.Randomize(rng, 1)
 		wD := tensor.NewDense(k, c)
@@ -63,7 +56,7 @@ func RunFig5(o Fig5Opts) *Table {
 		gflops := func(fn func()) float64 {
 			fn() // warm-up
 			best := 0.0
-			for r := 0; r < o.Repeats; r++ {
+			for r := 0; r < repeats; r++ {
 				start := time.Now()
 				fn()
 				if g := flops / time.Since(start).Seconds() / 1e9; g > best {

@@ -12,76 +12,62 @@ import (
 	"repro/internal/trace"
 )
 
-// Fig7Opts sizes the single-socket end-to-end DLRM runs of Figs. 7 and 8.
-// Tables are scaled by RowScale to fit host memory; the embedding-update
-// cost comparison is unaffected in shape (Reference scales with table rows,
-// the optimized strategies with lookups).
-type Fig7Opts struct {
-	Iters    int
-	MB       int     // minibatch (0 → config default)
-	RowScale float64 // table row scaling
-	SkipRef  bool    // skip the slow Reference runs (quick mode)
+// fig78Size sizes the single-socket end-to-end runs of Figs. 7 and 8:
+// training iterations, minibatch, and the factor the tables' rows are
+// scaled by to fit host memory. The embedding-update cost comparison is
+// unaffected in shape (Reference scales with table rows, the optimized
+// strategies with lookups): rows ≫ batch lookups keeps the paper's regime,
+// where the Reference dense-gradient update dwarfs the optimized strategies
+// (full scale: M=1e6 vs NS=102k per iteration).
+func fig78Size(o Opts) (iters, mb int, rowScale float64) {
+	iters, mb, rowScale = 2, 256, 1.0/4
+	if o.Quick {
+		iters, mb, rowScale = 1, 64, 1.0/64
+	}
+	return o.iters(iters), mb, rowScale
 }
 
-// DefaultFig7Opts returns host-sized defaults. The row scale and minibatch
-// are chosen so that table rows ≫ batch lookups, preserving the paper's
-// regime where the Reference dense-gradient update dwarfs the optimized
-// strategies (full scale: M=1e6 vs NS=102k per iteration).
-func DefaultFig7Opts() Fig7Opts {
-	return Fig7Opts{Iters: 2, MB: 256, RowScale: 1.0 / 4}
+// fig78Case is one configuration of Figs. 7/8 with its batch source.
+type fig78Case struct {
+	name string
+	cfg  core.Config
+	ds   data.Dataset
 }
 
-// Fig78Result carries both the per-strategy iteration times (Fig. 7) and
-// the phase breakdown (Fig. 8), which come from the same runs.
-type Fig78Result struct {
-	Fig7 *Table
-	Fig8 *Table
+// fig78Cases are the Small config on uniform indices and the MLPerf config
+// (whose Criteo tables are 8× larger again) on Zipf click-log indices.
+func fig78Cases(rowScale float64) []fig78Case {
+	small := core.Small.Scaled(rowScale)
+	mlperf := core.MLPerf.Scaled(rowScale / 8)
+	return []fig78Case{
+		{"Small", small, &data.Random{Seed: 1, D: small.DenseIn, Tables: small.Tables,
+			Rows: small.Rows[0], Lookups: small.Lookups}},
+		{"MLPerf", mlperf, data.NewClickLog(2, mlperf.DenseIn, mlperf.Rows, mlperf.Lookups)},
+	}
 }
 
-// RunFig78 executes single-socket DLRM training for the Small config
-// (uniform indices) and the MLPerf config (Zipf click-log indices) under
-// the four embedding-update strategies, really running every kernel, and
-// reports ms/iteration (Fig. 7) plus the time split across embeddings, MLP
-// and the rest (Fig. 8).
-func RunFig78(o Fig7Opts) *Fig78Result {
-	fig7 := &Table{
+// fig78 executes single-socket DLRM training for both cases under the four
+// embedding-update strategies, really running every kernel, and reports
+// ms/iteration (Fig. 7) plus the time split across embeddings, MLP and the
+// rest (Fig. 8), which come from the same runs.
+func fig78(o Opts) (fig7, fig8 *Table) {
+	fig7 = &Table{
 		Title:   "Fig. 7: DLRM single-socket performance (ms per iteration)",
 		Headers: []string{"config", "strategy", "ms/iter", "speedup", "emb ms/iter", "emb speedup"},
 	}
-	fig8 := &Table{
+	fig8 = &Table{
 		Title:   "Fig. 8: DLRM single-socket time split across key ops",
 		Headers: []string{"config", "strategy", "embeddings", "mlp", "rest"},
 	}
 	pool := par.Default
-
-	type caseDef struct {
-		cfg  core.Config
-		ds   data.Dataset
-		name string
-	}
-	smallCfg := core.Small.Scaled(o.RowScale)
-	mlperfCfg := core.MLPerf.Scaled(o.RowScale / 8) // Criteo tables are much larger
-	cases := []caseDef{
-		{smallCfg, &data.Random{Seed: 1, D: smallCfg.DenseIn, Tables: smallCfg.Tables,
-			Rows: smallCfg.Rows[0], Lookups: smallCfg.Lookups}, "Small"},
-		{mlperfCfg, data.NewClickLog(2, mlperfCfg.DenseIn, mlperfCfg.Rows, mlperfCfg.Lookups), "MLPerf"},
-	}
-
-	for _, cs := range cases {
-		mb := o.MB
-		if mb == 0 {
-			mb = cs.cfg.MB
-		}
+	iters, mb, rowScale := fig78Size(o)
+	for _, cs := range fig78Cases(rowScale) {
 		var refTime, refEmb float64
-		strategies := embedding.Strategies
-		if o.SkipRef {
-			strategies = strategies[1:]
-		}
-		for _, strat := range strategies {
+		for _, strat := range embedding.Strategies {
 			m := core.NewModel(cs.cfg, 16, 99)
 			tr := core.NewTrainer(m, pool, strat, 0.1, core.FP32)
 			tr.Prof = trace.NewProfile()
-			batches := make([]*data.MiniBatch, o.Iters)
+			batches := make([]*data.MiniBatch, iters)
 			for i := range batches {
 				batches[i] = cs.ds.Batch(i, mb)
 			}
@@ -91,8 +77,8 @@ func RunFig78(o Fig7Opts) *Fig78Result {
 			for _, b := range batches {
 				tr.Step(b)
 			}
-			perIter := time.Since(start).Seconds() / float64(o.Iters)
-			embIter := tr.Prof.Total("embeddings").Seconds() / float64(o.Iters)
+			perIter := time.Since(start).Seconds() / float64(iters)
+			embIter := tr.Prof.Total("embeddings").Seconds() / float64(iters)
 			if strat == embedding.Reference {
 				refTime, refEmb = perIter, embIter
 			}
@@ -113,8 +99,8 @@ func RunFig78(o Fig7Opts) *Fig78Result {
 		}
 	}
 	fig7.AddNote("paper (full-scale SKX): Small 4288→38.3 ms (~110x); MLPerf 272→34.8 ms (~8x)")
-	fig7.AddNote("tables scaled by %.3g to fit host memory; single-core hosts mute the contention gap between Atomic/RTM and RaceFree", o.RowScale)
+	fig7.AddNote("tables scaled by %.3g to fit host memory; single-core hosts mute the contention gap between Atomic/RTM and RaceFree", rowScale)
 	fig7.AddNote("MLPs on the %s GEMM kernel, embedding lookups and the RTM / Race Free updates on the %s row kernels; Reference (the paper's before) and Atomic XCHG stay scalar Go — the 'emb' columns isolate the kernel the paper optimizes", gemm.KernelISA(), embedding.KernelISA())
 	fig8.AddNote("paper: after optimization Small spends ~30%% in embeddings; MLPerf <20%%")
-	return &Fig78Result{Fig7: fig7, Fig8: fig8}
+	return fig7, fig8
 }

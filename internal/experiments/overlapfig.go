@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 )
 
-// overlapMode is one schedule of the RunOverlap ablation.
+// overlapMode is one schedule of the overlap ablation.
 type overlapMode struct {
 	name    string
 	overlap bool
@@ -35,7 +35,7 @@ func expCell(res *core.DistResult, label string) string {
 	return "-"
 }
 
-// RunOverlap reproduces the overlap ablation of §IV-A/§VI-D as a
+// overlapFig reproduces the overlap ablation of §IV-A/§VI-D as a
 // first-class figure: the same strong- (Fig. 9) and weak-scaling (Fig. 12)
 // runs under three schedules — the instrumented synchronous pipeline
 // (backward redistribution waited where issued, loader charged serially),
@@ -45,13 +45,14 @@ func expCell(res *core.DistResult, label string) string {
 // channels), and the overlapped pipeline with the hierarchical two-level
 // allreduce. Per label the exposed-vs-busy split quantifies exactly how
 // much communication each schedule hides.
-func RunOverlap(o ScalingOpts) *Table {
+func overlapFig(o Opts) *Table {
 	t := &Table{
 		Title: "Overlap ablation: sync vs overlapped pipeline vs overlapped + hierarchical allreduce " +
 			"(CCL Alltoall; exposed/busy ms per collective)",
 		Headers: []string{"scaling", "config", "ranks", "schedule", "ms/iter", "vs sync",
 			"a2a exp/busy", "ar exp/busy", "loader exp/busy"},
 	}
+	iters := o.iters(defaultIters)
 	sw := newDistSweep()
 	defer sw.close()
 	for _, c := range scheduleCases() {
@@ -60,18 +61,18 @@ func RunOverlap(o ScalingOpts) *Table {
 			for _, m := range overlapModes() {
 				// The ablation isolates the schedule, so every arm runs the
 				// flat per-MLP gradient buffers rather than the bucketed default.
-				dc := sw.opaConfig(c.cfg, r, c.globalN(r), cclAlltoall)
-				dc.Iters, dc.Loader = o.Iters, c.loader
+				dc := sw.opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
+				dc.Iters, dc.Loader = iters, c.loader
 				dc.Sync, dc.Allreduce, dc.BucketBytes = !m.overlap, m.algo, core.FlatBuckets
 				res := mustRun(dc)
-				delta := "-"
+				vs := "-"
 				if m.name == "sync" {
 					sync = res.IterSeconds
 				} else {
-					delta = fmt.Sprintf("%+.1f%%", (res.IterSeconds/sync-1)*100)
+					vs = delta(res.IterSeconds, sync)
 				}
 				t.AddRow(c.scaling, c.cfg.Name, fmt.Sprintf("%dR", r), m.name,
-					ms(res.IterSeconds), delta,
+					ms(res.IterSeconds), vs,
 					expCell(res, "alltoall"), expCell(res, "allreduce"), expCell(res, "loader"))
 			}
 		}

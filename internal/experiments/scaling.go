@@ -9,14 +9,6 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// ScalingOpts controls the simulated multi-socket experiments (Figs. 9-14).
-type ScalingOpts struct {
-	Iters int
-}
-
-// DefaultScalingOpts returns the default iteration count.
-func DefaultScalingOpts() ScalingOpts { return ScalingOpts{Iters: 3} }
-
 // scalingCase describes one config's scaling sweep.
 type scalingCase struct {
 	cfg       core.Config
@@ -33,6 +25,15 @@ func scalingCases() []scalingCase {
 	}
 }
 
+// globalN is cfg's global batch at r ranks: GlobalMB under strong scaling,
+// LocalMB per rank under weak scaling.
+func globalN(cfg core.Config, weak bool, r int) int {
+	if weak {
+		return cfg.LocalMB * r
+	}
+	return cfg.GlobalMB
+}
+
 // scheduleCase is one scaling shape the schedule ablations (overlap,
 // buckets, autotune) sweep.
 type scheduleCase struct {
@@ -41,14 +42,6 @@ type scheduleCase struct {
 	ranks   []int
 	weak    bool
 	loader  core.LoaderMode
-}
-
-// globalN is the case's global batch at r ranks.
-func (c scheduleCase) globalN(r int) int {
-	if c.weak {
-		return c.cfg.LocalMB * r
-	}
-	return c.cfg.GlobalMB
 }
 
 // scheduleCases are the Fig. 9 strong- and Fig. 12 weak-scaling shapes the
@@ -115,77 +108,64 @@ func (sw *distSweep) runDist(cfg core.Config, ranks, globalN int, v core.Variant
 	return mustRun(dc)
 }
 
-// baselineSeconds returns each config's baseline iteration time: optimized
-// single socket for Small/MLPerf, the 4-rank CCL-Alltoall run for Large
-// (which cannot fit fewer sockets), as in §VI-D.
-func baselineSeconds(sw *distSweep, c scalingCase, globalN func(r int) int, iters int) float64 {
-	return sw.runDist(c.cfg, c.baseRanks, globalN(c.baseRanks), cclAlltoall, false, c.loader, iters).IterSeconds
-}
-
-// RunFig9 reproduces the strong-scaling speed-up and efficiency chart: all
-// four communication variants per config and rank count, normalized to the
-// optimized baseline.
-func RunFig9(o ScalingOpts) *Table {
+// scalingFig reproduces the strong- (Fig. 9) or weak-scaling (Fig. 12,
+// GlobalN = LocalMB × ranks) speed-up and efficiency chart: all four
+// communication variants per config and rank count, normalized to the
+// optimized baseline — single socket for Small/MLPerf, the 4-rank
+// CCL-Alltoall run for Large (which cannot fit fewer sockets), as in §VI-D.
+func scalingFig(o Opts, weak bool) *Table {
 	t := &Table{
 		Title:   "Fig. 9: DLRM strong scaling (speed-up and efficiency vs optimized baseline)",
 		Headers: []string{"config", "ranks", "variant", "ms/iter", "speed-up", "efficiency"},
+		Notes:   []string{"paper: MLPerf up to 8.5x at 26 sockets (33%); Small/Large 5-6x per 8x sockets (60-71%)"},
 	}
+	if weak {
+		t.Title = "Fig. 12: DLRM weak scaling (speed-up and efficiency vs optimized baseline)"
+		t.Notes = []string{"paper: MLPerf 17x at 26 sockets (65%); Large 13.5x per 16x sockets (84%); Small 6.4x on 8 (80%)"}
+	}
+	iters := o.iters(defaultIters)
 	sw := newDistSweep()
 	defer sw.close()
 	for _, c := range scalingCases() {
-		gn := func(int) int { return c.cfg.GlobalMB }
-		base := baselineSeconds(sw, c, gn, o.Iters)
+		label := fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB)
+		if weak {
+			label = fmt.Sprintf("%s (LN=%d)", c.cfg.Name, c.cfg.LocalMB)
+		}
+		base := sw.runDist(c.cfg, c.baseRanks, globalN(c.cfg, weak, c.baseRanks), cclAlltoall, false, c.loader, iters).IterSeconds
 		for _, r := range c.strongR {
 			for _, v := range core.Variants {
-				res := sw.runDist(c.cfg, r, c.cfg.GlobalMB, v, false, c.loader, o.Iters)
-				speedup := base / res.IterSeconds
-				eff := speedup * float64(c.baseRanks) / float64(r)
-				t.AddRow(fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB),
-					fmt.Sprintf("%dR", r), v.Name(), ms(res.IterSeconds),
+				res := sw.runDist(c.cfg, r, globalN(c.cfg, weak, r), v, false, c.loader, iters)
+				ratio := base / res.IterSeconds
+				speedup, eff := ratio, ratio*float64(c.baseRanks)/float64(r)
+				if weak {
+					speedup, eff = ratio*float64(r)/float64(c.baseRanks), ratio
+				}
+				t.AddRow(label, fmt.Sprintf("%dR", r), v.Name(), ms(res.IterSeconds),
 					fmt.Sprintf("%.2fx", speedup), pct(eff))
 			}
 		}
 	}
-	t.AddNote("paper: MLPerf up to 8.5x at 26 sockets (33%%); Small/Large 5-6x per 8x sockets (60-71%%)")
 	return t
 }
 
-// RunFig12 reproduces the weak-scaling speed-up and efficiency chart
-// (GlobalN = LocalMB × ranks).
-func RunFig12(o ScalingOpts) *Table {
-	t := &Table{
-		Title:   "Fig. 12: DLRM weak scaling (speed-up and efficiency vs optimized baseline)",
-		Headers: []string{"config", "ranks", "variant", "ms/iter", "speed-up", "efficiency"},
-	}
-	sw := newDistSweep()
-	defer sw.close()
-	for _, c := range scalingCases() {
-		gn := func(r int) int { return c.cfg.LocalMB * r }
-		base := baselineSeconds(sw, c, gn, o.Iters)
-		for _, r := range c.strongR {
-			for _, v := range core.Variants {
-				res := sw.runDist(c.cfg, r, gn(r), v, false, c.loader, o.Iters)
-				eff := base / res.IterSeconds
-				speedup := eff * float64(r) / float64(c.baseRanks)
-				t.AddRow(fmt.Sprintf("%s (LN=%d)", c.cfg.Name, c.cfg.LocalMB),
-					fmt.Sprintf("%dR", r), v.Name(), ms(res.IterSeconds),
-					fmt.Sprintf("%.2fx", speedup), pct(eff))
-			}
-		}
-	}
-	t.AddNote("paper: MLPerf 17x at 26 sockets (65%%); Large 13.5x per 16x sockets (84%%); Small 6.4x on 8 (80%%)")
-	return t
-}
-
-// breakdown builds the compute/communication split tables of Figs. 10/13.
-func breakdown(title string, weak bool, o ScalingOpts, cases []scalingCase) *Table {
+// breakdown builds the per-collective tables of Figs. 10-14 for the Large
+// and MLPerf configs, MPI vs CCL, overlap vs blocking, at strong or weak
+// scale: the compute/communication split (Figs. 10/13) or, with detail, the
+// communication-time break-up into framework pre/post-processing and actual
+// wait per collective (Figs. 11/14).
+func breakdown(o Opts, title string, weak, detail bool, notes ...string) *Table {
 	t := &Table{
 		Title:   title,
 		Headers: []string{"config", "mode", "backend", "ranks", "compute (ms)", "comm exposed (ms)"},
+		Notes:   notes,
 	}
+	if detail {
+		t.Headers = append(t.Headers[:4], "a2a-framework", "ar-framework", "a2a-wait", "ar-wait")
+	}
+	iters := o.iters(defaultIters)
 	sw := newDistSweep()
 	defer sw.close()
-	for _, c := range cases {
+	for _, c := range scalingCases()[1:] {
 		for _, blocking := range []bool{false, true} {
 			mode := "overlapping"
 			if blocking {
@@ -193,15 +173,17 @@ func breakdown(title string, weak bool, o ScalingOpts, cases []scalingCase) *Tab
 			}
 			for _, backend := range []cluster.Backend{cluster.MPIBackend, cluster.CCLBackend} {
 				for _, r := range c.strongR {
-					gn := c.cfg.GlobalMB
-					if weak {
-						gn = c.cfg.LocalMB * r
-					}
 					v := core.Variant{Strategy: core.Alltoall, Backend: backend}
-					res := sw.runDist(c.cfg, r, gn, v, blocking, c.loader, o.Iters)
-					compute := cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)
-					t.AddRow(c.cfg.Name, mode, backend.String(), fmt.Sprintf("%dR", r),
-						ms(compute), ms(res.TotalCommPerIter()))
+					res := sw.runDist(c.cfg, r, globalN(c.cfg, weak, r), v, blocking, c.loader, iters)
+					row := []string{c.cfg.Name, mode, backend.String(), fmt.Sprintf("%dR", r)}
+					if detail {
+						row = append(row, ms(res.PrepPerIter["alltoall"]), ms(res.PrepPerIter["allreduce"]),
+							ms(res.WaitPerIter["alltoall"]), ms(res.WaitPerIter["allreduce"]))
+					} else {
+						row = append(row, ms(cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)),
+							ms(res.TotalCommPerIter()))
+					}
+					t.AddRow(row...)
 				}
 			}
 		}
@@ -209,76 +191,10 @@ func breakdown(title string, weak bool, o ScalingOpts, cases []scalingCase) *Tab
 	return t
 }
 
-// RunFig10 reproduces the strong-scaling compute/communication breakdown
-// for the Large and MLPerf configs, MPI vs CCL, overlap vs blocking.
-func RunFig10(o ScalingOpts) *Table {
-	cs := scalingCases()
-	t := breakdown("Fig. 10: compute/communication break-up, strong scaling", false, o, cs[1:])
-	t.AddNote("paper: MPI overlap inflates compute (progress-thread interference); CCL does not")
-	return t
-}
-
-// RunFig13 reproduces the weak-scaling compute/communication breakdown,
-// including the data-loader growth artifact for MLPerf.
-func RunFig13(o ScalingOpts) *Table {
-	cs := scalingCases()
-	t := breakdown("Fig. 13: compute/communication break-up, weak scaling", true, o, cs[1:])
-	t.AddNote("paper: MLPerf compute grows with rank count — the loader reads the full global minibatch per rank")
-	return t
-}
-
-// commBreakdown builds the communication-detail tables of Figs. 11/14.
-func commBreakdown(title string, weak bool, o ScalingOpts, cases []scalingCase) *Table {
-	t := &Table{
-		Title: title,
-		Headers: []string{"config", "mode", "backend", "ranks",
-			"a2a-framework", "ar-framework", "a2a-wait", "ar-wait"},
-	}
-	sw := newDistSweep()
-	defer sw.close()
-	for _, c := range cases {
-		for _, blocking := range []bool{false, true} {
-			mode := "overlapping"
-			if blocking {
-				mode = "blocking"
-			}
-			for _, backend := range []cluster.Backend{cluster.MPIBackend, cluster.CCLBackend} {
-				for _, r := range c.strongR {
-					gn := c.cfg.GlobalMB
-					if weak {
-						gn = c.cfg.LocalMB * r
-					}
-					v := core.Variant{Strategy: core.Alltoall, Backend: backend}
-					res := sw.runDist(c.cfg, r, gn, v, blocking, c.loader, o.Iters)
-					t.AddRow(c.cfg.Name, mode, backend.String(), fmt.Sprintf("%dR", r),
-						ms(res.PrepPerIter["alltoall"]), ms(res.PrepPerIter["allreduce"]),
-						ms(res.WaitPerIter["alltoall"]), ms(res.WaitPerIter["allreduce"]))
-				}
-			}
-		}
-	}
-	return t
-}
-
-// RunFig11 reproduces the strong-scaling communication-time break-up
-// (framework pre/post-processing vs actual wait, per collective).
-func RunFig11(o ScalingOpts) *Table {
-	cs := scalingCases()
-	t := commBreakdown("Fig. 11: communication time break-up, strong scaling", false, o, cs[1:])
-	t.AddNote("paper: under MPI+overlap, allreduce completion surfaces at the alltoall wait (in-order queue)")
-	return t
-}
-
-// RunFig14 reproduces the weak-scaling communication-time break-up.
-func RunFig14(o ScalingOpts) *Table {
-	cs := scalingCases()
-	return commBreakdown("Fig. 14: communication time break-up, weak scaling", true, o, cs[1:])
-}
-
-// RunFig15 reproduces the 8-socket shared-memory strong scaling: per config
+// fig15 reproduces the 8-socket shared-memory strong scaling: per config
 // and socket count, the compute / allreduce / alltoall composition over the
 // UPI twisted hypercube.
-func RunFig15(o ScalingOpts) *Table {
+func fig15(o Opts) *Table {
 	t := &Table{
 		Title:   "Fig. 15: strong scaling on the 8-socket shared-memory system (UPI twisted hypercube)",
 		Headers: []string{"config", "ranks", "compute (ms)", "allreduce (ms)", "alltoall (ms)"},
@@ -300,7 +216,7 @@ func RunFig15(o ScalingOpts) *Table {
 				Cfg:         c.cfg,
 				Ranks:       r,
 				GlobalN:     c.cfg.GlobalMB - c.cfg.GlobalMB%r,
-				Iters:       o.Iters,
+				Iters:       o.iters(defaultIters),
 				Variant:     cclAlltoall,
 				Blocking:    true, // expose components for the stacked bars
 				Topo:        topo,

@@ -9,26 +9,6 @@ import (
 	"repro/internal/serve"
 )
 
-// ServingFigOpts sizes the serving figure.
-type ServingFigOpts struct {
-	// Requests per run. A multiple of the largest max-batch keeps the
-	// drain tail from skewing short-run throughput.
-	Requests int
-	// Loads are the offered rates, as multiples of each policy's modeled
-	// capacity (Replicas·MaxBatch/ServiceTime(MaxBatch)).
-	Loads []float64
-}
-
-// DefaultServingFigOpts returns the full-depth figure budget.
-func DefaultServingFigOpts() ServingFigOpts {
-	return ServingFigOpts{Requests: 30 * 128, Loads: []float64{0.5, 1.5, 3}}
-}
-
-// QuickServingFigOpts is the CI smoke budget.
-func QuickServingFigOpts() ServingFigOpts {
-	return ServingFigOpts{Requests: 6 * 128, Loads: []float64{0.5, 1.5, 3}}
-}
-
 // servingScale is one model scale of the sweep.
 type servingScale struct {
 	cfg      core.Config
@@ -46,7 +26,7 @@ func (s servingScale) base() serve.Config {
 	}
 }
 
-// RunServing is the online-serving figure: p50/p99 latency vs sustained
+// servingFig is the online-serving figure: p50/p99 latency vs sustained
 // throughput for a batching-policy × offered-load sweep at two model
 // scales (MLPerf sharded over 8 sockets, Large over 64 — the Fig. 9
 // cluster shapes, forward-only). Three policies bracket the design space:
@@ -54,7 +34,11 @@ func (s servingScale) base() serve.Config {
 // max-batch 32 under a 2×(wait+service) SLO (the dispatcher sheds what
 // cannot make it, so p99 stays bounded at any load), and max-batch 128
 // under its own SLO (the larger batch buys strictly more peak throughput).
-func RunServing(o ServingFigOpts) *Table {
+// Each run replays 30×128 requests — a multiple of the largest max-batch
+// keeps the drain tail from skewing short-run throughput — at offered loads
+// of 0.5, 1.5 and 3 times the policy's modeled capacity
+// (Replicas·MaxBatch/ServiceTime(MaxBatch)).
+func servingFig(Opts) *Table {
 	t := &Table{
 		Title: "Online serving: latency vs throughput under dynamic batching " +
 			"(OPA cluster, CCL backend, Poisson arrivals)",
@@ -66,7 +50,7 @@ func RunServing(o ServingFigOpts) *Table {
 		for _, maxBatch := range []int{32, 128} {
 			base := sc.base()
 			base.Policy = serve.Policy{MaxBatch: maxBatch, MaxWait: 2e-3}
-			base.Requests = o.Requests
+			base.Requests = 30 * 128
 			base.OfferedQPS = 1 // placeholder for ServiceTime validation
 			svc, err := base.ServiceTime(maxBatch)
 			if err != nil {
@@ -82,7 +66,7 @@ func RunServing(o ServingFigOpts) *Table {
 				policies = append([]serve.Policy{{MaxBatch: maxBatch, MaxWait: 2e-3}}, policies...)
 			}
 			for _, pol := range policies {
-				for _, load := range o.Loads {
+				for _, load := range []float64{0.5, 1.5, 3} {
 					c := base
 					c.Policy = pol
 					c.OfferedQPS = load * capacity

@@ -6,8 +6,8 @@ import (
 	"repro/internal/core"
 )
 
-// Table1 reproduces Table I: the three DLRM model specifications.
-func Table1() *Table {
+// table1 reproduces Table I: the three DLRM model specifications.
+func table1(Opts) *Table {
 	t := &Table{
 		Title:   "Table I: DLRM model specifications",
 		Headers: []string{"Parameter", "Small", "Large", "MLPerf"},
@@ -50,9 +50,9 @@ func Table1() *Table {
 	return t
 }
 
-// Table2 reproduces Table II: DLRM model characteristics for distributed
+// table2 reproduces Table II: DLRM model characteristics for distributed
 // runs, computed from the configs via Eqs. 1 and 2.
-func Table2() *Table {
+func table2(Opts) *Table {
 	t := &Table{
 		Title:   "Table II: DLRM model characteristics for distributed runs",
 		Headers: []string{"Parameter", "Small", "Large", "MLPerf"},
