@@ -2,7 +2,7 @@
 // -even conversion, the split hi/lo representation that Split-SGD-BF16 uses
 // to store FP32 master precision as two 16-bit tensors, a bit-accurate
 // software emulation of the Cooper Lake vdpbf16ps dot-product instruction,
-// and the FP24 (1-8-15) and FP16 quantizers the paper compares against.
+// and the FP24 (1-8-15) quantizer of Fig. 16's FP24 curve.
 package bf16
 
 import "math"
@@ -28,14 +28,6 @@ func ToFloat32(b uint16) float32 {
 
 // Round returns f rounded to BF16 precision as an FP32 value.
 func Round(f float32) float32 { return ToFloat32(FromFloat32(f)) }
-
-// RoundSlice rounds every element of x to BF16 precision in place — the
-// "forward and backward passes exclusively use the 16 MSBs" behaviour.
-func RoundSlice(x []float32) {
-	for i := range x {
-		x[i] = Round(x[i])
-	}
-}
 
 // Dot emulates vdpbf16ps over two vectors: both operands are rounded to
 // BF16 and the products are accumulated in FP32, matching the instruction's
@@ -63,157 +55,4 @@ func RoundFP24(f float32) float32 {
 	// Drop the low 8 mantissa bits with RNE.
 	rounded := bits + 0x7F + (bits>>8)&1
 	return math.Float32frombits(rounded &^ 0xFF)
-}
-
-// RoundFP24Slice rounds a slice to FP24 in place.
-func RoundFP24Slice(x []float32) {
-	for i := range x {
-		x[i] = RoundFP24(x[i])
-	}
-}
-
-// RoundFP16 rounds f to IEEE-754 binary16 precision and range (1-5-10),
-// returned as FP32. Overflow saturates to ±Inf and subnormals flush through
-// the usual half-precision denormal range — the limited range/mantissa that
-// makes FP16 training need master weights and loss scaling (§VII).
-func RoundFP16(f float32) float32 {
-	return halfToFloat(floatToHalf(f))
-}
-
-// floatToHalf converts FP32 to IEEE binary16 bits with RNE.
-func floatToHalf(f float32) uint16 {
-	bits := math.Float32bits(f)
-	sign := uint16(bits>>16) & 0x8000
-	exp := int32(bits>>23&0xFF) - 127 + 15
-	man := bits & 0x7FFFFF
-	switch {
-	case f != f:
-		return sign | 0x7E00
-	case exp >= 0x1F: // overflow or Inf
-		return sign | 0x7C00
-	case exp <= 0:
-		// subnormal half or underflow to zero
-		if exp < -10 {
-			return sign
-		}
-		man |= 0x800000 // implicit bit
-		shift := uint32(14 - exp)
-		half := man >> shift
-		// RNE on the dropped bits
-		rem := man & ((1 << shift) - 1)
-		halfway := uint32(1) << (shift - 1)
-		if rem > halfway || (rem == halfway && half&1 == 1) {
-			half++
-		}
-		return sign | uint16(half)
-	default:
-		half := uint16(exp)<<10 | uint16(man>>13)
-		rem := man & 0x1FFF
-		if rem > 0x1000 || (rem == 0x1000 && half&1 == 1) {
-			half++ // may carry into exponent, which is correct rounding
-		}
-		return sign | half
-	}
-}
-
-// halfToFloat expands IEEE binary16 bits to FP32.
-func halfToFloat(h uint16) float32 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h >> 10 & 0x1F)
-	man := uint32(h & 0x3FF)
-	switch {
-	case exp == 0x1F:
-		if man != 0 {
-			return math.Float32frombits(sign | 0x7FC00000)
-		}
-		return math.Float32frombits(sign | 0x7F800000)
-	case exp == 0:
-		if man == 0 {
-			return math.Float32frombits(sign)
-		}
-		// subnormal: normalize
-		e := uint32(127 - 15 + 1)
-		for man&0x400 == 0 {
-			man <<= 1
-			e--
-		}
-		man &= 0x3FF
-		return math.Float32frombits(sign | e<<23 | man<<13)
-	default:
-		return math.Float32frombits(sign | (exp-15+127)<<23 | man<<13)
-	}
-}
-
-// StochasticRoundFP16 rounds f to FP16 stochastically: the result is one of
-// the two neighbouring half-precision values, chosen with probability
-// proportional to proximity, so rounding is unbiased in expectation. This
-// is the quantizer of the low-precision embedding-table training the paper
-// tried to replicate (§VII, [13]) and found insufficient for DLRM with SGD.
-// u must be uniform in [0,1).
-func StochasticRoundFP16(f float32, u float32) float32 {
-	if f != f || f == 0 {
-		return RoundFP16(f)
-	}
-	neg := f < 0
-	mag := f
-	if neg {
-		mag = -f
-	}
-	// Truncate |f| toward zero in half precision: that is the lower
-	// neighbour; the upper neighbour is one ulp up.
-	loBits := floatToHalfTrunc(mag)
-	lo := halfToFloat(loBits)
-	if lo == mag || loBits >= 0x7C00 {
-		if neg {
-			return -lo
-		}
-		return lo
-	}
-	hi := halfToFloat(loBits + 1)
-	p := (mag - lo) / (hi - lo)
-	v := lo
-	if u < p {
-		v = hi
-	}
-	if neg {
-		return -v
-	}
-	return v
-}
-
-// floatToHalfTrunc converts a positive FP32 magnitude to half bits rounding
-// toward zero.
-func floatToHalfTrunc(f float32) uint16 {
-	bits := math.Float32bits(f)
-	exp := int32(bits>>23&0xFF) - 127 + 15
-	man := bits & 0x7FFFFF
-	switch {
-	case exp >= 0x1F:
-		return 0x7C00
-	case exp <= 0:
-		if exp < -10 {
-			return 0
-		}
-		man |= 0x800000
-		return uint16(man >> uint32(14-exp))
-	default:
-		return uint16(exp)<<10 | uint16(man>>13)
-	}
-}
-
-// StochasticRound rounds f to BF16 stochastically with probability
-// proportional to the distance to the two neighbours, using u ∈ [0,1).
-// Used by the FP16/low-precision embedding-training replication (§VII notes
-// stochastic quantization was insufficient for DLRM with SGD).
-func StochasticRound(f float32, u float32) uint16 {
-	bits := math.Float32bits(f)
-	if f != f {
-		return FromFloat32(f)
-	}
-	frac := bits & 0xFFFF
-	base := uint16(bits >> 16)
-	if float32(frac) < u*65536 {
-		return base
-	}
-	return base + 1
 }

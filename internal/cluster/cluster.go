@@ -74,9 +74,6 @@ type Config struct {
 	// these are pinned and excluded from compute; for MPI the progress
 	// thread is unpinned, so CommCores is 0 and Interference applies.
 	CommCores int
-	// CCLChannels is the number of parallel communication channels for the
-	// CCL backend (oneCCL workers). MPI always has exactly one.
-	CCLChannels int
 	// Interference inflates compute issued while MPI communication is in
 	// flight (≥ 1). Ignored for CCL.
 	Interference float64
@@ -133,13 +130,14 @@ func (c Config) CommSlowdown() float64 {
 	return 4 / float64(workers)
 }
 
+// CCLChannels is the number of parallel communication channels of the CCL
+// backend (oneCCL workers). MPI always has exactly one.
+const CCLChannels = 4
+
 // WithDefaults fills unset tuning fields with the values used throughout the
-// experiments: 4 CCL channels/comm cores, 30% MPI interference, 25 µs per
-// framework call.
+// experiments: 4 CCL comm cores, 30% MPI interference, 25 µs per framework
+// call.
 func (c Config) WithDefaults() Config {
-	if c.CCLChannels == 0 {
-		c.CCLChannels = 4
-	}
 	if c.Backend == CCLBackend && c.CommCores == 0 {
 		c.CommCores = 4
 	}
@@ -391,7 +389,7 @@ func Run(cfg Config, body func(r *Rank)) []Stats {
 	}
 	channels := 1
 	if cfg.Backend == CCLBackend {
-		channels = cfg.CCLChannels
+		channels = CCLChannels
 	}
 	ranks := make([]*Rank, cfg.Ranks)
 	for id := range ranks {

@@ -143,7 +143,6 @@ func TestCCLChannelsOverlapIndependentOps(t *testing.T) {
 	// Under CCL, differently-labeled collectives use different channels and
 	// proceed concurrently.
 	cfg := testCfg(2, CCLBackend)
-	cfg.CCLChannels = 4
 	stats := runEngines(t, cfg, func(r *Rank) {
 		_, h1 := sumCollective(r, "allreduce", 0, 0.4)
 		_, h2 := sumCollective(r, "alltoall", 0, 0.1)
@@ -162,7 +161,6 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 	// Same label, explicit distinct channels: the two operations must run
 	// concurrently instead of serializing on the label-hash channel.
 	cfg := testCfg(2, CCLBackend)
-	cfg.CCLChannels = 4
 	pinned := runEngines(t, cfg, func(r *Rank) {
 		x1 := &sumXchg{dur: 0.4}
 		h1 := r.CollectiveOn("redist", 0, x1, x1, sumLead)

@@ -141,7 +141,6 @@ func TestChargeContendedScaledTime(t *testing.T) {
 // the Async background stream.
 func TestHandleChannelResolution(t *testing.T) {
 	cfg := testCfg(2, CCLBackend)
-	cfg.CCLChannels = 4
 	runEngines(t, cfg, func(r *Rank) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 2, x, x, sumLead); h.Channel != 2 {
@@ -174,7 +173,6 @@ func TestHandleChannelResolution(t *testing.T) {
 func TestContentionOffIdenticalPricing(t *testing.T) {
 	run := func(cont bool) []Stats {
 		cfg := testCfg(2, CCLBackend)
-		cfg.CCLChannels = 4
 		cfg.Contention = cont
 		return runEngines(t, cfg, func(r *Rank) {
 			x1 := &sumXchg{dur: 0.4}

@@ -70,7 +70,7 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 	const ranks = 8
 	topo := fabric.NewPrunedFatTree(64, 12.5e9)
 	cfg := testCfg(ranks, CCLBackend)
-	cfg.Topo, cfg.CCLChannels, cfg.Contention = topo, 4, true
+	cfg.Topo, cfg.Contention = topo, true
 	body := func(r *Rank) {
 		// Per-rank records (the leader is whichever rank arrives last), all
 		// crossing the pruned trunk so the three ops really share a link.

@@ -15,7 +15,7 @@ func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Co
 	return runBothEngines(t, cluster.Config{
 		Ranks: ranks, Topo: fabric.NewPrunedFatTree(ranks, 12.5e9), Socket: perfmodel.CLX8280,
 		Backend: cluster.CCLBackend, CallOverhead: 1e-9,
-		CCLChannels: 4, Contention: contention,
+		Contention: contention,
 	}, body)
 }
 

@@ -192,15 +192,6 @@ func (p *Pricer) AllreduceTime(bytes float64) float64 {
 	return p.time(op{kind: opAllreduce, algo: RingRSAG, bytes: bytes})
 }
 
-// ReduceScatterTime and AllgatherTime are each half of the allreduce, used
-// by the per-layer overlap schedule of Fig. 2.
-func (p *Pricer) ReduceScatterTime(bytes float64) float64 {
-	return p.time(op{kind: opReduceScatter, bytes: bytes})
-}
-
-// AllgatherTime returns the modeled all-gather duration (see ReduceScatterTime).
-func (p *Pricer) AllgatherTime(bytes float64) float64 { return p.ReduceScatterTime(bytes) }
-
 // AlltoallTime returns the modeled duration of a pairwise-exchange alltoall
 // where every rank sends blockBytes to every other rank: R−1 phases, phase k
 // pairing i with (i+k) mod R. Multi-hop partners load shared links, which is
@@ -215,11 +206,4 @@ func (p *Pricer) AlltoallTime(blockBytes float64) float64 {
 // bottleneck, so cost ≈ (R−1)·blockBytes / root bandwidth.
 func (p *Pricer) ScatterTime(root int, blockBytes float64) float64 {
 	return p.time(op{kind: opScatter, root: root, bytes: blockBytes})
-}
-
-// GatherTime returns the modeled duration of a gather: every rank sends
-// blockBytes to the root, whose receive link is the bottleneck (the mirror
-// image of ScatterTime).
-func (p *Pricer) GatherTime(root int, blockBytes float64) float64 {
-	return p.time(op{kind: opGather, root: root, bytes: blockBytes})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/autotune"
@@ -19,20 +20,16 @@ import (
 // decides among the contenders.
 
 // AutotuneOpts bounds the schedule search. The zero value is the default
-// budget: 1-iteration first probes, a 4-iteration deciding round, the full
-// candidate space.
+// budget: a 4-iteration deciding round over the full candidate space. The
+// first round always probes 1 iteration.
 type AutotuneOpts struct {
-	// ProbeIters is the probe length of the first round (default 1);
-	// FinalIters that of the deciding round (default 4×ProbeIters).
-	ProbeIters int
+	// FinalIters is the probe length of the deciding round (default 4).
 	FinalIters int
-	// MaxCandidates caps the first round's pool by uniform sampling from
-	// the counter-based stream seeded by Seed (0 = probe the full space).
-	// The incumbent schedule always enters regardless.
+	// MaxCandidates caps the first round's pool by uniform sampling from a
+	// fixed counter-based stream, so equal options replay the identical
+	// search (0 = probe the full space). The incumbent schedule always
+	// enters regardless.
 	MaxCandidates int
-	// Seed seeds the sampling stream; equal options replay the identical
-	// search.
-	Seed uint64
 }
 
 // AutotuneReport describes what the search measured.
@@ -97,10 +94,7 @@ func (c scheduleCandidate) apply(dc DistConfig) DistConfig {
 	dc.Sync = c.sync
 	dc.BucketBytes = c.bucketBytes
 	dc.Allreduce = c.algo
-	dc.BucketChannels = nil
-	if c.channels > 0 {
-		dc.BucketChannels = defaultBucketChannels[:c.channels]
-	}
+	dc.bucketChannels = c.channels
 	return dc
 }
 
@@ -129,10 +123,7 @@ func incumbent(dc *DistConfig) scheduleCandidate {
 		c.bucketBytes = eb
 	}
 	if !c.sync && c.bucketBytes != FlatBuckets {
-		c.channels = len(dc.BucketChannels)
-		if dc.BucketChannels == nil {
-			c.channels = len(defaultBucketChannels)
-		}
+		c.channels = cmp.Or(dc.bucketChannels, len(defaultBucketChannels))
 	}
 	return c
 }
@@ -148,16 +139,9 @@ func incumbent(dc *DistConfig) scheduleCandidate {
 // search winner meets the incumbent head-to-head at the final budget and
 // the incumbent is kept on a tie.
 func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *AutotuneReport) {
-	probe := opts.ProbeIters
-	if probe <= 0 {
-		probe = 1
-	}
 	final := opts.FinalIters
 	if final <= 0 {
-		final = 4 * probe
-	}
-	if final < probe {
-		final = probe
+		final = 4
 	}
 
 	cands := scheduleCandidates()
@@ -176,9 +160,6 @@ func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *Autotune
 
 	probeCfg := dc
 	probeCfg.RunCfg, probeCfg.Dataset = nil, nil
-	// The functional checkpoint hooks ride with RunCfg; a timing probe has
-	// no models to snapshot or restore.
-	probeCfg.CheckpointSink, probeCfg.Restore = nil, nil
 	if probeCfg.Pools == nil {
 		pools := cluster.NewPools()
 		defer pools.Close()
@@ -202,11 +183,10 @@ func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *Autotune
 		return v
 	}
 	res := autotune.Search(len(cands), obj, autotune.Options{
-		ProbeIters:    probe,
+		ProbeIters:    1,
 		FinalIters:    final,
 		MaxCandidates: opts.MaxCandidates,
 		Include:       []int{incIdx},
-		Seed:          opts.Seed,
 	})
 
 	// Head-to-head at the final budget: the incumbent may have been halved

@@ -45,7 +45,7 @@ func TestAutotuneNeverWorseThanIncumbent(t *testing.T) {
 	for _, inc := range incumbents {
 		dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
 		inc.set(&dc)
-		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: final, MaxCandidates: 12, Seed: 1})
+		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: final, MaxCandidates: 12})
 		if rep.TunedSeconds > rep.BaselineSeconds {
 			t.Errorf("%s: report claims tuned (%g) worse than incumbent (%g)",
 				inc.name, rep.TunedSeconds, rep.BaselineSeconds)
@@ -107,7 +107,7 @@ func TestAutotuneDeterminism(t *testing.T) {
 	wss := NewDistWorkspaces()
 	run := func() (DistConfig, AutotuneReport) {
 		dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
-		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: 2, MaxCandidates: 16, Seed: 42})
+		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: 2, MaxCandidates: 16})
 		return tuned, *rep
 	}
 	t1, r1 := run()
@@ -116,17 +116,18 @@ func TestAutotuneDeterminism(t *testing.T) {
 		t.Errorf("reports diverged:\n  %+v\n  %+v", r1, r2)
 	}
 	if t1.Sync != t2.Sync || t1.BucketBytes != t2.BucketBytes || t1.Allreduce != t2.Allreduce ||
-		len(t1.BucketChannels) != len(t2.BucketChannels) {
+		t1.bucketChannels != t2.bucketChannels {
 		t.Errorf("tuned schedules diverged: %+v vs %+v", t1, t2)
 	}
 }
 
 // TestAutotuneProbingZeroAllocsPerIter pins the probing cost: with shared
-// pools and workspaces warmed, lengthening every probe adds no allocations
-// — the probe runs reuse the same workspaces across all candidate
+// pools and workspaces warmed, lengthening a probe adds no allocations —
+// the probe runs reuse the same workspaces across all candidate
 // schedules, so only the probe's virtual time grows with the budget.
 // Structured like distAllocsPerIter: two searches identical except for the
-// probe length are differenced, cancelling the fixed search bookkeeping.
+// deciding round's length are differenced, cancelling the fixed search
+// bookkeeping.
 func TestAutotuneProbingZeroAllocsPerIter(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -134,22 +135,23 @@ func TestAutotuneProbingZeroAllocsPerIter(t *testing.T) {
 	pools := cluster.NewPools()
 	defer pools.Close()
 	wss := NewDistWorkspaces()
-	search := func(iters int) func() {
-		o := AutotuneOpts{ProbeIters: iters, FinalIters: iters, MaxCandidates: 12, Seed: 7}
+	search := func(final int) func() {
+		o := AutotuneOpts{FinalIters: final, MaxCandidates: 12}
 		return func() {
 			dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
 			AutotuneDistConfig(dc, o)
 		}
 	}
-	search(12)() // warmup: sizes workspaces for every probed schedule
-	short := testing.AllocsPerRun(5, search(2))
-	long := testing.AllocsPerRun(5, search(12))
-	// The two searches probe 13 candidates each (12 sampled + incumbent),
-	// so the long one simulates 130 more iterations; a per-iteration
-	// allocation would add ≥130 allocs. Scheduler jitter across the 13
-	// cluster runs accounts for a few allocs either way, so the bound is
-	// one alloc per added probe run rather than exact equality.
+	search(64)() // warmup: sizes workspaces for every probed schedule
+	short := testing.AllocsPerRun(5, search(33))
+	long := testing.AllocsPerRun(5, search(64))
+	// Both searches halve 13 candidates (12 sampled + incumbent) over seven
+	// rounds of 1, 2, 4 … 32 iterations and differ only in the last: 33 or
+	// 64 iterations, so the long one simulates at least 31 more; a
+	// per-iteration allocation would add ≥ 31 allocs. Scheduler jitter
+	// across the cluster runs accounts for a few allocs either way, so the
+	// bound is not exact equality.
 	if long-short >= 13 {
-		t.Errorf("probing allocates per iteration: %v allocs at 2 iters vs %v at 12", short, long)
+		t.Errorf("probing allocates per iteration: %v allocs deciding at 33 iters vs %v at 64", short, long)
 	}
 }

@@ -25,10 +25,6 @@ type Config struct {
 	DenseIn   int
 	BotHidden []int
 	TopHidden []int
-
-	// ConcatInteraction selects the simple concat op instead of the default
-	// self dot product (§II lists both).
-	ConcatInteraction bool
 }
 
 // uniformRows returns n copies of m.
@@ -104,14 +100,8 @@ func (c Config) BotSizes() []int {
 	return append(s, c.EmbDim)
 }
 
-// InterDim returns the interaction output width: E + (S+1)·S/2 for the dot
-// op, (S+1)·E for concat.
-func (c Config) InterDim() int {
-	if c.ConcatInteraction {
-		return (c.Tables + 1) * c.EmbDim
-	}
-	return c.EmbDim + (c.Tables+1)*c.Tables/2
-}
+// InterDim returns the dot interaction's output width: E + (S+1)·S/2.
+func (c Config) InterDim() int { return c.EmbDim + (c.Tables+1)*c.Tables/2 }
 
 // TopSizes returns the top MLP layer sizes including input and output.
 func (c Config) TopSizes() []int {

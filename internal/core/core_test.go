@@ -9,7 +9,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/mlp"
-	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/trace"
 )
@@ -188,15 +187,6 @@ func TestTrainingReducesLossAndLearns(t *testing.T) {
 	checkLearns(t, tinyConfig(), 4, 300, 50, 0.05, 0.6)
 }
 
-func TestConcatInteractionTrains(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ConcatInteraction = true
-	if cfg.InterDim() != (cfg.Tables+1)*cfg.EmbDim {
-		t.Fatalf("concat InterDim=%d", cfg.InterDim())
-	}
-	checkLearns(t, cfg, 2, 200, 30, 0.03, 0)
-}
-
 func TestAllStrategiesTrainEquivalently(t *testing.T) {
 	// After a few iterations, every update strategy must land on (nearly)
 	// the same model: they compute the same math.
@@ -285,19 +275,4 @@ func TestShardTablesMatchFullModel(t *testing.T) {
 	// Seeded per-table init must make shard tables (and the MLP replica)
 	// bit-identical to the full model's.
 	checkModelsClose(t, "shard", NewModelShard(tinyConfig(), 16, 9, 1, 2), NewModel(tinyConfig(), 16, 9), 0)
-}
-
-func TestTrainerLRSchedule(t *testing.T) {
-	cfg := tinyConfig()
-	m := NewModel(cfg, 16, 1)
-	tr := NewTrainer(m, par.NewPool(2), embedding.RaceFree, 0, FP32)
-	tr.Schedule = optim.LRSchedule{Base: 1, WarmupSteps: 2, DecayStart: 4, DecaySteps: 2, EndLR: 0.1}
-	ds := tinyDataset(cfg)
-	wantLRs := []float32{0.5, 1, 1, 1, 1, 0.325}
-	for i, want := range wantLRs {
-		tr.Step(ds.Batch(i, cfg.MB))
-		if tr.LR != want {
-			t.Fatalf("step %d: LR=%g want %g", i, tr.LR, want)
-		}
-	}
 }

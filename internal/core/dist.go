@@ -143,14 +143,6 @@ type DistConfig struct {
 	// buffers and the single "allreduce" label — the paper-reproduction
 	// schedule the original figures measure.
 	BucketBytes int
-	// BucketChannels is the CCL channel set bucketed allreduces round-robin
-	// over under Overlap, keeping several buckets in flight on distinct
-	// FIFOs. Nil selects channels 0-2: the forward-alltoall channel (idle
-	// during the backward) plus the flat schedule's two allreduce channels;
-	// the backward alltoall keeps channel 3 to itself. Ignored without
-	// Overlap (label-hash placement, like the sync schedule's collectives)
-	// and on MPI, which has a single in-order channel.
-	BucketChannels []int
 	// Contention selects the contention-aware fabric charging mode
 	// (cluster.Config.Contention): concurrently in-flight collectives —
 	// e.g. the up-to-3 bucket allreduces round-robining over CCL channels
@@ -159,9 +151,9 @@ type DistConfig struct {
 	// baselines stay bit-identical; the contention experiments turn it on.
 	Contention bool
 	// Interference overrides the MPI compute-interference factor (≥ 1; 0 =
-	// the backend default, 1.3). The §VI-D1 figure sets it to 1 to isolate
-	// the flat-factor artifact from the link-level mechanics. Ignored for
-	// CCL.
+	// the backend default, 1.3). Two values are in use: the default, and 1
+	// in the contention figure's §VI-D1 row, which isolates the flat-factor
+	// artifact from the link-level mechanics. Ignored for CCL.
 	Interference float64
 
 	// EmbCacheBytes enables the tiered embedding parameter store
@@ -188,34 +180,6 @@ type DistConfig struct {
 	// with EmbCacheBytes.
 	EmbSkew float64
 
-	// StartIter places this run inside a longer training timeline: the
-	// functional loaders start at this global batch index and the
-	// checkpoint cadence counts global iterations (StartIter+i), so a run
-	// split into segments — the elastic driver's resume after a failure —
-	// trains on exactly the batches the unsegmented run would (the
-	// counter-based data streams make any batch index re-materializable).
-	// Zero for a standalone run.
-	StartIter int
-	// CheckpointEvery takes a periodic shard checkpoint every N global
-	// iterations: each rank snapshots its MLP replica plus owned tables and
-	// drains the write on its background stream (cluster.Rank.Async) at
-	// DefaultCheckpointBW, so the write is exposed — a "checkpoint" stall — only
-	// when it outlasts the following iterations' compute. At most one write
-	// is in flight per rank: the next snapshot waits for the previous
-	// drain. 0 disables checkpointing (the default; the committed virtual
-	// baselines carry no checkpoint charge).
-	CheckpointEvery int
-	// CheckpointSink, in functional mode, receives each rank's model at
-	// every checkpoint boundary (iter = the global iteration count just
-	// completed). The sink must serialize synchronously before returning —
-	// the rank keeps training afterwards — and must be safe for concurrent
-	// calls from different rank goroutines. Requires RunCfg.
-	CheckpointSink func(rank, iter int, m *Model)
-	// Restore, in functional mode, is invoked on each rank's freshly
-	// initialized shard model before training starts — the elastic driver
-	// loads the durable shard checkpoints here. Requires RunCfg.
-	Restore func(rank int, m *Model)
-
 	// Functional execution: when RunCfg is non-nil, every rank instantiates
 	// a scaled model shard and really trains on Dataset (used by the
 	// equivalence tests). Timing-only runs leave it nil.
@@ -233,6 +197,43 @@ type DistConfig struct {
 	// owning a shared Pools is responsible for closing it.
 	Pools      *cluster.Pools
 	Workspaces *DistWorkspaces
+
+	// bucketChannels is how many CCL channels bucketed allreduces
+	// round-robin over under the overlapped schedule: a prefix of
+	// defaultBucketChannels, 0 for all of it. Only AutotuneDistConfig sets
+	// it.
+	bucketChannels int
+	// seg places the run inside RunElastic's timeline; the zero value is a
+	// standalone run without checkpoints.
+	seg segment
+}
+
+// segment is one stretch of an elastic run, set only by RunElastic.
+type segment struct {
+	// startIter is the global iteration the run begins at: the functional
+	// loaders start at this batch index and the checkpoint cadence counts
+	// global iterations (startIter+i), so a run split into segments trains
+	// on exactly the batches the unsegmented run would (the counter-based
+	// data streams make any batch index re-materializable).
+	startIter int
+	// ckptEvery takes a periodic shard checkpoint every N global iterations:
+	// each rank snapshots its MLP replica plus owned tables and drains the
+	// write on its background stream (cluster.Rank.Async) at
+	// DefaultCheckpointBW, so the write is exposed — a "checkpoint" stall —
+	// only when it outlasts the following iterations' compute. At most one
+	// write is in flight per rank: the next snapshot waits for the previous
+	// drain. 0 disables checkpointing.
+	ckptEvery int
+	// sink, in functional mode, receives each rank's model at every
+	// checkpoint boundary (iter = the global iteration count just
+	// completed). It must serialize synchronously before returning — the
+	// rank keeps training afterwards — and be safe for concurrent calls from
+	// different rank goroutines.
+	sink func(rank, iter int, m *Model)
+	// restore, in functional mode, is invoked on each rank's freshly
+	// initialized shard model before training starts; the elastic driver
+	// loads the durable shard checkpoints here.
+	restore func(rank int, m *Model)
 }
 
 // DefaultBucketBytes is the tuned gradient-allreduce bucket size the

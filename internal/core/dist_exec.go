@@ -76,8 +76,8 @@ func newExecutor(dc *DistConfig, r *cluster.Rank, ws *DistWorkspace, res *DistRe
 	x := &executor{dc: dc, rank: r.ID, ws: ws, res: res, model: m, pool: r.Pool()}
 	x.grads[topMLP].bind(m.Top, &ws.topGrad, &ws.topOff)
 	x.grads[botMLP].bind(m.Bot, &ws.botGrad, &ws.botOff)
-	if dc.Restore != nil {
-		dc.Restore(r.ID, m)
+	if dc.seg.restore != nil {
+		dc.seg.restore(r.ID, m)
 	}
 	res.Models[r.ID] = m
 	// Every rank owns a data loader over its slice of the dataset. The staging
@@ -88,7 +88,7 @@ func newExecutor(dc *DistConfig, r *cluster.Rank, ws *DistWorkspace, res *DistRe
 	lc := data.LoaderConfig{
 		DS: dc.Dataset, GlobalN: dc.GlobalN,
 		Rank: r.ID, Ranks: dc.Ranks, Owned: ws.locT,
-		Start:   dc.StartIter,
+		Start:   dc.seg.startIter,
 		Buffers: &ws.loaderBufs,
 	}
 	if dc.Loader == LoaderGlobalMB {
@@ -151,13 +151,13 @@ func (x *executor) run(s *step, it int) (buf stage) {
 			x.sgd(mlp, 0, len(g.m.Layers)-1)
 		}
 	case kCheckpoint:
-		if x.dc.CheckpointSink != nil {
+		if sink := x.dc.seg.sink; sink != nil {
 			if x.store != nil {
 				// The cached copies are authoritative; flush so the
 				// checkpointed tables hold the untiered values.
 				x.store.Flush()
 			}
-			x.dc.CheckpointSink(x.rank, x.dc.StartIter+it+1, x.model)
+			sink(x.rank, x.dc.seg.startIter+it+1, x.model)
 		}
 	}
 	return buf

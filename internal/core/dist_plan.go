@@ -33,7 +33,7 @@ type stepWhen uint8
 const (
 	always       stepWhen = iota
 	notLastIter           // every iteration but the run's last (the loader prefetch)
-	atCheckpoint          // iterations completing a CheckpointEvery boundary
+	atCheckpoint          // iterations completing a checkpoint-cadence boundary
 	onRoot                // only on rank == root (the fused scatter's coalescing copy)
 )
 
@@ -116,10 +116,10 @@ type plan struct {
 }
 
 // defaultBucketChannels is the CCL channel set bucketed allreduces
-// round-robin over under Overlap when DistConfig.BucketChannels is nil: the
-// forward-alltoall channel (idle during the backward) plus the flat
-// schedule's two allreduce channels, leaving channel 3 to the backward
-// alltoall.
+// round-robin over under Overlap: the forward-alltoall channel (idle during
+// the backward) plus the flat schedule's two allreduce channels, leaving
+// channel 3 to the backward alltoall. DistConfig.bucketChannels takes a
+// prefix of it.
 var defaultBucketChannels = []int{0, 1, 2}
 
 // flatChannels are the two channels the flat schedule's top and bottom
@@ -243,7 +243,7 @@ func (dc *DistConfig) buildPlan() *plan {
 	scatterBlockBytes := float64(shardN) * float64(cfg.EmbDim) * 4
 
 	p := &plan{
-		iters: dc.Iters, startIter: dc.StartIter, ckptEvery: dc.CheckpointEvery,
+		iters: dc.Iters, startIter: dc.seg.startIter, ckptEvery: dc.seg.ckptEvery,
 		costs: make([][nRankCosts]float64, ranks),
 	}
 	rows := make([]int, 0, MaxLocalTables(cfg, ranks))
@@ -265,7 +265,7 @@ func (dc *DistConfig) buildPlan() *plan {
 		if tiered {
 			c[costColdTier] = dc.coldTierSeconds(r, rows)
 		}
-		if dc.CheckpointEvery > 0 {
+		if dc.seg.ckptEvery > 0 {
 			c[costCheckpoint] = shardCheckpointBytes(cfg, r, ranks) / DefaultCheckpointBW
 		}
 	}
@@ -278,11 +278,11 @@ func (dc *DistConfig) buildPlan() *plan {
 	chFwd, chBwd := -1, -1
 	var arChannels []int
 	if overlapped {
-		chFwd, chBwd, arChannels = 0, 3, dc.BucketChannels
+		chFwd, chBwd, arChannels = 0, 3, defaultBucketChannels
 		if flat {
 			arChannels = flatChannels
-		} else if arChannels == nil {
-			arChannels = defaultBucketChannels
+		} else if dc.bucketChannels > 0 {
+			arChannels = defaultBucketChannels[:dc.bucketChannels]
 		}
 	}
 
@@ -466,7 +466,7 @@ func (dc *DistConfig) buildPlan() *plan {
 	// (10) Periodic shard checkpoint: snapshot, then drain on the background
 	// stream; waiting the previous drain first keeps one write in flight, so
 	// an interval shorter than the drain surfaces as a "checkpoint" stall.
-	if dc.CheckpointEvery > 0 {
+	if dc.seg.ckptEvery > 0 {
 		ck := b.slot()
 		b.add(step{kind: stepWait, when: atCheckpoint, slot: ck})
 		b.add(step{kind: stepAsync, when: atCheckpoint, label: "checkpoint", cost: costCheckpoint, slot: ck, kernel: kCheckpoint})

@@ -216,12 +216,6 @@ func TestEmbStoreLossParityDefaultSchedule(t *testing.T) {
 	checkParity(t, tiny.x(axShape, 1).x(axVariant, 3).x(axSync, 1).x(axBucket, 1).x(axTier, 1).configs()...)
 }
 
-func TestConcatDistributedMatchesSingle(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.ConcatInteraction = true
-	checkParity(t, distTestConfig(cfg, 2, 64, 2, Variant{Alltoall, cluster.CCLBackend}, true))
-}
-
 // checkExposures is hook 4, for timing runs. Per label, Hidden = max(Busy −
 // Exposed, 0) to 1e-12 (per-channel queueing can push exposure past busy),
 // no component is negative, HiddenShare is in [0, 1]. And the run is sane:

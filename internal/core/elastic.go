@@ -6,14 +6,13 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/comm"
 )
 
 // Elastic fault-tolerant training (the robustness layer over DistConfig):
 // a run is split into segments at fault-plan boundaries. Within a segment
 // every rank trains normally, taking periodic shard checkpoints priced
 // through the cluster's background stream. When a rank fails, the survivors
-// detect it (a timeout at the next collective, modeled as DetectSeconds),
+// detect it (a timeout at the next collective, cluster.DefaultDetectSeconds),
 // re-shard the dead rank's tables and data slice by restarting the run at
 // R−1 ranks — TableOwner and data.ShardRange are pure functions of the rank
 // count, so the remap is implicit — restore from the newest durable shard
@@ -32,9 +31,8 @@ import (
 // ElasticConfig describes an elastic run: a base configuration (the shape
 // the run starts at), a fault plan, and the recovery-model knobs.
 type ElasticConfig struct {
-	// Base is the initial run configuration. The elastic driver owns the
-	// segmentation fields — StartIter, CheckpointEvery, CheckpointSink,
-	// Restore must be zero; set the cadence on the ElasticConfig instead.
+	// Base is the initial run configuration; the driver splits it into
+	// segments.
 	Base DistConfig
 	// Plan is the fault schedule (nil = run uninterrupted).
 	Plan *cluster.FaultPlan
@@ -42,18 +40,9 @@ type ElasticConfig struct {
 	// (0 = no checkpoints: every failure replays from iteration 0 with a
 	// fresh seed re-init). Shards drain and restore at DefaultCheckpointBW.
 	CheckpointEvery int
-	// DetectSeconds models failure detection — the collective timeout the
-	// survivors hit before agreeing a rank is dead (0 =
-	// cluster.DefaultDetectSeconds).
-	DetectSeconds float64
 	// MinRanks aborts the run (at Validate time, from the plan's shape
 	// walk) if churn would shrink the cluster below it (0 = 1).
 	MinRanks int
-	// Retune re-runs the schedule autotuner whenever the rank count
-	// changes — the "re-tune mid-run when the shape changes" trigger —
-	// memoized per rank count. Tune bounds each search.
-	Retune bool
-	Tune   AutotuneOpts
 }
 
 // Recovery describes one fault-plan event's cost breakdown.
@@ -85,7 +74,7 @@ type ElasticSegment struct {
 	StartIter int // first global iteration the segment trains
 	Iters     int
 	Ranks     int
-	Schedule  string // schedule label (autotuned when Retune is set)
+	Schedule  string // schedule label
 	Res       *DistResult
 }
 
@@ -105,9 +94,6 @@ type ElasticResult struct {
 	OverheadSeconds float64
 	FinalRanks      int
 	Iters           int // productive global iterations (Base.Iters)
-	// Retunes lists the autotuner reports, one per distinct rank count
-	// tuned (Retune mode only).
-	Retunes []*AutotuneReport
 }
 
 // EffectiveIterSeconds is the throughput-under-churn metric: total wall
@@ -124,7 +110,7 @@ type ckptStore struct {
 	blobs map[int][][]byte // global iteration count → per-rank blob
 }
 
-// sinkFor returns a DistConfig.CheckpointSink recording each rank's shard
+// sinkFor returns a segment.sink recording each rank's shard
 // under the segment's rank count. Serialization runs outside the lock, so
 // concurrent ranks only contend on the map insert.
 func (s *ckptStore) sinkFor(ranks int, seed int64, lr float32) func(rank, iter int, m *Model) {
@@ -156,7 +142,7 @@ func (s *ckptStore) at(iter int) [][]byte {
 	return s.blobs[iter]
 }
 
-// restoreFromBlobs returns a DistConfig.Restore loading every old-shape
+// restoreFromBlobs returns a segment.restore loading every old-shape
 // shard blob into each new-shape shard model — the cross-shape composition
 // the checkpoint format guarantees: the MLP replica is overwritten with
 // identical bytes by every blob, and each table lands in exactly the new
@@ -188,17 +174,11 @@ func scheduleLabel(dc *DistConfig) string {
 // events.
 func (ec *ElasticConfig) validate() ([]cluster.FaultEvent, error) {
 	base := &ec.Base
-	if base.StartIter != 0 || base.CheckpointEvery != 0 || base.CheckpointSink != nil || base.Restore != nil {
-		return nil, fmt.Errorf("core: elastic Base must leave StartIter/Checkpoint*/Restore zero — the driver owns segmentation; set the cadence on ElasticConfig")
-	}
 	if err := base.Validate(); err != nil {
 		return nil, err
 	}
 	if ec.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("core: elastic CheckpointEvery=%d, want >= 0", ec.CheckpointEvery)
-	}
-	if ec.DetectSeconds < 0 {
-		return nil, fmt.Errorf("core: elastic DetectSeconds=%v, want >= 0", ec.DetectSeconds)
 	}
 	minRanks := ec.MinRanks
 	if minRanks == 0 {
@@ -276,10 +256,6 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 	}
 	base := ec.Base
 	functional := base.RunCfg != nil
-	detect := ec.DetectSeconds
-	if detect == 0 {
-		detect = cluster.DefaultDetectSeconds
-	}
 
 	res := &ElasticResult{Iters: base.Iters}
 	if functional {
@@ -287,13 +263,6 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 	}
 	store := &ckptStore{blobs: map[int][][]byte{}}
 	var durable [][]byte // blobs behind the current restore point
-	type schedFields struct {
-		sync           bool
-		bucketBytes    int
-		allreduce      comm.AllreduceAlgo
-		bucketChannels []int
-	}
-	tuned := map[int]schedFields{}
 
 	ranks := base.Ranks
 	start := 0       // next global iteration to train
@@ -305,45 +274,33 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 		if ei < len(events) {
 			end = events[ei].Iter
 		}
-		seg := base
-		seg.Ranks = ranks
-		seg.StartIter = start
-		seg.Iters = end - start
-		seg.CheckpointEvery = ec.CheckpointEvery
+		dc := base
+		dc.Ranks = ranks
+		dc.Iters = end - start
+		dc.seg = segment{startIter: start, ckptEvery: ec.CheckpointEvery}
 		if !functional {
 			// Timing mode tolerates non-divisible shapes by trimming the
 			// global batch to the nearest multiple (the survivors train a
 			// marginally smaller batch); functional mode rejected these in
 			// the pre-walk.
-			seg.GlobalN = base.GlobalN - base.GlobalN%ranks
+			dc.GlobalN = base.GlobalN - base.GlobalN%ranks
 		}
 		if functional && ec.CheckpointEvery > 0 {
-			seg.CheckpointSink = store.sinkFor(ranks, base.Seed, base.LR)
+			dc.seg.sink = store.sinkFor(ranks, base.Seed, base.LR)
 		}
 		if functional && durable != nil {
-			seg.Restore = restoreFromBlobs(durable)
-		}
-		if ec.Retune {
-			ts, ok := tuned[ranks]
-			if !ok {
-				tunedCfg, rep := AutotuneDistConfig(seg, ec.Tune)
-				ts = schedFields{tunedCfg.Sync, tunedCfg.BucketBytes, tunedCfg.Allreduce, tunedCfg.BucketChannels}
-				tuned[ranks] = ts
-				res.Retunes = append(res.Retunes, rep)
-			}
-			seg.Sync, seg.BucketBytes = ts.sync, ts.bucketBytes
-			seg.Allreduce, seg.BucketChannels = ts.allreduce, ts.bucketChannels
+			dc.seg.restore = restoreFromBlobs(durable)
 		}
 
-		segRes, err := seg.Run()
+		segRes, err := dc.Run()
 		if err != nil {
 			return nil, err
 		}
 		res.Segments = append(res.Segments, ElasticSegment{
-			StartIter: start, Iters: seg.Iters, Ranks: ranks,
-			Schedule: scheduleLabel(&seg), Res: segRes,
+			StartIter: start, Iters: dc.Iters, Ranks: ranks,
+			Schedule: scheduleLabel(&dc), Res: segRes,
 		})
-		res.TotalSeconds += segRes.IterSeconds * float64(seg.Iters)
+		res.TotalSeconds += segRes.IterSeconds * float64(dc.Iters)
 		if functional {
 			for i, l := range segRes.MeanLosses() {
 				res.Losses[start+i] = l
@@ -391,7 +348,7 @@ func RunElastic(ec ElasticConfig) (*ElasticResult, error) {
 				Kind: ev.Kind, Iter: f, FailedRank: ev.Rank,
 				OldRanks: oldRanks, NewRanks: ranks,
 				CkptIter: c, ReplayIters: f - c,
-				DetectSeconds: detect,
+				DetectSeconds: cluster.DefaultDetectSeconds,
 			}
 			if c > 0 {
 				rec.RestoreSeconds = maxShardCheckpointBytes(base.Cfg, ranks) / DefaultCheckpointBW

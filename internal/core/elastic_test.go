@@ -129,29 +129,6 @@ func TestElasticDeterminism(t *testing.T) {
 	}
 }
 
-// TestElasticRetune: on a shape change the driver re-runs the schedule
-// autotuner (memoized per rank count) and reports what it chose.
-func TestElasticRetune(t *testing.T) {
-	ec := elasticTestConfig(4, 64, 6, Variant{Alltoall, cluster.CCLBackend}, false)
-	ec.Base.Sync, ec.Base.BucketBytes = false, 0
-	ec.Retune, ec.Tune = true, AutotuneOpts{ProbeIters: 1, FinalIters: 1, MaxCandidates: 4}
-	res := elastic(t, ec, cluster.FaultEvent{Kind: cluster.RankFail, Iter: 2, Rank: 3}, cluster.FaultEvent{Kind: cluster.RankFail, Iter: 4, Rank: 0})
-	// Three rank counts (4, 3, 2) → three memoized tuner runs.
-	if len(res.Retunes) != 3 {
-		t.Fatalf("%d retune reports, want 3 (one per distinct rank count)", len(res.Retunes))
-	}
-	for _, rep := range res.Retunes {
-		if rep == nil || rep.Schedule == "" {
-			t.Fatalf("empty retune report: %+v", rep)
-		}
-	}
-	for _, seg := range res.Segments {
-		if seg.Schedule == "" {
-			t.Fatal("segment without a schedule label")
-		}
-	}
-}
-
 // TestElasticValidate is the rejection table for incoherent elastic
 // configurations and impossible fault plans.
 func TestElasticValidate(t *testing.T) {
@@ -162,10 +139,7 @@ func TestElasticValidate(t *testing.T) {
 		name string
 		mut  func(ec *ElasticConfig)
 	}{
-		{"driver-owned StartIter", func(ec *ElasticConfig) { ec.Base.StartIter = 2 }},
-		{"driver-owned CheckpointEvery", func(ec *ElasticConfig) { ec.Base.CheckpointEvery = 2 }},
 		{"negative cadence", func(ec *ElasticConfig) { ec.CheckpointEvery = -1 }},
-		{"negative detect", func(ec *ElasticConfig) { ec.DetectSeconds = -1 }},
 		{"min ranks above start", func(ec *ElasticConfig) { ec.MinRanks = 9 }},
 		{"kills nonexistent rank", plan(cluster.FaultEvent{Kind: cluster.RankFail, Iter: 2, Rank: 7})},
 		{"shrinks below min ranks", func(ec *ElasticConfig) {

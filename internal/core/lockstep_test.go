@@ -54,7 +54,7 @@ func TestIterSecondsBitReproducible(t *testing.T) {
 			for _, ranks := range []int{4, 8} {
 				for _, sync := range []bool{false, true} {
 					dc := at(cfg, ranks, loader(LoaderSharded), tiered(64<<20, 0), nIters(3), bucket(0))
-					dc.Variant, dc.Sync, dc.CheckpointEvery, dc.Workspaces = v, sync, 2, NewDistWorkspaces()
+					dc.Variant, dc.Sync, dc.seg.ckptEvery, dc.Workspaces = v, sync, 2, NewDistWorkspaces()
 					iterBits, commBits := map[uint64]int{}, map[uint64]int{}
 					for range runs {
 						res := mustRun(dc)

@@ -83,7 +83,7 @@ func (p point) config() DistConfig {
 	if p.at[axTier] == 1 {
 		dc.EmbCacheBytes, dc.ColdTierBW = cache, DefaultColdTierBW
 	}
-	dc.CheckpointEvery = 2 * p.at[axCheckpoint]
+	dc.seg.ckptEvery = 2 * p.at[axCheckpoint]
 	dc.Allreduce = matrixAlgos[p.at[axAllreduce]]
 	dc.Contention = p.at[axContention] == 1
 	dc.Blocking = p.at[axBlocking] == 1
@@ -161,7 +161,7 @@ func label(dc DistConfig) string {
 	}
 	return fmt.Sprintf("%s %s/%dR/N=%d/%s/sync=%v/bucket=%d/loader=%v/cache=%d/ckpt=%d/%v/contention=%v/blocking=%v",
 		mode, dc.Cfg.Name, dc.Ranks, dc.GlobalN, dc.Variant.Name(), dc.Sync, dc.BucketBytes, dc.Loader,
-		dc.EmbCacheBytes, dc.CheckpointEvery, dc.Allreduce, dc.Contention, dc.Blocking)
+		dc.EmbCacheBytes, dc.seg.ckptEvery, dc.Allreduce, dc.Contention, dc.Blocking)
 }
 
 // TestSampleHitsEveryAxisValue: the run-based checks see every value of

@@ -18,7 +18,7 @@ type Model struct {
 
 	Bot, Top *mlp.MLP
 	Tables   []*embedding.Table
-	Inter    interaction.Op
+	Inter    *interaction.Dot
 
 	cache fwdCache
 	ws    *Workspace
@@ -33,7 +33,7 @@ func NewModel(cfg Config, bn int, seed int64) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Model{Cfg: cfg, BN: bn, Inter: newInteraction(cfg)}
+	m := &Model{Cfg: cfg, BN: bn, Inter: interaction.NewDot(cfg.Tables, cfg.EmbDim)}
 	rng := rand.New(rand.NewSource(seed))
 	m.Bot = mlp.New(cfg.BotSizes(), bn, mlp.ReLU, mlp.ReLU, rng)
 	m.Top = mlp.New(cfg.TopSizes(), bn, mlp.ReLU, mlp.None, rng)
@@ -51,7 +51,7 @@ func NewModelShard(cfg Config, bn int, seed int64, r, ranks int) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Model{Cfg: cfg, BN: bn, Inter: newInteraction(cfg)}
+	m := &Model{Cfg: cfg, BN: bn, Inter: interaction.NewDot(cfg.Tables, cfg.EmbDim)}
 	rng := rand.New(rand.NewSource(seed))
 	m.Bot = mlp.New(cfg.BotSizes(), bn, mlp.ReLU, mlp.ReLU, rng)
 	m.Top = mlp.New(cfg.TopSizes(), bn, mlp.ReLU, mlp.None, rng)
@@ -68,14 +68,6 @@ func newTableSeeded(cfg Config, t int, seed int64) *embedding.Table {
 	tRng := rand.New(rand.NewSource(seed + int64(t)*7919))
 	scale := float32(1 / math.Sqrt(float64(cfg.EmbDim)))
 	return embedding.NewTable(cfg.Rows[t], cfg.EmbDim, tRng, scale)
-}
-
-// newInteraction builds the configured interaction operator.
-func newInteraction(cfg Config) interaction.Op {
-	if cfg.ConcatInteraction {
-		return interaction.NewConcat(cfg.Tables, cfg.EmbDim)
-	}
-	return interaction.NewDot(cfg.Tables, cfg.EmbDim)
 }
 
 // TableOwner returns the rank owning table t under round-robin model

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -308,6 +309,37 @@ func TestDefaultScheduleIsBucketedOverlapped(t *testing.T) {
 	checkExposures(t, at(Large, 64, defaults))
 }
 func TestEmbStoreTimingMonotone(t *testing.T) { checkOrders(t); checkExposures(t, budgetLadder()...) }
+
+// TestElasticEmptyPlanEqualsRun is a law over the timing sample and one
+// functional point: RunElastic with no fault plan and checkpoint cadence k
+// is one segment whose result deep-equals Run of the same configuration at
+// cadence k — in functional mode losses and every model parameter bit for
+// bit, the checkpoint sink's serialization notwithstanding. The segment's
+// result is compared, not EffectiveIterSeconds: (x·n)/n need not round back
+// to x.
+func TestElasticEmptyPlanEqualsRun(t *testing.T) {
+	for _, dc := range append(timingSample.configs(), tiny.x(axTier, 1).x(axCheckpoint, 1).configs()...) {
+		base := dc
+		base.seg = segment{}
+		res, err := RunElastic(ElasticConfig{Base: base, CheckpointEvery: dc.seg.ckptEvery})
+		if err != nil {
+			t.Fatalf("%s: %v", label(dc), err)
+		}
+		if len(res.Segments) != 1 {
+			t.Fatalf("%s: %d segments, want 1", label(dc), len(res.Segments))
+		}
+		got, want := *res.Segments[0].Res, *mustRun(dc)
+		for rk, m := range want.Models {
+			if m != nil {
+				checkModelsClose(t, label(dc), got.Models[rk], m, 0)
+			}
+		}
+		got.Models, want.Models = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunElastic segment %+v, Run %+v", label(dc), got, want)
+		}
+	}
+}
 
 func TestContentionChargesOverlappedSchedules(t *testing.T) {
 	if testing.Short() {

@@ -29,11 +29,6 @@ const (
 	// FP24 stores weights in the 1-8-15 format, losing update bits below
 	// its mantissa every step.
 	FP24
-	// FP16Stoch stores the embedding tables in FP16 with stochastic
-	// rounding on every update (the [13] replication of §VII; the MLPs use
-	// FP32 master weights as that scheme requires). The paper could not
-	// train DLRM to state of the art this way.
-	FP16Stoch
 )
 
 // String returns the Fig. 16 label.
@@ -47,8 +42,6 @@ func (p Precision) String() string {
 		return "BF16 (SplitSGD, 8 LSB)"
 	case FP24:
 		return "FP24 (1-8-15)"
-	case FP16Stoch:
-		return "FP16 (stochastic)"
 	default:
 		return fmt.Sprintf("Precision(%d)", int(p))
 	}
@@ -68,11 +61,7 @@ type Trainer struct {
 	// Prof, when non-nil, accumulates wall time per phase (embeddings, mlp,
 	// rest) for the Fig. 8 breakdown.
 	Prof *trace.Profile
-	// Schedule, when set (non-zero Base), overrides LR per step with the
-	// MLPerf warmup/decay policy.
-	Schedule optim.LRSchedule
 
-	step      int
 	mlpOpts   []optim.Optimizer
 	sgd       sgdCall
 	embSplits []*bf16.Split
@@ -102,10 +91,6 @@ func (tr *Trainer) initOptimizers() {
 			return s
 		case FP24:
 			return optim.NewQuantizedSGD(params, bf16.RoundFP24, "FP24")
-		case FP16Stoch:
-			// FP16 working weights with an FP32 master copy, as mixed
-			// precision FP16 requires (§VII).
-			return optim.NewMasterSGD(params, bf16.RoundFP16, "FP16+master")
 		default:
 			return optim.NewSGD(params)
 		}
@@ -140,12 +125,6 @@ func (tr *Trainer) initOptimizers() {
 				t.QuantizeTable(bf16.RoundFP24)
 			}
 		}
-	case FP16Stoch:
-		for _, t := range tr.M.Tables {
-			if t != nil {
-				t.QuantizeTable(bf16.RoundFP16)
-			}
-		}
 	}
 }
 
@@ -162,8 +141,8 @@ func (tr *Trainer) embForward(mb *data.MiniBatch) [][]float32 {
 
 // embUpdate applies the sparse backward+update for table t. The per-lookup
 // gradient rows live in the workspace, so the precision paths that
-// materialize them (Split-SGD, FP24, FP16, and the unfused FP32 strategies)
-// stay allocation-free.
+// materialize them (Split-SGD, FP24, and the unfused FP32 strategies) stay
+// allocation-free.
 func (tr *Trainer) embUpdate(t int, b *embedding.Batch, dOut []float32) {
 	tab := tr.M.Tables[t]
 	tables := tr.M.Cfg.Tables
@@ -179,10 +158,6 @@ func (tr *Trainer) embUpdate(t int, b *embedding.Batch, dOut []float32) {
 		dW := tr.ws.EmbDW(t, tables, b.NumLookups()*tab.E)
 		tab.Backward(tr.Pool, b, dOut, dW)
 		tab.UpdateQuantRaceFree(tr.Pool, b, dW, tr.LR, bf16.RoundFP24)
-	case FP16Stoch:
-		dW := tr.ws.EmbDW(t, tables, b.NumLookups()*tab.E)
-		tab.Backward(tr.Pool, b, dOut, dW)
-		tab.UpdateFP16StochasticRaceFree(tr.Pool, b, dW, tr.LR, uint64(t)<<32^0xD1CE)
 	default:
 		if tr.FusedEmbedding {
 			tab.FusedBackwardUpdate(tr.Pool, b, dOut, tr.LR)
@@ -245,10 +220,6 @@ func (tr *Trainer) optStep(o optim.Optimizer, grad []float32) {
 // timing is recorded with explicit start/stop stamps (not closures) so the
 // steady-state step performs zero heap allocations.
 func (tr *Trainer) Step(mb *data.MiniBatch) float64 {
-	if tr.Schedule.Base != 0 {
-		tr.LR = tr.Schedule.At(tr.step)
-	}
-	tr.step++
 	prof := tr.Prof
 	var t0 time.Time
 	if prof != nil {

@@ -72,34 +72,6 @@ func (dc *DistConfig) Validate() error {
 		return fmt.Errorf("core: BucketBytes=%d, want FlatBuckets (%d), 0 (tuned default) or a positive size",
 			dc.BucketBytes, FlatBuckets)
 	}
-	if len(dc.BucketChannels) > 0 {
-		// The channel set only round-robins where buckets actually overlap:
-		// the bucketed schedule under the overlap-aware pipeline. Anywhere
-		// else the knob is inert — reject rather than silently ignore.
-		if dc.BucketBytes == FlatBuckets {
-			return fmt.Errorf("core: BucketChannels set with FlatBuckets — the flat schedule has no buckets to route")
-		}
-		if dc.Sync {
-			return fmt.Errorf("core: BucketChannels set with Sync — the synchronous schedule places collectives by label hash")
-		}
-		channels := cluster.Config{Backend: dc.Variant.Backend}.WithDefaults().CCLChannels
-		for _, ch := range dc.BucketChannels {
-			if ch < 0 || ch >= channels {
-				return fmt.Errorf("core: bucket channel %d out of range [0,%d)", ch, channels)
-			}
-		}
-	}
-	if dc.StartIter < 0 {
-		return fmt.Errorf("core: StartIter=%d, want >= 0", dc.StartIter)
-	}
-	if dc.CheckpointEvery < 0 {
-		return fmt.Errorf("core: CheckpointEvery=%d, want >= 0", dc.CheckpointEvery)
-	}
-	if dc.CheckpointEvery == 0 && dc.CheckpointSink != nil {
-		// Without a cadence the sink is inert — reject rather than silently
-		// ignore.
-		return fmt.Errorf("core: CheckpointSink set without CheckpointEvery — it would never be called")
-	}
 	if dc.EmbCacheBytes < 0 {
 		return fmt.Errorf("core: EmbCacheBytes=%d, want >= 0", dc.EmbCacheBytes)
 	}
@@ -122,15 +94,6 @@ func (dc *DistConfig) Validate() error {
 		}
 		if dc.EmbSkew != 0 {
 			return fmt.Errorf("core: EmbSkew set without EmbCacheBytes — no tiered store to model")
-		}
-	}
-	if dc.RunCfg == nil {
-		// The functional hooks only fire where real models exist.
-		if dc.CheckpointSink != nil {
-			return fmt.Errorf("core: CheckpointSink set without RunCfg — timing-only runs have no models to snapshot")
-		}
-		if dc.Restore != nil {
-			return fmt.Errorf("core: Restore set without RunCfg — timing-only runs have no models to restore")
 		}
 	}
 	if dc.RunCfg != nil {

@@ -27,9 +27,9 @@ func TestValidateAcceptsBaseline(t *testing.T) {
 	if err := dc.Validate(); err != nil {
 		t.Fatalf("baseline config rejected: %v", err)
 	}
-	// The overlapped+bucketed default schedule with an explicit channel
-	// set is the other blessed shape.
-	dc.Sync, dc.BucketBytes, dc.BucketChannels = false, 0, []int{0, 1, 2}
+	// The overlapped+bucketed default schedule with the autotuner's full
+	// channel count is the other blessed shape.
+	dc.Sync, dc.BucketBytes, dc.bucketChannels = false, 0, 3
 	if err := dc.Validate(); err != nil {
 		t.Fatalf("overlapped bucketed config rejected: %v", err)
 	}
@@ -63,23 +63,12 @@ func TestValidateRejections(t *testing.T) {
 		{"socket without memory bandwidth", func(dc *DistConfig) { dc.Socket.MemBW = 0 }, "MemBW"},
 		{"socket without embedding efficiency", func(dc *DistConfig) { dc.Socket.EmbedEff = 0 }, "EmbedEff"},
 		{"negative bucket bytes", func(dc *DistConfig) { dc.BucketBytes = -7 }, "BucketBytes=-7"},
-		{"channels with flat buckets", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = false, FlatBuckets, []int{0} }, "FlatBuckets"},
-		{"channels with sync schedule", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = true, 0, []int{0} }, "Sync"},
-		{"channel out of range", func(dc *DistConfig) { dc.Sync, dc.BucketBytes, dc.BucketChannels = false, 0, []int{0, 4} }, "out of range"},
 		{"negative emb cache", func(dc *DistConfig) { dc.EmbCacheBytes = -64 }, "EmbCacheBytes=-64"},
 		{"negative cold bw", func(dc *DistConfig) { dc.EmbCacheBytes, dc.ColdTierBW = 64<<20, -1 }, "ColdTierBW"},
 		{"negative emb skew", tiered(64<<20, -0.5), "EmbSkew"},
 		{"cache without cold bw", func(dc *DistConfig) { dc.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"cold bw without cache", func(dc *DistConfig) { dc.ColdTierBW = DefaultColdTierBW }, "without EmbCacheBytes"},
 		{"emb skew without cache", func(dc *DistConfig) { dc.EmbSkew = 1.05 }, "without EmbCacheBytes"},
-		{"negative start iter", func(dc *DistConfig) { dc.StartIter = -1 }, "StartIter=-1"},
-		{"negative checkpoint cadence", func(dc *DistConfig) { dc.CheckpointEvery = -2 }, "CheckpointEvery=-2"},
-		{"sink without cadence", func(dc *DistConfig) {
-			functional(dc, dc.Cfg)
-			dc.CheckpointSink = func(int, int, *Model) {}
-		}, "without CheckpointEvery"},
-		{"sink without models", func(dc *DistConfig) { dc.CheckpointEvery, dc.CheckpointSink = 2, func(int, int, *Model) {} }, "without RunCfg"},
-		{"restore without models", func(dc *DistConfig) { dc.Restore = func(int, *Model) {} }, "without RunCfg"},
 		{"functional without dataset", func(dc *DistConfig) { functional(dc, dc.Cfg); dc.Dataset = nil }, "requires a Dataset"},
 		{"functional table mismatch", func(dc *DistConfig) {
 			run := dc.Cfg.Scaled(1)

@@ -7,7 +7,7 @@ import (
 // Workspace preallocates every buffer the training iteration reuses across
 // Step calls, making the steady state allocation-free: the embedding bag
 // outputs and their gradients, the per-table sparse gradient rows consumed
-// by the update strategies (including the BF16Split/FP24/FP16 paths), the
+// by the update strategies (including the BF16Split/FP24 paths), the
 // loss gradient, and the dense-path pack/unpack and interaction
 // intermediates of ForwardDense/BackwardDense. Buffers are keyed by shape
 // and grown monotonically, so the first Step (or a batch-size change) pays

@@ -200,10 +200,6 @@ func (l *ShardedLoader) Next() *RankBatch {
 	return rb
 }
 
-// NextBatch returns the next batch's sample shard — the whole minibatch for
-// a single-rank loader, which is the convenient single-socket entry point.
-func (l *ShardedLoader) NextBatch() *MiniBatch { return l.Next().Local }
-
 // Close implements Loader. It stops the prefetch goroutine and waits for
 // it to exit, so a successor loader borrowing the same LoaderBuffers (the
 // per-rank workspaces hand one across runs) can never observe a stale

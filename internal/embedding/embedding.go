@@ -42,7 +42,6 @@ type kernArgs struct {
 	lr    float32
 	split *bf16.Split
 	quant func(float32) float32
-	seed  uint64
 }
 
 // NewTable allocates an M×E table initialized uniform in [-scale, scale].

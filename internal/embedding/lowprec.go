@@ -77,42 +77,3 @@ func (t *Table) QuantizeTable(quant func(float32) float32) {
 		t.W[i] = quant(t.W[i])
 	}
 }
-
-// fp16StochBody applies the stochastically-rounded FP16 update for the rows
-// tid owns, drawing noise from a per-thread splitmix64 stream.
-func fp16StochBody(arg any, tid, workers int) {
-	t := arg.(*Table)
-	b, dW, lr, e := t.ka.b, t.ka.dW, t.ka.lr, t.E
-	ns := b.NumLookups()
-	mStart, mEnd := par.Chunk(t.M, workers, tid)
-	state := t.ka.seed ^ uint64(tid)*0x9E3779B97F4A7C15
-	for s := 0; s < ns; s++ {
-		ind := int(b.Indices[s])
-		if ind < mStart || ind >= mEnd {
-			continue
-		}
-		row := t.Row(ind)
-		src := dW[s*e : (s+1)*e]
-		for i := range row {
-			state += 0x9E3779B97F4A7C15
-			z := state
-			z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-			z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-			z ^= z >> 31
-			u := float32(z>>40) / float32(1<<24)
-			row[i] = bf16.StochasticRoundFP16(row[i]-float32(lr*src[i]), u)
-		}
-	}
-}
-
-// UpdateFP16StochasticRaceFree applies the sparse update with the table
-// stored in FP16 and stochastic rounding on every write — the
-// low-precision embedding-table training of [13] that §VII reports could
-// not train DLRM to state of the art with plain SGD. Race-free row
-// partitioning; the rounding noise is drawn from a per-thread splitmix64
-// stream seeded by the row index, so runs are reproducible.
-func (t *Table) UpdateFP16StochasticRaceFree(p *par.Pool, b *Batch, dW []float32, lr float32, seed uint64) {
-	t.ka.b, t.ka.dW, t.ka.lr, t.ka.seed = b, dW, lr, seed
-	p.ForEachWorkerArg(fp16StochBody, t)
-	t.ka.b, t.ka.dW = nil, nil
-}

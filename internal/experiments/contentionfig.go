@@ -116,6 +116,9 @@ func contentionFig(o Opts) *Table {
 	}
 
 	// Section (e): §VI-D1 interference, flat factor vs link-level mechanics.
+	// The interference-off row is the only caller outside tests that sets
+	// DistConfig.Interference to a value other than the 1.3 default; the
+	// knob stays so this row can show the artifact without the factor.
 	mpiOff, mpiOn := run(strong, tree, mpi(1.0)), run(strong, tree, mpi(1.3))
 	cclOff, cclOn := run(strong, tree), run(strong, tree, contended)
 	t.AddRow("§VI-D1", "strong (Fig9)", "2:1 trunk", "MPI overlapped, interference off", "n/a", ms(mpiOff), "-")

@@ -48,15 +48,6 @@ func BatchReduceKernel(aTiles, bTiles [][]float32, out []float32, bn, bc, bk int
 	batchReduce(aTiles, bTiles, out, bn, bc, bk, bc, 1, zeroOut)
 }
 
-// BatchReduceKernelSkipZeros is BatchReduceKernel. It used to test each
-// activation scalar for zero; a register tile shares every loaded weight
-// vector between four rows, so a zero scalar no longer has a load to skip,
-// and the dense kernel is the faster one on every workload measured
-// (docs/PERF.md). The name stays for callers that select it.
-func BatchReduceKernelSkipZeros(aTiles, bTiles [][]float32, out []float32, bn, bc, bk int, zeroOut bool) {
-	BatchReduceKernel(aTiles, bTiles, out, bn, bc, bk, zeroOut)
-}
-
 // Scratch holds per-worker tile pointer lists so the hot loop does not
 // allocate. Capacity is the reduction block count; it grows monotonically
 // and is cached per (pool, worker) across calls.
@@ -158,7 +149,12 @@ func Forward(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts) {
 	ForwardFused(p, w, x, y, nil)
 }
 
-// ForwardSkipZeros is Forward; see BatchReduceKernelSkipZeros.
+// ForwardSkipZeros is Forward. It used to test each activation scalar for
+// zero; a register tile shares every loaded weight vector between four rows,
+// so a zero scalar no longer has a load to skip, and the dense kernel is the
+// faster one on every workload measured (docs/PERF.md). The three SkipZeros
+// names stay because the benchmark's ledger calls them
+// (probeLayerGEMMs in benchmark/adapter.go).
 func ForwardSkipZeros(p *par.Pool, w *tensor.Weights, x *tensor.Acts, y *tensor.Acts) {
 	Forward(p, w, x, y)
 }
@@ -197,7 +193,7 @@ func BackwardData(p *par.Pool, wT *tensor.Weights, dy *tensor.Acts, dx *tensor.A
 	ForwardFused(p, wT, dy, dx, nil)
 }
 
-// BackwardDataSkipZeros is BackwardData; see BatchReduceKernelSkipZeros.
+// BackwardDataSkipZeros is BackwardData; see ForwardSkipZeros.
 func BackwardDataSkipZeros(p *par.Pool, wT *tensor.Weights, dy *tensor.Acts, dx *tensor.Acts) {
 	BackwardData(p, wT, dy, dx)
 }
@@ -247,8 +243,7 @@ func BackwardWeights(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.We
 	a.dy, a.x, a.dw = nil, nil, nil
 }
 
-// BackwardWeightsSkipZeros is BackwardWeights; see
-// BatchReduceKernelSkipZeros.
+// BackwardWeightsSkipZeros is BackwardWeights; see ForwardSkipZeros.
 func BackwardWeightsSkipZeros(p *par.Pool, dy *tensor.Acts, x *tensor.Acts, dw *tensor.Weights) {
 	BackwardWeights(p, dy, x, dw)
 }

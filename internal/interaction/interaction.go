@@ -1,9 +1,8 @@
-// Package interaction implements DLRM's feature-interaction operators that
-// combine the bottom-MLP output with the embedding-table outputs (§II): the
-// trivial Concat op and the default self dot-product op, which computes per
-// sample the Gram matrix of the stacked feature vectors — a batched GEMM —
-// and keeps the strictly-lower triangle, concatenated after the dense
-// features.
+// Package interaction implements DLRM's feature-interaction operator that
+// combines the bottom-MLP output with the embedding-table outputs (§II): the
+// self dot product, which computes per sample the Gram matrix of the stacked
+// feature vectors — a batched GEMM — and keeps the strictly-lower triangle,
+// concatenated after the dense features. Every Table I model uses it.
 //
 // The dot op runs that batched GEMM on internal/gemm's batch-reduce register
 // tiles wherever gemm has a vector kernel: each worker gathers a sample's
@@ -19,7 +18,7 @@
 // also the tests' oracle; they round after every multiply, so the two agree
 // to rounding only.
 //
-// Both operators are allocation-free in steady state: per-worker scratch is
+// The operator is allocation-free in steady state: per-worker scratch is
 // cached on the operator and the parallel bodies are package-level functions
 // dispatched through par.Pool.ForNArg.
 package interaction
@@ -30,23 +29,6 @@ import (
 	"repro/internal/gemm"
 	"repro/internal/par"
 	"repro/internal/tensor"
-)
-
-// Op is the interface both interaction operators satisfy: DLRM treats the
-// interaction as a pluggable component (§II names concat and the default
-// self dot product).
-type Op interface {
-	// OutputDim returns the per-sample output width.
-	OutputDim() int
-	// Forward combines the bottom feature and table outputs into out.
-	Forward(p *par.Pool, n int, bottom []float32, emb [][]float32, out []float32)
-	// Backward distributes dOut into dBottom and dEmb.
-	Backward(p *par.Pool, dOut, dBottom []float32, dEmb [][]float32)
-}
-
-var (
-	_ Op = (*Dot)(nil)
-	_ Op = (*Concat)(nil)
 )
 
 // dotScratch is one worker's buffers, reused across calls so the hot loop
@@ -311,73 +293,4 @@ func (d *Dot) check(n int, bottom []float32, emb [][]float32) {
 			panic(fmt.Sprintf("interaction: table %d len %d want %d", t, len(z), n*d.E))
 		}
 	}
-}
-
-// Concat is the simple interaction: per sample, the concatenation of the
-// dense feature and all table outputs.
-type Concat struct {
-	S, E int
-	n    int
-
-	// per-call state for the static bodies
-	curBottom  []float32
-	curEmb     [][]float32
-	curOut     []float32
-	curDOut    []float32
-	curDBottom []float32
-	curDEmb    [][]float32
-}
-
-// NewConcat returns a Concat interaction for S tables of dimension E.
-func NewConcat(s, e int) *Concat { return &Concat{S: s, E: e} }
-
-// OutputDim returns (S+1)·E.
-func (c *Concat) OutputDim() int { return (c.S + 1) * c.E }
-
-// concatFwdBody writes [bottom | emb_1 | ... | emb_S] rows for [lo, hi).
-func concatFwdBody(arg any, tid, lo, hi int) {
-	c := arg.(*Concat)
-	od, e := c.OutputDim(), c.E
-	bottom, emb, out := c.curBottom, c.curEmb, c.curOut
-	for smp := lo; smp < hi; smp++ {
-		row := out[smp*od : (smp+1)*od]
-		copy(row[:e], bottom[smp*e:(smp+1)*e])
-		for t := 0; t < c.S; t++ {
-			copy(row[(t+1)*e:(t+2)*e], emb[t][smp*e:(smp+1)*e])
-		}
-	}
-}
-
-// Forward writes [bottom | emb_1 | ... | emb_S] per sample into out
-// (N×OutputDim).
-func (c *Concat) Forward(p *par.Pool, n int, bottom []float32, emb [][]float32, out []float32) {
-	od := c.OutputDim()
-	if len(out) != n*od {
-		panic("interaction: concat out size mismatch")
-	}
-	c.n = n
-	c.curBottom, c.curEmb, c.curOut = bottom, emb, out
-	p.ForNArg(n, concatFwdBody, c)
-	c.curBottom, c.curEmb, c.curOut = nil, nil, nil
-}
-
-// concatBwdBody splits dOut rows back into dBottom and dEmb for [lo, hi).
-func concatBwdBody(arg any, tid, lo, hi int) {
-	c := arg.(*Concat)
-	od, e := c.OutputDim(), c.E
-	dOut, dBottom, dEmb := c.curDOut, c.curDBottom, c.curDEmb
-	for smp := lo; smp < hi; smp++ {
-		row := dOut[smp*od : (smp+1)*od]
-		copy(dBottom[smp*e:(smp+1)*e], row[:e])
-		for t := 0; t < c.S; t++ {
-			copy(dEmb[t][smp*e:(smp+1)*e], row[(t+1)*e:(t+2)*e])
-		}
-	}
-}
-
-// Backward splits dOut back into dBottom and dEmb.
-func (c *Concat) Backward(p *par.Pool, dOut, dBottom []float32, dEmb [][]float32) {
-	c.curDOut, c.curDBottom, c.curDEmb = dOut, dBottom, dEmb
-	p.ForNArg(c.n, concatBwdBody, c)
-	c.curDOut, c.curDBottom, c.curDEmb = nil, nil, nil
 }

@@ -108,39 +108,6 @@ func dotBackwardNumerically(t *testing.T, n, s, e int) {
 	}
 }
 
-func TestConcatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pool := par.NewPool(2)
-	const n, s, e = 4, 3, 6
-	c := NewConcat(s, e)
-	bottom := randVec(rng, n*e)
-	emb := make([][]float32, s)
-	for i := range emb {
-		emb[i] = randVec(rng, n*e)
-	}
-	out := make([]float32, n*c.OutputDim())
-	c.Forward(pool, n, bottom, emb, out)
-	// Backward of identity gradient must reproduce the inputs.
-	dBottom := make([]float32, n*e)
-	dEmb := make([][]float32, s)
-	for i := range dEmb {
-		dEmb[i] = make([]float32, n*e)
-	}
-	c.Backward(pool, out, dBottom, dEmb)
-	for i := range bottom {
-		if dBottom[i] != bottom[i] {
-			t.Fatal("concat backward lost bottom values")
-		}
-	}
-	for ti := range emb {
-		for i := range emb[ti] {
-			if dEmb[ti][i] != emb[ti][i] {
-				t.Fatal("concat backward lost table values")
-			}
-		}
-	}
-}
-
 // TestDotShapePanics: every wrong-length argument is refused by the
 // operator's own checks — a panic carrying its message, not an index fault
 // from inside a kernel.

@@ -1,8 +1,7 @@
 // Package optim implements the optimizers compared in §VII: plain FP32 SGD,
 // Split-SGD-BF16 (hi/lo split storage, FP32-accurate update, no master
-// weights), quantized SGD (weights kept in a reduced precision such as FP24,
-// losing low bits every step), and the classic master-weight mixed-precision
-// SGD that Split-SGD makes unnecessary.
+// weights) and quantized SGD (weights kept in a reduced precision such as
+// FP24, losing low bits every step).
 //
 // Optimizers are per-tensor: a model enumerates its parameter tensors (e.g.
 // mlp.MLP.VisitParams) and binds one optimizer instance to each. Step takes
@@ -135,45 +134,3 @@ func (q *QuantizedSGD) Name() string { return q.Variant }
 
 // StateBytes implements Optimizer.
 func (q *QuantizedSGD) StateBytes() int { return 0 }
-
-// MasterSGD is the classic mixed-precision scheme Split-SGD replaces: a full
-// FP32 master copy is updated and the working weights are its quantized
-// image. Storage overhead: +4 bytes per weight (the 200%/3× figure of §VII
-// when the working weights are 16-bit).
-type MasterSGD struct {
-	Params  []float32
-	Master  []float32
-	Quant   func(float32) float32
-	Variant string
-}
-
-// NewMasterSGD binds master-weight SGD to params.
-func NewMasterSGD(params []float32, quant func(float32) float32, name string) *MasterSGD {
-	m := &MasterSGD{
-		Params:  params,
-		Master:  append([]float32(nil), params...),
-		Quant:   quant,
-		Variant: name,
-	}
-	for i := range params {
-		params[i] = quant(params[i])
-	}
-	return m
-}
-
-// Step implements Optimizer.
-func (m *MasterSGD) Step(grad []float32, lr float32) {
-	if len(grad) != len(m.Params) {
-		panic("optim: MasterSGD grad length mismatch")
-	}
-	for i := range m.Master {
-		m.Master[i] -= float32(lr * grad[i])
-		m.Params[i] = m.Quant(m.Master[i])
-	}
-}
-
-// Name implements Optimizer.
-func (m *MasterSGD) Name() string { return m.Variant }
-
-// StateBytes implements Optimizer: the FP32 master copy.
-func (m *MasterSGD) StateBytes() int { return 4 * len(m.Master) }

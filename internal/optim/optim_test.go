@@ -119,22 +119,6 @@ func TestQuantizedSGDLosesLowBits(t *testing.T) {
 	}
 }
 
-func TestMasterSGDAccumulatesDespiteQuantizedWeights(t *testing.T) {
-	// With a master copy, tiny updates accumulate in FP32 even though the
-	// working weights are BF16 — the property that costs 3× storage.
-	p := []float32{1}
-	m := NewMasterSGD(p, bf16.Round, "BF16+master")
-	for i := 0; i < 100000; i++ {
-		m.Step([]float32{-1e-7}, 1)
-	}
-	if m.Master[0] <= 1 {
-		t.Fatal("master weights must accumulate")
-	}
-	if p[0] <= 1 {
-		t.Fatal("after enough accumulation the quantized view must move too")
-	}
-}
-
 func TestStateBytes(t *testing.T) {
 	p := randSlice(rand.New(rand.NewSource(2)), 100)
 	if NewSGD(append([]float32(nil), p...)).StateBytes() != 0 {
@@ -142,9 +126,6 @@ func TestStateBytes(t *testing.T) {
 	}
 	if NewSplitSGD(append([]float32(nil), p...)).StateBytes() != 200 {
 		t.Fatal("SplitSGD state should be 2B/weight")
-	}
-	if NewMasterSGD(append([]float32(nil), p...), bf16.Round, "m").StateBytes() != 400 {
-		t.Fatal("MasterSGD state should be 4B/weight")
 	}
 }
 
@@ -170,37 +151,4 @@ func TestLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewSGD([]float32{1, 2}).Step([]float32{1}, 0.1)
-}
-
-func TestLRScheduleWarmupPlateauDecay(t *testing.T) {
-	s := LRSchedule{Base: 1, WarmupSteps: 10, DecayStart: 20, DecaySteps: 10, EndLR: 0.01}
-	// Warmup: linear from Base/10 to Base.
-	if s.At(0) != 0.1 || s.At(9) != 1 {
-		t.Fatalf("warmup wrong: %g, %g", s.At(0), s.At(9))
-	}
-	// Plateau.
-	if s.At(15) != 1 {
-		t.Fatalf("plateau wrong: %g", s.At(15))
-	}
-	// Decay is monotone decreasing, quadratic, and lands at EndLR.
-	prev := s.At(20)
-	for i := 21; i < 30; i++ {
-		cur := s.At(i)
-		if cur >= prev {
-			t.Fatalf("decay not monotone at %d: %g >= %g", i, cur, prev)
-		}
-		prev = cur
-	}
-	if s.At(30) != 0.01 || s.At(1000) != 0.01 {
-		t.Fatal("decay must land at EndLR")
-	}
-}
-
-func TestConstantLR(t *testing.T) {
-	s := ConstantLR(0.5)
-	for _, step := range []int{0, 7, 1 << 20} {
-		if s.At(step) != 0.5 {
-			t.Fatal("constant schedule must not vary")
-		}
-	}
 }

@@ -280,10 +280,8 @@ func (c Config) newCostModel() costModel {
 		embDim:  c.Cfg.EmbDim,
 		owned:   make([]int, c.Replicas),
 	}
-	if !c.Cfg.ConcatInteraction {
-		s := float64(c.Cfg.Tables)
-		cm.inter = (s + 1) * s / 2 * 2 * float64(c.Cfg.EmbDim)
-	}
+	s := float64(c.Cfg.Tables)
+	cm.inter = (s + 1) * s / 2 * 2 * float64(c.Cfg.EmbDim)
 	for t := 0; t < c.Cfg.Tables; t++ {
 		cm.owned[core.TableOwner(t, c.Replicas)]++
 	}

@@ -129,6 +129,5 @@ func sameConfig(a, b *core.Config) bool {
 	return a.Name == b.Name && a.MB == b.MB && a.GlobalMB == b.GlobalMB && a.LocalMB == b.LocalMB &&
 		a.Lookups == b.Lookups && a.Tables == b.Tables && a.EmbDim == b.EmbDim &&
 		slices.Equal(a.Rows, b.Rows) && a.DenseIn == b.DenseIn &&
-		slices.Equal(a.BotHidden, b.BotHidden) && slices.Equal(a.TopHidden, b.TopHidden) &&
-		a.ConcatInteraction == b.ConcatInteraction
+		slices.Equal(a.BotHidden, b.BotHidden) && slices.Equal(a.TopHidden, b.TopHidden)
 }
