@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -275,4 +277,69 @@ func TestShardTablesMatchFullModel(t *testing.T) {
 	// Seeded per-table init must make shard tables (and the MLP replica)
 	// bit-identical to the full model's.
 	checkModelsClose(t, "shard", NewModelShard(tinyConfig(), 16, 9, 1, 2), NewModel(tinyConfig(), 16, 9), 0)
+}
+
+// randStreamModel builds rank r's shard the plain way: the MLPs from one
+// rand.Rand seeded with seed, then table after table, each drawn by
+// embedding.NewTable from its own rand.Rand seeded with seed + 7919·t.
+func randStreamModel(cfg Config, bn int, seed int64, r, ranks int) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	m := &Model{Cfg: cfg, BN: bn, Tables: make([]*embedding.Table, cfg.Tables)}
+	m.Bot = mlp.New(cfg.BotSizes(), bn, mlp.ReLU, mlp.ReLU, rng)
+	m.Top = mlp.New(cfg.TopSizes(), bn, mlp.ReLU, mlp.None, rng)
+	scale := float32(1 / math.Sqrt(float64(cfg.EmbDim)))
+	for t := range m.Tables {
+		if TableOwner(t, ranks) == r {
+			m.Tables[t] = embedding.NewTable(cfg.Rows[t], cfg.EmbDim, rand.New(rand.NewSource(seed+7919*int64(t))), scale)
+		}
+	}
+	return m
+}
+
+// TestModelBuildEqualsRandStreams: NewModel and NewModelShard, which build
+// their tables concurrently on par.Default through embedding.NewTableSeeded,
+// leave every MLP weight and every table float bit-identical to
+// randStreamModel — on 1-row tables, E = 1, tables spanning several of the
+// generator's blocks, MLPerf's 26 tables, and sharded over 1, 3 and 4 ranks
+// built concurrently.
+func TestModelBuildEqualsRandStreams(t *testing.T) {
+	edge := Config{
+		Name: "Edge", MB: 16, GlobalMB: 16, LocalMB: 16, Lookups: 1,
+		Tables: 3, EmbDim: 1, Rows: []int{1, 1, 2000},
+		DenseIn: 2, BotHidden: []int{4}, TopHidden: []int{3},
+	}
+	shape := func(tab *embedding.Table) string {
+		if tab == nil {
+			return "not built"
+		}
+		return fmt.Sprintf("%d×%d", tab.M, tab.E)
+	}
+	check := func(label string, got, want *Model) {
+		t.Helper()
+		for ti := range want.Tables {
+			if g, w := shape(got.Tables[ti]), shape(want.Tables[ti]); g != w {
+				t.Fatalf("%s: table %d is %s, want %s", label, ti, g, w)
+			}
+		}
+		checkModelsClose(t, label, got, want, 0)
+	}
+	for _, cfg := range []Config{edge, tinyConfig(), miniMLPerfConfig()} {
+		for _, seed := range []int64{0, 1, -7, 1 << 40} {
+			check(fmt.Sprintf("%s seed %d NewModel", cfg.Name, seed), NewModel(cfg, 16, seed), randStreamModel(cfg, 16, seed, 0, 1))
+			for _, ranks := range []int{1, 3, 4} {
+				// The ranks build at once, as a functional Run's rank
+				// goroutines do, all submitting to par.Default.
+				shards := make([]*Model, ranks)
+				var wg sync.WaitGroup
+				for r := range shards {
+					wg.Add(1)
+					go func() { defer wg.Done(); shards[r] = NewModelShard(cfg, 16, seed, r, ranks) }()
+				}
+				wg.Wait()
+				for r, m := range shards {
+					check(fmt.Sprintf("%s seed %d rank %d of %d", cfg.Name, seed, r, ranks), m, randStreamModel(cfg, 16, seed, r, ranks))
+				}
+			}
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/interaction"
 	"repro/internal/mlp"
+	"repro/internal/par"
 )
 
 // Model is one DLRM instance: bottom MLP over the dense features, S
@@ -24,29 +25,21 @@ type Model struct {
 	ws    *Workspace
 }
 
-// NewModel builds a DLRM from cfg. Table t is seeded with seed+t so that a
-// distributed trainer owning only a subset of tables initializes them
-// bit-identically to a single-socket model — the replication the
-// equivalence tests rely on. bn is the minibatch blocking; minibatches must
-// be divisible by it.
+// NewModel builds a DLRM from cfg: NewModelShard with one rank owning every
+// table. bn is the minibatch blocking; minibatches must be divisible by it.
 func NewModel(cfg Config, bn int, seed int64) *Model {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	m := &Model{Cfg: cfg, BN: bn, Inter: interaction.NewDot(cfg.Tables, cfg.EmbDim)}
-	rng := rand.New(rand.NewSource(seed))
-	m.Bot = mlp.New(cfg.BotSizes(), bn, mlp.ReLU, mlp.ReLU, rng)
-	m.Top = mlp.New(cfg.TopSizes(), bn, mlp.ReLU, mlp.None, rng)
-	m.Tables = make([]*embedding.Table, cfg.Tables)
-	for t := range m.Tables {
-		m.Tables[t] = newTableSeeded(cfg, t, seed)
-	}
-	return m
+	return NewModelShard(cfg, bn, seed, 0, 1)
 }
 
 // NewModelShard builds only the tables owned by rank r of ranks (tables are
 // assigned round-robin: owner(t) = t mod ranks) plus full MLP replicas —
 // the hybrid-parallel layout of §IV-B. Unowned table slots are nil.
+//
+// The MLPs draw from one stream seeded with seed; table t draws from its own
+// stream seeded with seed + 7919·t, so a rank owning a subset of the tables
+// initializes them bit-identically to a single-socket model — the
+// replication the equivalence tests rely on — and the tables are built in
+// parallel on par.Default with the same result at any worker count.
 func NewModelShard(cfg Config, bn int, seed int64, r, ranks int) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -56,18 +49,15 @@ func NewModelShard(cfg Config, bn int, seed int64, r, ranks int) *Model {
 	m.Bot = mlp.New(cfg.BotSizes(), bn, mlp.ReLU, mlp.ReLU, rng)
 	m.Top = mlp.New(cfg.TopSizes(), bn, mlp.ReLU, mlp.None, rng)
 	m.Tables = make([]*embedding.Table, cfg.Tables)
-	for t := range m.Tables {
-		if TableOwner(t, ranks) == r {
-			m.Tables[t] = newTableSeeded(cfg, t, seed)
-		}
-	}
-	return m
-}
-
-func newTableSeeded(cfg Config, t int, seed int64) *embedding.Table {
-	tRng := rand.New(rand.NewSource(seed + int64(t)*7919))
 	scale := float32(1 / math.Sqrt(float64(cfg.EmbDim)))
-	return embedding.NewTable(cfg.Rows[t], cfg.EmbDim, tRng, scale)
+	par.Default.ForN(cfg.Tables, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if TableOwner(t, ranks) == r {
+				m.Tables[t] = embedding.NewTableSeeded(cfg.Rows[t], cfg.EmbDim, seed+int64(t)*7919, scale)
+			}
+		}
+	})
+	return m
 }
 
 // TableOwner returns the rank owning table t under round-robin model

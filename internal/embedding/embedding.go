@@ -44,7 +44,9 @@ type kernArgs struct {
 	quant func(float32) float32
 }
 
-// NewTable allocates an M×E table initialized uniform in [-scale, scale].
+// NewTable allocates an M×E table initialized uniform in [-scale, scale],
+// drawing from rng. Where rng would be a fresh seeded source used for the
+// table alone, NewTableSeeded builds the same table faster.
 func NewTable(m, e int, rng *rand.Rand, scale float32) *Table {
 	t := &Table{M: m, E: e, W: make([]float32, m*e)}
 	for i := range t.W {
@@ -57,7 +59,7 @@ func NewTable(m, e int, rng *rand.Rand, scale float32) *Table {
 func (t *Table) Row(i int) []float32 { return t.W[i*t.E : (i+1)*t.E] }
 
 // Clone returns a deep copy of the table (used by the strategy-equivalence
-// tests and the distributed trainer's replication checks).
+// tests).
 func (t *Table) Clone() *Table {
 	c := &Table{M: t.M, E: t.E, W: make([]float32, len(t.W))}
 	copy(c.W, t.W)
