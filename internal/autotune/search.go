@@ -1,6 +1,15 @@
+// Package autotune provides a small deterministic configuration searcher:
+// successive halving over an enumerated candidate space, with cheap probes
+// weeding out bad candidates before the full probe budget is spent on the
+// contenders. It knows nothing about what a candidate is — callers supply
+// an Objective mapping (candidate index, probe budget) to a cost.
 package autotune
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/rng"
+)
 
 // Objective evaluates candidate i at the given probe budget (iterations)
 // and returns its cost; lower is better. It must be deterministic in
@@ -105,7 +114,8 @@ func (b byCost) Swap(i, j int) {
 
 // pickPool selects the first-round candidate set: all of 0..n-1 when the
 // space fits the cap, otherwise a MaxCandidates-sized uniform sample
-// (partial Fisher-Yates over the counter-based stream) with the forced
+// (partial Fisher-Yates whose draw i is an rng.Stream keyed by Seed and i
+// alone, so re-running a search replays it) with the forced
 // includes appended. The pool is returned in ascending index order so the
 // evaluation sequence is deterministic.
 func pickPool(n int, opt Options) []int {
@@ -122,7 +132,8 @@ func pickPool(n int, opt Options) []int {
 	}
 	k := opt.MaxCandidates
 	for i := 0; i < k; i++ {
-		j := i + int(sampleDraw(opt.Seed, i)%uint64(n-i))
+		g := rng.Stream(opt.Seed).Key(sampleTag).Key(uint64(i) * rng.Spread1)
+		j := i + int(g.Next()%uint64(n-i))
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	pool := idx[:k]
@@ -135,6 +146,10 @@ func pickPool(n int, opt Options) []int {
 	sort.Ints(pool)
 	return pool
 }
+
+// sampleTag keeps the searcher's draws disjoint from other streams keyed
+// by the same seed.
+const sampleTag = 0x53414D50 // "SAMP"
 
 func contains(s []int, v int) bool {
 	for _, x := range s {

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/rng"
 )
 
 // The deterministic failure injector. A FaultPlan scripts which ranks die
@@ -152,17 +154,6 @@ func (p *FaultPlan) Resolved(iterSeconds float64, iters int) ([]FaultEvent, erro
 	return out, nil
 }
 
-// splitmix64 is the same counter-based generator the data streams use
-// (internal/data): tiny state, cheap seeding, no allocation — so a churn
-// schedule, like a minibatch, is a pure function of its coordinates.
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // RandomChurn builds a deterministic randomized churn schedule: at every
 // iteration boundary, with probability rate, one uniformly-chosen live rank
 // fails — until only minRanks survive. The draws for boundary i derive
@@ -179,15 +170,14 @@ func RandomChurn(seed uint64, ranks, minRanks, iters int, rate float64) *FaultPl
 		if live <= minRanks {
 			break
 		}
-		s := seed ^ uint64(it)*0x5851F42D4C957F2D
-		splitmix64(&s)
-		if float64(splitmix64(&s)>>11)/(1<<53) >= rate {
+		g := rng.Stream(seed).Key(uint64(it) * rng.Spread1)
+		if g.Float64() >= rate {
 			continue
 		}
 		p.Events = append(p.Events, FaultEvent{
 			Iter: it,
 			Kind: RankFail,
-			Rank: int(splitmix64(&s) % uint64(live)),
+			Rank: int(g.Next() % uint64(live)),
 		})
 		live--
 	}

@@ -154,7 +154,7 @@ func (r *Random) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	for s := lo; s < hi; s++ {
 		g := tableStream(r.Seed, randomTag, i, s, t)
 		for l := 0; l < r.Lookups; l++ {
-			b.Indices = append(b.Indices, u.DrawU(g.f64(), r.Rows))
+			b.Indices = append(b.Indices, u.DrawU(g.Float64(), r.Rows))
 		}
 		b.Offsets[s-lo+1] = int32(len(b.Indices))
 	}

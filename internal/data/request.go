@@ -77,7 +77,7 @@ func (r *RequestLog) teacher() *teacher {
 func (r *RequestLog) Entity(i, s int) int32 {
 	t := r.teacher()
 	g := sampleStream(t.seed, reqTag, i, s)
-	return r.entity.DrawU(g.f64())
+	return r.entity.DrawU(g.Float64())
 }
 
 // Batch implements Dataset.

@@ -1,6 +1,10 @@
 package data
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/rng"
+)
 
 // Per-sample counter-based random streams.
 //
@@ -11,36 +15,19 @@ import "math"
 // r must materialize samples [r·N/R, (r+1)·N/R) — and, for the tables it
 // owns under model parallelism, one table's column over ALL samples —
 // without touching the rest. So every (batch, sample) and every (batch,
-// sample, table) pair seeds its own splitmix64 stream, derived purely from
-// the dataset seed and those coordinates. Streams are value types on the
-// caller's stack: generation performs no heap allocation and is safe for
-// concurrent fills of distinct buffers.
+// sample, table) pair keys its own rng.Stream, derived purely from the
+// dataset seed and those coordinates (a rand.Rand would cost an allocation
+// and a ~2 KiB reseed per sample). Streams are value types on the caller's
+// stack: generation performs no heap allocation and is safe for concurrent
+// fills of distinct buffers.
 type sampleRNG struct {
-	s uint64
+	rng.Stream
 }
 
-// splitmix64 is the stream generator: tiny state, cheap seeding, passes
-// BigCrush — exactly what per-sample seeding needs (a rand.Rand would cost
-// an allocation and a ~2 KiB reseed per sample).
-func splitmix64(s *uint64) uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// streamSeed hashes the four stream coordinates into a seed. Each
-// coordinate passes through one splitmix round before mixing so that
-// adjacent (batch, sample) pairs land in unrelated states.
+// streamSeed keys a stream by the dataset seed, a stream tag and two
+// coordinates.
 func streamSeed(seed int64, tag uint64, batch, sub int) sampleRNG {
-	s := uint64(seed) ^ tag
-	splitmix64(&s)
-	s ^= uint64(batch) * 0x5851F42D4C957F2D
-	splitmix64(&s)
-	s ^= uint64(sub) * 0xDA942042E4DD58B5
-	splitmix64(&s)
-	return sampleRNG{s}
+	return sampleRNG{rng.Stream(uint64(seed)).Key(tag).Key(uint64(batch) * rng.Spread1).Key(uint64(sub) * rng.Spread2)}
 }
 
 // sampleStream returns the stream for sample `sample` of batch `batch`
@@ -66,23 +53,15 @@ const (
 	reqLblTag   = 0x524C424C // "RLBL" — request label draws
 )
 
-// u64 returns the next raw 64-bit value.
-func (g *sampleRNG) u64() uint64 { return splitmix64(&g.s) }
-
-// f64 returns a uniform float64 in [0, 1).
-func (g *sampleRNG) f64() float64 {
-	return float64(g.u64()>>11) / (1 << 53)
-}
-
 // f32 returns a uniform float32 in [0, 1).
 func (g *sampleRNG) f32() float32 {
-	return float32(g.u64()>>40) / (1 << 24)
+	return float32(g.Next()>>40) / (1 << 24)
 }
 
 // norm returns a standard normal via Box-Muller (two uniforms per call; the
 // second root is discarded to keep the stream's draw count fixed per call).
 func (g *sampleRNG) norm() float64 {
-	u1 := g.f64()
-	u2 := g.f64()
+	u1 := g.Float64()
+	u2 := g.Float64()
 	return math.Sqrt(-2*math.Log(u1+1e-300)) * math.Cos(2*math.Pi*u2)
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/embedding"
+	"repro/internal/rng"
 )
 
 // teacher is the generator ClickLog and RequestLog share: per-table Zipf
@@ -13,7 +14,7 @@ import (
 // the values its exported fields hold then; every fill reads only the
 // teacher, so samplers, cached scores and parameters cannot disagree. After
 // that it is shared by concurrent fills and never written, except for the
-// write-once head-score entries.
+// write-once head-score entries and the samplers' write-once bucket slots.
 type teacher struct {
 	seed    int64
 	lookups int
@@ -50,8 +51,7 @@ func newTeacher(seed int64, rows []int, lookups int, skew, signal, bias float64,
 // unitScore is the hidden N(0,1) score of (table, row), computed by hashing
 // so huge tables need no storage.
 func (t *teacher) unitScore(table int, row int32) float64 {
-	h := uint64(t.seed) ^ uint64(table)<<32 ^ uint64(uint32(row))
-	h = splitmix64(&h)
+	h := rng.Mix(uint64(t.seed) ^ uint64(table)<<32 ^ uint64(uint32(row)))
 	u1 := float64(h&0xFFFFFFFF) / float64(1<<32)
 	u2 := float64(h>>32) / float64(1<<32)
 	return math.Sqrt(-2*math.Log(u1+1e-12)) * math.Cos(2*math.Pi*u2)
@@ -75,9 +75,9 @@ func (t *teacher) latent(table int, row int32) float64 {
 // b.Indices.
 func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub int) {
 	g := tableStream(t.seed, tag, batch, sub, ti)
-	zipf := t.tables[ti].zipf
+	zipf := &t.tables[ti].zipf
 	for l := 0; l < t.lookups; l++ {
-		b.Indices = append(b.Indices, zipf.DrawU(g.f64()))
+		b.Indices = append(b.Indices, zipf.DrawU(g.Float64()))
 	}
 }
 
@@ -106,7 +106,7 @@ func (t *teacher) fillSample(mb *MiniBatch, k int, dense sampleRNG, tag uint64, 
 		logit += acc / float64(t.lookups)
 	}
 	pCTR := 1 / (1 + math.Exp(-logit))
-	if lbl.f64() < pCTR {
+	if lbl.Float64() < pCTR {
 		mb.Labels[k] = 1
 	} else {
 		mb.Labels[k] = 0

@@ -1,20 +1,21 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
+
+	"repro/internal/rng"
 )
 
-// zipfTestU is a tiny counter-based uniform stream (splitmix64 finalizer on
-// the draw counter) so the statistical test below is deterministic: same
-// draws every run, no rand.Rand state to seed or share.
+// zipfTestU is draw i of a counter-keyed uniform stream, so the tests below
+// are deterministic: same draws every run, no rand.Rand state to seed or
+// share.
 func zipfTestU(i uint64) float64 {
-	i += 0x9E3779B97F4A7C15
-	z := i
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	g := rng.Stream(i)
+	return g.Float64()
 }
 
 // TestZipfDrawSkewMatchesAnalyticCDF checks the generator is actually
@@ -121,25 +122,46 @@ func drawUExact(s, u float64, m int) int32 {
 	return r
 }
 
-// TestSamplerEqualsExactDraw holds the sampler's fast path to the integer the
-// exact formula gives, where it is most likely to differ — a few ulp either
+// TestSamplerEqualsExactDraw holds the sampler to the integer the exact
+// formula gives, where the two are most likely to differ: a few ulp either
 // side of every u at which the continuous draw crosses an integer (every
 // threshold of the small tables, a sample of them up to the largest Criteo
-// table) — and on ten million uniform draws.
+// table), the same around the edges of the bucket table's buckets (every
+// head edge of the small tables, a stride of them for the rest), and on ten
+// million uniform draws. Each u is drawn from a cold slot (its bucket
+// undecided, so the draw decides it) and again from the warm one.
 func TestSamplerEqualsExactDraw(t *testing.T) {
 	const ulps = 40
 	check := func(s float64, z ZipfSampler, m int, u float64) {
 		if u < 0 || u >= 1 {
 			return
 		}
-		if got, want := z.DrawU(u), drawUExact(s, u, m); got != want {
-			t.Fatalf("s=%v m=%d u=%v (%#x): sampler row %d, exact row %d", s, m, u, math.Float64bits(u), got, want)
+		if j := int(u * z.buckets); j < len(z.head) {
+			z.head[j].Store(0)
+		}
+		cold := z.DrawU(u)
+		warm := z.DrawU(u)
+		if want := drawUExact(s, u, m); cold != want || warm != want {
+			t.Fatalf("s=%v m=%d u=%v (%#x): sampler rows %d cold, %d warm; exact row %d",
+				s, m, u, math.Float64bits(u), cold, warm, want)
+		}
+	}
+	probe := func(s float64, z ZipfSampler, m int, u float64) {
+		lo, hi := u, u
+		check(s, z, m, u)
+		for i := 0; i < ulps; i++ {
+			lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
+			check(s, z, m, lo)
+			check(s, z, m, hi)
 		}
 	}
 	var ctr uint64
 	for _, s := range []float64{0.5, 1, 1.05, 2} {
 		for _, m := range []int{1, 3, 17, 1000, 38_949, 100_000, 250_000, 39_884_406} {
 			z := Zipf{S: s}.Sampler(m)
+			if len(z.head) == 0 {
+				t.Fatalf("s=%v m=%d: no bucket table", s, m)
+			}
 			// About a thousand thresholds per table: all of them when the
 			// table is that small, else every stride-th plus the last ones.
 			stride := max(1, m/1000)
@@ -154,13 +176,14 @@ func TestSamplerEqualsExactDraw(t *testing.T) {
 				} else {
 					u = (math.Pow(float64(k), 1-s) - 1) / (math.Pow(float64(m)+1, 1-s) - 1)
 				}
-				lo, hi := u, u
-				check(s, z, m, u)
-				for i := 0; i < ulps; i++ {
-					lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
-					check(s, z, m, lo)
-					check(s, z, m, hi)
-				}
+				probe(s, z, m, u)
+			}
+			stride = 1
+			if m > 1000 {
+				stride = max(1, len(z.head)/1000)
+			}
+			for j := 0; j <= len(z.head); j += stride {
+				probe(s, z, m, float64(j)/z.buckets)
 			}
 			for i := 0; i < 320_000; i++ {
 				check(s, z, m, zipfTestU(ctr))
@@ -173,8 +196,69 @@ func TestSamplerEqualsExactDraw(t *testing.T) {
 	}
 }
 
+// TestZipfTableSize holds the bucket table to its sizing rule — B the power
+// of two ≥ 4m, at most 2¹⁶, slots only for the head — and to the cases that
+// get none: samplers outside the error argument (|1 − s| < 0.001) and the
+// one-shot draws, which must not allocate.
+func TestZipfTableSize(t *testing.T) {
+	for _, c := range []struct{ m, b int }{{1, 4}, {3, 16}, {17, 128}, {1000, 4096}, {16_384, 1 << 16}, {250_000, 1 << 16}} {
+		z := Zipf{S: 1.05}.Sampler(c.m)
+		if z.buckets != float64(c.b) || len(z.head) < 1 || len(z.head) > c.b {
+			t.Errorf("m=%d: %v buckets, %d slots; want %d buckets, 1..%[4]d slots", c.m, z.buckets, len(z.head), c.b)
+		}
+	}
+	// The train-emb tables: the head is about 70 % of u, 180 KB of slots.
+	if n := len(Zipf{S: 1.05}.Sampler(250_000).head); n < 40_000 || n > 50_000 {
+		t.Errorf("m=250000: %d head slots, want about 45 600", n)
+	}
+	if z := (Zipf{S: 0.9995}).Sampler(1000); z.head != nil {
+		t.Errorf("s=0.9995 has %d slots; samplers without the error bound take no table", len(z.head))
+	}
+	z := Zipf{S: 1.05}
+	r := rand.New(rand.NewSource(1))
+	if a := testing.AllocsPerRun(100, func() { _ = z.DrawU(0.3, 250_000) + z.Draw(r, 250_000) }); a != 0 {
+		t.Errorf("one-shot Zipf draws allocate %v times per call", a)
+	}
+}
+
+// TestZipfTableConcurrentFirstFill has eight goroutines make the first
+// draws of one sampler over the same uniforms in the same order, so they
+// race to decide the same slots; every draw must equal the exact one. Under
+// -race this is also the data-race check for the slots.
+func TestZipfTableConcurrentFirstFill(t *testing.T) {
+	const (
+		s       = 1.05
+		m       = 250_000
+		draws   = 20_000
+		workers = 8
+	)
+	z := Zipf{S: s}.Sampler(m)
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < draws; i++ {
+				u := zipfTestU(i)
+				if got, want := z.DrawU(u), drawUExact(s, u, m); got != want {
+					errs <- fmt.Sprintf("u=%v: sampler row %d, exact row %d", u, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
 // BenchmarkZipfDraw times one draw at the train-emb table shape: the sampler
-// and the exact two-Pow formula it replaced.
+// on one table, the sampler on the eight tables of train-emb drawn in turn
+// (their slots compete for cache, as in the generator), and the exact
+// two-Pow formula it replaced.
 func BenchmarkZipfDraw(b *testing.B) {
 	const m = 250_000
 	b.Run("sampler", func(b *testing.B) {
@@ -182,6 +266,17 @@ func BenchmarkZipfDraw(b *testing.B) {
 		var sink int32
 		for i := 0; i < b.N; i++ {
 			sink += z.DrawU(zipfTestU(uint64(i)))
+		}
+		_ = sink
+	})
+	b.Run("sampler8", func(b *testing.B) {
+		var zs [8]ZipfSampler
+		for t := range zs {
+			zs[t] = Zipf{S: 1.05}.Sampler(m)
+		}
+		var sink int32
+		for i := 0; i < b.N; i++ {
+			sink += zs[i&7].DrawU(zipfTestU(uint64(i)))
 		}
 		_ = sink
 	})

@@ -595,3 +595,39 @@ func TestChurnFigShape(t *testing.T) {
 		t.Error("churn figure is not deterministic across reruns")
 	}
 }
+
+// TestLoaderFigShape holds the loader figure to the §VI-D2 claim: under the
+// global-read artifact every rank reads the whole global minibatch, so its
+// loader time rises strictly with the rank count; the sharded loader reads
+// its own slice and owned columns, so its time is flat across ranks, never
+// above the artifact's, and equal to it at 2R, where both read two shares.
+func TestLoaderFigShape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "loader", Opts{})
+	// 5 rank counts × (global-read, sharded).
+	if len(tab.Rows) != 10 {
+		t.Fatalf("%d rows, want 10:\n%s", len(tab.Rows), tab)
+	}
+	const colRanks, colMode, colLoader = 1, 2, 4
+	for i := 0; i < len(tab.Rows); i += 2 {
+		global, sharded := tab.Rows[i], tab.Rows[i+1]
+		if global[colMode] != "global-read" || sharded[colMode] != "sharded" || global[colRanks] != sharded[colRanks] {
+			t.Fatalf("rows %d, %d are not a global-read / sharded pair at one rank count: %v, %v", i, i+1, global, sharded)
+		}
+		g, s := parseF(t, global[colLoader]), parseF(t, sharded[colLoader])
+		if s > g {
+			t.Errorf("%s: sharded loader %v above global-read %v", global[colRanks], s, g)
+		}
+		if i == 0 && s != g {
+			t.Errorf("2R: sharded loader %v differs from global-read %v", s, g)
+		}
+		if i > 0 {
+			if prev := parseF(t, tab.Rows[i-2][colLoader]); g <= prev {
+				t.Errorf("%s: global-read loader %v not above %v at the previous rank count", global[colRanks], g, prev)
+			}
+			if first := parseF(t, tab.Rows[1][colLoader]); s != first {
+				t.Errorf("%s: sharded loader %v, %v at 2R; want it flat", sharded[colRanks], s, first)
+			}
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package serve
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/rng"
+)
 
 // Counter-based Poisson arrivals.
 //
@@ -11,22 +15,12 @@ import "math"
 // over different request counts see the same arrival prefix — the property
 // the differencing allocation tests lean on.
 
-// mix64 is one splitmix64 output round over a fixed state.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // interarrival returns the exponential gap (seconds) in front of request i
 // of a Poisson stream with the given rate.
 func interarrival(seed int64, i int, qps float64) float64 {
 	// Two mixing rounds so adjacent request indices land in unrelated
-	// states, mirroring data.streamSeed.
-	u := mix64(mix64(uint64(seed)^0x53657276) + uint64(i))
-	// 53-bit mantissa → uniform in [0, 1); -log1p(-u) is then finite and
-	// non-negative.
-	f := float64(u>>11) / (1 << 53)
-	return -math.Log1p(-f) / qps
+	// states.
+	g := rng.Stream(rng.Mix(uint64(seed)^0x53657276) + uint64(i))
+	// A uniform in [0, 1); -log1p(-f) is then finite and non-negative.
+	return -math.Log1p(-g.Float64()) / qps
 }
