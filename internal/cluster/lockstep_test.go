@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/par"
@@ -116,6 +117,22 @@ func mustPanic(t *testing.T, fn func()) (p any) {
 	return nil
 }
 
+// checkNoGoroutineLeft fails unless the goroutine count falls back to at most
+// before within a second, listing every goroutine's stack if it does not.
+// It polls, and accepts fewer, because goroutines of earlier runs — a
+// transient pool's workers — exit asynchronously: one still exiting when
+// before was counted is gone by the time the count is checked.
+func checkNoGoroutineLeft(t *testing.T, before int, after string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Errorf("goroutines: %d before, %d after %s\n%s", before, runtime.NumGoroutine(), after, buf[:runtime.Stack(buf, true)])
+			return
+		}
+	}
+}
+
 // TestNonSPMDBodyIsAnErrorNotAHang: a rank that returns early, or issues
 // fewer collectives than the others, used to leave them waiting forever. The
 // lockstep engine sees a sweep in which nobody moved and reports the open
@@ -143,9 +160,7 @@ func TestNonSPMDBodyIsAnErrorNotAHang(t *testing.T) {
 	if deferred != 4 {
 		t.Errorf("%d of 4 bodies ran their deferred calls; the parked ones must be unwound", deferred)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("goroutines: %d before, %d after a deadlocked Run", before, after)
-	}
+	checkNoGoroutineLeft(t, before, "a deadlocked Run")
 
 	// One rank issuing more than the rest is the same error from the other side.
 	p = mustPanic(t, func() {
@@ -189,9 +204,7 @@ func TestBodyPanicIsReraisedOnTheCaller(t *testing.T) {
 	if deferred != 6 {
 		t.Errorf("%d of 6 bodies ran their deferred calls", deferred)
 	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Errorf("goroutines: %d before, %d after a panicked Run", before, after)
-	}
+	checkNoGoroutineLeft(t, before, "a panicked Run")
 	// Again with a rank holding a pool of the transient set (whose workers
 	// exit asynchronously, hence not part of the goroutine count above).
 	usePool = true
