@@ -10,8 +10,8 @@ package comm
 // instead of queueing on one FIFO.
 
 // Bucket is one contiguous run of layers [Lo, Hi] (inclusive) reduced by a
-// single allreduce. Because layers are flattened in order, a bucket is also
-// a contiguous slice of the flat gradient buffer.
+// single allreduce. Because layers are listed in order, a bucket is also a
+// contiguous run of the MLP's gradient segment list.
 type Bucket struct {
 	Lo, Hi  int     // inclusive layer index range, Lo ≤ Hi
 	Bytes   float64 // modeled gradient volume of the bucket

@@ -2,7 +2,7 @@
 // parallelism needs (§II, §IV): allreduce (materialized as reduce-scatter +
 // all-gather, the way the paper overlaps the SGD with backward GEMMs),
 // alltoall for the model→data parallelism switch at the interaction op, and
-// the scatter used by the ScatterList/FusedScatter variants.
+// the scatter and gather used by the ScatterList/FusedScatter variants.
 //
 // Every collective moves real data between the rank goroutines (tests check
 // numerical correctness) while its duration is charged from the fabric
@@ -11,15 +11,22 @@
 // pairwise alltoall's hop contention on the twisted hypercube — all fall
 // out of the flow model rather than hand-tuned constants.
 //
+// A payload is a segment list: slices that point into the callers' own
+// tensors, segment peer·k+s going to (or coming from) peer. The ranks share
+// one address space and the rendezvous is synchronous, so a leader copies
+// each segment once, straight from the tensor that produced it into the one
+// that consumes it, and nothing is staged. A nil list is timing mode: the
+// leader moves no data and only models time. The flat forms (Allreduce,
+// AllreduceCost, AlltoallCost) view one buffer as such a list.
+//
 // Allocation discipline: collectives follow the same static-body convention
 // as par's *Arg dispatch. Each Comm owns a single xchg record reused as the
 // payload/args of every collective it issues (at most one is in flight per
 // rank — the rendezvous is synchronous), leaders are package-level
-// functions, data lands in caller-provided receive buffers, and the time
-// models run on the one Pricer the job's engine holds, which memoises each
-// collective's price. After warmup a steady-state collective performs zero
-// heap allocations, which is what keeps the distributed training iteration
-// allocation-free in timing mode.
+// functions, and the time models run on the one Pricer the job's engine
+// holds, which memoises each collective's price. After warmup a steady-state
+// collective performs zero heap allocations, which is what keeps the
+// distributed training iteration allocation-free in timing mode.
 package comm
 
 import (
@@ -40,6 +47,9 @@ type Comm struct {
 	// pointer is what travels through the cluster rendezvous, so issuing a
 	// collective never boxes a slice or allocates a closure.
 	pay xchg
+	// flat holds the send and receive segment lists the flat forms build
+	// over their buffers, reused across calls.
+	flat [2][][]float32
 }
 
 // charge is what a leader returns: o's price against this rank's engine
@@ -48,20 +58,16 @@ func (c *Comm) charge(start float64, o op) float64 {
 	return c.Pricer.charge(c.R.Eng, start, o)
 }
 
-// xchg is one rank's contribution to a collective: the data it sends, the
-// caller-owned buffer it receives into, and — read from the leader rank's
-// record, identical on every rank by SPMD — the collective's parameters.
-// Timing-only runs leave the data fields nil/zero; leaders then skip data
-// movement and only model time.
+// xchg is one rank's contribution to a collective: the segments it sends and
+// receives into, and — read from the leader rank's record, identical on
+// every rank by SPMD — the collective's parameters.
 type xchg struct {
-	c        *Comm
-	send     []float32
-	recv     []float32
-	avg      bool
-	bytes    float64 // modeled volume (total or per-block, per collective)
-	blockLen int
-	root     int
-	algo     AllreduceAlgo // allreduce cost-model selector (AllreduceAlgoCost)
+	c          *Comm
+	send, recv [][]float32
+	avg        bool
+	bytes      float64 // modeled volume (total or per-block, per collective)
+	root       int
+	algo       AllreduceAlgo // allreduce cost-model selector
 }
 
 // New returns the communicator for rank r over topo. The first call on an
@@ -79,17 +85,26 @@ func New(r *cluster.Rank, topo fabric.Topology) *Comm {
 // Rank returns this rank's id.
 func (c *Comm) Rank() int { return c.R.ID }
 
-// issue resets the parameter fields of the reusable record and hands it to
-// the cluster rendezvous.
-func (c *Comm) issue(label string, lead cluster.LeaderFunc, p xchg) cluster.Handle {
-	return c.issueOn(label, -1, lead, p)
-}
-
-// issueOn is issue with an explicit CCL channel hint (see
-// cluster.Rank.CollectiveOn); ch < 0 keeps label-hash placement.
-func (c *Comm) issueOn(label string, ch int, lead cluster.LeaderFunc, p xchg) cluster.Handle {
+// issue hands p to the cluster rendezvous in the reusable record, on CCL
+// channel ch (see cluster.Rank.CollectiveOn; ch < 0 keeps label-hash
+// placement).
+func (c *Comm) issue(label string, ch int, lead cluster.LeaderFunc, p xchg) cluster.Handle {
 	c.pay = p
 	return c.R.CollectiveOn(label, ch, &c.pay, &c.pay, lead)
+}
+
+// blocks views buf as n equal segments in the reusable list flat[i]; a nil
+// buf is a nil list (timing mode).
+func (c *Comm) blocks(i int, buf []float32, n int) [][]float32 {
+	if buf == nil {
+		return nil
+	}
+	segs, bl := c.flat[i][:0], len(buf)/n
+	for j := range n {
+		segs = append(segs, buf[j*bl:(j+1)*bl])
+	}
+	c.flat[i] = segs
+	return segs
 }
 
 // Allreduce sums buf elementwise across all ranks (in place) and returns a
@@ -100,77 +115,23 @@ func (c *Comm) Allreduce(label string, buf []float32, avg bool) cluster.Handle {
 	return c.AllreduceCost(label, buf, avg, float64(4*len(buf)))
 }
 
-// Alltoall performs the personalized all-to-all: send holds Size()
-// contiguous blocks of blockLen float32s (block j destined to rank j); the
-// returned slice holds Size() blocks where block j came from rank j. This
-// convenience wrapper allocates the receive buffer; steady-state callers
-// use AlltoallCost with a reused one.
-func (c *Comm) Alltoall(label string, send []float32, blockLen int) ([]float32, cluster.Handle) {
-	recv := make([]float32, c.size*blockLen)
-	h := c.AlltoallCost(label, send, recv, blockLen, float64(4*blockLen))
-	return recv, h
+// AllreduceCost is Allreduce with an explicit modeled volume in bytes; a nil
+// buf is timing mode.
+func (c *Comm) AllreduceCost(label string, buf []float32, avg bool, bytes float64) cluster.Handle {
+	return c.AllreduceSegs(label, -1, c.blocks(0, buf, 1), avg, bytes, RingRSAG)
 }
 
-// Scatter distributes root's send buffer (Size() blocks of blockLen) so
-// that rank j receives block j. Non-root ranks pass send=nil. This
-// convenience wrapper allocates the receive buffer; steady-state callers
-// use ScatterCost with a reused one.
-func (c *Comm) Scatter(label string, root int, send []float32, blockLen int) ([]float32, cluster.Handle) {
-	recv := make([]float32, blockLen)
-	h := c.ScatterCost(label, root, send, recv, blockLen, float64(4*blockLen))
-	return recv, h
-}
-
-func allgatherLead(arg any, payloads []any, start float64) float64 {
-	a := arg.(*xchg)
-	if a.blockLen > 0 {
-		bl := a.blockLen
-		for j := range payloads {
-			if len(payloads[j].(*xchg).send) != bl {
-				panic(fmt.Sprintf("comm: allgather irregular block sizes: rank %d sent %d want %d",
-					j, len(payloads[j].(*xchg).send), bl))
-			}
+// AlltoallCost is the alltoall over flat buffers with an explicit modeled
+// per-block volume: send and recv each hold Size() blocks of blockLen
+// float32s; after the call recv's block j came from rank j. Timing mode
+// passes nil buffers and blockLen 0.
+func (c *Comm) AlltoallCost(label string, send, recv []float32, blockLen int, blockBytes float64) cluster.Handle {
+	var s, r [][]float32
+	if blockLen > 0 {
+		if len(send) != c.size*blockLen || len(recv) != c.size*blockLen {
+			panic(fmt.Sprintf("comm: alltoall send/recv len %d/%d want %d", len(send), len(recv), c.size*blockLen))
 		}
-		for dst := range payloads {
-			pd := payloads[dst].(*xchg)
-			for j := range payloads {
-				copy(pd.recv[j*bl:(j+1)*bl], payloads[j].(*xchg).send)
-			}
-		}
+		s, r = c.blocks(0, send, c.size), c.blocks(1, recv, c.size)
 	}
-	return a.c.charge(start, op{kind: opReduceScatter, bytes: float64(4 * len(payloads) * a.blockLen)})
-}
-
-// AllgatherInto concatenates every rank's send block into recv (length
-// Size()·len(send)); rank j's data lands at block j. Valid on return.
-func (c *Comm) AllgatherInto(label string, send, recv []float32) cluster.Handle {
-	if len(recv) != c.size*len(send) {
-		panic(fmt.Sprintf("comm: allgather recv len %d want %d", len(recv), c.size*len(send)))
-	}
-	return c.issue(label, allgatherLead, xchg{c: c, send: send, recv: recv, blockLen: len(send)})
-}
-
-// Allgather is the allocating convenience form of AllgatherInto.
-func (c *Comm) Allgather(label string, send []float32) ([]float32, cluster.Handle) {
-	recv := make([]float32, c.size*len(send))
-	h := c.AllgatherInto(label, send, recv)
-	return recv, h
-}
-
-func broadcastLead(arg any, payloads []any, start float64) float64 {
-	a := arg.(*xchg)
-	root := payloads[a.root].(*xchg)
-	for i := range payloads {
-		if i != a.root {
-			copy(payloads[i].(*xchg).send, root.send)
-		}
-	}
-	return a.c.charge(start, op{kind: opBroadcast, bytes: float64(4 * len(root.send))})
-}
-
-// Broadcast copies root's buffer to every rank (in place on buf), valid on
-// return. Used to replicate initial MLP weights so data-parallel ranks
-// start identical.
-func (c *Comm) Broadcast(label string, root int, buf []float32) cluster.Handle {
-	return c.issue(label, broadcastLead, xchg{c: c, send: buf, root: root})
+	return c.AlltoallSegs(label, -1, s, r, blockBytes)
 }

@@ -72,8 +72,8 @@ func TestAlltoallTransposesBlocks(t *testing.T) {
 				send[j*bl+i] = float32(100*c.Rank() + 10*j + i)
 			}
 		}
-		recv, h := c.Alltoall("a2a", send, bl)
-		c.R.Wait(h)
+		recv := make([]float32, ranks*bl)
+		c.R.Wait(c.AlltoallCost("a2a", send, recv, bl, 4*bl))
 		for src := 0; src < ranks; src++ {
 			for i := 0; i < bl; i++ {
 				want := float32(100*src + 10*c.Rank() + i)
@@ -88,53 +88,20 @@ func TestAlltoallTransposesBlocks(t *testing.T) {
 func TestScatterDistributes(t *testing.T) {
 	const ranks, bl = 5, 2
 	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
-		var send []float32
+		var send [][]float32
 		const root = 2
 		if c.Rank() == root {
-			send = make([]float32, ranks*bl)
-			for i := range send {
-				send[i] = float32(i)
+			buf := make([]float32, ranks*bl)
+			for i := range buf {
+				buf[i] = float32(i)
 			}
+			send = c.blocks(0, buf, ranks)
 		}
-		blk, h := c.Scatter("sc", root, send, bl)
-		c.R.Wait(h)
+		blk := make([]float32, bl)
+		c.R.Wait(c.ScatterSegs("sc", -1, root, send, [][]float32{blk}, 4*bl))
 		for i := 0; i < bl; i++ {
 			if blk[i] != float32(c.Rank()*bl+i) {
 				t.Errorf("rank %d blk[%d]=%g", c.Rank(), i, blk[i])
-			}
-		}
-	})
-}
-
-func TestAllgatherConcatenates(t *testing.T) {
-	const ranks = 3
-	runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
-		send := []float32{float32(c.Rank()), float32(c.Rank() * 10)}
-		out, h := c.Allgather("ag", send)
-		c.R.Wait(h)
-		want := []float32{0, 0, 1, 10, 2, 20}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Errorf("rank %d out=%v", c.Rank(), out)
-				break
-			}
-		}
-	})
-}
-
-func TestBroadcastReplicates(t *testing.T) {
-	runComm(t, 4, cluster.MPIBackend, func(c *Comm) {
-		buf := make([]float32, 8)
-		if c.Rank() == 0 {
-			for i := range buf {
-				buf[i] = float32(i) + 0.5
-			}
-		}
-		h := c.Broadcast("bc", 0, buf)
-		c.R.Wait(h)
-		for i := range buf {
-			if buf[i] != float32(i)+0.5 {
-				t.Errorf("rank %d buf[%d]=%g", c.Rank(), i, buf[i])
 			}
 		}
 	})
@@ -285,10 +252,9 @@ func TestAlltoallInvolution(t *testing.T) {
 		okAll := true
 		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
 			send := append([]float32(nil), inputs[c.Rank()]...)
-			recv, h := c.Alltoall("a", send, bl)
-			c.R.Wait(h)
-			back, h2 := c.Alltoall("b", recv, bl)
-			c.R.Wait(h2)
+			recv, back := make([]float32, ranks*bl), make([]float32, ranks*bl)
+			c.R.Wait(c.AlltoallCost("a", send, recv, bl, float64(4*bl)))
+			c.R.Wait(c.AlltoallCost("b", recv, back, bl, float64(4*bl)))
 			for j := range back {
 				if back[j] != inputs[c.Rank()][j] {
 					okAll = false

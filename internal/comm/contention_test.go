@@ -33,10 +33,8 @@ func TestConcurrentAllreducesShareTrunk(t *testing.T) {
 			if c.R.ID == 0 { // one writer: 64 ranks storing iso is a data race
 				iso = c.AllreduceTime(bytes)
 			}
-			buf1 := make([]float32, 1)
-			buf2 := make([]float32, 1)
-			h1 := c.AllreduceAlgoCost("ar0", 0, buf1, false, bytes, RingRSAG)
-			h2 := c.AllreduceAlgoCost("ar1", 1, buf2, false, bytes, RingRSAG)
+			h1 := c.AllreduceSegs("ar0", 0, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
+			h2 := c.AllreduceSegs("ar1", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
 			c.R.Wait(h1)
 			c.R.Wait(h2)
 		})
@@ -78,7 +76,7 @@ func TestContentionOffBitIdentical(t *testing.T) {
 			send := make([]float32, 16)
 			recv := make([]float32, 16)
 			c.R.Wait(c.AlltoallCost("a2a", send, recv, 1, bytes/16))
-			c.R.Wait(c.AllreduceAlgoCost("auto", 0, buf, false, bytes, AllreduceAuto))
+			c.R.Wait(c.AllreduceSegs("auto", 0, [][]float32{buf}, false, bytes, AllreduceAuto))
 		})
 		out = stats[0].CommBusy
 		return out
@@ -107,10 +105,8 @@ func TestAutoAllreduceContentionChargesWinnerOnly(t *testing.T) {
 	const bytes = 64 << 20
 	run := func(algo AllreduceAlgo) (second float64) {
 		stats := runCommContention(t, 64, true, func(c *Comm) {
-			buf1 := make([]float32, 1)
-			buf2 := make([]float32, 1)
-			h1 := c.AllreduceAlgoCost("first", 0, buf1, false, bytes, algo)
-			h2 := c.AllreduceAlgoCost("second", 1, buf2, false, bytes, RingRSAG)
+			h1 := c.AllreduceSegs("first", 0, [][]float32{make([]float32, 1)}, false, bytes, algo)
+			h2 := c.AllreduceSegs("second", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
 			c.R.Wait(h1)
 			c.R.Wait(h2)
 		})

@@ -45,11 +45,9 @@ type opKind uint8
 
 const (
 	opAllreduce opKind = iota // algo selects the algorithm
-	opReduceScatter
 	opAlltoall
 	opScatter
 	opGather
-	opBroadcast
 )
 
 // op is everything a collective's isolated price depends on besides the
@@ -129,11 +127,6 @@ func (p *Pricer) compute(o op) float64 {
 	switch o.kind {
 	case opAllreduce:
 		return p.allreduce(o.algo, o.bytes)
-	case opReduceScatter:
-		// Half of the ring allreduce. It places its own R−1 phases (rather
-		// than halving the allreduce) so an attached contention footprint
-		// counts exactly the phases charged; the value is bit-identical.
-		return p.fab.PhaseTimeN(p.Topo, p.ringFlows(o.bytes/float64(r)), float64(r-1))
 	case opAlltoall:
 		if o.bytes <= 0 {
 			return 0
@@ -163,14 +156,6 @@ func (p *Pricer) compute(o op) float64 {
 			p.flows = append(p.flows, f)
 		}
 		return p.fab.PhaseTime(p.Topo, p.flows)
-	case opBroadcast:
-		// Tree broadcast ≈ log2(R) phases of root-link transfers.
-		var dur float64
-		for n := 1; n < r; n *= 2 {
-			p.flows = append(p.flows[:0], fabric.Flow{Src: 0, Dst: r - 1, Bytes: o.bytes})
-			dur += p.fab.PhaseTime(p.Topo, p.flows)
-		}
-		return dur
 	}
 	panic("comm: unknown collective kind")
 }

@@ -25,8 +25,7 @@ func TestMemoisedPriceIsTheRecomputedPrice(t *testing.T) {
 			for _, a := range append([]AllreduceAlgo{AllreduceAuto}, AllreduceAlgos...) {
 				ops = append(ops, op{kind: opAllreduce, algo: a, bytes: b})
 			}
-			ops = append(ops, op{kind: opReduceScatter, bytes: b}, op{kind: opAlltoall, bytes: b / float64(ranks)},
-				op{kind: opBroadcast, bytes: b})
+			ops = append(ops, op{kind: opAlltoall, bytes: b / float64(ranks)})
 			for _, root := range []int{0, 1, ranks / 2, ranks - 1} {
 				ops = append(ops, op{kind: opScatter, root: root, bytes: b}, op{kind: opGather, root: root, bytes: b})
 			}
@@ -73,11 +72,11 @@ func TestContendedRunWithMemoEqualsWithout(t *testing.T) {
 			}
 			for it := 0; it < 3; it++ {
 				c.R.Compute(1e-3 * float64(1+c.Rank()%3))
-				h0 := c.AllreduceAlgoCost("ar0", 0, nil, false, bytes, AllreduceAuto)
-				h1 := c.AllreduceAlgoCost("ar1", 1, nil, false, bytes/4, Hierarchical)
-				h2 := c.AlltoallCostOn("a2a", 2, nil, nil, 0, bytes/ranks)
-				h3 := c.AllreduceAlgoCost("ar3", 3, nil, false, bytes, RingRSAG)
-				h4 := c.ScatterCostOn("sc", 0, it, nil, nil, 0, bytes/ranks)
+				h0 := c.AllreduceSegs("ar0", 0, nil, false, bytes, AllreduceAuto)
+				h1 := c.AllreduceSegs("ar1", 1, nil, false, bytes/4, Hierarchical)
+				h2 := c.AlltoallSegs("a2a", 2, nil, nil, bytes/ranks)
+				h3 := c.AllreduceSegs("ar3", 3, nil, false, bytes, RingRSAG)
+				h4 := c.ScatterSegs("sc", 0, it, nil, nil, bytes/ranks)
 				for _, h := range []cluster.Handle{h0, h1, h2, h3, h4} {
 					c.R.Wait(h)
 				}

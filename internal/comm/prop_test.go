@@ -1,7 +1,8 @@
 // Property tests for the collectives: every data-moving primitive is
 // checked against a naive single-threaded reference over random rank
-// counts (2–8) and payload sizes. These pin the rewritten leader protocol
-// (caller-owned receive buffers, reduction into rank 0's buffer, recycled
+// counts (2–8), segment counts and segment lengths, empty segments
+// included. These pin the leader protocol (segment lists into the callers'
+// tensors, reduction into rank 0's segments in rank order, recycled
 // rendezvous slots) to the mathematical definition of each collective, and
 // TestCollectivesConcurrentStress is sized to run under -race in CI.
 package comm
@@ -9,6 +10,7 @@ package comm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -62,18 +64,47 @@ func TestAllreducePropertyRandom(t *testing.T) {
 	}
 }
 
-// TestAllreduceAlgoLeadersPropertyRandom pins the algorithm-selectable
-// allreduce leader to the mathematical definition: whatever cost model is
-// selected (ring, recursive halving, flat tree, hierarchical two-level,
-// binary tree) and whatever CCL channel the collective is pinned to, the
-// data movement must equal the naive single-threaded sum over random rank
-// counts 2–8 — and the charged busy time must match the algorithm's cost
-// model exactly.
+// randLens draws k segment lengths in [0, max], about one in four empty.
+func randLens(rng *rand.Rand, k, max int) []int {
+	lens := make([]int, k)
+	for s := range lens {
+		if rng.Intn(4) > 0 {
+			lens[s] = rng.Intn(max + 1)
+		}
+	}
+	return lens
+}
+
+// cut views buf as consecutive segments of the given lengths.
+func cut(buf []float32, lens []int) [][]float32 {
+	segs := make([][]float32, len(lens))
+	for s, n := range lens {
+		segs[s], buf = buf[:n:n], buf[n:]
+	}
+	return segs
+}
+
+// total is the sum of lens.
+func total(lens []int) (n int) {
+	for _, l := range lens {
+		n += l
+	}
+	return n
+}
+
+// TestAllreduceAlgoLeadersPropertyRandom pins the segment-list allreduce to
+// the mathematical definition: whatever cost model is selected (ring,
+// recursive halving, flat tree, hierarchical two-level, binary tree),
+// whatever CCL channel the collective is pinned to and however the payload
+// is cut into segments (empty ones included), every rank ends with the
+// float32 sum of all ranks' values accumulated in rank order — bit for bit
+// — and a non-empty payload's charged busy time is positive.
 func TestAllreduceAlgoLeadersPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 30; trial++ {
 		ranks := 2 + rng.Intn(7) // 2..8
-		n := 1 + rng.Intn(200)
+		lens := randLens(rng, 1+rng.Intn(6), 40)
+		n := total(lens)
 		avg := rng.Intn(2) == 0
 		algo := AllreduceAlgos[rng.Intn(len(AllreduceAlgos))]
 		ch := rng.Intn(5) - 1 // -1 (label hash) .. 3 (pinned)
@@ -83,56 +114,76 @@ func TestAllreduceAlgoLeadersPropertyRandom(t *testing.T) {
 		}
 		in := randInputs(rng, ranks, n)
 
-		want := make([]float64, n)
-		for _, v := range in {
+		want := append([]float32(nil), in[0]...)
+		for _, v := range in[1:] {
 			for j, x := range v {
-				want[j] += float64(x)
+				want[j] += x
 			}
 		}
 		if avg {
 			for j := range want {
-				want[j] /= float64(ranks)
+				want[j] *= 1 / float32(ranks)
 			}
 		}
 		stats := runComm(t, ranks, backend, func(c *Comm) {
 			buf := append([]float32(nil), in[c.Rank()]...)
-			h := c.AllreduceAlgoCost("ar", ch, buf, avg, float64(4*n), algo)
-			c.R.Wait(h)
-			for j := range buf {
-				if math.Abs(float64(buf[j])-want[j]) > 1e-4 {
-					t.Errorf("trial %d ranks=%d algo=%v ch=%d: rank %d elem %d = %g want %g",
-						trial, ranks, algo, ch, c.Rank(), j, buf[j], want[j])
-					return
-				}
-			}
-			wantT := c.AllreduceTimeAlgo(algo, float64(4*n))
-			if wantT <= 0 {
-				t.Errorf("trial %d: algo %v charged non-positive time %g", trial, algo, wantT)
+			c.R.Wait(c.AllreduceSegs("ar", ch, cut(buf, lens), avg, float64(4*n), algo))
+			if !slices.Equal(buf, want) {
+				t.Errorf("trial %d ranks=%d segments %v algo=%v ch=%d: rank %d holds %v, want %v",
+					trial, ranks, lens, algo, ch, c.Rank(), buf, want)
 			}
 		})
 		for rk, s := range stats {
-			if s.CommBusy["ar"] <= 0 {
+			if n > 0 && s.CommBusy["ar"] <= 0 {
 				t.Fatalf("trial %d algo=%v: rank %d recorded no allreduce busy time", trial, algo, rk)
 			}
 		}
 	}
 }
 
+// TestAlltoallPropertyRandom: k segments per peer shaped like the embedding
+// exchange — rank r owns own[r] ≤ k tables, table slot s carries lens[r][s]
+// floats to every peer, and the slots past own[r] are empty — land where the
+// naive reference puts them: recv segment src·k+s of rank dst is send
+// segment dst·k+s of rank src.
 func TestAlltoallPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 20; trial++ {
 		ranks := 2 + rng.Intn(7)
-		bl := 1 + rng.Intn(16)
-		in := randInputs(rng, ranks, ranks*bl)
+		k := 1 + rng.Intn(3)
+		lens := make([][]int, ranks) // rank r owns len(lens[r]) tables
+		for r := range lens {
+			lens[r] = randLens(rng, 1+rng.Intn(k), 16)
+		}
+		slot := func(r, s int) int {
+			if s < len(lens[r]) {
+				return lens[r][s]
+			}
+			return 0
+		}
+		var sendLens, recvLens [][]int // per rank, segment peer·k+s
+		for r := range ranks {
+			var sl, rl []int
+			for peer := range ranks {
+				for s := range k {
+					sl, rl = append(sl, slot(r, s)), append(rl, slot(peer, s))
+				}
+			}
+			sendLens, recvLens = append(sendLens, sl), append(recvLens, rl)
+		}
+		in := make([][][]float32, ranks)
+		for r := range in {
+			in[r] = cut(randInputs(rng, 1, total(sendLens[r]))[0], sendLens[r])
+		}
 		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
-			recv, h := c.Alltoall("a2a", in[c.Rank()], bl)
-			c.R.Wait(h)
-			for src := 0; src < ranks; src++ {
-				for j := 0; j < bl; j++ {
-					// Reference: recv block src = src's send block dst.
-					if recv[src*bl+j] != in[src][c.Rank()*bl+j] {
-						t.Errorf("trial %d ranks=%d bl=%d: rank %d block %d mismatch",
-							trial, ranks, bl, c.Rank(), src)
+			rl := recvLens[c.Rank()]
+			recv := cut(make([]float32, total(rl)), rl)
+			c.R.Wait(c.AlltoallSegs("a2a", -1, in[c.Rank()], recv, 64))
+			for src := range ranks {
+				for s := range k {
+					if got, want := recv[src*k+s], in[src][c.Rank()*k+s]; !slices.Equal(got, want) {
+						t.Errorf("trial %d ranks=%d k=%d: rank %d segment %d of rank %d is %v, want %v",
+							trial, ranks, k, c.Rank(), s, src, got, want)
 						return
 					}
 				}
@@ -141,74 +192,53 @@ func TestAlltoallPropertyRandom(t *testing.T) {
 	}
 }
 
+// TestScatterGatherPropertyRandom: k segments per rank of random lengths,
+// empty ones included. Scatter: rank j's recv segment s is the root's send
+// segment j·k+s. Gather back: the root's recv segment j·k+s is rank j's
+// send segment s.
 func TestScatterGatherPropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for trial := 0; trial < 20; trial++ {
 		ranks := 2 + rng.Intn(7)
-		bl := 1 + rng.Intn(16)
+		k := 1 + rng.Intn(3)
 		root := rng.Intn(ranks)
-		in := randInputs(rng, ranks, bl)
-		rootBuf := randInputs(rng, 1, ranks*bl)[0]
+		var all []int // segment peer·k+s's length
+		for range ranks {
+			all = append(all, randLens(rng, k, 16)...)
+		}
+		n := total(all)
+		rootBuf := cut(randInputs(rng, 1, n)[0], all)
+		in := make([][][]float32, ranks)
+		for j := range in {
+			in[j] = cut(randInputs(rng, 1, n)[0], all[j*k:(j+1)*k])
+		}
 		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
-			// Scatter: rank j must receive root's block j.
-			var send []float32
+			var send [][]float32
 			if c.Rank() == root {
 				send = rootBuf
 			}
-			blk, h := c.Scatter("sc", root, send, bl)
-			c.R.Wait(h)
-			for j := 0; j < bl; j++ {
-				if blk[j] != rootBuf[c.Rank()*bl+j] {
-					t.Errorf("trial %d: scatter rank %d elem %d mismatch", trial, c.Rank(), j)
+			mine := all[c.Rank()*k : (c.Rank()+1)*k]
+			recv := cut(make([]float32, total(mine)), mine)
+			c.R.Wait(c.ScatterSegs("sc", -1, root, send, recv, 64))
+			for s := range k {
+				if !slices.Equal(recv[s], rootBuf[c.Rank()*k+s]) {
+					t.Errorf("trial %d: scatter rank %d segment %d is %v, want %v", trial, c.Rank(), s, recv[s], rootBuf[c.Rank()*k+s])
 					return
 				}
 			}
-			// Gather back: the root must see every rank's block in order.
-			var recv []float32
+			var back [][]float32
 			if c.Rank() == root {
-				recv = make([]float32, ranks*bl)
+				back = cut(make([]float32, n), all)
 			}
-			h = c.GatherCost("ga", root, in[c.Rank()], recv, float64(4*bl))
-			c.R.Wait(h)
+			c.R.Wait(c.GatherSegs("ga", -1, root, in[c.Rank()], back, 64))
 			if c.Rank() == root {
-				for src := 0; src < ranks; src++ {
-					for j := 0; j < bl; j++ {
-						if recv[src*bl+j] != in[src][j] {
-							t.Errorf("trial %d: gather block %d elem %d mismatch", trial, src, j)
+				for j := range ranks {
+					for s := range k {
+						if !slices.Equal(back[j*k+s], in[j][s]) {
+							t.Errorf("trial %d: gather segment %d of rank %d is %v, want %v", trial, s, j, back[j*k+s], in[j][s])
 							return
 						}
 					}
-				}
-			}
-		})
-	}
-}
-
-func TestAllgatherBroadcastPropertyRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(404))
-	for trial := 0; trial < 20; trial++ {
-		ranks := 2 + rng.Intn(7)
-		n := 1 + rng.Intn(32)
-		root := rng.Intn(ranks)
-		in := randInputs(rng, ranks, n)
-		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
-			out, h := c.Allgather("ag", in[c.Rank()])
-			c.R.Wait(h)
-			for src := 0; src < ranks; src++ {
-				for j := 0; j < n; j++ {
-					if out[src*n+j] != in[src][j] {
-						t.Errorf("trial %d: allgather block %d mismatch", trial, src)
-						return
-					}
-				}
-			}
-			buf := append([]float32(nil), in[c.Rank()]...)
-			h = c.Broadcast("bc", root, buf)
-			c.R.Wait(h)
-			for j := range buf {
-				if buf[j] != in[root][j] {
-					t.Errorf("trial %d: broadcast rank %d elem %d mismatch", trial, c.Rank(), j)
-					return
 				}
 			}
 		})

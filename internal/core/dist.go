@@ -133,8 +133,8 @@ type DistConfig struct {
 	// bucketed schedule).
 	Allreduce comm.AllreduceAlgo
 	// BucketBytes sizes the per-layer bucketed gradient allreduce of Fig. 2:
-	// the backward pass is layer-stepped, each MLP's flat gradient buffer is
-	// carved into per-layer buckets coalesced up to this many bytes
+	// the backward pass is layer-stepped, each MLP's gradients are carved
+	// into per-layer buckets coalesced up to this many bytes
 	// (paper-scale volumes), and every bucket's allreduce is issued the
 	// moment its last layer's backward completes — labeled "ar-top" /
 	// "ar-bot" — with the waits deferred per-bucket to that bucket's slice

@@ -26,56 +26,24 @@ type executor struct {
 
 	loader data.Loader
 	store  *embstore.Store // nil unless tiered
-	grads  [2]flatGrads    // indexed topMLP, botMLP
+	nets   [2]*mlp.MLP     // indexed topMLP, botMLP
 
-	rb   *data.RankBatch
-	cur  *tensor.Acts // the gradient flowing down the backward pass
-	dEmb [][]float32  // per table: this shard's bag-output gradients
-}
-
-// flatGrads is one MLP's gradients the way the allreduces see them: every
-// layer's tensors back to back in buf, layer i starting at off[i].
-type flatGrads struct {
-	m   *mlp.MLP
-	buf []float32
-	off []int
-}
-
-// bind lays m's gradients out over *buf and *off (workspace storage).
-func (g *flatGrads) bind(m *mlp.MLP, buf *[]float32, off *[]int) {
-	o := (*off)[:0]
-	n := 0
-	for i := range m.Layers {
-		o = append(o, n)
-		n += m.LayerGradLen(i)
-	}
-	*off = append(o, n)
-	g.m, g.buf, g.off = m, ensureF32(buf, n), *off
-}
-
-// move copies layers lo..hi between the MLP's gradient tensors and the flat
-// buffer: into it (capture) or back out of it.
-func (g *flatGrads) move(lo, hi int, capture bool) {
-	pos := g.off[lo]
-	for l := lo; l <= hi; l++ {
-		g.m.VisitLayerGrads(l, func(_ string, t []float32) {
-			if capture {
-				copy(g.buf[pos:pos+len(t)], t)
-			} else {
-				copy(t, g.buf[pos:pos+len(t)])
-			}
-			pos += len(t)
-		})
-	}
+	rb  *data.RankBatch
+	cur *tensor.Acts // the gradient flowing down the backward pass
 }
 
 // newExecutor builds rank r's shard model and data pipeline for one run.
 func newExecutor(dc *DistConfig, r *cluster.Rank, ws *DistWorkspace, res *DistResult) *executor {
 	shardN := dc.GlobalN / dc.Ranks
 	m := NewModelShard(*dc.RunCfg, mlpBlockFor(shardN), dc.Seed, r.ID, dc.Ranks)
-	x := &executor{dc: dc, rank: r.ID, ws: ws, res: res, model: m, pool: r.Pool()}
-	x.grads[topMLP].bind(m.Top, &ws.topGrad, &ws.topOff)
-	x.grads[botMLP].bind(m.Bot, &ws.botGrad, &ws.botOff)
+	x := &executor{dc: dc, rank: r.ID, ws: ws, res: res, model: m, pool: r.Pool(), nets: [2]*mlp.MLP{m.Top, m.Bot}}
+	for i, net := range x.nets {
+		g := ws.grads[i][:0]
+		for _, l := range net.Layers {
+			g = append(g, l.DW.Data, l.DBias)
+		}
+		ws.grads[i] = g
+	}
 	if dc.seg.restore != nil {
 		dc.seg.restore(r.ID, m)
 	}
@@ -122,33 +90,33 @@ func (x *executor) close() {
 }
 
 // run executes step s's kernel in iteration it. For a collective it returns
-// the buffers to move: the data is in place when the collective returns (the
-// rendezvous is synchronous — the handle defers only virtual time).
-func (x *executor) run(s *step, it int) (buf stage) {
+// the segment lists to move: the data is in place when the collective
+// returns (the rendezvous is synchronous — the handle defers only virtual
+// time).
+func (x *executor) run(s *step, it int) stage {
 	switch s.kernel {
 	case kEmbForward:
 		x.embForward()
-	case kPackForward:
-		return x.packForward(s.lo)
+	case kForwardRows:
+		return x.ws.fwd[s.lo]
 	case kForwardDense:
 		x.forwardDense()
 	case kBackward:
 		x.backward(s.mlp, s.lo, s.hi)
 	case kBackwardInter:
-		x.cur, x.dEmb = x.model.backwardInteraction(x.pool, x.cur)
+		x.cur = x.model.backwardInteraction(x.pool, x.cur, x.ws.dEmb)
 		x.backward(botMLP, s.lo, s.hi)
 	case kGrad:
-		g := &x.grads[s.mlp]
-		buf.send = g.buf[g.off[s.lo]:g.off[s.hi+1]]
-	case kPackBackward:
-		return x.packBackward(s.lo)
+		return stage{send: x.ws.grads[s.mlp][2*s.lo : 2*s.hi+2]}
+	case kBackwardRows:
+		return x.ws.bwd[s.lo]
 	case kEmbUpdate:
 		x.embUpdate()
 	case kSGD:
-		x.sgd(s.mlp, s.lo, s.hi)
+		x.nets[s.mlp].StepLayers(s.lo, s.hi, x.dc.LR)
 	case kSGDAll:
-		for mlp, g := range x.grads {
-			x.sgd(mlp, 0, len(g.m.Layers)-1)
+		for _, net := range x.nets {
+			net.Step(x.dc.LR)
 		}
 	case kCheckpoint:
 		if sink := x.dc.seg.sink; sink != nil {
@@ -160,7 +128,7 @@ func (x *executor) run(s *step, it int) (buf stage) {
 			sink(x.rank, x.dc.seg.startIter+it+1, x.model)
 		}
 	}
-	return buf
+	return stage{}
 }
 
 // embForward takes the next batch and runs the owned tables' bag sums over
@@ -174,50 +142,6 @@ func (x *executor) embForward() {
 			x.model.Tables[t].Forward(x.pool, x.rb.Owned[li], x.ws.embFull[li])
 		}
 	}
-}
-
-// packBlocks coalesces rows — each one block of rowLen floats per destination
-// — into send, so that destination d's block of blockLen floats holds every
-// row's d-th block; unpackBlocks is its inverse on the receiving side.
-func packBlocks(send []float32, blockLen, rowLen int, rows [][]float32) {
-	for d := 0; d*blockLen < len(send); d++ {
-		for li, row := range rows {
-			copy(send[d*blockLen+li*rowLen:d*blockLen+(li+1)*rowLen], row[d*rowLen:(d+1)*rowLen])
-		}
-	}
-}
-
-func unpackBlocks(rows [][]float32, recv []float32, blockLen, rowLen int) {
-	for src := 0; src*blockLen < len(recv); src++ {
-		for li, row := range rows {
-			copy(row[src*rowLen:(src+1)*rowLen], recv[src*blockLen+li*rowLen:src*blockLen+(li+1)*rowLen])
-		}
-	}
-}
-
-// packForward stages forward redistribution group g: the owned tables' bag
-// outputs leave for the ranks whose samples they are. The receive side needs
-// no unpacking — ws.embOut holds views into the receive buffers.
-func (x *executor) packForward(g int) stage {
-	ws := x.ws
-	if x.dc.Variant.Strategy == Alltoall {
-		packBlocks(ws.sendF, ws.block, ws.rowLen, ws.embFull)
-		return stage{send: ws.sendF, recv: ws.recvF, blockLen: ws.block}
-	}
-	tabs := ws.groups[g]
-	buf := stage{recv: ws.grpRecv[g][:len(tabs)*ws.rowLen], blockLen: len(tabs) * ws.rowLen}
-	if TableOwner(tabs[0], x.dc.Ranks) != x.rank {
-		return buf
-	}
-	if _, coalesce := x.dc.groups(); coalesce {
-		// The copy the paper charges as framework time.
-		buf.send = ws.sendF
-		packBlocks(buf.send, buf.blockLen, ws.rowLen, ws.embFull)
-	} else {
-		// One table: its rows are already one block per destination.
-		buf.send = ws.embFull[LocalTableIndex(tabs[0], x.dc.Ranks)]
-	}
-	return buf
 }
 
 // forwardDense runs the dense forward and the loss on the local shard and
@@ -237,58 +161,20 @@ func (x *executor) forwardDense() {
 	x.cur = x.model.packLossGrad(dz)
 }
 
-// backward steps layers hi..lo of one MLP and captures their gradients into
-// its flat buffer. The top MLP's layer 0 must produce an input gradient (it
-// feeds the interaction); the bottom one's ends the pass.
+// backward steps layers hi..lo of one MLP, leaving their gradients in the
+// layers' DW and DBias, where the allreduce reads them. The top MLP's layer
+// 0 must produce an input gradient (it feeds the interaction); the bottom
+// one's ends the pass.
 func (x *executor) backward(mlp, lo, hi int) {
-	g := &x.grads[mlp]
 	for i := hi; i >= lo; i-- {
-		x.cur = g.m.BackwardLayer(x.pool, i, x.cur, mlp == topMLP || i > 0)
+		x.cur = x.nets[mlp].BackwardLayer(x.pool, i, x.cur, mlp == topMLP || i > 0)
 	}
-	g.move(lo, hi, true)
 }
 
-// packBackward stages backward redistribution group g: each table's output
-// gradients return to the owning rank, which assembles them in embUpdate.
-func (x *executor) packBackward(g int) stage {
-	ws := x.ws
-	if x.dc.Variant.Strategy == Alltoall {
-		for dst, tabs := range ws.tablesByRank {
-			for li, t := range tabs {
-				copy(ws.sendB[dst*ws.block+li*ws.rowLen:dst*ws.block+(li+1)*ws.rowLen], x.dEmb[t])
-			}
-		}
-		return stage{send: ws.sendB, recv: ws.recvB, blockLen: ws.block}
-	}
-	tabs := ws.groups[g]
-	_, coalesce := x.dc.groups()
-	buf := stage{send: x.dEmb[tabs[0]]}
-	if coalesce {
-		buf.send = ws.sendB[:len(tabs)*ws.rowLen]
-		for li, t := range tabs {
-			copy(buf.send[li*ws.rowLen:(li+1)*ws.rowLen], x.dEmb[t])
-		}
-	}
-	if TableOwner(tabs[0], x.dc.Ranks) == x.rank {
-		if coalesce {
-			buf.recv = ws.recvB
-		} else {
-			// A gather concatenates shard rows in rank order, which is exactly
-			// the assembled full-batch layout.
-			buf.recv = ws.dOutFull[LocalTableIndex(tabs[0], x.dc.Ranks)]
-		}
-	}
-	return buf
-}
-
-// embUpdate assembles the received gradient rows into ws.dOutFull (the
-// coalescing strategies; a single-table gather landed there directly) and
-// runs the owned tables' backward and update.
+// embUpdate runs the owned tables' backward and update on the gradient rows
+// the backward redistribution assembled in ws.dOutFull.
 func (x *executor) embUpdate() {
 	ws := x.ws
-	if ws.block > 0 {
-		unpackBlocks(ws.dOutFull, ws.recvB, ws.block, ws.rowLen)
-	}
 	for li, t := range ws.locT {
 		tab := x.model.Tables[t]
 		ob := x.rb.Owned[li]
@@ -300,12 +186,4 @@ func (x *executor) embUpdate() {
 			tab.Update(x.pool, embedding.RaceFree, ob, dW, x.dc.LR)
 		}
 	}
-}
-
-// sgd writes the reduced gradients of layers lo..hi back into the MLP and
-// applies their slice of the optimizer step.
-func (x *executor) sgd(mlp, lo, hi int) {
-	g := &x.grads[mlp]
-	g.move(lo, hi, false)
-	g.m.StepLayers(lo, hi, x.dc.LR)
 }

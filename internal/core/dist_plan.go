@@ -68,14 +68,14 @@ type kernel uint8
 const (
 	kNone          kernel = iota
 	kEmbForward           // next batch; owned tables' bag sums over the global batch
-	kPackForward          // stage forward redistribution group lo
+	kForwardRows          // forward redistribution group lo's segment lists
 	kForwardDense         // bottom MLP, interaction, top MLP, loss and its gradient
-	kBackward             // layers hi..lo of MLP mlp backward, gradients into its flat buffer
+	kBackward             // layers hi..lo of MLP mlp backward
 	kBackwardInter        // interaction backward, then bottom layers hi..lo (none if hi < lo)
-	kGrad                 // stage layers lo..hi of MLP mlp's flat gradients for the allreduce
-	kPackBackward         // stage backward redistribution group lo
-	kEmbUpdate            // assemble gradient rows; owned tables' backward + update
-	kSGD                  // reduced gradients back into layers lo..hi of MLP mlp, SGD step
+	kGrad                 // layers lo..hi of MLP mlp's gradient tensors, for the allreduce
+	kBackwardRows         // backward redistribution group lo's segment lists
+	kEmbUpdate            // owned tables' backward + update
+	kSGD                  // SGD step of layers lo..hi of MLP mlp on their reduced gradients
 	kSGDAll               // both whole MLPs (the flat schedule's single sweep)
 	kCheckpoint           // hand the shard model to the checkpoint sink
 )
@@ -299,9 +299,9 @@ func (dc *DistConfig) buildPlan() *plan {
 		lo = b.slots
 		emit := func(s step) {
 			s.kind, s.label, s.channel, s.slot = stepCollective, "alltoall", ch, b.slot()
-			s.kernel = kPackBackward
+			s.kernel = kBackwardRows
 			if forward {
-				s.kernel = kPackForward
+				s.kernel = kForwardRows
 			}
 			b.add(s)
 			if waitEach {
@@ -489,11 +489,11 @@ func (p *plan) due(s *step, it, rank int) bool {
 	return true
 }
 
-// stage is what a collective moves in functional mode; the zero value is a
-// timing-mode collective (no payload).
+// stage is what a collective moves in functional mode: segment lists into
+// the tensors that produce and consume the data (see comm.AlltoallSegs). The
+// zero value is a timing-mode collective (no payload).
 type stage struct {
-	send, recv []float32
-	blockLen   int
+	send, recv [][]float32
 }
 
 // run is the interpreter, the SPMD program of every rank: it charges the
@@ -530,13 +530,13 @@ func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *
 			case stepCollective:
 				switch s.coll {
 				case collAlltoall:
-					handles[s.slot] = cm.AlltoallCostOn(s.label, s.channel, buf.send, buf.recv, buf.blockLen, s.bytes)
+					handles[s.slot] = cm.AlltoallSegs(s.label, s.channel, buf.send, buf.recv, s.bytes)
 				case collScatter:
-					handles[s.slot] = cm.ScatterCostOn(s.label, s.channel, s.root, buf.send, buf.recv, buf.blockLen, s.bytes)
+					handles[s.slot] = cm.ScatterSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
 				case collGather:
-					handles[s.slot] = cm.GatherCostOn(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
+					handles[s.slot] = cm.GatherSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
 				case collAllreduce:
-					handles[s.slot] = cm.AllreduceAlgoCost(s.label, s.channel, buf.send, false, s.bytes, s.algo)
+					handles[s.slot] = cm.AllreduceSegs(s.label, s.channel, buf.send, false, s.bytes, s.algo)
 				}
 			}
 		}

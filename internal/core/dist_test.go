@@ -177,8 +177,8 @@ func TestOverlapLossParity(t *testing.T) {
 }
 
 // TestBucketedLossParity: layer-stepped backward, per-bucket allreduces over
-// flat-buffer segments and per-bucket SGD slices, under both schedules and
-// both real loaders; the small buckets span layer groups.
+// runs of the layers' gradient tensors and per-bucket SGD slices, under both
+// schedules and both real loaders; the small buckets span layer groups.
 func TestBucketedLossParity(t *testing.T) {
 	b := tiny.x(axBucket, 2)
 	checkParity(t, slices.Concat(b.x(axShape).x(axVariant, paper...).x(axSync).x(axLoader, 1, 2),

@@ -21,12 +21,15 @@ type distKey struct {
 
 // DistWorkspace owns everything one simulated rank reuses across distributed
 // training iterations: the handle slots of the run's plan and, in functional
-// mode, the executor's buffers — the coalesced send and receive blocks of both
-// redistribution phases, the per-table embedding outputs and assembled
-// gradient rows, the per-table sparse gradient buffers, the loss gradient, and
-// the flat MLP gradient buffers behind the allreduces. Together with the
-// rank's persistent par.Pool this makes the steady-state distributed
-// iteration free of heap allocations in timing mode (enforced by
+// mode, the tensors the executor exchanges — the owned tables' bag outputs
+// over the global batch and their assembled gradients, every table's shard
+// rows and their gradients — plus the per-table sparse gradient buffers, the
+// loss gradient, and the collectives' payloads. A payload is a segment list
+// of views into those tensors and the model's gradient tensors (see
+// comm.AllreduceSegs), built once per key, so a collective copies each row
+// straight from the tensor that produces it into the one that consumes it.
+// Together with the rank's persistent par.Pool this makes the steady-state
+// distributed iteration free of heap allocations in timing mode (enforced by
 // dist_alloc_test.go) and allocation-light in functional mode.
 //
 // A DistWorkspace is owned by a DistWorkspaces set and used by exactly one
@@ -39,25 +42,21 @@ type DistWorkspace struct {
 
 	// Functional-mode state; buffers are indexed by local table position li
 	// (table id t = rank + li·ranks) unless noted.
-	tablesByRank [][]int     // rank → owned table ids
-	groups       [][]int     // scatter strategies: redistribution group → table ids
-	embFull      [][]float32 // owned-table bag outputs over the GLOBAL batch, GlobalN×E
-	embOut       [][]float32 // per table id: this rank's shard rows (views into the forward receives)
-	dOutFull     [][]float32 // owned-table assembled gradients, GlobalN×E
-	dW           [][]float32 // owned-table per-lookup gradient rows
-	dz           []float32   // loss gradient, length shardN
+	embFull  [][]float32 // owned-table bag outputs over the GLOBAL batch, GlobalN×E
+	embOut   [][]float32 // per table id: this rank's shard rows, shardN×E
+	dEmb     [][]float32 // per table id: their gradients, shardN×E
+	dOutFull [][]float32 // owned-table assembled gradients, GlobalN×E
+	dW       [][]float32 // owned-table per-lookup gradient rows
+	dz       []float32   // loss gradient, length shardN
 
-	// Redistribution blocks. Alltoall: one padded block per peer, both ways.
-	// FusedScatter: the root's coalesced forward send, the coalesced gradient
-	// send and the root's gathered receive. ScatterList moves table rows in
-	// place and uses none of the four.
-	sendF, recvF, sendB, recvB []float32
-	grpRecv                    [][]float32 // per scatter group: forward receive
-	rowLen                     int         // one table's shard rows: shardN × E floats
-	block                      int         // this rank's coalesced block in floats (0 under ScatterList)
-
-	topGrad, botGrad []float32 // flat MLP gradients for the allreduces
-	topOff, botOff   []int     // per-layer offsets into them
+	// fwd and bwd are the redistribution collectives' payloads, one per
+	// scatter group (one in all under Alltoall): embFull rows to embOut
+	// forward, dEmb to dOutFull rows backward. grads lists each MLP's
+	// gradient tensors, DW then DBias layer by layer (indexed topMLP,
+	// botMLP; refilled per run, the model being per run), so an allreduce
+	// bucket of layers lo..hi is grads[mlp][2·lo : 2·hi+2].
+	fwd, bwd []stage
+	grads    [2][][]float32
 
 	// loaderBufs is the staging storage behind the rank's data loader
 	// (functional mode): the double-buffered RankBatch ring and, under the
@@ -85,7 +84,7 @@ func (ws *DistWorkspace) prepare(dc *DistConfig, rank int) {
 	if key != ws.key {
 		ws.locT = LocalTables(dc.Cfg, rank, key.ranks)
 		if key.functional {
-			ws.resize(dc, key)
+			ws.resize(dc, key, rank)
 		}
 		ws.key = key
 	}
@@ -101,63 +100,84 @@ func (ws *DistWorkspace) slots(n int) []cluster.Handle {
 
 // resize re-ensures the executor's buffers for a new key (every field of
 // distKey feeds a size below, which is what makes the key the workspace's
-// reuse unit) and points ws.embOut at where each table's shard rows land.
-func (ws *DistWorkspace) resize(dc *DistConfig, key distKey) {
-	ws.tablesByRank = ws.tablesByRank[:0]
-	for rk := 0; rk < key.ranks; rk++ {
-		ws.tablesByRank = append(ws.tablesByRank, LocalTables(dc.Cfg, rk, key.ranks))
-	}
-	rowLen := key.globalN / key.ranks * key.embDim
-	ws.rowLen, ws.block = rowLen, 0
+// reuse unit) and rebuilds the redistribution payloads over them. The
+// alltoall carries MaxLocalTables slots per peer; a rank owning fewer tables
+// sends and receives empty segments in the slots past its own.
+func (ws *DistWorkspace) resize(dc *DistConfig, key distKey, rank int) {
+	ranks, rowLen := key.ranks, key.globalN/key.ranks*key.embDim
 	nLoc := len(ws.locT)
-	maxLoc := MaxLocalTables(dc.Cfg, key.ranks)
-
 	ws.embFull = ensureRows(&ws.embFull, nLoc, key.globalN*key.embDim)
 	ws.dOutFull = ensureRows(&ws.dOutFull, nLoc, key.globalN*key.embDim)
-	if len(ws.embOut) != key.tables {
-		ws.embOut = make([][]float32, key.tables)
-	}
+	ws.embOut = ensureRows(&ws.embOut, key.tables, rowLen)
+	ws.dEmb = ensureRows(&ws.dEmb, key.tables, rowLen)
 	if len(ws.dW) != nLoc {
 		ws.dW = make([][]float32, nLoc)
 	}
 	ws.dz = ensureF32(&ws.dz, key.globalN/key.ranks)
 
 	if key.strategy == Alltoall {
-		blockLen := maxLoc * rowLen
-		ws.block = blockLen
-		for _, buf := range []*[]float32{&ws.sendF, &ws.recvF, &ws.sendB, &ws.recvB} {
-			ensureF32(buf, key.ranks*blockLen)
-		}
-		for src, tabs := range ws.tablesByRank {
-			for li, t := range tabs {
-				ws.embOut[t] = ws.recvF[src*blockLen+li*rowLen : src*blockLen+(li+1)*rowLen]
-			}
+		ws.fwd, ws.bwd = slices.Grow(ws.fwd[:0], 1)[:1], slices.Grow(ws.bwd[:0], 1)[:1]
+		f, b, k := &ws.fwd[0], &ws.bwd[0], MaxLocalTables(dc.Cfg, ranks)
+		f.send = ownerSegs(f.send[:0], ws.embFull, ws.locT, k, ranks, rowLen)
+		b.recv = ownerSegs(b.recv[:0], ws.dOutFull, ws.locT, k, ranks, rowLen)
+		f.recv, b.send = f.recv[:0], b.send[:0]
+		for peer := range ranks {
+			tabs := LocalTables(dc.Cfg, peer, ranks)
+			f.recv = shardSegs(f.recv, ws.embOut, tabs, k)
+			b.send = shardSegs(b.send, ws.dEmb, tabs, k)
 		}
 		return
 	}
-	// The scatter strategies: one receive row per group, padded to the
-	// largest group so one rectangular allocation serves every root.
-	ws.groups = ws.tablesByRank
-	widest := maxLoc
-	if n, coalesce := dc.groups(); coalesce {
-		ws.block = nLoc * rowLen
-		ensureF32(&ws.sendF, key.ranks*nLoc*rowLen)
-		ensureF32(&ws.sendB, maxLoc*rowLen)
-		ensureF32(&ws.recvB, key.ranks*nLoc*rowLen)
-	} else {
-		ids := make([]int, n)
-		ws.groups, widest = make([][]int, n), 1
-		for t := range ids {
-			ids[t] = t
-			ws.groups[t] = ids[t : t+1]
+	// The scatter strategies: one scatter and one gather per group of
+	// tables, all owned by the group's root.
+	n, coalesce := dc.groups()
+	ws.fwd, ws.bwd = slices.Grow(ws.fwd[:0], n)[:n], slices.Grow(ws.bwd[:0], n)[:n]
+	for g := range n {
+		tabs := []int{g}
+		if coalesce {
+			tabs = LocalTables(dc.Cfg, g, ranks)
+		}
+		f, b := &ws.fwd[g], &ws.bwd[g]
+		f.recv = shardSegs(f.recv[:0], ws.embOut, tabs, len(tabs))
+		b.send = shardSegs(b.send[:0], ws.dEmb, tabs, len(tabs))
+		if TableOwner(tabs[0], ranks) != rank {
+			f.send, b.recv = nil, nil // only the root's lists are read
+			continue
+		}
+		f.send = ownerSegs(f.send[:0], ws.embFull, tabs, len(tabs), ranks, rowLen)
+		b.recv = ownerSegs(b.recv[:0], ws.dOutFull, tabs, len(tabs), ranks, rowLen)
+	}
+}
+
+// ownerSegs appends the owner's side of a redistribution: for every peer j
+// and each of k slots, peer j's rows of the slot's table — rows[li] of table
+// tabs[slot], rowLen floats from j·rowLen — or an empty segment past
+// len(tabs).
+func ownerSegs(segs, rows [][]float32, tabs []int, k, ranks, rowLen int) [][]float32 {
+	for j := range ranks {
+		for s := range k {
+			var seg []float32
+			if s < len(tabs) {
+				seg = rows[LocalTableIndex(tabs[s], ranks)][j*rowLen : (j+1)*rowLen]
+			}
+			segs = append(segs, seg)
 		}
 	}
-	ws.grpRecv = ensureRows(&ws.grpRecv, len(ws.groups), widest*rowLen)
-	for g, tabs := range ws.groups {
-		for li, t := range tabs {
-			ws.embOut[t] = ws.grpRecv[g][li*rowLen : (li+1)*rowLen]
+	return segs
+}
+
+// shardSegs appends a receiver's or sender's side: each of k slots' table's
+// shard tensor (shard is indexed by table id), or an empty segment past
+// len(tabs).
+func shardSegs(segs, shard [][]float32, tabs []int, k int) [][]float32 {
+	for s := range k {
+		var seg []float32
+		if s < len(tabs) {
+			seg = shard[tabs[s]]
 		}
+		segs = append(segs, seg)
 	}
+	return segs
 }
 
 // DistWorkspaces holds one DistWorkspace per simulated rank. Like

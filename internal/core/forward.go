@@ -62,8 +62,8 @@ func (m *Model) ForwardDense(p *par.Pool, dense *tensor.Dense, embOut [][]float3
 // returned buffers are workspace storage overwritten by the next call.
 func (m *Model) BackwardDense(p *par.Pool, dz []float32) [][]float32 {
 	dInter := m.Top.Backward(p, m.packLossGrad(dz), true)
-	dBot, dEmb := m.backwardInteraction(p, dInter)
-	m.Bot.Backward(p, dBot, false)
+	dEmb := m.workspace().DEmb(m.Cfg.Tables, m.cache.n*m.Cfg.EmbDim)
+	m.Bot.Backward(p, m.backwardInteraction(p, dInter, dEmb), false)
 	return dEmb
 }
 
@@ -88,9 +88,10 @@ func (m *Model) packLossGrad(dz []float32) *tensor.Acts {
 }
 
 // backwardInteraction takes the top MLP's input gradient through the
-// interaction and returns the bottom MLP's packed output gradient and the
-// gradients of each table's bag outputs.
-func (m *Model) backwardInteraction(p *par.Pool, dInterActs *tensor.Acts) (*tensor.Acts, [][]float32) {
+// interaction, writes the gradients of each table's bag outputs into the
+// caller's dEmb (per table, N×E) and returns the bottom MLP's packed output
+// gradient.
+func (m *Model) backwardInteraction(p *par.Pool, dInterActs *tensor.Acts, dEmb [][]float32) *tensor.Acts {
 	n := m.cache.n
 	ws := m.workspace()
 	dInter := ensureDense(&ws.dInter, n, m.Inter.OutputDim())
@@ -98,11 +99,10 @@ func (m *Model) backwardInteraction(p *par.Pool, dInterActs *tensor.Acts) (*tens
 
 	e := m.Cfg.EmbDim
 	dBot := ensureF32(&ws.dBot, n*e)
-	dEmb := ws.DEmb(m.Cfg.Tables, n*e)
 	m.Inter.Backward(p, dInter.Data, dBot, dEmb)
 
 	ws.dBotD.Rows, ws.dBotD.Cols, ws.dBotD.Data = n, e, dBot
 	dBotActs := tensor.EnsureActs(&ws.dBotActs, n, e, m.BN, mlp.BlockPick(e, 64))
 	dBotActs.PackFrom(&ws.dBotD)
-	return dBotActs, dEmb
+	return dBotActs
 }

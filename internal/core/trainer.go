@@ -170,9 +170,9 @@ func (tr *Trainer) embUpdate(t int, b *embedding.Batch, dOut []float32) {
 }
 
 // mlpStep applies the per-tensor optimizers to both MLPs' gradients. The
-// explicit layer walk (instead of VisitGrads) keeps the hot loop free of
-// closure allocations; the optimizer order matches initOptimizers, which
-// binds weights-then-bias per layer, bottom MLP first.
+// explicit layer walk keeps the hot loop free of closure allocations; the
+// optimizer order matches initOptimizers, which binds weights-then-bias per
+// layer, bottom MLP first.
 func (tr *Trainer) mlpStep() {
 	i := 0
 	for _, m := range [...]*mlp.MLP{tr.M.Bot, tr.M.Top} {

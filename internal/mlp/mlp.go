@@ -420,31 +420,6 @@ func (m *MLP) VisitParams(fn func(name string, p []float32)) {
 	}
 }
 
-// VisitGrads calls fn for every gradient tensor in the same order as
-// VisitParams.
-func (m *MLP) VisitGrads(fn func(name string, g []float32)) {
-	for i, l := range m.Layers {
-		fn(fmt.Sprintf("layer%d.W", i), l.DW.Data)
-		fn(fmt.Sprintf("layer%d.b", i), l.DBias)
-	}
-}
-
-// LayerGradLen returns the flat gradient length of layer i (weights then
-// bias) — layer i's share of the VisitGrads order. Bucketed allreduce plans
-// carve the flat gradient buffer by these lengths.
-func (m *MLP) LayerGradLen(i int) int {
-	l := m.Layers[i]
-	return len(l.DW.Data) + len(l.DBias)
-}
-
-// VisitLayerGrads calls fn for layer i's gradient tensors only (weights
-// then bias), in the same order VisitGrads emits them.
-func (m *MLP) VisitLayerGrads(i int, fn func(name string, g []float32)) {
-	l := m.Layers[i]
-	fn(fmt.Sprintf("layer%d.W", i), l.DW.Data)
-	fn(fmt.Sprintf("layer%d.b", i), l.DBias)
-}
-
 // StepLayers applies SGD to the layers in [lo, hi] only — the per-bucket
 // slice of the optimizer pass that follows a bucketed gradient allreduce.
 // StepLayers(0, len(Layers)-1, lr) is exactly Step(lr).

@@ -215,24 +215,18 @@ func TestVisitParamsGradsAligned(t *testing.T) {
 		w0    int
 	}{{[]int{4, 6, 2}, 4 * 6}, {[]int{383, 6, 2}, 384 * 6}} {
 		m := New(c.sizes, 2, ReLU, None, rand.New(rand.NewSource(6)))
-		var pNames, gNames []string
-		var pLens, gLens []int
-		m.VisitParams(func(n string, p []float32) { pNames = append(pNames, n); pLens = append(pLens, len(p)) })
-		m.VisitGrads(func(n string, g []float32) { gNames = append(gNames, n); gLens = append(gLens, len(g)) })
-		if len(pNames) != 4 || len(gNames) != 4 {
-			t.Fatalf("expected 4 tensors, got %d/%d", len(pNames), len(gNames))
-		}
-		for i := range pNames {
-			if pNames[i] != gNames[i] || pLens[i] != gLens[i] {
-				t.Fatalf("params/grads misaligned at %d: %s/%d vs %s/%d", i, pNames[i], pLens[i], gNames[i], gLens[i])
-			}
+		var pLens []int
+		m.VisitParams(func(_ string, p []float32) { pLens = append(pLens, len(p)) })
+		if len(pLens) != 4 {
+			t.Fatalf("expected 4 tensors, got %d", len(pLens))
 		}
 		if pLens[0] != c.w0 {
 			t.Fatalf("%v: layer0.W holds %d values, want %d", c.sizes, pLens[0], c.w0)
 		}
-		for i := range m.Layers {
-			if got, want := m.LayerGradLen(i), pLens[2*i]+pLens[2*i+1]; got != want {
-				t.Fatalf("%v: LayerGradLen(%d) = %d, VisitParams holds %d", c.sizes, i, got, want)
+		for i, l := range m.Layers {
+			if len(l.DW.Data) != pLens[2*i] || len(l.DBias) != pLens[2*i+1] {
+				t.Fatalf("%v: layer %d gradients hold %d+%d values, parameters %d+%d",
+					c.sizes, i, len(l.DW.Data), len(l.DBias), pLens[2*i], pLens[2*i+1])
 			}
 		}
 		wantBytes := 4 * (c.sizes[0]*6 + 6 + 6*2 + 2)
@@ -459,27 +453,6 @@ func TestBackwardVisitMatchesBackward(t *testing.T) {
 				t.Fatalf("layer %d DBias[%d] diverged", li, j)
 			}
 		}
-	}
-}
-
-// TestLayerGradHelpers checks the per-layer gradient accounting the bucket
-// plans rely on: LayerGradLen sums to the VisitGrads total in order, and
-// VisitLayerGrads emits exactly layer i's slice of that order.
-func TestLayerGradHelpers(t *testing.T) {
-	m := New([]int{16, 32, 8}, 4, ReLU, None, rand.New(rand.NewSource(3)))
-	var total int
-	m.VisitGrads(func(_ string, g []float32) { total += len(g) })
-	var sum int
-	for i := range m.Layers {
-		sum += m.LayerGradLen(i)
-		var ln int
-		m.VisitLayerGrads(i, func(_ string, g []float32) { ln += len(g) })
-		if ln != m.LayerGradLen(i) {
-			t.Fatalf("layer %d: VisitLayerGrads len %d != LayerGradLen %d", i, ln, m.LayerGradLen(i))
-		}
-	}
-	if sum != total {
-		t.Fatalf("per-layer grad lengths sum to %d, VisitGrads total %d", sum, total)
 	}
 }
 
