@@ -228,8 +228,8 @@ func (c *ClickLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 	t := c.teacher()
 	mb.Reset(hi-lo, c.D, len(t.tables))
 	for s := lo; s < hi; s++ {
-		t.fillSample(mb, s-lo, sampleStream(t.seed, clickTag, i, s), clickTag, i, s,
-			sampleStream(t.seed, clickLblTag, i, s))
+		pCTR := t.features(mb, s-lo, sampleStream(t.seed, clickTag, i, s), clickTag, i, s)
+		label(mb, s-lo, pCTR, sampleStream(t.seed, clickLblTag, i, s))
 	}
 }
 

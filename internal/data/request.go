@@ -1,7 +1,9 @@
 package data
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/embedding"
 )
@@ -20,6 +22,18 @@ import (
 // profile streams are keyed by the entity alone, so any slice of any batch
 // is re-materializable bit-identically — shards, replays, and the serving
 // dispatcher's arbitrary batch boundaries all see the same requests.
+//
+// Because an entity's profile is a pure function of (seed, entity), the log
+// keeps the profiles of its head entities — ids below min(Universe,
+// entityHeadBytes ÷ (4·D + 4·T·P + 8)), which Zipf traffic hits most — once
+// built: the dense row, every table's P rows and the click probability the
+// label is drawn against. A returning head entity costs a copy plus its
+// per-request label draw, and every byte of every batch is what the uncached
+// fill writes. Profiles are built the first time their entity is seen, so
+// memory grows with the distinct head entities a run actually meets; the
+// worst case is 16 MiB of profile data plus, per head entity, an 8-byte slot,
+// a 64-byte header and the allocator's size-class rounding (17.1 MiB at the
+// serve-func shape, D = 512 and 8 tables of P = 50: 4 588 entities).
 type RequestLog struct {
 	Seed    int64
 	D       int
@@ -43,7 +57,24 @@ type RequestLog struct {
 	once   sync.Once
 	t      *teacher
 	entity embedding.ZipfSampler
+	// head[e] is entity e's profile once some fill has built it. Slots are
+	// written once; concurrent first fills build identical profiles and
+	// either may be published.
+	head []atomic.Pointer[profile]
 }
+
+// profile is what FillRange writes for a request of one entity, except its
+// label: the dense row, the T bags of P rows each (table-major), and the
+// click probability.
+type profile struct {
+	dense []float32
+	rows  []int32
+	pCTR  float64
+}
+
+// entityHeadBytes bounds the profile data a RequestLog keeps: the head is as
+// many entities as fit at 4·D + 4·T·P + 8 bytes each.
+const entityHeadBytes = 16 << 20
 
 // NewRequestLog builds a serving request log with click-log defaults:
 // Criteo-like 1.05 skew for both entities and rows, a 100k-entity universe,
@@ -68,6 +99,8 @@ func (r *RequestLog) teacher() *teacher {
 	r.once.Do(func() {
 		r.t = newTeacher(r.Seed, r.Rows, r.Lookups, r.RowSkew, r.TableSignal, r.Bias, r.denseW)
 		r.entity = embedding.Zipf{S: r.EntitySkew}.Sampler(r.Universe)
+		bytes := 4*r.D + 4*len(r.Rows)*r.Lookups + 8
+		r.head = make([]atomic.Pointer[profile], min(r.Universe, entityHeadBytes/bytes))
 	})
 	return r.t
 }
@@ -91,10 +124,41 @@ func (r *RequestLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 	t := r.teacher()
 	mb.Reset(hi-lo, r.D, len(t.tables))
 	for s := lo; s < hi; s++ {
-		e := int(r.Entity(i, s))
-		t.fillSample(mb, s-lo, sampleStream(t.seed, reqProfTag, e, -1), reqProfTag, e, 0,
-			sampleStream(t.seed, reqLblTag, i, s))
+		k, e := s-lo, int(r.Entity(i, s))
+		var pCTR float64
+		if e < len(r.head) {
+			pCTR = r.fillHead(mb, k, e)
+		} else {
+			pCTR = t.features(mb, k, sampleStream(t.seed, reqProfTag, e, -1), reqProfTag, e, 0)
+		}
+		label(mb, k, pCTR, sampleStream(t.seed, reqLblTag, i, s))
 	}
+}
+
+// fillHead writes head entity e's features into sample k of mb and returns
+// its click probability: a copy of its profile, which the entity's first
+// sight builds from what the teacher wrote.
+func (r *RequestLog) fillHead(mb *MiniBatch, k, e int) float64 {
+	t := r.t
+	if p := r.head[e].Load(); p != nil {
+		copy(mb.Dense.Row(k), p.dense)
+		for ti, b := range mb.Sparse {
+			b.Indices = append(b.Indices, p.rows[ti*t.lookups:(ti+1)*t.lookups]...)
+			b.Offsets[k+1] = int32(len(b.Indices))
+		}
+		return p.pCTR
+	}
+	pCTR := t.features(mb, k, sampleStream(t.seed, reqProfTag, e, -1), reqProfTag, e, 0)
+	p := &profile{
+		dense: slices.Clone(mb.Dense.Row(k)),
+		rows:  make([]int32, 0, len(mb.Sparse)*t.lookups),
+		pCTR:  pCTR,
+	}
+	for _, b := range mb.Sparse {
+		p.rows = append(p.rows, b.Indices[b.Offsets[k]:b.Offsets[k+1]]...)
+	}
+	r.head[e].CompareAndSwap(nil, p)
+	return p.pCTR
 }
 
 // FillTableColumn implements Dataset.

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/embedding"
@@ -95,6 +98,103 @@ func TestRequestLogColumnMatchesRange(t *testing.T) {
 					tb, i, col.Indices[i], mb.Sparse[tb].Indices[i])
 			}
 		}
+	}
+}
+
+// uncachedFill is FillRange without the profile head: every request's
+// features straight from the teacher, then its label.
+func uncachedFill(r *RequestLog, i, lo, hi int, mb *MiniBatch) {
+	t := r.teacher()
+	mb.Reset(hi-lo, r.D, len(t.tables))
+	for s := lo; s < hi; s++ {
+		e := int(r.Entity(i, s))
+		pCTR := t.features(mb, s-lo, sampleStream(t.seed, reqProfTag, e, -1), reqProfTag, e, 0)
+		label(mb, s-lo, pCTR, sampleStream(t.seed, reqLblTag, i, s))
+	}
+}
+
+// batchDiff names the first difference between two batches, bit for bit:
+// dense bits, every table's indices and offsets, label bits; "" if none.
+func batchDiff(got, want *MiniBatch) string {
+	if len(got.Dense.Data) != len(want.Dense.Data) || len(got.Labels) != len(want.Labels) {
+		return fmt.Sprintf("shapes %d / %d dense, %d / %d labels",
+			len(got.Dense.Data), len(want.Dense.Data), len(got.Labels), len(want.Labels))
+	}
+	for j := range want.Dense.Data {
+		if math.Float32bits(got.Dense.Data[j]) != math.Float32bits(want.Dense.Data[j]) {
+			return fmt.Sprintf("dense %d: %v, want %v", j, got.Dense.Data[j], want.Dense.Data[j])
+		}
+	}
+	for ti, w := range want.Sparse {
+		g := got.Sparse[ti]
+		if !slices.Equal(g.Indices, w.Indices) || !slices.Equal(g.Offsets, w.Offsets) {
+			return fmt.Sprintf("table %d: indices or offsets differ", ti)
+		}
+	}
+	for k := range want.Labels {
+		if math.Float32bits(got.Labels[k]) != math.Float32bits(want.Labels[k]) {
+			return fmt.Sprintf("label %d: %v, want %v", k, got.Labels[k], want.Labels[k])
+		}
+	}
+	return ""
+}
+
+// TestProfileHeadEqualsUncached: a fill through the profile head writes the
+// bytes the teacher writes, whether the entity's profile is being built or
+// copied, on both sides of the head's end, and with a universe smaller than
+// the head. The slices overlap and repeat, so every profile they meet is read
+// cold and warm.
+func TestProfileHeadEqualsUncached(t *testing.T) {
+	rows := []int{1, 3, 500, 70_000} // the degenerate tables and a long one
+	cases := []struct {
+		name     string
+		build    func(seed int64) *RequestLog
+		wantHead int
+	}{
+		// 4·1024 + 4·4·4 + 8 = 4 168 bytes an entity: 4 025 of 100 000 kept.
+		{"boundary", func(seed int64) *RequestLog { return NewRequestLog(seed, 1024, rows, 4) }, 4025},
+		{"small-universe", func(seed int64) *RequestLog {
+			r := NewRequestLog(seed, 5, rows, 7)
+			r.Universe = 300
+			return r
+		}, 300},
+	}
+	slicesOf := [][2]int{{0, 48}, {16, 64}, {0, 48}, {47, 48}, {30, 31}}
+	for _, c := range cases {
+		inHead, beyond, universe := 0, 0, 0
+		for seed := int64(1); seed <= 6; seed++ {
+			r := c.build(seed)
+			universe = r.Universe
+			got, want := &MiniBatch{}, &MiniBatch{}
+			for i := 0; i < 3; i++ {
+				for _, sl := range slicesOf {
+					r.FillRange(i, 128, sl[0], sl[1], got)
+					uncachedFill(r, i, sl[0], sl[1], want)
+					if d := batchDiff(got, want); d != "" {
+						t.Fatalf("%s seed %d batch %d [%d, %d): %s", c.name, seed, i, sl[0], sl[1], d)
+					}
+					for s := sl[0]; s < sl[1]; s++ {
+						if int(r.Entity(i, s)) < len(r.head) {
+							inHead++
+						} else {
+							beyond++
+						}
+					}
+				}
+			}
+			if len(r.head) != c.wantHead {
+				t.Fatalf("%s: head of %d entities, want %d", c.name, len(r.head), c.wantHead)
+			}
+		}
+		if inHead == 0 || (beyond > 0) != (c.wantHead < universe) {
+			t.Errorf("%s: %d requests inside the head, %d beyond it", c.name, inHead, beyond)
+		}
+	}
+	// The serve-func shape: 16 MiB ÷ (4·512 + 4·8·50 + 8) bytes.
+	serve := NewRequestLog(1, 512, []int{15_625, 15_625, 15_625, 15_625, 15_625, 15_625, 15_625, 15_625}, 50)
+	serve.teacher()
+	if len(serve.head) != 4588 {
+		t.Errorf("serve-func shape: head of %d entities, want 4588", len(serve.head))
 	}
 }
 

@@ -81,10 +81,10 @@ func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub i
 	}
 }
 
-// fillSample writes sample k of mb: dense features from the stream dense,
-// every table's bag keyed (tag, batch, sub), and a label drawn from lbl under
-// the click probability σ(bias + w·dense + Σ_t mean_s latent(t, idx_s)).
-func (t *teacher) fillSample(mb *MiniBatch, k int, dense sampleRNG, tag uint64, batch, sub int, lbl sampleRNG) {
+// features writes sample k of mb's features — dense features from the stream
+// dense and every table's bag keyed (tag, batch, sub) — and returns its click
+// probability σ(bias + w·dense + Σ_t mean_s latent(t, idx_s)).
+func (t *teacher) features(mb *MiniBatch, k int, dense sampleRNG, tag uint64, batch, sub int) float64 {
 	logit := t.bias
 	row := mb.Dense.Row(k)
 	for j := range row {
@@ -105,7 +105,11 @@ func (t *teacher) fillSample(mb *MiniBatch, k int, dense sampleRNG, tag uint64, 
 		b.Offsets[k+1] = int32(len(b.Indices))
 		logit += acc / float64(t.lookups)
 	}
-	pCTR := 1 / (1 + math.Exp(-logit))
+	return 1 / (1 + math.Exp(-logit))
+}
+
+// label writes sample k's label, a Bernoulli(pCTR) draw from lbl.
+func label(mb *MiniBatch, k int, pCTR float64, lbl sampleRNG) {
 	if lbl.Float64() < pCTR {
 		mb.Labels[k] = 1
 	} else {

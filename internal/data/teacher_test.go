@@ -6,15 +6,23 @@ import (
 	"testing"
 )
 
-// TestConcurrentFirstFills: rank goroutines share one dataset, so its first
-// fills — which build the generator and start filling the head-score cache —
-// race with each other. Every goroutine must read the batches a fresh
-// dataset gives a lone reader (run under -race in CI).
+// TestConcurrentFirstFills: rank goroutines and serving replicas share one
+// dataset, so its first fills — which build the generator and start filling
+// the head-score cache and the request log's profile head — race with each
+// other. Every goroutine must read the batches a fresh dataset gives a lone
+// reader (run under -race in CI). In "RequestLog/hot" every request belongs
+// to one of 16 entities, so all eight goroutines race to build the same
+// profiles.
 func TestConcurrentFirstFills(t *testing.T) {
 	rows := []int{1, 3, 500, 70_000} // the last is longer than the cached head
 	builds := map[string]func() Dataset{
 		"ClickLog":   func() Dataset { return NewClickLog(4, 3, rows, 4) },
 		"RequestLog": func() Dataset { return NewRequestLog(4, 3, rows, 4) },
+		"RequestLog/hot": func() Dataset {
+			r := NewRequestLog(4, 3, rows, 4)
+			r.Universe = 16
+			return r
+		},
 	}
 	for name, build := range builds {
 		const n, batches = 64, 3
@@ -25,7 +33,7 @@ func TestConcurrentFirstFills(t *testing.T) {
 		}
 		shared := build()
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,6 +236,59 @@ func TestFig12WeakBeatsStrongEfficiency(t *testing.T) {
 	strongEff := parseF(t, find(t, strong, "Large", "64R", "CCL Alltoall")[5])
 	if weakEff <= strongEff {
 		t.Fatalf("weak efficiency %v%% must exceed strong %v%%", weakEff, strongEff)
+	}
+}
+
+// TestFig10Shape holds Fig. 10's laws over every row: compute falls strictly
+// as ranks are added; CCL exposes less communication than MPI and, with cores
+// reserved for it, computes no faster; overlapping exposes no more than
+// blocking.
+func TestFig10Shape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "fig10", Opts{})
+	// (Large: 5 rank points, MLPerf: 5) × 2 modes × 2 backends.
+	if len(tab.Rows) != 40 {
+		t.Fatalf("%d rows, want 40:\n%s", len(tab.Rows), tab)
+	}
+	const colCompute, colExposed = 4, 5
+	type key struct{ config, mode, backend, ranks string }
+	byKey := map[key][]string{}
+	for i, r := range tab.Rows {
+		byKey[key{r[0], r[1], r[2], r[3]}] = r
+		if i == 0 {
+			continue
+		}
+		if prev := tab.Rows[i-1]; slices.Equal(prev[:3], r[:3]) && parseF(t, r[colCompute]) >= parseF(t, prev[colCompute]) {
+			t.Errorf("compute must fall with ranks: %v after %v", r, prev)
+		}
+	}
+	twin := func(k key) []string {
+		r, ok := byKey[k]
+		if !ok {
+			t.Fatalf("no row %v:\n%s", k, tab)
+		}
+		return r
+	}
+	for k, ccl := range byKey {
+		if k.backend != "CCL Backend" {
+			continue
+		}
+		mpi := twin(key{k.config, k.mode, "MPI Backend", k.ranks})
+		if parseF(t, ccl[colExposed]) >= parseF(t, mpi[colExposed]) {
+			t.Errorf("CCL must expose less communication than MPI: %v vs %v", ccl, mpi)
+		}
+		if parseF(t, ccl[colCompute]) < parseF(t, mpi[colCompute]) {
+			t.Errorf("CCL must not compute faster than MPI: %v vs %v", ccl, mpi)
+		}
+	}
+	for k, over := range byKey {
+		if k.mode != "overlapping" {
+			continue
+		}
+		block := twin(key{k.config, "blocking", k.backend, k.ranks})
+		if parseF(t, over[colExposed]) > parseF(t, block[colExposed]) {
+			t.Errorf("overlapping must expose no more than blocking: %v vs %v", over, block)
+		}
 	}
 }
 

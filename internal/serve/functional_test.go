@@ -10,6 +10,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
+	"repro/internal/testenv"
 )
 
 // functionalModel is the host-sized model functional runs execute: the
@@ -84,6 +85,44 @@ func TestServeFunctionalParity(t *testing.T) {
 			}
 			lastPreds = res.Preds
 		}
+	}
+}
+
+// TestServeFunctionalRequestLog serves the request log — the serving traffic
+// dataset, whose fills copy hot entities' profiles once built — through the
+// replicas: sampled predictions equal the single-socket model's over a fresh
+// log bit for bit, a second Run over the warm profiles serves the same bits,
+// and once they are warm a longer replay allocates nothing more.
+func TestServeFunctionalRequestLog(t *testing.T) {
+	run := functionalModel()
+	logOf := func() data.Dataset { return data.NewRequestLog(9, run.DenseIn, run.Rows, run.Lookups) }
+	c := functionalConfig(8)
+	c.Requests = 96
+	c.Dataset = logOf()
+	c.Workspaces = NewWorkspaces()
+	c.Pools = cluster.NewPools()
+	defer c.Pools.Close()
+	first, second := mustRun(t, c), mustRun(t, c)
+	if first.Served != c.Requests {
+		t.Fatalf("served %d of %d", first.Served, c.Requests)
+	}
+	for k := range first.Preds {
+		if math.Float32bits(second.Preds[k]) != math.Float32bits(first.Preds[k]) {
+			t.Fatalf("request %d: second run served %v, first %v", k, second.Preds[k], first.Preds[k])
+		}
+	}
+	ref, full := logOf(), core.NewPredictor(core.NewModel(run, 1, c.Seed), par.Default)
+	var mb data.MiniBatch
+	out := make([]float32, 1)
+	for k := 0; k < c.Requests; k += 5 {
+		ref.FillRange(0, c.Requests, k, k+1, &mb)
+		full.PredictInto(&mb, out)
+		if math.Float32bits(out[0]) != math.Float32bits(first.Preds[k]) {
+			t.Fatalf("request %d: served %v, single socket %v", k, first.Preds[k], out[0])
+		}
+	}
+	if !testenv.Race { // allocation counts are perturbed by the race detector
+		serveAllocProbe(t, c, 32, 96)
 	}
 }
 
