@@ -9,32 +9,38 @@ import (
 	"testing"
 )
 
-// distHash is the SHA-256 of a functional run's numbers: per rank, every
-// iteration's loss bits, then the final bottom and top MLP parameters and
-// the owned tables, all little-endian.
+// distHash is the SHA-256 of a functional run's numbers: runBits of every
+// rank, in rank order.
 func distHash(res *DistResult) string {
 	h := sha256.New()
 	var b []byte
+	for rk, m := range res.Models {
+		b = runBits(b[:0], res.Losses[rk], m)
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// runBits appends one model's training record to b: every iteration's loss
+// bits, then the final bottom and top MLP parameters and the tables the
+// model holds, all little-endian.
+func runBits(b []byte, losses []float64, m *Model) []byte {
 	f32 := func(p []float32) {
 		for _, v := range p {
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 		}
 	}
-	for rk, m := range res.Models {
-		for _, l := range res.Losses[rk] {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(l))
-		}
-		m.Bot.VisitParams(func(_ string, p []float32) { f32(p) })
-		m.Top.VisitParams(func(_ string, p []float32) { f32(p) })
-		for _, tab := range m.Tables {
-			if tab != nil {
-				f32(tab.W)
-			}
-		}
-		h.Write(b)
-		b = b[:0]
+	for _, l := range losses {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(l))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	m.Bot.VisitParams(func(_ string, p []float32) { f32(p) })
+	m.Top.VisitParams(func(_ string, p []float32) { f32(p) })
+	for _, tab := range m.Tables {
+		if tab != nil {
+			f32(tab.W)
+		}
+	}
+	return b
 }
 
 // goldenRuns are the runs TestDistributedGolden pins: tinyConfig on the plain

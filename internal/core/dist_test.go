@@ -144,6 +144,31 @@ func plainRun(dc DistConfig) *DistResult {
 // cadence, algorithm, contention and blocking setting — to hook 1.
 func TestDistributedMatchesSingleSocket(t *testing.T) { checkParity(t, funcSample.configs()...) }
 
+// TestOneRankParity: one rank trains exactly the model the single-socket
+// trainer trains — every loss and every weight bit for bit, tolerance 0 —
+// under the flat-sync, bucketed-sync and bucketed-overlapped schedules, on
+// tinyConfig and the 26-table mini MLPerf model at two batch sizes. (With
+// more ranks the allreduce re-associates the MLP gradient sums, hence
+// checkParity's 1e-6.)
+func TestOneRankParity(t *testing.T) {
+	for _, cfg := range []Config{tinyConfig(), miniMLPerfConfig()} {
+		for _, n := range []int{48, 64} {
+			for _, sched := range []struct {
+				sync   bool
+				bucket int
+			}{{true, FlatBuckets}, {true, 4096}, {false, 4096}} {
+				dc := distTestConfig(cfg, 1, n, 3, Variants[3], true)
+				dc.Sync, dc.BucketBytes = sched.sync, sched.bucket
+				name, ref, res := label(dc), singleSocket(dc), mustRun(dc)
+				if !slices.Equal(res.Losses[0], ref.losses) {
+					t.Errorf("%s: losses %v, single socket %v", name, res.Losses[0], ref.losses)
+				}
+				checkModelsClose(t, name, res.Models[0], ref.m, 0)
+			}
+		}
+	}
+}
+
 // The rows below are the functional matrices hook 1 has always been stated
 // over: every Variant at 2 and 4 ranks per schedule feature.
 
