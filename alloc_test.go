@@ -16,6 +16,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/gemm"
 	"repro/internal/mlp"
+	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
@@ -96,13 +97,21 @@ func TestMLPStackZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "mlp.MLP.Backward", func() { m.Backward(par.Default, dy, true) })
 
 	// A full train cycle (forward, backward, SGD step) must also be free of
-	// steady-state allocations: Step invalidates the cached transposes, so
-	// this additionally covers the in-place re-transpose path.
+	// steady-state allocations: the step invalidates the cached transposes,
+	// so this additionally covers the in-place re-transpose path.
+	var sgd []*optim.SGD
+	for _, l := range m.Layers {
+		sgd = append(sgd, optim.NewSGD(l.W.Data), optim.NewSGD(l.Bias))
+	}
 	assertZeroAllocs(t, "mlp.MLP.train-cycle", func() {
 		out := m.Forward(par.Default, x)
 		copy(dy.Data, out.Data)
 		m.Backward(par.Default, dy, false)
-		m.Step(0.01)
+		for i, l := range m.Layers {
+			sgd[2*i].Step(l.DW.Data, 0.01)
+			sgd[2*i+1].Step(l.DBias, 0.01)
+		}
+		m.InvalidateTransposes()
 	})
 }
 

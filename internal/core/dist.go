@@ -111,9 +111,9 @@ type DistConfig struct {
 	// (0 = backend default: 4 for CCL, none for MPI). The §IV-A tuning knob S.
 	CommCores int
 	// Loader selects the data-pipeline model: none, the §VI-D2 global-read
-	// artifact, or the sharded streaming pipeline. In functional mode it
-	// also selects which real loader feeds the ranks (LoaderNone trains
-	// through the sharded pipeline without charging for it).
+	// artifact, or the sharded streaming pipeline. It only prices: in
+	// functional mode every rank streams through the sharded pipeline
+	// (the artifact's batches are the same bits, read at R times the cost).
 	Loader LoaderMode
 	// Sync selects the paper's instrumented synchronous schedule: backward
 	// redistribution waited where issued, loader charged serially, label-hash
@@ -457,7 +457,7 @@ func (dc DistConfig) runOn(parallel bool) *DistResult {
 		ws.prepare(&dc, r.ID)
 		var x *executor
 		if dc.RunCfg != nil {
-			x = newExecutor(&dc, r, ws, res)
+			x = newRankExecutor(&dc, r, ws, res)
 			defer x.close()
 		}
 		p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)

@@ -1,69 +1,129 @@
 package core
 
 import (
+	"repro/internal/bf16"
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/embstore"
 	"repro/internal/loss"
 	"repro/internal/mlp"
+	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
-// executor is the functional half of a rank: the model shard, loader and
-// tiered store of one run, and the kernels the plan's steps name. The
+// executor is the functional half of an iteration: a model, the kernels the
+// plan's steps name, and the numerics they run with. A distributed rank
+// builds one per run over its shard model, loader and tiered store; a
+// Trainer builds one over its model and walks the one-rank plan. The
 // interpreter calls run before each step's charge; the reusable buffers live
-// in the rank's DistWorkspace and the data pipeline's staging buffers behind
+// in the DistWorkspace and the data pipeline's staging buffers behind
 // loader.
 type executor struct {
 	dc    *DistConfig
-	rank  int
 	ws    *DistWorkspace
-	res   *DistResult
 	model *Model
 	pool  *par.Pool
+	nets  [2]*mlp.MLP // indexed topMLP, botMLP
 
+	// The numerics. prec and the optimizers are fixed when the executor is
+	// built; a distributed rank trains FP32 with the race-free, unfused
+	// update at dc.LR, and a Trainer sets strategy, fused and lr from its
+	// fields before every step.
+	prec     Precision
+	strategy embedding.Strategy
+	fused    bool
+	lr       float32
+	opts     [2][]optim.Optimizer // mixed precision: one per gradient tensor, aligned with ws.grads
+	splits   []*bf16.Split        // per table, the Split-SGD precisions only
+	sgd      sgdCall
+
+	// A distributed rank's run; a Trainer leaves them zero and sets rb to
+	// its caller's batch.
+	rank   int
+	res    *DistResult
 	loader data.Loader
 	store  *embstore.Store // nil unless tiered
-	nets   [2]*mlp.MLP     // indexed topMLP, botMLP
 
-	rb  *data.RankBatch
-	cur *tensor.Acts // the gradient flowing down the backward pass
+	rb     *data.RankBatch
+	logits []float32    // the forward's output, for the loss
+	cur    *tensor.Acts // the gradient flowing down the backward pass
+	loss   float64      // the last loss on rb.Local
 }
 
-// newExecutor builds rank r's shard model and data pipeline for one run.
-func newExecutor(dc *DistConfig, r *cluster.Rank, ws *DistWorkspace, res *DistResult) *executor {
-	shardN := dc.GlobalN / dc.Ranks
-	m := NewModelShard(*dc.RunCfg, mlpBlockFor(shardN), dc.Seed, r.ID, dc.Ranks)
-	x := &executor{dc: dc, rank: r.ID, ws: ws, res: res, model: m, pool: r.Pool(), nets: [2]*mlp.MLP{m.Top, m.Bot}}
+// newExecutor binds the kernels to model m and, under the BF16 and FP24
+// precisions, one optimizer per MLP parameter tensor and the tables'
+// reduced-precision storage (NewSplitSGD and QuantizeTable round the weights
+// here, once). FP32 needs no binding: its optimizer is the executor's SGD
+// sweep.
+func newExecutor(dc *DistConfig, m *Model, pool *par.Pool, ws *DistWorkspace, prec Precision) *executor {
+	x := &executor{dc: dc, ws: ws, model: m, pool: pool, nets: [2]*mlp.MLP{m.Top, m.Bot},
+		prec: prec, strategy: embedding.RaceFree, lr: dc.LR}
 	for i, net := range x.nets {
 		g := ws.grads[i][:0]
 		for _, l := range net.Layers {
 			g = append(g, l.DW.Data, l.DBias)
+			if prec != FP32 {
+				x.opts[i] = append(x.opts[i], newOptimizer(prec, l.W.Data), newOptimizer(prec, l.Bias))
+			}
 		}
 		ws.grads[i] = g
+		net.InvalidateTransposes()
 	}
+	switch prec {
+	case BF16Split, BF16Split8LSB:
+		x.splits = make([]*bf16.Split, len(m.Tables))
+		for t, tab := range m.Tables {
+			if tab == nil {
+				continue
+			}
+			s := bf16.NewSplit(tab.W)
+			if prec == BF16Split8LSB {
+				s.LoBits8()
+			}
+			s.WriteHiTo(tab.W)
+			x.splits[t] = s
+		}
+	case FP24:
+		for _, tab := range m.Tables {
+			if tab != nil {
+				tab.QuantizeTable(bf16.RoundFP24)
+			}
+		}
+	}
+	return x
+}
+
+// newOptimizer binds one parameter tensor's mixed-precision optimizer.
+func newOptimizer(prec Precision, params []float32) optim.Optimizer {
+	if prec == FP24 {
+		return optim.NewQuantizedSGD(params, bf16.RoundFP24, "FP24")
+	}
+	s := optim.NewSplitSGD(params)
+	s.LimitLoTo8Bits = prec == BF16Split8LSB
+	return s
+}
+
+// newRankExecutor builds rank r's shard model and data pipeline for one run.
+func newRankExecutor(dc *DistConfig, r *cluster.Rank, ws *DistWorkspace, res *DistResult) *executor {
+	m := NewModelShard(*dc.RunCfg, mlpBlockFor(dc.GlobalN/dc.Ranks), dc.Seed, r.ID, dc.Ranks)
 	if dc.seg.restore != nil {
 		dc.seg.restore(r.ID, m)
 	}
 	res.Models[r.ID] = m
-	// Every rank owns a data loader over its slice of the dataset. The staging
-	// buffers live in the rank's workspace, so successive runs refill the same
-	// memory; the loader objects themselves are cheap and per-run.
-	// LoaderGlobalMB executes the real artifact (full global read + shard
-	// copy); everything else streams the sharded pipeline.
-	lc := data.LoaderConfig{
+	x := newExecutor(dc, m, r.Pool(), ws, FP32)
+	x.rank, x.res = r.ID, res
+	// Every rank streams its slice of the dataset through the sharded loader,
+	// whichever loader the plan prices: the staging buffers live in the
+	// rank's workspace, so successive runs refill the same memory; the loader
+	// objects themselves are cheap and per-run.
+	x.loader = data.NewShardedLoader(data.LoaderConfig{
 		DS: dc.Dataset, GlobalN: dc.GlobalN,
 		Rank: r.ID, Ranks: dc.Ranks, Owned: ws.locT,
 		Start:   dc.seg.startIter,
 		Buffers: &ws.loaderBufs,
-	}
-	if dc.Loader == LoaderGlobalMB {
-		x.loader = data.NewGlobalReadLoader(lc)
-	} else {
-		x.loader = data.NewShardedLoader(lc)
-	}
+	})
 	if dc.EmbCacheBytes > 0 {
 		// Table access goes through a real embstore.Store whose cached path is
 		// bit-identical to the in-RAM one, so the loss curve is unchanged.
@@ -100,7 +160,9 @@ func (x *executor) run(s *step, it int) stage {
 	case kForwardRows:
 		return x.ws.fwd[s.lo]
 	case kForwardDense:
-		x.forwardDense()
+		x.logits = x.model.ForwardDense(x.pool, x.rb.Local.Dense, x.ws.embOut)
+	case kLoss:
+		x.lossGrad()
 	case kBackward:
 		x.backward(s.mlp, s.lo, s.hi)
 	case kBackwardInter:
@@ -113,10 +175,10 @@ func (x *executor) run(s *step, it int) stage {
 	case kEmbUpdate:
 		x.embUpdate()
 	case kSGD:
-		x.nets[s.mlp].StepLayers(s.lo, s.hi, x.dc.LR)
+		x.step(s.mlp, s.lo, s.hi)
 	case kSGDAll:
-		for _, net := range x.nets {
-			net.Step(x.dc.LR)
+		for mlp, net := range x.nets {
+			x.step(mlp, 0, len(net.Layers)-1)
 		}
 	case kCheckpoint:
 		if sink := x.dc.seg.sink; sink != nil {
@@ -131,10 +193,13 @@ func (x *executor) run(s *step, it int) stage {
 	return stage{}
 }
 
-// embForward takes the next batch and runs the owned tables' bag sums over
-// the GLOBAL minibatch into the workspace's per-table buffers.
+// embForward takes the next batch, unless the caller set it, and runs the
+// owned tables' bag sums over the GLOBAL minibatch into the workspace's
+// per-table buffers.
 func (x *executor) embForward() {
-	x.rb = x.loader.Next()
+	if x.loader != nil {
+		x.rb = x.loader.Next()
+	}
 	for li, t := range x.ws.locT {
 		if x.store != nil {
 			x.store.Forward(li, x.rb.Owned[li], x.ws.embFull[li])
@@ -144,16 +209,18 @@ func (x *executor) embForward() {
 	}
 }
 
-// forwardDense runs the dense forward and the loss on the local shard and
+// lossGrad computes the loss of the forward's logits on the local shard and
 // leaves the packed loss gradient at the head of the backward pass.
-func (x *executor) forwardDense() {
+func (x *executor) lossGrad() {
 	lmb := x.rb.Local
-	logits := x.model.ForwardDense(x.pool, lmb.Dense, x.ws.embOut)
 	dz := x.ws.dz
-	l := loss.BCEWithLogits(logits, lmb.Labels, dz)
-	x.res.Losses[x.rank] = append(x.res.Losses[x.rank], l)
+	x.loss = loss.BCEWithLogits(x.logits, lmb.Labels, dz)
+	if x.res != nil {
+		x.res.Losses[x.rank] = append(x.res.Losses[x.rank], x.loss)
+	}
 	// Rescale from 1/localN to 1/globalN so the allreduce SUM of MLP grads
-	// equals the single-socket global-batch gradient.
+	// equals the single-socket global-batch gradient (× 1, exactly, at one
+	// rank).
 	scale := float32(len(dz)) / float32(x.dc.GlobalN)
 	for i := range dz {
 		dz[i] *= scale
@@ -172,18 +239,74 @@ func (x *executor) backward(mlp, lo, hi int) {
 }
 
 // embUpdate runs the owned tables' backward and update on the gradient rows
-// the backward redistribution assembled in ws.dOutFull.
+// the backward redistribution assembled in ws.dOutFull. The per-lookup
+// gradient rows live in the workspace, so every update path stays
+// allocation-free.
 func (x *executor) embUpdate() {
 	ws := x.ws
 	for li, t := range ws.locT {
-		tab := x.model.Tables[t]
-		ob := x.rb.Owned[li]
+		tab, ob, dOut := x.model.Tables[t], x.rb.Owned[li], ws.dOutFull[li]
+		if x.fused && x.prec == FP32 {
+			tab.FusedBackwardUpdate(x.pool, ob, dOut, x.lr)
+			continue
+		}
 		dW := ensureF32(&ws.dW[li], ob.NumLookups()*tab.E)
-		tab.Backward(x.pool, ob, ws.dOutFull[li], dW)
-		if x.store != nil {
-			x.store.Update(li, ob, dW, x.dc.LR)
-		} else {
-			tab.Update(x.pool, embedding.RaceFree, ob, dW, x.dc.LR)
+		tab.Backward(x.pool, ob, dOut, dW)
+		switch {
+		case x.store != nil:
+			x.store.Update(li, ob, dW, x.lr)
+		case x.splits != nil:
+			tab.UpdateSplitRaceFree(x.pool, x.splits[t], ob, dW, x.lr)
+			if x.prec == BF16Split8LSB {
+				x.splits[t].LoBits8()
+			}
+		case x.prec == FP24:
+			tab.UpdateQuantRaceFree(x.pool, ob, dW, x.lr, bf16.RoundFP24)
+		default:
+			tab.Update(x.pool, x.strategy, ob, dW, x.lr)
 		}
 	}
+}
+
+// sgdChunk is the parameter count one worker updates at a time: large
+// enough that a bias vector is not worth a parallel region.
+const sgdChunk = 4096
+
+// sgdCall is the argument block of sgdBody (persistent on the executor so
+// the parallel sweep allocates nothing).
+type sgdCall struct {
+	opt  optim.SGD
+	grad []float32
+	lr   float32
+}
+
+func sgdBody(arg any, tid, lo, hi int) {
+	c := arg.(*sgdCall)
+	c.opt.StepRange(c.grad, c.lr, lo*sgdChunk, min(hi*sgdChunk, len(c.grad)))
+}
+
+// step applies the optimizer to layers lo..hi of one MLP on their (reduced)
+// gradients.
+func (x *executor) step(mlp, lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		l := x.nets[mlp].Layers[i]
+		x.update(mlp, 2*i, l.W.Data)
+		x.update(mlp, 2*i+1, l.Bias)
+		l.InvalidateTranspose()
+	}
+}
+
+// update steps parameter tensor k of one MLP (ws.grads' numbering): the
+// mixed-precision optimizers whole, FP32 as optim.SGD in chunk ranges over
+// the pool — the update is elementwise, so any partition gives the same
+// bits.
+func (x *executor) update(mlp, k int, params []float32) {
+	grad := x.ws.grads[mlp][k]
+	if opts := x.opts[mlp]; opts != nil {
+		opts[k].Step(grad, x.lr)
+		return
+	}
+	x.sgd = sgdCall{opt: optim.SGD{Params: params}, grad: grad, lr: x.lr}
+	x.pool.ForNArg((len(grad)+sgdChunk-1)/sgdChunk, sgdBody, &x.sgd)
+	x.sgd = sgdCall{}
 }

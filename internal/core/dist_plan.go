@@ -25,6 +25,7 @@ const (
 	stepAsync                      // handles[slot] = Rank.Async(label, seconds)
 	stepCollective                 // handles[slot] = the coll collective on comm.Comm
 	stepWait                       // Rank.Wait(handles[slot])
+	stepKernel                     // no charge: the step only runs its kernel
 )
 
 // stepWhen restricts a step to some iterations or ranks.
@@ -69,7 +70,8 @@ const (
 	kNone          kernel = iota
 	kEmbForward           // next batch; owned tables' bag sums over the global batch
 	kForwardRows          // forward redistribution group lo's segment lists
-	kForwardDense         // bottom MLP, interaction, top MLP, loss and its gradient
+	kForwardDense         // bottom MLP, interaction, top MLP
+	kLoss                 // the loss and its gradient, the head of the backward pass
 	kBackward             // layers hi..lo of MLP mlp backward
 	kBackwardInter        // interaction backward, then bottom layers hi..lo (none if hi < lo)
 	kGrad                 // layers lo..hi of MLP mlp's gradient tensors, for the allreduce
@@ -78,6 +80,7 @@ const (
 	kSGD                  // SGD step of layers lo..hi of MLP mlp on their reduced gradients
 	kSGDAll               // both whole MLPs (the flat schedule's single sweep)
 	kCheckpoint           // hand the shard model to the checkpoint sink
+	nKernels
 )
 
 // step is one charge of the iteration.
@@ -288,7 +291,7 @@ func (dc *DistConfig) buildPlan() *plan {
 
 	// At most five steps per MLP layer and per scatter group, plus the fixed ones.
 	groups, _ := dc.groups()
-	b := planBuilder{steps: make([]step, 0, 5*(len(topSizes)+len(botSizes)+groups)+24)}
+	b := planBuilder{steps: make([]step, 0, 5*(len(topSizes)+len(botSizes)+groups)+25)}
 
 	// redistribute emits one direction of the embedding redistribution
 	// (forward: model → data parallel; backward: gradients back to the
@@ -414,8 +417,10 @@ func (dc *DistConfig) buildPlan() *plan {
 	b.add(step{kind: stepCompute, seconds: botFwd})
 	b.waits(fwdLo, fwdHi)
 
-	// (5) Interaction + top MLP forward + loss.
+	// (5) Interaction + top MLP forward + loss: one charge, the loss's kernel
+	// a step of its own so the single-socket trainer can time it apart.
 	b.add(step{kind: stepCompute, seconds: interFwd + topFwd, kernel: kForwardDense})
+	b.add(step{kind: stepKernel, kernel: kLoss})
 
 	// (6)-(8) Backward. Each allreduce is issued as soon as its gradients
 	// exist so it overlaps the remaining backward work (§IV-A). The interaction

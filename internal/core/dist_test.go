@@ -76,8 +76,8 @@ func checkModelsClose(t *testing.T, label string, got, want *Model, tol float64)
 // trainer's at 2e-3. And no schedule knob, loader, tier or workspace reuse
 // moves a bit: losses, tables and replicas equal those of the shape's plain
 // flat-sync run on fresh pools and workspaces (distTestConfig) bit for bit —
-// so cached == uncached and global-read == sharded. The runs share one Pools
-// and DistWorkspaces, as the figure sweeps do.
+// so cached == uncached and every loader mode trains alike. The runs share
+// one Pools and DistWorkspaces, as the figure sweeps do.
 func checkParity(t *testing.T, dcs ...DistConfig) {
 	t.Helper()
 	pools := cluster.NewPools()
@@ -186,9 +186,8 @@ func TestDistributedLossesRecorded(t *testing.T) {
 	checkParity(t, dc)
 }
 
-// TestLoaderModesLossParity: training through the sharded streaming pipeline
-// and through the global-read artifact (their batches are bit-identical by
-// construction).
+// TestLoaderModesLossParity: the global-read artifact and the sharded
+// pipeline are priced differently; both train through the sharded loader.
 func TestLoaderModesLossParity(t *testing.T) {
 	checkParity(t, tiny.x(axShape).x(axVariant, paper...).x(axLoader, 1, 2).configs()...)
 }

@@ -32,8 +32,9 @@ type distKey struct {
 // distributed iteration free of heap allocations in timing mode (enforced by
 // dist_alloc_test.go) and allocation-light in functional mode.
 //
-// A DistWorkspace is owned by a DistWorkspaces set and used by exactly one
-// rank goroutine per run; it is not safe for concurrent use.
+// A DistWorkspace is owned by a DistWorkspaces set, or by a Trainer, and
+// used by exactly one rank goroutine per run; it is not safe for concurrent
+// use.
 type DistWorkspace struct {
 	key distKey
 
@@ -59,9 +60,8 @@ type DistWorkspace struct {
 	grads    [2][][]float32
 
 	// loaderBufs is the staging storage behind the rank's data loader
-	// (functional mode): the double-buffered RankBatch ring and, under the
-	// global-read artifact, the full-minibatch buffer. Loader objects are
-	// per-run; this memory persists with the workspace, so steady-state
+	// (functional mode): the double-buffered RankBatch ring. Loader objects
+	// are per-run; this memory persists with the workspace, so steady-state
 	// batch production allocates nothing. Sized by fills, not by the key —
 	// the ensure helpers inside grow monotonically like everything else
 	// here.
@@ -107,9 +107,19 @@ func (ws *DistWorkspace) resize(dc *DistConfig, key distKey, rank int) {
 	ranks, rowLen := key.ranks, key.globalN/key.ranks*key.embDim
 	nLoc := len(ws.locT)
 	ws.embFull = ensureRows(&ws.embFull, nLoc, key.globalN*key.embDim)
-	ws.dOutFull = ensureRows(&ws.dOutFull, nLoc, key.globalN*key.embDim)
-	ws.embOut = ensureRows(&ws.embOut, key.tables, rowLen)
 	ws.dEmb = ensureRows(&ws.dEmb, key.tables, rowLen)
+	if ranks == 1 {
+		// One rank owns every table (local position = table id) and its shard
+		// is the whole batch: each redistribution's two sides are one tensor,
+		// so the collectives move nothing.
+		ws.embOut, ws.dOutFull = ws.embFull, ws.dEmb
+	} else {
+		if ws.key.ranks == 1 {
+			ws.embOut, ws.dOutFull = nil, nil // drop the one-rank aliases
+		}
+		ws.dOutFull = ensureRows(&ws.dOutFull, nLoc, key.globalN*key.embDim)
+		ws.embOut = ensureRows(&ws.embOut, key.tables, rowLen)
+	}
 	if len(ws.dW) != nLoc {
 		ws.dW = make([][]float32, nLoc)
 	}

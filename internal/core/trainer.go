@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bf16"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/loss"
-	"repro/internal/mlp"
-	"repro/internal/optim"
 	"repro/internal/par"
+	"repro/internal/perfmodel"
 	"repro/internal/trace"
 )
 
@@ -48,7 +46,10 @@ func (p Precision) String() string {
 }
 
 // Trainer runs single-socket DLRM training — the system whose optimization
-// Figs. 7/8 chart and whose mixed-precision variants Fig. 16 compares.
+// Figs. 7/8 chart and whose mixed-precision variants Fig. 16 compares. A
+// step is the distributed iteration at one rank: Step walks the step list
+// buildPlan makes for Ranks = 1 and runs each step's executor kernel, so the
+// kernels of a training iteration, and their order, are written once.
 type Trainer struct {
 	M        *Model
 	Pool     *par.Pool
@@ -62,207 +63,64 @@ type Trainer struct {
 	// rest) for the Fig. 8 breakdown.
 	Prof *trace.Profile
 
-	mlpOpts   []optim.Optimizer
-	sgd       sgdCall
-	embSplits []*bf16.Split
-
-	// ws owns every buffer Step reuses across iterations; it is shared with
-	// the model's dense passes so the whole iteration is allocation-free in
-	// steady state.
-	ws *Workspace
+	// dc is the one-rank iteration: its plan is rebuilt when the batch size
+	// changes, and only its kernels are read — the charges are the
+	// simulator's. x runs them on M with the trainer's numerics, on the
+	// caller's batch (rb); every buffer it reuses across steps is in its
+	// workspace or the model's, so the steady-state step is allocation-free.
+	dc   DistConfig
+	plan *plan
+	x    *executor
+	rb   data.RankBatch
+	pred *Predictor // Predict's forward-only path, built on first use
 }
 
 // NewTrainer builds a trainer over model m with the given embedding-update
 // strategy and precision.
 func NewTrainer(m *Model, pool *par.Pool, strat embedding.Strategy, lr float32, prec Precision) *Trainer {
-	tr := &Trainer{M: m, Pool: pool, Strategy: strat, LR: lr, Prec: prec, ws: m.workspace()}
-	tr.initOptimizers()
+	tr := &Trainer{M: m, Pool: pool, Strategy: strat, LR: lr, Prec: prec}
+	tr.dc = DistConfig{Cfg: m.Cfg, Ranks: 1, Iters: 1, Variant: Variant{Strategy: Alltoall},
+		Socket: perfmodel.CLX8280, Sync: true, BucketBytes: FlatBuckets}
+	tr.dc.RunCfg = &tr.dc.Cfg
+	tr.x = newExecutor(&tr.dc, m, pool, &DistWorkspace{}, prec)
+	tr.x.rb = &tr.rb
 	return tr
 }
 
-func (tr *Trainer) initOptimizers() {
-	mk := func(params []float32) optim.Optimizer {
-		switch tr.Prec {
-		case BF16Split:
-			return optim.NewSplitSGD(params)
-		case BF16Split8LSB:
-			s := optim.NewSplitSGD(params)
-			s.LimitLoTo8Bits = true
-			return s
-		case FP24:
-			return optim.NewQuantizedSGD(params, bf16.RoundFP24, "FP24")
-		default:
-			return optim.NewSGD(params)
-		}
-	}
-	for _, m := range []interface {
-		VisitParams(func(string, []float32))
-	}{tr.M.Bot, tr.M.Top} {
-		m.VisitParams(func(_ string, p []float32) {
-			tr.mlpOpts = append(tr.mlpOpts, mk(p))
-		})
-	}
-	tr.M.Bot.InvalidateTransposes()
-	tr.M.Top.InvalidateTransposes()
-
-	switch tr.Prec {
-	case BF16Split, BF16Split8LSB:
-		for _, t := range tr.M.Tables {
-			if t == nil {
-				tr.embSplits = append(tr.embSplits, nil)
-				continue
-			}
-			s := bf16.NewSplit(t.W)
-			if tr.Prec == BF16Split8LSB {
-				s.LoBits8()
-			}
-			s.WriteHiTo(t.W)
-			tr.embSplits = append(tr.embSplits, s)
-		}
-	case FP24:
-		for _, t := range tr.M.Tables {
-			if t != nil {
-				t.QuantizeTable(bf16.RoundFP24)
-			}
-		}
-	}
+// phases names the Fig. 8 phase each kernel's time is charged to. The
+// collective kernels have none: at one rank they move nothing.
+var phases = [nKernels]string{
+	kEmbForward: "embeddings", kEmbUpdate: "embeddings",
+	kForwardDense: "mlp", kBackward: "mlp", kBackwardInter: "mlp", kSGD: "mlp", kSGDAll: "mlp",
+	kLoss: "rest",
 }
 
-// embForward computes every table's bag outputs for the batch into the
-// workspace buffers.
-func (tr *Trainer) embForward(mb *data.MiniBatch) [][]float32 {
-	e := tr.M.Cfg.EmbDim
-	out := tr.ws.EmbOut(tr.M.Cfg.Tables, mb.N*e)
-	for t, tab := range tr.M.Tables {
-		tab.Forward(tr.Pool, mb.Sparse[t], out[t])
-	}
-	return out
-}
-
-// embUpdate applies the sparse backward+update for table t. The per-lookup
-// gradient rows live in the workspace, so the precision paths that
-// materialize them (Split-SGD, FP24, and the unfused FP32 strategies) stay
-// allocation-free.
-func (tr *Trainer) embUpdate(t int, b *embedding.Batch, dOut []float32) {
-	tab := tr.M.Tables[t]
-	tables := tr.M.Cfg.Tables
-	switch tr.Prec {
-	case BF16Split, BF16Split8LSB:
-		dW := tr.ws.EmbDW(t, tables, b.NumLookups()*tab.E)
-		tab.Backward(tr.Pool, b, dOut, dW)
-		tab.UpdateSplitRaceFree(tr.Pool, tr.embSplits[t], b, dW, tr.LR)
-		if tr.Prec == BF16Split8LSB {
-			tr.embSplits[t].LoBits8()
-		}
-	case FP24:
-		dW := tr.ws.EmbDW(t, tables, b.NumLookups()*tab.E)
-		tab.Backward(tr.Pool, b, dOut, dW)
-		tab.UpdateQuantRaceFree(tr.Pool, b, dW, tr.LR, bf16.RoundFP24)
-	default:
-		if tr.FusedEmbedding {
-			tab.FusedBackwardUpdate(tr.Pool, b, dOut, tr.LR)
-			return
-		}
-		dW := tr.ws.EmbDW(t, tables, b.NumLookups()*tab.E)
-		tab.Backward(tr.Pool, b, dOut, dW)
-		tab.Update(tr.Pool, tr.Strategy, b, dW, tr.LR)
-	}
-}
-
-// mlpStep applies the per-tensor optimizers to both MLPs' gradients. The
-// explicit layer walk keeps the hot loop free of closure allocations; the
-// optimizer order matches initOptimizers, which binds weights-then-bias per
-// layer, bottom MLP first.
-func (tr *Trainer) mlpStep() {
-	i := 0
-	for _, m := range [...]*mlp.MLP{tr.M.Bot, tr.M.Top} {
-		for _, l := range m.Layers {
-			tr.optStep(tr.mlpOpts[i], l.DW.Data)
-			tr.optStep(tr.mlpOpts[i+1], l.DBias)
-			i += 2
-		}
-	}
-	tr.M.Bot.InvalidateTransposes()
-	tr.M.Top.InvalidateTransposes()
-}
-
-// sgdChunk is the parameter count one worker updates at a time: large
-// enough that a bias vector is not worth a parallel region.
-const sgdChunk = 4096
-
-// sgdCall is the argument block of sgdBody (persistent on the Trainer so
-// the parallel sweep allocates nothing).
-type sgdCall struct {
-	opt  *optim.SGD
-	grad []float32
-	lr   float32
-}
-
-func sgdBody(arg any, tid, lo, hi int) {
-	c := arg.(*sgdCall)
-	c.opt.StepRange(c.grad, c.lr, lo*sgdChunk, min(hi*sgdChunk, len(c.grad)))
-}
-
-// optStep applies one tensor's optimizer: plain SGD in chunk ranges over
-// the pool, the stateful mixed-precision optimizers whole.
-func (tr *Trainer) optStep(o optim.Optimizer, grad []float32) {
-	sgd, ok := o.(*optim.SGD)
-	if !ok {
-		o.Step(grad, tr.LR)
-		return
-	}
-	tr.sgd = sgdCall{opt: sgd, grad: grad, lr: tr.LR}
-	tr.Pool.ForNArg((len(grad)+sgdChunk-1)/sgdChunk, sgdBody, &tr.sgd)
-	tr.sgd = sgdCall{}
-}
-
-// Step runs one training iteration and returns the minibatch loss. Phase
-// timing is recorded with explicit start/stop stamps (not closures) so the
-// steady-state step performs zero heap allocations.
+// Step runs one training iteration on mb and returns the minibatch loss.
+// Phase timing is recorded with explicit start/stop stamps (not closures) so
+// the steady-state step performs zero heap allocations.
 func (tr *Trainer) Step(mb *data.MiniBatch) float64 {
-	prof := tr.Prof
-	var t0 time.Time
-	if prof != nil {
-		t0 = time.Now()
+	if tr.plan == nil || tr.dc.GlobalN != mb.N {
+		tr.dc.GlobalN = mb.N
+		tr.plan = tr.dc.buildPlan()
+		tr.x.ws.prepare(&tr.dc, 0)
 	}
-	embOut := tr.embForward(mb)
-	if prof != nil {
-		prof.Add("embeddings", time.Since(t0))
-		t0 = time.Now()
+	x := tr.x
+	x.strategy, x.fused, x.lr = tr.Strategy, tr.FusedEmbedding, tr.LR
+	tr.rb.Local, tr.rb.Owned = mb, mb.Sparse
+	for i := range tr.plan.iter {
+		s := &tr.plan.iter[i]
+		phase := phases[s.kernel]
+		switch {
+		case phase == "":
+		case tr.Prof == nil:
+			x.run(s, 0)
+		default:
+			t0 := time.Now()
+			x.run(s, 0)
+			tr.Prof.Add(phase, time.Since(t0))
+		}
 	}
-
-	logits := tr.M.ForwardDense(tr.Pool, mb.Dense, embOut)
-	if prof != nil {
-		prof.Add("mlp", time.Since(t0))
-		t0 = time.Now()
-	}
-
-	dz := tr.ws.Dz(mb.N)
-	lossVal := loss.BCEWithLogits(logits, mb.Labels, dz)
-	if prof != nil {
-		prof.Add("rest", time.Since(t0))
-		t0 = time.Now()
-	}
-
-	dEmb := tr.M.BackwardDense(tr.Pool, dz)
-	if prof != nil {
-		prof.Add("mlp", time.Since(t0))
-		t0 = time.Now()
-	}
-
-	for t := range tr.M.Tables {
-		tr.embUpdate(t, mb.Sparse[t], dEmb[t])
-	}
-	if prof != nil {
-		prof.Add("embeddings", time.Since(t0))
-		t0 = time.Now()
-	}
-
-	tr.mlpStep()
-	if prof != nil {
-		prof.Add("mlp", time.Since(t0))
-	}
-	return lossVal
+	return x.loss
 }
 
 // RunOpts configures Trainer.Run: the data source is part of the run
@@ -340,10 +198,11 @@ func (tr *Trainer) Run(o RunOpts) error {
 // Predict returns the click probabilities for a batch (no state change
 // besides the saved forward cache).
 func (tr *Trainer) Predict(mb *data.MiniBatch) []float32 {
-	embOut := tr.embForward(mb)
-	logits := tr.M.ForwardDense(tr.Pool, mb.Dense, embOut)
+	if tr.pred == nil {
+		tr.pred = NewPredictor(tr.M, tr.Pool)
+	}
 	out := make([]float32, mb.N)
-	loss.Sigmoid(logits, out)
+	tr.pred.PredictInto(mb, out)
 	return out
 }
 

@@ -4,26 +4,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// Workspace preallocates every buffer the training iteration reuses across
-// Step calls, making the steady state allocation-free: the embedding bag
-// outputs and their gradients, the per-table sparse gradient rows consumed
-// by the update strategies (including the BF16Split/FP24 paths), the
-// loss gradient, and the dense-path pack/unpack and interaction
-// intermediates of ForwardDense/BackwardDense. Buffers are keyed by shape
-// and grown monotonically, so the first Step (or a batch-size change) pays
-// the allocations and subsequent Steps pay none — the property the
-// allocation-regression tests assert.
+// Workspace preallocates every buffer a Model's dense passes reuse across
+// calls — the pack/unpack and interaction intermediates of ForwardDense and
+// BackwardDense, and BackwardDense's bag-output gradients — making them
+// allocation-free in steady state. (The sparse path's buffers, the bag
+// outputs, per-lookup gradient rows and loss gradient, are the executor's:
+// DistWorkspace.) Buffers are keyed by shape and grown monotonically, so the
+// first pass (or a batch-size change) pays the allocations and subsequent
+// ones pay none — the property the allocation-regression tests assert.
 //
-// A Workspace is owned by a Trainer and shared with its Model's dense
-// passes; it is not safe for concurrent use, matching the one-region-at-a-
-// time execution model of the paper's single-socket training loop.
+// A Workspace belongs to its Model; it is not safe for concurrent use,
+// matching the one-region-at-a-time execution model of the paper's
+// single-socket training loop.
 type Workspace struct {
-	// Sparse path (Trainer.Step).
-	embOut [][]float32 // per table: bag outputs, N×E row-major
-	dz     []float32   // loss gradient, length N
-	embDW  [][]float32 // per table: per-lookup gradient rows, NS×E
-
-	// Dense path (Model.ForwardDense / BackwardDense).
 	botIn    *tensor.Acts  // packed bottom-MLP input
 	botRows  *tensor.Dense // unpacked bottom-MLP output
 	z        []float32     // interaction output, N×OutputDim
@@ -79,28 +72,7 @@ func ensureRows(rows *[][]float32, count, rowLen int) [][]float32 {
 	return r
 }
 
-// EmbOut returns the per-table bag-output buffers for an N-sample batch.
-func (ws *Workspace) EmbOut(tables, rowLen int) [][]float32 {
-	return ensureRows(&ws.embOut, tables, rowLen)
-}
-
 // DEmb returns the per-table bag-gradient buffers for an N-sample batch.
 func (ws *Workspace) DEmb(tables, rowLen int) [][]float32 {
 	return ensureRows(&ws.dEmb, tables, rowLen)
-}
-
-// EmbDW returns table t's per-lookup gradient buffer holding n elements.
-// Slots are grown on demand so tables of different lookup counts coexist.
-func (ws *Workspace) EmbDW(t, tables, n int) []float32 {
-	if len(ws.embDW) != tables {
-		grown := make([][]float32, tables)
-		copy(grown, ws.embDW)
-		ws.embDW = grown
-	}
-	return ensureF32(&ws.embDW[t], n)
-}
-
-// Dz returns the loss-gradient buffer for an N-sample batch.
-func (ws *Workspace) Dz(n int) []float32 {
-	return ensureF32(&ws.dz, n)
 }

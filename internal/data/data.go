@@ -243,33 +243,6 @@ func (c *ClickLog) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	}
 }
 
-// ShardInto copies rank r of R's sample shard of mb — samples
-// [r·N/R, (r+1)·N/R) under minibatch (data) parallelism — into out,
-// reusing out's buffers. Sparse offsets are rebased so each shard batch
-// stands on its own, including ragged and empty bags.
-func (mb *MiniBatch) ShardInto(r, R int, out *MiniBatch) {
-	lo, hi := ShardRange(mb.N, r, R)
-	n := hi - lo
-	out.Reset(n, mb.Dense.Cols, len(mb.Sparse))
-	copy(out.Dense.Data, mb.Dense.Data[lo*mb.Dense.Cols:hi*mb.Dense.Cols])
-	copy(out.Labels, mb.Labels[lo:hi])
-	for t, b := range mb.Sparse {
-		sb := out.Sparse[t]
-		base := b.Offsets[lo]
-		sb.Indices = append(sb.Indices, b.Indices[base:b.Offsets[hi]]...)
-		for i := 0; i <= n; i++ {
-			sb.Offsets[i] = b.Offsets[lo+i] - base
-		}
-	}
-}
-
-// Shard returns a freshly allocated copy of the view ShardInto fills.
-func (mb *MiniBatch) Shard(r, R int) *MiniBatch {
-	out := &MiniBatch{}
-	mb.ShardInto(r, R, out)
-	return out
-}
-
 // Validate sanity-checks the batch against table row counts.
 func (mb *MiniBatch) Validate(rows []int) error {
 	if len(mb.Sparse) != len(rows) {

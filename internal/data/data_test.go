@@ -109,14 +109,15 @@ func TestShardPartitionsBatch(t *testing.T) {
 	mb := ds.Batch(0, 12)
 	const R = 4
 	total := 0
+	sh := &MiniBatch{} // reused across ranks, as a loader's staging batch is
 	for r := 0; r < R; r++ {
-		sh := mb.Shard(r, R)
+		lo, hi := ShardRange(mb.N, r, R)
+		ds.FillRange(0, mb.N, lo, hi, sh)
 		if err := sh.Validate([]int{64, 64, 64}); err != nil {
 			t.Fatalf("shard %d invalid: %v", r, err)
 		}
 		total += sh.N
 		// Shard rows must match the global batch.
-		lo := mb.N * r / R
 		for i := 0; i < sh.N; i++ {
 			for c := 0; c < 4; c++ {
 				if sh.Dense.At(i, c) != mb.Dense.At(lo+i, c) {

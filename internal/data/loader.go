@@ -19,11 +19,7 @@ type RankBatch struct {
 	Local *MiniBatch
 	Owned []*embedding.Batch
 
-	// store backs Owned when the loader fills columns itself (sharded
-	// mode); the artifact loader instead aliases Owned into its global
-	// staging buffer. Sharded fills re-bind Owned to store every batch, so
-	// alternating loader kinds over one LoaderBuffers cannot leave a slot
-	// aliased into another buffer.
+	// store backs Owned: the loader fills the owned columns into it.
 	store []embedding.Batch
 }
 
@@ -60,8 +56,7 @@ type LoaderConfig struct {
 
 // ShardRange returns the half-open sample range [lo, hi) of the global
 // minibatch that rank `rank` of `ranks` reads — the sharding contract the
-// sharded loader, MiniBatch.ShardInto, and the elastic resharding checks
-// all share. For any rank count the ranges are contiguous, non-overlapping,
+// sharded loader and the elastic resharding checks share. For any rank count the ranges are contiguous, non-overlapping,
 // and exactly partition [0, globalN), so after a failure redistributes data
 // shards (R → R−1) the survivors' slices still cover every sample once.
 func ShardRange(globalN, rank, ranks int) (lo, hi int) {
@@ -82,16 +77,14 @@ func (c *LoaderConfig) normalize() {
 }
 
 // LoaderBuffers owns the staging storage loaders fill batches into: the two
-// RankBatch slots a double-buffered loader cycles through, and the global
-// MiniBatch the artifact loader materializes. A LoaderBuffers outlives the
-// (cheap) loader objects borrowing it — e.g. across the many DistConfig.Run
-// calls of a figure sweep — so steady-state batch production allocates
-// nothing. It may back at most one live loader at a time.
+// RankBatch slots a double-buffered loader cycles through. A LoaderBuffers
+// outlives the (cheap) loader objects borrowing it — e.g. across the many
+// DistConfig.Run calls of a figure sweep — so steady-state batch production
+// allocates nothing. It may back at most one live loader at a time.
 type LoaderBuffers struct {
-	local  [2]MiniBatch
-	ring   [2]RankBatch
-	global MiniBatch
-	once   sync.Once
+	local [2]MiniBatch
+	ring  [2]RankBatch
+	once  sync.Once
 }
 
 func (lb *LoaderBuffers) setup() {
@@ -102,20 +95,13 @@ func (lb *LoaderBuffers) setup() {
 	})
 }
 
-// ensureOwnedSlice sizes the Owned pointer list to nOwned entries.
-func (rb *RankBatch) ensureOwnedSlice(nOwned int) {
-	if len(rb.Owned) != nOwned {
-		grown := make([]*embedding.Batch, nOwned)
-		copy(grown, rb.Owned)
-		rb.Owned = grown
-	}
-}
-
 // bindOwnedStore points Owned at nOwned batches of this slot's private
 // backing storage (growing it monotonically, a struct copy preserving each
 // batch's slices).
 func (rb *RankBatch) bindOwnedStore(nOwned int) {
-	rb.ensureOwnedSlice(nOwned)
+	if len(rb.Owned) != nOwned {
+		rb.Owned = make([]*embedding.Batch, nOwned)
+	}
 	if len(rb.store) < nOwned {
 		grown := make([]embedding.Batch, nOwned)
 		copy(grown, rb.store)
@@ -217,42 +203,3 @@ func (l *ShardedLoader) Close() {
 func NewBatchLoader(ds Dataset, n, start int) *ShardedLoader {
 	return NewShardedLoader(LoaderConfig{DS: ds, GlobalN: n, Start: start})
 }
-
-// GlobalReadLoader reproduces the §VI-D2 framework loader artifact: every
-// rank materializes the FULL global minibatch and then carves out its
-// shard, so per-rank loading work is O(N) instead of O(N/R) and grows with
-// the rank count under weak scaling (Fig. 13's MLPerf compute growth). It
-// is deliberately synchronous — the framework path it models has no
-// prefetch pipeline — and exists as the baseline the sharded loader is
-// measured against; its batches are bit-identical to ShardedLoader's.
-type GlobalReadLoader struct {
-	cfg LoaderConfig
-	it  int
-}
-
-// NewGlobalReadLoader builds the artifact loader for one rank.
-func NewGlobalReadLoader(c LoaderConfig) *GlobalReadLoader {
-	c.normalize()
-	return &GlobalReadLoader{cfg: c, it: c.Start}
-}
-
-// Next implements Loader: a full global-batch read, then the shard copy.
-// Owned columns alias the global staging buffer (the framework loader
-// already holds the whole batch, so owners index straight into it).
-func (l *GlobalReadLoader) Next() *RankBatch {
-	c := &l.cfg
-	g := &c.Buffers.global
-	rb := &c.Buffers.ring[0]
-	c.DS.FillRange(l.it, c.GlobalN, 0, c.GlobalN, g)
-	g.ShardInto(c.Rank, c.Ranks, rb.Local)
-	rb.ensureOwnedSlice(len(c.Owned))
-	for li, t := range c.Owned {
-		rb.Owned[li] = g.Sparse[t]
-	}
-	rb.Iter = l.it
-	l.it++
-	return rb
-}
-
-// Close implements Loader (nothing to release).
-func (l *GlobalReadLoader) Close() {}

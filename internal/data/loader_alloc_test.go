@@ -56,20 +56,3 @@ func TestShardedLoaderSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestGlobalReadLoaderSteadyStateAllocs documents that even the artifact
-// loader reuses its staging buffers (its cost is the O(GlobalN) read, not
-// the allocator), so loader-mode comparisons measure data volume only.
-func TestGlobalReadLoaderSteadyStateAllocs(t *testing.T) {
-	if testenv.Race {
-		t.Skip("allocation counts are perturbed by the race detector")
-	}
-	ds := NewClickLog(5, 4, []int{200, 40}, 2)
-	bufs := &LoaderBuffers{}
-	ld := NewGlobalReadLoader(LoaderConfig{DS: ds, GlobalN: 24, Rank: 0, Ranks: 4, Owned: []int{0}, Buffers: bufs})
-	ld.Next()
-	ld.Next()
-	if allocs := testing.AllocsPerRun(10, func() { ld.Next() }); allocs != 0 {
-		t.Errorf("global-read loader: %v allocs per warmed-up batch, want 0", allocs)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/embedding"
-	"repro/internal/tensor"
 )
 
 // testDatasets returns one instance of every Dataset implementation, all
@@ -158,95 +157,25 @@ func TestShardedLoaderMatchesGlobalBatch(t *testing.T) {
 	}
 }
 
-// TestGlobalReadLoaderMatchesSharded pins the baseline-vs-fixed
-// equivalence: the artifact loader and the sharded loader must produce
-// bit-identical RankBatches (that is what makes the loss-parity acceptance
-// check trivial to reason about).
-func TestGlobalReadLoaderMatchesSharded(t *testing.T) {
-	ds := NewClickLog(21, 5, []int{300, 11, 90}, 2)
-	const R, n = 4, 24
-	owned := []int{1, 2}
-	sh := NewShardedLoader(LoaderConfig{DS: ds, GlobalN: n, Rank: 1, Ranks: R, Owned: owned})
-	defer sh.Close()
-	gl := NewGlobalReadLoader(LoaderConfig{DS: ds, GlobalN: n, Rank: 1, Ranks: R, Owned: owned})
-	defer gl.Close()
-	for it := 0; it < 3; it++ {
-		a, b := sh.Next(), gl.Next()
-		if a.Iter != b.Iter {
-			t.Fatalf("iter skew: %d vs %d", a.Iter, b.Iter)
-		}
-		sameBatchSlice(t, "sharded vs global local", b.Local, 0, a.Local)
-		for li := range owned {
-			sameColumnSlice(t, fmt.Sprintf("owned %d", li), b.Owned[li], 0, a.Owned[li], n)
-		}
-	}
-}
-
 // TestLoaderBuffersReuseAcrossLoaders checks the cross-run story the
 // distributed workspaces rely on: successive loaders borrowing one
-// LoaderBuffers — including switching between the artifact and sharded
-// kinds — keep producing correct batches.
+// LoaderBuffers — owning one table, then two, then one again, each resuming
+// at a later batch — keep producing correct batches.
 func TestLoaderBuffersReuseAcrossLoaders(t *testing.T) {
 	ds := NewClickLog(3, 4, []int{120, 60}, 2)
 	bufs := &LoaderBuffers{}
 	const R, n = 2, 20
-	owned := []int{0}
-	for round := 0; round < 3; round++ {
-		var ld Loader
-		if round%2 == 0 {
-			ld = NewGlobalReadLoader(LoaderConfig{DS: ds, GlobalN: n, Rank: 0, Ranks: R, Owned: owned, Buffers: bufs})
-		} else {
-			ld = NewShardedLoader(LoaderConfig{DS: ds, GlobalN: n, Rank: 0, Ranks: R, Owned: owned, Buffers: bufs})
-		}
-		for it := 0; it < 3; it++ {
+	for round, owned := range [][]int{{0}, {0, 1}, {1}} {
+		ld := NewShardedLoader(LoaderConfig{DS: ds, GlobalN: n, Rank: 0, Ranks: R, Owned: owned, Start: round, Buffers: bufs})
+		for it := round; it < round+3; it++ {
 			rb := ld.Next()
 			global := ds.Batch(it, n)
 			sameBatchSlice(t, fmt.Sprintf("round %d iter %d", round, it), global, 0, rb.Local)
-			sameColumnSlice(t, "owned col", global.Sparse[0], 0, rb.Owned[0], n)
+			for li, ti := range owned {
+				sameColumnSlice(t, fmt.Sprintf("round %d owned %d", round, ti), global.Sparse[ti], 0, rb.Owned[li], n)
+			}
 		}
 		ld.Close()
-	}
-}
-
-// TestShardIntoRaggedAndEmptyBags is the regression test for the sparse
-// offset rebasing of MiniBatch.Shard/ShardInto over ragged lookups
-// (variable bag sizes, including empty bags and shard slices whose tables
-// contribute zero indices). The reported failure mode — a ClickLog shard
-// coming back with empty sparse batches — must stay impossible.
-func TestShardIntoRaggedAndEmptyBags(t *testing.T) {
-	// A ClickLog shard must never lose its lookups.
-	ds := NewClickLog(13, 4, []int{500, 3, 77}, 5)
-	mb := ds.Batch(2, 17)
-	out := &MiniBatch{}
-	for r := 0; r < 4; r++ {
-		mb.ShardInto(r, 4, out)
-		if err := out.Validate([]int{500, 3, 77}); err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-		for ti, b := range out.Sparse {
-			if b.NumLookups() != out.N*5 {
-				t.Errorf("rank %d table %d: %d lookups want %d (empty-shard regression)",
-					r, ti, b.NumLookups(), out.N*5)
-			}
-		}
-		sameBatchSlice(t, fmt.Sprintf("clicklog rank %d", r), mb, mb.N*r/4, out)
-	}
-
-	// Ragged case: hand-built batch with variable and empty bags.
-	rng := rand.New(rand.NewSource(9))
-	ragged := &MiniBatch{N: 10, Dense: tensor.NewDense(10, 2), Labels: make([]float32, 10)}
-	ragged.Sparse = []*embedding.Batch{
-		embedding.MakeVariableBatch(rng, embedding.Uniform{}, 10, 0, 6, 40),
-		embedding.MakeVariableBatch(rng, embedding.Uniform{}, 10, 0, 1, 40),
-	}
-	for R := 2; R <= 8; R++ {
-		for r := 0; r < R; r++ {
-			ragged.ShardInto(r, R, out)
-			if err := out.Validate([]int{40, 40}); err != nil {
-				t.Fatalf("ragged R=%d rank %d: %v", R, r, err)
-			}
-			sameBatchSlice(t, fmt.Sprintf("ragged R=%d rank %d", R, r), ragged, ragged.N*r/R, out)
-		}
 	}
 }
 

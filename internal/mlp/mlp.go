@@ -149,7 +149,7 @@ func newLayer(c, pc, k, bn int, act Activation, rng *rand.Rand) *Layer {
 }
 
 // InvalidateTranspose marks the cached Wᵀ stale; the optimizer must call
-// this (or Layer.Step does) after mutating W. The transpose buffer itself is
+// this after mutating W. The transpose buffer itself is
 // kept and rewritten in place on the next backward-by-data pass.
 func (l *Layer) InvalidateTranspose() { l.wTValid = false }
 
@@ -292,19 +292,6 @@ func dzBody(arg any, tid, lo, hi int) {
 	}
 }
 
-// Step applies plain SGD: W -= lr·DW, Bias -= lr·DBias, and invalidates the
-// transpose cache. Distributed trainers that allreduce gradients first call
-// this afterwards.
-func (l *Layer) Step(lr float32) {
-	for i := range l.W.Data {
-		l.W.Data[i] -= float32(lr * l.DW.Data[i])
-	}
-	for i := range l.Bias {
-		l.Bias[i] -= float32(lr * l.DBias[i])
-	}
-	l.InvalidateTranspose()
-}
-
 // MLP is a stack of fully-connected layers sharing a minibatch blocking.
 type MLP struct {
 	Sizes  []int // len = layers+1: input, hidden..., output
@@ -403,13 +390,6 @@ func (m *MLP) BackwardLayer(p *par.Pool, i int, dy *tensor.Acts, wantDX bool) *t
 	return m.Layers[i].Backward(p, dy, wantDX)
 }
 
-// Step applies SGD to every layer.
-func (m *MLP) Step(lr float32) {
-	for _, l := range m.Layers {
-		l.Step(lr)
-	}
-}
-
 // VisitParams calls fn for every parameter tensor (weights then bias, per
 // layer). Distributed trainers and alternative optimizers use this to
 // enumerate state.
@@ -417,15 +397,6 @@ func (m *MLP) VisitParams(fn func(name string, p []float32)) {
 	for i, l := range m.Layers {
 		fn(fmt.Sprintf("layer%d.W", i), l.W.Data)
 		fn(fmt.Sprintf("layer%d.b", i), l.Bias)
-	}
-}
-
-// StepLayers applies SGD to the layers in [lo, hi] only — the per-bucket
-// slice of the optimizer pass that follows a bucketed gradient allreduce.
-// StepLayers(0, len(Layers)-1, lr) is exactly Step(lr).
-func (m *MLP) StepLayers(lo, hi int, lr float32) {
-	for i := lo; i <= hi; i++ {
-		m.Layers[i].Step(lr)
 	}
 }
 

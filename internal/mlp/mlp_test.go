@@ -7,9 +7,25 @@ import (
 	"testing"
 
 	"repro/internal/gemm"
+	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
+
+// sgdLayer is what a trainer's optimizer does to a layer: plain SGD on W and
+// the bias, then the cached transpose dropped.
+func sgdLayer(l *Layer, lr float32) {
+	optim.NewSGD(l.W.Data).Step(l.DW.Data, lr)
+	optim.NewSGD(l.Bias).Step(l.DBias, lr)
+	l.InvalidateTranspose()
+}
+
+// sgdStep applies sgdLayer to every layer of m.
+func sgdStep(m *MLP, lr float32) {
+	for _, l := range m.Layers {
+		sgdLayer(l, lr)
+	}
+}
 
 func naiveLayerForward(x, w *tensor.Dense, bias []float32, act Activation) *tensor.Dense {
 	y := tensor.NewDense(x.Rows, w.Rows)
@@ -163,7 +179,7 @@ func TestStepReducesQuadraticLoss(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		y := m.ForwardDense(pool, xD)
 		m.Backward(pool, y.Clone(), false)
-		m.Step(0.01)
+		sgdStep(m, 0.01)
 	}
 	l1 := lossOf(m.ForwardDense(pool, xD))
 	if l1 >= l0 {
@@ -182,7 +198,7 @@ func TestStepInvalidatesTranspose(t *testing.T) {
 	y := l.Forward(pool, x)
 	_ = l.Backward(pool, y.Clone(), true) // populates transpose cache
 	wBefore := l.W.At(0, 0)
-	l.Step(1) // mutates W, must invalidate cache
+	sgdLayer(l, 1) // mutates W, invalidates the cache
 	if l.W.At(0, 0) == wBefore && l.DW.At(0, 0) != 0 {
 		t.Fatal("Step did not update weights")
 	}
@@ -272,10 +288,10 @@ func TestMLPerfShapes(t *testing.T) {
 		if l := top.Layers[0]; dx.C != l.W.C || l.BC < 8 {
 			t.Fatalf("top input %d: dX is %d wide in blocks of %d, W is %d wide", top.Sizes[0], dx.C, l.BC, l.W.C)
 		}
-		top.Step(0.1)
+		sgdStep(top, 0.1)
 	}
 	bot.Backward(pool, h.Clone(), false)
-	bot.Step(0.1)
+	sgdStep(bot, 0.1)
 }
 
 // TestPadWidth pins the pad rule: widths that block at 8 or more, or fit
@@ -387,8 +403,8 @@ func TestPaddedEqualsUnpadded(t *testing.T) {
 			for li, l := range pad.Layers {
 				sameVec(when, "DBias", l.DBias, ref.Layers[li].DBias)
 			}
-			pad.Step(0.05)
-			ref.Step(0.05)
+			sgdStep(pad, 0.05)
+			sgdStep(ref, 0.05)
 			sameParams(when + " after Step")
 		}
 	}
@@ -451,34 +467,6 @@ func TestBackwardVisitMatchesBackward(t *testing.T) {
 		for j := range m.Layers[li].DBias {
 			if m.Layers[li].DBias[j] != ref.Layers[li].DBias[j] {
 				t.Fatalf("layer %d DBias[%d] diverged", li, j)
-			}
-		}
-	}
-}
-
-// TestStepLayersMatchesStep checks that stepping the stack bucket by bucket
-// equals one whole-stack Step.
-func TestStepLayersMatchesStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pool := par.NewPool(2)
-	defer pool.Close()
-	build := func() *MLP { return New([]int{8, 16, 16, 4}, 4, ReLU, None, rand.New(rand.NewSource(9))) }
-	a, b := build(), build()
-	xD := tensor.NewDense(8, 8)
-	xD.Randomize(rng, 1)
-	dyD := tensor.NewDense(8, 4)
-	dyD.Randomize(rng, 1)
-	for _, m := range []*MLP{a, b} {
-		out := m.ForwardDense(pool, xD)
-		m.Backward(pool, tensor.PackActs(dyD, 4, out.BC), false)
-	}
-	a.Step(0.25)
-	b.StepLayers(2, 2, 0.25)
-	b.StepLayers(0, 1, 0.25)
-	for li := range a.Layers {
-		for j := range a.Layers[li].W.Data {
-			if a.Layers[li].W.Data[j] != b.Layers[li].W.Data[j] {
-				t.Fatalf("layer %d W[%d]: Step vs StepLayers diverged", li, j)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Tests for the tiered embedding-store pricing of replica shard pulls:
-// validation of the knob set, monotone service time in the cache budget
-// and skew, and the zero-value path staying bit-identical.
+// validation of the knob set, monotone service time in the cache budget,
+// and the zero-value path staying bit-identical.
 package serve
 
 import (
@@ -12,19 +12,18 @@ import (
 
 // tieredConfig returns the timing baseline with a tiered store of the
 // given budget.
-func tieredConfig(budget int, skew float64) Config {
+func tieredConfig(budget int) Config {
 	c := timingConfig()
 	c.OfferedQPS = 1000
 	c.EmbCacheBytes = budget
 	if budget > 0 {
 		c.ColdTierBW = core.DefaultColdTierBW
-		c.EmbSkew = skew
 	}
 	return c
 }
 
 func TestServeValidateEmbStore(t *testing.T) {
-	if err := tieredConfig(256<<20, 1.05).Validate(); err != nil {
+	if err := tieredConfig(256 << 20).Validate(); err != nil {
 		t.Fatalf("tiered baseline rejected: %v", err)
 	}
 	cases := []struct {
@@ -35,13 +34,7 @@ func TestServeValidateEmbStore(t *testing.T) {
 		{"negative emb cache", func(c *Config) { c.EmbCacheBytes = -1 }, "EmbCacheBytes=-1"},
 		{"cache without cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"negative cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20; c.ColdTierBW = -2 }, "ColdTierBW"},
-		{"negative skew", func(c *Config) {
-			c.EmbCacheBytes = 64 << 20
-			c.ColdTierBW = core.DefaultColdTierBW
-			c.EmbSkew = -1
-		}, "EmbSkew"},
 		{"cold bw without cache", func(c *Config) { c.ColdTierBW = 8e9 }, "without EmbCacheBytes"},
-		{"skew without cache", func(c *Config) { c.EmbSkew = 1.05 }, "without EmbCacheBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,8 +54,8 @@ func TestServeValidateEmbStore(t *testing.T) {
 
 // TestTieredServiceTimeMonotone pins the pricing shape: any tiered config
 // is at least as slow as the in-RAM baseline (a cache over RAM cannot beat
-// RAM), growing the budget never slows a batch, hotter skew never slows a
-// batch, and an all-cold store is strictly slower than a hot-budget one.
+// RAM), growing the budget never slows a batch, and an all-cold store is
+// strictly slower than a hot-budget one.
 func TestTieredServiceTimeMonotone(t *testing.T) {
 	const b = 32
 	svc := func(c Config) float64 {
@@ -73,10 +66,10 @@ func TestTieredServiceTimeMonotone(t *testing.T) {
 		}
 		return s
 	}
-	inRAM := svc(tieredConfig(0, 0))
+	inRAM := svc(tieredConfig(0))
 	var prev float64
 	for i, budget := range []int{4 << 10, 64 << 20, 1 << 30, 8 << 30} {
-		got := svc(tieredConfig(budget, 1.05))
+		got := svc(tieredConfig(budget))
 		if got < inRAM {
 			t.Errorf("budget=%d: tiered service %v beats in-RAM %v", budget, got, inRAM)
 		}
@@ -85,16 +78,8 @@ func TestTieredServiceTimeMonotone(t *testing.T) {
 		}
 		prev = got
 	}
-	if hot, cold := svc(tieredConfig(8<<30, 1.05)), svc(tieredConfig(4<<10, 1.05)); hot >= cold {
+	if hot, cold := svc(tieredConfig(8<<30)), svc(tieredConfig(4<<10)); hot >= cold {
 		t.Errorf("hot budget service %v does not beat all-cold %v", hot, cold)
-	}
-	prev = svc(tieredConfig(256<<20, 0.8))
-	for _, skew := range []float64{1.05, 1.2} {
-		got := svc(tieredConfig(256<<20, skew))
-		if got > prev {
-			t.Errorf("skew=%v: service %v slower than lower skew's %v", skew, got, prev)
-		}
-		prev = got
 	}
 }
 

@@ -80,15 +80,12 @@ type Config struct {
 	Topo fabric.Topology
 	// Socket is the per-replica socket model.
 	Socket perfmodel.Socket
-	// Backend selects the communication backend personality: CCL pins
-	// CommCores out of the compute budget and runs at full fabric speed
-	// with enough workers; MPI keeps all cores for compute but pays the
-	// 1.5x single-threaded-progress slowdown on transfers — the same
-	// trade as training (cluster.Config.CommSlowdown).
+	// Backend selects the communication backend personality: CCL pins its
+	// default communication cores (4) out of the compute budget and runs at
+	// full fabric speed with enough workers; MPI keeps all cores for compute
+	// but pays the 1.5x single-threaded-progress slowdown on transfers — the
+	// same trade as training (cluster.Config.CommSlowdown).
 	Backend cluster.Backend
-	// CommCores overrides the backend's communication-core count
-	// (0 = backend default, 4 for CCL).
-	CommCores int
 	// Contention charges each batch's embedding fan-in against the shared
 	// contention epoch, so concurrent batches stretch each other on
 	// shared links. Off by default: fan-ins are then priced in isolation
@@ -100,18 +97,14 @@ type Config struct {
 	// lookup volume — the analytic hit rate of a per-replica cache this
 	// many bytes large — streams at socket speed, the cold tail pays the
 	// cold tier's latency (core.DefaultColdTierLat per batch) and bandwidth.
-	// The same knob set as
-	// core.DistConfig; 0 keeps today's all-in-RAM pricing, bit-identical.
-	// When set, ColdTierBW must be set too.
+	// The lookups are taken to follow core.DefaultEmbSkew. 0 keeps today's
+	// all-in-RAM pricing, bit-identical. When set, ColdTierBW must be set
+	// too.
 	EmbCacheBytes int
 	// ColdTierBW is the modeled cold-tier streaming bandwidth in bytes/s.
 	// Only meaningful with EmbCacheBytes (core.DefaultColdTierBW is the
 	// conventional value).
 	ColdTierBW float64
-	// EmbSkew is the Zipf exponent of the request traffic the hit rate is
-	// computed under (0 = core.DefaultEmbSkew). Only meaningful with
-	// EmbCacheBytes.
-	EmbSkew float64
 
 	// Policy is the dispatcher's batching rule.
 	Policy Policy
@@ -170,14 +163,11 @@ func (c Config) Validate() error {
 	if c.Backend != cluster.MPIBackend && c.Backend != cluster.CCLBackend {
 		return fmt.Errorf("serve: unknown backend %v", c.Backend)
 	}
-	if c.CommCores < 0 {
-		return fmt.Errorf("serve: negative CommCores %d", c.CommCores)
-	}
 	if s := c.Socket; s.Cores < 1 || !(s.PeakFlops > 0 && s.MemBW > 0 && s.GemmEff > 0 && s.EmbedEff > 0) {
 		return fmt.Errorf("serve: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
 	}
 	if cc := c.clusterConfig(); cc.CommCores >= c.Socket.Cores {
-		return fmt.Errorf("serve: CommCores %d leaves no compute cores on a %d-core socket", cc.CommCores, c.Socket.Cores)
+		return fmt.Errorf("serve: %d communication cores leave no compute cores on a %d-core socket", cc.CommCores, c.Socket.Cores)
 	}
 	if c.EmbCacheBytes < 0 {
 		return fmt.Errorf("serve: EmbCacheBytes=%d, want >= 0", c.EmbCacheBytes)
@@ -185,19 +175,11 @@ func (c Config) Validate() error {
 	if c.ColdTierBW < 0 {
 		return fmt.Errorf("serve: ColdTierBW=%v, want >= 0", c.ColdTierBW)
 	}
-	if c.EmbSkew < 0 {
-		return fmt.Errorf("serve: EmbSkew=%v, want >= 0", c.EmbSkew)
-	}
 	if c.EmbCacheBytes > 0 && c.ColdTierBW == 0 {
 		return fmt.Errorf("serve: EmbCacheBytes set without ColdTierBW — a tiered store needs a cold-tier bandwidth")
 	}
-	if c.EmbCacheBytes == 0 {
-		if c.ColdTierBW != 0 {
-			return fmt.Errorf("serve: ColdTierBW set without EmbCacheBytes — no tiered store to price")
-		}
-		if c.EmbSkew != 0 {
-			return fmt.Errorf("serve: EmbSkew set without EmbCacheBytes — no tiered store to model")
-		}
+	if c.EmbCacheBytes == 0 && c.ColdTierBW != 0 {
+		return fmt.Errorf("serve: ColdTierBW set without EmbCacheBytes — no tiered store to price")
 	}
 	if c.Policy.MaxBatch < 1 {
 		return fmt.Errorf("serve: Policy.MaxBatch %d, need at least 1", c.Policy.MaxBatch)
@@ -242,7 +224,6 @@ func (c Config) clusterConfig() cluster.Config {
 		Topo:       c.Topo,
 		Socket:     c.Socket,
 		Backend:    c.Backend,
-		CommCores:  c.CommCores,
 		Contention: c.Contention,
 	}.WithDefaults()
 }
@@ -293,10 +274,6 @@ func (c Config) newCostModel() costModel {
 	if c.EmbCacheBytes > 0 {
 		cm.tiered = true
 		cm.coldBW = c.ColdTierBW
-		skew := c.EmbSkew
-		if skew == 0 {
-			skew = core.DefaultEmbSkew
-		}
 		// The busiest owner paces the lookup phase; its tables' head mass
 		// under the per-replica budget is the hit rate the split prices.
 		busiest := 0
@@ -312,7 +289,7 @@ func (c Config) newCostModel() costModel {
 				rows = append(rows, c.Cfg.Rows[t])
 			}
 		}
-		cm.hit = embstore.HitRate(c.EmbCacheBytes, c.Cfg.EmbDim, rows, skew)
+		cm.hit = embstore.HitRate(c.EmbCacheBytes, c.Cfg.EmbDim, rows, core.DefaultEmbSkew)
 	}
 	return cm
 }

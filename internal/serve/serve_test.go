@@ -63,8 +63,7 @@ func TestServeValidate(t *testing.T) {
 		{"nil topo", func(c *Config) { c.Topo = nil }, "topology"},
 		{"topo too small", func(c *Config) { c.Topo = fabric.NewPrunedFatTree(4, 12.5e9) }, "fewer than"},
 		{"bad backend", func(c *Config) { c.Backend = cluster.Backend(99) }, "backend"},
-		{"negative comm cores", func(c *Config) { c.CommCores = -1 }, "CommCores"},
-		{"comm cores eat socket", func(c *Config) { c.CommCores = perfmodel.CLX8280.Cores }, "no compute cores"},
+		{"comm cores eat socket", func(c *Config) { c.Socket.Cores = 4 }, "no compute cores"},
 		{"zero socket", func(c *Config) { c.Socket = perfmodel.Socket{} }, "Socket"},
 		{"socket without gemm efficiency", func(c *Config) { c.Socket.GemmEff = 0 }, "GemmEff"},
 		{"zero max batch", func(c *Config) { c.Policy.MaxBatch = 0 }, "MaxBatch"},
