@@ -1,21 +1,20 @@
 // Package cluster is the multi-socket execution substrate: every rank (one
-// per socket, as in the paper's runs) executes the same SPMD body,
+// per socket, as in the paper's runs) executes the same SPMD program,
 // collectives move real data between ranks, and *time* is virtual — charged
 // from the perfmodel and fabric cost models. This is the substitution that
 // lets the paper's 8- and 64-socket experiments regenerate on any machine:
 // functional behaviour is executed, hardware speed is simulated.
 //
-// How a rank body is hosted depends on whether it does real work. By
-// default — timing mode, where a body only advances virtual clocks between
-// collectives — Run is a lockstep engine: each body is a coroutine
-// (iter.Pull) resumed in rank order on the caller's goroutine; a rank that
-// reaches an incomplete rendezvous yields, and the last arriver runs the
-// leader and carries on. One rank runs at any instant, so nothing is locked
-// or woken across threads and host cost is the same at any GOMAXPROCS.
-// Bodies that compute between collectives (functional training) set
-// Config.Parallel and run as goroutines parking on a condition variable, so
-// their kernels overlap. Only how a waiting rank parks differs between the
-// two; the results are byte-identical.
+// A job's ranks are advanced in one of two ways. Run hosts a body per rank,
+// each on its own goroutine, parking on a condition variable inside a
+// rendezvous until the last rank arrives; bodies that compute between
+// collectives (functional training) overlap their kernels across host cores
+// this way. A caller that runs no kernel — core's timing evaluator — builds
+// the ranks with NewRanks instead and advances all of them itself, step by
+// step, issuing each collective for every rank at once through
+// CollectiveAll: no goroutine, no rendezvous, nothing locked. Both run
+// leaders in global issue order and start a collective at the latest
+// rank's ready time, so they charge identical virtual times.
 //
 // Each rank owns a compute stream (its virtual clock, advanced by Compute)
 // and one or more communication channels (advanced by collectives). The two
@@ -34,7 +33,6 @@ package cluster
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 
@@ -95,17 +93,6 @@ type Config struct {
 	// many jobs (figure sweeps, benchmarks) pass a shared *Pools so the
 	// worker goroutines persist across runs.
 	Pools *Pools
-
-	// Parallel states that the rank bodies do real work between collectives
-	// (functional training: kernels, data loaders), so Run hosts every rank
-	// on its own goroutine and the work overlaps across host cores. The zero
-	// value is the lockstep engine (see Run), several times cheaper for
-	// bodies that only advance virtual clocks. Results are identical.
-	Parallel bool
-
-	// resumeOrder is a test hook: the order in which a lockstep sweep
-	// resumes the ranks (nil = by rank id). Results must not depend on it.
-	resumeOrder []int
 }
 
 // CommSlowdown returns the factor by which collective durations stretch
@@ -152,7 +139,7 @@ func (c Config) WithDefaults() Config {
 
 // Stats is one rank's virtual-time accounting, keyed by the labels the
 // trainer passes (e.g. "alltoall", "allreduce"). Run materialises it when
-// the rank's body returns.
+// the rank's body returns; Rank.Stats on demand.
 type Stats struct {
 	Compute  float64            // seconds in compute (after any inflation)
 	Wait     map[string]float64 // exposed wait per collective label
@@ -184,13 +171,18 @@ func AddByLabel(acc float64, m map[string]float64) float64 {
 type Engine struct {
 	Cfg Config
 
-	// Under Cfg.Parallel mu guards everything below and cond wakes the ranks
-	// waiting in a rendezvous; in lockstep neither is used (see park).
+	// Under Run, mu guards everything below and cond wakes the ranks waiting
+	// in a rendezvous; CollectiveAll's caller has the engine to itself.
 	mu   sync.Mutex
 	cond *sync.Cond
-	// progress counts rendezvous arrivals and finished bodies; a lockstep
-	// sweep that leaves it unchanged has deadlocked.
-	progress int
+	// ranks are the job's ranks. waiting counts those parked in a
+	// rendezvous and finished those whose body has returned; when they add
+	// up to every rank while no open rendezvous is complete, nobody can move
+	// again (see stalled). abort, once set, is what Run re-raises: a body's
+	// panic or the deadlock report. Every parked rank then unwinds.
+	ranks             []*Rank
+	waiting, finished int
+	abort             any
 
 	active []*slot // in-flight collectives (at most a handful; linear scan)
 	free   *slot   // recycled slot free list — steady state allocates none
@@ -270,9 +262,6 @@ type Rank struct {
 	commFree  []float64
 	asyncFree float64 // background-thread stream (Async): busy until here
 	seq       int64
-	// yield suspends this rank's coroutine until Run resumes it (lockstep
-	// only); false means Run has given up and the body must unwind.
-	yield func(struct{}) bool
 
 	// The accounting behind Stats: one record per label in first-use order,
 	// found by scanning a handful of entries instead of three map writes
@@ -311,8 +300,8 @@ func (r *Rank) account(label string, has uint8) *labelAcct {
 	return &r.acct[len(r.acct)-1]
 }
 
-// stats materialises the exported per-label maps.
-func (r *Rank) stats() Stats {
+// Stats materialises the rank's accounting as the exported per-label maps.
+func (r *Rank) Stats() Stats {
 	s := Stats{
 		Compute:  r.compute,
 		Wait:     map[string]float64{},
@@ -361,19 +350,51 @@ type Handle struct {
 // all complete. Bodies must be SPMD: every rank issues the same sequence of
 // collectives.
 //
-// By default Run is a lockstep engine: every body is a coroutine, resumed
-// in rank order on the caller's goroutine; a rank that reaches a rendezvous
-// before the others yields, the last arriver runs the leader and keeps
-// going. One rank runs at any instant and leaders run in global issue
-// order, so a result cannot depend on scheduling. A lockstep body may block
-// only on the cluster's own rendezvous (Collective, Barrier): the rank it
-// would otherwise wait for is not running. A body that breaks SPMD — returns
-// early, issues fewer collectives — is reported by a panic naming the open
-// collective and the missing ranks, not a hang, and a panic inside a body is
-// re-raised on the caller's goroutine; every unfinished coroutine is unwound
-// first. With Config.Parallel the ranks are goroutines instead: a body panic
-// takes the process down and a non-SPMD body hangs.
+// Every body runs on its own goroutine; a rank that reaches a rendezvous
+// before the others parks until the last arriver has run the leader. Leaders
+// run one at a time, in global issue order (every rank blocks in each
+// rendezvous), so a result cannot depend on scheduling. A body may block
+// only on the cluster's own rendezvous (Collective, Barrier) or on work that
+// finishes by itself. A body that breaks SPMD — returns early, issues fewer
+// collectives — is reported by a panic naming the open collective and the
+// missing ranks, not a hang, and a panic inside a body is re-raised on the
+// caller's goroutine; either way every other body is unwound first.
 func Run(cfg Config, body func(r *Rank)) []Stats {
+	e, ranks := newJob(cfg)
+	if e.pools == nil {
+		e.pools = NewPools()
+		defer e.pools.Close()
+	}
+	stats := make([]Stats, len(ranks))
+	var wg sync.WaitGroup
+	wg.Add(len(ranks))
+	for _, r := range ranks {
+		go func() {
+			defer wg.Done()
+			defer e.exit()
+			body(r)
+			stats[r.ID] = r.Stats()
+		}()
+	}
+	wg.Wait()
+	if e.abort != nil {
+		panic(e.abort)
+	}
+	return stats
+}
+
+// NewRanks builds a job's engine and ranks without running anything on
+// them: the form for a caller that advances every rank itself, step by step,
+// and issues each collective for all of them at once (CollectiveAll). Rank.Pool
+// is available only if cfg.Pools is set; Rank.Stats gives each rank's
+// accounting.
+func NewRanks(cfg Config) []*Rank {
+	_, ranks := newJob(cfg)
+	return ranks
+}
+
+// newJob validates cfg and builds the engine and its ranks.
+func newJob(cfg Config) (*Engine, []*Rank) {
 	cfg = cfg.WithDefaults()
 	if cfg.Ranks < 1 {
 		panic(fmt.Sprintf("cluster: Ranks=%d", cfg.Ranks))
@@ -383,93 +404,64 @@ func Run(cfg Config, body func(r *Rank)) []Stats {
 	}
 	e := NewEngine(cfg)
 	e.pools = cfg.Pools
-	if e.pools == nil {
-		e.pools = NewPools()
-		defer e.pools.Close()
-	}
 	channels := 1
 	if cfg.Backend == CCLBackend {
 		channels = CCLChannels
 	}
-	ranks := make([]*Rank, cfg.Ranks)
-	for id := range ranks {
-		ranks[id] = &Rank{ID: id, Eng: e, commFree: make([]float64, channels)}
+	rs := make([]Rank, cfg.Ranks)
+	free := make([]float64, cfg.Ranks*channels)
+	e.ranks = make([]*Rank, cfg.Ranks)
+	for id := range rs {
+		rs[id] = Rank{ID: id, Eng: e, commFree: free[id*channels : (id+1)*channels : (id+1)*channels]}
+		e.ranks[id] = &rs[id]
 	}
-	stats := make([]Stats, cfg.Ranks)
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		wg.Add(cfg.Ranks)
-		for _, r := range ranks {
-			go func() {
-				defer wg.Done()
-				body(r)
-				stats[r.ID] = r.stats()
-			}()
-		}
-		wg.Wait()
-	} else {
-		e.runLockstep(ranks, body, stats)
-	}
-	return stats
+	return e, e.ranks
 }
 
-// stopped is what unwinds a suspended rank body when Run gives up on it.
+// stopped is what unwinds a parked rank body once Run has given up on the
+// job (see abort).
 type stopped struct{}
 
-// runLockstep hosts every body in a coroutine and resumes them in turn until
-// all have returned.
-func (e *Engine) runLockstep(ranks []*Rank, body func(r *Rank), stats []Stats) {
-	n := len(ranks)
-	next := make([]func() (struct{}, bool), n)
-	stop := make([]func(), n)
-	// If the sweep ends early (a body panicked, the ranks deadlocked) the
-	// bodies still suspended are unwound here — park panics with stopped{},
-	// absorbed below — so no coroutine outlives Run.
-	defer func() {
-		for _, s := range stop {
-			if s != nil {
-				s()
-			}
+// exit is deferred by every rank goroutine of Run: a body that returned
+// counts as finished, which may leave the others stalled; a body that
+// panicked aborts the job with its value, waking every parked rank to
+// unwind.
+func (e *Engine) exit() {
+	p := recover()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch p.(type) {
+	case nil:
+		e.finished++
+		e.stalled()
+	case stopped:
+	default:
+		if e.abort == nil {
+			e.abort = p
 		}
-	}()
-	for _, r := range ranks {
-		next[r.ID], stop[r.ID] = iter.Pull(func(yield func(struct{}) bool) {
-			defer func() {
-				if p := recover(); p != nil {
-					if _, ok := p.(stopped); !ok {
-						panic(p) // the body's own: iter.Pull re-raises it in next
-					}
-				}
-			}()
-			r.yield = yield
-			body(r)
-			stats[r.ID] = r.stats()
-		})
-	}
-	for live := n; live > 0; {
-		before := e.progress
-		for id := range n {
-			if e.Cfg.resumeOrder != nil {
-				id = e.Cfg.resumeOrder[id]
-			}
-			if next[id] == nil {
-				continue
-			}
-			if _, ok := next[id](); !ok {
-				next[id] = nil
-				live--
-				e.progress++
-			}
-		}
-		if e.progress == before {
-			panic(e.deadlockReport(ranks))
-		}
+		e.cond.Broadcast()
 	}
 }
 
-// deadlockReport describes the lowest open rendezvous after a sweep in which
-// no rank moved: everyone left waits for ranks that will never join.
-func (e *Engine) deadlockReport(ranks []*Rank) string {
+// stalled is checked, under e.mu, whenever a rank parks or finishes: if
+// every rank has, and no open rendezvous is complete, no rank can move
+// again — the bodies are not SPMD — and the job is aborted with a report.
+func (e *Engine) stalled() {
+	if e.abort != nil || e.waiting == 0 || e.waiting+e.finished < e.Cfg.Ranks {
+		return
+	}
+	for _, s := range e.active {
+		if s.done {
+			return // its waiters are about to leave
+		}
+	}
+	e.abort = e.deadlockReport()
+	e.cond.Broadcast()
+}
+
+// deadlockReport describes the lowest open rendezvous once no rank can
+// move: everyone left waits for ranks that will never join.
+func (e *Engine) deadlockReport() string {
 	open := e.active[0]
 	for _, s := range e.active[1:] {
 		if s.seq < open.seq {
@@ -477,7 +469,7 @@ func (e *Engine) deadlockReport(ranks []*Rank) string {
 		}
 	}
 	var missing []int
-	for _, r := range ranks {
+	for _, r := range e.ranks {
 		if r.seq <= open.seq {
 			missing = append(missing, r.ID)
 		}
@@ -585,12 +577,44 @@ func (r *Rank) Collective(label string, payload, arg any, lead LeaderFunc) Handl
 // FIFO behind everything already issued; either way the channel the
 // operation actually landed on is recorded on the returned Handle.
 func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead LeaderFunc) Handle {
+	ch, ready, seq := r.arrive(label, channel)
+	finish, dur := r.Eng.exchange(r, seq, label, payload, ready, arg, lead)
+	return r.depart(label, ch, finish, dur)
+}
+
+// CollectiveAll issues one collective on every rank of a job at once, in
+// rank order — how a caller that advances the ranks itself (NewRanks) does
+// what R CollectiveOn calls meeting in a rendezvous do under Run: each
+// rank's call overhead, channel pick, ready time and sequence number; the
+// leader once, at the latest ready time; the finish on every rank (and,
+// under Blocking, the wait). payloads[i] is rank i's payload and arg the
+// leader's args, which SPMD makes the same on every rank. The start is a
+// maximum and leaders still run in issue order, so the charges equal Run's
+// bit for bit. Every rank's handle is the one returned.
+func CollectiveAll(ranks []*Rank, label string, channel int, payloads []any, arg any, lead LeaderFunc) Handle {
+	var ch int
+	var start float64
+	for i, r := range ranks {
+		c, ready, _ := r.arrive(label, channel)
+		ch = c
+		if i == 0 || ready > start {
+			start = ready
+		}
+	}
+	finish, dur := ranks[0].Eng.lead(lead, arg, payloads, start)
+	var h Handle
+	for _, r := range ranks {
+		h = r.depart(label, ch, finish, dur)
+	}
+	return h
+}
+
+// arrive is a collective's rank-local half before the rendezvous: the call
+// overhead, the channel pick, and the time the channel can start it.
+func (r *Rank) arrive(label string, channel int) (ch int, ready float64, seq int64) {
 	cfg := &r.Eng.Cfg
 	r.now += cfg.CallOverhead
-	a := r.account(label, hasPrep|hasBusy)
-	a.prep += cfg.CallOverhead
-
-	ch := 0
+	r.account(label, hasPrep|hasBusy).prep += cfg.CallOverhead
 	if cfg.Backend == CCLBackend {
 		if channel >= 0 {
 			ch = channel % len(r.commFree)
@@ -598,17 +622,22 @@ func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead Le
 			ch = hashLabel(label) % len(r.commFree)
 		}
 	}
-	ready := r.now
+	ready = r.now
 	if r.commFree[ch] > ready {
 		ready = r.commFree[ch]
 	}
-	seq := r.seq
+	seq = r.seq
 	r.seq++
-	finish, dur := r.Eng.exchange(r, seq, label, payload, ready, arg, lead)
+	return ch, ready, seq
+}
+
+// depart is its half after: the channel is busy until finish, the duration
+// counts as busy time, and a Blocking job waits at once.
+func (r *Rank) depart(label string, ch int, finish, dur float64) Handle {
 	r.commFree[ch] = finish
-	a.busy += dur
+	r.account(label, hasBusy).busy += dur
 	h := Handle{Label: label, Channel: ch, finish: finish}
-	if cfg.Blocking {
+	if r.Eng.Cfg.Blocking {
 		r.Wait(h)
 	}
 	return h
@@ -674,20 +703,19 @@ func (e *Engine) release(s *slot) {
 	e.free = s
 }
 
-// exchange is the rendezvous: gathers payloads and ready times from all
+// exchange is Run's rendezvous: gathers payloads and ready times from all
 // ranks, runs the leader once, and releases everyone once the data has
-// moved and the duration is known. Under Cfg.Parallel it runs under e.mu;
-// in lockstep the one running rank has the engine to itself.
+// moved and the duration is known.
 func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready float64, arg any, lead LeaderFunc) (float64, float64) {
-	if e.Cfg.Parallel {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.abort != nil {
+		panic(stopped{})
 	}
 	s := e.slotFor(seq, label)
 	s.payloads[r.ID] = payload
 	s.ready[r.ID] = ready
 	s.arrived++
-	e.progress++
 	if s.arrived == e.Cfg.Ranks {
 		start := s.ready[0]
 		for _, t := range s.ready[1:] {
@@ -695,17 +723,18 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 				start = t
 			}
 		}
-		dur := lead(arg, s.payloads, start) * e.Cfg.CommSlowdown()
-		s.dur = dur
-		s.finish = start + dur
+		s.finish, s.dur = e.lead(lead, arg, s.payloads, start)
 		s.done = true
-		if e.Cfg.Parallel {
-			e.cond.Broadcast()
-		}
+		e.cond.Broadcast()
 	} else {
+		e.waiting++
 		for !s.done {
-			e.park(r)
+			if e.stalled(); e.abort != nil {
+				panic(stopped{})
+			}
+			e.cond.Wait()
 		}
+		e.waiting--
 	}
 	finish, dur := s.finish, s.dur
 	// Last rank out recycles the slot.
@@ -716,15 +745,11 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 	return finish, dur
 }
 
-// park suspends the calling rank inside an incomplete rendezvous — the one
-// place the two engines differ: a goroutine waits on the condition variable
-// (releasing e.mu), a coroutine yields to Run's sweep until a later turn.
-func (e *Engine) park(r *Rank) {
-	if e.Cfg.Parallel {
-		e.cond.Wait()
-	} else if !r.yield(struct{}{}) {
-		panic(stopped{})
-	}
+// lead runs a collective's leader from its start and returns the finish
+// and the duration, stretched by the backend's slowdown.
+func (e *Engine) lead(lead LeaderFunc, arg any, payloads []any, start float64) (finish, dur float64) {
+	dur = lead(arg, payloads, start) * e.Cfg.CommSlowdown()
+	return start + dur, dur
 }
 
 // ChargeContended prices a collective against the contention epoch and
@@ -751,7 +776,7 @@ func (e *Engine) park(r *Rank) {
 // instead the op that arrives second pays for the sharing. The discipline
 // is deterministic (leaders run in global issue order: every rank blocks
 // in each rendezvous, so collective k's leader always runs before
-// k+1's, under either engine) and bounded both ways: the result is ≥ iso (the residual term is
+// k+1's; CollectiveAll issues them in that order) and bounded both ways: the result is ≥ iso (the residual term is
 // non-negative) and each overlapping flight contributes at most its own
 // isolated duration (its per-link bytes/bandwidth never exceed its phase
 // times), so concurrent operations never finish later than they would
@@ -759,9 +784,9 @@ func (e *Engine) park(r *Rank) {
 // everything on MPI's single in-order channel — are charged exactly iso.
 //
 // ChargeContended must only be called from leader context: leaders run one
-// at a time inside the rendezvous (under e.mu, or as the only running rank
-// in lockstep), which is what makes the epoch safe to mutate without
-// further locking.
+// at a time (inside Run's rendezvous under e.mu, or from CollectiveAll's
+// one caller), which is what makes the epoch safe to mutate without further
+// locking.
 func (e *Engine) ChargeContended(topo fabric.Topology, loads *fabric.LoadSet, start, iso float64) float64 {
 	slow := e.Cfg.CommSlowdown()
 	isoS := iso * slow

@@ -47,7 +47,7 @@ func sumCollective(r *Rank, label string, v, dur float64) (float64, Handle) {
 }
 
 func TestCollectiveMovesData(t *testing.T) {
-	stats := runEngines(t, testCfg(4, MPIBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(4, MPIBackend), func(r *Rank) {
 		res, h := sumCollective(r, "sum", float64(r.ID+1), 0.001)
 		r.Wait(h)
 		if res != 10 { // 1+2+3+4
@@ -61,7 +61,7 @@ func TestCollectiveMovesData(t *testing.T) {
 
 func TestVirtualTimeAdvances(t *testing.T) {
 	// CCL with 4 comm cores has no comm slowdown, so durations are exact.
-	stats := runEngines(t, testCfg(2, CCLBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
 		r.Compute(0.5)
 		_, h := sumCollective(r, "op", 0, 0.25)
 		r.Wait(h)
@@ -80,7 +80,7 @@ func TestVirtualTimeAdvances(t *testing.T) {
 }
 
 func TestCollectiveStartsAtSlowestRank(t *testing.T) {
-	runEngines(t, testCfg(3, CCLBackend), func(r *Rank) {
+	runTwice(t, testCfg(3, CCLBackend), func(r *Rank) {
 		r.Compute(float64(r.ID) * 0.1) // rank 2 arrives at 0.2
 		_, h := sumCollective(r, "op", 0, 0.05)
 		r.Wait(h)
@@ -93,7 +93,7 @@ func TestCollectiveStartsAtSlowestRank(t *testing.T) {
 
 func TestOverlapHidesCommunication(t *testing.T) {
 	// Enqueue a 0.2s collective, compute 0.3s, then wait: exposed wait ≈ 0.
-	stats := runEngines(t, testCfg(2, CCLBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
 		_, h := sumCollective(r, "ar", 0, 0.2)
 		r.Compute(0.3)
 		r.Wait(h)
@@ -106,7 +106,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 	// Blocking config exposes the full communication.
 	cfg := testCfg(2, CCLBackend)
 	cfg.Blocking = true
-	stats = runEngines(t, cfg, func(r *Rank) {
+	stats = runTwice(t, cfg, func(r *Rank) {
 		_, h := sumCollective(r, "ar", 0, 0.2)
 		r.Compute(0.3)
 		r.Wait(h) // no-op: already waited at enqueue
@@ -121,7 +121,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 func TestMPIFIFOInOrderCompletion(t *testing.T) {
 	// Under MPI, a wait on the second collective (alltoall) pays for the
 	// first (allreduce) queued before it — §VI-D's in-order artifact.
-	stats := runEngines(t, testCfg(2, MPIBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
 		_, h1 := sumCollective(r, "allreduce", 0, 0.4)
 		_, h2 := sumCollective(r, "alltoall", 0, 0.1)
 		r.Wait(h2) // only waits the alltoall handle
@@ -143,7 +143,7 @@ func TestCCLChannelsOverlapIndependentOps(t *testing.T) {
 	// Under CCL, differently-labeled collectives use different channels and
 	// proceed concurrently.
 	cfg := testCfg(2, CCLBackend)
-	stats := runEngines(t, cfg, func(r *Rank) {
+	stats := runTwice(t, cfg, func(r *Rank) {
 		_, h1 := sumCollective(r, "allreduce", 0, 0.4)
 		_, h2 := sumCollective(r, "alltoall", 0, 0.1)
 		r.Wait(h2)
@@ -161,7 +161,7 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 	// Same label, explicit distinct channels: the two operations must run
 	// concurrently instead of serializing on the label-hash channel.
 	cfg := testCfg(2, CCLBackend)
-	pinned := runEngines(t, cfg, func(r *Rank) {
+	pinned := runTwice(t, cfg, func(r *Rank) {
 		x1 := &sumXchg{dur: 0.4}
 		h1 := r.CollectiveOn("redist", 0, x1, x1, sumLead)
 		x2 := &sumXchg{dur: 0.4}
@@ -169,7 +169,7 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 		r.Wait(h1)
 		r.Wait(h2)
 	})
-	hashed := runEngines(t, cfg, func(r *Rank) {
+	hashed := runTwice(t, cfg, func(r *Rank) {
 		_, h1 := sumCollective(r, "redist", 0, 0.4)
 		_, h2 := sumCollective(r, "redist", 0, 0.4)
 		r.Wait(h1)
@@ -182,7 +182,7 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 		}
 	}
 	// MPI has a single channel: a hint must not change anything.
-	mpi := runEngines(t, testCfg(2, MPIBackend), func(r *Rank) {
+	mpi := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
 		x1 := &sumXchg{dur: 0.4}
 		h1 := r.CollectiveOn("redist", 0, x1, x1, sumLead)
 		x2 := &sumXchg{dur: 0.4}
@@ -200,7 +200,7 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 func TestAsyncBackgroundCharge(t *testing.T) {
 	// Async work is hidden behind compute issued before its Wait, exposed
 	// only when compute is too short, and FIFO on its one background thread.
-	runEngines(t, testCfg(1, CCLBackend), func(r *Rank) {
+	runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
 		h := r.Async("loader", 0.3)
 		r.Compute(0.5) // longer than the prefetch: fully hidden
 		t0 := r.Now()
@@ -229,7 +229,7 @@ func TestAsyncBackgroundCharge(t *testing.T) {
 		}
 	})
 	// Accounting: busy under the label, exposure under Wait.
-	stats := runEngines(t, testCfg(1, CCLBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
 		h := r.Async("loader", 0.3)
 		r.Compute(0.1)
 		r.Wait(h)
@@ -248,7 +248,7 @@ func close1e9(a, b float64) bool {
 }
 
 func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
-	stats := runEngines(t, testCfg(2, MPIBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
 		_, h := sumCollective(r, "ar", 0, 1.0)
 		r.Compute(0.5) // overlaps the in-flight allreduce → inflated 1.3×
 		r.Wait(h)
@@ -259,7 +259,7 @@ func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
 		}
 	}
 	// CCL does not inflate.
-	stats = runEngines(t, testCfg(2, CCLBackend), func(r *Rank) {
+	stats = runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
 		_, h := sumCollective(r, "ar", 0, 1.0)
 		r.Compute(0.5)
 		r.Wait(h)
@@ -272,13 +272,13 @@ func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
 }
 
 func TestComputeCores(t *testing.T) {
-	runEngines(t, testCfg(1, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(1, MPIBackend), func(r *Rank) {
 		if r.ComputeCores() != perfmodel.CLX8280.Cores {
 			t.Errorf("MPI compute cores %d want all %d", r.ComputeCores(), perfmodel.CLX8280.Cores)
 		}
 	})
 	cfg := testCfg(1, CCLBackend)
-	runEngines(t, cfg, func(r *Rank) {
+	runTwice(t, cfg, func(r *Rank) {
 		if r.ComputeCores() != perfmodel.CLX8280.Cores-4 {
 			t.Errorf("CCL compute cores %d want %d", r.ComputeCores(), perfmodel.CLX8280.Cores-4)
 		}
@@ -286,7 +286,7 @@ func TestComputeCores(t *testing.T) {
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	runEngines(t, testCfg(4, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(4, MPIBackend), func(r *Rank) {
 		r.Compute(float64(r.ID) * 0.1)
 		r.Barrier()
 		if math.Abs(r.Now()-0.3) > 1e-6 {
@@ -297,7 +297,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Stats {
-		return runEngines(t, testCfg(8, CCLBackend), func(r *Rank) {
+		return runTwice(t, testCfg(8, CCLBackend), func(r *Rank) {
 			for i := 0; i < 5; i++ {
 				r.Compute(0.01 * float64(r.ID+1))
 				_, h := sumCollective(r, "a2a", float64(r.ID), 0.02)
@@ -315,25 +315,21 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestLeaderRunsExactlyOnce(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		var calls int32
-		cfg := testCfg(6, MPIBackend)
-		cfg.Parallel = parallel
-		Run(cfg, func(r *Rank) {
-			h := r.Collective("x", nil, nil, func(arg any, p []any, start float64) float64 {
-				atomic.AddInt32(&calls, 1)
-				return 0.001
-			})
-			r.Wait(h)
+	var calls int32
+	Run(testCfg(6, MPIBackend), func(r *Rank) {
+		h := r.Collective("x", nil, nil, func(arg any, p []any, start float64) float64 {
+			atomic.AddInt32(&calls, 1)
+			return 0.001
 		})
-		if calls != 1 {
-			t.Fatalf("parallel=%v: leader ran %d times, want 1", parallel, calls)
-		}
+		r.Wait(h)
+	})
+	if calls != 1 {
+		t.Fatalf("leader ran %d times, want 1", calls)
 	}
 }
 
 func TestPrepAccounting(t *testing.T) {
-	stats := runEngines(t, testCfg(1, MPIBackend), func(r *Rank) {
+	stats := runTwice(t, testCfg(1, MPIBackend), func(r *Rank) {
 		r.Prep("alltoall", 0.002)
 	})
 	if math.Abs(stats[0].Prep["alltoall"]-0.002) > 1e-12 {
@@ -342,11 +338,11 @@ func TestPrepAccounting(t *testing.T) {
 }
 
 func TestSingleRankCollectives(t *testing.T) {
-	runEngines(t, testCfg(1, CCLBackend), func(r *Rank) {
+	runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
 		res, h := sumCollective(r, "solo", 7, 0.01)
 		r.Wait(h)
 		if res != 7 {
-			t.Fatalf("single-rank collective result %v", res)
+			t.Errorf("single-rank collective result %v", res)
 		}
 	})
 }

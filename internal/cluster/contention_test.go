@@ -141,7 +141,7 @@ func TestChargeContendedScaledTime(t *testing.T) {
 // the Async background stream.
 func TestHandleChannelResolution(t *testing.T) {
 	cfg := testCfg(2, CCLBackend)
-	runEngines(t, cfg, func(r *Rank) {
+	runTwice(t, cfg, func(r *Rank) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 2, x, x, sumLead); h.Channel != 2 {
 			t.Errorf("pinned channel 2 resolved to %d", h.Channel)
@@ -158,7 +158,7 @@ func TestHandleChannelResolution(t *testing.T) {
 			t.Errorf("async channel %d, want -1", h.Channel)
 		}
 	})
-	runEngines(t, testCfg(2, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 3, x, x, sumLead); h.Channel != 0 {
 			t.Errorf("MPI drops hints and has one channel; resolved to %d", h.Channel)
@@ -174,7 +174,7 @@ func TestContentionOffIdenticalPricing(t *testing.T) {
 	run := func(cont bool) []Stats {
 		cfg := testCfg(2, CCLBackend)
 		cfg.Contention = cont
-		return runEngines(t, cfg, func(r *Rank) {
+		return runTwice(t, cfg, func(r *Rank) {
 			x1 := &sumXchg{dur: 0.4}
 			h1 := r.CollectiveOn("a", 0, x1, x1, sumLead)
 			x2 := &sumXchg{dur: 0.3}

@@ -1,0 +1,239 @@
+package cluster
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/par"
+)
+
+// runTwice runs body under Run twice and fails the test unless both runs
+// produce exactly the same statistics (maps compared key by key, floats bit
+// by bit): leaders run in issue order, so a result must not depend on how
+// the rank goroutines happened to be scheduled. It returns the statistics.
+func runTwice(t *testing.T, cfg Config, body func(r *Rank)) []Stats {
+	t.Helper()
+	want := Run(cfg, body)
+	if got := Run(cfg, body); !reflect.DeepEqual(got, want) {
+		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, want)
+	}
+	return want
+}
+
+// contendXchg is the args record of a collective that charges the
+// contention epoch the way comm's leaders do.
+type contendXchg struct {
+	eng   *Engine
+	topo  fabric.Topology
+	loads fabric.LoadSet
+	iso   float64
+}
+
+func contendLead(arg any, _ []any, start float64) float64 {
+	a := arg.(*contendXchg)
+	if !a.eng.Cfg.Contention {
+		return a.iso
+	}
+	return a.eng.ChargeContended(a.topo, &a.loads, start, a.iso)
+}
+
+// contendOps builds the three collectives of TestEnginesAgreeUnderContention
+// on eng, all crossing the pruned trunk so that they really share a link.
+func contendOps(eng *Engine, topo fabric.Topology) []*contendXchg {
+	var sc fabric.Scratch
+	ops := make([]*contendXchg, 3)
+	for i := range ops {
+		x := &contendXchg{eng: eng, topo: topo}
+		sc.Accumulate(&x.loads)
+		x.iso = sc.PhaseTime(topo, []fabric.Flow{{Src: i, Dst: 32 + i, Bytes: float64(1+i) * 1e8}})
+		sc.Accumulate(nil)
+		ops[i] = x
+	}
+	return ops
+}
+
+// skew is rank id's compute before iteration it's collectives.
+func skew(id, it int) float64 { return 1e-3 * float64(1+(id*7+it)%5) }
+
+// TestEnginesAgreeUnderContention: the same SPMD program, run as one body
+// per rank under Run and step by step for all ranks at once through
+// NewRanks and CollectiveAll, charges identical times. It is the case where
+// leader order matters: every leader reads and mutates the shared
+// contention epoch, and skewed ranks keep three overlapping collectives in
+// flight on distinct channels. Both backends, blocking and not.
+func TestEnginesAgreeUnderContention(t *testing.T) {
+	const ranks, iters = 8, 4
+	topo := fabric.NewPrunedFatTree(64, 12.5e9)
+	for _, backend := range []Backend{CCLBackend, MPIBackend} {
+		for _, blocking := range []bool{false, true} {
+			cfg := testCfg(ranks, backend)
+			cfg.Topo, cfg.Contention, cfg.Blocking = topo, true, blocking
+			body := func(r *Rank) {
+				ops := contendOps(r.Eng, topo) // per-rank records: any rank may lead
+				for it := range iters {
+					r.Compute(skew(r.ID, it))
+					var hs [3]Handle
+					for i, x := range ops {
+						hs[i] = r.CollectiveOn(fmt.Sprintf("op%d", i), i, x, x, contendLead)
+						r.Compute(2e-3)
+					}
+					for _, h := range hs {
+						r.Wait(h)
+					}
+				}
+			}
+			want := runTwice(t, cfg, body)
+
+			rs := NewRanks(cfg)
+			ops, payloads := contendOps(rs[0].Eng, topo), make([]any, ranks)
+			for it := range iters {
+				for _, r := range rs {
+					r.Compute(skew(r.ID, it))
+				}
+				var hs [3]Handle
+				for i, x := range ops {
+					hs[i] = CollectiveAll(rs, fmt.Sprintf("op%d", i), i, payloads, x, contendLead)
+					for _, r := range rs {
+						r.Compute(2e-3)
+					}
+				}
+				for _, h := range hs {
+					for _, r := range rs {
+						r.Wait(h)
+					}
+				}
+			}
+			got := make([]Stats, ranks)
+			for i, r := range rs {
+				got[i] = r.Stats()
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v blocking=%v: step by step differs from Run:\n got %+v\nwant %+v", backend, blocking, got, want)
+			}
+
+			if backend == MPIBackend || blocking {
+				continue // one operation in flight at a time: nothing to share
+			}
+			cfg.Contention = false
+			alone := Run(cfg, body)
+			if want[0].CommBusy["op1"] <= alone[0].CommBusy["op1"] {
+				t.Errorf("op1 never paid for sharing the trunk: busy %g contended, %g alone",
+					want[0].CommBusy["op1"], alone[0].CommBusy["op1"])
+			}
+		}
+	}
+}
+
+// mustPanic runs fn and returns the value it panicked with.
+func mustPanic(t *testing.T, fn func()) (p any) {
+	t.Helper()
+	defer func() {
+		if p = recover(); p == nil {
+			t.Fatal("expected a panic")
+		}
+	}()
+	fn()
+	return nil
+}
+
+// checkNoGoroutineLeft fails unless the goroutine count falls back to at most
+// before within a second, listing every goroutine's stack if it does not.
+// It polls, and accepts fewer, because goroutines of earlier runs — a
+// transient pool's workers — exit asynchronously: one still exiting when
+// before was counted is gone by the time the count is checked.
+func checkNoGoroutineLeft(t *testing.T, before int, after string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Errorf("goroutines: %d before, %d after %s\n%s", before, runtime.NumGoroutine(), after, buf[:runtime.Stack(buf, true)])
+			return
+		}
+	}
+}
+
+// TestNonSPMDBodyIsAnErrorNotAHang: a rank that returns early, or issues
+// fewer collectives than the others, would leave them parked forever. Run
+// sees every rank parked or finished with no rendezvous complete, reports
+// the open collective and the ranks that will never join it, and unwinds
+// every parked body, leaving no goroutine behind.
+func TestNonSPMDBodyIsAnErrorNotAHang(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var deferred atomic.Int32
+	p := mustPanic(t, func() {
+		Run(testCfg(4, CCLBackend), func(r *Rank) {
+			defer deferred.Add(1)
+			r.Barrier()
+			if r.ID == 2 {
+				return // skips the second collective
+			}
+			r.Wait(r.Collective("second", nil, nil, barrierLead))
+		})
+	})
+	msg, _ := p.(string)
+	for _, want := range []string{`collective #1 ("second")`, "3 of 4 ranks", "rank(s) [2]", "SPMD"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock report %q does not mention %q", msg, want)
+		}
+	}
+	if n := deferred.Load(); n != 4 {
+		t.Errorf("%d of 4 bodies ran their deferred calls; the parked ones must be unwound", n)
+	}
+	checkNoGoroutineLeft(t, before, "a deadlocked Run")
+
+	// One rank issuing more than the rest is the same error from the other side.
+	p = mustPanic(t, func() {
+		Run(testCfg(3, MPIBackend), func(r *Rank) {
+			r.Barrier()
+			if r.ID == 0 {
+				r.Barrier()
+			}
+		})
+	})
+	if msg, _ := p.(string); !strings.Contains(msg, "1 of 3 ranks") || !strings.Contains(msg, "rank(s) [1 2]") {
+		t.Errorf("deadlock report %q should name ranks 1 and 2 as missing", msg)
+	}
+}
+
+// TestBodyPanicIsReraisedOnTheCaller: a panic inside a body comes out of Run
+// on the caller's goroutine with its value intact, after every other body —
+// parked mid-rendezvous — has been unwound and the transient pools closed.
+func TestBodyPanicIsReraisedOnTheCaller(t *testing.T) {
+	type boom struct{ rank int }
+	var deferred atomic.Int32
+	var pool *par.Pool
+	usePool := false
+	body := func(r *Rank) {
+		defer deferred.Add(1)
+		if usePool && r.ID == 0 {
+			pool = r.Pool()
+		}
+		r.Barrier()
+		if r.ID == 3 {
+			panic(boom{r.ID})
+		}
+		r.Barrier()
+	}
+	before := runtime.NumGoroutine()
+	p := mustPanic(t, func() { Run(testCfg(6, CCLBackend), body) })
+	if p != any(boom{3}) {
+		t.Fatalf("Run panicked with %v, want the body's own value %v", p, boom{3})
+	}
+	if n := deferred.Load(); n != 6 {
+		t.Errorf("%d of 6 bodies ran their deferred calls", n)
+	}
+	checkNoGoroutineLeft(t, before, "a panicked Run")
+	// Again with a rank holding a pool of the transient set (whose workers
+	// exit asynchronously, hence not part of the goroutine count above).
+	usePool = true
+	mustPanic(t, func() { Run(testCfg(6, CCLBackend), body) })
+	if !pool.Closed() {
+		t.Error("the transient pool set must be closed when Run panics")
+	}
+}

@@ -50,6 +50,11 @@ type Comm struct {
 	// flat holds the send and receive segment lists the flat forms build
 	// over their buffers, reused across calls.
 	flat [2][][]float32
+
+	// all, set by ForAll, are the ranks every collective is issued for at
+	// once; pays is their payloads, each this Comm's empty record.
+	all  []*cluster.Rank
+	pays []any
 }
 
 // charge is what a leader returns: o's price against this rank's engine
@@ -82,6 +87,22 @@ func New(r *cluster.Rank, topo fabric.Topology) *Comm {
 	return c
 }
 
+// ForAll returns the communicator of a caller that advances all of a job's
+// ranks itself (cluster.NewRanks): each collective is issued for every rank
+// at once through cluster.CollectiveAll, with the leaders and the Pricer
+// the ranks' own Comms would rendezvous on, so it charges the same times.
+// It is timing mode only — every segment list must be nil — and its
+// methods return the handle every rank received.
+func ForAll(ranks []*cluster.Rank, topo fabric.Topology) *Comm {
+	c := New(ranks[0], topo)
+	c.all = ranks
+	c.pays = make([]any, len(ranks))
+	for i := range c.pays {
+		c.pays[i] = &c.pay
+	}
+	return c
+}
+
 // Rank returns this rank's id.
 func (c *Comm) Rank() int { return c.R.ID }
 
@@ -90,6 +111,12 @@ func (c *Comm) Rank() int { return c.R.ID }
 // placement).
 func (c *Comm) issue(label string, ch int, lead cluster.LeaderFunc, p xchg) cluster.Handle {
 	c.pay = p
+	if c.all != nil {
+		if p.send != nil || p.recv != nil {
+			panic("comm: a ForAll communicator moves no data")
+		}
+		return cluster.CollectiveAll(c.all, label, ch, c.pays, &c.pay, lead)
+	}
 	return c.R.CollectiveOn(label, ch, &c.pay, &c.pay, lead)
 }
 

@@ -12,27 +12,92 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// runComm runs body on every rank under the lockstep engine and again under
-// the goroutine engine, fails the test unless both produce exactly the same
-// statistics, and returns them.
+// runComm runs body on every rank under cluster.Run twice, fails the test
+// unless both runs produce exactly the same statistics, and returns them.
 func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm)) []cluster.Stats {
 	t.Helper()
 	topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
-	return runBothEngines(t, cluster.Config{
+	return runTwice(t, cluster.Config{
 		Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
 		Backend: backend, CallOverhead: 1e-9,
 	}, body)
 }
 
-func runBothEngines(t testing.TB, cfg cluster.Config, body func(c *Comm)) []cluster.Stats {
+// runTwice runs body on every rank of cfg under cluster.Run twice: leaders
+// run in issue order, so the rank goroutines' scheduling must not change
+// the statistics.
+func runTwice(t testing.TB, cfg cluster.Config, body func(c *Comm)) []cluster.Stats {
 	t.Helper()
 	rankBody := func(r *cluster.Rank) { body(New(r, cfg.Topo)) }
 	stats := cluster.Run(cfg, rankBody)
-	cfg.Parallel = true
 	if got := cluster.Run(cfg, rankBody); !reflect.DeepEqual(got, stats) {
-		t.Errorf("goroutine engine differs from lockstep:\n got %+v\nwant %+v", got, stats)
+		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, stats)
 	}
 	return stats
+}
+
+// TestForAllEqualsRankComms: timing-mode collectives issued for all ranks at
+// once through a ForAll communicator charge what every rank's own Comm
+// charges under cluster.Run — every kind, every allreduce algorithm, skewed
+// ranks, on both backends with contention off and on.
+func TestForAllEqualsRankComms(t *testing.T) {
+	const bytes = 16 << 20
+	for _, ranks := range []int{4, 16} {
+		for _, backend := range []cluster.Backend{cluster.MPIBackend, cluster.CCLBackend} {
+			for _, contention := range []bool{false, true} {
+				topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
+				cfg := cluster.Config{Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
+					Backend: backend, Contention: contention}
+				// program issues one iteration's collectives through c;
+				// compute(f) charges f(rank) to every rank c stands for.
+				program := func(c *Comm, compute func(f func(rank int) float64)) {
+					var hs []cluster.Handle
+					for it := range 2 {
+						compute(func(rank int) float64 { return 1e-3 * float64(1+(rank*5+it)%3) })
+						hs = append(hs[:0], c.AlltoallSegs("a2a", 0, nil, nil, bytes/float64(ranks)),
+							c.ScatterSegs("sc", 1, 1, nil, nil, bytes/float64(ranks)),
+							c.GatherSegs("ga", -1, 2, nil, nil, bytes/float64(ranks)))
+						for i, algo := range append(AllreduceAlgos, AllreduceAuto) {
+							compute(func(int) float64 { return 2e-4 })
+							hs = append(hs, c.AllreduceSegs("ar", i, nil, false, bytes/float64(1+i), algo))
+						}
+						for _, h := range hs {
+							c.waitAll(h)
+						}
+					}
+				}
+				want := runTwice(t, cfg, func(c *Comm) {
+					program(c, func(f func(int) float64) { c.R.Compute(f(c.Rank())) })
+				})
+				rs := cluster.NewRanks(cfg)
+				c := ForAll(rs, topo)
+				program(c, func(f func(int) float64) {
+					for _, r := range rs {
+						r.Compute(f(r.ID))
+					}
+				})
+				got := make([]cluster.Stats, ranks)
+				for i, r := range rs {
+					got[i] = r.Stats()
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d ranks, %v, contention=%v: ForAll differs from the ranks' own Comms:\n got %+v\nwant %+v",
+						ranks, backend, contention, got, want)
+				}
+			}
+		}
+	}
+}
+
+// waitAll waits h on every rank c stands for.
+func (c *Comm) waitAll(h cluster.Handle) {
+	if c.all == nil {
+		c.R.Wait(h)
+		return
+	}
+	for _, r := range c.all {
+		r.Wait(h)
+	}
 }
 
 func TestAllreduceSums(t *testing.T) {

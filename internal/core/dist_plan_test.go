@@ -43,8 +43,9 @@ func TestPlanValidMatrix(t *testing.T) {
 }
 
 // TestPlanIsSPMD: every rank issues the same ordered sequence of
-// collectives — kind, label, channel, root and volume. A mismatch would hang
-// the goroutine engine and panic the lockstep one.
+// collectives — kind, label, channel, root and volume. A mismatch would make
+// the goroutine engine report a deadlock, and the evaluator, which issues
+// each collective once for all ranks, would price a program no rank runs.
 func TestPlanIsSPMD(t *testing.T) {
 	t.Parallel()
 	type collective struct {

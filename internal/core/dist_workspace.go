@@ -197,11 +197,25 @@ func shardSegs(segs, shard [][]float32, tabs []int, k int) [][]float32 {
 type DistWorkspaces struct {
 	mu sync.Mutex
 	ws []*DistWorkspace
+	// handles are the timing evaluator's handle slots, every rank's, in one
+	// block (see timingSlots).
+	handles []cluster.Handle
 }
 
 // NewDistWorkspaces returns an empty set; rank workspaces are created on
 // first use.
 func NewDistWorkspaces() *DistWorkspaces { return &DistWorkspaces{} }
+
+// timingSlots returns n cleared handle slots for the timing evaluator, which
+// keeps every rank's slots in one block instead of in the per-rank
+// workspaces: a timing run needs nothing else from them.
+func (d *DistWorkspaces) timingSlots(n int) []cluster.Handle {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.handles = slices.Grow(d.handles[:0], n)[:n]
+	clear(d.handles)
+	return d.handles
+}
 
 // get returns rank's workspace, creating it on first use.
 func (d *DistWorkspaces) get(rank int) *DistWorkspace {

@@ -11,30 +11,67 @@ import (
 	"repro/internal/testenv"
 )
 
-// checkEngines is hook 3: run as coroutines taking turns (lockstep) and as
-// parallel goroutines, a configuration gives one byte-identical DistResult —
-// every per-rank Stats map, every per-label average, every float bit for
-// bit, and in functional mode every loss and model.
+// checkEngines is hook 3: a timing configuration gives one byte-identical
+// DistResult — every per-rank Stats map, every per-label average, every
+// float bit for bit — from the timing evaluator (every rank at once, step by
+// step) and from every rank interpreting the plan on cluster.Run's
+// goroutines. A functional configuration, which only the goroutines run,
+// must give the same result twice, every loss and model included.
 func checkEngines(t *testing.T, dcs ...DistConfig) {
 	t.Helper()
 	for _, dc := range dcs {
 		if err := dc.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if lock, par := dc.runOn(false), dc.runOn(true); !reflect.DeepEqual(lock, par) {
-			t.Errorf("%s: engines disagree\nlockstep  %+v\ngoroutine %+v", label(dc), lock, par)
+		ref, got := dc.runOn(false), dc.runOn(dc.RunCfg == nil)
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: engines disagree\nevaluator %+v\ngoroutine %+v", label(dc), got, ref)
 		}
 	}
 }
 
-// TestLockstepEqualsGoroutineEngine holds hook 3 over both samples and over
+// checkElasticEngines is hook 3 over an elastic timing run: every segment
+// RunElastic evaluated — its shape, start iteration and checkpoint cadence
+// set by the fault plan — equals the same segment on the goroutine engine.
+func checkElasticEngines(t *testing.T, ec ElasticConfig, events ...cluster.FaultEvent) {
+	t.Helper()
+	er := elastic(t, ec, events...)
+	if len(er.Segments) != len(events)+1 {
+		t.Fatalf("%s: %d segments for %d events", label(ec.Base), len(er.Segments), len(events))
+	}
+	for i, sg := range er.Segments {
+		dc := ec.Base
+		dc.Ranks, dc.Iters, dc.GlobalN = sg.Ranks, sg.Iters, dc.GlobalN-dc.GlobalN%sg.Ranks
+		dc.seg = segment{startIter: sg.StartIter, ckptEvery: ec.CheckpointEvery}
+		if ref := dc.runOn(false); !reflect.DeepEqual(sg.Res, ref) {
+			t.Errorf("%s: elastic segment %d disagrees\nevaluator %+v\ngoroutine %+v", label(dc), i, sg.Res, ref)
+		}
+	}
+}
+
+// TestEvaluatorEqualsGoroutineEngine holds hook 3 over both samples and over
 // every Variant × schedule × flat / bucketed × contention × blocking with
-// the loader, the tiered store, checkpoints and per-bucket Auto all on.
-func TestLockstepEqualsGoroutineEngine(t *testing.T) {
+// the loader, the tiered store, checkpoints and per-bucket Auto all on; and
+// over elastic runs of the timing sample and the benchmark's churn case
+// through failures and a rescale, anchored to iterations and to virtual
+// time.
+func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
 	t.Parallel() // counts no allocations
 	rows := tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3).
 		x(axVariant, paper...).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking)
 	checkEngines(t, slices.Concat(rows, timingSample, funcSample).configs()...)
+
+	checkElasticEngines(t, ElasticConfig{Base: simStrong64(8, nil), CheckpointEvery: 3},
+		cluster.FaultEvent{Kind: cluster.RankFail, Iter: 5, Rank: 13})
+	for i, dc := range timingSample.configs() {
+		dc.seg = segment{}
+		fail := cluster.FaultEvent{Kind: cluster.RankFail, Iter: 1, Rank: i % dc.Ranks}
+		if i%2 == 1 {
+			fail.Iter, fail.At = 0, 1e-3 // the boundary after 1 ms: the first
+		}
+		checkElasticEngines(t, ElasticConfig{Base: dc, CheckpointEvery: 1 + i%3}, fail,
+			cluster.FaultEvent{Kind: cluster.Rescale, Iter: 3, NewRanks: 2})
+	}
 }
 
 // TestIterSecondsBitReproducible: a rank's final clock is rebuilt from its
@@ -47,7 +84,7 @@ func TestIterSecondsBitReproducible(t *testing.T) {
 	t.Parallel() // counts no allocations
 	runs := 200
 	if testing.Short() || testenv.Race {
-		runs = 40 // the race detector keeps state for every coroutine a run starts
+		runs = 40 // the race detector slows every charge down
 	}
 	for _, v := range Variants {
 		for _, cfg := range []Config{Small, Large} {
@@ -71,20 +108,52 @@ func TestIterSecondsBitReproducible(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap allocations one call of fn performs, counted
-// process-wide and — unlike testing.AllocsPerRun — with GOMAXPROCS left
-// alone. It is the minimum over n calls: a garbage collection that happens
-// to start inside one adds a few runtime allocations of its own.
+// mallocs returns the heap allocations one call of fn performs (see heap).
 func mallocs(n int, fn func()) uint64 {
-	least := ^uint64(0)
+	objects, _ := heap(n, fn)
+	return objects
+}
+
+// heap returns the heap objects and bytes one call of fn allocates, counted
+// process-wide and — unlike testing.AllocsPerRun — with GOMAXPROCS left
+// alone. Each is the minimum over n calls: a garbage collection that happens
+// to start inside one adds a few runtime allocations of its own.
+func heap(n int, fn func()) (objects, bytes uint64) {
+	objects, bytes = ^uint64(0), ^uint64(0)
 	for range n {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		fn()
 		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return least
+	return objects, bytes
+}
+
+// TestSimStrong64HeapBudget: a timing Run at the sim-strong64 shape (64
+// ranks, 8 iterations, warm workspaces) allocates no more than it did when
+// every rank was a coroutine of the lockstep engine — 1 355 objects and
+// 184 354 bytes per Run. The evaluator reaches 388 objects and ≈ 113 KB. The budget matters beyond the allocator: the benchmark keeps every
+// op of its window, so a cheaper Run means more ops and more of their
+// garbage in the same seconds, which is what peak_rss_mb on sim-strong64
+// reads (docs/PERF.md, "The timing evaluator").
+func TestSimStrong64HeapBudget(t *testing.T) {
+	if testenv.Race {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	const maxObjects, maxBytes = 1355, 184354
+	pools := cluster.NewPools()
+	defer pools.Close()
+	dc := simStrong64(8, pools)
+	for range 3 {
+		mustRun(dc)
+	}
+	objects, bytes := heap(8, func() { mustRun(dc) })
+	t.Logf("per Run: %d objects, %d bytes", objects, bytes)
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("a Run allocates %d objects and %d bytes, budget %d and %d", objects, bytes, maxObjects, maxBytes)
+	}
 }
 
 // TestSameAtAnyGOMAXPROCS: timing mode runs on the caller's goroutine alone,

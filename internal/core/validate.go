@@ -53,7 +53,7 @@ func (dc *DistConfig) Validate() error {
 		// it as a measurement.
 		return fmt.Errorf("core: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
 	}
-	if cc := dc.clusterConfig(false).WithDefaults(); cc.CommCores >= dc.Socket.Cores {
+	if cc := dc.clusterConfig().WithDefaults(); cc.CommCores >= dc.Socket.Cores {
 		return fmt.Errorf("core: CommCores=%d leaves no compute cores on a %d-core socket",
 			cc.CommCores, dc.Socket.Cores)
 	}
