@@ -95,6 +95,7 @@ var goldenHashes = []string{
 // tables to committed hashes, bit for bit: how the exchange moves rows and
 // gradients between ranks may change, the numbers may not.
 func TestDistributedGolden(t *testing.T) {
+	skipWithoutVectorGEMM(t)
 	dcs := goldenRuns()
 	got := make([]string, len(dcs))
 	for i, dc := range dcs {

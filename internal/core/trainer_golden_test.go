@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/embedding"
 	"repro/internal/par"
 )
@@ -46,10 +48,22 @@ var trainerGoldens = []trainerGolden{
 		"3c08e3254c6e15cbbd7ea0f30fe9a5cff9647351f310f60b86d5fa1fbef11f99"},
 }
 
+// skipWithoutVectorGEMM skips a golden test where gemm runs its Go kernel
+// (another architecture, or amd64 without AVX2 + FMA). The hashes are
+// recorded on the vector tiles, and the Go kernel matches those only to
+// rounding (the reduction-order contract in gemm/kernel.go), so they cannot
+// hold there.
+func skipWithoutVectorGEMM(t *testing.T) {
+	if runtime.GOARCH != "amd64" || cpu.Vector() == cpu.Go {
+		t.Skip("golden hashes are recorded on amd64's vector GEMM tiles; the Go kernel matches them only to rounding")
+	}
+}
+
 // TestTrainerGolden holds Trainer.Step's per-step losses and the final MLP
 // parameters and tables to committed SHA-256 hashes, bit for bit, for every
 // precision and the deterministic update strategies.
 func TestTrainerGolden(t *testing.T) {
+	skipWithoutVectorGEMM(t)
 	cfg := tinyConfig()
 	ds := tinyDataset(cfg)
 	pool := par.NewPool(3)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
@@ -129,10 +130,12 @@ func drawUExact(s, u float64, m int) int32 {
 // table), the same around the edges of the bucket table's buckets (every
 // head edge of the small tables, a stride of them for the rest), and on ten
 // million uniform draws. Each u is drawn from a cold slot (its bucket
-// undecided, so the draw decides it) and again from the warm one.
+// undecided, so the draw decides it) and again from the warm one. The 32
+// (s, m) tables are parallel subtests; table c draws the uniform u of
+// stream indices [c·320 000, (c+1)·320 000).
 func TestSamplerEqualsExactDraw(t *testing.T) {
-	const ulps = 40
-	check := func(s float64, z ZipfSampler, m int, u float64) {
+	const ulps, draws = 40, 320_000
+	check := func(t *testing.T, s float64, z ZipfSampler, m int, u float64) {
 		if u < 0 || u >= 1 {
 			return
 		}
@@ -146,53 +149,62 @@ func TestSamplerEqualsExactDraw(t *testing.T) {
 				s, m, u, math.Float64bits(u), cold, warm, want)
 		}
 	}
-	probe := func(s float64, z ZipfSampler, m int, u float64) {
+	probe := func(t *testing.T, s float64, z ZipfSampler, m int, u float64) {
 		lo, hi := u, u
-		check(s, z, m, u)
+		check(t, s, z, m, u)
 		for i := 0; i < ulps; i++ {
 			lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
-			check(s, z, m, lo)
-			check(s, z, m, hi)
+			check(t, s, z, m, lo)
+			check(t, s, z, m, hi)
 		}
 	}
-	var ctr uint64
-	for _, s := range []float64{0.5, 1, 1.05, 2} {
-		for _, m := range []int{1, 3, 17, 1000, 38_949, 100_000, 250_000, 39_884_406} {
-			z := Zipf{S: s}.Sampler(m)
-			if len(z.head) == 0 {
-				t.Fatalf("s=%v m=%d: no bucket table", s, m)
-			}
-			// About a thousand thresholds per table: all of them when the
-			// table is that small, else every stride-th plus the last ones.
-			stride := max(1, m/1000)
-			for k := 1; k <= m+1; k++ {
-				if k%stride != 0 && k < m-16 {
-					continue
-				}
-				// u at which x = k: the CDF of p(x) ∝ x^-s on [1, m+1).
-				var u float64
-				if s == 1 {
-					u = math.Log(float64(k)) / math.Log(float64(m)+1)
-				} else {
-					u = (math.Pow(float64(k), 1-s) - 1) / (math.Pow(float64(m)+1, 1-s) - 1)
-				}
-				probe(s, z, m, u)
-			}
-			stride = 1
-			if m > 1000 {
-				stride = max(1, len(z.head)/1000)
-			}
-			for j := 0; j <= len(z.head); j += stride {
-				probe(s, z, m, float64(j)/z.buckets)
-			}
-			for i := 0; i < 320_000; i++ {
-				check(s, z, m, zipfTestU(ctr))
-				ctr++
+	var total atomic.Uint64
+	t.Run("tables", func(t *testing.T) {
+		c := uint64(0)
+		for _, s := range []float64{0.5, 1, 1.05, 2} {
+			for _, m := range []int{1, 3, 17, 1000, 38_949, 100_000, 250_000, 39_884_406} {
+				ctr := c * draws
+				c++
+				t.Run(fmt.Sprintf("s=%v,m=%d", s, m), func(t *testing.T) {
+					t.Parallel()
+					z := Zipf{S: s}.Sampler(m)
+					if len(z.head) == 0 {
+						t.Fatalf("s=%v m=%d: no bucket table", s, m)
+					}
+					// About a thousand thresholds per table: all of them when
+					// the table is that small, else every stride-th plus the
+					// last ones.
+					stride := max(1, m/1000)
+					for k := 1; k <= m+1; k++ {
+						if k%stride != 0 && k < m-16 {
+							continue
+						}
+						// u at which x = k: the CDF of p(x) ∝ x^-s on [1, m+1).
+						var u float64
+						if s == 1 {
+							u = math.Log(float64(k)) / math.Log(float64(m)+1)
+						} else {
+							u = (math.Pow(float64(k), 1-s) - 1) / (math.Pow(float64(m)+1, 1-s) - 1)
+						}
+						probe(t, s, z, m, u)
+					}
+					stride = 1
+					if m > 1000 {
+						stride = max(1, len(z.head)/1000)
+					}
+					for j := 0; j <= len(z.head); j += stride {
+						probe(t, s, z, m, float64(j)/z.buckets)
+					}
+					for i := uint64(0); i < draws; i++ {
+						check(t, s, z, m, zipfTestU(ctr+i))
+					}
+					total.Add(draws)
+				})
 			}
 		}
-	}
-	if ctr < 10_000_000 {
-		t.Fatalf("only %d random draws", ctr)
+	})
+	if n := total.Load(); !t.Failed() && n < 10_000_000 {
+		t.Fatalf("only %d random draws", n)
 	}
 }
 

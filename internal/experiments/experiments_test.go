@@ -304,6 +304,151 @@ func TestFig11MPIInOrderArtifact(t *testing.T) {
 	}
 }
 
+// weakSeries groups a weak-scaling breakdown table's rows into one series
+// per (config, mode, backend), in rank order.
+func weakSeries(t *testing.T, tab *Table, want int) map[[3]string][][]string {
+	t.Helper()
+	// (Large: 5 rank points, MLPerf: 5) × 2 modes × 2 backends.
+	if len(tab.Rows) != want {
+		t.Fatalf("%d rows, want %d:\n%s", len(tab.Rows), want, tab)
+	}
+	series := map[[3]string][][]string{}
+	for _, r := range tab.Rows {
+		k := [3]string{r[0], r[1], r[2]}
+		series[k] = append(series[k], r)
+	}
+	return series
+}
+
+// TestFig13Shape: under weak scaling each rank keeps its local batch, so
+// Large's compute is flat in the rank count while MLPerf's grows — the
+// paper's loader artifact (every rank reads the full global minibatch).
+// Exposed communication grows with ranks on Large, CCL exposes less than
+// MPI, and overlapping exposes no more than blocking.
+func TestFig13Shape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "fig13", Opts{})
+	const colCompute, colExposed = 4, 5
+	series := weakSeries(t, tab, 40)
+	for k, rows := range series {
+		for i := 1; i < len(rows); i++ {
+			c0, c1 := parseF(t, rows[i-1][colCompute]), parseF(t, rows[i][colCompute])
+			switch k[0] {
+			case "MLPerf":
+				if c1 <= c0 {
+					t.Errorf("MLPerf compute must grow with ranks (loader artifact): %v after %v", rows[i], rows[i-1])
+				}
+			case "Large":
+				if c1 != c0 {
+					t.Errorf("Large weak-scaling compute must not depend on ranks: %v after %v", rows[i], rows[i-1])
+				}
+				if parseF(t, rows[i][colExposed]) < parseF(t, rows[i-1][colExposed]) {
+					t.Errorf("Large exposed communication must not fall with ranks: %v after %v", rows[i], rows[i-1])
+				}
+			}
+		}
+	}
+	for k, rows := range series {
+		if k[2] == "CCL Backend" {
+			mpi := series[[3]string{k[0], k[1], "MPI Backend"}]
+			for i, r := range rows {
+				if parseF(t, r[colExposed]) >= parseF(t, mpi[i][colExposed]) {
+					t.Errorf("CCL must expose less communication than MPI: %v vs %v", r, mpi[i])
+				}
+			}
+		}
+		if k[1] == "overlapping" {
+			block := series[[3]string{k[0], "blocking", k[2]}]
+			for i, r := range rows {
+				if parseF(t, r[colExposed]) > parseF(t, block[i][colExposed]) {
+					t.Errorf("overlapping must expose no more than blocking: %v vs %v", r, block[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFig14Shape: Fig. 11's in-order-queue artifact under weak scaling —
+// with MPI and overlap, Large's allreduce completion surfaces as alltoall
+// wait (its own wait reads zero, the alltoall's exceeds CCL's at every rank
+// count) — and Large's total wait never falls as ranks are added. The
+// framework costs are the backend-independent part.
+func TestFig14Shape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "fig14", Opts{})
+	const colA2AFw, colARFw, colA2AWait, colARWait = 4, 5, 6, 7
+	series := weakSeries(t, tab, 40)
+	mpi, ccl := series[[3]string{"Large", "overlapping", "MPI Backend"}], series[[3]string{"Large", "overlapping", "CCL Backend"}]
+	for i := range mpi {
+		if parseF(t, mpi[i][colARWait]) != 0 {
+			t.Errorf("MPI + overlap: the allreduce wait must surface at the alltoall, not on its own: %v", mpi[i])
+		}
+		if parseF(t, mpi[i][colA2AWait]) <= parseF(t, ccl[i][colA2AWait]) {
+			t.Errorf("MPI alltoall wait must exceed CCL's: %v vs %v", mpi[i], ccl[i])
+		}
+	}
+	for k, rows := range series {
+		if k[2] == "CCL Backend" {
+			m := series[[3]string{k[0], k[1], "MPI Backend"}]
+			for i, r := range rows {
+				if r[colA2AFw] != m[i][colA2AFw] || r[colARFw] != m[i][colARFw] {
+					t.Errorf("framework cost must not depend on the backend: %v vs %v", r, m[i])
+				}
+			}
+		}
+		if k[0] != "Large" {
+			continue
+		}
+		for i := 1; i < len(rows); i++ {
+			w0 := parseF(t, rows[i-1][colA2AWait]) + parseF(t, rows[i-1][colARWait])
+			w1 := parseF(t, rows[i][colA2AWait]) + parseF(t, rows[i][colARWait])
+			if w1 < w0 {
+				t.Errorf("Large total wait must not fall with ranks: %v after %v", rows[i], rows[i-1])
+			}
+		}
+	}
+}
+
+// TestOverlapShape: §IV-A's claim that the communication is almost
+// completely hidden unless compute is too short. Per case, the overlapped
+// schedules are never slower than sync and expose no more alltoall; the
+// hierarchical allreduce is never slower than the flat one; and at Large
+// 16R strong scaling, the case with the most compute per rank, the
+// overlapped pipeline exposes no communication at all.
+func TestOverlapShape(t *testing.T) {
+	t.Parallel()
+	tab := run(t, "overlap", Opts{})
+	if len(tab.Rows) != 24 {
+		t.Fatalf("%d rows, want 24 (8 cases × 3 schedules):\n%s", len(tab.Rows), tab)
+	}
+	const colMs, colA2A, colAR = 4, 6, 7
+	exposed := func(cell string) float64 {
+		e, _, _ := strings.Cut(cell, "/")
+		return parseF(t, e)
+	}
+	for i := 0; i < len(tab.Rows); i += 3 {
+		sync, over, hier := tab.Rows[i], tab.Rows[i+1], tab.Rows[i+2]
+		if sync[3] != "sync" || over[3] != "overlapped" || hier[3] != "overlapped+hier" {
+			t.Fatalf("rows %d..%d are not sync / overlapped / overlapped+hier:\n%s", i, i+2, tab)
+		}
+		for _, r := range [][]string{over, hier} {
+			if parseF(t, r[colMs]) > parseF(t, sync[colMs]) {
+				t.Errorf("overlap must not be slower than sync: %v vs %v", r, sync)
+			}
+			if exposed(r[colA2A]) > exposed(sync[colA2A]) {
+				t.Errorf("overlap must expose no more alltoall than sync: %v vs %v", r, sync)
+			}
+		}
+		if parseF(t, hier[colMs]) > parseF(t, over[colMs]) {
+			t.Errorf("hierarchical allreduce must not be slower: %v vs %v", hier, over)
+		}
+	}
+	r := find(t, tab, "strong", "Large", "16R", "overlapped")
+	if exposed(r[colA2A]) != 0 || exposed(r[colAR]) != 0 {
+		t.Errorf("Large 16R strong: overlapped communication must be fully hidden: %v", r)
+	}
+}
+
 func TestFig15TwistedHypercubeAlltoallSaturation(t *testing.T) {
 	t.Parallel()
 	tab := run(t, "fig15", Opts{})

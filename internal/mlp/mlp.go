@@ -13,20 +13,22 @@ import (
 
 	"repro/internal/gemm"
 	"repro/internal/par"
+	"repro/internal/sweep"
 	"repro/internal/tensor"
 )
 
-// Activation selects the fused epilogue of a fully-connected layer.
-type Activation int
+// Activation selects the fused epilogue of a fully-connected layer; the
+// epilogue sweeps themselves are internal/sweep's.
+type Activation = sweep.Act
 
 const (
 	// None leaves the GEMM output linear (used before a fused
 	// sigmoid+cross-entropy loss).
-	None Activation = iota
+	None = sweep.Linear
 	// ReLU clamps negatives to zero.
-	ReLU
+	ReLU = sweep.ReLU
 	// Sigmoid applies the logistic function.
-	Sigmoid
+	Sigmoid = sweep.Sigmoid
 )
 
 // BlockPick returns the largest block size ≤ cap that divides dim. The
@@ -193,31 +195,7 @@ type biasAct Layer
 // folded into the reduction, so the fused result equals a separate sweep
 // over the plain GEMM output bit for bit.
 func (l *biasAct) Apply(kb int, blk []float32, rows int) {
-	bk := l.BK
-	bias := l.Bias[kb*bk : (kb+1)*bk]
-	for ni := 0; ni < rows; ni++ {
-		row := blk[ni*bk : (ni+1)*bk]
-		switch l.Act {
-		case None:
-			for i := range row {
-				row[i] += bias[i]
-			}
-		case ReLU:
-			// max, not a branch: the sign of a pre-activation is a coin
-			// flip the predictor loses half the time (5× slower).
-			for i := range row {
-				row[i] = max(row[i]+bias[i], 0)
-			}
-		case Sigmoid:
-			for i := range row {
-				row[i] = sigmoid32(row[i] + bias[i])
-			}
-		}
-	}
-}
-
-func sigmoid32(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
+	sweep.Bias(blk, l.Bias[kb*l.BK:(kb+1)*l.BK], rows, l.Act)
 }
 
 // Backward consumes dY (gradient w.r.t. the activated output), writes DW and
@@ -256,39 +234,8 @@ func dzBody(arg any, tid, lo, hi int) {
 	l := arg.(*Layer)
 	bk, per := l.dz.BC, l.dz.N*l.dz.BC // a feature block's samples are contiguous
 	for kb := lo; kb < hi; kb++ {
-		dy := l.dy.Data[kb*per : (kb+1)*per]
-		dz := l.dz.Data[kb*per : (kb+1)*per]
-		y := l.savedY.Data[kb*per : (kb+1)*per]
-		db := l.DBias[kb*bk : (kb+1)*bk]
-		clear(db)
-		for o := 0; o < per; o += bk {
-			g, z, s := dy[o:o+bk], dz[o:o+bk], y[o:o+bk]
-			switch l.Act {
-			case None:
-				for i := range db {
-					z[i] = g[i]
-					db[i] += g[i]
-				}
-			case ReLU:
-				// Selecting on the bit pattern compiles to a conditional
-				// move; selecting the float is an unpredictable branch.
-				for i := range db {
-					b := math.Float32bits(g[i])
-					if s[i] <= 0 {
-						b = 0
-					}
-					v := math.Float32frombits(b)
-					z[i] = v
-					db[i] += v
-				}
-			case Sigmoid:
-				for i := range db {
-					v := g[i] * (s[i] * (1 - s[i]))
-					z[i] = v
-					db[i] += v
-				}
-			}
-		}
+		sweep.Grad(l.dz.Data[kb*per:(kb+1)*per], l.dy.Data[kb*per:(kb+1)*per],
+			l.savedY.Data[kb*per:(kb+1)*per], l.DBias[kb*bk:(kb+1)*bk], l.Act)
 	}
 }
 

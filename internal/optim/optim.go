@@ -8,7 +8,10 @@
 // the gradient tensor for the bound parameters.
 package optim
 
-import "repro/internal/bf16"
+import (
+	"repro/internal/bf16"
+	"repro/internal/sweep"
+)
 
 // Optimizer updates one bound parameter tensor from a gradient tensor.
 type Optimizer interface {
@@ -32,19 +35,15 @@ func NewSGD(params []float32) *SGD { return &SGD{Params: params} }
 // Step implements Optimizer.
 func (s *SGD) Step(grad []float32, lr float32) { s.StepRange(grad, lr, 0, len(s.Params)) }
 
-// StepRange applies the update to parameters [lo, hi) only. The update is
-// elementwise, so disjoint ranges may run concurrently and any partition
-// gives Step's result bit for bit. Here and below the product is converted
-// explicitly: that forbids fusing it into the subtraction, so an update is
-// two roundings on every architecture.
+// StepRange applies the update to parameters [lo, hi) only, through
+// sweep.SGD: p − round(lr·g), two roundings on every architecture and
+// kernel. The update is elementwise, so disjoint ranges may run
+// concurrently and any partition gives Step's result bit for bit.
 func (s *SGD) StepRange(grad []float32, lr float32, lo, hi int) {
 	if len(grad) != len(s.Params) {
 		panic("optim: SGD grad length mismatch")
 	}
-	p, g := s.Params[lo:hi], grad[lo:hi]
-	for i := range p {
-		p[i] -= float32(lr * g[i])
-	}
+	sweep.SGD(s.Params[lo:hi], grad[lo:hi], lr)
 }
 
 // Name implements Optimizer.
@@ -119,7 +118,8 @@ func NewQuantizedSGD(params []float32, quant func(float32) float32, name string)
 	return &QuantizedSGD{Params: params, Quant: quant, Variant: name}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The product is converted explicitly: that
+// forbids fusing it into the subtraction, as in SGD.
 func (q *QuantizedSGD) Step(grad []float32, lr float32) {
 	if len(grad) != len(q.Params) {
 		panic("optim: QuantizedSGD grad length mismatch")

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sweep"
+)
 
 // Acts is an activation tensor in the paper's [Cb][Nb][bn][bc] blocked
 // layout (§III-B): the logical matrix is N×C (one row per sample), blocked
@@ -269,29 +273,8 @@ func (w *Weights) TransposeBlocksInto(t *Weights, lo, hi int) {
 		panic(fmt.Sprintf("tensor: TransposeBlockedInto %dx%d/%dx%d into %dx%d/%dx%d",
 			w.K, w.C, w.BK, w.BC, t.K, t.C, t.BK, t.BC))
 	}
-	bc, bk := w.BC, w.BK
 	for i := lo; i < hi; i++ {
 		kb, cb := i/w.Cb, i%w.Cb
-		src := w.Block(kb, cb) // bc×bk, ci-major
-		dst := t.Block(cb, kb) // bk×bc, ki-major
-		// 4×4 sub-tiles: each pass reads four source rows and writes four
-		// destination rows a quarter cache line at a time, instead of
-		// striding one element through bk destination lines.
-		ci := 0
-		for ; ci+4 <= bc; ci += 4 {
-			s0 := src[ci*bk : ci*bk+bk]
-			s1 := src[(ci+1)*bk : (ci+1)*bk+bk][:len(s0)]
-			s2 := src[(ci+2)*bk : (ci+2)*bk+bk][:len(s0)]
-			s3 := src[(ci+3)*bk : (ci+3)*bk+bk][:len(s0)]
-			for ki := range s0 {
-				d := dst[ki*bc+ci : ki*bc+ci+4 : ki*bc+ci+4]
-				d[0], d[1], d[2], d[3] = s0[ki], s1[ki], s2[ki], s3[ki]
-			}
-		}
-		for ; ci < bc; ci++ {
-			for ki, v := range src[ci*bk : ci*bk+bk] {
-				dst[ki*bc+ci] = v
-			}
-		}
+		sweep.Transpose(t.Block(cb, kb), w.Block(kb, cb), w.BC, w.BK)
 	}
 }
