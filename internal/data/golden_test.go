@@ -14,8 +14,11 @@ import (
 // The golden hashes below were recorded from the commit before the per-table
 // Zipf samplers and the teacher's head-score cache existed (every draw two
 // math.Pow, every latent score recomputed): the generators got cheaper, the
-// bytes of every batch did not change. A different value here means
-// different training data, which no performance change may cause.
+// bytes of every batch did not change. The cases with bags of 13 and 50
+// lookups were recorded later, on the per-draw generator, before the bag
+// path (ZipfSampler.DrawBag and the gathered score sum) existed. A different
+// value here means different training data, which no performance change may
+// cause.
 
 // goldenRows covers the degenerate tables (1 and 3 rows), the train-emb
 // shape, and the largest Criteo table.
@@ -85,6 +88,19 @@ func TestGoldenBatches(t *testing.T) {
 			return c
 		}, 0xce2d4af737c52f09},
 		{"RequestLog", func(seed int64) Dataset { return NewRequestLog(seed, 5, goldenRows, 7) }, 0x60359c5be68ac259},
+		// Bags of at least one vector: the generator's bag path (DrawBag
+		// and the score gather) at the train-emb shape, at s = 1, on the
+		// request log, and with a partial vector (13 = 8 + 5).
+		{"ClickLog/P50", func(seed int64) Dataset { return NewClickLog(seed, 16, []int{250_000, 250_000}, 50) }, 0xd179748faa82cfa3},
+		{"ClickLog/P50/skew1", func(seed int64) Dataset {
+			c := NewClickLog(seed, 2, goldenRows, 50)
+			c.Skew = 1
+			return c
+		}, 0xb2d2e33d3e53568c},
+		{"RequestLog/P50", func(seed int64) Dataset { return NewRequestLog(seed, 5, goldenRows, 50) }, 0x3f34d3a699895205},
+		{"ClickLog/P13", func(seed int64) Dataset {
+			return &ClickLog{Seed: seed, Rows: goldenRows, Lookups: 13, Skew: 0.5, TableSignal: 1, Bias: 0.1}
+		}, 0x333badbb014bbee9},
 		{"Random", func(seed int64) Dataset {
 			return &Random{Seed: seed, D: 5, Tables: 3, Rows: 250_000, Lookups: 7}
 		}, 0x315a39e99bf252a5},

@@ -18,6 +18,8 @@ func TestConcurrentFirstFills(t *testing.T) {
 	builds := map[string]func() Dataset{
 		"ClickLog":   func() Dataset { return NewClickLog(4, 3, rows, 4) },
 		"RequestLog": func() Dataset { return NewRequestLog(4, 3, rows, 4) },
+		// Bags of 50 run the bag path: DrawBag and the score gather.
+		"ClickLog/P50": func() Dataset { return NewClickLog(4, 3, rows, 50) },
 		"RequestLog/hot": func() Dataset {
 			r := NewRequestLog(4, 3, rows, 4)
 			r.Universe = 16
