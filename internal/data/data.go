@@ -59,6 +59,14 @@ func (mb *MiniBatch) Reset(n, d, tables int) {
 	}
 }
 
+// reserveIndices gives b.Indices, just reset, room for exactly n lookups
+// unless it has that much already, so the fill's appends never regrow it.
+func reserveIndices(b *embedding.Batch, n int) {
+	if cap(b.Indices) < n {
+		b.Indices = make([]int32, 0, n)
+	}
+}
+
 // ensureF32 returns *buf resized to n elements, reallocating only on
 // capacity growth.
 func ensureF32(buf *[]float32, n int) []float32 {
@@ -150,6 +158,7 @@ func (r *Random) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 // FillTableColumn implements Dataset.
 func (r *Random) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	b.Reset(hi - lo)
+	reserveIndices(b, (hi-lo)*r.Lookups)
 	u := embedding.Uniform{}
 	for s := lo; s < hi; s++ {
 		g := tableStream(r.Seed, randomTag, i, s, t)
@@ -227,6 +236,9 @@ func (c *ClickLog) Batch(i, n int) *MiniBatch { return materialize(c, i, n) }
 func (c *ClickLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 	t := c.teacher()
 	mb.Reset(hi-lo, c.D, len(t.tables))
+	for _, b := range mb.Sparse {
+		reserveIndices(b, (hi-lo)*t.lookups)
+	}
 	for s := lo; s < hi; s++ {
 		pCTR := t.features(mb, s-lo, sampleStream(t.seed, clickTag, i, s), clickTag, i, s)
 		label(mb, s-lo, pCTR, sampleStream(t.seed, clickLblTag, i, s))
@@ -237,6 +249,7 @@ func (c *ClickLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 func (c *ClickLog) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	b.Reset(hi - lo)
 	tch := c.teacher()
+	reserveIndices(b, (hi-lo)*tch.lookups)
 	for s := lo; s < hi; s++ {
 		tch.appendBag(b, t, clickTag, i, s)
 		b.Offsets[s-lo+1] = int32(len(b.Indices))

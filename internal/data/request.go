@@ -123,6 +123,9 @@ func (r *RequestLog) Batch(i, n int) *MiniBatch { return materialize(r, i, n) }
 func (r *RequestLog) FillRange(i, n, lo, hi int, mb *MiniBatch) {
 	t := r.teacher()
 	mb.Reset(hi-lo, r.D, len(t.tables))
+	for _, b := range mb.Sparse {
+		reserveIndices(b, (hi-lo)*t.lookups)
+	}
 	for s := lo; s < hi; s++ {
 		k, e := s-lo, int(r.Entity(i, s))
 		var pCTR float64
@@ -165,6 +168,7 @@ func (r *RequestLog) fillHead(mb *MiniBatch, k, e int) float64 {
 func (r *RequestLog) FillTableColumn(i, n, t, lo, hi int, b *embedding.Batch) {
 	b.Reset(hi - lo)
 	tch := r.teacher()
+	reserveIndices(b, (hi-lo)*tch.lookups)
 	for s := lo; s < hi; s++ {
 		tch.appendBag(b, t, reqProfTag, int(r.Entity(i, s)), 0)
 		b.Offsets[s-lo+1] = int32(len(b.Indices))

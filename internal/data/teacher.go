@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/embedding"
@@ -71,14 +72,63 @@ func (t *teacher) latent(table int, row int32) float64 {
 	return math.Float64frombits(bits) * t.signal
 }
 
+// bagChunk is how many lookups of a bag appendBag and bagScore handle per
+// pass; their scratch lives on the stack.
+const bagChunk = 64
+
 // appendBag appends table ti's lookups of the bag keyed (tag, batch, sub) to
-// b.Indices.
+// b.Indices: the stream's uniforms in order, through the sampler's DrawBag,
+// or one DrawU at a time for bags shorter than a vector.
 func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub int) {
 	g := tableStream(t.seed, tag, batch, sub, ti)
 	zipf := &t.tables[ti].zipf
-	for l := 0; l < t.lookups; l++ {
-		b.Indices = append(b.Indices, zipf.DrawU(g.Float64()))
+	if t.lookups < embedding.BagMin {
+		for l := 0; l < t.lookups; l++ {
+			b.Indices = append(b.Indices, zipf.DrawU(g.Float64()))
+		}
+		return
 	}
+	var u [bagChunk]float64
+	for l := 0; l < t.lookups; l += len(u) {
+		n := min(len(u), t.lookups-l)
+		for i := range n {
+			u[i] = g.Float64()
+		}
+		base := len(b.Indices)
+		b.Indices = slices.Grow(b.Indices, n)[:base+n]
+		zipf.DrawBag(b.Indices[base:], u[:n])
+	}
+}
+
+// bagScore returns Σ latent(ti, r) over rows, added in lookup order from +0.
+// Bags of a vector or more read the head-score cache through gatherScores
+// and take the scalar latent only for the rows it returns 0 for (a cold slot
+// or a row past the head): every term is the value latent returns, so the
+// sum is the same float64 chain.
+func (t *teacher) bagScore(ti int, rows []int32) float64 {
+	var acc float64
+	k := gatherWith
+	if k == nil || len(rows) < embedding.BagMin {
+		for _, r := range rows {
+			acc += t.latent(ti, r)
+		}
+		return acc
+	}
+	head := t.tables[ti].head
+	var bits [bagChunk]uint64
+	for len(rows) > 0 {
+		n := min(len(rows), len(bits))
+		gatherScores(k, bits[:n], head, rows[:n])
+		for i, r := range rows[:n] {
+			if b := bits[i]; b != 0 {
+				acc += math.Float64frombits(b) * t.signal
+			} else {
+				acc += t.latent(ti, r)
+			}
+		}
+		rows = rows[n:]
+	}
+	return acc
 }
 
 // features writes sample k of mb's features — dense features from the stream
@@ -98,12 +148,8 @@ func (t *teacher) features(mb *MiniBatch, k int, dense sampleRNG, tag uint64, ba
 		b := mb.Sparse[ti]
 		base := len(b.Indices)
 		t.appendBag(b, ti, tag, batch, sub)
-		var acc float64
-		for _, idx := range b.Indices[base:] {
-			acc += t.latent(ti, idx)
-		}
 		b.Offsets[k+1] = int32(len(b.Indices))
-		logit += acc / float64(t.lookups)
+		logit += t.bagScore(ti, b.Indices[base:]) / float64(t.lookups)
 	}
 	return 1 / (1 + math.Exp(-logit))
 }

@@ -141,6 +141,15 @@ func (z Zipf) sampler(m int) ZipfSampler {
 // = 1e-11·x′ (forty times that) from every integer no integer lies between
 // them: same floor, same row. Otherwise — about x·2e-11 of the draws — Pow
 // decides.
+//
+// Log and Exp are math.Log and math.Exp in DrawU and decide, and fdlibm's
+// log and exp in DrawBag's formula lanes: zipfXGo and its AVX-512 and AVX2
+// bodies in zipf_amd64.s, which give its bits. Each is within one ulp, so
+// the argument covers either, and a lane passing the guard has DrawU's row.
+// At s = 1 DrawU floors math.Exp(u·a) unguarded; DrawBag guards those lanes
+// too: fdlibm's exp of the same u·a is within two ulp of it, so when it is
+// farther than zipfGuard·x from every integer both have one floor. A lane
+// that fails the guard takes DrawU's formula.
 const (
 	zipfGuard  = 1e-11
 	zipfMaxInv = 1000
@@ -176,6 +185,11 @@ func (z *ZipfSampler) DrawU(u float64) int32 {
 			return c - 1
 		}
 	}
+	return z.formula(u)
+}
+
+// formula is DrawU's row for a u its bucket table does not decide.
+func (z *ZipfSampler) formula(u float64) int32 {
 	x := z.fastX(u)
 	if !z.one {
 		if f := x - math.Floor(x); !(z.fast && f > x*zipfGuard && 1-f > x*zipfGuard) {

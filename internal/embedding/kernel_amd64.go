@@ -16,10 +16,29 @@ func updateRowsAVX512(w *float32, e int, idx *int32, n, lo, span int, x *float32
 //go:noescape
 func updateRowsAVX2(w *float32, e int, idx *int32, n, lo, span int, x *float32, xs int, lr float32, pf int)
 
+// The Zipf tail's exp / log of zipf_amd64.s; see zipfXGo for the contract.
+
+//go:noescape
+func zipfXAVX512(x, u *float64, n int, a, inv float64, one bool)
+
+//go:noescape
+func zipfXAVX2(x, u *float64, n int, a, inv float64, one bool)
+
 var (
 	kernelAVX512 = &rowKernel{isa: "avx512", sum: bagSumAVX512, update: updateRowsAVX512}
 	kernelAVX2   = &rowKernel{isa: "avx2", sum: bagSumAVX2, update: updateRowsAVX2}
 )
+
+// zipfX is zipfXGo over x[:n], u[:n] on k's ISA; n is a positive multiple of
+// zipfLanes. The bodies are called directly, not through a func field, so
+// that x and u may stay on the caller's stack.
+func (k *rowKernel) zipfX(x, u *float64, n int, a, inv float64, one bool) {
+	if k == kernelAVX512 {
+		zipfXAVX512(x, u, n, a, inv, one)
+	} else {
+		zipfXAVX2(x, u, n, a, inv, one)
+	}
+}
 
 // detectKernels returns the vector kernels this CPU and OS can run, best
 // first.

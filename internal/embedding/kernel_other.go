@@ -4,3 +4,8 @@ package embedding
 
 // detectKernels: no vector kernels off amd64; the Go bodies run.
 func detectKernels() []*rowKernel { return nil }
+
+// zipfX is never called: there is no vector kernel to call it on.
+func (k *rowKernel) zipfX(x, u *float64, n int, a, inv float64, one bool) {
+	panic("embedding: no vector kernel")
+}

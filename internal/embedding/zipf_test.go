@@ -269,8 +269,8 @@ func TestZipfTableConcurrentFirstFill(t *testing.T) {
 
 // BenchmarkZipfDraw times one draw at the train-emb table shape: the sampler
 // on one table, the sampler on the eight tables of train-emb drawn in turn
-// (their slots compete for cache, as in the generator), and the exact
-// two-Pow formula it replaced.
+// (their slots compete for cache, as in the generator), DrawBag over bags of
+// train-emb's 50 lookups, and the exact two-Pow formula it replaced.
 func BenchmarkZipfDraw(b *testing.B) {
 	const m = 250_000
 	b.Run("sampler", func(b *testing.B) {
@@ -289,6 +289,20 @@ func BenchmarkZipfDraw(b *testing.B) {
 		var sink int32
 		for i := 0; i < b.N; i++ {
 			sink += zs[i&7].DrawU(zipfTestU(uint64(i)))
+		}
+		_ = sink
+	})
+	b.Run("bag", func(b *testing.B) {
+		z := Zipf{S: 1.05}.Sampler(m)
+		var u [50]float64
+		var dst [50]int32
+		var sink int32
+		for i := 0; i < b.N; i += len(u) {
+			for j := range u {
+				u[j] = zipfTestU(uint64(i + j))
+			}
+			z.DrawBag(dst[:], u[:])
+			sink += dst[0]
 		}
 		_ = sink
 	})
