@@ -6,10 +6,10 @@ import "sync/atomic"
 // table's head-score cache; gatherScores reads a vector of them at a time —
 // VPGATHERDQ under the mask row < len(head) — and returns 0 for a row past
 // the head, which is also the value of a cold slot, so the caller takes the
-// scalar latent for every 0 it gets back. It has one Go body, the path on
-// machines without a vector kernel and the oracle, and on amd64 AVX-512F and
-// AVX2 bodies in gather_amd64.s: each reads the same slots and so returns
-// the same bits.
+// scalar latent for every 0 it gets back. Its AVX-512F and AVX2 bodies
+// (gather_amd64.s) read the same slots as its Go body, which takes the lanes
+// past the last whole vector and is the oracle, and so return the same bits.
+// Machines without a vector kernel keep the per-lookup latent loop.
 
 // gatherLanes is the lane count of the vector bodies: they take whole groups
 // of it, the Go body the rest.
@@ -19,8 +19,8 @@ const gatherLanes = 8
 type gatherKernel struct{ isa string }
 
 // gatherKernels lists the vector bodies this machine can run, best first;
-// gatherWith is the one every teacher in the process uses, nil meaning the
-// Go body. Both are set once here; only tests assign gatherWith afterwards.
+// gatherWith is the one every teacher in the process uses, nil meaning none.
+// Both are set once here; only tests assign gatherWith afterwards.
 var (
 	gatherKernels = detectGatherKernels()
 	gatherWith    = firstGatherKernel(gatherKernels)

@@ -6,12 +6,13 @@ import "math"
 // from their slots, as DrawU does, and sends the rest — the formula lanes,
 // about a third of the draws at the train-emb shape — through zipfX, which
 // computes the formula's x for a whole vector of them: exp(u·a) at s = 1,
-// exp(inv·log(u·a + 1)) otherwise, by fdlibm's log and exp. zipfX has one Go
-// body, zipfXGo — the path on machines without a vector kernel and the
-// oracle — and, on amd64, AVX-512F and AVX2 bodies in zipf_amd64.s that give
-// its bits exactly: both functions are a fixed sequence of correctly rounded
-// adds, multiplies and divides (never a fused multiply-add), exact
-// exponent / mantissa splits and exact scalings by powers of two.
+// exp(inv·log(u·a + 1)) otherwise, by fdlibm's log and exp. Its AVX-512F and
+// AVX2 bodies (zipf_amd64.s) give the bits of its Go body, zipfXGo, the
+// oracle they are tested against: both are a fixed sequence of correctly
+// rounded adds, multiplies and divides (never a fused multiply-add), exact
+// exponent / mantissa splits and exact scalings by powers of two. Machines
+// without a vector kernel draw every bag through DrawU, which is faster
+// there than the Go body.
 //
 // fdlibm is within one ulp of the true log and exp, so zipfGuard's argument
 // (indices.go) covers these lanes as it covers DrawU's math.Log / math.Exp:
@@ -51,8 +52,8 @@ func (z *ZipfSampler) DrawBag(dst []int32, u []float64) {
 }
 
 // drawChunk is DrawBag over at most bagChunk draws on the vector kernel k,
-// for a sampler with a bucket table; it returns false, having drawn nothing
-// for certain, when some u lies outside [0, 1), zipfX's domain. The first
+// for a sampler with a bucket table. It returns false, leaving dst to be
+// redrawn, when some u lies outside [0, 1), zipfX's domain. The first
 // pass is DrawU's bucket lookup without a branch on its outcome: every u
 // reads the slot of its bucket, clamped to the table (a u past the head
 // counts as undecided, -1), and every u is appended to us, the formula
