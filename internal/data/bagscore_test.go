@@ -5,26 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/embedding"
 	"repro/internal/rng"
 )
-
-// withGather runs f with gatherWith pinned to k (nil = the Go body).
-func withGather(k *gatherKernel, f func()) {
-	old := gatherWith
-	gatherWith = k
-	defer func() { gatherWith = old }()
-	f()
-}
-
-// everyGather is the Go body (nil) and each vector body of this machine.
-var everyGather = append([]*gatherKernel{nil}, gatherKernels...)
-
-func gatherName(k *gatherKernel) string {
-	if k == nil {
-		return "go"
-	}
-	return k.isa
-}
 
 // scoreRows returns n rows of a table of headRows + 100 rows, picked by the
 // stream seeded with seed: rows inside the cached head, the rows either
@@ -51,10 +34,11 @@ func scoreRows(n int, seed uint64) []int32 {
 	return rows
 }
 
-// checkBagScore holds gatherScores on every kernel to its Go body, and
-// bagScore on every kernel to the scalar latent sum, bit for bit, over rows,
-// with the head slots cold except for every warm-th row (0: all cold),
-// which a fill has already cached.
+// checkBagScore holds bagScore to the scalar latent sum, bit for bit, over
+// rows, with the head slots cold except for every warm-th row (0: all
+// cold), which a fill has already cached. bagScore runs on the kernel the
+// process detected; embedding's TestGatherSlots holds the gather to its
+// contract on every kernel.
 func checkBagScore(t *testing.T, rows []int32, warm int) {
 	t.Helper()
 	build := func() *teacher { return NewClickLog(3, 0, []int{headRows + 100}, 1).teacher() }
@@ -63,27 +47,14 @@ func checkBagScore(t *testing.T, rows []int32, warm int) {
 	for _, r := range rows {
 		want += ref.unitScore(0, r) * ref.signal
 	}
-	for _, k := range everyGather {
-		tch := build()
-		if warm > 0 {
-			for i := 0; i < len(rows); i += warm {
-				tch.latent(0, rows[i])
-			}
+	tch := build()
+	if warm > 0 {
+		for i := 0; i < len(rows); i += warm {
+			tch.latent(0, rows[i])
 		}
-		head := tch.tables[0].head
-		bits, goBits := make([]uint64, len(rows)), make([]uint64, len(rows))
-		gatherScores(k, bits, head, rows)
-		gatherScoresGo(goBits, head, rows)
-		for i := range bits {
-			if bits[i] != goBits[i] {
-				t.Fatalf("%s warm=%d: row %d gathered %#x, Go body %#x", gatherName(k), warm, rows[i], bits[i], goBits[i])
-			}
-		}
-		var got float64
-		withGather(k, func() { got = tch.bagScore(0, rows) })
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s warm=%d, %d rows: bagScore %v, latent sum %v", gatherName(k), warm, len(rows), got, want)
-		}
+	}
+	if got := tch.bagScore(0, rows); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s warm=%d, %d rows: bagScore %v, latent sum %v", embedding.KernelISA(), warm, len(rows), got, want)
 	}
 }
 

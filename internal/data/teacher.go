@@ -77,15 +77,17 @@ func (t *teacher) latent(table int, row int32) float64 {
 const bagChunk = 64
 
 // appendBag appends table ti's lookups of the bag keyed (tag, batch, sub) to
-// b.Indices: the stream's uniforms in order, through the sampler's DrawBag,
-// or one DrawU at a time for bags shorter than a vector.
+// b.Indices: the stream's uniforms in order, through the sampler's DrawBag.
+// A bag of one lookup (dist-func4) skips the staging and takes DrawU, which
+// is what DrawBag does with it: without this and bagScore's bag-of-one path,
+// FillRange at that shape ran ≈ 20 % slower (docs/PERF.md, "A bag at a
+// time"). Which bags reach a vector kernel is DrawBag's and GatherSlots'
+// decision alone.
 func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub int) {
 	g := tableStream(t.seed, tag, batch, sub, ti)
 	zipf := &t.tables[ti].zipf
-	if t.lookups < embedding.BagMin {
-		for l := 0; l < t.lookups; l++ {
-			b.Indices = append(b.Indices, zipf.DrawU(g.Float64()))
-		}
+	if t.lookups == 1 {
+		b.Indices = append(b.Indices, zipf.DrawU(g.Float64()))
 		return
 	}
 	var u [bagChunk]float64
@@ -101,24 +103,21 @@ func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub i
 }
 
 // bagScore returns Σ latent(ti, r) over rows, added in lookup order from +0.
-// Bags of a vector or more read the head-score cache through gatherScores
-// and take the scalar latent only for the rows it returns 0 for (a cold slot
-// or a row past the head): every term is the value latent returns, so the
-// sum is the same float64 chain.
+// It reads the bag's head scores through embedding.GatherSlots and takes the
+// scalar latent only for the rows that come back 0 (a cold slot or a row
+// past the head): every term is the value latent returns, so the sum is the
+// same float64 chain. A bag of one lookup takes latent directly, for the
+// reason appendBag gives.
 func (t *teacher) bagScore(ti int, rows []int32) float64 {
 	var acc float64
-	k := gatherWith
-	if k == nil || len(rows) < embedding.BagMin {
-		for _, r := range rows {
-			acc += t.latent(ti, r)
-		}
-		return acc
+	if len(rows) == 1 {
+		return acc + t.latent(ti, rows[0])
 	}
 	head := t.tables[ti].head
 	var bits [bagChunk]uint64
 	for len(rows) > 0 {
 		n := min(len(rows), len(bits))
-		gatherScores(k, bits[:n], head, rows[:n])
+		embedding.GatherSlots(bits[:n], head, rows[:n])
 		for i, r := range rows[:n] {
 			if b := bits[i]; b != 0 {
 				acc += math.Float64frombits(b) * t.signal

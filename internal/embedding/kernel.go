@@ -22,8 +22,9 @@ const pfAhead = 16
 
 // rowKernel is one ISA's pair of row primitives; see rows_amd64.s. pf is the
 // number of leading lookups whose pfAhead-th successor may be read. Its
-// zipfX method is the same ISA's body of the Zipf tail's exp / log
-// (zipfbag.go, zipf_amd64.s).
+// zipfX and gather methods are the same ISA's bodies of the Zipf tail's
+// exp / log (zipfbag.go, zipf_amd64.s) and of GatherSlots (gather.go,
+// gather_amd64.s).
 type rowKernel struct {
 	isa    string
 	sum    func(out *float32, e int, w *float32, idx *int32, n, pf int)

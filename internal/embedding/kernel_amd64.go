@@ -1,6 +1,10 @@
 package embedding
 
-import "repro/internal/cpu"
+import (
+	"sync/atomic"
+
+	"repro/internal/cpu"
+)
 
 // The row primitives of rows_amd64.s; see rowKernel for the contract.
 
@@ -24,6 +28,14 @@ func zipfXAVX512(x, u *float64, n int, a, inv float64, one bool)
 //go:noescape
 func zipfXAVX2(x, u *float64, n int, a, inv float64, one bool)
 
+// The slot gather of gather_amd64.s; see GatherSlots for the contract.
+
+//go:noescape
+func gatherSlotsAVX512(bits *uint64, slots *atomic.Uint64, nslots int, idx *int32, n int)
+
+//go:noescape
+func gatherSlotsAVX2(bits *uint64, slots *atomic.Uint64, nslots int, idx *int32, n int)
+
 var (
 	kernelAVX512 = &rowKernel{isa: "avx512", sum: bagSumAVX512, update: updateRowsAVX512}
 	kernelAVX2   = &rowKernel{isa: "avx2", sum: bagSumAVX2, update: updateRowsAVX2}
@@ -37,6 +49,17 @@ func (k *rowKernel) zipfX(x, u *float64, n int, a, inv float64, one bool) {
 		zipfXAVX512(x, u, n, a, inv, one)
 	} else {
 		zipfXAVX2(x, u, n, a, inv, one)
+	}
+}
+
+// gather is GatherSlots over bits[:n], idx[:n] on k's ISA; n is a positive
+// multiple of gatherLanes and 0 < nslots < 2³¹. Called directly, as zipfX
+// is, so that bits may stay on the caller's stack.
+func (k *rowKernel) gather(bits *uint64, slots *atomic.Uint64, nslots int, idx *int32, n int) {
+	if k == kernelAVX512 {
+		gatherSlotsAVX512(bits, slots, nslots, idx, n)
+	} else {
+		gatherSlotsAVX2(bits, slots, nslots, idx, n)
 	}
 }
 

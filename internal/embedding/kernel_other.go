@@ -2,10 +2,17 @@
 
 package embedding
 
+import "sync/atomic"
+
 // detectKernels: no vector kernels off amd64; the Go bodies run.
 func detectKernels() []*rowKernel { return nil }
 
-// zipfX is never called: there is no vector kernel to call it on.
+// zipfX and gather are never called: there is no vector kernel to call them
+// on.
 func (k *rowKernel) zipfX(x, u *float64, n int, a, inv float64, one bool) {
+	panic("embedding: no vector kernel")
+}
+
+func (k *rowKernel) gather(bits *uint64, slots *atomic.Uint64, nslots int, idx *int32, n int) {
 	panic("embedding: no vector kernel")
 }

@@ -18,12 +18,8 @@ import "math"
 // (indices.go) covers these lanes as it covers DrawU's math.Log / math.Exp:
 // when x is farther than zipfGuard·x from every integer its floor is DrawU's
 // row. Lanes nearer an integer take DrawU's own formula; so does every bag
-// shorter than BagMin, and a bag's rest from the chunk holding a u outside
-// [0, 1), the kernels' domain.
-
-// BagMin is the shortest bag DrawBag sends through a vector kernel: one
-// vector of lanes. Shorter bags draw one row at a time through DrawU.
-const BagMin = zipfLanes
+// shorter than one vector (zipfLanes draws), and a bag's rest from the chunk
+// holding a u outside [0, 1), the kernels' domain.
 
 // zipfLanes is the lane count zipfX takes its work in: n is a multiple of it.
 const zipfLanes = 8
@@ -36,7 +32,7 @@ const bagChunk = 64
 // as long as u. Concurrent calls are safe as DrawU's are.
 func (z *ZipfSampler) DrawBag(dst []int32, u []float64) {
 	dst = dst[:len(u)]
-	if k := kernel; k != nil && len(u) >= BagMin && len(z.head) > 0 {
+	if k := kernel; k != nil && len(u) >= zipfLanes && len(z.head) > 0 {
 		for len(u) > 0 {
 			n := min(len(u), bagChunk)
 			if !z.drawChunk(dst[:n], u[:n], k) {
