@@ -80,9 +80,9 @@ const bagChunk = 64
 // b.Indices: the stream's uniforms in order, through the sampler's DrawBag.
 // A bag of one lookup (dist-func4) skips the staging and takes DrawU, which
 // is what DrawBag does with it: without this and bagScore's bag-of-one path,
-// FillRange at that shape ran ≈ 20 % slower (docs/PERF.md, "A bag at a
-// time"). Which bags reach a vector kernel is DrawBag's and GatherSlots'
-// decision alone.
+// FillRange at that shape ran ≈ 20 % slower and the dist-func4 step 6–13 %
+// (docs/PERF.md, "A bag at a time"). Which bags reach a vector kernel is
+// DrawBag's and GatherSlots' decision alone.
 func (t *teacher) appendBag(b *embedding.Batch, ti int, tag uint64, batch, sub int) {
 	g := tableStream(t.seed, tag, batch, sub, ti)
 	zipf := &t.tables[ti].zipf
