@@ -279,10 +279,39 @@ func TestModelShardOwnership(t *testing.T) {
 	}
 }
 
+// TestShardTablesMatchFullModel: seeded per-table init makes a shard's
+// tables (and its MLP replica) bit-identical to the full model's. The
+// serving shards of NewModelShards hold NewModelShard's tables — the same
+// slots, the same bits — over one MLP pair and interaction equal to
+// NewModel's; their one shard at one rank is NewModel's model.
 func TestShardTablesMatchFullModel(t *testing.T) {
-	// Seeded per-table init must make shard tables (and the MLP replica)
-	// bit-identical to the full model's.
 	checkModelsClose(t, "shard", NewModelShard(tinyConfig(), 16, 9, 1, 2), NewModel(tinyConfig(), 16, 9), 0)
+	for _, cfg := range []Config{tinyConfig(), miniMLPerfConfig()} {
+		full := NewModel(cfg, 16, 9)
+		for _, ranks := range []int{1, 3, 8} {
+			shards := NewModelShards(cfg, 16, 9, ranks)
+			if len(shards) != ranks {
+				t.Fatalf("%s: %d shards for %d ranks", cfg.Name, len(shards), ranks)
+			}
+			for r, m := range shards {
+				label := fmt.Sprintf("%s shard %d of %d", cfg.Name, r, ranks)
+				if m.Bot != shards[0].Bot || m.Top != shards[0].Top || m.Inter != shards[0].Inter {
+					t.Fatalf("%s: dense half not shared with shard 0", label)
+				}
+				if m.BN != 16 || m.Cfg.Name != cfg.Name {
+					t.Fatalf("%s: BN %d config %s", label, m.BN, m.Cfg.Name)
+				}
+				want := NewModelShard(cfg, 16, 9, r, ranks)
+				for ti := range want.Tables {
+					if (m.Tables[ti] == nil) != (want.Tables[ti] == nil) {
+						t.Fatalf("%s: table %d built = %v, NewModelShard %v", label, ti, m.Tables[ti] != nil, want.Tables[ti] != nil)
+					}
+				}
+				checkModelsClose(t, label, m, want, 0)
+				checkModelsClose(t, label+" vs NewModel", m, full, 0)
+			}
+		}
+	}
 }
 
 // randStreamModel builds rank r's shard the plain way: the MLPs from one

@@ -18,8 +18,10 @@ import (
 // batch, predictions for any batch size 1..B allocate nothing (steady
 // state is pinned by the serving allocation tests).
 //
-// Like Trainer, a Predictor is single-threaded from the caller's view; the
-// serving tier gives each replica its own Predictor over its own Model.
+// Like Trainer, a Predictor is single-threaded from the caller's view. Each
+// serving replica has its own Predictor (staging rows, pool, table shard)
+// over one of NewModelShards' models, which share one dense half; the
+// dispatcher runs them one at a time.
 type Predictor struct {
 	M    *Model
 	Pool *par.Pool
@@ -27,9 +29,9 @@ type Predictor struct {
 	embOut [][]float32 // per-table bag-output staging, N×E each
 }
 
-// NewPredictor binds a model and a worker pool. The model must use BN that
-// divides every batch size the caller will predict (serving replicas use
-// BN=1, which accepts any micro-batch).
+// NewPredictor binds a model and a worker pool; predictors over models that
+// share MLPs (NewModelShards) must run one at a time. BN must divide every
+// batch size the caller predicts (serving's BN=1 accepts any micro-batch).
 func NewPredictor(m *Model, pool *par.Pool) *Predictor {
 	return &Predictor{M: m, Pool: pool}
 }

@@ -60,6 +60,27 @@ func NewModelShard(cfg Config, bn int, seed int64, r, ranks int) *Model {
 	return m
 }
 
+// NewModelShards builds the model a set of serving replicas holds: one
+// dense half — the bottom and top MLPs and the interaction — shared by every
+// shard, under which shard r holds the tables rank r owns (nil elsewhere).
+// Every weight is the one NewModelShard(cfg, bn, seed, r, ranks) draws; at
+// ranks = 1 the one shard is NewModel's model. The shards share the MLPs'
+// weights and activation buffers, so they may run only forward and only one
+// at a time: serving, which never writes a weight. Training's ranks update
+// their own MLP replicas and keep NewModelShard.
+func NewModelShards(cfg Config, bn int, seed int64, ranks int) []*Model {
+	full := NewModel(cfg, bn, seed)
+	shards := make([]*Model, ranks)
+	for r := range shards {
+		shards[r] = &Model{Cfg: cfg, BN: bn, Bot: full.Bot, Top: full.Top, Inter: full.Inter,
+			Tables: make([]*embedding.Table, cfg.Tables)}
+	}
+	for t, tab := range full.Tables {
+		shards[TableOwner(t, ranks)].Tables[t] = tab
+	}
+	return shards
+}
+
 // TableOwner returns the rank owning table t under round-robin model
 // parallelism.
 func TableOwner(t, ranks int) int { return t % ranks }

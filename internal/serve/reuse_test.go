@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/mlp"
 	"repro/internal/testenv"
 )
 
@@ -94,6 +96,58 @@ func TestServeWorkspaceReuse(t *testing.T) {
 	}
 	if m := ws.preds[0].M.Tables[0].M; m != run.Rows[0] {
 		t.Fatalf("table 0 has %d rows after RunCfg.Rows[0] became %d", m, run.Rows[0])
+	}
+}
+
+// TestServeReplicasShareDense pins the replica set's layout through key
+// changes on one workspace: every predictor runs over one dense half — the
+// same bottom / top MLP pair and interaction — replica r holds exactly the
+// tables it owns, and a key change (seed, replica count, RunCfg) builds one
+// new dense half for the whole set while a same-key run keeps it.
+func TestServeReplicasShareDense(t *testing.T) {
+	pools := cluster.NewPools()
+	defer pools.Close()
+	run := core.Small.Scaled(1.0 / 4096)
+	run.BotHidden, run.TopHidden = []int{64}, []int{64, 64}
+	other := run.Scaled(0.5)
+	base := functionalConfig(8)
+	base.Topo = fabric.NewPrunedFatTree(8, 12.5e9)
+	base.RunCfg, base.Dataset, base.Pools, base.Workspaces = &run, serveDataset(run), pools, NewWorkspaces()
+	steps := []struct {
+		name    string
+		mut     func(*Config)
+		rebuild bool
+	}{
+		{"one replica", func(c *Config) { c.Replicas = 1 }, true},
+		{"three replicas", func(c *Config) { c.Replicas = 3 }, true},
+		{"same again", func(c *Config) { c.Replicas = 3 }, false},
+		{"eight replicas", func(c *Config) { c.Replicas = 8 }, true},
+		{"other seed", func(c *Config) { c.Replicas, c.Seed = 8, c.Seed+1 }, true},
+		{"other RunCfg", func(c *Config) { c.Replicas, c.RunCfg, c.Dataset = 8, &other, serveDataset(other) }, true},
+	}
+	var bot, top *mlp.MLP
+	for _, st := range steps {
+		c := base
+		st.mut(&c)
+		mustRun(t, c)
+		preds := c.Workspaces.preds
+		if len(preds) != c.Replicas {
+			t.Fatalf("%s: %d predictors for %d replicas", st.name, len(preds), c.Replicas)
+		}
+		if rebuilt := preds[0].M.Bot != bot || preds[0].M.Top != top; rebuilt != st.rebuild {
+			t.Fatalf("%s: dense half rebuilt = %v, want %v", st.name, rebuilt, st.rebuild)
+		}
+		bot, top = preds[0].M.Bot, preds[0].M.Top
+		for r, p := range preds {
+			if p.M.Bot != bot || p.M.Top != top || p.M.Inter != preds[0].M.Inter {
+				t.Fatalf("%s: replica %d has its own dense half", st.name, r)
+			}
+			for ti, tab := range p.M.Tables {
+				if owns := core.TableOwner(ti, c.Replicas) == r; (tab != nil) != owns {
+					t.Fatalf("%s: replica %d holds table %d = %v, owns it = %v", st.name, r, ti, tab != nil, owns)
+				}
+			}
+		}
 	}
 }
 

@@ -15,15 +15,18 @@ import (
 // dispatcher queue, per-replica busy-until clock, the latency sample, the
 // fan-in pricer's flow scratch, per-replica functional staging (minibatch
 // and output buffers), and the functional replica set itself — one
-// core.Predictor per replica over its core.NewModelShard (core.NewModel for
-// a single replica). The replica set is keyed by what determines its
-// weights: a deep copy of RunCfg, Seed and Replicas. A functional run whose
-// key matches reuses it, re-pointing each predictor at the run's pool; any
-// other functional run rebuilds it; timing-only runs leave it alone.
-// Serving never writes weights, so reuse is exact: sharing one Workspaces
-// across a sweep yields the same results as a fresh one per run, builds the
-// replicas once, and makes steady-state serving allocation-free (pinned by
-// the differencing test).
+// core.Predictor per replica over its shard of core.NewModelShards: its own
+// tables and one dense half (MLPs, interaction) all replicas share. That is
+// exact: serving never writes a weight, the dispatcher evaluates one replica
+// at a time, and a Workspaces refuses a second concurrent Run. It leaves the
+// host what each modelled socket has, one copy of the MLP weights per cache,
+// not R copies contending for one LLC. The set is keyed by what determines
+// its weights: a deep copy of RunCfg, Seed and Replicas. A functional run
+// whose key matches reuses it, re-pointing each predictor at the run's pool;
+// any other functional run rebuilds it; timing-only runs leave it alone.
+// No weight is ever written, so reuse is exact too: one Workspaces across a
+// sweep yields the same results as a fresh one per run, builds the replicas
+// once, and makes steady-state serving allocation-free (the differencing test).
 //
 // A Workspaces serves one Run at a time; Run reports an error rather than
 // let two concurrent runs share queue buffers and model forward scratch.
@@ -98,13 +101,7 @@ func (ws *Workspaces) replicas(c Config, pools *cluster.Pools, cores int) []*cor
 		ws.preds = nil // let the old set go before the new one is drawn
 		cfg := cloneConfig(c.RunCfg)
 		preds := make([]*core.Predictor, c.Replicas)
-		for r := range preds {
-			var m *core.Model
-			if c.Replicas == 1 {
-				m = core.NewModel(cfg, 1, c.Seed)
-			} else {
-				m = core.NewModelShard(cfg, 1, c.Seed, r, c.Replicas)
-			}
+		for r, m := range core.NewModelShards(cfg, 1, c.Seed, c.Replicas) {
 			preds[r] = core.NewPredictor(m, nil)
 		}
 		ws.key, ws.preds = replicaKey{cfg: cfg, seed: c.Seed, replicas: c.Replicas}, preds
