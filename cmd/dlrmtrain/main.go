@@ -202,6 +202,9 @@ func loadCheckpoint(m *core.Model, path string) (*core.TrainerState, error) {
 }
 
 func runDistributed(cfg core.Config, ranks, iters int, mode core.LoaderMode, tune, churn bool, embCache int, coldBW float64) {
+	if ranks < 1 {
+		log.Fatalf("-ranks %d: want at least 1", ranks)
+	}
 	if ranks > cfg.MaxRanks() {
 		log.Fatalf("%s supports at most %d ranks (one table per rank minimum)", cfg.Name, cfg.MaxRanks())
 	}
@@ -225,6 +228,11 @@ func runDistributed(cfg core.Config, ranks, iters int, mode core.LoaderMode, tun
 		fmt.Printf("tiered embedding store: %d MiB hot cache, cold tier %.1f GB/s\n",
 			embCache>>20, coldBW/1e9)
 	}
+	// Checked before the churn and autotune branches: the autotuner's
+	// probes panic on an invalid configuration.
+	if err := dc.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	if churn {
 		runChurn(dc)
 		return
@@ -232,8 +240,8 @@ func runDistributed(cfg core.Config, ranks, iters int, mode core.LoaderMode, tun
 	if tune {
 		var rep *core.AutotuneReport
 		dc, rep = core.AutotuneDistConfig(dc, core.AutotuneOpts{})
-		fmt.Printf("autotuned schedule: %s (%+.1f%% vs default, %d probes over %d candidates)\n",
-			rep.Schedule, (rep.TunedSeconds/rep.BaselineSeconds-1)*100, rep.Probes, rep.Candidates)
+		fmt.Printf("autotuned schedule: %s (%+.1f%% vs default, %d candidates probed)\n",
+			rep.Schedule, (rep.TunedSeconds/rep.BaselineSeconds-1)*100, rep.Candidates)
 	}
 	res, err := dc.Run()
 	if err != nil {

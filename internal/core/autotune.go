@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 
-	"repro/internal/autotune"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 )
@@ -14,31 +13,27 @@ import (
 // which allreduce cost model, how many CCL channels the buckets round-robin
 // over — depends on the workload shape (config, rank count, fabric,
 // loader). Rather than hand-picking per shape, AutotuneDistConfig probes
-// candidate schedules against the virtual-time model with a few timing-mode
-// iterations each, under a successive-halving budget: every candidate gets
-// a cheap probe, survivors re-run at doubled budgets, and the full budget
-// decides among the contenders.
+// every candidate schedule once against the virtual-time model, each for a
+// few timing-mode iterations. The space is 132 candidates and a probe
+// costs well under a millisecond of host time, so no search strategy pays
+// for itself.
 
-// AutotuneOpts bounds the schedule search. The zero value is the default
-// budget: a 4-iteration deciding round over the full candidate space. The
-// first round always probes 1 iteration.
+// AutotuneOpts sets the probe budget. The zero value probes every candidate
+// for 4 iterations.
 type AutotuneOpts struct {
-	// FinalIters is the probe length of the deciding round (default 4).
+	// FinalIters is the probe length in iterations (default 4).
 	FinalIters int
-	// MaxCandidates caps the first round's pool by uniform sampling from a
-	// fixed counter-based stream, so equal options replay the identical
-	// search (0 = probe the full space). The incumbent schedule always
-	// enters regardless.
+	// MaxCandidates is ignored: every candidate is probed. It is kept so
+	// that existing callers still compile.
 	MaxCandidates int
 }
 
-// AutotuneReport describes what the search measured.
+// AutotuneReport describes what the probes measured.
 type AutotuneReport struct {
-	Candidates      int     // size of the enumerated schedule space
-	Probed          int     // candidates that entered the first round
-	Probes          int     // distinct (candidate, budget) probe runs
-	BaselineSeconds float64 // incumbent schedule's virtual s/iter at the final budget
-	TunedSeconds    float64 // chosen schedule's virtual s/iter at the final budget
+	Candidates      int     // schedules probed: the enumerated space, plus an off-ladder incumbent
+	Probes          int     // probe runs, one per candidate (== Candidates)
+	BaselineSeconds float64 // incumbent schedule's virtual s/iter at the probe budget
+	TunedSeconds    float64 // chosen schedule's virtual s/iter at the probe budget
 	Schedule        string  // human-readable chosen schedule
 }
 
@@ -128,38 +123,27 @@ func incumbent(dc *DistConfig) scheduleCandidate {
 	return c
 }
 
-// AutotuneDistConfig searches the communication-schedule space for the
-// fastest configuration of dc's workload shape and returns dc with the
-// winning schedule knobs applied, plus a report of what the search
-// measured. Probes are timing-mode runs (RunCfg/Dataset stripped) sharing
-// dc's pools and workspaces — the workspace key excludes every schedule
-// knob, so all candidates probe through the same buffers and probing
-// allocates nothing per iteration after the first probes warm them. The
-// result is never worse than dc's incumbent schedule under the model: the
-// search winner meets the incumbent head-to-head at the final budget and
-// the incumbent is kept on a tie.
+// AutotuneDistConfig finds the fastest communication schedule for dc's
+// workload shape and returns dc with the winning schedule knobs applied,
+// plus a report of what it measured. dc must be valid (see Validate): an
+// invalid configuration panics in the first probe. Every candidate is probed
+// once for opts.FinalIters timing-mode iterations (RunCfg/Dataset stripped),
+// the incumbent first; a candidate replaces the best so far only when it is
+// strictly faster, so the incumbent wins ties and otherwise the lowest
+// index does. The result is therefore never worse than dc's incumbent
+// schedule under the model. The probes share dc's pools and workspaces —
+// the workspace key excludes every schedule knob, so all candidates probe
+// through the same buffers and probing allocates nothing per iteration
+// once the first probes have warmed them.
 func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *AutotuneReport) {
 	final := opts.FinalIters
 	if final <= 0 {
 		final = 4
 	}
 
-	cands := scheduleCandidates()
-	inc := incumbent(&dc)
-	incIdx := -1
-	for i, c := range cands {
-		if c == inc {
-			incIdx = i
-			break
-		}
-	}
-	if incIdx < 0 { // e.g. an off-ladder explicit bucket size
-		incIdx = len(cands)
-		cands = append(cands, inc)
-	}
-
 	probeCfg := dc
 	probeCfg.RunCfg, probeCfg.Dataset = nil, nil
+	probeCfg.Iters = final
 	if probeCfg.Pools == nil {
 		pools := cluster.NewPools()
 		defer pools.Close()
@@ -168,42 +152,26 @@ func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *Autotune
 	if probeCfg.Workspaces == nil {
 		probeCfg.Workspaces = NewDistWorkspaces()
 	}
+	probe := func(c scheduleCandidate) float64 { return mustRun(c.apply(probeCfg)).IterSeconds }
 
-	type probeKey struct{ cand, iters int }
-	memo := make(map[probeKey]float64)
-	obj := func(cand, iters int) float64 {
-		k := probeKey{cand, iters}
-		if v, ok := memo[k]; ok {
-			return v
+	inc := incumbent(&dc)
+	best, base := inc, probe(inc)
+	bestT, probes := base, 1
+	for _, c := range scheduleCandidates() {
+		if c == inc {
+			continue
 		}
-		c := cands[cand].apply(probeCfg)
-		c.Iters = iters
-		v := mustRun(c).IterSeconds
-		memo[k] = v
-		return v
-	}
-	res := autotune.Search(len(cands), obj, autotune.Options{
-		ProbeIters:    1,
-		FinalIters:    final,
-		MaxCandidates: opts.MaxCandidates,
-		Include:       []int{incIdx},
-	})
-
-	// Head-to-head at the final budget: the incumbent may have been halved
-	// away on a cheap probe, so re-probe it (memoized if it survived) and
-	// keep it unless the winner is strictly faster.
-	base := obj(incIdx, final)
-	best, bestT := res.Best, res.BestCost
-	if base <= bestT {
-		best, bestT = incIdx, base
+		probes++
+		if t := probe(c); t < bestT {
+			best, bestT = c, t
+		}
 	}
 	rep := &AutotuneReport{
-		Candidates:      len(cands),
-		Probed:          res.Pool,
-		Probes:          len(memo),
+		Candidates:      probes,
+		Probes:          probes,
 		BaselineSeconds: base,
 		TunedSeconds:    bestT,
-		Schedule:        cands[best].String(),
+		Schedule:        best.String(),
 	}
-	return cands[best].apply(dc), rep
+	return best.apply(dc), rep
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -25,9 +26,10 @@ func measure(dc DistConfig, iters int) float64 {
 
 // TestAutotuneNeverWorseThanIncumbent is the tuner's contract: whatever
 // schedule dc starts from — the bucketed+overlapped default, the paper's
-// flat-sync pipeline, or a deliberately bad pick — the tuned config's
-// modeled iteration time at the final probe budget is never above the
-// incumbent's.
+// flat-sync pipeline, or a deliberately bad pick off the bucket ladder — the
+// tuned schedule is the argmin of the modelled iteration time at the probe
+// budget over every enumerated candidate and the incumbent, and the report
+// counts one probe per candidate.
 func TestAutotuneNeverWorseThanIncumbent(t *testing.T) {
 	pools := cluster.NewPools()
 	defer pools.Close()
@@ -38,22 +40,33 @@ func TestAutotuneNeverWorseThanIncumbent(t *testing.T) {
 	}{
 		{"default", func(*DistConfig) {}},
 		{"flat-sync", flatSync},
-		// 1 MiB buckets are off the search ladder: this exercises the appended incumbent.
+		// 1 MiB buckets are off the search ladder: this exercises the extra incumbent probe.
 		{"sync-tree-1MiB", all(flatSync, bucket(1<<20), algo(comm.BinaryTree))},
 	}
 	const final = 4
 	for _, inc := range incumbents {
 		dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
 		inc.set(&dc)
-		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: final, MaxCandidates: 12})
-		if rep.TunedSeconds > rep.BaselineSeconds {
-			t.Errorf("%s: report claims tuned (%g) worse than incumbent (%g)",
-				inc.name, rep.TunedSeconds, rep.BaselineSeconds)
+		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: final})
+		got := measure(tuned, final)
+		if got != rep.TunedSeconds || rep.TunedSeconds > rep.BaselineSeconds {
+			t.Errorf("%s: tuned %q measures %g s/iter, report says %g (incumbent %g)",
+				inc.name, rep.Schedule, got, rep.TunedSeconds, rep.BaselineSeconds)
 		}
-		got, want := measure(tuned, final), measure(dc, final)
-		if got > want+1e-12 {
-			t.Errorf("%s: tuned schedule %q measures %g s/iter, incumbent %g",
-				inc.name, rep.Schedule, got, want)
+		cands := scheduleCandidates()
+		wantCands := len(cands)
+		if !slices.Contains(cands, incumbent(&dc)) {
+			wantCands++
+		}
+		for _, c := range append(cands, incumbent(&dc)) {
+			if other := measure(c.apply(dc), final); got > other {
+				t.Errorf("%s: tuned %q measures %g s/iter, candidate %q %g",
+					inc.name, rep.Schedule, got, c, other)
+			}
+		}
+		if rep.Probes != rep.Candidates || rep.Candidates != wantCands {
+			t.Errorf("%s: %d probes over %d candidates, want %d of each",
+				inc.name, rep.Probes, rep.Candidates, wantCands)
 		}
 		if tuned.Iters != dc.Iters || tuned.Cfg.Name != dc.Cfg.Name {
 			t.Errorf("%s: tuner must only touch schedule knobs", inc.name)
@@ -77,7 +90,7 @@ func TestAutotuneBeatsFlatSyncBaseline(t *testing.T) {
 }
 
 // TestAutotuneBeatsDefaultAtHeadlineScale is the exposure the figure
-// quotes: at the 64-rank strong-scaling headline, searching the full space
+// quotes: at the 64-rank strong-scaling headline, probing the full space
 // strictly beats the hand-picked default (bucketed+overlapped 64 MiB ring)
 // — the hierarchical two-level cost model wins on the pruned fat tree.
 func TestAutotuneBeatsDefaultAtHeadlineScale(t *testing.T) {
@@ -99,15 +112,15 @@ func TestAutotuneBeatsDefaultAtHeadlineScale(t *testing.T) {
 }
 
 // TestAutotuneDeterminism: equal options replay the identical search —
-// same schedule, same report — because sampling draws from the
-// counter-based stream and the virtual-time objective is deterministic.
+// same schedule, same report — because the virtual-time objective is
+// deterministic.
 func TestAutotuneDeterminism(t *testing.T) {
 	pools := cluster.NewPools()
 	defer pools.Close()
 	wss := NewDistWorkspaces()
 	run := func() (DistConfig, AutotuneReport) {
 		dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
-		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: 2, MaxCandidates: 16})
+		tuned, rep := AutotuneDistConfig(dc, AutotuneOpts{FinalIters: 2})
 		return tuned, *rep
 	}
 	t1, r1 := run()
@@ -126,8 +139,7 @@ func TestAutotuneDeterminism(t *testing.T) {
 // the probe runs reuse the same workspaces across all candidate
 // schedules, so only the probe's virtual time grows with the budget.
 // Structured like distAllocsPerIter: two searches identical except for the
-// deciding round's length are differenced, cancelling the fixed search
-// bookkeeping.
+// probe budget are differenced, cancelling the fixed per-probe bookkeeping.
 func TestAutotuneProbingZeroAllocsPerIter(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
@@ -136,22 +148,18 @@ func TestAutotuneProbingZeroAllocsPerIter(t *testing.T) {
 	defer pools.Close()
 	wss := NewDistWorkspaces()
 	search := func(final int) func() {
-		o := AutotuneOpts{FinalIters: final, MaxCandidates: 12}
 		return func() {
 			dc := autotuneBase(Small, 4, Small.GlobalMB, pools, wss)
-			AutotuneDistConfig(dc, o)
+			AutotuneDistConfig(dc, AutotuneOpts{FinalIters: final})
 		}
 	}
-	search(64)() // warmup: sizes workspaces for every probed schedule
-	short := testing.AllocsPerRun(5, search(33))
-	long := testing.AllocsPerRun(5, search(64))
-	// Both searches halve 13 candidates (12 sampled + incumbent) over seven
-	// rounds of 1, 2, 4 … 32 iterations and differ only in the last: 33 or
-	// 64 iterations, so the long one simulates at least 31 more; a
-	// per-iteration allocation would add ≥ 31 allocs. Scheduler jitter
-	// across the cluster runs accounts for a few allocs either way, so the
-	// bound is not exact equality.
-	if long-short >= 13 {
-		t.Errorf("probing allocates per iteration: %v allocs deciding at 33 iters vs %v at 64", short, long)
+	search(8)() // warmup: sizes workspaces for every probed schedule
+	short := testing.AllocsPerRun(3, search(4))
+	long := testing.AllocsPerRun(3, search(8))
+	// Both searches probe all 132 candidates once, for 4 or 8 iterations, so
+	// the long one simulates 528 more; a per-iteration allocation would add
+	// ≥ 528 allocs. The bound is one alloc per probe, not exact equality.
+	if n := float64(len(scheduleCandidates())); long-short >= n {
+		t.Errorf("probing allocates per iteration: %v allocs probing 4 iters vs %v at 8", short, long)
 	}
 }

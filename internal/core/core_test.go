@@ -12,7 +12,6 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/mlp"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // tinyConfig is a laptop-sized DLRM for functional tests.
@@ -246,11 +245,20 @@ func TestBF16SplitTrainsCloseToFP32(t *testing.T) {
 	}
 }
 
-func TestProfilerBreakdownCoversPhases(t *testing.T) {
-	tr, _ := fit(tinyConfig(), 1, 2, 0.05, 1, func(tr *Trainer) { tr.Prof = trace.NewProfile() })
-	for _, key := range []string{"embeddings", "mlp", "rest"} {
-		if tr.Prof.Total(key) == 0 {
-			t.Errorf("phase %q not profiled", key)
+// TestStepPhaseTimesCoverPhases: Step times every Fig. 8 phase, and
+// ResetPhaseTimes zeroes them all.
+func TestStepPhaseTimesCoverPhases(t *testing.T) {
+	tr, _ := fit(tinyConfig(), 1, 2, 0.05, 1)
+	keys := []string{"embeddings", "mlp", "rest"}
+	for _, key := range keys {
+		if tr.PhaseTime(key) == 0 {
+			t.Errorf("phase %q not timed", key)
+		}
+	}
+	tr.ResetPhaseTimes()
+	for _, key := range keys {
+		if d := tr.PhaseTime(key); d != 0 {
+			t.Errorf("phase %q reads %v after ResetPhaseTimes", key, d)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/loss"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
 )
 
 // Precision selects the training numerics of §VII.
@@ -59,20 +58,20 @@ type Trainer struct {
 	FusedEmbedding bool
 	LR             float32
 	Prec           Precision
-	// Prof, when non-nil, accumulates wall time per phase (embeddings, mlp,
-	// rest) for the Fig. 8 breakdown.
-	Prof *trace.Profile
 
 	// dc is the one-rank iteration: its plan is rebuilt when the batch size
 	// changes, and only its kernels are read — the charges are the
 	// simulator's. x runs them on M with the trainer's numerics, on the
 	// caller's batch (rb); every buffer it reuses across steps is in its
 	// workspace or the model's, so the steady-state step is allocation-free.
-	dc   DistConfig
-	plan *plan
-	x    *executor
-	rb   data.RankBatch
-	pred *Predictor // Predict's forward-only path, built on first use
+	// stepTime[i] is the host time Step has spent in plan.iter[i] since the
+	// plan was built or ResetPhaseTimes last ran.
+	dc       DistConfig
+	plan     *plan
+	stepTime []time.Duration
+	x        *executor
+	rb       data.RankBatch
+	pred     *Predictor // Predict's forward-only path, built on first use
 }
 
 // NewTrainer builds a trainer over model m with the given embedding-update
@@ -96,12 +95,13 @@ var phases = [nKernels]string{
 }
 
 // Step runs one training iteration on mb and returns the minibatch loss.
-// Phase timing is recorded with explicit start/stop stamps (not closures) so
-// the steady-state step performs zero heap allocations.
+// Each kernel step's host time is added to stepTime with a start/stop stamp
+// (not a closure), so the steady-state step performs zero heap allocations.
 func (tr *Trainer) Step(mb *data.MiniBatch) float64 {
 	if tr.plan == nil || tr.dc.GlobalN != mb.N {
 		tr.dc.GlobalN = mb.N
 		tr.plan = tr.dc.buildPlan()
+		tr.stepTime = make([]time.Duration, len(tr.plan.iter))
 		tr.x.ws.prepare(&tr.dc, 0)
 	}
 	x := tr.x
@@ -109,18 +109,32 @@ func (tr *Trainer) Step(mb *data.MiniBatch) float64 {
 	tr.rb.Local, tr.rb.Owned = mb, mb.Sparse
 	for i := range tr.plan.iter {
 		s := &tr.plan.iter[i]
-		phase := phases[s.kernel]
-		switch {
-		case phase == "":
-		case tr.Prof == nil:
-			x.run(s, 0)
-		default:
-			t0 := time.Now()
-			x.run(s, 0)
-			tr.Prof.Add(phase, time.Since(t0))
+		if phases[s.kernel] == "" {
+			continue
 		}
+		t0 := time.Now()
+		x.run(s, 0)
+		tr.stepTime[i] += time.Since(t0)
 	}
 	return x.loss
+}
+
+// PhaseTime returns the host time Step has spent in the Fig. 8 phase
+// ("embeddings", "mlp" or "rest") since the plan was built — the first Step,
+// or the first after a batch-size change — or ResetPhaseTimes last ran.
+func (tr *Trainer) PhaseTime(phase string) time.Duration {
+	var d time.Duration
+	for i, t := range tr.stepTime {
+		if phases[tr.plan.iter[i].kernel] == phase {
+			d += t
+		}
+	}
+	return d
+}
+
+// ResetPhaseTimes zeroes the per-phase times, e.g. after a warm-up step.
+func (tr *Trainer) ResetPhaseTimes() {
+	clear(tr.stepTime)
 }
 
 // RunOpts configures Trainer.Run: the data source is part of the run

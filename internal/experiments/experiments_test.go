@@ -617,7 +617,7 @@ func TestBucketFigShape(t *testing.T) {
 
 // TestAutotuneFigShape smoke-tests the self-tuning schedule figure: one row
 // per Fig. 9/12 scale, tuned never worse than the shipped default on every
-// row (the tuner's head-to-head contract), and — the figure's point —
+// row (the incumbent is probed and kept on a tie), and — the figure's point —
 // strictly better on at least one scale.
 func TestAutotuneFigShape(t *testing.T) {
 	t.Parallel()

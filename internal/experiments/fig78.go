@@ -9,7 +9,6 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/gemm"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // fig78Size sizes the single-socket end-to-end runs of Figs. 7 and 8:
@@ -66,19 +65,19 @@ func fig78(o Opts) (fig7, fig8 *Table) {
 		for _, strat := range embedding.Strategies {
 			m := core.NewModel(cs.cfg, 16, 99)
 			tr := core.NewTrainer(m, pool, strat, 0.1, core.FP32)
-			tr.Prof = trace.NewProfile()
 			batches := make([]*data.MiniBatch, iters)
 			for i := range batches {
 				batches[i] = cs.ds.Batch(i, mb)
 			}
 			tr.Step(batches[0]) // warm-up
-			tr.Prof.Reset()
+			tr.ResetPhaseTimes()
 			start := time.Now()
 			for _, b := range batches {
 				tr.Step(b)
 			}
 			perIter := time.Since(start).Seconds() / float64(iters)
-			embIter := tr.Prof.Total("embeddings").Seconds() / float64(iters)
+			emb, mlp, rest := tr.PhaseTime("embeddings"), tr.PhaseTime("mlp"), tr.PhaseTime("rest")
+			embIter := emb.Seconds() / float64(iters)
 			if strat == embedding.Reference {
 				refTime, refEmb = perIter, embIter
 			}
@@ -89,12 +88,9 @@ func fig78(o Opts) (fig7, fig8 *Table) {
 			}
 			fig7.AddRow(cs.name, strat.String(), ms(perIter), speedup, ms(embIter), embSpeedup)
 
-			sum := tr.Prof.Sum().Seconds()
-			if sum > 0 {
+			if sum := (emb + mlp + rest).Seconds(); sum > 0 {
 				fig8.AddRow(cs.name, strat.String(),
-					pct(tr.Prof.Total("embeddings").Seconds()/sum),
-					pct(tr.Prof.Total("mlp").Seconds()/sum),
-					pct(tr.Prof.Total("rest").Seconds()/sum))
+					pct(emb.Seconds()/sum), pct(mlp.Seconds()/sum), pct(rest.Seconds()/sum))
 			}
 		}
 	}

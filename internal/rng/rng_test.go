@@ -4,7 +4,7 @@ import "testing"
 
 // TestStreamIsSplitMix64 pins the generator to the published splitmix64
 // outputs from state 0, and Key, Mix and Float64 to their definitions: every
-// dataset, churn schedule, autotune pool and arrival stream in the repo is
+// dataset, churn schedule and arrival stream in the repo is
 // derived from these, so a change here changes all of them.
 func TestStreamIsSplitMix64(t *testing.T) {
 	var g Stream
