@@ -245,20 +245,32 @@ func TestBF16SplitTrainsCloseToFP32(t *testing.T) {
 	}
 }
 
-// TestStepPhaseTimesCoverPhases: Step times every Fig. 8 phase, and
-// ResetPhaseTimes zeroes them all.
-func TestStepPhaseTimesCoverPhases(t *testing.T) {
+// TestProfilerBreakdownCoversPhases: Step times every Fig. 8 phase.
+func TestProfilerBreakdownCoversPhases(t *testing.T) {
 	tr, _ := fit(tinyConfig(), 1, 2, 0.05, 1)
-	keys := []string{"embeddings", "mlp", "rest"}
-	for _, key := range keys {
+	for _, key := range []string{"embeddings", "mlp", "rest"} {
 		if tr.PhaseTime(key) == 0 {
 			t.Errorf("phase %q not timed", key)
 		}
 	}
+}
+
+// TestResetPhaseTimes: ResetPhaseTimes zeroes every phase, and the next
+// Step times them again from zero.
+func TestResetPhaseTimes(t *testing.T) {
+	cfg := tinyConfig()
+	tr, _ := fit(cfg, 1, 2, 0.05, 1)
+	keys := []string{"embeddings", "mlp", "rest"}
 	tr.ResetPhaseTimes()
 	for _, key := range keys {
 		if d := tr.PhaseTime(key); d != 0 {
 			t.Errorf("phase %q reads %v after ResetPhaseTimes", key, d)
+		}
+	}
+	tr.Step(tinyDataset(cfg).Batch(1, cfg.MB))
+	for _, key := range keys {
+		if tr.PhaseTime(key) == 0 {
+			t.Errorf("phase %q not timed after ResetPhaseTimes", key)
 		}
 	}
 }
