@@ -67,6 +67,14 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown backend %q", *backendName)
 	}
+	// The fat tree spans 1..64 sockets and panics outside that range, before
+	// serve.Config.Validate could name the problem.
+	if *replicas < 1 || *replicas > 64 {
+		log.Fatalf("-replicas %d: the fabric spans 1..64 sockets", *replicas)
+	}
+	if !(*rowScale > 0) {
+		log.Fatalf("-rowscale %g: need a positive scale", *rowScale)
+	}
 
 	base := serve.Config{
 		Cfg:        cfg,

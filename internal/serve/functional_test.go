@@ -2,7 +2,10 @@ package serve
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -41,6 +44,26 @@ func functionalConfig(b int) Config {
 		RunCfg:     &run,
 		Dataset:    serveDataset(run),
 	}
+}
+
+// serveFuncConfig is the serve-func benchmark's shape over the functional
+// model: the Small config priced across 8 replicas, policy B32 / w2 ms with
+// an SLO of 2·(MaxWait + service), the request log replayed at 0.9 ×
+// modelled capacity.
+func serveFuncConfig(tb testing.TB, requests int) Config {
+	tb.Helper()
+	c := functionalConfig(32)
+	c.Replicas, c.Topo = 8, fabric.NewPrunedFatTree(8, 12.5e9)
+	c.Policy.MaxWait = 2e-3
+	svc, err := c.ServiceTime(c.Policy.MaxBatch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.Policy.SLO = 2 * (c.Policy.MaxWait + svc)
+	c.OfferedQPS = 0.9 * float64(c.Replicas*c.Policy.MaxBatch) / svc
+	c.Requests = requests
+	c.Dataset = data.NewRequestLog(c.Seed, c.RunCfg.DenseIn, c.RunCfg.Rows, c.RunCfg.Lookups)
+	return c
 }
 
 // TestServeFunctionalParity pins the functional guarantee: whatever batch a
@@ -157,5 +180,71 @@ func TestServeFunctionalShedMarksNaN(t *testing.T) {
 	}
 	if nan != res.Shed || served != res.Served {
 		t.Fatalf("Preds mark %d NaN / %d served, result says %d / %d", nan, served, res.Shed, res.Served)
+	}
+}
+
+// faultyFill serves its dataset's requests but breaks the at-th FillRange:
+// with panic it panics there; without, it returns a batch with one bag too
+// many, which the serving replica's first table Forward rejects.
+type faultyFill struct {
+	data.Dataset
+	at, calls int
+	panic     bool
+}
+
+func (d *faultyFill) FillRange(i, n, lo, hi int, mb *data.MiniBatch) {
+	d.calls++
+	if d.calls == d.at && d.panic {
+		panic("faultyFill: fill panics")
+	}
+	d.Dataset.FillRange(i, n, lo, hi, mb)
+	if d.calls == d.at {
+		mb.Sparse[0].Offsets = append(mb.Sparse[0].Offsets, mb.Sparse[0].Offsets[mb.N])
+	}
+}
+
+// TestServeFunctionalPanicJoinsHelper pins the evaluation pass's goroutine
+// lifetime: a panic in the third batch's fill (on the helper goroutine) or
+// in its forward (on the caller's) comes out of Run on the caller's
+// goroutine, no goroutine outlives the Run, the workspace is released, and
+// the same workspace then serves a normal run exactly as a fresh one does.
+func TestServeFunctionalPanicJoinsHelper(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		panic      bool
+	}{
+		{"fill panics", "faultyFill: fill panics", true},
+		{"forward panics", "embedding: forward out len", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := functionalConfig(4) // eight batches: a forward panic leaves fills to stop
+			c.Workspaces = NewWorkspaces()
+			c.Pools = cluster.NewPools()
+			defer c.Pools.Close()
+			mustRun(t, c) // build the replicas and start every pool worker
+			before := runtime.NumGoroutine()
+
+			bad := c
+			bad.Dataset = &faultyFill{Dataset: c.Dataset, at: 3, panic: tc.panic}
+			var p any
+			func() {
+				defer func() { p = recover() }()
+				Run(bad)
+			}()
+			if msg, _ := p.(string); !strings.Contains(msg, tc.want) {
+				t.Fatalf("Run panicked with %v, want a panic with %q", p, tc.want)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the panic, %d before the Run", runtime.NumGoroutine(), before)
+				}
+			}
+			if c.Workspaces.inUse.Load() {
+				t.Fatal("a panicking Run kept the workspace")
+			}
+			fresh := c
+			fresh.Workspaces = NewWorkspaces()
+			sameResult(t, "after the panic", mustRun(t, c), mustRun(t, fresh))
+		})
 	}
 }

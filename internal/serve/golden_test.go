@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/data"
-	"repro/internal/fabric"
 )
 
 // resultHash is the SHA-256 of a functional run's answers: Served, Shed and
@@ -42,30 +40,16 @@ func goldenServeRuns(t *testing.T) []struct {
 	c    Config
 } {
 	t.Helper()
-	click := functionalConfig(8)
-
-	log := functionalConfig(32)
-	log.Replicas, log.Topo = 8, fabric.NewPrunedFatTree(8, 12.5e9)
-	log.Policy.MaxWait = 2e-3
-	svc, err := log.ServiceTime(log.Policy.MaxBatch)
+	shed := functionalConfig(8)
+	svc, err := shed.ServiceTime(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.Policy.SLO = 2 * (log.Policy.MaxWait + svc)
-	log.OfferedQPS = 0.9 * float64(log.Replicas*log.Policy.MaxBatch) / svc
-	log.Requests = 300
-	log.Dataset = data.NewRequestLog(log.Seed, log.RunCfg.DenseIn, log.RunCfg.Rows, log.RunCfg.Lookups)
-
-	shed := functionalConfig(8)
-	if svc, err = shed.ServiceTime(1); err != nil {
-		t.Fatal(err)
-	}
 	shed.Policy.SLO = 1.5 * svc
-
 	return []struct {
 		name string
 		c    Config
-	}{{"ClickLog B8", click}, {"RequestLog serve-func", log}, {"shedding", shed}}
+	}{{"ClickLog B8", functionalConfig(8)}, {"RequestLog serve-func", serveFuncConfig(t, 300)}, {"shedding", shed}}
 }
 
 // goldenServeHashes holds resultHash of goldenServeRuns, in order.

@@ -184,11 +184,13 @@ func (c Config) Validate() error {
 	if c.Policy.MaxBatch < 1 {
 		return fmt.Errorf("serve: Policy.MaxBatch %d, need at least 1", c.Policy.MaxBatch)
 	}
-	if c.Policy.MaxWait < 0 {
-		return fmt.Errorf("serve: negative Policy.MaxWait %g", c.Policy.MaxWait)
+	// NaN and +Inf fail these comparisons too: a NaN deadline serves NaN
+	// latencies, an infinite one an infinite p99, and a NaN SLO sheds nothing.
+	if w := c.Policy.MaxWait; !(w >= 0 && w < math.Inf(1)) {
+		return fmt.Errorf("serve: Policy.MaxWait %g, need a finite value >= 0", w)
 	}
-	if c.Policy.SLO < 0 {
-		return fmt.Errorf("serve: negative Policy.SLO %g", c.Policy.SLO)
+	if !(c.Policy.SLO >= 0) {
+		return fmt.Errorf("serve: Policy.SLO %g, need >= 0", c.Policy.SLO)
 	}
 	if !(c.OfferedQPS > 0) {
 		return fmt.Errorf("serve: OfferedQPS %g, need > 0", c.OfferedQPS)
@@ -474,6 +476,7 @@ func Run(c Config) (*Result, error) {
 	queue := s.ws.queue[:0]
 	repFree := s.ws.repFree
 	lats := s.ws.lat[:0]
+	batches := s.ws.batches[:0]
 	var firstArr, lastDone float64
 	servedSum := 0
 
@@ -525,9 +528,7 @@ func Run(c Config) (*Result, error) {
 				for _, q := range queue[d:] {
 					lats = append(lats, done-q.arr)
 				}
-				if s.preds != nil {
-					s.evalBatch(r, queue[d].id, queue[b-1].id+1, res.Preds)
-				}
+				batches = append(batches, batch{r, queue[d].id, queue[b-1].id + 1})
 			}
 		}
 		res.Shed += d
@@ -557,6 +558,10 @@ func Run(c Config) (*Result, error) {
 
 	s.ws.queue = queue
 	s.ws.lat = lats
+	s.ws.batches = batches
+	if s.preds != nil {
+		s.evaluate(res.Preds)
+	}
 
 	res.Served = servedSum
 	if res.Batches > 0 {
@@ -579,22 +584,65 @@ func Run(c Config) (*Result, error) {
 	return res, nil
 }
 
-// evalBatch computes probabilities for requests [k0, k1) (samples k0..k1 of
-// the one Requests-wide batch) on replica r: each shard owner runs its own
-// tables' bag lookups into the serving replica's staging rows, then the
-// replica runs the dense forward. BN=1 replicas make every probability
-// bit-identical to the same sample through the full single-socket model,
-// whatever batch it rode in.
-func (s *server) evalBatch(r, k0, k1 int, preds []float32) {
-	rep := s.ws.reps[r]
-	bb := k1 - k0
-	s.c.Dataset.FillRange(0, s.c.Requests, k0, k1, &rep.mb)
-	rows := s.preds[r].EmbOut(bb)
-	for t := 0; t < s.c.Cfg.Tables; t++ {
-		o := core.TableOwner(t, s.c.Replicas)
-		s.preds[o].M.Tables[t].Forward(s.preds[o].Pool, rep.mb.Sparse[t], rows[t])
+// batch is one served batch as dispatch decided it: replica r serves
+// requests [k0, k1), samples k0..k1 of the one Requests-wide batch.
+type batch struct{ r, k0, k1 int }
+
+// evaluate computes the recorded batches' probabilities into preds, in
+// dispatch order. A helper goroutine fills batch j+1's requests into one
+// slot of the two-slot staging ring while this goroutine runs batch j from
+// the other: each shard owner's bag lookups into the serving replica's
+// staging rows, then the replica's dense forward. A slot is refilled only
+// after its forward has returned. Fills run in dispatch order and forwards
+// one at a time, as a serial loop would run them, so every probability is
+// the same bits; BN=1 replicas make it the same sample's probability
+// through the full single-socket model, whatever batch it rode in.
+//
+// The helper is joined before evaluate returns. A panic in a fill is
+// recovered on the helper and raised again here; a panic in a forward stops
+// the helper before it propagates.
+func (s *server) evaluate(preds []float32) {
+	batches, stage := s.ws.batches, &s.ws.stage
+	// A token per filled and per released slot. At most len(stage) of
+	// either are ever outstanding, so with that buffer no send blocks.
+	filled := make(chan struct{}, len(stage))
+	free := make(chan struct{}, len(stage))
+	stop := make(chan struct{})
+	var fillPanic any
+	go func() {
+		defer close(filled)
+		defer func() { fillPanic = recover() }()
+		for j, b := range batches {
+			if j >= len(stage) {
+				select {
+				case <-free:
+				case <-stop:
+					return
+				}
+			}
+			s.c.Dataset.FillRange(0, s.c.Requests, b.k0, b.k1, &stage[j%len(stage)])
+			filled <- struct{}{}
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range filled { // the helper closes filled as it exits
+		}
+		if fillPanic != nil {
+			panic(fillPanic)
+		}
+	}()
+	for j, b := range batches {
+		if _, ok := <-filled; !ok {
+			return // the helper panicked; the deferred join raises it here
+		}
+		mb := &stage[j%len(stage)]
+		rows := s.preds[b.r].EmbOut(b.k1 - b.k0)
+		for t := 0; t < s.c.Cfg.Tables; t++ {
+			o := core.TableOwner(t, s.c.Replicas)
+			s.preds[o].M.Tables[t].Forward(s.preds[o].Pool, mb.Sparse[t], rows[t])
+		}
+		s.preds[b.r].PredictDense(mb.Dense, rows, preds[b.k0:b.k1])
+		free <- struct{}{}
 	}
-	out := rep.out[:bb]
-	s.preds[r].PredictDense(rep.mb.Dense, rows, out)
-	copy(preds[k0:k1], out)
 }

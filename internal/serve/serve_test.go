@@ -68,7 +68,10 @@ func TestServeValidate(t *testing.T) {
 		{"socket without gemm efficiency", func(c *Config) { c.Socket.GemmEff = 0 }, "GemmEff"},
 		{"zero max batch", func(c *Config) { c.Policy.MaxBatch = 0 }, "MaxBatch"},
 		{"negative max wait", func(c *Config) { c.Policy.MaxWait = -1 }, "MaxWait"},
+		{"NaN max wait", func(c *Config) { c.Policy.MaxWait = math.NaN() }, "MaxWait NaN"},
+		{"infinite max wait", func(c *Config) { c.Policy.MaxWait = math.Inf(1) }, "MaxWait +Inf"},
 		{"negative slo", func(c *Config) { c.Policy.SLO = -1 }, "SLO"},
+		{"NaN slo", func(c *Config) { c.Policy.SLO = math.NaN() }, "SLO NaN"},
 		{"zero qps", func(c *Config) { c.OfferedQPS = 0 }, "OfferedQPS"},
 		{"zero requests", func(c *Config) { c.Requests = 0 }, "Requests"},
 		{"dataset without runcfg", func(c *Config) { c.Dataset = serveDataset(functionalModel()) }, "both RunCfg and Dataset"},

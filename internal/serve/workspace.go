@@ -13,12 +13,13 @@ import (
 
 // Workspaces carries the serving tier's reusable state across runs: the
 // dispatcher queue, per-replica busy-until clock, the latency sample, the
-// fan-in pricer's flow scratch, per-replica functional staging (minibatch
-// and output buffers), and the functional replica set itself — one
-// core.Predictor per replica over its shard of core.NewModelShards: its own
-// tables and one dense half (MLPs, interaction) all replicas share. That is
-// exact: serving never writes a weight, the dispatcher evaluates one replica
-// at a time, and a Workspaces refuses a second concurrent Run. It leaves the
+// fan-in pricer's flow scratch, the record of served batches, the
+// evaluation pass's two staging minibatches, and the functional replica set
+// itself — one core.Predictor per replica over its shard of
+// core.NewModelShards: its own tables and one dense half (MLPs,
+// interaction) all replicas share. That is exact: serving never writes a
+// weight, the evaluation pass runs one forward at a time, and a Workspaces
+// refuses a second concurrent Run. It leaves the
 // host what each modelled socket has, one copy of the MLP weights per cache,
 // not R copies contending for one LLC. The set is keyed by what determines
 // its weights: a deep copy of RunCfg, Seed and Replicas. A functional run
@@ -37,16 +38,11 @@ type Workspaces struct {
 	lat     []float64
 	perSrc  []float64
 	fanin   comm.FanIn
-	reps    []*replicaSpace
+	batches []batch           // the served batches, in dispatch order
+	stage   [2]data.MiniBatch // the evaluation pass's fill / forward ring
 
 	key   replicaKey
 	preds []*core.Predictor // the replica set built for key; nil until then
-}
-
-// replicaSpace is one replica's functional staging.
-type replicaSpace struct {
-	mb  data.MiniBatch
-	out []float32
 }
 
 // replicaKey is what a replica set's weights are a function of. cfg owns
@@ -79,17 +75,6 @@ func (ws *Workspaces) prepare(c Config) {
 	}
 	ws.perSrc = ws.perSrc[:c.Replicas]
 	ws.fanin.Topo = c.Topo
-	if c.RunCfg != nil {
-		for len(ws.reps) < c.Replicas {
-			ws.reps = append(ws.reps, &replicaSpace{})
-		}
-		for _, rep := range ws.reps[:c.Replicas] {
-			if cap(rep.out) < c.Policy.MaxBatch {
-				rep.out = make([]float32, c.Policy.MaxBatch)
-			}
-			rep.out = rep.out[:c.Policy.MaxBatch]
-		}
-	}
 }
 
 // replicas returns functional config c's replica set, building it unless
