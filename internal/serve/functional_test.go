@@ -184,17 +184,17 @@ func TestServeFunctionalShedMarksNaN(t *testing.T) {
 }
 
 // faultyFill serves its dataset's requests but breaks the at-th FillRange:
-// with panic it panics there; without, it returns a batch with one bag too
-// many, which the serving replica's first table Forward rejects.
+// with panics set it panics there; without, it returns a batch with one bag
+// too many, which the serving replica's first table Forward rejects.
 type faultyFill struct {
 	data.Dataset
 	at, calls int
-	panic     bool
+	panics    bool
 }
 
 func (d *faultyFill) FillRange(i, n, lo, hi int, mb *data.MiniBatch) {
 	d.calls++
-	if d.calls == d.at && d.panic {
+	if d.calls == d.at && d.panics {
 		panic("faultyFill: fill panics")
 	}
 	d.Dataset.FillRange(i, n, lo, hi, mb)
@@ -211,7 +211,7 @@ func (d *faultyFill) FillRange(i, n, lo, hi int, mb *data.MiniBatch) {
 func TestServeFunctionalPanicJoinsHelper(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		panic      bool
+		panics     bool
 	}{
 		{"fill panics", "faultyFill: fill panics", true},
 		{"forward panics", "embedding: forward out len", false},
@@ -225,7 +225,7 @@ func TestServeFunctionalPanicJoinsHelper(t *testing.T) {
 			before := runtime.NumGoroutine()
 
 			bad := c
-			bad.Dataset = &faultyFill{Dataset: c.Dataset, at: 3, panic: tc.panic}
+			bad.Dataset = &faultyFill{Dataset: c.Dataset, at: 3, panics: tc.panics}
 			var p any
 			func() {
 				defer func() { p = recover() }()
