@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,6 +49,24 @@ func main() {
 	embCache := flag.Int("emb-cache-bytes", 0, "with -dist: per-rank hot-row cache budget; 0 keeps shards in RAM")
 	coldBW := flag.Float64("cold-bw", 0, "with -dist: cold-tier bandwidth in B/s (required with -emb-cache-bytes)")
 	flag.Parse()
+
+	// Checked before any model is built: a bad value would otherwise train
+	// (-rowscale 0 or -1) or fail only after the build.
+	if !(*rowScale > 0) || math.IsInf(*rowScale, 1) {
+		log.Fatalf("-rowscale %g: need a positive, finite scale", *rowScale)
+	}
+	if math.IsNaN(*lr) || math.IsInf(*lr, 0) {
+		log.Fatalf("-lr %g: need a finite learning rate", *lr)
+	}
+	if *iters < 1 {
+		log.Fatalf("-iters %d: need at least 1", *iters)
+	}
+	if *mb < 0 {
+		log.Fatalf("-mb %d: need 0 (the config's default) or more", *mb)
+	}
+	if *evalEvery < 0 {
+		log.Fatalf("-eval %d: need 0 (off) or more", *evalEvery)
+	}
 
 	cfg, ok := map[string]core.Config{
 		"small":  core.Small,

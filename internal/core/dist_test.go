@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/fabric"
 	"repro/internal/par"
@@ -316,4 +317,34 @@ func TestWeakScalingEfficiencyHigherThanStrong(t *testing.T) {
 	if weakEff < strongEff {
 		t.Fatalf("weak efficiency %.2f must exceed strong %.2f", weakEff, strongEff)
 	}
+}
+
+// BenchmarkDistFunc4Run is the benchmark's dist-func4 op in-tree: one
+// functional Run of 10 iterations of the 26-table mini-MLPerf (MLPerf's
+// layer counts, rows ÷ 1024, E = 32) on 4 rank goroutines at GlobalN 1024,
+// sharded loaders and a 1 MiB hot-row cache per rank, over shared Pools and
+// Workspaces after one untimed warm-up Run. Every Run builds its model
+// shards, so the per-Run fixed cost can be profiled here (-cpuprofile).
+func BenchmarkDistFunc4Run(b *testing.B) {
+	run := Config{
+		Name: "MLPerf-mini", MB: 1024, GlobalMB: 1024, LocalMB: 256,
+		Lookups: 1, Tables: 26, EmbDim: 32, Rows: data.ScaleRows(data.CriteoTBRows, 1.0/1024),
+		DenseIn: 13, BotHidden: []int{128, 64}, TopHidden: []int{128, 128, 64},
+	}
+	pools := cluster.NewPools()
+	defer pools.Close()
+	dc := DistConfig{
+		Cfg: MLPerf, RunCfg: &run, Ranks: 4, GlobalN: 1024, Iters: 10,
+		Variant: Variant{Strategy: Alltoall, Backend: cluster.CCLBackend},
+		Topo:    fabric.NewPrunedFatTree(4, 12.5e9), Socket: perfmodel.CLX8280,
+		Loader: LoaderSharded, EmbCacheBytes: 1 << 20, ColdTierBW: DefaultColdTierBW,
+		Dataset: data.NewClickLog(1, run.DenseIn, run.Rows, run.Lookups),
+		Seed:    1, LR: 0.5, Pools: pools, Workspaces: NewDistWorkspaces(),
+	}
+	mustRun(dc)
+	b.ReportAllocs()
+	for b.Loop() {
+		mustRun(dc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dc.Iters)/1e6, "ms/iter")
 }

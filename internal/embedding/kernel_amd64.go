@@ -36,6 +36,15 @@ func gatherSlotsAVX512(bits *uint64, slots *atomic.Uint64, nslots int, idx *int3
 //go:noescape
 func gatherSlotsAVX2(bits *uint64, slots *atomic.Uint64, nslots int, idx *int32, n int)
 
+// The seeded initializer's draw-and-convert pass of seeded_amd64.s; see
+// lfStream.fill for the contract.
+
+//go:noescape
+func lfFillAVX512(x *uint64, w *float32, n int, scale float32) int
+
+//go:noescape
+func lfFillAVX2(x *uint64, w *float32, n int, scale float32) int
+
 var (
 	kernelAVX512 = &rowKernel{isa: "avx512", sum: bagSumAVX512, update: updateRowsAVX512}
 	kernelAVX2   = &rowKernel{isa: "avx2", sum: bagSumAVX2, update: updateRowsAVX2}
@@ -61,6 +70,18 @@ func (k *rowKernel) gather(bits *uint64, slots *atomic.Uint64, nslots int, idx *
 	} else {
 		gatherSlotsAVX2(bits, slots, nslots, idx, n)
 	}
+}
+
+// lfFill draws the n outputs that follow x[-lfLag:] into x[:n] and
+// converts them into w[:n], stopping before the first vector of lfLanes
+// that holds a 1; n is a positive multiple of lfLanes. It returns the
+// outputs converted: n, or where that vector starts. Called directly, as
+// zipfX is, so that the stream may stay on the caller's stack.
+func (k *rowKernel) lfFill(x *uint64, w *float32, n int, scale float32) int {
+	if k == kernelAVX512 {
+		return lfFillAVX512(x, w, n, scale)
+	}
+	return lfFillAVX2(x, w, n, scale)
 }
 
 // detectKernels returns the vector kernels this CPU and OS can run, best

@@ -13,28 +13,37 @@ import "math/rand"
 // the recurrence (see lfStream).
 func NewTableSeeded(m, e int, seed int64, scale float32) *Table {
 	t := &Table{M: m, E: e, W: make([]float32, m*e)}
-	var s lfStream
-	s.start(rand.NewSource(seed).(rand.Source64))
-	s.fill(t.W, scale)
+	fillSeeded(t.W, seed, scale)
 	return t
 }
 
+// fillSeeded sets w to the floats NewTableSeeded draws for seed.
+func fillSeeded(w []float32, seed int64, scale float32) {
+	var s lfStream
+	s.start(rand.NewSource(seed).(rand.Source64))
+	s.fill(w, scale)
+}
+
 const (
-	lfLag   = 607 // math/rand's rngLen: the long lag
-	lfTap   = 273 // math/rand's rngTap: the short lag
-	lfBlock = 4 * lfTap
+	lfLag   = 607         // math/rand's rngLen: the long lag
+	lfTap   = 273         // math/rand's rngTap: the short lag
+	lfBlock = 4*lfTap + 4 // a multiple of lfLanes, so the kernels take a whole block
+	// lfLanes is the vector kernels' step: they take outputs in multiples
+	// of it.
+	lfLanes = 8
 )
 
 // lfStream continues a math/rand source's output stream. buf holds lfLag
-// outputs followed by the block generated from them, with no interface call
-// and no modulo index: within a run of lfTap outputs no output depends on
-// another, and every later one reads a value written lfTap places earlier.
-// pos starts at 0, where the source's own outputs are still to be handed
-// out, and at lfLag after each refill, which moves the newest lfLag outputs
-// to the front.
+// outputs followed by a block extended from them by the recurrence, with no
+// interface call and no modulo index: every output reads values lfLag and
+// lfTap places before it. buf[:end] is drawn, and buf[pos:end] is drawn but
+// not yet handed out. After start, pos is 0, where the source's own outputs
+// are still to be handed out; when the block is used up, the newest lfLag
+// outputs move to the front and pos = end = lfLag.
 type lfStream struct {
 	buf [lfLag + lfBlock]uint64
 	pos int // next output to hand out
+	end int // end of the drawn outputs
 }
 
 // start takes src's next lfLag outputs, to hand out src's stream from there.
@@ -42,14 +51,19 @@ func (s *lfStream) start(src rand.Source64) {
 	for i := range lfLag {
 		s.buf[i] = src.Uint64()
 	}
-	s.generate()
+	s.pos, s.end = 0, lfLag
 }
 
-// generate fills the block after the history from the recurrence.
-func (s *lfStream) generate() {
-	for i := lfLag; i < len(s.buf); i++ {
-		s.buf[i] = s.buf[i-lfLag] + s.buf[i-lfTap]
+// generate draws the next n outputs from the recurrence.
+func (s *lfStream) generate(n int) {
+	out := s.buf[s.end : s.end+n]
+	// Views of the same length, so the loop has no bounds check; tap
+	// overlaps out once n > lfTap, and reads what the loop wrote.
+	old, tap := s.buf[s.end-lfLag:][:n], s.buf[s.end-lfTap:][:n]
+	for i := range out {
+		out[i] = old[i] + tap[i]
 	}
+	s.end += n
 }
 
 // fill sets w[i] = (u*2 - 1) * scale for successive u drawn exactly as
@@ -57,15 +71,39 @@ func (s *lfStream) generate() {
 // float64, drawing again on 1; then rounded to float32, drawing again on 1.
 // A float64 of 1 rounds to a float32 of 1, so one test covers both retries,
 // and each retry consumes one output.
+//
+// On a vector kernel, whole vectors of lfLanes outputs are drawn and
+// converted in one pass (lfFill*, seeded_amd64.s). The Go body below is the
+// oracle and takes what the kernel leaves: the source's own lfLag outputs, a
+// vector holding a 1 (about 3·10⁻⁸ of draws), the block's last few outputs
+// and w's last few floats.
 func (s *lfStream) fill(w []float32, scale float32) {
+	k := kernel
 	for i := 0; i < len(w); {
 		if s.pos == len(s.buf) {
 			copy(s.buf[:lfLag], s.buf[lfBlock:])
-			s.generate()
-			s.pos = lfLag
+			s.pos, s.end = lfLag, lfLag
+		}
+		if s.pos == s.end {
+			n := len(s.buf) - s.end // the Go body draws the rest of the block
+			if k != nil {
+				if v := min(n, len(w)-i) &^ (lfLanes - 1); v > 0 {
+					d := k.lfFill(&s.buf[s.end], &w[i], v, scale)
+					s.pos += d
+					s.end += d
+					i += d
+					if d == v {
+						continue
+					}
+				}
+				// A vector holding a 1, or fewer than lfLanes floats or
+				// outputs left: the Go body takes the next vector.
+				n = min(len(s.buf)-s.end, lfLanes)
+			}
+			s.generate(n)
 		}
 		// Every float takes at least one output, so this never overdraws.
-		out := s.buf[s.pos:]
+		out := s.buf[s.pos:s.end]
 		if len(out) > len(w)-i {
 			out = out[:len(w)-i]
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestNewTableSeededEqualsNewTable holds the fast build to NewTable over a
@@ -83,23 +85,130 @@ func TestFloat32RetriesLikeRand(t *testing.T) {
 	}
 }
 
+// FuzzSeededFillVsGo holds each vector body of lfStream.fill to the Go
+// body: the same floats bit for bit and the same outputs consumed, over two
+// fills in a row from one state. The state is a random history whose last
+// skip words are still to be handed out; near of its words, and near of the
+// first block's outputs (set through the history words they add), sit at a
+// conversion's edge (boundaryWord). The lengths run from 0 to a few blocks.
+func FuzzSeededFillVsGo(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint16(4096), uint16(4096), uint8(0))
+	f.Add(uint64(2), uint16(0), uint16(8200), uint16(13), uint8(40))
+	f.Add(uint64(3), uint16(5), uint16(7), uint16(12289), uint8(255))
+	f.Add(uint64(4), uint16(606), uint16(1234), uint16(0), uint8(90))
+	f.Add(uint64(5), uint16(100), uint16(0), uint16(3001), uint8(8))
+	f.Fuzz(func(t *testing.T, seed uint64, skip, n1, n2 uint16, near uint8) {
+		if len(kernels) == 0 {
+			t.Skip("no vector kernel on this machine")
+		}
+		start := seededState(seed, int(skip)%lfLag, int(near))
+		lens := []int{int(n1) % (3*lfBlock + lfLag), int(n2) % (3*lfBlock + lfLag)}
+		want, wantPos := seededFills(t, nil, start, lens)
+		for _, k := range kernels {
+			got, gotPos := seededFills(t, k, start, lens)
+			for j := range lens {
+				if i := sameBits(got[j], want[j]); i >= 0 {
+					t.Fatalf("%s, fill %d of %v: float %d is %v, the Go body drew %v", k.isa, j, lens, i, got[j][i], want[j][i])
+				}
+				if gotPos[j] != wantPos[j] {
+					t.Fatalf("%s, fill %d of %v: consumed up to %d, the Go body to %d", k.isa, j, lens, gotPos[j], wantPos[j])
+				}
+			}
+		}
+	})
+}
+
+// seededFills runs one fill per length on kernel k (nil = Go body) from a
+// copy of start, returning the floats and the stream position after each.
+func seededFills(t testing.TB, k *rowKernel, start *lfStream, lens []int) ([][]float32, []int) {
+	s := *start
+	ws, pos := make([][]float32, len(lens)), make([]int, len(lens))
+	withKernel(t, k, func() {
+		for j, n := range lens {
+			ws[j] = make([]float32, n)
+			s.fill(ws[j], 0.125)
+			pos[j] = s.pos
+		}
+	})
+	return ws, pos
+}
+
+// seededState returns a stream after a refill whose history comes from
+// seed, with its last skip words still to be handed out, near of those and
+// near outputs of the first block at a conversion's edge.
+func seededState(seed uint64, skip, near int) *lfStream {
+	g := rng.Stream(seed)
+	s := &lfStream{pos: lfLag - skip, end: lfLag}
+	for i := range lfLag {
+		s.buf[i] = g.Next()
+	}
+	for range near {
+		// Output lfLag + j of the first block, j < lfTap, is
+		// buf[j] + buf[j + lfLag - lfTap], two history words.
+		j := int(g.Next() % lfTap)
+		s.buf[j] = boundaryWord(&g) - s.buf[j+lfLag-lfTap]
+		if skip > 0 {
+			s.buf[lfLag-1-int(g.Next()%uint64(skip))] = boundaryWord(&g)
+		}
+	}
+	return s
+}
+
+// boundaryWord draws a word whose low 63 bits sit at an edge of the float
+// conversion, its top bit (which Int63 drops) at random: within 2³⁹ of 2⁶³,
+// where float32 rounds to 1 from 2⁶³ − 2³⁸ − 2⁹ on; within 2 of that
+// threshold; or a float64 rounding tie at a random magnitude.
+func boundaryWord(g *rng.Stream) uint64 {
+	const threshold = 1<<63 - 1<<38 - 1<<9
+	r, top := g.Next(), g.Next()&(1<<63)
+	switch r % 4 {
+	case 0, 1:
+		return top | (1<<63 - 1 - r>>2&(1<<39-1))
+	case 2:
+		return top | (threshold - 2 + r>>2%5)
+	}
+	k := 53 + int(r>>2%10) // the leading bit: 2⁵³ .. 2⁶²
+	x := (r>>12)&(1<<k-1) | 1<<k
+	half := uint64(1) << (k - 53) // half the float64 spacing at 2ᵏ
+	return top | x&^(2*half-1) | half
+}
+
 // BenchmarkNewTableSeeded builds a train-emb table (250 000 × 64) with
-// NewTable over a seeded rand.Rand and with NewTableSeeded, in ns per float.
+// NewTable over a seeded rand.Rand, then with NewTableSeeded on the Go body
+// and on each vector body: into a fresh allocation (fresh) and refilling one
+// already touched (touched, fillSeeded). All in ns per float.
 func BenchmarkNewTableSeeded(b *testing.B) {
 	const m, e = 250_000, 64
-	builds := []struct {
-		name  string
-		build func(seed int64) *Table
-	}{
-		{"NewTable", func(seed int64) *Table { return NewTable(m, e, rand.New(rand.NewSource(seed)), 0.125) }},
-		{"NewTableSeeded", func(seed int64) *Table { return NewTableSeeded(m, e, seed, 0.125) }},
+	perFloat := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(m*e), "ns/float")
 	}
-	for _, bl := range builds {
-		b.Run(bl.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bl.build(int64(i))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(m*e), "ns/float")
+	b.Run("NewTable", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewTable(m, e, rand.New(rand.NewSource(int64(i))), 0.125)
+		}
+		perFloat(b)
+	})
+	w := make([]float32, m*e)
+	for _, k := range everyKernel {
+		name := "go"
+		if k != nil {
+			name = k.isa
+		}
+		b.Run(name+"/fresh", func(b *testing.B) {
+			withKernel(b, k, func() {
+				for i := 0; i < b.N; i++ {
+					NewTableSeeded(m, e, int64(i), 0.125)
+				}
+			})
+			perFloat(b)
+		})
+		b.Run(name+"/touched", func(b *testing.B) {
+			withKernel(b, k, func() {
+				for i := 0; i < b.N; i++ {
+					fillSeeded(w, int64(i), 0.125)
+				}
+			})
+			perFloat(b)
 		})
 	}
 }

@@ -41,10 +41,16 @@ func Sigmoid(z, out []float32) {
 
 // AUC computes the ROC area under curve of scores against binary labels
 // using the rank statistic (equivalent to the Mann-Whitney U), with average
-// ranks for ties. Returns 0.5 when one class is absent.
+// ranks for ties. Returns NaN when any score is NaN (a NaN has no rank),
+// else 0.5 when one class is absent.
 func AUC(scores, labels []float32) float64 {
 	if len(scores) != len(labels) {
 		panic("loss: AUC length mismatch")
+	}
+	for _, s := range scores {
+		if s != s {
+			return math.NaN()
+		}
 	}
 	n := len(scores)
 	idx := make([]int, n)

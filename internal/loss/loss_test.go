@@ -79,6 +79,12 @@ func TestAUCTiesAndDegenerate(t *testing.T) {
 	if a := AUC([]float32{0.1, 0.9}, []float32{1, 1}); a != 0.5 {
 		t.Fatalf("single class AUC=%g want 0.5", a)
 	}
+	// A NaN score, both classes present ⇒ NaN (the tie loop never
+	// advanced past a NaN, which equals nothing, itself included).
+	nan := float32(math.NaN())
+	if a := AUC([]float32{0.3, nan, 0.7, 0.1}, []float32{1, 0, 1, 0}); !math.IsNaN(a) {
+		t.Fatalf("NaN score AUC=%g want NaN", a)
+	}
 }
 
 func TestAUCRandomNearHalf(t *testing.T) {
