@@ -44,7 +44,6 @@ func main() {
 	loads := flag.String("loads", "0.5,1.5,3", "offered loads as multiples of modeled capacity")
 	qps := flag.Float64("qps", 0, "absolute offered rate in requests/s (overrides -loads)")
 	backendName := flag.String("backend", "ccl", "communication backend: ccl, mpi")
-	contention := flag.Bool("contention", false, "charge embedding fan-ins against the shared contention epoch")
 	seed := flag.Int64("seed", 0, "arrival-stream (and functional model) seed")
 	functional := flag.Bool("functional", false, "execute a scaled model for real and report predictions")
 	rowScale := flag.Float64("rowscale", 1.0/64, "embedding row scaling for -functional")
@@ -82,7 +81,6 @@ func main() {
 		Topo:       fabric.NewPrunedFatTree(*replicas, 12.5e9),
 		Socket:     perfmodel.CLX8280,
 		Backend:    backend,
-		Contention: *contention,
 		Policy:     serve.Policy{MaxBatch: *maxBatch, MaxWait: maxWait.Seconds()},
 		Requests:   *requests,
 		Seed:       *seed,

@@ -201,16 +201,6 @@ type Engine struct {
 	flightFree *flight
 }
 
-// NewEngine builds an engine for cfg with the tuning defaults applied.
-// Run constructs its engine through this; standalone holders — the serving
-// tier prices request-scoped shard fetches through ChargeContended on the
-// same contention epoch — construct one directly, without launching ranks.
-func NewEngine(cfg Config) *Engine {
-	e := &Engine{Cfg: cfg.WithDefaults()}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
-
 // Shared returns the engine's job-wide value, building it with mk on the
 // first call: how a layer above keeps one instance of rank-free state per
 // job instead of one per rank (comm's collective pricer). Safe to call from
@@ -402,8 +392,8 @@ func newJob(cfg Config) (*Engine, []*Rank) {
 	if cfg.Topo != nil && cfg.Topo.NumSockets() < cfg.Ranks {
 		panic(fmt.Sprintf("cluster: topology has %d sockets for %d ranks", cfg.Topo.NumSockets(), cfg.Ranks))
 	}
-	e := NewEngine(cfg)
-	e.pools = cfg.Pools
+	e := &Engine{Cfg: cfg, pools: cfg.Pools}
+	e.cond = sync.NewCond(&e.mu)
 	channels := 1
 	if cfg.Backend == CCLBackend {
 		channels = CCLChannels

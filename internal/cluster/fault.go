@@ -13,9 +13,7 @@ import (
 // iteration boundaries: a rank that dies mid-iteration is only *noticed*
 // when the survivors next rendezvous with it — a collective that times out
 // after DefaultDetectSeconds — so the boundary is where the cluster's state
-// forks. Events are either pinned to an iteration directly (Iter) or to a
-// virtual time (At), which the driver resolves onto the boundary following
-// that instant using the measured iteration time.
+// forks. Every event is pinned to the iteration boundary it fires at.
 
 // FaultKind classifies a fault-plan event.
 type FaultKind int
@@ -50,12 +48,11 @@ func (k FaultKind) String() string {
 // RankFail on top of restore and replay.
 const DefaultDetectSeconds = 1.0
 
-// FaultEvent is one scripted fault. Exactly one of Iter (≥ 1, the global
-// iteration at whose start the event takes effect) and At (> 0, a virtual
-// time resolved onto the following iteration boundary) must be set.
+// FaultEvent is one scripted fault.
 type FaultEvent struct {
+	// Iter (≥ 1) is the global iteration at whose start the event takes
+	// effect.
 	Iter int
-	At   float64
 	Kind FaultKind
 	// Rank is the rank id that dies (RankFail), under the shape in effect
 	// when the event fires.
@@ -66,14 +63,10 @@ type FaultEvent struct {
 
 // String renders the event for logs and figure notes.
 func (ev FaultEvent) String() string {
-	when := fmt.Sprintf("iter %d", ev.Iter)
-	if ev.Iter == 0 {
-		when = fmt.Sprintf("t=%.3fs", ev.At)
-	}
 	if ev.Kind == Rescale {
-		return fmt.Sprintf("%s: rescale to %d ranks", when, ev.NewRanks)
+		return fmt.Sprintf("iter %d: rescale to %d ranks", ev.Iter, ev.NewRanks)
 	}
-	return fmt.Sprintf("%s: rank %d fails", when, ev.Rank)
+	return fmt.Sprintf("iter %d: rank %d fails", ev.Iter, ev.Rank)
 }
 
 // FaultPlan is a deterministic schedule of fault events for one run.
@@ -89,14 +82,8 @@ func (p *FaultPlan) Validate() error {
 		if ev.Kind != RankFail && ev.Kind != Rescale {
 			return fmt.Errorf("cluster: fault event %d: unknown kind %d", i, int(ev.Kind))
 		}
-		if ev.Iter < 0 {
-			return fmt.Errorf("cluster: fault event %d: Iter=%d, want >= 1 (or 0 with At set)", i, ev.Iter)
-		}
-		if ev.Iter == 0 && ev.At <= 0 {
-			return fmt.Errorf("cluster: fault event %d: needs Iter >= 1 or At > 0", i)
-		}
-		if ev.Iter > 0 && ev.At != 0 {
-			return fmt.Errorf("cluster: fault event %d: Iter and At both set; pick one", i)
+		if ev.Iter < 1 {
+			return fmt.Errorf("cluster: fault event %d: Iter=%d, want >= 1", i, ev.Iter)
 		}
 		if ev.Kind == RankFail && ev.Rank < 0 {
 			return fmt.Errorf("cluster: fault event %d: Rank=%d, want >= 0", i, ev.Rank)
@@ -108,38 +95,17 @@ func (p *FaultPlan) Validate() error {
 	return nil
 }
 
-// NeedsTime reports whether any event is pinned to a virtual time rather
-// than an iteration — in which case Resolved needs a measured per-iteration
-// time to place it.
-func (p *FaultPlan) NeedsTime() bool {
-	for _, ev := range p.Events {
-		if ev.Iter == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Resolved validates the plan and returns its events normalized for a run
-// of `iters` iterations: time-based events are mapped onto the iteration
-// boundary following their instant (a rank dying at virtual time t inside
-// iteration i takes effect at boundary i+1), events at or past the run's
-// end are dropped (they never fire), and the rest are sorted by iteration.
-// Two events on one boundary are rejected — the recovery protocol handles
-// one shape change per boundary.
-func (p *FaultPlan) Resolved(iterSeconds float64, iters int) ([]FaultEvent, error) {
+// of `iters` iterations: events at or past the run's end are dropped (they
+// never fire) and the rest are sorted by iteration. Two events on one
+// boundary are rejected — the recovery protocol handles one shape change
+// per boundary.
+func (p *FaultPlan) Resolved(iters int) ([]FaultEvent, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	out := make([]FaultEvent, 0, len(p.Events))
 	for _, ev := range p.Events {
-		if ev.Iter == 0 {
-			if iterSeconds <= 0 {
-				return nil, fmt.Errorf("cluster: time-based fault event (%s) needs a positive iteration time", ev)
-			}
-			ev.Iter = int(ev.At/iterSeconds) + 1
-			ev.At = 0
-		}
 		if ev.Iter >= iters {
 			continue
 		}

@@ -70,11 +70,11 @@ func TestRandomChurnRespectsBounds(t *testing.T) {
 
 func TestFaultPlanResolved(t *testing.T) {
 	p := &FaultPlan{Events: []FaultEvent{
-		{At: 0.75, Kind: RankFail, Rank: 2}, // inside iteration 1 at 0.5s/iter
 		{Iter: 3, Kind: Rescale, NewRanks: 4},
+		{Iter: 2, Kind: RankFail, Rank: 2},
 		{Iter: 99, Kind: RankFail, Rank: 0}, // past the run: dropped
 	}}
-	evs, err := p.Resolved(0.5, 10)
+	evs, err := p.Resolved(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,10 @@ func TestFaultPlanResolved(t *testing.T) {
 		t.Fatalf("got %d events, want 2 (the iter-99 one never fires)", len(evs))
 	}
 	if evs[0].Iter != 2 || evs[0].Kind != RankFail {
-		t.Fatalf("time-based event resolved to %v, want rank-fail at iter 2", evs[0])
+		t.Fatalf("first event %v, want rank-fail at iter 2", evs[0])
 	}
 	if evs[1].Iter != 3 || evs[1].Kind != Rescale {
 		t.Fatalf("second event %v, want rescale at iter 3", evs[1])
-	}
-
-	// A time-based event without a measured iteration time is an error.
-	if _, err := p.Resolved(0, 10); err == nil {
-		t.Fatal("time-based event accepted without an iteration time")
 	}
 
 	// Two events on one boundary are rejected.
@@ -98,7 +93,7 @@ func TestFaultPlanResolved(t *testing.T) {
 		{Iter: 3, Kind: RankFail, Rank: 0},
 		{Iter: 3, Kind: RankFail, Rank: 1},
 	}}
-	if _, err := dup.Resolved(0, 10); err == nil || !strings.Contains(err.Error(), "iteration 3") {
+	if _, err := dup.Resolved(10); err == nil || !strings.Contains(err.Error(), "iteration 3") {
 		t.Fatalf("duplicate boundary not rejected: %v", err)
 	}
 }
@@ -109,8 +104,7 @@ func TestFaultPlanValidate(t *testing.T) {
 		ev   FaultEvent
 	}{
 		{"unknown kind", FaultEvent{Iter: 1, Kind: FaultKind(9)}},
-		{"neither Iter nor At", FaultEvent{Kind: RankFail}},
-		{"both Iter and At", FaultEvent{Iter: 2, At: 1.5, Kind: RankFail}},
+		{"no Iter", FaultEvent{Kind: RankFail}},
 		{"negative rank", FaultEvent{Iter: 1, Kind: RankFail, Rank: -1}},
 		{"bad NewRanks", FaultEvent{Iter: 1, Kind: Rescale, NewRanks: 0}},
 	} {
@@ -119,7 +113,7 @@ func TestFaultPlanValidate(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	ok := &FaultPlan{Events: []FaultEvent{{Iter: 1, Kind: RankFail, Rank: 0}, {At: 2.5, Kind: Rescale, NewRanks: 2}}}
+	ok := &FaultPlan{Events: []FaultEvent{{Iter: 1, Kind: RankFail, Rank: 0}, {Iter: 3, Kind: Rescale, NewRanks: 2}}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}

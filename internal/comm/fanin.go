@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"repro/internal/cluster"
-	"repro/internal/fabric"
-)
+import "repro/internal/fabric"
 
 // FanIn prices request-scoped fan-in transfers: many sources each sending a
 // payload to one destination socket, concurrently, with the slowest route
@@ -15,16 +12,13 @@ import (
 // no rendezvous against other ranks.
 //
 // Like the Comm collectives it is allocation-free after warmup: the flow
-// list and link-load scratch are owned by the FanIn and reused across
-// calls. A FanIn is not safe for concurrent use; the serving event loop is
-// single-threaded, which is also what makes the contended variant sound
-// (Engine.ChargeContended mutates the shared contention epoch and assumes
-// leader-context serialization).
+// list and phase scratch are owned by the FanIn and reused across calls. A
+// FanIn is not safe for concurrent use; the serving event loop is
+// single-threaded.
 type FanIn struct {
 	Topo fabric.Topology
 
 	scratch fabric.Scratch
-	loads   fabric.LoadSet
 	flows   []fabric.Flow
 }
 
@@ -51,25 +45,4 @@ func (f *FanIn) Time(dst int, perSrc []float64) float64 {
 		return 0
 	}
 	return f.scratch.PhaseTime(f.Topo, f.flows)
-}
-
-// TimeOn is Time charged against eng's contention epoch: the gather's
-// per-link loads are registered as a flight starting at the given virtual
-// time, and the returned duration is stretched by the residual bytes other
-// in-flight operations still hold on shared links (and stretches them in
-// turn). With contention disabled on eng — or no flows — it degrades to
-// the isolated time. The result is pre-backend-slowdown, like Time.
-func (f *FanIn) TimeOn(eng *cluster.Engine, dst int, perSrc []float64, start float64) float64 {
-	f.place(dst, perSrc)
-	if len(f.flows) == 0 {
-		return 0
-	}
-	if eng == nil || !eng.Cfg.Contention {
-		return f.scratch.PhaseTime(f.Topo, f.flows)
-	}
-	f.loads.Reset()
-	prev := f.scratch.Accumulate(&f.loads)
-	iso := f.scratch.PhaseTime(f.Topo, f.flows)
-	f.scratch.Accumulate(prev)
-	return eng.ChargeContended(f.Topo, &f.loads, start, iso)
 }

@@ -170,8 +170,7 @@ func scheduleLabel(dc *DistConfig) string {
 }
 
 // validate checks the elastic configuration and pre-walks the fault plan's
-// shape sequence, returning the resolved (iteration-anchored, sorted)
-// events.
+// shape sequence, returning the resolved (in-run, sorted) events.
 func (ec *ElasticConfig) validate() ([]cluster.FaultEvent, error) {
 	base := &ec.Base
 	if err := base.Validate(); err != nil {
@@ -190,23 +189,7 @@ func (ec *ElasticConfig) validate() ([]cluster.FaultEvent, error) {
 	if ec.Plan == nil {
 		return nil, nil
 	}
-	if err := ec.Plan.Validate(); err != nil {
-		return nil, err
-	}
-	var iterSec float64
-	if ec.Plan.NeedsTime() {
-		// Anchor virtual-time events to iteration boundaries with a short
-		// timing probe at the starting shape.
-		probe := *base
-		probe.RunCfg, probe.Dataset = nil, nil
-		probe.Iters = 2
-		pr, err := probe.Run()
-		if err != nil {
-			return nil, err
-		}
-		iterSec = pr.IterSeconds
-	}
-	events, err := ec.Plan.Resolved(iterSec, base.Iters)
+	events, err := ec.Plan.Resolved(base.Iters)
 	if err != nil {
 		return nil, err
 	}

@@ -113,14 +113,13 @@ func TestElasticRescale(t *testing.T) {
 	}
 }
 
-// TestElasticDeterminism: two identical elastic runs — including a
-// virtual-time-anchored event and randomized churn resolution — report
-// identical virtual clocks and losses.
+// TestElasticDeterminism: two identical elastic runs through a failure,
+// checkpoint restore and replay report identical virtual clocks and losses.
 func TestElasticDeterminism(t *testing.T) {
 	run := func() *ElasticResult {
 		ec := elasticTestConfig(4, 48, 6, Variant{Alltoall, cluster.CCLBackend}, true)
 		ec.CheckpointEvery = 2
-		return elastic(t, ec, cluster.FaultEvent{Kind: cluster.RankFail, At: 1e-3, Rank: 1}) // virtual-time anchored
+		return elastic(t, ec, cluster.FaultEvent{Kind: cluster.RankFail, Iter: 3, Rank: 1})
 	}
 	a, b := run(), run()
 	if a.TotalSeconds != b.TotalSeconds || a.OverheadSeconds != b.OverheadSeconds || !slices.Equal(a.Losses, b.Losses) {

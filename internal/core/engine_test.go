@@ -53,8 +53,7 @@ func checkElasticEngines(t *testing.T, ec ElasticConfig, events ...cluster.Fault
 // every Variant × schedule × flat / bucketed × contention × blocking with
 // the loader, the tiered store, checkpoints and per-bucket Auto all on; and
 // over elastic runs of the timing sample and the benchmark's churn case
-// through failures and a rescale, anchored to iterations and to virtual
-// time.
+// through failures at the first or second boundary and a rescale.
 func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
 	t.Parallel() // counts no allocations
 	rows := tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3).
@@ -65,10 +64,7 @@ func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
 		cluster.FaultEvent{Kind: cluster.RankFail, Iter: 5, Rank: 13})
 	for i, dc := range timingSample.configs() {
 		dc.seg = segment{}
-		fail := cluster.FaultEvent{Kind: cluster.RankFail, Iter: 1, Rank: i % dc.Ranks}
-		if i%2 == 1 {
-			fail.Iter, fail.At = 0, 1e-3 // the boundary after 1 ms: the first
-		}
+		fail := cluster.FaultEvent{Kind: cluster.RankFail, Iter: 1 + i%2, Rank: i % dc.Ranks}
 		checkElasticEngines(t, ElasticConfig{Base: dc, CheckpointEvery: 1 + i%3}, fail,
 			cluster.FaultEvent{Kind: cluster.Rescale, Iter: 3, NewRanks: 2})
 	}

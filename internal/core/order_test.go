@@ -235,8 +235,10 @@ var orders = []order{
 	{test: "InterferenceOverride", over: []DistConfig{at(Large, 16, mpi)}, x: interference(1), mx: iterS},
 	{test: "InterferenceOverride", over: []DistConfig{at(Large, 16, mpi)}, x: interference(1.3), mx: iterS, rel: eq},
 	// The first law: doubling every link's bandwidth never slows a run, with
-	// contention off and on.
+	// contention off and on; nor does doubling the cold tier's, tiered or
+	// not and at every cache budget.
 	{test: "IterTimeNonIncreasingInBandwidth", over: timingSample.x(axContention).configs(), x: linkBW(25e9), mx: iterS, rel: le},
+	{test: "IterTimeNonIncreasingInBandwidth", over: slices.Concat(timingSample.x(axContention).configs(), budgetLadder()), x: func(dc *DistConfig) { dc.ColdTierBW *= 2 }, mx: iterS, rel: le},
 }
 
 // checkOrders checks the rows the calling test states. Timing runs count no

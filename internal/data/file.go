@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/embedding"
 )
@@ -82,7 +83,11 @@ type FileDataset struct {
 	indices []int32 // N × Tables × Lookups
 }
 
-// OpenFileDataset parses a record stream.
+// OpenFileDataset parses a record stream. The header is not trusted: a
+// stream with no records, empty bags, or a record count or record width
+// past math.MaxInt32 is rejected, and the buffers grow only as records
+// arrive, so a header promising more than the stream holds costs no more
+// memory than the stream and ends in an error.
 func OpenFileDataset(r io.Reader) (*FileDataset, error) {
 	br := bufio.NewReader(r)
 	var hdr [5]uint32
@@ -92,25 +97,50 @@ func OpenFileDataset(r io.Reader) (*FileDataset, error) {
 	if hdr[0] != fileMagic {
 		return nil, fmt.Errorf("data: not a click-log dataset (magic %08x)", hdr[0])
 	}
+	if hdr[4] == 0 || hdr[4] > math.MaxInt32 {
+		return nil, fmt.Errorf("data: dataset header promises %d records", hdr[4])
+	}
+	if hdr[3] == 0 {
+		// Every table then costs at least one word per record, so a batch's
+		// per-table buffers are bounded by the stream too.
+		return nil, fmt.Errorf("data: dataset header has empty bags (0 lookups per table)")
+	}
+	if w := 1 + uint64(hdr[1]) + uint64(hdr[2])*uint64(hdr[3]); w > math.MaxInt32 {
+		return nil, fmt.Errorf("data: dataset header describes %d-word records, more than %d", w, math.MaxInt32)
+	}
 	f := &FileDataset{
 		D: int(hdr[1]), Tables: int(hdr[2]), Lookups: int(hdr[3]), N: int(hdr[4]),
 	}
-	f.labels = make([]float32, f.N)
-	f.dense = make([]float32, f.N*f.D)
-	f.indices = make([]int32, f.N*f.Tables*f.Lookups)
-	per := f.Tables * f.Lookups
+	var buf [4096]byte
+	var err error
 	for s := 0; s < f.N; s++ {
-		if err := binary.Read(br, binary.LittleEndian, &f.labels[s]); err != nil {
+		if f.labels, err = appendWords(f.labels, br, 1, buf[:], math.Float32frombits); err != nil {
 			return nil, fmt.Errorf("data: record %d: %w", s, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, f.dense[s*f.D:(s+1)*f.D]); err != nil {
+		if f.dense, err = appendWords(f.dense, br, f.D, buf[:], math.Float32frombits); err != nil {
 			return nil, fmt.Errorf("data: record %d dense: %w", s, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, f.indices[s*per:(s+1)*per]); err != nil {
+		if f.indices, err = appendWords(f.indices, br, f.Tables*f.Lookups, buf[:], func(u uint32) int32 { return int32(u) }); err != nil {
 			return nil, fmt.Errorf("data: record %d indices: %w", s, err)
 		}
 	}
 	return f, nil
+}
+
+// appendWords appends n little-endian 32-bit words read from r to dst,
+// through buf a block at a time, so dst grows only by what r delivers.
+func appendWords[T float32 | int32](dst []T, r io.Reader, n int, buf []byte, conv func(uint32) T) ([]T, error) {
+	for n > 0 {
+		k := min(n, len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return dst, err
+		}
+		for i := 0; i < k; i++ {
+			dst = append(dst, conv(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+		n -= k
+	}
+	return dst, nil
 }
 
 // NumTables implements Dataset.

@@ -55,7 +55,7 @@ TEXT ·gatherSlotsAVX2(SB), NOSPLIT, $0-40
 	MOVQ         nslots+16(FP), AX
 	MOVQ         idx+24(FP), BX
 	MOVQ         n+32(FP), CX
-	MOVQ         AX, X1
+	VMOVQ        AX, X1
 	VPBROADCASTD X1, X1
 	VPCMPEQD     X3, X3, X3
 

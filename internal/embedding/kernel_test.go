@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/par"
@@ -347,7 +348,9 @@ func TestUpdateRowMinusOneIsAdd(t *testing.T) {
 
 // BenchmarkKernels times the forward and the fused update at the train-emb
 // table shape (250 000 × 64, N = 2048, P = 50, Zipf 1.05) on each kernel
-// this machine has and on the Go bodies, in ns per looked-up row.
+// this machine has and on the Go bodies, in ns per looked-up row; and the
+// generator's head-score gather (GatherSlots bag by bag over the same rows
+// into a 65 536-slot head).
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	tab := NewTable(250_000, 64, rng, 0.01)
@@ -356,6 +359,11 @@ func BenchmarkKernels(b *testing.B) {
 		batches[i] = MakeBatch(rng, Zipf{S: 1.05}, 2048, 50, tab.M)
 	}
 	out := randRow(rng, 2048*64)
+	head := make([]atomic.Uint64, 1<<16)
+	for i := range head {
+		head[i].Store(rng.Uint64())
+	}
+	bits := make([]uint64, 50)
 	for _, k := range everyKernel {
 		name := "go"
 		if k != nil {
@@ -367,6 +375,11 @@ func BenchmarkKernels(b *testing.B) {
 		}{
 			{"forward", func(bt *Batch) { tab.Forward(par.Default, bt, out) }},
 			{"fused", func(bt *Batch) { tab.FusedBackwardUpdate(par.Default, bt, out, 1e-6) }},
+			{"gather", func(bt *Batch) {
+				for j := 0; j+1 < len(bt.Offsets); j++ {
+					GatherSlots(bits, head, bt.Indices[bt.Offsets[j]:bt.Offsets[j+1]])
+				}
+			}},
 		}
 		for _, r := range runs {
 			b.Run(name+"/"+r.op, func(b *testing.B) {

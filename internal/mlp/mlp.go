@@ -308,23 +308,9 @@ func (m *MLP) ForwardDense(p *par.Pool, x *tensor.Dense) *tensor.Acts {
 // the network input is returned (DLRM needs it for the bottom MLP→embedding
 // interaction path).
 func (m *MLP) Backward(p *par.Pool, dy *tensor.Acts, wantDX bool) *tensor.Acts {
-	return m.BackwardVisit(p, dy, wantDX, nil)
-}
-
-// BackwardVisit is the layer-stepped Backward: it runs the stack's backward
-// passes from the output gradient and invokes onLayer(i) immediately after
-// layer i's DW/DBias are materialized (layers are visited last to first, the
-// backward execution order). Distributed trainers use the callback to issue
-// each gradient bucket's allreduce the moment its layers are complete
-// (Fig. 2's bucketed overlap); a nil onLayer makes this exactly Backward.
-func (m *MLP) BackwardVisit(p *par.Pool, dy *tensor.Acts, wantDX bool, onLayer func(i int)) *tensor.Acts {
 	cur := dy
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		need := wantDX || i > 0
-		cur = m.BackwardLayer(p, i, cur, need)
-		if onLayer != nil {
-			onLayer(i)
-		}
+		cur = m.BackwardLayer(p, i, cur, wantDX || i > 0)
 	}
 	return cur
 }
@@ -332,7 +318,7 @@ func (m *MLP) BackwardVisit(p *par.Pool, dy *tensor.Acts, wantDX bool, onLayer f
 // BackwardLayer runs layer i's backward pass alone: dy is the gradient
 // w.r.t. that layer's activated output, and the returned dX (nil when
 // wantDX is false) feeds layer i−1. Callers driving the stack manually must
-// step layers from last to first, matching BackwardVisit.
+// step layers from last to first, as Backward does.
 func (m *MLP) BackwardLayer(p *par.Pool, i int, dy *tensor.Acts, wantDX bool) *tensor.Acts {
 	return m.Layers[i].Backward(p, dy, wantDX)
 }

@@ -382,12 +382,8 @@ func TestPaddedEqualsUnpadded(t *testing.T) {
 			y, ry := pad.ForwardDense(pool, xD), ref.ForwardDense(pool, xD)
 			sameVec(when, "y", y.Data, ry.Data)
 
-			visits := 0
-			dx := pad.BackwardVisit(pool, tensor.PackActs(dyD, bn, y.BC), true, func(int) { visits++ })
+			dx := pad.Backward(pool, tensor.PackActs(dyD, bn, y.BC), true)
 			rdx := ref.Backward(pool, tensor.PackActs(dyD, bn, ry.BC), true)
-			if visits != len(pad.Layers) {
-				t.Fatalf("%v: %d visits", sizes, visits)
-			}
 			for smp := 0; smp < n; smp++ {
 				for ci := 0; ci < dx.C; ci++ {
 					var want float32
@@ -406,68 +402,6 @@ func TestPaddedEqualsUnpadded(t *testing.T) {
 			sgdStep(pad, 0.05)
 			sgdStep(ref, 0.05)
 			sameParams(when + " after Step")
-		}
-	}
-}
-
-// TestBackwardVisitMatchesBackward pins the layer-stepped refactor: driving
-// the stack through BackwardVisit (the distributed bucketed path) must
-// produce bit-identical gradients and dX to the plain Backward the fused
-// single-socket path uses, and the visitor must fire once per layer in
-// backward execution order (last layer first), after that layer's DW is
-// written.
-func TestBackwardVisitMatchesBackward(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pool := par.NewPool(4)
-	defer pool.Close()
-	build := func() *MLP { return New([]int{16, 32, 24, 8}, 4, ReLU, None, rand.New(rand.NewSource(7))) }
-	ref, m := build(), build()
-
-	xD := tensor.NewDense(8, 16)
-	xD.Randomize(rng, 1)
-	dyD := tensor.NewDense(8, 8)
-	dyD.Randomize(rng, 1)
-
-	refOut := ref.ForwardDense(pool, xD).Clone()
-	refDX := ref.Backward(pool, tensor.PackActs(dyD, 4, refOut.BC), true).Clone()
-
-	out := m.ForwardDense(pool, xD)
-	var order []int
-	dx := m.BackwardVisit(pool, tensor.PackActs(dyD, 4, out.BC), true, func(i int) {
-		order = append(order, i)
-		// The visited layer's gradients must be final when the callback
-		// fires: compare against the reference run's same layer.
-		for _, g := range [][]float32{m.Layers[i].DW.Data, m.Layers[i].DBias} {
-			for j := range g {
-				_ = g[j] // touch: slice must be fully materialized
-			}
-		}
-		refG, gotG := ref.Layers[i].DW.Data, m.Layers[i].DW.Data
-		for j := range gotG {
-			if gotG[j] != refG[j] {
-				t.Fatalf("layer %d DW[%d] not final at visit: %g vs %g", i, j, gotG[j], refG[j])
-			}
-		}
-	})
-	if want := []int{2, 1, 0}; len(order) != len(want) {
-		t.Fatalf("visited %v, want %v", order, want)
-	} else {
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("visit order %v, want %v", order, want)
-			}
-		}
-	}
-	for i := range dx.Data {
-		if dx.Data[i] != refDX.Data[i] {
-			t.Fatalf("dX[%d] = %g, want %g", i, dx.Data[i], refDX.Data[i])
-		}
-	}
-	for li := range m.Layers {
-		for j := range m.Layers[li].DBias {
-			if m.Layers[li].DBias[j] != ref.Layers[li].DBias[j] {
-				t.Fatalf("layer %d DBias[%d] diverged", li, j)
-			}
 		}
 	}
 }

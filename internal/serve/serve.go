@@ -12,8 +12,8 @@
 // collective), and the replica runs the dense forward. All of it is priced
 // on the virtual clock by the same perfmodel/fabric/cluster stack as
 // training, so serving latencies and training iteration times are in the
-// same currency — and, with Contention enabled, serving fan-ins contend
-// for fabric links like any other in-flight transfer.
+// same currency. Each fan-in is priced in isolation: serving batches do not
+// contend with each other for fabric links.
 //
 // The simulator is a single-threaded discrete-event loop, deterministic by
 // construction: arrivals are a counter-based Poisson stream (a pure
@@ -86,12 +86,6 @@ type Config struct {
 	// but pays the 1.5x single-threaded-progress slowdown on transfers — the
 	// same trade as training (cluster.Config.CommSlowdown).
 	Backend cluster.Backend
-	// Contention charges each batch's embedding fan-in against the shared
-	// contention epoch, so concurrent batches stretch each other on
-	// shared links. Off by default: fan-ins are then priced in isolation
-	// and results are bit-reproducible run to run regardless of what else
-	// the engine carried.
-	Contention bool
 	// EmbCacheBytes prices each replica's shard pulls through the tiered
 	// embedding parameter store (internal/embstore): the Zipf head of the
 	// lookup volume — the analytic hit rate of a per-replica cache this
@@ -222,11 +216,10 @@ func (c Config) Validate() error {
 // with (defaults applied).
 func (c Config) clusterConfig() cluster.Config {
 	return cluster.Config{
-		Ranks:      c.Replicas,
-		Topo:       c.Topo,
-		Socket:     c.Socket,
-		Backend:    c.Backend,
-		Contention: c.Contention,
+		Ranks:   c.Replicas,
+		Topo:    c.Topo,
+		Socket:  c.Socket,
+		Backend: c.Backend,
 	}.WithDefaults()
 }
 
@@ -334,21 +327,19 @@ func (cm *costModel) placeFanIn(r, b int, perSrc []float64) {
 	}
 }
 
-// server is one Run's live state: cost model, fan-in pricer, contention
-// engine, and (functionally) the replica predictors.
+// server is one Run's live state: cost model, fan-in pricer and
+// (functionally) the replica predictors.
 type server struct {
-	c   Config
-	cm  costModel
-	ws  *Workspaces
-	eng *cluster.Engine
+	c  Config
+	cm costModel
+	ws *Workspaces
 
 	preds []*core.Predictor // functional replicas, nil in timing-only runs
 }
 
-// serviceIso prices a b-sample batch on replica r in isolation (no
-// contention epoch): framework call, shard lookups, fabric fan-in, dense
-// forward. Used for the shedding fixed point and by ServiceTime.
-func (s *server) serviceIso(r, b int) float64 {
+// service prices a b-sample batch on replica r: framework call, shard
+// lookups, fabric fan-in, dense forward.
+func (s *server) service(r, b int) float64 {
 	pre := s.cm.cc.CallOverhead + s.cm.lookupTime(b)
 	fetch := 0.0
 	if s.c.Replicas > 1 {
@@ -358,20 +349,7 @@ func (s *server) serviceIso(r, b int) float64 {
 	return pre + fetch + s.cm.mlpTime(b)
 }
 
-// service prices the batch for real, registering the fan-in on the
-// contention epoch at its actual start time. With Contention off this is
-// exactly serviceIso.
-func (s *server) service(r, b int, start float64) float64 {
-	pre := s.cm.cc.CallOverhead + s.cm.lookupTime(b)
-	fetch := 0.0
-	if s.c.Replicas > 1 {
-		s.cm.placeFanIn(r, b, s.ws.perSrc)
-		fetch = s.ws.fanin.TimeOn(s.eng, r, s.ws.perSrc, start+pre) * s.cm.slow
-	}
-	return pre + fetch + s.cm.mlpTime(b)
-}
-
-// ServiceTime returns the isolated service time of one b-sample batch on
+// ServiceTime returns the service time of one b-sample batch on
 // the worst-placed replica: the latency floor a request in a b-batch pays,
 // and the capacity anchor (peak throughput ≈ Replicas·b/ServiceTime(b)).
 // Drivers use it to derive SLOs and offered-load sweeps from the config
@@ -384,7 +362,7 @@ func (c Config) ServiceTime(b int) (float64, error) {
 	s.ws.prepare(c)
 	worst := 0.0
 	for r := 0; r < c.Replicas; r++ {
-		if t := s.serviceIso(r, b); t > worst {
+		if t := s.service(r, b); t > worst {
 			worst = t
 		}
 	}
@@ -456,7 +434,6 @@ func Run(c Config) (*Result, error) {
 	}
 	defer s.ws.inUse.Store(false)
 	s.ws.prepare(c)
-	s.eng = cluster.NewEngine(c.clusterConfig())
 	res := &Result{Policy: c.Policy, OfferedQPS: c.OfferedQPS, Requests: c.Requests}
 
 	if c.RunCfg != nil {
@@ -496,40 +473,26 @@ func Run(c Config) (*Result, error) {
 		// SLO shedding: drop the arrival prefix that cannot finish in
 		// time. Dropping shrinks the batch, which shrinks the service
 		// time, so this is an increase-only fixed point on the drop
-		// count; arrivals are ascending, so survivors form a suffix.
+		// count; arrivals are ascending, so survivors form a suffix, and
+		// the first survivor's deadline is every survivor's.
 		d := 0
 		if c.Policy.SLO > 0 {
-			for d < b {
-				done := start + s.serviceIso(r, b-d)
-				if done-queue[d].arr <= c.Policy.SLO {
-					break
-				}
+			for d < b && start+s.service(r, b-d)-queue[d].arr > c.Policy.SLO {
 				d++
 			}
 		}
 		if bb := b - d; bb > 0 {
-			done := start + s.service(r, bb, start)
-			// Contention can stretch the real fan-in past the isolated
-			// estimate; requests the stretch pushed over the deadline are
-			// dropped after the fact (the transfer already happened —
-			// only the answer is discarded).
-			if c.Policy.SLO > 0 {
-				for d < b && done-queue[d].arr > c.Policy.SLO {
-					d++
-				}
-			}
+			done := start + s.service(r, bb)
 			repFree[r] = done
 			if done > lastDone {
 				lastDone = done
 			}
-			if bb = b - d; bb > 0 {
-				res.Batches++
-				servedSum += bb
-				for _, q := range queue[d:] {
-					lats = append(lats, done-q.arr)
-				}
-				batches = append(batches, batch{r, queue[d].id, queue[b-1].id + 1})
+			res.Batches++
+			servedSum += bb
+			for _, q := range queue[d:] {
+				lats = append(lats, done-q.arr)
 			}
+			batches = append(batches, batch{r, queue[d].id, queue[b-1].id + 1})
 		}
 		res.Shed += d
 		queue = queue[:0]
