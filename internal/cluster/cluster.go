@@ -137,6 +137,43 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// Validate reports the first problem that makes c no machine to price on:
+// no rank, a missing or too small fabric, an unknown backend, a socket with a
+// zero (or NaN) rate, communication cores that leave no compute core, or an
+// interference factor below 1. core.DistConfig and serve.Config check their
+// machine through it.
+func (c Config) Validate() error {
+	if c.Ranks < 1 {
+		return fmt.Errorf("cluster: Ranks=%d, want >= 1", c.Ranks)
+	}
+	if c.Ranks > 1 {
+		if c.Topo == nil {
+			return fmt.Errorf("cluster: %d ranks need a fabric topology for the collectives", c.Ranks)
+		}
+		if n := c.Topo.NumSockets(); n < c.Ranks {
+			return fmt.Errorf("cluster: topology has %d sockets, fewer than %d ranks", n, c.Ranks)
+		}
+	}
+	if c.Backend != MPIBackend && c.Backend != CCLBackend {
+		return fmt.Errorf("cluster: unknown backend %d", int(c.Backend))
+	}
+	if s := c.Socket; s.Cores < 1 || !(s.PeakFlops > 0 && s.MemBW > 0 && s.GemmEff > 0 && s.EmbedEff > 0) {
+		// A zero socket would price every kernel at 0, +Inf or NaN and report
+		// it as a measurement.
+		return fmt.Errorf("cluster: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
+	}
+	if c.CommCores < 0 {
+		return fmt.Errorf("cluster: CommCores=%d, want >= 0", c.CommCores)
+	}
+	if cc := c.WithDefaults().CommCores; cc >= c.Socket.Cores {
+		return fmt.Errorf("cluster: CommCores=%d leaves no compute cores on a %d-core socket", cc, c.Socket.Cores)
+	}
+	if c.Interference != 0 && !(c.Interference >= 1) {
+		return fmt.Errorf("cluster: Interference=%v, want >= 1 (or 0 for the backend default)", c.Interference)
+	}
+	return nil
+}
+
 // Stats is one rank's virtual-time accounting, keyed by the labels the
 // trainer passes (e.g. "alltoall", "allreduce"). Run materialises it when
 // the rank's body returns; Rank.Stats on demand.

@@ -418,8 +418,9 @@ func (r *DistResult) Exposures() []Exposure {
 // engine").
 func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg == nil) }
 
-// clusterConfig is the simulated machine the run's ranks execute on.
-func (dc *DistConfig) clusterConfig() cluster.Config {
+// ClusterConfig is the simulated machine the run's ranks execute on (the
+// serving tier prices its replicas on it too).
+func (dc *DistConfig) ClusterConfig() cluster.Config {
 	return cluster.Config{
 		Ranks:        dc.Ranks,
 		Topo:         dc.Topo,
@@ -453,14 +454,14 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 	p := dc.buildPlan()
 	var stats []cluster.Stats
 	if evaluate {
-		ranks := cluster.NewRanks(dc.clusterConfig())
+		ranks := cluster.NewRanks(dc.ClusterConfig())
 		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots))
 		stats = make([]cluster.Stats, dc.Ranks)
 		for i, r := range ranks {
 			stats[i] = r.Stats()
 		}
 	} else {
-		stats = cluster.Run(dc.clusterConfig(), func(r *cluster.Rank) {
+		stats = cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
 			ws := wss.get(r.ID)
 			ws.prepare(&dc, r.ID)
 			var x *executor

@@ -177,26 +177,69 @@ func (dc *DistConfig) groups() (n int, coalesce bool) {
 	return dc.Cfg.Tables, false
 }
 
-// coldTierSeconds resolves rank's per-iteration cold-tier charge under the
-// tiered embedding store: the analytic Zipf hit rate of the per-rank cache
-// over the tables the rank owns, and the latency plus miss volume over the
-// cold tier's bandwidth. rows is scratch.
-func (dc *DistConfig) coldTierSeconds(rank int, rows []int) float64 {
+// Forward is a config's dense forward — bottom MLP, dot interaction, top
+// MLP — as the cost model counts it. Config.Forward builds the layer lists
+// once; Work allocates nothing.
+type Forward struct {
+	bot, top              []int // Config.BotSizes, Config.TopSizes
+	pairs, embDim, tables int
+}
+
+// Forward returns c's dense forward.
+func (c Config) Forward() Forward {
+	return Forward{bot: c.BotSizes(), top: c.TopSizes(),
+		pairs: c.InterDim() - c.EmbDim, embDim: c.EmbDim, tables: c.Tables}
+}
+
+// Work returns the flops and bytes of each pass of the forward over n
+// samples: index 0 the bottom MLP, 1 the interaction, 2 the top MLP.
+// buildPlan prices each pass on its own with GemmTime at the shard batch;
+// the serving tier prices their sum once with GemmTimeN at the batch it
+// serves.
+func (f Forward) Work(n int) (flops, bytes [3]float64) {
+	flops = [3]float64{
+		perfmodel.MLPPassFlops(f.bot, n),
+		2 * float64(n) * float64(f.pairs) * float64(f.embDim),
+		perfmodel.MLPPassFlops(f.top, n),
+	}
+	bytes = [3]float64{
+		perfmodel.MLPPassBytes(f.bot, n),
+		8 * float64(n) * float64(f.tables+1) * float64(f.embDim),
+		perfmodel.MLPPassBytes(f.top, n),
+	}
+	return flops, bytes
+}
+
+// EmbForward returns rank's embedding-forward charges at global batch n:
+// the bag lookups of the tables it owns, streamed on the compute cores, and,
+// under the tiered store (0 without it), the cold-tier fetch ahead of them —
+// the analytic Zipf hit rate of the per-rank cache over the owned tables,
+// the latency plus the miss volume over the cold tier's bandwidth. buildPlan
+// charges the two as separate steps at GlobalN; the serving tier charges
+// their sum at the batch it serves, each replica a rank.
+func (dc *DistConfig) EmbForward(rank, n int) (lookups, coldTier float64) {
 	cfg := dc.Cfg
+	owned := NumLocalTables(cfg, rank, dc.Ranks)
+	lookups = dc.Socket.StreamTime(perfmodel.EmbeddingFwdBytes(owned, n, cfg.Lookups, cfg.EmbDim),
+		dc.ClusterConfig().ComputeCores())
+	if dc.EmbCacheBytes == 0 {
+		return lookups, 0
+	}
 	skew := dc.EmbSkew
 	if skew == 0 {
 		skew = DefaultEmbSkew
 	}
-	rows = rows[:0]
+	var buf [32]int // the owned tables' row counts, on the stack for any model here
+	rows := buf[:0]
 	for t, m := range cfg.Rows {
 		if TableOwner(t, dc.Ranks) == rank {
 			rows = append(rows, m)
 		}
 	}
 	hit := embstore.HitRate(dc.EmbCacheBytes, cfg.EmbDim, rows, skew)
-	missBytes := (1 - hit) * float64(dc.GlobalN) * float64(cfg.Lookups) *
+	missBytes := (1 - hit) * float64(n) * float64(cfg.Lookups) *
 		float64(len(rows)) * float64(cfg.EmbDim) * 4
-	return DefaultColdTierLat + missBytes/dc.ColdTierBW
+	return lookups, DefaultColdTierLat + missBytes/dc.ColdTierBW
 }
 
 // planBuilder accumulates steps and hands out handle slots.
@@ -227,21 +270,19 @@ func (b *planBuilder) waits(lo, hi int) {
 func (dc *DistConfig) buildPlan() *plan {
 	cfg, ranks, sock := dc.Cfg, dc.Ranks, dc.Socket
 	shardN := dc.GlobalN / ranks
-	cores := dc.clusterConfig().ComputeCores()
+	cores := dc.ClusterConfig().ComputeCores()
 	stream := func(bytes float64) float64 { return sock.StreamTime(bytes, cores) }
-	topSizes, botSizes := cfg.TopSizes(), cfg.BotSizes()
+	fwd := cfg.Forward()
+	topSizes, botSizes := fwd.top, fwd.bot
 	overlapped := dc.Overlapped()
 	flat := dc.EffectiveBucketBytes() == 0
 	tiered := dc.EmbCacheBytes > 0
 
 	// Modeled per-pass times from the paper-scale config.
-	botFwd := sock.GemmTime(perfmodel.MLPPassFlops(botSizes, shardN),
-		perfmodel.MLPPassBytes(botSizes, shardN), cores)
-	topFwd := sock.GemmTime(perfmodel.MLPPassFlops(topSizes, shardN),
-		perfmodel.MLPPassBytes(topSizes, shardN), cores)
-	interFwd := sock.GemmTime(
-		2*float64(shardN)*float64(cfg.InterDim()-cfg.EmbDim)*float64(cfg.EmbDim),
-		8*float64(shardN)*float64(cfg.Tables+1)*float64(cfg.EmbDim), cores)
+	flops, bytes := fwd.Work(shardN)
+	botFwd := sock.GemmTime(flops[0], bytes[0], cores)
+	interFwd := sock.GemmTime(flops[1], bytes[1], cores)
+	topFwd := sock.GemmTime(flops[2], bytes[2], cores)
 
 	// Modeled redistribution volumes (Table II / Eq. 2).
 	a2aBlockBytes := float64(MaxLocalTables(cfg, ranks)) * float64(shardN) * float64(cfg.EmbDim) * 4
@@ -251,10 +292,9 @@ func (dc *DistConfig) buildPlan() *plan {
 		iters: dc.Iters, startIter: dc.seg.startIter, ckptEvery: dc.seg.ckptEvery,
 		costs: make([][nRankCosts]float64, ranks),
 	}
-	rows := make([]int, 0, MaxLocalTables(cfg, ranks))
 	for r := range p.costs {
-		c, owned := &p.costs[r], numLocalTables(cfg, r, ranks)
-		c[costEmbFwd] = stream(perfmodel.EmbeddingFwdBytes(owned, dc.GlobalN, cfg.Lookups, cfg.EmbDim))
+		c, owned := &p.costs[r], NumLocalTables(cfg, r, ranks)
+		c[costEmbFwd], c[costColdTier] = dc.EmbForward(r, dc.GlobalN)
 		c[costEmbUpd] = stream(perfmodel.EmbeddingUpdBytes(owned, dc.GlobalN, cfg.Lookups, cfg.EmbDim))
 		// The §VI-D2 artifact reads the FULL global minibatch on every rank —
 		// O(N·R) cluster-wide; the sharded pipeline reads only this rank's N/R
@@ -266,9 +306,6 @@ func (dc *DistConfig) buildPlan() *plan {
 		case LoaderSharded:
 			ownedShare := float64(dc.GlobalN) * float64(owned) / float64(cfg.Tables)
 			c[costLoader] = loaderPerSample * (float64(shardN) + ownedShare)
-		}
-		if tiered {
-			c[costColdTier] = dc.coldTierSeconds(r, rows)
 		}
 		if dc.seg.ckptEvery > 0 {
 			c[costCheckpoint] = shardCheckpointBytes(cfg, r, ranks) / DefaultCheckpointBW
@@ -326,7 +363,7 @@ func (dc *DistConfig) buildPlan() *plan {
 		for g := 0; g < n; g++ {
 			tables := 1
 			if coalesce {
-				tables = numLocalTables(cfg, g, ranks)
+				tables = NumLocalTables(cfg, g, ranks)
 			}
 			s := step{coll: collGather, root: TableOwner(g, ranks), lo: g, bytes: float64(tables) * scatterBlockBytes}
 			if forward {

@@ -101,8 +101,8 @@ func LocalTables(cfg Config, r, ranks int) []int {
 	return out
 }
 
-// numLocalTables is len(LocalTables(cfg, r, ranks)) without building the list.
-func numLocalTables(cfg Config, r, ranks int) int {
+// NumLocalTables is len(LocalTables(cfg, r, ranks)) without building the list.
+func NumLocalTables(cfg Config, r, ranks int) int {
 	return (cfg.Tables - r + ranks - 1) / ranks
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -57,6 +58,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative comm cores", func(dc *DistConfig) { dc.CommCores = -2 }, "CommCores=-2"},
 		{"comm cores eat the socket", func(dc *DistConfig) { dc.CommCores = dc.Socket.Cores }, "no compute cores"},
 		{"interference below 1", func(dc *DistConfig) { dc.Interference = 0.5 }, "Interference"},
+		{"NaN interference", func(dc *DistConfig) { dc.Interference = math.NaN() }, "Interference=NaN"},
 		{"topology too small", func(dc *DistConfig) { dc.Topo = fabric.NewPrunedFatTree(2, 12.5e9) }, "topology has 2 sockets"},
 		{"ranks without a topology", func(dc *DistConfig) { dc.Topo = nil }, "need a fabric topology"},
 		{"zero socket", func(dc *DistConfig) { dc.Socket = perfmodel.Socket{} }, "Socket"},

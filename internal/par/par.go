@@ -67,9 +67,10 @@ type state struct {
 	// mu serializes parallel regions: concurrent submitters (e.g. simulated
 	// ranks sharing one pool) queue up rather than corrupting the region
 	// descriptor below.
-	mu   sync.Mutex
-	wg   sync.WaitGroup
-	wake []chan struct{} // one per helper worker (tid 1..workers-1)
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+	wake   []chan struct{} // one per helper worker (tid 1..workers-1)
+	exited sync.WaitGroup  // one per helper goroutine, done as it ends
 
 	// Region descriptor, valid from wake to wg.Wait. The channel send
 	// publishes these fields to the workers (happens-before), and wg.Done /
@@ -112,9 +113,13 @@ func NewPool(n int) *Pool {
 	s := &state{workers: n}
 	if n > 1 {
 		s.wake = make([]chan struct{}, n)
+		s.exited.Add(n - 1)
 		for tid := 1; tid < n; tid++ {
 			s.wake[tid] = make(chan struct{}, 1)
-			go s.worker(tid)
+			go func() {
+				s.worker(tid)
+				s.exited.Done() // outside worker: no helper loop is left once Close sees it
+			}()
 		}
 	}
 	p := &Pool{s: s}
@@ -128,9 +133,11 @@ var Default = NewPool(0)
 // NumWorkers reports the number of workers (the T in the paper's T-S split).
 func (p *Pool) NumWorkers() int { return p.s.workers }
 
-// Close shuts down the helper goroutines. Further use of the pool runs
-// regions on the calling goroutine only. Close is idempotent and safe to
-// call concurrently with region submission.
+// Close shuts down the helper goroutines and returns once they have exited.
+// Further use of the pool runs regions on the calling goroutine only. Close
+// is idempotent and safe to call concurrently with region submission (it
+// waits for a region in flight to finish); it must not be called from a
+// region body.
 func (p *Pool) Close() { p.s.close() }
 
 // Closed reports whether the pool has been shut down (its helpers exited
@@ -147,6 +154,7 @@ func (s *state) close() {
 		}
 		s.mu.Unlock()
 	})
+	s.exited.Wait()
 }
 
 // worker is the persistent helper loop for tid: park on the wake channel,

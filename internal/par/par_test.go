@@ -1,10 +1,13 @@
 package par
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestChunkCoversRange(t *testing.T) {
@@ -63,6 +66,7 @@ func TestChunkDefaultParts(t *testing.T) {
 func TestForNVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 5, 16} {
 		p := NewPool(workers)
+		defer p.Close()
 		const n = 1000
 		counts := make([]int32, n)
 		p.ForN(n, func(tid, lo, hi int) {
@@ -80,6 +84,7 @@ func TestForNVisitsEachIndexOnce(t *testing.T) {
 
 func TestForNSmallN(t *testing.T) {
 	p := NewPool(8)
+	defer p.Close()
 	var visited int32
 	p.ForN(1, func(tid, lo, hi int) {
 		atomic.AddInt32(&visited, int32(hi-lo))
@@ -97,6 +102,7 @@ func TestForNSmallN(t *testing.T) {
 
 func TestForEachWorkerRunsAll(t *testing.T) {
 	p := NewPool(6)
+	defer p.Close()
 	seen := make([]int32, 6)
 	p.ForEachWorker(func(tid, workers int) {
 		if workers != 6 {
@@ -113,6 +119,7 @@ func TestForEachWorkerRunsAll(t *testing.T) {
 
 func TestRun2DCoversGrid(t *testing.T) {
 	p := NewPool(4)
+	defer p.Close()
 	const rows, cols = 13, 7
 	var grid [rows][cols]int32
 	p.Run2D(rows, cols, func(tid, r, c int) {
@@ -261,6 +268,60 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 	})
 }
 
+// TestCloseJoinsHelpers pins that Close returns only once the pool's helper
+// goroutines have exited: the count of goroutines in a helper loop is back to
+// its value before NewPool when Close returns, with no waiting. (The count of
+// all goroutines would also move with the test runner's own.)
+func TestCloseJoinsHelpers(t *testing.T) {
+	startDefault()
+	for _, workers := range []int{2, 5, 16} {
+		before := helpers()
+		p := NewPool(workers)
+		p.ForN(100, func(tid, lo, hi int) {})
+		if got := helpers(); got != before+workers-1 {
+			t.Fatalf("workers=%d: %d helper goroutines with the pool open, want %d", workers, got, before+workers-1)
+		}
+		p.Close()
+		if got := helpers(); got != before {
+			t.Fatalf("workers=%d: %d helper goroutines when Close returned, %d before NewPool", workers, got, before)
+		}
+	}
+}
+
+// TestCloseByCleanup drops two pools unclosed, one after the other: the
+// runtime cleanup closes each (Close waits there for the helpers too), so
+// the first wait must not wedge the cleanup queue the second needs.
+func TestCloseByCleanup(t *testing.T) {
+	startDefault()
+	before := helpers()
+	for i := 0; i < 2; i++ {
+		func() { NewPool(4).ForN(100, func(tid, lo, hi int) {}) }()
+		for deadline := time.Now().Add(10 * time.Second); helpers() != before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool %d: %d helper goroutines 10 s after it became unreachable, %d before", i, helpers(), before)
+			}
+			runtime.GC()
+		}
+	}
+}
+
+// startDefault runs a region on Default, the one pool these tests leave
+// open: a helper goroutine enters its loop only once it is first scheduled,
+// and until then it is not counted.
+func startDefault() { Default.ForEachWorker(func(tid, workers int) {}) }
+
+// helpers counts the goroutines in a pool's helper loop, every pool's, from
+// a dump of all goroutine stacks.
+func helpers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "par.(*state).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 var testKey = NewStateKey("par-test")
 
 type attachState struct{ created int32 }
@@ -301,10 +362,14 @@ func TestRun2DArgCoversGrid(t *testing.T) {
 }
 
 func TestNewPoolDefaults(t *testing.T) {
-	if NewPool(-1).NumWorkers() <= 0 {
+	p := NewPool(-1)
+	defer p.Close()
+	if p.NumWorkers() <= 0 {
 		t.Fatal("default pool must have at least one worker")
 	}
-	if NewPool(3).NumWorkers() != 3 {
+	p3 := NewPool(3)
+	defer p3.Close()
+	if p3.NumWorkers() != 3 {
 		t.Fatal("explicit worker count not honored")
 	}
 }

@@ -10,10 +10,11 @@
 // bag lookups, the remote owners' outputs fan in to the serving replica
 // over the fabric (comm.FanIn — a request-scoped gather, not an SPMD
 // collective), and the replica runs the dense forward. All of it is priced
-// on the virtual clock by the same perfmodel/fabric/cluster stack as
-// training, so serving latencies and training iteration times are in the
-// same currency. Each fan-in is priced in isolation: serving batches do not
-// contend with each other for fabric links.
+// on the virtual clock from the terms the training plan charges
+// (core.Config.Forward, core.DistConfig.EmbForward), so serving latencies
+// and training iteration times are in the same currency. Each fan-in is
+// priced in isolation: serving batches do not contend with each other for
+// fabric links.
 //
 // The simulator is a single-threaded discrete-event loop, deterministic by
 // construction: arrivals are a counter-based Poisson stream (a pure
@@ -34,7 +35,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/embstore"
 	"repro/internal/fabric"
 	"repro/internal/perfmodel"
 )
@@ -87,13 +87,13 @@ type Config struct {
 	// same trade as training (cluster.Config.CommSlowdown).
 	Backend cluster.Backend
 	// EmbCacheBytes prices each replica's shard pulls through the tiered
-	// embedding parameter store (internal/embstore): the Zipf head of the
-	// lookup volume — the analytic hit rate of a per-replica cache this
-	// many bytes large — streams at socket speed, the cold tail pays the
-	// cold tier's latency (core.DefaultColdTierLat per batch) and bandwidth.
-	// The lookups are taken to follow core.DefaultEmbSkew. 0 keeps today's
-	// all-in-RAM pricing, bit-identical. When set, ColdTierBW must be set
-	// too.
+	// embedding parameter store (internal/embstore) as a training rank's
+	// are: ahead of the bag lookups, the cold tail — the volume the
+	// analytic hit rate of a per-replica cache this many bytes large
+	// misses — pays the cold tier's latency (core.DefaultColdTierLat per
+	// batch) and bandwidth. The lookups are taken to follow
+	// core.DefaultEmbSkew. 0 keeps the all-in-RAM pricing. When set,
+	// ColdTierBW must be set too.
 	EmbCacheBytes int
 	// ColdTierBW is the modeled cold-tier streaming bandwidth in bytes/s.
 	// Only meaningful with EmbCacheBytes (core.DefaultColdTierBW is the
@@ -140,40 +140,15 @@ func (c Config) Validate() error {
 	if err := c.Cfg.Validate(); err != nil {
 		return fmt.Errorf("serve: model config: %w", err)
 	}
-	if c.Replicas < 1 {
-		return fmt.Errorf("serve: Replicas %d, need at least 1", c.Replicas)
+	dc := c.distConfig()
+	if err := dc.ClusterConfig().Validate(); err != nil {
+		return fmt.Errorf("serve: the machine of %d Replicas: %w", c.Replicas, err)
 	}
 	if max := c.Cfg.MaxRanks(); c.Replicas > max {
 		return fmt.Errorf("serve: %d replicas but %s shards at most %d ways (one table per replica minimum)", c.Replicas, c.Cfg.Name, max)
 	}
-	if c.Replicas > 1 {
-		if c.Topo == nil {
-			return fmt.Errorf("serve: %d replicas need a fabric topology for the embedding fan-in", c.Replicas)
-		}
-		if n := c.Topo.NumSockets(); n < c.Replicas {
-			return fmt.Errorf("serve: topology %s has %d sockets, fewer than %d replicas", c.Topo.Name(), n, c.Replicas)
-		}
-	}
-	if c.Backend != cluster.MPIBackend && c.Backend != cluster.CCLBackend {
-		return fmt.Errorf("serve: unknown backend %v", c.Backend)
-	}
-	if s := c.Socket; s.Cores < 1 || !(s.PeakFlops > 0 && s.MemBW > 0 && s.GemmEff > 0 && s.EmbedEff > 0) {
-		return fmt.Errorf("serve: Socket %+v: Cores, PeakFlops, MemBW, GemmEff and EmbedEff must all be positive", s)
-	}
-	if cc := c.clusterConfig(); cc.CommCores >= c.Socket.Cores {
-		return fmt.Errorf("serve: %d communication cores leave no compute cores on a %d-core socket", cc.CommCores, c.Socket.Cores)
-	}
-	if c.EmbCacheBytes < 0 {
-		return fmt.Errorf("serve: EmbCacheBytes=%d, want >= 0", c.EmbCacheBytes)
-	}
-	if c.ColdTierBW < 0 {
-		return fmt.Errorf("serve: ColdTierBW=%v, want >= 0", c.ColdTierBW)
-	}
-	if c.EmbCacheBytes > 0 && c.ColdTierBW == 0 {
-		return fmt.Errorf("serve: EmbCacheBytes set without ColdTierBW — a tiered store needs a cold-tier bandwidth")
-	}
-	if c.EmbCacheBytes == 0 && c.ColdTierBW != 0 {
-		return fmt.Errorf("serve: ColdTierBW set without EmbCacheBytes — no tiered store to price")
+	if err := dc.ValidateStore(); err != nil {
+		return fmt.Errorf("serve: the replicas' embedding store: %w", err)
 	}
 	if c.Policy.MaxBatch < 1 {
 		return fmt.Errorf("serve: Policy.MaxBatch %d, need at least 1", c.Policy.MaxBatch)
@@ -191,6 +166,12 @@ func (c Config) Validate() error {
 	}
 	if c.Requests < 1 {
 		return fmt.Errorf("serve: Requests %d, need at least 1", c.Requests)
+	}
+	// No gap exceeds 53·ln 2 / OfferedQPS < 36.8 / OfferedQPS (interarrival),
+	// so below this bound the arrival clock stays finite; above it a last
+	// arrival at +Inf serves NaN latencies.
+	if !(float64(c.Requests)*36.8/c.OfferedQPS < math.MaxFloat64) {
+		return fmt.Errorf("serve: OfferedQPS %g: the arrival clock of %d requests could overflow", c.OfferedQPS, c.Requests)
 	}
 	if (c.RunCfg == nil) != (c.Dataset == nil) {
 		return fmt.Errorf("serve: functional runs need both RunCfg and Dataset (got RunCfg=%v, Dataset=%v)", c.RunCfg != nil, c.Dataset != nil)
@@ -212,141 +193,78 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// clusterConfig resolves the backend personality the cost model prices
-// with (defaults applied).
-func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		Ranks:   c.Replicas,
-		Topo:    c.Topo,
-		Socket:  c.Socket,
-		Backend: c.Backend,
-	}.WithDefaults()
+// distConfig is the replica set as the ranks of a training run: its
+// ClusterConfig is the machine the replicas are priced (and checked) on, and
+// a batch is priced from the terms its plan charges.
+func (c Config) distConfig() core.DistConfig {
+	return core.DistConfig{Cfg: c.Cfg, Ranks: c.Replicas, Topo: c.Topo, Socket: c.Socket,
+		Variant: core.Variant{Backend: c.Backend}, EmbCacheBytes: c.EmbCacheBytes, ColdTierBW: c.ColdTierBW}
 }
 
-// costModel prices one batch's service on a replica. All durations are
-// virtual seconds.
-type costModel struct {
-	cc       cluster.Config
-	cores    int
-	slow     float64 // backend transfer slowdown, applied to the fan-in
-	bot, top []int
-	inter    float64 // interaction flops per sample
-	lookups  int
-	embDim   int
-	owned    []int // tables owned per replica (round-robin)
-	maxOwned int
-
-	// Tiered embedding store pricing (Config.EmbCacheBytes): the hit
-	// fraction of the busiest owner's lookup volume streams at socket
-	// speed, the rest pays the cold tier.
-	tiered bool
-	hit    float64
-	coldBW float64
-}
-
-func (c Config) newCostModel() costModel {
-	cc := c.clusterConfig()
-	cm := costModel{
-		cc:      cc,
-		cores:   cc.ComputeCores(),
-		slow:    cc.CommSlowdown(),
-		bot:     c.Cfg.BotSizes(),
-		top:     c.Cfg.TopSizes(),
-		lookups: c.Cfg.Lookups,
-		embDim:  c.Cfg.EmbDim,
-		owned:   make([]int, c.Replicas),
-	}
-	s := float64(c.Cfg.Tables)
-	cm.inter = (s + 1) * s / 2 * 2 * float64(c.Cfg.EmbDim)
-	for t := 0; t < c.Cfg.Tables; t++ {
-		cm.owned[core.TableOwner(t, c.Replicas)]++
-	}
-	for _, n := range cm.owned {
-		if n > cm.maxOwned {
-			cm.maxOwned = n
-		}
-	}
-	if c.EmbCacheBytes > 0 {
-		cm.tiered = true
-		cm.coldBW = c.ColdTierBW
-		// The busiest owner paces the lookup phase; its tables' head mass
-		// under the per-replica budget is the hit rate the split prices.
-		busiest := 0
-		for o, n := range cm.owned {
-			if n == cm.maxOwned {
-				busiest = o
-				break
-			}
-		}
-		var rows []int
-		for t := 0; t < c.Cfg.Tables; t++ {
-			if core.TableOwner(t, c.Replicas) == busiest {
-				rows = append(rows, c.Cfg.Rows[t])
-			}
-		}
-		cm.hit = embstore.HitRate(c.EmbCacheBytes, c.Cfg.EmbDim, rows, core.DefaultEmbSkew)
-	}
-	return cm
-}
-
-// lookupTime is the shard-owner phase: the busiest owner streams its bag
-// lookups for b samples (owners work concurrently, so the max paces it).
-// Under the tiered store the Zipf head streams from the hot cache at
-// socket speed while the cold tail pays the cold tier's latency and
-// bandwidth — cache hits vs cold-tier misses, priced per batch.
-func (cm *costModel) lookupTime(b int) float64 {
-	bytes := perfmodel.EmbeddingFwdBytes(cm.maxOwned, b, cm.lookups, cm.embDim)
-	if !cm.tiered {
-		return cm.cc.Socket.StreamTime(bytes, cm.cores)
-	}
-	return cm.cc.Socket.StreamTime(bytes*cm.hit, cm.cores) +
-		core.DefaultColdTierLat + bytes*(1-cm.hit)/cm.coldBW
-}
-
-// mlpTime is the dense forward on the serving replica: bottom MLP,
-// interaction, top MLP for b samples. GemmTimeN's batch-dependent GEMM
-// efficiency is what makes per-sample service time shrink with batch size
-// — the entire reason the dispatcher batches.
-func (cm *costModel) mlpTime(b int) float64 {
-	flops := perfmodel.MLPPassFlops(cm.bot, b) + perfmodel.MLPPassFlops(cm.top, b) +
-		cm.inter*float64(b)
-	bytes := perfmodel.MLPPassBytes(cm.bot, b) + perfmodel.MLPPassBytes(cm.top, b)
-	return cm.cc.Socket.GemmTimeN(flops, bytes, cm.cores, b)
-}
-
-// placeFanIn fills perSrc with the bytes each remote shard owner sends the
-// serving replica r for a b-sample batch: its owned tables' bag outputs,
-// b·E floats per table.
-func (cm *costModel) placeFanIn(r, b int, perSrc []float64) {
-	for o := range perSrc {
-		if o == r || o >= len(cm.owned) {
-			perSrc[o] = 0
-			continue
-		}
-		perSrc[o] = float64(cm.owned[o]) * float64(b) * float64(cm.embDim) * 4
-	}
-}
-
-// server is one Run's live state: cost model, fan-in pricer and
-// (functionally) the replica predictors.
+// server is one Run's live state: the replicas' machine, the prices the
+// training plan is built from, and (functionally) the replica predictors.
 type server struct {
-	c  Config
-	cm costModel
-	ws *Workspaces
+	c   Config
+	dc  core.DistConfig // Config.distConfig
+	cc  cluster.Config  // dc's machine, backend defaults applied
+	fwd core.Forward    // the model's dense forward
+	ws  *Workspaces
 
 	preds []*core.Predictor // functional replicas, nil in timing-only runs
 }
 
-// service prices a b-sample batch on replica r: framework call, shard
-// lookups, fabric fan-in, dense forward.
+func (c Config) newServer(ws *Workspaces) *server {
+	s := &server{c: c, dc: c.distConfig(), fwd: c.Cfg.Forward(), ws: ws}
+	s.cc = s.dc.ClusterConfig().WithDefaults()
+	return s
+}
+
+// service prices a b-sample batch on replica r: the framework call and the
+// shard owners' lookups (batchPrice), the fan-in of the remote owners' bag
+// outputs, b·E floats per table, over the fabric, and the dense forward.
 func (s *server) service(r, b int) float64 {
-	pre := s.cm.cc.CallOverhead + s.cm.lookupTime(b)
+	p := s.batchPrice(b)
 	fetch := 0.0
 	if s.c.Replicas > 1 {
-		s.cm.placeFanIn(r, b, s.ws.perSrc)
-		fetch = s.ws.fanin.Time(r, s.ws.perSrc) * s.cm.slow
+		for o, n := range s.ws.owned { // FanIn skips r's own entry
+			s.ws.perSrc[o] = n * float64(b) * float64(s.c.Cfg.EmbDim) * 4
+		}
+		fetch = s.ws.fanin.Time(r, s.ws.perSrc) * s.cc.CommSlowdown()
 	}
-	return pre + fetch + s.cm.mlpTime(b)
+	return p.pre + fetch + p.dense
+}
+
+// price is the part of a batch's service time no replica changes.
+type price struct {
+	pre   float64 // the framework call plus the shard owners' lookups
+	dense float64 // the dense forward
+}
+
+// batchPrice prices a b-sample batch's replica-independent terms. The
+// owners run concurrently, so the slowest owner's EmbForward (cold-tier
+// fetch included) paces the lookups; the dense forward is one GEMM at b,
+// whose batch-dependent efficiency (GemmTimeN) is what makes per-sample
+// service time shrink with the batch — the reason the dispatcher batches.
+// Pricing walks every owner's tables, so a Run prices each batch size once
+// (ws.prices): the dispatcher asks again at every dispatch, and up to b+1
+// times when it sheds.
+func (s *server) batchPrice(b int) price {
+	if b < len(s.ws.prices) && s.ws.prices[b].pre != 0 {
+		return s.ws.prices[b]
+	}
+	lookups := 0.0
+	for o := 0; o < s.c.Replicas; o++ {
+		if fwd, cold := s.dc.EmbForward(o, b); fwd+cold > lookups {
+			lookups = fwd + cold
+		}
+	}
+	flops, bytes := s.fwd.Work(b)
+	p := price{pre: s.cc.CallOverhead + lookups,
+		dense: s.cc.Socket.GemmTimeN(flops[0]+flops[1]+flops[2], bytes[0]+bytes[1]+bytes[2], s.cc.ComputeCores(), b)}
+	if b < len(s.ws.prices) {
+		s.ws.prices[b] = p
+	}
+	return p
 }
 
 // ServiceTime returns the service time of one b-sample batch on
@@ -358,7 +276,7 @@ func (c Config) ServiceTime(b int) (float64, error) {
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	s := &server{c: c, cm: c.newCostModel(), ws: NewWorkspaces()}
+	s := c.newServer(NewWorkspaces())
 	s.ws.prepare(c)
 	worst := 0.0
 	for r := 0; r < c.Replicas; r++ {
@@ -425,10 +343,11 @@ func Run(c Config) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := &server{c: c, cm: c.newCostModel(), ws: c.Workspaces}
-	if s.ws == nil {
-		s.ws = NewWorkspaces()
+	ws := c.Workspaces
+	if ws == nil {
+		ws = NewWorkspaces()
 	}
+	s := c.newServer(ws)
 	if !s.ws.inUse.CompareAndSwap(false, true) {
 		return nil, errInUse
 	}
@@ -442,7 +361,7 @@ func Run(c Config) (*Result, error) {
 			pools = cluster.NewPools()
 			defer pools.Close()
 		}
-		s.preds = s.ws.replicas(c, pools, s.cm.cores)
+		s.preds = s.ws.replicas(c, pools, s.cc.ComputeCores())
 		res.Preds = make([]float32, c.Requests)
 		nan := float32(math.NaN())
 		for i := range res.Preds {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/perfmodel"
@@ -74,6 +75,7 @@ func TestServeValidate(t *testing.T) {
 		{"NaN slo", func(c *Config) { c.Policy.SLO = math.NaN() }, "SLO NaN"},
 		{"zero qps", func(c *Config) { c.OfferedQPS = 0 }, "OfferedQPS"},
 		{"zero requests", func(c *Config) { c.Requests = 0 }, "Requests"},
+		{"arrival clock overflows", func(c *Config) { c.OfferedQPS, c.Requests = 1e-310, 64 }, "OfferedQPS"},
 		{"dataset without runcfg", func(c *Config) { c.Dataset = serveDataset(functionalModel()) }, "both RunCfg and Dataset"},
 		{"broken model", func(c *Config) { c.Cfg.Tables = 0 }, "model config"},
 	}
@@ -231,5 +233,63 @@ func TestServiceTimeShape(t *testing.T) {
 	}
 	if math.IsNaN(s1) || math.IsInf(s64, 0) {
 		t.Fatalf("degenerate service times: %g %g", s1, s64)
+	}
+}
+
+// TestServiceTimeIsPlanForward pins the price of a served batch to the terms
+// the training plan is built from, bit for bit: the framework call, the
+// slowest shard owner's embedding-forward charge (lookups plus cold-tier
+// fetch) at n = b, the fan-in of the remote owners' bag outputs, and one
+// GemmTimeN over the dense forward's work at b — and that work to the
+// paper's counts, so a change to the plan's forward moves this test too.
+func TestServiceTimeIsPlanForward(t *testing.T) {
+	for _, budget := range []int{0, 256 << 20} {
+		for _, replicas := range []int{1, 8} {
+			c := tieredConfig(budget)
+			c.Replicas = replicas
+			dc := c.distConfig()
+			cc := dc.ClusterConfig().WithDefaults()
+			bot, top := c.Cfg.BotSizes(), c.Cfg.TopSizes()
+			s, e := c.Cfg.Tables, c.Cfg.EmbDim
+			for _, b := range []int{1, 32, 128} {
+				flops, bytes := c.Cfg.Forward().Work(b)
+				// An S(S+1)/2-pair dot product of E-wide vectors per sample,
+				// reading the S+1 vectors and writing as much again.
+				paperFlops := [3]float64{perfmodel.MLPPassFlops(bot, b), float64(b * s * (s + 1) * e), perfmodel.MLPPassFlops(top, b)}
+				paperBytes := [3]float64{perfmodel.MLPPassBytes(bot, b), float64(8 * b * (s + 1) * e), perfmodel.MLPPassBytes(top, b)}
+				if flops != paperFlops || bytes != paperBytes {
+					t.Fatalf("b=%d: forward work %v flops / %v bytes, the paper's counts are %v / %v", b, flops, bytes, paperFlops, paperBytes)
+				}
+				lookups := 0.0
+				for o := 0; o < replicas; o++ {
+					fwd, cold := dc.EmbForward(o, b)
+					if (cold != 0) != (budget > 0) {
+						t.Fatalf("budget=%d: owner %d's cold-tier charge %v", budget, o, cold)
+					}
+					lookups = math.Max(lookups, fwd+cold)
+				}
+				dense := cc.Socket.GemmTimeN(flops[0]+flops[1]+flops[2], bytes[0]+bytes[1]+bytes[2], cc.ComputeCores(), b)
+				perSrc := make([]float64, replicas)
+				for o := range perSrc {
+					perSrc[o] = float64(core.NumLocalTables(c.Cfg, o, replicas) * b * e * 4)
+				}
+				fanin := comm.FanIn{Topo: c.Topo}
+				want := 0.0
+				for r := 0; r < replicas; r++ {
+					fetch := 0.0
+					if replicas > 1 {
+						fetch = fanin.Time(r, perSrc) * cc.CommSlowdown()
+					}
+					want = math.Max(want, cc.CallOverhead+lookups+fetch+dense)
+				}
+				got, err := c.ServiceTime(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("budget=%d R=%d b=%d: ServiceTime %v, the plan's terms give %v", budget, replicas, b, got, want)
+				}
+			}
+		}
 	}
 }

@@ -13,13 +13,13 @@ import (
 
 // Workspaces carries the serving tier's reusable state across runs: the
 // dispatcher queue, per-replica busy-until clock, the latency sample, the
-// fan-in pricer's flow scratch, the record of served batches, the
-// evaluation pass's two staging minibatches, and the functional replica set
-// itself — one core.Predictor per replica over its shard of
-// core.NewModelShards: its own tables and one dense half (MLPs,
-// interaction) all replicas share. That is exact: serving never writes a
-// weight, the evaluation pass runs one forward at a time, and a Workspaces
-// refuses a second concurrent Run. It leaves the
+// fan-in pricer's flow scratch and tables per owner, a batch's price by its
+// size, the record of served batches, the evaluation pass's two staging
+// minibatches, and the functional replica set itself — one core.Predictor
+// per replica over its shard of core.NewModelShards: its own tables and one
+// dense half (MLPs, interaction) all replicas share. That is exact: serving
+// never writes a weight, the evaluation pass runs one forward at a time, and
+// a Workspaces refuses a second concurrent Run. It leaves the
 // host what each modelled socket has, one copy of the MLP weights per cache,
 // not R copies contending for one LLC. The set is keyed by what determines
 // its weights: a deep copy of RunCfg, Seed and Replicas. A functional run
@@ -37,6 +37,8 @@ type Workspaces struct {
 	repFree []float64
 	lat     []float64
 	perSrc  []float64
+	owned   []float64 // tables per replica, core.NumLocalTables
+	prices  []price   // by batch size, zero until priced
 	fanin   comm.FanIn
 	batches []batch           // the served batches, in dispatch order
 	stage   [2]data.MiniBatch // the evaluation pass's fill / forward ring
@@ -74,6 +76,15 @@ func (ws *Workspaces) prepare(c Config) {
 		ws.perSrc = make([]float64, c.Replicas)
 	}
 	ws.perSrc = ws.perSrc[:c.Replicas]
+	ws.owned = ws.owned[:0]
+	for o := 0; o < c.Replicas; o++ {
+		ws.owned = append(ws.owned, float64(core.NumLocalTables(c.Cfg, o, c.Replicas)))
+	}
+	if cap(ws.prices) <= c.Policy.MaxBatch {
+		ws.prices = make([]price, c.Policy.MaxBatch+1)
+	}
+	ws.prices = ws.prices[:c.Policy.MaxBatch+1]
+	clear(ws.prices)
 	ws.fanin.Topo = c.Topo
 }
 
