@@ -15,13 +15,6 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// pools and workspaces are shared by every run in the sweep, so rank worker
-// teams and communication buffers persist across DistConfig.Run calls.
-var (
-	pools      = cluster.NewPools()
-	workspaces = core.NewDistWorkspaces()
-)
-
 // loaderFor mirrors the paper's setup: only the MLPerf runs carry the
 // §VI-D2 global-read loader artifact.
 func loaderFor(cfg core.Config) core.LoaderMode {
@@ -36,9 +29,7 @@ func run(cfg core.Config, topo fabric.Topology, sock perfmodel.Socket, ranks int
 	res, err := core.DistConfig{
 		Cfg: cfg, Ranks: ranks, GlobalN: gn, Iters: 3,
 		Variant: v, Topo: topo, Socket: sock,
-		Loader:     loaderFor(cfg),
-		Pools:      pools,
-		Workspaces: workspaces,
+		Loader: loaderFor(cfg),
 	}.Run()
 	if err != nil {
 		log.Fatal(err)
@@ -47,7 +38,6 @@ func run(cfg core.Config, topo fabric.Topology, sock perfmodel.Socket, ranks int
 }
 
 func main() {
-	defer pools.Close()
 	cfg := core.MLPerf
 
 	fmt.Println("MLPerf strong scaling on the simulated OPA cluster (GN=16384):")
@@ -77,7 +67,6 @@ func main() {
 			Variant:  core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend},
 			Blocking: true,
 			Topo:     hyper, Socket: perfmodel.SKX8180,
-			Pools: pools, Workspaces: workspaces,
 		}.Run()
 		if err != nil {
 			log.Fatal(err)

@@ -79,12 +79,10 @@ func main() {
 	}
 	model := core.NewModel(cfg, 16, 1)
 	tr := core.NewTrainer(model, par.Default, embedding.RaceFree, 0.5, core.FP32)
-	batchLd := data.NewBatchLoader(ds, cfg.MB, 0)
-	defer batchLd.Close()
 	fmt.Println("\ntraining through the streaming loader (prefetch overlaps Step):")
 	err := tr.Run(core.RunOpts{
-		Loader: batchLd,
-		Iters:  30,
+		Dataset: ds,
+		Iters:   30,
 		Each: func(it int, loss float64) {
 			if (it+1)%10 == 0 {
 				fmt.Printf("  iter %2d  loss %.4f\n", it+1, loss)

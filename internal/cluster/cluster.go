@@ -90,8 +90,9 @@ type Config struct {
 	// Pools supplies each rank's persistent compute worker pool (the
 	// NUMA-style one-pool-per-socket layout). When nil, Run creates a
 	// transient set and closes it when the job finishes; callers running
-	// many jobs (figure sweeps, benchmarks) pass a shared *Pools so the
-	// worker goroutines persist across runs.
+	// many functional jobs (the benchmark's loops) pass a shared *Pools so
+	// the worker goroutines persist across runs. A job whose bodies never
+	// call Rank.Pool — every timing run — has no use for one.
 	Pools *Pools
 }
 
@@ -176,7 +177,7 @@ func (c Config) Validate() error {
 
 // Stats is one rank's virtual-time accounting, keyed by the labels the
 // trainer passes (e.g. "alltoall", "allreduce"). Run materialises it when
-// the rank's body returns; Rank.Stats on demand.
+// the rank's body returns; Rank.Stats and Rank.StatsInto on demand.
 type Stats struct {
 	Compute  float64            // seconds in compute (after any inflation)
 	Wait     map[string]float64 // exposed wait per collective label
@@ -329,12 +330,16 @@ func (r *Rank) account(label string, has uint8) *labelAcct {
 
 // Stats materialises the rank's accounting as the exported per-label maps.
 func (r *Rank) Stats() Stats {
-	s := Stats{
-		Compute:  r.compute,
-		Wait:     map[string]float64{},
-		CommBusy: map[string]float64{},
-		Prep:     map[string]float64{},
-	}
+	var s Stats
+	r.StatsInto(&s)
+	return s
+}
+
+// StatsInto is Stats into maps the caller owns: s's maps are cleared (made
+// if nil) and refilled, so a caller folding rank after rank reuses one set.
+func (r *Rank) StatsInto(s *Stats) {
+	s.Compute = r.compute
+	s.Wait, s.CommBusy, s.Prep = cleared(s.Wait), cleared(s.CommBusy), cleared(s.Prep)
 	for i := range r.acct {
 		a := &r.acct[i]
 		if a.has&hasWait != 0 {
@@ -347,7 +352,15 @@ func (r *Rank) Stats() Stats {
 			s.Prep[a.label] = a.prep
 		}
 	}
-	return s
+}
+
+// cleared returns m emptied, or a new map if m is nil.
+func cleared(m map[string]float64) map[string]float64 {
+	if m == nil {
+		return map[string]float64{}
+	}
+	clear(m)
+	return m
 }
 
 // Pool returns this rank's persistent compute worker pool, lazily created
@@ -413,8 +426,8 @@ func Run(cfg Config, body func(r *Rank)) []Stats {
 // NewRanks builds a job's engine and ranks without running anything on
 // them: the form for a caller that advances every rank itself, step by step,
 // and issues each collective for all of them at once (CollectiveAll). Rank.Pool
-// is available only if cfg.Pools is set; Rank.Stats gives each rank's
-// accounting.
+// is available only if cfg.Pools is set; Rank.Stats and Rank.StatsInto give
+// each rank's accounting.
 func NewRanks(cfg Config) []*Rank {
 	_, ranks := newJob(cfg)
 	return ranks

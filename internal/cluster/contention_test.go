@@ -100,7 +100,7 @@ func TestChargeContendedSharesBottleneck(t *testing.T) {
 	}
 	// An op on disjoint links (intra-leaf, other leaf) is unaffected.
 	other := []fabric.Flow{{Src: 40, Dst: 41, Bytes: 1e9}}
-	iso := fabric.PhaseTime(topo, other)
+	iso := sc.PhaseTime(topo, other)
 	if d := charge(other, 0); d != iso {
 		t.Fatalf("disjoint links must charge iso %g, got %g", iso, d)
 	}

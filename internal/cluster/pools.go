@@ -9,10 +9,10 @@ import (
 
 // Pools owns one persistent par.Pool per simulated rank — the NUMA-style
 // "one worker team per socket" layout the paper's OpenMP runs pin. Pools
-// are created lazily on first use (timing-only simulations never touch
-// them) and persist across cluster.Run calls, so a figure sweep or a
-// benchmark loop reuses the same worker goroutines for every run instead of
-// spawning and draining a team per run.
+// are created lazily on first Rank.Pool, which only functional ranks call
+// (a timing run never builds one), and persist across cluster.Run calls,
+// so a loop of functional runs — the benchmark's — reuses the same worker
+// goroutines for every run instead of spawning and draining a team per run.
 //
 // Ownership: whoever constructs a Pools closes it. cluster.Run closes only
 // the transient set it creates itself when Config.Pools is nil; a shared

@@ -261,7 +261,8 @@ func TestScatterRootSerialization(t *testing.T) {
 		c := New(rk, topo)
 		block := 1e7
 		scatter := c.ScatterTime(0, block)
-		single := fabric.PhaseTime(topo, []fabric.Flow{{Src: 0, Dst: 1, Bytes: block}})
+		var sc fabric.Scratch
+		single := sc.PhaseTime(topo, []fabric.Flow{{Src: 0, Dst: 1, Bytes: block}})
 		ratio := scatter / single
 		if ratio < float64(ranks-1)*0.8 {
 			t.Fatalf("scatter root serialization ratio %.1f, want ≈%d", ratio, ranks-1)

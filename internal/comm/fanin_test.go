@@ -21,7 +21,8 @@ func TestFanInMatchesFlowModel(t *testing.T) {
 			flows = append(flows, fabric.Flow{Src: src, Dst: 3, Bytes: b})
 		}
 	}
-	want := fabric.PhaseTime(topo, flows)
+	var sc fabric.Scratch
+	want := sc.PhaseTime(topo, flows)
 	if got != want {
 		t.Fatalf("FanIn.Time = %v, want flow-model %v", got, want)
 	}

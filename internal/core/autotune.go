@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/comm"
 )
 
@@ -131,8 +130,8 @@ func incumbent(dc *DistConfig) scheduleCandidate {
 // the incumbent first; a candidate replaces the best so far only when it is
 // strictly faster, so the incumbent wins ties and otherwise the lowest
 // index does. The result is therefore never worse than dc's incumbent
-// schedule under the model. The probes share dc's pools and workspaces —
-// the workspace key excludes every schedule knob, so all candidates probe
+// schedule under the model. The probes share dc's workspaces — the
+// workspace key excludes every schedule knob, so all candidates probe
 // through the same buffers and probing allocates nothing per iteration
 // once the first probes have warmed them.
 func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *AutotuneReport) {
@@ -144,11 +143,6 @@ func AutotuneDistConfig(dc DistConfig, opts AutotuneOpts) (DistConfig, *Autotune
 	probeCfg := dc
 	probeCfg.RunCfg, probeCfg.Dataset = nil, nil
 	probeCfg.Iters = final
-	if probeCfg.Pools == nil {
-		pools := cluster.NewPools()
-		defer pools.Close()
-		probeCfg.Pools = pools
-	}
 	if probeCfg.Workspaces == nil {
 		probeCfg.Workspaces = NewDistWorkspaces()
 	}

@@ -191,10 +191,12 @@ type DistConfig struct {
 	// Pools supplies the per-rank persistent compute pools (one per
 	// simulated socket, sized to its compute cores) and Workspaces the
 	// per-rank iteration buffers. Both are optional: a nil field makes the
-	// run self-contained (transient pool set, fresh workspaces). Drivers
-	// that issue many runs — figure sweeps, benchmarks — pass shared sets
-	// so worker goroutines and buffers persist across runs. The caller
-	// owning a shared Pools is responsible for closing it.
+	// run self-contained (transient pool set, fresh workspaces). Only
+	// functional ranks run kernels, so only a functional run reads Pools.
+	// A caller repeating one run passes shared sets so worker goroutines
+	// and buffers persist across runs: the benchmark's loops both,
+	// autotune's timing probes Workspaces alone; a figure sweep neither.
+	// The caller owning a shared Pools is responsible for closing it.
 	Pools      *cluster.Pools
 	Workspaces *DistWorkspaces
 
@@ -325,7 +327,6 @@ type DistResult struct {
 	BusyPerIter    map[string]float64
 	PrepPerIter    map[string]float64
 
-	Stats  []cluster.Stats
 	Models []*Model    // rank models (functional mode only)
 	Losses [][]float64 // [rank][iter] local losses (functional mode only)
 }
@@ -452,16 +453,14 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 		wss = NewDistWorkspaces()
 	}
 	p := dc.buildPlan()
-	var stats []cluster.Stats
+	var ranks []*cluster.Rank
 	if evaluate {
-		ranks := cluster.NewRanks(dc.ClusterConfig())
+		ranks = cluster.NewRanks(dc.ClusterConfig())
 		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots))
-		stats = make([]cluster.Stats, dc.Ranks)
-		for i, r := range ranks {
-			stats[i] = r.Stats()
-		}
 	} else {
-		stats = cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
+		ranks = make([]*cluster.Rank, dc.Ranks)
+		cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
+			ranks[r.ID] = r
 			ws := wss.get(r.ID)
 			ws.prepare(&dc, r.ID)
 			var x *executor
@@ -472,10 +471,11 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 			p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)
 		})
 	}
-	res.Stats = stats
 	iters := float64(dc.Iters)
 	var maxNow float64
-	for _, s := range stats {
+	s := &wss.stats
+	for _, r := range ranks {
+		r.StatsInto(s)
 		// The rank's final clock, rebuilt from its accounting in a fixed
 		// (label) order so the result is bit-reproducible.
 		now := cluster.AddByLabel(s.Compute+s.TotalWait(), s.Prep)

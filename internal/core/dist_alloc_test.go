@@ -1,11 +1,11 @@
 // Allocation-regression tests for the distributed path, the multi-socket
-// mirror of the root alloc_test.go: with per-rank persistent pools and
-// DistWorkspaces, a warmed-up timing-mode iteration performs zero heap
-// allocations, so simulated-cluster wall time measures the modeled fabric
-// and compute, not the Go allocator. A timing run's ranks are advanced
-// together on the caller's goroutine (the timing evaluator); a run also
-// allocates for its set-up (ranks, stats maps, result assembly), so runs of
-// two lengths are differenced and only the steady-state iterations remain.
+// mirror of the root alloc_test.go: with warm DistWorkspaces, a timing-mode
+// iteration performs zero heap allocations, so simulated-cluster wall time
+// measures the modeled fabric and compute, not the Go allocator. A timing
+// run's ranks are advanced together on the caller's goroutine (the timing
+// evaluator); a run also allocates for its set-up (plan, ranks, result
+// maps), so runs of two lengths are differenced and only the steady-state
+// iterations remain.
 package core
 
 import (
@@ -22,16 +22,14 @@ import (
 // checkZeroAllocs is hook 2, for timing runs: warmed-up runs of 4 and of 6
 // iterations allocate the same. Both charge every label a run can (the
 // second checkpoint's wait on the first drain comes in iteration 4), so they
-// build stats maps of one size.
+// build result maps of one size.
 func checkZeroAllocs(t *testing.T, dcs ...DistConfig) {
 	t.Helper()
 	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	pools := cluster.NewPools()
-	defer pools.Close()
 	for _, dc := range dcs {
-		dc.Pools, dc.Workspaces = pools, NewDistWorkspaces()
+		dc.Workspaces = NewDistWorkspaces()
 		run := func(iters int) func() {
 			dc := dc
 			dc.Iters = iters

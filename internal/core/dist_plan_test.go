@@ -197,7 +197,7 @@ func TestPlanCollectivesPerIteration(t *testing.T) {
 	for _, c := range []struct {
 		dc   DistConfig
 		want int
-	}{{at(MLPerf, 4, defaults), 4}, {simStrong64(1, nil), 19}} {
+	}{{at(MLPerf, 4, defaults), 4}, {simStrong64(1), 19}} {
 		n := 0
 		for _, s := range c.dc.buildPlan().iter {
 			if s.kind == stepCollective {

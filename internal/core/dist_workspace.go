@@ -191,15 +191,19 @@ func shardSegs(segs, shard [][]float32, tabs []int, k int) [][]float32 {
 }
 
 // DistWorkspaces holds one DistWorkspace per simulated rank. Like
-// cluster.Pools, a set passed through DistConfig persists across
-// Run calls so figure sweeps and benchmarks reuse buffers; when
-// DistConfig.Workspaces is nil each run builds (and abandons) its own.
+// cluster.Pools, a set passed through DistConfig persists across Run calls,
+// so a caller repeating one run (the benchmark's loops, autotune's probes)
+// reuses its buffers; when DistConfig.Workspaces is nil each run builds
+// (and abandons) its own.
 type DistWorkspaces struct {
 	mu sync.Mutex
 	ws []*DistWorkspace
 	// handles are the timing evaluator's handle slots, every rank's, in one
 	// block (see timingSlots).
 	handles []cluster.Handle
+	// stats holds one rank's accounting at a time while a run folds its
+	// ranks into the result, so the maps are built once per set.
+	stats cluster.Stats
 }
 
 // NewDistWorkspaces returns an empty set; rank workspaces are created on

@@ -12,11 +12,11 @@ import (
 )
 
 // checkEngines is hook 3: a timing configuration gives one byte-identical
-// DistResult — every per-rank Stats map, every per-label average, every
-// float bit for bit — from the timing evaluator (every rank at once, step by
-// step) and from every rank interpreting the plan on cluster.Run's
-// goroutines. A functional configuration, which only the goroutines run,
-// must give the same result twice, every loss and model included.
+// DistResult — every per-label average, every float bit for bit — from the
+// timing evaluator (every rank at once, step by step) and from every rank
+// interpreting the plan on cluster.Run's goroutines. A functional
+// configuration, which only the goroutines run, must give the same result
+// twice, every loss and model included.
 func checkEngines(t *testing.T, dcs ...DistConfig) {
 	t.Helper()
 	for _, dc := range dcs {
@@ -60,7 +60,7 @@ func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
 		x(axVariant, paper...).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking)
 	checkEngines(t, slices.Concat(rows, timingSample, funcSample).configs()...)
 
-	checkElasticEngines(t, ElasticConfig{Base: simStrong64(8, nil), CheckpointEvery: 3},
+	checkElasticEngines(t, ElasticConfig{Base: simStrong64(8), CheckpointEvery: 3},
 		cluster.FaultEvent{Kind: cluster.RankFail, Iter: 5, Rank: 13})
 	for i, dc := range timingSample.configs() {
 		dc.seg = segment{}
@@ -128,20 +128,19 @@ func heap(n int, fn func()) (objects, bytes uint64) {
 }
 
 // TestSimStrong64HeapBudget: a timing Run at the sim-strong64 shape (64
-// ranks, 8 iterations, warm workspaces) allocates no more than it did when
-// every rank was a coroutine of the lockstep engine — 1 355 objects and
-// 184 354 bytes per Run. The evaluator reaches 388 objects and ≈ 113 KB. The budget matters beyond the allocator: the benchmark keeps every
-// op of its window, so a cheaper Run means more ops and more of their
-// garbage in the same seconds, which is what peak_rss_mb on sim-strong64
-// reads (docs/PERF.md, "The timing evaluator").
+// ranks, 8 iterations, warm workspaces) allocates at most 80 objects and
+// 80 000 bytes: the plan, the ranks and the result, every rank's accounting
+// being folded through the one set of maps the workspaces keep. The
+// budget matters beyond the allocator: the benchmark keeps every op of its
+// window, so a cheaper Run means more ops and more of their garbage in the
+// same seconds, which is what peak_rss_mb on sim-strong64 reads
+// (docs/PERF.md, "The timing evaluator").
 func TestSimStrong64HeapBudget(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
-	const maxObjects, maxBytes = 1355, 184354
-	pools := cluster.NewPools()
-	defer pools.Close()
-	dc := simStrong64(8, pools)
+	const maxObjects, maxBytes = 80, 80000
+	dc := simStrong64(8)
 	for range 3 {
 		mustRun(dc)
 	}
@@ -159,10 +158,8 @@ func TestSimStrong64HeapBudget(t *testing.T) {
 // results and perform exactly the same number of allocations.
 func TestSameAtAnyGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	pools := cluster.NewPools()
-	defer pools.Close()
-	dc := simStrong64(8, pools)
-	ec := ElasticConfig{Base: simStrong64(8, pools), CheckpointEvery: 3}
+	dc := simStrong64(8)
+	ec := ElasticConfig{Base: simStrong64(8), CheckpointEvery: 3}
 	fail := cluster.FaultEvent{Kind: cluster.RankFail, Iter: 5, Rank: 13}
 	measure := func() (res *DistResult, er *ElasticResult, allocs [2]uint64) {
 		for range 2 { // untimed: the first run at a shape sizes workspaces and slots
@@ -187,9 +184,9 @@ func TestSameAtAnyGOMAXPROCS(t *testing.T) {
 // simStrong64 is the benchmark's sim-strong64 shape (the legacy
 // Fig9Strong64R fixture): Large on 64 ranks, CCL alltoall over the pruned
 // fat-tree, default bucketed+overlapped schedule, timing mode.
-func simStrong64(iters int, pools *cluster.Pools) DistConfig {
+func simStrong64(iters int) DistConfig {
 	dc := at(Large, 64, defaults, nIters(iters))
-	dc.Pools, dc.Workspaces = pools, NewDistWorkspaces()
+	dc.Workspaces = NewDistWorkspaces()
 	return dc
 }
 
@@ -197,9 +194,7 @@ func simStrong64(iters int, pools *cluster.Pools) DistConfig {
 // iterations: pure simulator overhead, which must not depend on the host's
 // core count (run with -cpu 1,2,8; ns/op and allocs/op should agree).
 func BenchmarkSimStrong64Run(b *testing.B) {
-	pools := cluster.NewPools()
-	defer pools.Close()
-	dc := simStrong64(8, pools)
+	dc := simStrong64(8)
 	for i := 0; i < 3; i++ {
 		mustRun(dc)
 	}

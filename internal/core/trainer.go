@@ -141,10 +141,7 @@ func (tr *Trainer) ResetPhaseTimes() {
 // configuration — the same shape DistConfig gives the distributed runs —
 // instead of a per-entry-point parameter list.
 type RunOpts struct {
-	// Loader streams the batches; the caller keeps ownership (and closes
-	// it). Exactly one of Loader and Dataset must be set.
-	Loader data.Loader
-	// Dataset is a source the run should own: Run wraps it in a
+	// Dataset is the run's source (required): Run wraps it in a
 	// prefetching BatchLoader (closed on return) reading Batch samples per
 	// step — the model config's MB when Batch is 0 — starting at batch
 	// index Start.
@@ -164,8 +161,8 @@ type RunOpts struct {
 	Checkpoint func(step int, m *Model) error
 }
 
-// Run consumes o.Iters batches from the configured source and steps the
-// trainer on each — the single-socket training loop, whose prefetch
+// Run consumes o.Iters batches from o.Dataset and steps the trainer on
+// each — the single-socket training loop, whose prefetch
 // goroutine generates batch i+1 while Step trains on batch i.
 func (tr *Trainer) Run(o RunOpts) error {
 	if o.Iters < 1 {
@@ -177,24 +174,18 @@ func (tr *Trainer) Run(o RunOpts) error {
 	if (o.CheckpointEvery > 0) != (o.Checkpoint != nil) {
 		return fmt.Errorf("core: RunOpts needs CheckpointEvery and Checkpoint together")
 	}
-	ld := o.Loader
-	switch {
-	case ld != nil && o.Dataset != nil:
-		return fmt.Errorf("core: RunOpts sets both Loader and Dataset; pick one source")
-	case ld == nil && o.Dataset == nil:
-		return fmt.Errorf("core: RunOpts needs a Loader or a Dataset")
-	case ld == nil:
-		batch := o.Batch
-		if batch == 0 {
-			batch = tr.M.Cfg.MB
-		}
-		if batch < 1 {
-			return fmt.Errorf("core: batch size %d, want >= 1", batch)
-		}
-		owned := data.NewBatchLoader(o.Dataset, batch, o.Start)
-		defer owned.Close()
-		ld = owned
+	if o.Dataset == nil {
+		return fmt.Errorf("core: RunOpts needs a Dataset")
 	}
+	batch := o.Batch
+	if batch == 0 {
+		batch = tr.M.Cfg.MB
+	}
+	if batch < 1 {
+		return fmt.Errorf("core: batch size %d, want >= 1", batch)
+	}
+	ld := data.NewBatchLoader(o.Dataset, batch, o.Start)
+	defer ld.Close()
 	for i := 0; i < o.Iters; i++ {
 		l := tr.Step(ld.Next().Local)
 		if o.Each != nil {

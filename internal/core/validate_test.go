@@ -161,45 +161,37 @@ func TestExposuresOrderContract(t *testing.T) {
 	}
 }
 
-// TestTrainerRunUnifiedEntry covers the RunOpts entry: loader-source and
-// dataset-source runs train identically, and misconfigurations error.
+// TestTrainerRunUnifiedEntry covers the RunOpts entry: a run over a Dataset
+// trains as the same steps on the dataset's batches taken by hand, and
+// misconfigurations error.
 func TestTrainerRunUnifiedEntry(t *testing.T) {
 	cfg := Small.Scaled(1.0 / 64)
 	cfg.MB = 32
 	ds := data.NewClickLog(7, cfg.DenseIn, cfg.Rows, cfg.Lookups)
-
-	train := func(o RunOpts) (*Model, []float64) {
-		m := NewModel(cfg, 16, 5)
-		tr := NewTrainer(m, par.Default, embedding.RaceFree, 0.5, FP32)
-		var losses []float64
-		prev := o.Each
-		o.Each = func(it int, l float64) {
-			losses = append(losses, l)
-			if prev != nil {
-				prev(it, l)
-			}
-		}
-		if err := tr.Run(o); err != nil {
-			t.Fatal(err)
-		}
-		return m, losses
+	newTrainer := func() *Trainer {
+		return NewTrainer(NewModel(cfg, 16, 5), par.Default, embedding.RaceFree, 0.5, FP32)
 	}
 
-	ld := data.NewBatchLoader(ds, cfg.MB, 0)
-	_, viaLoader := train(RunOpts{Loader: ld, Iters: 5})
-	ld.Close()
-	_, viaDataset := train(RunOpts{Dataset: ds, Iters: 5})
-	if len(viaLoader) != 5 || !slices.Equal(viaLoader, viaDataset) {
-		t.Fatalf("losses %v via loader, %v via dataset, want 5 equal", viaLoader, viaDataset)
+	var viaRun []float64
+	if err := newTrainer().Run(RunOpts{Dataset: ds, Iters: 5, Each: func(_ int, l float64) {
+		viaRun = append(viaRun, l)
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer()
+	var byHand []float64
+	for i := range 5 {
+		byHand = append(byHand, tr.Step(ds.Batch(i, cfg.MB)))
+	}
+	if len(viaRun) != 5 || !slices.Equal(viaRun, byHand) {
+		t.Fatalf("losses %v via Run, %v by hand, want 5 equal", viaRun, byHand)
 	}
 
-	tr := NewTrainer(NewModel(cfg, 16, 5), par.Default, embedding.RaceFree, 0.5, FP32)
 	for _, tc := range []struct {
 		name string
 		o    RunOpts
 	}{
-		{"no source", RunOpts{Iters: 1}},
-		{"both sources", RunOpts{Loader: ld, Dataset: ds, Iters: 1}},
+		{"no Dataset", RunOpts{Iters: 1}},
 		{"zero iters", RunOpts{Dataset: ds}},
 	} {
 		if err := tr.Run(tc.o); err == nil {

@@ -55,10 +55,8 @@ func ablationCommCores(o Opts) *Table {
 		Title:   "Ablation: communication-core count S (Large config, CCL Alltoall)",
 		Headers: []string{"comm cores", "compute (ms)", "comm exposed (ms)", "total (ms)"},
 	}
-	sw := newDistSweep()
-	defer sw.close()
 	for _, s := range []int{1, 2, 4, 8, 12} {
-		dc := sw.opaConfig(core.Large, ranks, core.Large.GlobalMB, cclAlltoall)
+		dc := opaConfig(core.Large, ranks, core.Large.GlobalMB, cclAlltoall)
 		dc.Iters, dc.CommCores = o.iters(defaultIters), s
 		res := mustRun(dc)
 		t.AddRow(fmt.Sprint(s), ms(res.ComputePerIter), ms(res.TotalCommPerIter()), ms(res.IterSeconds))

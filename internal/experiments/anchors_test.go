@@ -16,12 +16,10 @@ import (
 // reproduced them exactly; a change that moves one is a re-baseline and says
 // so. Each row is opaConfig plus the knobs it names.
 func TestVirtualAnchors(t *testing.T) {
-	sw := newDistSweep()
-	defer sw.close()
 	strong, weak := core.Large.GlobalMB, core.Large.LocalMB*64
 	dist := func(globalN int, set func(dc *core.DistConfig)) func() float64 {
 		return func() float64 {
-			dc := sw.opaConfig(core.Large, 64, globalN, cclAlltoall)
+			dc := opaConfig(core.Large, 64, globalN, cclAlltoall)
 			if set != nil {
 				set(&dc)
 			}
@@ -78,7 +76,7 @@ func TestVirtualAnchors(t *testing.T) {
 		// Rank 13 dies after iteration 4 of 8 under a 3-iteration checkpoint
 		// cadence: one detect / restore / replay cycle, amortised.
 		{"Fig9Strong64RChurn", 1396.4589005158725, func() float64 {
-			base := sw.opaConfig(core.Large, 64, strong, cclAlltoall)
+			base := opaConfig(core.Large, 64, strong, cclAlltoall)
 			base.Iters = 8
 			return mustRunElastic(core.ElasticConfig{
 				Base: base,

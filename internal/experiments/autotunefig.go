@@ -23,13 +23,11 @@ func autotuneFig(o Opts) *Table {
 			"delta", "tuned schedule"},
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	for _, c := range scheduleCases() {
 		for _, r := range c.ranks {
 			// Schedule knobs left at their zero values: the incumbent the
 			// tuner must beat IS the shipped default.
-			base := sw.opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
+			base := opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
 			base.Iters, base.Loader = iters, c.loader
 			_, rep := core.AutotuneDistConfig(base, core.AutotuneOpts{FinalIters: iters})
 			t.AddRow(c.scaling, c.cfg.Name, fmt.Sprintf("%dR", r),

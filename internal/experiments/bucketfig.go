@@ -39,8 +39,6 @@ func bucketFig(o Opts) *Table {
 			"ar exp/busy", "ar-top exp/busy", "ar-bot exp/busy"},
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	modes := []struct {
 		name        string
 		overlap     bool
@@ -56,7 +54,7 @@ func bucketFig(o Opts) *Table {
 		for _, r := range c.ranks {
 			var flatSync float64
 			for _, m := range modes {
-				dc := sw.opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
+				dc := opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
 				dc.Iters, dc.Loader = iters, c.loader
 				dc.Sync, dc.BucketBytes = !m.overlap, m.bucketBytes
 				res := mustRun(dc)

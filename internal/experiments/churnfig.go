@@ -46,8 +46,7 @@ func churnFig(o Opts) *Table {
 		{"Fig12 weak (LN=32)", core.Large.LocalMB * ranks},
 	}
 	for _, sc := range scales {
-		sw := newDistSweep()
-		base := sw.opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
+		base := opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
 		base.Iters = iters
 		addRow := func(label string, every int, res *core.ElasticResult, baseline float64) {
 			var ttr, det, rst, rep float64
@@ -100,7 +99,6 @@ func churnFig(o Opts) *Table {
 				addRow(fmt.Sprintf("churn %.0f%%", rate*100), every, res, baseline)
 			}
 		}
-		sw.close()
 	}
 	t.AddNote("TTR sums detect (collective timeout, %.1fs) + checkpoint restore + replay over all failures", cluster.DefaultDetectSeconds)
 	t.AddNote("overhead is effective ms/iter vs the fault-free, checkpoint-off baseline at the same scale")

@@ -39,13 +39,11 @@ func contentionFig(o Opts) *Table {
 		Headers: []string{"section", "scaling", "fabric", "schedule", "contention", "ms/iter", "delta"},
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	const ranks = 64
 	strong := core.Large.GlobalMB
 	tree := opaTree(ranks)
 	run := func(globalN int, topo fabric.Topology, set ...func(*core.DistConfig)) float64 {
-		dc := sw.opaConfig(core.Large, ranks, globalN, cclAlltoall)
+		dc := opaConfig(core.Large, ranks, globalN, cclAlltoall)
 		dc.Topo, dc.Iters = topo, iters
 		for _, s := range set {
 			s(&dc)
@@ -107,7 +105,7 @@ func contentionFig(o Opts) *Table {
 
 	// Section (d): the autotuner under contention.
 	for _, sc := range scales {
-		base := sw.opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
+		base := opaConfig(core.Large, ranks, sc.globalN, cclAlltoall)
 		base.Iters, base.Contention = iters, true
 		_, rep := core.AutotuneDistConfig(base, core.AutotuneOpts{FinalIters: iters})
 		t.AddRow("autotune", sc.name, "2:1 trunk", "default", "on", ms(rep.BaselineSeconds), "-")

@@ -40,10 +40,8 @@ func embstoreFig(o Opts) *Table {
 		Headers: []string{"budget", "skew", "model hit", "cold fetch ms", "cold wb ms",
 			"virtual ms/iter", "vs in-RAM"},
 	}
-	sw := newDistSweep()
-	defer sw.close()
 	run := func(budget int, skew float64) *core.DistResult {
-		dc := sw.opaConfig(cfg, ranks, cfg.GlobalMB, cclAlltoall)
+		dc := opaConfig(cfg, ranks, cfg.GlobalMB, cclAlltoall)
 		dc.Iters = o.iters(4)
 		if budget > 0 {
 			dc.EmbCacheBytes = budget

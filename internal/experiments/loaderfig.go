@@ -19,13 +19,11 @@ func loaderFig(o Opts) *Table {
 			"(MLPerf weak scaling, CCL Alltoall)",
 		Headers: []string{"config", "ranks", "loader", "ms/iter", "loader ms/iter", "loader share"},
 	}
-	sw := newDistSweep()
-	defer sw.close()
 	cfg := core.MLPerf
 	iters := o.iters(defaultIters)
 	for _, r := range []int{2, 4, 8, 16, 26} {
 		for _, mode := range []core.LoaderMode{core.LoaderGlobalMB, core.LoaderSharded} {
-			res := sw.runDist(cfg, r, globalN(cfg, true, r), cclAlltoall, false, mode, iters)
+			res := runDist(cfg, r, globalN(cfg, true, r), cclAlltoall, false, mode, iters)
 			loader := res.PrepPerIter["loader"]
 			t.AddRow(fmt.Sprintf("%s (LN=%d)", cfg.Name, cfg.LocalMB), fmt.Sprintf("%dR", r),
 				mode.String(), ms(res.IterSeconds), ms(loader), pct(loader/res.IterSeconds))

@@ -53,15 +53,13 @@ func overlapFig(o Opts) *Table {
 			"a2a exp/busy", "ar exp/busy", "loader exp/busy"},
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	for _, c := range scheduleCases() {
 		for _, r := range c.ranks {
 			var sync float64
 			for _, m := range overlapModes() {
 				// The ablation isolates the schedule, so every arm runs the
 				// flat per-MLP gradient buffers rather than the bucketed default.
-				dc := sw.opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
+				dc := opaConfig(c.cfg, r, globalN(c.cfg, c.weak, r), cclAlltoall)
 				dc.Iters, dc.Loader = iters, c.loader
 				dc.Sync, dc.Allreduce, dc.BucketBytes = !m.overlap, m.algo, core.FlatBuckets
 				res := mustRun(dc)

@@ -54,22 +54,6 @@ func scheduleCases() []scheduleCase {
 	}
 }
 
-// distSweep owns the per-rank pools and workspaces a figure's many
-// DistConfig.Run calls share, so worker goroutines and comm buffers persist
-// across the whole sweep (see docs/PERF.md for the ownership rules).
-type distSweep struct {
-	pools *cluster.Pools
-	wss   *core.DistWorkspaces
-}
-
-func newDistSweep() *distSweep {
-	return &distSweep{pools: cluster.NewPools(), wss: core.NewDistWorkspaces()}
-}
-
-// close shuts the sweep's rank pools down; the workspaces are plain buffers
-// reclaimed by the GC.
-func (sw *distSweep) close() { sw.pools.Close() }
-
 // cclAlltoall is the headline communication variant of Figs. 9/12.
 var cclAlltoall = core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend}
 
@@ -79,21 +63,19 @@ func opaTree(ranks int) *fabric.PrunedFatTree { return fabric.NewPrunedFatTree(r
 
 // opaConfig is the base recipe of every distributed run on the paper's
 // testbed: cfg over ranks CLX-8280 sockets on the OPA fat-tree, one timing
-// iteration of the library default schedule (bucketed + overlapped), on the
-// sweep's pools and workspaces. globalN is trimmed to a multiple of ranks
-// (the paper's 26-rank runs shard 16K unevenly). Drivers set the knobs
-// their figure varies on the returned value.
-func (sw *distSweep) opaConfig(cfg core.Config, ranks, globalN int, v core.Variant) core.DistConfig {
+// iteration of the library default schedule (bucketed + overlapped).
+// globalN is trimmed to a multiple of ranks (the paper's 26-rank runs shard
+// 16K unevenly). Drivers set the knobs their figure varies on the returned
+// value.
+func opaConfig(cfg core.Config, ranks, globalN int, v core.Variant) core.DistConfig {
 	return core.DistConfig{
-		Cfg:        cfg,
-		Ranks:      ranks,
-		GlobalN:    globalN - globalN%ranks,
-		Iters:      1,
-		Variant:    v,
-		Topo:       opaTree(ranks),
-		Socket:     perfmodel.CLX8280,
-		Pools:      sw.pools,
-		Workspaces: sw.wss,
+		Cfg:     cfg,
+		Ranks:   ranks,
+		GlobalN: globalN - globalN%ranks,
+		Iters:   1,
+		Variant: v,
+		Topo:    opaTree(ranks),
+		Socket:  perfmodel.CLX8280,
 	}
 }
 
@@ -101,8 +83,8 @@ func (sw *distSweep) opaConfig(cfg core.Config, ranks, globalN int, v core.Varia
 // The paper figures instrument the synchronous flat-allreduce pipeline
 // (§VI-D measures every collective on the critical path), so the schedule
 // is pinned there rather than inheriting the bucketed+overlapped default.
-func (sw *distSweep) runDist(cfg core.Config, ranks, globalN int, v core.Variant, blocking bool, loader core.LoaderMode, iters int) *core.DistResult {
-	dc := sw.opaConfig(cfg, ranks, globalN, v)
+func runDist(cfg core.Config, ranks, globalN int, v core.Variant, blocking bool, loader core.LoaderMode, iters int) *core.DistResult {
+	dc := opaConfig(cfg, ranks, globalN, v)
 	dc.Iters, dc.Blocking, dc.Loader = iters, blocking, loader
 	dc.Sync, dc.BucketBytes = true, core.FlatBuckets
 	return mustRun(dc)
@@ -124,17 +106,15 @@ func scalingFig(o Opts, weak bool) *Table {
 		t.Notes = []string{"paper: MLPerf 17x at 26 sockets (65%); Large 13.5x per 16x sockets (84%); Small 6.4x on 8 (80%)"}
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	for _, c := range scalingCases() {
 		label := fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB)
 		if weak {
 			label = fmt.Sprintf("%s (LN=%d)", c.cfg.Name, c.cfg.LocalMB)
 		}
-		base := sw.runDist(c.cfg, c.baseRanks, globalN(c.cfg, weak, c.baseRanks), cclAlltoall, false, c.loader, iters).IterSeconds
+		base := runDist(c.cfg, c.baseRanks, globalN(c.cfg, weak, c.baseRanks), cclAlltoall, false, c.loader, iters).IterSeconds
 		for _, r := range c.strongR {
 			for _, v := range core.Variants {
-				res := sw.runDist(c.cfg, r, globalN(c.cfg, weak, r), v, false, c.loader, iters)
+				res := runDist(c.cfg, r, globalN(c.cfg, weak, r), v, false, c.loader, iters)
 				ratio := base / res.IterSeconds
 				speedup, eff := ratio, ratio*float64(c.baseRanks)/float64(r)
 				if weak {
@@ -163,8 +143,6 @@ func breakdown(o Opts, title string, weak, detail bool, notes ...string) *Table 
 		t.Headers = append(t.Headers[:4], "a2a-framework", "ar-framework", "a2a-wait", "ar-wait")
 	}
 	iters := o.iters(defaultIters)
-	sw := newDistSweep()
-	defer sw.close()
 	for _, c := range scalingCases()[1:] {
 		for _, blocking := range []bool{false, true} {
 			mode := "overlapping"
@@ -174,7 +152,7 @@ func breakdown(o Opts, title string, weak, detail bool, notes ...string) *Table 
 			for _, backend := range []cluster.Backend{cluster.MPIBackend, cluster.CCLBackend} {
 				for _, r := range c.strongR {
 					v := core.Variant{Strategy: core.Alltoall, Backend: backend}
-					res := sw.runDist(c.cfg, r, globalN(c.cfg, weak, r), v, blocking, c.loader, iters)
+					res := runDist(c.cfg, r, globalN(c.cfg, weak, r), v, blocking, c.loader, iters)
 					row := []string{c.cfg.Name, mode, backend.String(), fmt.Sprintf("%dR", r)}
 					if detail {
 						row = append(row, ms(res.PrepPerIter["alltoall"]), ms(res.PrepPerIter["allreduce"]),
@@ -200,8 +178,6 @@ func fig15(o Opts) *Table {
 		Headers: []string{"config", "ranks", "compute (ms)", "allreduce (ms)", "alltoall (ms)"},
 	}
 	topo := fabric.NewTwistedHypercube(22e9)
-	sw := newDistSweep()
-	defer sw.close()
 	cases := []struct {
 		cfg   core.Config
 		ranks []int
@@ -223,8 +199,6 @@ func fig15(o Opts) *Table {
 				Socket:      perfmodel.SKX8180,
 				Sync:        true, // instrumented flat-sync schedule, as in the paper
 				BucketBytes: core.FlatBuckets,
-				Pools:       sw.pools,
-				Workspaces:  sw.wss,
 			})
 			compute := cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)
 			t.AddRow(fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB), fmt.Sprintf("%dR", r),

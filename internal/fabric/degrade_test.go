@@ -81,6 +81,7 @@ func TestDegradedHopsForwarding(t *testing.T) {
 }
 
 func TestPrunedFatTreeUplinks(t *testing.T) {
+	var sc Scratch
 	// The default 16-uplink tree is the paper's 2:1 pruning; fewer uplinks
 	// oversubscribe the trunk proportionally.
 	full := NewPrunedFatTreeUplinks(64, 12.5e9, 32)
@@ -99,8 +100,8 @@ func TestPrunedFatTreeUplinks(t *testing.T) {
 	for s := 0; s < 32; s++ {
 		cross = append(cross, Flow{Src: s, Dst: 32 + s, Bytes: 1e9})
 	}
-	t16 := PhaseTime(NewPrunedFatTreeUplinks(64, 12.5e9, 16), cross)
-	t4 := PhaseTime(quarter, cross)
+	t16 := sc.PhaseTime(NewPrunedFatTreeUplinks(64, 12.5e9, 16), cross)
+	t4 := sc.PhaseTime(quarter, cross)
 	if ratio := t4 / t16; ratio < 3.5 || ratio > 4.5 {
 		t.Fatalf("4x oversubscription should pace ≈4x: got %.2f", ratio)
 	}

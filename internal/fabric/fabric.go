@@ -35,35 +35,21 @@ type Topology interface {
 	CopyOverhead() float64
 }
 
-// PhaseTime returns the duration of a communication phase in which all
-// flows proceed concurrently: every flow's bytes are placed on each link of
-// its route, and the phase lasts until the most loaded link drains, plus
-// the largest path latency. A phase with no flows costs zero.
-//
-// This convenience entry point allocates a fresh accumulator per call; cost
-// models invoked on every simulated collective hold a Scratch and use its
-// PhaseTime method instead.
-func PhaseTime(t Topology, flows []Flow) float64 {
-	var s Scratch
-	return s.PhaseTime(t, flows)
-}
-
-// Scratch is a reusable link-load accumulator for PhaseTime. Link IDs are
-// small dense integers in every modeled topology, so loads live in a slice
-// grown monotonically to the largest ID seen; after warmup a phase
-// evaluation performs no heap allocation. Not safe for concurrent use.
+// Scratch prices communication phases (PhaseTime) with a reusable link-load
+// accumulator. Link IDs are small dense integers in every modeled topology,
+// so a phase's loads live in a LoadSet; after warmup a phase evaluation
+// performs no heap allocation. Not safe for concurrent use.
 type Scratch struct {
-	load     []float64
-	touched  []int // link IDs with non-zero load, for O(flows) reset
+	phase    LoadSet // the current phase's loads, reset on return
 	acc      *LoadSet
 	accScale float64 // phase multiplicity for accumulation (0 ⇒ 1)
 }
 
 // LoadSet aggregates per-link byte loads across phases — one collective's
 // total footprint on every link it touches, the record the contention epoch
-// shares bandwidth over. Like Scratch it indexes by dense link ID and
-// reuses its slices, so accumulating and copying allocate nothing after
-// warmup. Not safe for concurrent use.
+// shares bandwidth over, and a Scratch's one phase. It indexes by dense
+// link ID and reuses its slices, so accumulating and copying allocate
+// nothing after warmup. Not safe for concurrent use.
 type LoadSet struct {
 	load    []float64
 	touched []int
@@ -135,10 +121,11 @@ func (s *Scratch) PhaseTimeN(t Topology, flows []Flow, n float64) float64 {
 	return n * d
 }
 
-// PhaseTime is the allocation-free (after warmup) variant of the package
-// function: the receiver keeps the per-link load table across calls.
+// PhaseTime returns the duration of a communication phase in which all
+// flows proceed concurrently: every flow's bytes are placed on each link of
+// its route, and the phase lasts until the most loaded link drains, plus
+// the largest path latency. A phase with no flows costs zero.
 func (s *Scratch) PhaseTime(t Topology, flows []Flow) float64 {
-	s.touched = s.touched[:0]
 	var maxLat float64
 	ov := t.CopyOverhead()
 	for _, f := range flows {
@@ -146,13 +133,7 @@ func (s *Scratch) PhaseTime(t Topology, flows []Flow) float64 {
 			continue
 		}
 		for _, link := range t.Route(f.Src, f.Dst) {
-			for link >= len(s.load) {
-				s.load = append(s.load, 0)
-			}
-			if s.load[link] == 0 {
-				s.touched = append(s.touched, link)
-			}
-			s.load[link] += f.Bytes * ov
+			s.phase.Add(link, f.Bytes*ov)
 			if s.acc != nil {
 				scale := s.accScale
 				if scale == 0 {
@@ -166,14 +147,12 @@ func (s *Scratch) PhaseTime(t Topology, flows []Flow) float64 {
 		}
 	}
 	var worst float64
-	for _, link := range s.touched {
-		if d := s.load[link] / t.LinkBandwidth(link); d > worst {
+	for _, link := range s.phase.Links() {
+		if d := s.phase.Load(link) / t.LinkBandwidth(link); d > worst {
 			worst = d
 		}
 	}
-	for _, link := range s.touched {
-		s.load[link] = 0
-	}
+	s.phase.Reset()
 	if worst == 0 {
 		return 0
 	}

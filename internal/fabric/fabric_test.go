@@ -69,9 +69,10 @@ func TestTwistedHypercubeAggregateBandwidth(t *testing.T) {
 }
 
 func TestPhaseTimeSingleFlow(t *testing.T) {
+	var sc Scratch
 	h := NewTwistedHypercube(22e9)
 	// 22 GB over a single direct link should take ~1 s.
-	d := PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 22e9}})
+	d := sc.PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 22e9}})
 	if math.Abs(d-1) > 0.01 {
 		t.Fatalf("single-link phase time %g, want ≈1s", d)
 	}
@@ -84,17 +85,18 @@ func TestPhaseTimeSingleFlow(t *testing.T) {
 			break
 		}
 	}
-	d2 := PhaseTime(h, []Flow{{Src: 0, Dst: far, Bytes: 22e9}})
+	d2 := sc.PhaseTime(h, []Flow{{Src: 0, Dst: far, Bytes: 22e9}})
 	if d2 < d {
 		t.Fatal("2-hop flow cannot be faster than 1-hop")
 	}
 }
 
 func TestPhaseTimeContention(t *testing.T) {
+	var sc Scratch
 	h := NewTwistedHypercube(22e9)
 	// Two flows sharing the same link take twice as long as one.
-	one := PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 22e9}})
-	two := PhaseTime(h, []Flow{
+	one := sc.PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 22e9}})
+	two := sc.PhaseTime(h, []Flow{
 		{Src: 0, Dst: 1, Bytes: 22e9},
 		{Src: 0, Dst: 1, Bytes: 22e9},
 	})
@@ -104,14 +106,15 @@ func TestPhaseTimeContention(t *testing.T) {
 }
 
 func TestPhaseTimeEmptyAndSelfFlows(t *testing.T) {
+	var sc Scratch
 	h := NewTwistedHypercube(22e9)
-	if PhaseTime(h, nil) != 0 {
+	if sc.PhaseTime(h, nil) != 0 {
 		t.Fatal("empty phase must cost 0")
 	}
-	if PhaseTime(h, []Flow{{Src: 3, Dst: 3, Bytes: 1e9}}) != 0 {
+	if sc.PhaseTime(h, []Flow{{Src: 3, Dst: 3, Bytes: 1e9}}) != 0 {
 		t.Fatal("self flow must cost 0")
 	}
-	if PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 0}}) != 0 {
+	if sc.PhaseTime(h, []Flow{{Src: 0, Dst: 1, Bytes: 0}}) != 0 {
 		t.Fatal("zero-byte flow must cost 0")
 	}
 }
@@ -139,6 +142,7 @@ func TestFatTreeRoutes(t *testing.T) {
 }
 
 func TestFatTreePruning(t *testing.T) {
+	var sc Scratch
 	f := NewPrunedFatTree(64, 12.5e9)
 	// Bisection = trunk = 16 links ⇒ 200 GB/s (§V-B).
 	if math.Abs(f.Bisection()-200e9) > 1e9 {
@@ -152,8 +156,8 @@ func TestFatTreePruning(t *testing.T) {
 		cross = append(cross, Flow{Src: s, Dst: 32 + s, Bytes: 1e9})
 		intra = append(intra, Flow{Src: s, Dst: (s + 16) % 32, Bytes: 1e9})
 	}
-	tc := PhaseTime(f, cross)
-	ti := PhaseTime(f, intra)
+	tc := sc.PhaseTime(f, cross)
+	ti := sc.PhaseTime(f, intra)
 	ratio := tc / ti
 	if ratio < 1.5 || ratio > 2.5 {
 		t.Fatalf("trunk pruning ratio %.2f, want ≈2 (cross=%g intra=%g)", ratio, tc, ti)
@@ -175,13 +179,14 @@ func TestFatTreeLatencyAndOverhead(t *testing.T) {
 }
 
 func TestFatTreeSmallConfigs(t *testing.T) {
+	var sc Scratch
 	for _, n := range []int{1, 2, 8, 26, 32} {
 		f := NewPrunedFatTree(n, 12.5e9)
 		if f.NumSockets() != n {
 			t.Fatalf("NumSockets=%d want %d", f.NumSockets(), n)
 		}
 		if n > 1 {
-			if d := PhaseTime(f, []Flow{{Src: 0, Dst: n - 1, Bytes: 12.5e9}}); d <= 0 {
+			if d := sc.PhaseTime(f, []Flow{{Src: 0, Dst: n - 1, Bytes: 12.5e9}}); d <= 0 {
 				t.Fatal("transfer must take time")
 			}
 		}
@@ -201,18 +206,19 @@ func TestFatTreeBoundsPanic(t *testing.T) {
 }
 
 func TestDegradedLinkBecomesBottleneck(t *testing.T) {
+	var sc Scratch
 	base := NewPrunedFatTree(8, 12.5e9)
 	// Slow socket 3's uplink to 10% of nominal.
 	deg := NewDegraded(base, map[int]float64{3: 0.1})
 	flows := []Flow{{Src: 3, Dst: 5, Bytes: 1e9}}
-	healthy := PhaseTime(base, flows)
-	broken := PhaseTime(deg, flows)
+	healthy := sc.PhaseTime(base, flows)
+	broken := sc.PhaseTime(deg, flows)
 	if broken < 9*healthy {
 		t.Fatalf("degraded link not limiting: %.3g vs %.3g", broken, healthy)
 	}
 	// Traffic avoiding the bad link is unaffected.
 	other := []Flow{{Src: 1, Dst: 2, Bytes: 1e9}}
-	if PhaseTime(deg, other) != PhaseTime(base, other) {
+	if sc.PhaseTime(deg, other) != sc.PhaseTime(base, other) {
 		t.Fatal("unrelated traffic affected by degradation")
 	}
 	if deg.Name() == base.Name() {
@@ -221,6 +227,7 @@ func TestDegradedLinkBecomesBottleneck(t *testing.T) {
 }
 
 func TestDegradedDragsCollectives(t *testing.T) {
+	var sc Scratch
 	// A single slow UPI link must slow any alltoall phase that crosses it —
 	// the all-links-used pairwise exchange always does on 8 sockets.
 	base := NewTwistedHypercube(22e9)
@@ -229,7 +236,7 @@ func TestDegradedDragsCollectives(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		flows = append(flows, Flow{Src: i, Dst: i ^ 1, Bytes: 1e8})
 	}
-	if PhaseTime(deg, flows) <= PhaseTime(base, flows) {
+	if sc.PhaseTime(deg, flows) <= sc.PhaseTime(base, flows) {
 		t.Fatal("alltoall phase must slow through a degraded link")
 	}
 }
