@@ -386,9 +386,9 @@ type Handle struct {
 	finish  float64
 }
 
-// Run executes body once per rank and returns the per-rank statistics once
-// all complete. Bodies must be SPMD: every rank issues the same sequence of
-// collectives.
+// Run executes body once per rank and returns the job's ranks once all
+// complete (Rank.Stats reads each one's accounting). Bodies must be SPMD:
+// every rank issues the same sequence of collectives.
 //
 // Every body runs on its own goroutine; a rank that reaches a rendezvous
 // before the others parks until the last arriver has run the leader. Leaders
@@ -399,13 +399,12 @@ type Handle struct {
 // collectives — is reported by a panic naming the open collective and the
 // missing ranks, not a hang, and a panic inside a body is re-raised on the
 // caller's goroutine; either way every other body is unwound first.
-func Run(cfg Config, body func(r *Rank)) []Stats {
+func Run(cfg Config, body func(r *Rank)) []*Rank {
 	e, ranks := newJob(cfg)
 	if e.pools == nil {
 		e.pools = NewPools()
 		defer e.pools.Close()
 	}
-	stats := make([]Stats, len(ranks))
 	var wg sync.WaitGroup
 	wg.Add(len(ranks))
 	for _, r := range ranks {
@@ -413,14 +412,13 @@ func Run(cfg Config, body func(r *Rank)) []Stats {
 			defer wg.Done()
 			defer e.exit()
 			body(r)
-			stats[r.ID] = r.Stats()
 		}()
 	}
 	wg.Wait()
 	if e.abort != nil {
 		panic(e.abort)
 	}
-	return stats
+	return ranks
 }
 
 // NewRanks builds a job's engine and ranks without running anything on

@@ -19,11 +19,20 @@ import (
 // the rank goroutines happened to be scheduled. It returns the statistics.
 func runTwice(t *testing.T, cfg Config, body func(r *Rank)) []Stats {
 	t.Helper()
-	want := Run(cfg, body)
-	if got := Run(cfg, body); !reflect.DeepEqual(got, want) {
+	want := statsOf(Run(cfg, body))
+	if got := statsOf(Run(cfg, body)); !reflect.DeepEqual(got, want) {
 		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, want)
 	}
 	return want
+}
+
+// statsOf returns each rank's accounting.
+func statsOf(ranks []*Rank) []Stats {
+	s := make([]Stats, len(ranks))
+	for i, r := range ranks {
+		s[i] = r.Stats()
+	}
+	return s
 }
 
 // contendXchg is the args record of a collective that charges the
@@ -109,11 +118,7 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 					}
 				}
 			}
-			got := make([]Stats, ranks)
-			for i, r := range rs {
-				got[i] = r.Stats()
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := statsOf(rs); !reflect.DeepEqual(got, want) {
 				t.Errorf("%v blocking=%v: step by step differs from Run:\n got %+v\nwant %+v", backend, blocking, got, want)
 			}
 
@@ -121,7 +126,7 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 				continue // one operation in flight at a time: nothing to share
 			}
 			cfg.Contention = false
-			alone := Run(cfg, body)
+			alone := statsOf(Run(cfg, body))
 			if want[0].CommBusy["op1"] <= alone[0].CommBusy["op1"] {
 				t.Errorf("op1 never paid for sharing the trunk: busy %g contended, %g alone",
 					want[0].CommBusy["op1"], alone[0].CommBusy["op1"])

@@ -29,11 +29,19 @@ func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm
 func runTwice(t testing.TB, cfg cluster.Config, body func(c *Comm)) []cluster.Stats {
 	t.Helper()
 	rankBody := func(r *cluster.Rank) { body(New(r, cfg.Topo)) }
-	stats := cluster.Run(cfg, rankBody)
-	if got := cluster.Run(cfg, rankBody); !reflect.DeepEqual(got, stats) {
-		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, stats)
+	stats := func() []cluster.Stats {
+		ranks := cluster.Run(cfg, rankBody)
+		s := make([]cluster.Stats, len(ranks))
+		for i, r := range ranks {
+			s[i] = r.Stats()
+		}
+		return s
 	}
-	return stats
+	want := stats()
+	if got := stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, want)
+	}
+	return want
 }
 
 // TestForAllEqualsRankComms: timing-mode collectives issued for all ranks at

@@ -458,9 +458,7 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 		ranks = cluster.NewRanks(dc.ClusterConfig())
 		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots))
 	} else {
-		ranks = make([]*cluster.Rank, dc.Ranks)
-		cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
-			ranks[r.ID] = r
+		ranks = cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
 			ws := wss.get(r.ID)
 			ws.prepare(&dc, r.ID)
 			var x *executor

@@ -43,7 +43,7 @@ type executor struct {
 	// its caller's batch.
 	rank   int
 	res    *DistResult
-	loader data.Loader
+	loader *data.ShardedLoader
 	store  *embstore.Store // nil unless tiered
 
 	rb     *data.RankBatch

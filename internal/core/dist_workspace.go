@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/data"
@@ -194,10 +196,12 @@ func shardSegs(segs, shard [][]float32, tabs []int, k int) [][]float32 {
 // cluster.Pools, a set passed through DistConfig persists across Run calls,
 // so a caller repeating one run (the benchmark's loops, autotune's probes)
 // reuses its buffers; when DistConfig.Workspaces is nil each run builds
-// (and abandons) its own.
+// (and abandons) its own. A set serves one Run at a time: a Run started
+// while another holds it returns an error.
 type DistWorkspaces struct {
-	mu sync.Mutex
-	ws []*DistWorkspace
+	inUse atomic.Bool
+	mu    sync.Mutex
+	ws    []*DistWorkspace
 	// handles are the timing evaluator's handle slots, every rank's, in one
 	// block (see timingSlots).
 	handles []cluster.Handle
@@ -205,6 +209,8 @@ type DistWorkspaces struct {
 	// ranks into the result, so the maps are built once per set.
 	stats cluster.Stats
 }
+
+var errInUse = errors.New("core: DistWorkspaces already in use by another Run; concurrent runs need one DistWorkspaces each")
 
 // NewDistWorkspaces returns an empty set; rank workspaces are created on
 // first use.

@@ -55,6 +55,12 @@ func (dc *DistConfig) Validate() error {
 		if dc.Dataset == nil {
 			return fmt.Errorf("core: functional mode (RunCfg set) requires a Dataset")
 		}
+		if n := dc.Dataset.NumTables(); n != dc.RunCfg.Tables {
+			return fmt.Errorf("core: dataset has %d tables, functional RunCfg wants %d", n, dc.RunCfg.Tables)
+		}
+		if d := dc.Dataset.DenseDim(); d != dc.RunCfg.DenseIn {
+			return fmt.Errorf("core: dataset dense width %d, functional RunCfg wants %d", d, dc.RunCfg.DenseIn)
+		}
 		if dc.RunCfg.Tables != dc.Cfg.Tables {
 			return fmt.Errorf("core: functional RunCfg has %d tables, paper-scale Cfg %d — shards would not line up",
 				dc.RunCfg.Tables, dc.Cfg.Tables)
@@ -108,11 +114,19 @@ func (dc *DistConfig) ValidateStore() error {
 }
 
 // Run validates the configuration and executes the simulated-cluster
-// training run — the single entry point for distributed training.
+// training run — the single entry point for distributed training. It holds
+// dc.Workspaces for the run and refuses one another Run holds.
 func (dc DistConfig) Run() (*DistResult, error) {
 	if err := dc.Validate(); err != nil {
 		return nil, err
 	}
+	if dc.Workspaces == nil {
+		dc.Workspaces = NewDistWorkspaces()
+	}
+	if !dc.Workspaces.inUse.CompareAndSwap(false, true) {
+		return nil, errInUse
+	}
+	defer dc.Workspaces.inUse.Store(false)
 	return dc.run(), nil
 }
 

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/embedding"
@@ -78,6 +85,14 @@ func TestValidateRejections(t *testing.T) {
 			run.Rows = run.Rows[:run.Tables]
 			functional(dc, run)
 		}, "shards would not line up"},
+		{"functional dataset with too few tables", func(dc *DistConfig) {
+			functional(dc, dc.Cfg)
+			dc.Dataset = data.NewClickLog(1, dc.Cfg.DenseIn, dc.Cfg.Rows[:3], dc.Cfg.Lookups)
+		}, "dataset has 3 tables, functional RunCfg wants 8"},
+		{"functional dataset dense width", func(dc *DistConfig) {
+			functional(dc, dc.Cfg)
+			dc.Dataset = data.NewClickLog(1, dc.Cfg.DenseIn/2, dc.Cfg.Rows, dc.Cfg.Lookups)
+		}, "dataset dense width 256, functional RunCfg wants 512"},
 		{"functional top layer-count mismatch", func(dc *DistConfig) {
 			run := dc.Cfg
 			run.TopHidden = run.TopHidden[:len(run.TopHidden)-1]
@@ -197,5 +212,83 @@ func TestTrainerRunUnifiedEntry(t *testing.T) {
 		if err := tr.Run(tc.o); err == nil {
 			t.Errorf("%s: Run accepted an invalid RunOpts", tc.name)
 		}
+	}
+}
+
+// panicFill is a dataset whose every FillRange panics.
+type panicFill struct{ data.Dataset }
+
+func (panicFill) FillRange(i, n, lo, hi int, mb *data.MiniBatch) { panic("panicFill: fill panics") }
+
+// TestRunFillPanicReachesCaller: a functional run whose loader fills panic
+// (on each rank's prefetch goroutine) panics on Run's caller, where it can
+// be recovered; no goroutine outlives the Run, and the released workspaces
+// then serve a normal run exactly as fresh ones do.
+func TestRunFillPanicReachesCaller(t *testing.T) {
+	dc := distTestConfig(tinyConfig(), 2, 32, 2, Variant{Alltoall, cluster.CCLBackend}, true)
+	want := mustRun(dc)
+	dc.Workspaces = NewDistWorkspaces()
+	before := runtime.NumGoroutine()
+	bad := dc
+	bad.Dataset = panicFill{dc.Dataset}
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		bad.Run()
+	}()
+	if p != "panicFill: fill panics" {
+		t.Fatalf("Run panicked with %v, want the fill's panic", p)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before the Run", runtime.NumGoroutine(), before)
+		}
+	}
+	sameRun(t, "after the panic", mustRun(dc), want)
+}
+
+// sameRun fails the test unless got is want, the models aside.
+func sameRun(t *testing.T, what string, got, want *DistResult) {
+	t.Helper()
+	g, w := *got, *want
+	g.Models, w.Models = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: result differs:\n got %+v\nwant %+v", what, g, w)
+	}
+}
+
+// TestConcurrentRunsOnOneWorkspaces: Runs racing for one DistWorkspaces set
+// are each refused or give exactly the result of a run on its own set.
+func TestConcurrentRunsOnOneWorkspaces(t *testing.T) {
+	for name, dc := range map[string]DistConfig{
+		"timing":     at(Small, 4),
+		"functional": distTestConfig(tinyConfig(), 2, 32, 2, Variant{Alltoall, cluster.CCLBackend}, true),
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := mustRun(dc)
+			dc.Workspaces = NewDistWorkspaces()
+			for range 5 {
+				var res [2]*DistResult
+				var errs [2]error
+				var wg sync.WaitGroup
+				for i := range res {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res[i], errs[i] = dc.Run()
+					}()
+				}
+				wg.Wait()
+				for i, err := range errs {
+					if err != nil {
+						if !errors.Is(err, errInUse) {
+							t.Fatalf("Run %d: %v, want errInUse", i, err)
+						}
+						continue
+					}
+					sameRun(t, fmt.Sprint("Run ", i), res[i], want)
+				}
+			}
+		})
 	}
 }

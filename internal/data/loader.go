@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/embedding"
 )
@@ -21,16 +20,6 @@ type RankBatch struct {
 
 	// store backs Owned: the loader fills the owned columns into it.
 	store []embedding.Batch
-}
-
-// Loader streams per-rank batches. Next returns the next iteration's batch;
-// the returned RankBatch and everything it points into are owned by the
-// loader and valid only until the following Next call. Close releases any
-// prefetch resources and is idempotent; Next must not be called after
-// Close.
-type Loader interface {
-	Next() *RankBatch
-	Close()
 }
 
 // LoaderConfig describes the slice of a dataset one rank's loader serves.
@@ -73,7 +62,9 @@ func (c *LoaderConfig) normalize() {
 	if c.Buffers == nil {
 		c.Buffers = &LoaderBuffers{}
 	}
-	c.Buffers.setup()
+	for k := range c.Buffers.ring {
+		c.Buffers.ring[k].Local = &c.Buffers.local[k]
+	}
 }
 
 // LoaderBuffers owns the staging storage loaders fill batches into: the two
@@ -84,15 +75,6 @@ func (c *LoaderConfig) normalize() {
 type LoaderBuffers struct {
 	local [2]MiniBatch
 	ring  [2]RankBatch
-	once  sync.Once
-}
-
-func (lb *LoaderBuffers) setup() {
-	lb.once.Do(func() {
-		for k := range lb.ring {
-			lb.ring[k].Local = &lb.local[k]
-		}
-	})
 }
 
 // bindOwnedStore points Owned at nOwned batches of this slot's private
@@ -116,85 +98,30 @@ func (rb *RankBatch) bindOwnedStore(nOwned int) {
 // sample slice (sparse offsets rebased at the source) plus its owned
 // tables' full-batch columns — ≈2/R of the global batch instead of the
 // §VI-D2 artifact's full read — and production is double-buffered: a
-// prefetch goroutine fills one RankBatch while the trainer consumes the
-// other, so generation overlaps compute. After the two staging buffers have
-// reached steady-state capacity, Next performs zero heap allocations
-// (enforced by loader_alloc_test.go).
-type ShardedLoader struct {
-	cfg   LoaderConfig
-	free  chan *RankBatch // consumer → producer: buffer ready for refill
-	ready chan *RankBatch // producer → consumer: filled batch
-	stop  chan struct{}
-	done  chan struct{} // closed when the producer has exited
-	prev  *RankBatch
-	once  sync.Once
-}
+// Prefetch ring over the two RankBatch slots of the loader's LoaderBuffers
+// fills one while the trainer consumes the other, so generation overlaps
+// compute. Next returns the next iteration's batch, valid until the
+// following Next; Close stops the fills and waits for them, so a successor
+// loader borrowing the same LoaderBuffers (the per-rank workspaces hand one
+// across runs) never observes a stale fill. A panic in a fill comes out of
+// Next or Close on the caller. After the two staging buffers have reached
+// steady-state capacity, Next performs zero heap allocations (enforced by
+// loader_alloc_test.go).
+type ShardedLoader = Prefetch[RankBatch]
 
 // NewShardedLoader starts the prefetch pipeline for one rank.
 func NewShardedLoader(c LoaderConfig) *ShardedLoader {
 	c.normalize()
-	l := &ShardedLoader{
-		cfg:   c,
-		free:  make(chan *RankBatch, 2),
-		ready: make(chan *RankBatch, 2),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	l.free <- &c.Buffers.ring[0]
-	l.free <- &c.Buffers.ring[1]
-	go l.produce()
-	return l
-}
-
-// produce runs on the prefetch goroutine, filling staging buffers as the
-// consumer recycles them. The channel handoff is the happens-before edge
-// publishing each fill; with both buffers in flight the producer stays one
-// batch ahead of the trainer.
-func (l *ShardedLoader) produce() {
-	defer close(l.done)
-	c := &l.cfg
 	lo, hi := ShardRange(c.GlobalN, c.Rank, c.Ranks)
-	for it := c.Start; ; it++ {
-		var rb *RankBatch
-		select {
-		case rb = <-l.free:
-		case <-l.stop:
-			return
-		}
+	return NewPrefetch(c.Buffers.ring[:], -1, func(j int, rb *RankBatch) {
+		it := c.Start + j
 		rb.Iter = it
 		c.DS.FillRange(it, c.GlobalN, lo, hi, rb.Local)
 		rb.bindOwnedStore(len(c.Owned))
 		for li, t := range c.Owned {
 			c.DS.FillTableColumn(it, c.GlobalN, t, 0, c.GlobalN, rb.Owned[li])
 		}
-		select {
-		case l.ready <- rb:
-		case <-l.stop:
-			return
-		}
-	}
-}
-
-// Next implements Loader: it recycles the previously returned buffer to the
-// producer and hands out the next prefetched batch.
-func (l *ShardedLoader) Next() *RankBatch {
-	if l.prev != nil {
-		l.free <- l.prev
-	}
-	rb := <-l.ready
-	l.prev = rb
-	return rb
-}
-
-// Close implements Loader. It stops the prefetch goroutine and waits for
-// it to exit, so a successor loader borrowing the same LoaderBuffers (the
-// per-rank workspaces hand one across runs) can never observe a stale
-// producer still filling them. The wait cannot block: the producer's sends
-// go to channels deep enough for every staging buffer, so it always
-// reaches its stop check.
-func (l *ShardedLoader) Close() {
-	l.once.Do(func() { close(l.stop) })
-	<-l.done
+	})
 }
 
 // NewBatchLoader returns a single-rank streaming loader over ds — a

@@ -179,6 +179,22 @@ func TestLoaderBuffersReuseAcrossLoaders(t *testing.T) {
 	}
 }
 
+// panicFill is a dataset whose every FillRange panics.
+type panicFill struct{ Dataset }
+
+func (panicFill) FillRange(i, n, lo, hi int, mb *MiniBatch) { panic("panicFill: fill panics") }
+
+// TestLoaderFillPanicReachesCaller: a loader fill's panic, on the prefetch
+// goroutine, comes out of Next on the caller, where it can be recovered, and
+// Close then only joins.
+func TestLoaderFillPanicReachesCaller(t *testing.T) {
+	ld := NewBatchLoader(panicFill{NewClickLog(3, 4, []int{120, 60}, 2)}, 8, 0)
+	if p := mustPanic(t, func() { ld.Next() }); p != "panicFill: fill panics" {
+		t.Fatalf("Next panicked with %v", p)
+	}
+	ld.Close()
+}
+
 func TestShardRangePartitions(t *testing.T) {
 	// The sharding contract the elastic layer leans on: for every rank
 	// count (including the R-1 shapes a failure rescales to, and globalN

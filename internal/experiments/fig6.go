@@ -35,7 +35,7 @@ func fig6(Opts) *Table {
 		4*float64(ck)*(float64(ck)+2*float64(localN)), cores, localN)
 	sgdT := sock.StreamTime(3*layerBytes/float64(ranks), cores)
 
-	stats := cluster.Run(cfg, func(r *cluster.Rank) {
+	rs := cluster.Run(cfg, func(r *cluster.Rank) {
 		cm := comm.New(r, topo)
 		// Backward pass (Fig. 2 left): per layer, BWD-by-data and
 		// BWD-by-weights GEMMs; the reduce-scatter of this layer's weight
@@ -65,7 +65,8 @@ func fig6(Opts) *Table {
 	})
 
 	var bwdBusy, bwdExposed, updBusy, updExposed float64
-	for _, s := range stats {
+	for _, r := range rs {
+		s := r.Stats()
 		updBusy += s.CommBusy["allgather"] / ranks
 		bwdBusy += s.CommBusy["reduce-scatter"] / ranks
 		updExposed += s.Wait["allgather"] / ranks

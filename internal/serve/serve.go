@@ -471,60 +471,28 @@ func Run(c Config) (*Result, error) {
 type batch struct{ r, k0, k1 int }
 
 // evaluate computes the recorded batches' probabilities into preds, in
-// dispatch order. A helper goroutine fills batch j+1's requests into one
-// slot of the two-slot staging ring while this goroutine runs batch j from
-// the other: each shard owner's bag lookups into the serving replica's
-// staging rows, then the replica's dense forward. A slot is refilled only
-// after its forward has returned. Fills run in dispatch order and forwards
-// one at a time, as a serial loop would run them, so every probability is
-// the same bits; BN=1 replicas make it the same sample's probability
-// through the full single-socket model, whatever batch it rode in.
-//
-// The helper is joined before evaluate returns. A panic in a fill is
-// recovered on the helper and raised again here; a panic in a forward stops
-// the helper before it propagates.
+// dispatch order. A data.Prefetch ring over the workspace's two staging
+// slots fills batch j+1's requests while this goroutine runs batch j: each
+// shard owner's bag lookups into the serving replica's staging rows, then
+// the replica's dense forward. Fills run in dispatch order and forwards one
+// at a time, as a serial loop would run them, so every probability is the
+// same bits; BN=1 replicas make it the same sample's probability through the
+// full single-socket model, whatever batch it rode in. The ring is closed
+// before evaluate returns, so a fill's panic and a forward's both come out
+// here with the helper joined.
 func (s *server) evaluate(preds []float32) {
-	batches, stage := s.ws.batches, &s.ws.stage
-	// A token per filled and per released slot. At most len(stage) of
-	// either are ever outstanding, so with that buffer no send blocks.
-	filled := make(chan struct{}, len(stage))
-	free := make(chan struct{}, len(stage))
-	stop := make(chan struct{})
-	var fillPanic any
-	go func() {
-		defer close(filled)
-		defer func() { fillPanic = recover() }()
-		for j, b := range batches {
-			if j >= len(stage) {
-				select {
-				case <-free:
-				case <-stop:
-					return
-				}
-			}
-			s.c.Dataset.FillRange(0, s.c.Requests, b.k0, b.k1, &stage[j%len(stage)])
-			filled <- struct{}{}
-		}
-	}()
-	defer func() {
-		close(stop)
-		for range filled { // the helper closes filled as it exits
-		}
-		if fillPanic != nil {
-			panic(fillPanic)
-		}
-	}()
-	for j, b := range batches {
-		if _, ok := <-filled; !ok {
-			return // the helper panicked; the deferred join raises it here
-		}
-		mb := &stage[j%len(stage)]
+	batches := s.ws.batches
+	ring := data.NewPrefetch(s.ws.stage[:], len(batches), func(j int, mb *data.MiniBatch) {
+		s.c.Dataset.FillRange(0, s.c.Requests, batches[j].k0, batches[j].k1, mb)
+	})
+	defer ring.Close()
+	for _, b := range batches {
+		mb := ring.Next()
 		rows := s.preds[b.r].EmbOut(b.k1 - b.k0)
 		for t := 0; t < s.c.Cfg.Tables; t++ {
 			o := core.TableOwner(t, s.c.Replicas)
 			s.preds[o].M.Tables[t].Forward(s.preds[o].Pool, mb.Sparse[t], rows[t])
 		}
 		s.preds[b.r].PredictDense(mb.Dense, rows, preds[b.k0:b.k1])
-		free <- struct{}{}
 	}
 }
