@@ -10,7 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
+	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -58,18 +58,26 @@ func main() {
 	fmt.Println("  every shard matches its global-batch slice exactly")
 
 	// 2. Steady-state batch production is allocation-free: the loader
-	// cycles two staging buffers while the consumer trains.
-	var before, after runtime.MemStats
-	ld := loaders[0]
-	ld.Next() // warm the staging buffers
-	runtime.ReadMemStats(&before)
-	const probe = 50
-	for i := 0; i < probe; i++ {
-		ld.Next()
+	// cycles two staging buffers while the consumer trains. Counted as the
+	// difference between a long and a short loader session, so the fixed
+	// cost of a session (the loader, its goroutine) cancels and only the
+	// marginal cost of a batch remains.
+	bufs := &data.LoaderBuffers{}
+	session := func(batches int) func() {
+		return func() {
+			ld := data.NewShardedLoader(data.LoaderConfig{
+				DS: ds, GlobalN: globalN, Ranks: ranks, Owned: owned[0], Buffers: bufs,
+			})
+			for range batches {
+				ld.Next()
+			}
+			ld.Close()
+		}
 	}
-	runtime.ReadMemStats(&after)
-	fmt.Printf("\nsteady-state loader production: %d mallocs across %d batches\n",
-		after.Mallocs-before.Mallocs, probe)
+	const short, long = 2, 52
+	session(long)() // warm the staging buffers
+	perBatch := (testing.AllocsPerRun(5, session(long)) - testing.AllocsPerRun(5, session(short))) / (long - short)
+	fmt.Printf("\nsteady-state loader production: %g mallocs per batch\n", perBatch)
 
 	// 3. Single-socket training through the prefetching loader.
 	cfg := core.Config{

@@ -33,7 +33,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/fabric"
@@ -65,8 +64,7 @@ type Config struct {
 	Topo   fabric.Topology
 	Socket perfmodel.Socket
 
-	Backend  Backend
-	Blocking bool // wait immediately after every collective (the instrumented "blocking" runs)
+	Backend Backend
 
 	// CommCores is the number of cores dedicated to communication. For CCL
 	// these are pinned and excluded from compute; for MPI the progress
@@ -175,36 +173,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats is one rank's virtual-time accounting, keyed by the labels the
-// trainer passes (e.g. "alltoall", "allreduce"). Run materialises it when
-// the rank's body returns; Rank.Stats and Rank.StatsInto on demand.
-type Stats struct {
-	Compute  float64            // seconds in compute (after any inflation)
-	Wait     map[string]float64 // exposed wait per collective label
-	CommBusy map[string]float64 // raw collective durations (busy time)
-	Prep     map[string]float64 // framework pre/post processing per label
-}
-
-// TotalWait sums exposed waits over all labels (in label order, see
-// AddByLabel).
-func (s *Stats) TotalWait() float64 { return AddByLabel(0, s.Wait) }
-
-// AddByLabel adds a per-label map's values to acc one by one in ascending
-// label order: float addition is not associative, so a sum in Go's random
-// map order differs in its last bits from run to run.
-func AddByLabel(acc float64, m map[string]float64) float64 {
-	var buf [16]string
-	labels := buf[:0]
-	for l := range m {
-		labels = append(labels, l)
-	}
-	slices.Sort(labels)
-	for _, l := range labels {
-		acc += m[l]
-	}
-	return acc
-}
-
 // Engine coordinates the ranks of one simulated job.
 type Engine struct {
 	Cfg Config
@@ -281,7 +249,9 @@ type slot struct {
 // (the same static-body convention as par.ForNArg).
 type LeaderFunc func(arg any, payloads []any, start float64) (dur float64)
 
-// Rank is the per-rank handle: virtual clocks plus statistics.
+// Rank is the per-rank handle: its virtual clocks. What a charge is for is
+// the caller's to book: Compute and Wait return the time they charged, and a
+// Handle carries its operation's busy time.
 type Rank struct {
 	ID  int
 	Eng *Engine
@@ -290,77 +260,6 @@ type Rank struct {
 	commFree  []float64
 	asyncFree float64 // background-thread stream (Async): busy until here
 	seq       int64
-
-	// The accounting behind Stats: one record per label in first-use order,
-	// found by scanning a handful of entries instead of three map writes
-	// per collective; each label accumulates in program order, as in a map.
-	compute float64
-	acct    []labelAcct
-	acctBuf [8]labelAcct // acct's first backing array
-}
-
-// labelAcct is one label's accumulated times; has records which of the
-// three Stats maps it belongs in (a label that only waited has no Prep).
-type labelAcct struct {
-	label            string
-	wait, busy, prep float64
-	has              uint8
-}
-
-const (
-	hasWait uint8 = 1 << iota
-	hasBusy
-	hasPrep
-)
-
-// account returns label's record, marking it present in the given maps.
-func (r *Rank) account(label string, has uint8) *labelAcct {
-	for i := range r.acct {
-		if a := &r.acct[i]; a.label == label {
-			a.has |= has
-			return a
-		}
-	}
-	if r.acct == nil {
-		r.acct = r.acctBuf[:0]
-	}
-	r.acct = append(r.acct, labelAcct{label: label, has: has})
-	return &r.acct[len(r.acct)-1]
-}
-
-// Stats materialises the rank's accounting as the exported per-label maps.
-func (r *Rank) Stats() Stats {
-	var s Stats
-	r.StatsInto(&s)
-	return s
-}
-
-// StatsInto is Stats into maps the caller owns: s's maps are cleared (made
-// if nil) and refilled, so a caller folding rank after rank reuses one set.
-func (r *Rank) StatsInto(s *Stats) {
-	s.Compute = r.compute
-	s.Wait, s.CommBusy, s.Prep = cleared(s.Wait), cleared(s.CommBusy), cleared(s.Prep)
-	for i := range r.acct {
-		a := &r.acct[i]
-		if a.has&hasWait != 0 {
-			s.Wait[a.label] = a.wait
-		}
-		if a.has&hasBusy != 0 {
-			s.CommBusy[a.label] = a.busy
-		}
-		if a.has&hasPrep != 0 {
-			s.Prep[a.label] = a.prep
-		}
-	}
-}
-
-// cleared returns m emptied, or a new map if m is nil.
-func cleared(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return map[string]float64{}
-	}
-	clear(m)
-	return m
 }
 
 // Pool returns this rank's persistent compute worker pool, lazily created
@@ -374,7 +273,6 @@ func (r *Rank) Pool() *par.Pool {
 // value (the zero Handle is an already-complete no-op), so issuing and
 // waiting on collectives never allocates.
 type Handle struct {
-	Label string
 	// Channel is the physical communication channel the operation was
 	// placed on: the resolved CCL channel (an explicit CollectiveOn hint
 	// taken mod CCLChannels, or the label-hash pick), always 0 for MPI —
@@ -383,12 +281,14 @@ type Handle struct {
 	// than a communication channel. Placement tests and the contention
 	// figures read it to verify where an operation actually ran.
 	Channel int
-	finish  float64
+	// Busy is the operation's duration: a collective's, stretched by the
+	// backend's slowdown, or an Async charge's seconds.
+	Busy   float64
+	finish float64
 }
 
-// Run executes body once per rank and returns the job's ranks once all
-// complete (Rank.Stats reads each one's accounting). Bodies must be SPMD:
-// every rank issues the same sequence of collectives.
+// Run executes body once per rank and returns once all complete. Bodies
+// must be SPMD: every rank issues the same sequence of collectives.
 //
 // Every body runs on its own goroutine; a rank that reaches a rendezvous
 // before the others parks until the last arriver has run the leader. Leaders
@@ -399,7 +299,7 @@ type Handle struct {
 // collectives — is reported by a panic naming the open collective and the
 // missing ranks, not a hang, and a panic inside a body is re-raised on the
 // caller's goroutine; either way every other body is unwound first.
-func Run(cfg Config, body func(r *Rank)) []*Rank {
+func Run(cfg Config, body func(r *Rank)) {
 	e, ranks := newJob(cfg)
 	if e.pools == nil {
 		e.pools = NewPools()
@@ -418,14 +318,12 @@ func Run(cfg Config, body func(r *Rank)) []*Rank {
 	if e.abort != nil {
 		panic(e.abort)
 	}
-	return ranks
 }
 
 // NewRanks builds a job's engine and ranks without running anything on
 // them: the form for a caller that advances every rank itself, step by step,
 // and issues each collective for all of them at once (CollectiveAll). Rank.Pool
-// is available only if cfg.Pools is set; Rank.Stats and Rank.StatsInto give
-// each rank's accounting.
+// is available only if cfg.Pools is set.
 func NewRanks(cfg Config) []*Rank {
 	_, ranks := newJob(cfg)
 	return ranks
@@ -537,10 +435,10 @@ func (c Config) ComputeCores() int {
 // (Config.ComputeCores of the job's configuration).
 func (r *Rank) ComputeCores() int { return r.Eng.Cfg.ComputeCores() }
 
-// Compute advances the rank's clock by seconds of kernel time. Under the
-// MPI backend, compute that overlaps in-flight communication is inflated by
-// the interference factor.
-func (r *Rank) Compute(seconds float64) {
+// Compute advances the rank's clock by seconds of kernel time and returns
+// the seconds charged. Under the MPI backend, compute that overlaps
+// in-flight communication is inflated by the interference factor.
+func (r *Rank) Compute(seconds float64) float64 {
 	if seconds < 0 {
 		panic("cluster: negative compute time")
 	}
@@ -557,26 +455,23 @@ func (r *Rank) Compute(seconds float64) {
 		}
 	}
 	r.now += seconds
-	r.compute += seconds
+	return seconds
 }
 
 // Prep charges framework pre/post-processing (flat-buffer packing, gradient
-// averaging) to compute time, attributed to the given label.
-func (r *Rank) Prep(label string, seconds float64) {
-	r.now += seconds
-	r.account(label, hasPrep).prep += seconds
-}
+// averaging) to the compute stream, never inflated by interference.
+func (r *Rank) Prep(seconds float64) { r.now += seconds }
 
 // Async charges seconds of background work — a prefetching loader goroutine,
 // a double-buffered staging copy — to a single per-rank background stream
 // that runs concurrently with the compute clock. The work starts now, or
 // when the previous Async operation finishes (one background thread, FIFO),
 // and the returned Handle exposes on Wait only whatever outlasts the compute
-// issued in the meantime. Busy time is recorded under label in CommBusy, so
-// hidden-vs-exposed accounting works exactly as for collectives; unlike a
-// collective it involves no rendezvous (the work is rank-local) and charges
-// no call overhead.
-func (r *Rank) Async(label string, seconds float64) Handle {
+// issued in the meantime. The Handle's Busy is seconds, so hidden-vs-exposed
+// accounting works exactly as for collectives; unlike a collective it
+// involves no rendezvous (the work is rank-local) and charges no call
+// overhead.
+func (r *Rank) Async(seconds float64) Handle {
 	if seconds < 0 {
 		panic("cluster: negative async time")
 	}
@@ -586,8 +481,7 @@ func (r *Rank) Async(label string, seconds float64) Handle {
 	}
 	finish := start + seconds
 	r.asyncFree = finish
-	r.account(label, hasBusy).busy += seconds
-	return Handle{Label: label, Channel: -1, finish: finish}
+	return Handle{Channel: -1, Busy: seconds, finish: finish}
 }
 
 // Collective issues one collective operation. payload carries this rank's
@@ -596,8 +490,7 @@ func (r *Rank) Async(label string, seconds float64) Handle {
 // the payload records and returning the operation's virtual duration. The
 // call returns a Handle for Wait; the moved data is already in place when
 // Collective returns (the rendezvous is synchronous — only *time* is
-// deferred to Wait). Under Blocking configs the wait happens before
-// returning.
+// deferred to Wait).
 //
 // Channel selection: MPI has one FIFO channel; CCL spreads labels across
 // its channels so independent collectives progress concurrently.
@@ -617,15 +510,15 @@ func (r *Rank) Collective(label string, payload, arg any, lead LeaderFunc) Handl
 func (r *Rank) CollectiveOn(label string, channel int, payload, arg any, lead LeaderFunc) Handle {
 	ch, ready, seq := r.arrive(label, channel)
 	finish, dur := r.Eng.exchange(r, seq, label, payload, ready, arg, lead)
-	return r.depart(label, ch, finish, dur)
+	return r.depart(ch, finish, dur)
 }
 
 // CollectiveAll issues one collective on every rank of a job at once, in
 // rank order — how a caller that advances the ranks itself (NewRanks) does
 // what R CollectiveOn calls meeting in a rendezvous do under Run: each
 // rank's call overhead, channel pick, ready time and sequence number; the
-// leader once, at the latest ready time; the finish on every rank (and,
-// under Blocking, the wait). payloads[i] is rank i's payload and arg the
+// leader once, at the latest ready time; the finish on every rank.
+// payloads[i] is rank i's payload and arg the
 // leader's args, which SPMD makes the same on every rank. The start is a
 // maximum and leaders still run in issue order, so the charges equal Run's
 // bit for bit. Every rank's handle is the one returned.
@@ -642,7 +535,7 @@ func CollectiveAll(ranks []*Rank, label string, channel int, payloads []any, arg
 	finish, dur := ranks[0].Eng.lead(lead, arg, payloads, start)
 	var h Handle
 	for _, r := range ranks {
-		h = r.depart(label, ch, finish, dur)
+		h = r.depart(ch, finish, dur)
 	}
 	return h
 }
@@ -652,7 +545,6 @@ func CollectiveAll(ranks []*Rank, label string, channel int, payloads []any, arg
 func (r *Rank) arrive(label string, channel int) (ch int, ready float64, seq int64) {
 	cfg := &r.Eng.Cfg
 	r.now += cfg.CallOverhead
-	r.account(label, hasPrep|hasBusy).prep += cfg.CallOverhead
 	if cfg.Backend == CCLBackend {
 		if channel >= 0 {
 			ch = channel % len(r.commFree)
@@ -669,26 +561,21 @@ func (r *Rank) arrive(label string, channel int) (ch int, ready float64, seq int
 	return ch, ready, seq
 }
 
-// depart is its half after: the channel is busy until finish, the duration
-// counts as busy time, and a Blocking job waits at once.
-func (r *Rank) depart(label string, ch int, finish, dur float64) Handle {
+// depart is its half after: the channel is busy until finish.
+func (r *Rank) depart(ch int, finish, dur float64) Handle {
 	r.commFree[ch] = finish
-	r.account(label, hasBusy).busy += dur
-	h := Handle{Label: label, Channel: ch, finish: finish}
-	if r.Eng.Cfg.Blocking {
-		r.Wait(h)
-	}
-	return h
+	return Handle{Channel: ch, Busy: dur, finish: finish}
 }
 
-// Wait blocks the compute stream until the collective completes, recording
-// the exposed wait time under the handle's label. The zero Handle is a
-// no-op.
-func (r *Rank) Wait(h Handle) {
-	if h.finish > r.now {
-		r.account(h.Label, hasWait).wait += h.finish - r.now
-		r.now = h.finish
+// Wait blocks the compute stream until the operation completes and returns
+// the exposed stall (0 if it already had). The zero Handle is a no-op.
+func (r *Rank) Wait(h Handle) float64 {
+	if h.finish <= r.now {
+		return 0
 	}
+	stall := h.finish - r.now
+	r.now = h.finish
+	return stall
 }
 
 func barrierLead(any, []any, float64) float64 { return 0 }

@@ -39,17 +39,18 @@ func sumLead(arg any, payloads []any, _ float64) float64 {
 	return a.dur
 }
 
-// sumCollective issues the test collective and returns the reduced value.
-func sumCollective(r *Rank, label string, v, dur float64) (float64, Handle) {
+// sumCollective issues the test collective, books its busy time in l, and
+// returns the reduced value.
+func sumCollective(r *Rank, l *ledger, label string, v, dur float64) (float64, Handle) {
 	x := &sumXchg{v: v, dur: dur}
-	h := r.Collective(label, x, x, sumLead)
+	h := l.issued(label, r.Collective(label, x, x, sumLead))
 	return x.v, h
 }
 
 func TestCollectiveMovesData(t *testing.T) {
-	stats := runTwice(t, testCfg(4, MPIBackend), func(r *Rank) {
-		res, h := sumCollective(r, "sum", float64(r.ID+1), 0.001)
-		r.Wait(h)
+	stats := runTwice(t, testCfg(4, MPIBackend), func(r *Rank, l *ledger) {
+		res, h := sumCollective(r, l, "sum", float64(r.ID+1), 0.001)
+		l.wait(r, "sum", h)
 		if res != 10 { // 1+2+3+4
 			t.Errorf("rank %d got %v want 10", r.ID, res)
 		}
@@ -61,10 +62,10 @@ func TestCollectiveMovesData(t *testing.T) {
 
 func TestVirtualTimeAdvances(t *testing.T) {
 	// CCL with 4 comm cores has no comm slowdown, so durations are exact.
-	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
-		r.Compute(0.5)
-		_, h := sumCollective(r, "op", 0, 0.25)
-		r.Wait(h)
+	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank, l *ledger) {
+		l.compute(r, 0.5)
+		_, h := sumCollective(r, l, "op", 0, 0.25)
+		l.wait(r, "op", h)
 		if got := r.Now(); math.Abs(got-0.75) > 1e-6 {
 			t.Errorf("rank %d time %g want 0.75", r.ID, got)
 		}
@@ -80,10 +81,10 @@ func TestVirtualTimeAdvances(t *testing.T) {
 }
 
 func TestCollectiveStartsAtSlowestRank(t *testing.T) {
-	runTwice(t, testCfg(3, CCLBackend), func(r *Rank) {
-		r.Compute(float64(r.ID) * 0.1) // rank 2 arrives at 0.2
-		_, h := sumCollective(r, "op", 0, 0.05)
-		r.Wait(h)
+	runTwice(t, testCfg(3, CCLBackend), func(r *Rank, l *ledger) {
+		l.compute(r, float64(r.ID)*0.1) // rank 2 arrives at 0.2
+		_, h := sumCollective(r, l, "op", 0, 0.05)
+		l.wait(r, "op", h)
 		want := 0.25
 		if math.Abs(r.Now()-want) > 1e-6 {
 			t.Errorf("rank %d finishes at %g want %g", r.ID, r.Now(), want)
@@ -93,23 +94,25 @@ func TestCollectiveStartsAtSlowestRank(t *testing.T) {
 
 func TestOverlapHidesCommunication(t *testing.T) {
 	// Enqueue a 0.2s collective, compute 0.3s, then wait: exposed wait ≈ 0.
-	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
-		_, h := sumCollective(r, "ar", 0, 0.2)
-		r.Compute(0.3)
-		r.Wait(h)
+	stats := runTwice(t, testCfg(2, CCLBackend), func(r *Rank, l *ledger) {
+		_, h := sumCollective(r, l, "ar", 0, 0.2)
+		l.compute(r, 0.3)
+		l.wait(r, "ar", h)
 	})
 	for _, s := range stats {
 		if s.Wait["ar"] > 1e-6 {
 			t.Fatalf("overlapped wait should be ~0, got %g", s.Wait["ar"])
 		}
 	}
-	// Blocking config exposes the full communication.
-	cfg := testCfg(2, CCLBackend)
-	cfg.Blocking = true
-	stats = runTwice(t, cfg, func(r *Rank) {
-		_, h := sumCollective(r, "ar", 0, 0.2)
-		r.Compute(0.3)
-		r.Wait(h) // no-op: already waited at enqueue
+	// Waiting where the collective is issued (a blocking schedule) exposes
+	// the full communication.
+	stats = runTwice(t, testCfg(2, CCLBackend), func(r *Rank, l *ledger) {
+		_, h := sumCollective(r, l, "ar", 0, 0.2)
+		l.wait(r, "ar", h)
+		l.compute(r, 0.3)
+		if w := r.Wait(h); w != 0 {
+			t.Errorf("a second wait on one handle stalled %g", w)
+		}
 	})
 	for _, s := range stats {
 		if math.Abs(s.Wait["ar"]-0.2) > 1e-6 {
@@ -121,11 +124,11 @@ func TestOverlapHidesCommunication(t *testing.T) {
 func TestMPIFIFOInOrderCompletion(t *testing.T) {
 	// Under MPI, a wait on the second collective (alltoall) pays for the
 	// first (allreduce) queued before it — §VI-D's in-order artifact.
-	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
-		_, h1 := sumCollective(r, "allreduce", 0, 0.4)
-		_, h2 := sumCollective(r, "alltoall", 0, 0.1)
-		r.Wait(h2) // only waits the alltoall handle
-		r.Wait(h1)
+	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank, l *ledger) {
+		_, h1 := sumCollective(r, l, "allreduce", 0, 0.4)
+		_, h2 := sumCollective(r, l, "alltoall", 0, 0.1)
+		l.wait(r, "alltoall", h2) // only waits the alltoall handle
+		l.wait(r, "allreduce", h1)
 	})
 	for _, s := range stats {
 		// With the MPI single-progress-thread slowdown (1.5×), the alltoall
@@ -143,11 +146,11 @@ func TestCCLChannelsOverlapIndependentOps(t *testing.T) {
 	// Under CCL, differently-labeled collectives use different channels and
 	// proceed concurrently.
 	cfg := testCfg(2, CCLBackend)
-	stats := runTwice(t, cfg, func(r *Rank) {
-		_, h1 := sumCollective(r, "allreduce", 0, 0.4)
-		_, h2 := sumCollective(r, "alltoall", 0, 0.1)
-		r.Wait(h2)
-		r.Wait(h1)
+	stats := runTwice(t, cfg, func(r *Rank, l *ledger) {
+		_, h1 := sumCollective(r, l, "allreduce", 0, 0.4)
+		_, h2 := sumCollective(r, l, "alltoall", 0, 0.1)
+		l.wait(r, "alltoall", h2)
+		l.wait(r, "allreduce", h1)
 	})
 	for _, s := range stats {
 		// alltoall finishes at ~0.1 — not after the allreduce.
@@ -161,38 +164,38 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 	// Same label, explicit distinct channels: the two operations must run
 	// concurrently instead of serializing on the label-hash channel.
 	cfg := testCfg(2, CCLBackend)
-	pinned := runTwice(t, cfg, func(r *Rank) {
+	pinned := runTwice(t, cfg, func(r *Rank, l *ledger) {
 		x1 := &sumXchg{dur: 0.4}
-		h1 := r.CollectiveOn("redist", 0, x1, x1, sumLead)
+		h1 := l.issued("redist", r.CollectiveOn("redist", 0, x1, x1, sumLead))
 		x2 := &sumXchg{dur: 0.4}
-		h2 := r.CollectiveOn("redist", 1, x2, x2, sumLead)
-		r.Wait(h1)
-		r.Wait(h2)
+		h2 := l.issued("redist", r.CollectiveOn("redist", 1, x2, x2, sumLead))
+		l.wait(r, "redist", h1)
+		l.wait(r, "redist", h2)
 	})
-	hashed := runTwice(t, cfg, func(r *Rank) {
-		_, h1 := sumCollective(r, "redist", 0, 0.4)
-		_, h2 := sumCollective(r, "redist", 0, 0.4)
-		r.Wait(h1)
-		r.Wait(h2)
+	hashed := runTwice(t, cfg, func(r *Rank, l *ledger) {
+		_, h1 := sumCollective(r, l, "redist", 0, 0.4)
+		_, h2 := sumCollective(r, l, "redist", 0, 0.4)
+		l.wait(r, "redist", h1)
+		l.wait(r, "redist", h2)
 	})
 	for i := range pinned {
-		pw, hw := pinned[i].TotalWait(), hashed[i].TotalWait()
+		pw, hw := pinned[i].totalWait(), hashed[i].totalWait()
 		if pw >= hw {
 			t.Fatalf("rank %d: pinned channels wait %g must beat same-channel FIFO %g", i, pw, hw)
 		}
 	}
 	// MPI has a single channel: a hint must not change anything.
-	mpi := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
+	mpi := runTwice(t, testCfg(2, MPIBackend), func(r *Rank, l *ledger) {
 		x1 := &sumXchg{dur: 0.4}
-		h1 := r.CollectiveOn("redist", 0, x1, x1, sumLead)
+		h1 := l.issued("redist", r.CollectiveOn("redist", 0, x1, x1, sumLead))
 		x2 := &sumXchg{dur: 0.4}
-		h2 := r.CollectiveOn("redist", 3, x2, x2, sumLead)
-		r.Wait(h1)
-		r.Wait(h2)
+		h2 := l.issued("redist", r.CollectiveOn("redist", 3, x2, x2, sumLead))
+		l.wait(r, "redist", h1)
+		l.wait(r, "redist", h2)
 	})
 	for i := range mpi {
-		if mpi[i].TotalWait() < 0.79 {
-			t.Fatalf("rank %d: MPI must serialize regardless of channel hints (wait %g)", i, mpi[i].TotalWait())
+		if mpi[i].totalWait() < 0.79 {
+			t.Fatalf("rank %d: MPI must serialize regardless of channel hints (wait %g)", i, mpi[i].totalWait())
 		}
 	}
 }
@@ -200,8 +203,8 @@ func TestCollectiveOnPinsChannel(t *testing.T) {
 func TestAsyncBackgroundCharge(t *testing.T) {
 	// Async work is hidden behind compute issued before its Wait, exposed
 	// only when compute is too short, and FIFO on its one background thread.
-	runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
-		h := r.Async("loader", 0.3)
+	runTwice(t, testCfg(1, CCLBackend), func(r *Rank, _ *ledger) {
+		h := r.Async(0.3)
 		r.Compute(0.5) // longer than the prefetch: fully hidden
 		t0 := r.Now()
 		r.Wait(h)
@@ -209,7 +212,7 @@ func TestAsyncBackgroundCharge(t *testing.T) {
 			t.Errorf("hidden async work advanced the clock: %g → %g", t0, r.Now())
 		}
 
-		h = r.Async("loader", 0.3)
+		h = r.Async(0.3)
 		r.Compute(0.1) // too short: 0.2 exposed
 		t0 = r.Now()
 		r.Wait(h)
@@ -220,21 +223,21 @@ func TestAsyncBackgroundCharge(t *testing.T) {
 		// Two charges queue on the single background thread: the second
 		// starts when the first finishes, not at issue time.
 		start := r.Now()
-		h1 := r.Async("loader", 0.2)
-		h2 := r.Async("loader", 0.2)
+		h1 := r.Async(0.2)
+		h2 := r.Async(0.2)
 		r.Wait(h1)
 		r.Wait(h2)
 		if d := r.Now() - start; !close1e9(d, 0.4) {
 			t.Errorf("queued async charges took %g, want 0.4 (FIFO background thread)", d)
 		}
 	})
-	// Accounting: busy under the label, exposure under Wait.
-	stats := runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
-		h := r.Async("loader", 0.3)
-		r.Compute(0.1)
-		r.Wait(h)
+	// Accounting: busy on the handle, exposure returned by Wait.
+	stats := runTwice(t, testCfg(1, CCLBackend), func(r *Rank, l *ledger) {
+		h := l.issued("loader", r.Async(0.3))
+		l.compute(r, 0.1)
+		l.wait(r, "loader", h)
 	})
-	if b := stats[0].CommBusy["loader"]; !close1e9(b, 0.3) {
+	if b := stats[0].Busy["loader"]; !close1e9(b, 0.3) {
 		t.Errorf("async busy %g, want 0.3", b)
 	}
 	if w := stats[0].Wait["loader"]; !close1e9(w, 0.2) {
@@ -248,10 +251,10 @@ func close1e9(a, b float64) bool {
 }
 
 func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
-	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
-		_, h := sumCollective(r, "ar", 0, 1.0)
-		r.Compute(0.5) // overlaps the in-flight allreduce → inflated 1.3×
-		r.Wait(h)
+	stats := runTwice(t, testCfg(2, MPIBackend), func(r *Rank, l *ledger) {
+		_, h := sumCollective(r, l, "ar", 0, 1.0)
+		l.compute(r, 0.5) // overlaps the in-flight allreduce → inflated 1.3×
+		l.wait(r, "ar", h)
 	})
 	for _, s := range stats {
 		if math.Abs(s.Compute-0.65) > 1e-6 {
@@ -259,10 +262,10 @@ func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
 		}
 	}
 	// CCL does not inflate.
-	stats = runTwice(t, testCfg(2, CCLBackend), func(r *Rank) {
-		_, h := sumCollective(r, "ar", 0, 1.0)
-		r.Compute(0.5)
-		r.Wait(h)
+	stats = runTwice(t, testCfg(2, CCLBackend), func(r *Rank, l *ledger) {
+		_, h := sumCollective(r, l, "ar", 0, 1.0)
+		l.compute(r, 0.5)
+		l.wait(r, "ar", h)
 	})
 	for _, s := range stats {
 		if math.Abs(s.Compute-0.5) > 1e-6 {
@@ -272,13 +275,13 @@ func TestMPIInterferenceInflatesOverlappedCompute(t *testing.T) {
 }
 
 func TestComputeCores(t *testing.T) {
-	runTwice(t, testCfg(1, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(1, MPIBackend), func(r *Rank, _ *ledger) {
 		if r.ComputeCores() != perfmodel.CLX8280.Cores {
 			t.Errorf("MPI compute cores %d want all %d", r.ComputeCores(), perfmodel.CLX8280.Cores)
 		}
 	})
 	cfg := testCfg(1, CCLBackend)
-	runTwice(t, cfg, func(r *Rank) {
+	runTwice(t, cfg, func(r *Rank, _ *ledger) {
 		if r.ComputeCores() != perfmodel.CLX8280.Cores-4 {
 			t.Errorf("CCL compute cores %d want %d", r.ComputeCores(), perfmodel.CLX8280.Cores-4)
 		}
@@ -286,7 +289,7 @@ func TestComputeCores(t *testing.T) {
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	runTwice(t, testCfg(4, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(4, MPIBackend), func(r *Rank, _ *ledger) {
 		r.Compute(float64(r.ID) * 0.1)
 		r.Barrier()
 		if math.Abs(r.Now()-0.3) > 1e-6 {
@@ -296,19 +299,19 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run := func() []Stats {
-		return runTwice(t, testCfg(8, CCLBackend), func(r *Rank) {
+	run := func() []ledger {
+		return runTwice(t, testCfg(8, CCLBackend), func(r *Rank, l *ledger) {
 			for i := 0; i < 5; i++ {
-				r.Compute(0.01 * float64(r.ID+1))
-				_, h := sumCollective(r, "a2a", float64(r.ID), 0.02)
-				r.Compute(0.005)
-				r.Wait(h)
+				l.compute(r, 0.01*float64(r.ID+1))
+				_, h := sumCollective(r, l, "a2a", float64(r.ID), 0.02)
+				l.compute(r, 0.005)
+				l.wait(r, "a2a", h)
 			}
 		})
 	}
 	a, b := run(), run()
 	for i := range a {
-		if a[i].Compute != b[i].Compute || a[i].TotalWait() != b[i].TotalWait() {
+		if a[i].Compute != b[i].Compute || a[i].totalWait() != b[i].totalWait() {
 			t.Fatalf("simulation not deterministic at rank %d", i)
 		}
 	}
@@ -329,18 +332,18 @@ func TestLeaderRunsExactlyOnce(t *testing.T) {
 }
 
 func TestPrepAccounting(t *testing.T) {
-	stats := runTwice(t, testCfg(1, MPIBackend), func(r *Rank) {
-		r.Prep("alltoall", 0.002)
+	stats := runTwice(t, testCfg(1, MPIBackend), func(r *Rank, _ *ledger) {
+		r.Prep(0.002)
 	})
-	if math.Abs(stats[0].Prep["alltoall"]-0.002) > 1e-12 {
-		t.Fatal("prep not recorded")
+	if math.Abs(stats[0].Now-0.002) > 1e-12 {
+		t.Fatal("prep not charged")
 	}
 }
 
 func TestSingleRankCollectives(t *testing.T) {
-	runTwice(t, testCfg(1, CCLBackend), func(r *Rank) {
-		res, h := sumCollective(r, "solo", 7, 0.01)
-		r.Wait(h)
+	runTwice(t, testCfg(1, CCLBackend), func(r *Rank, l *ledger) {
+		res, h := sumCollective(r, l, "solo", 7, 0.01)
+		l.wait(r, "solo", h)
 		if res != 7 {
 			t.Errorf("single-rank collective result %v", res)
 		}

@@ -141,7 +141,7 @@ func TestChargeContendedScaledTime(t *testing.T) {
 // the Async background stream.
 func TestHandleChannelResolution(t *testing.T) {
 	cfg := testCfg(2, CCLBackend)
-	runTwice(t, cfg, func(r *Rank) {
+	runTwice(t, cfg, func(r *Rank, _ *ledger) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 2, x, x, sumLead); h.Channel != 2 {
 			t.Errorf("pinned channel 2 resolved to %d", h.Channel)
@@ -154,11 +154,11 @@ func TestHandleChannelResolution(t *testing.T) {
 		if h := r.Collective("op", z, z, sumLead); h.Channel < 0 || h.Channel >= 4 {
 			t.Errorf("label-hash channel %d outside [0,4)", h.Channel)
 		}
-		if h := r.Async("bg", 0.01); h.Channel != -1 {
+		if h := r.Async(0.01); h.Channel != -1 {
 			t.Errorf("async channel %d, want -1", h.Channel)
 		}
 	})
-	runTwice(t, testCfg(2, MPIBackend), func(r *Rank) {
+	runTwice(t, testCfg(2, MPIBackend), func(r *Rank, _ *ledger) {
 		x := &sumXchg{dur: 0.01}
 		if h := r.CollectiveOn("op", 3, x, x, sumLead); h.Channel != 0 {
 			t.Errorf("MPI drops hints and has one channel; resolved to %d", h.Channel)
@@ -171,24 +171,24 @@ func TestHandleChannelResolution(t *testing.T) {
 // the same virtual times as one that never heard of the knob (the
 // zero-value Config), for overlapped multi-channel traffic.
 func TestContentionOffIdenticalPricing(t *testing.T) {
-	run := func(cont bool) []Stats {
+	run := func(cont bool) []ledger {
 		cfg := testCfg(2, CCLBackend)
 		cfg.Contention = cont
-		return runTwice(t, cfg, func(r *Rank) {
+		return runTwice(t, cfg, func(r *Rank, l *ledger) {
 			x1 := &sumXchg{dur: 0.4}
-			h1 := r.CollectiveOn("a", 0, x1, x1, sumLead)
+			h1 := l.issued("a", r.CollectiveOn("a", 0, x1, x1, sumLead))
 			x2 := &sumXchg{dur: 0.3}
-			h2 := r.CollectiveOn("b", 1, x2, x2, sumLead)
-			r.Wait(h1)
-			r.Wait(h2)
+			h2 := l.issued("b", r.CollectiveOn("b", 1, x2, x2, sumLead))
+			l.wait(r, "a", h1)
+			l.wait(r, "b", h2)
 		})
 	}
 	off, on := run(false), run(true)
 	for i := range off {
 		// The raw sumLead collective registers no loads, so even with the
 		// knob on nothing contends — but the point here is the off path.
-		if off[i].TotalWait() != on[i].TotalWait() {
-			t.Fatalf("rank %d: off %g vs on %g", i, off[i].TotalWait(), on[i].TotalWait())
+		if off[i].totalWait() != on[i].totalWait() {
+			t.Fatalf("rank %d: off %g vs on %g", i, off[i].totalWait(), on[i].totalWait())
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,26 +14,61 @@ import (
 	"repro/internal/par"
 )
 
+// ledger is one rank's charges as a test body books them from what the rank
+// returns — Compute's seconds and, per label, each Handle's Busy and Wait's
+// stall — plus the rank's final clock.
+type ledger struct {
+	Now, Compute float64
+	Busy, Wait   map[string]float64
+}
+
+func newLedgers(n int) []ledger {
+	ls := make([]ledger, n)
+	for i := range ls {
+		ls[i].Busy, ls[i].Wait = map[string]float64{}, map[string]float64{}
+	}
+	return ls
+}
+
+func (l *ledger) compute(r *Rank, seconds float64) { l.Compute += r.Compute(seconds) }
+
+// issued books h's busy time under label and returns h.
+func (l *ledger) issued(label string, h Handle) Handle {
+	l.Busy[label] += h.Busy
+	return h
+}
+
+// wait waits for h on r and books the stall under label.
+func (l *ledger) wait(r *Rank, label string, h Handle) { l.Wait[label] += r.Wait(h) }
+
+// totalWait sums the stalls in ascending label order.
+func (l *ledger) totalWait() float64 {
+	var sum float64
+	for _, k := range slices.Sorted(maps.Keys(l.Wait)) {
+		sum += l.Wait[k]
+	}
+	return sum
+}
+
 // runTwice runs body under Run twice and fails the test unless both runs
-// produce exactly the same statistics (maps compared key by key, floats bit
-// by bit): leaders run in issue order, so a result must not depend on how
-// the rank goroutines happened to be scheduled. It returns the statistics.
-func runTwice(t *testing.T, cfg Config, body func(r *Rank)) []Stats {
+// book exactly the same ledgers (maps compared key by key, floats bit by
+// bit): leaders run in issue order, so a result must not depend on how the
+// rank goroutines happened to be scheduled. It returns the ledgers.
+func runTwice(t *testing.T, cfg Config, body func(r *Rank, l *ledger)) []ledger {
 	t.Helper()
-	want := statsOf(Run(cfg, body))
-	if got := statsOf(Run(cfg, body)); !reflect.DeepEqual(got, want) {
+	run := func() []ledger {
+		ls := newLedgers(cfg.Ranks)
+		Run(cfg, func(r *Rank) {
+			body(r, &ls[r.ID])
+			ls[r.ID].Now = r.Now()
+		})
+		return ls
+	}
+	want := run()
+	if got := run(); !reflect.DeepEqual(got, want) {
 		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, want)
 	}
 	return want
-}
-
-// statsOf returns each rank's accounting.
-func statsOf(ranks []*Rank) []Stats {
-	s := make([]Stats, len(ranks))
-	for i, r := range ranks {
-		s[i] = r.Stats()
-	}
-	return s
 }
 
 // contendXchg is the args record of a collective that charges the
@@ -75,50 +111,62 @@ func skew(id, it int) float64 { return 1e-3 * float64(1+(id*7+it)%5) }
 // NewRanks and CollectiveAll, charges identical times. It is the case where
 // leader order matters: every leader reads and mutates the shared
 // contention epoch, and skewed ranks keep three overlapping collectives in
-// flight on distinct channels. Both backends, blocking and not.
+// flight on distinct channels. Both backends, each collective waited where
+// it is issued (blocking) or after all three.
 func TestEnginesAgreeUnderContention(t *testing.T) {
 	const ranks, iters = 8, 4
 	topo := fabric.NewPrunedFatTree(64, 12.5e9)
 	for _, backend := range []Backend{CCLBackend, MPIBackend} {
 		for _, blocking := range []bool{false, true} {
 			cfg := testCfg(ranks, backend)
-			cfg.Topo, cfg.Contention, cfg.Blocking = topo, true, blocking
-			body := func(r *Rank) {
+			cfg.Topo, cfg.Contention = topo, true
+			labels := [3]string{"op0", "op1", "op2"}
+			body := func(r *Rank, l *ledger) {
 				ops := contendOps(r.Eng, topo) // per-rank records: any rank may lead
 				for it := range iters {
-					r.Compute(skew(r.ID, it))
+					l.compute(r, skew(r.ID, it))
 					var hs [3]Handle
 					for i, x := range ops {
-						hs[i] = r.CollectiveOn(fmt.Sprintf("op%d", i), i, x, x, contendLead)
-						r.Compute(2e-3)
+						hs[i] = l.issued(labels[i], r.CollectiveOn(labels[i], i, x, x, contendLead))
+						if blocking {
+							l.wait(r, labels[i], hs[i])
+						}
+						l.compute(r, 2e-3)
 					}
-					for _, h := range hs {
-						r.Wait(h)
+					for i, h := range hs {
+						l.wait(r, labels[i], h)
 					}
 				}
 			}
 			want := runTwice(t, cfg, body)
 
-			rs := NewRanks(cfg)
+			rs, got := NewRanks(cfg), newLedgers(ranks)
 			ops, payloads := contendOps(rs[0].Eng, topo), make([]any, ranks)
 			for it := range iters {
 				for _, r := range rs {
-					r.Compute(skew(r.ID, it))
+					got[r.ID].compute(r, skew(r.ID, it))
 				}
 				var hs [3]Handle
 				for i, x := range ops {
-					hs[i] = CollectiveAll(rs, fmt.Sprintf("op%d", i), i, payloads, x, contendLead)
+					hs[i] = CollectiveAll(rs, labels[i], i, payloads, x, contendLead)
 					for _, r := range rs {
-						r.Compute(2e-3)
+						got[r.ID].issued(labels[i], hs[i])
+						if blocking {
+							got[r.ID].wait(r, labels[i], hs[i])
+						}
+						got[r.ID].compute(r, 2e-3)
 					}
 				}
-				for _, h := range hs {
+				for i, h := range hs {
 					for _, r := range rs {
-						r.Wait(h)
+						got[r.ID].wait(r, labels[i], h)
 					}
 				}
 			}
-			if got := statsOf(rs); !reflect.DeepEqual(got, want) {
+			for _, r := range rs {
+				got[r.ID].Now = r.Now()
+			}
+			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v blocking=%v: step by step differs from Run:\n got %+v\nwant %+v", backend, blocking, got, want)
 			}
 
@@ -126,10 +174,10 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 				continue // one operation in flight at a time: nothing to share
 			}
 			cfg.Contention = false
-			alone := statsOf(Run(cfg, body))
-			if want[0].CommBusy["op1"] <= alone[0].CommBusy["op1"] {
+			alone := runTwice(t, cfg, body)
+			if want[0].Busy["op1"] <= alone[0].Busy["op1"] {
 				t.Errorf("op1 never paid for sharing the trunk: busy %g contended, %g alone",
-					want[0].CommBusy["op1"], alone[0].CommBusy["op1"])
+					want[0].Busy["op1"], alone[0].Busy["op1"])
 			}
 		}
 	}

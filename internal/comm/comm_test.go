@@ -1,9 +1,11 @@
 package comm
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +15,8 @@ import (
 )
 
 // runComm runs body on every rank under cluster.Run twice, fails the test
-// unless both runs produce exactly the same statistics, and returns them.
-func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm)) []cluster.Stats {
+// unless both runs book exactly the same ledgers, and returns them.
+func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm, l *ledger)) []ledger {
 	t.Helper()
 	topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
 	return runTwice(t, cluster.Config{
@@ -23,22 +25,60 @@ func runComm(t testing.TB, ranks int, backend cluster.Backend, body func(c *Comm
 	}, body)
 }
 
+// ledger is one rank's charges as a test body books them from what the rank
+// returns — Compute's seconds and, per label, each Handle's Busy and Wait's
+// stall — plus the rank's final clock.
+type ledger struct {
+	Now, Compute float64
+	Busy, Wait   map[string]float64
+}
+
+func newLedgers(n int) []ledger {
+	ls := make([]ledger, n)
+	for i := range ls {
+		ls[i].Busy, ls[i].Wait = map[string]float64{}, map[string]float64{}
+	}
+	return ls
+}
+
+// issued books h's busy time under label and returns h.
+func (l *ledger) issued(label string, h cluster.Handle) cluster.Handle {
+	l.Busy[label] += h.Busy
+	return h
+}
+
+// wait waits for h on r and books the stall under label.
+func (l *ledger) wait(r *cluster.Rank, label string, h cluster.Handle) { l.Wait[label] += r.Wait(h) }
+
+// await books h, issued under label, and waits for it at once.
+func (l *ledger) await(r *cluster.Rank, label string, h cluster.Handle) {
+	l.wait(r, label, l.issued(label, h))
+}
+
+// totalWait sums the stalls in ascending label order.
+func (l *ledger) totalWait() float64 {
+	var sum float64
+	for _, k := range slices.Sorted(maps.Keys(l.Wait)) {
+		sum += l.Wait[k]
+	}
+	return sum
+}
+
 // runTwice runs body on every rank of cfg under cluster.Run twice: leaders
 // run in issue order, so the rank goroutines' scheduling must not change
-// the statistics.
-func runTwice(t testing.TB, cfg cluster.Config, body func(c *Comm)) []cluster.Stats {
+// the ledgers.
+func runTwice(t testing.TB, cfg cluster.Config, body func(c *Comm, l *ledger)) []ledger {
 	t.Helper()
-	rankBody := func(r *cluster.Rank) { body(New(r, cfg.Topo)) }
-	stats := func() []cluster.Stats {
-		ranks := cluster.Run(cfg, rankBody)
-		s := make([]cluster.Stats, len(ranks))
-		for i, r := range ranks {
-			s[i] = r.Stats()
-		}
-		return s
+	run := func() []ledger {
+		ls := newLedgers(cfg.Ranks)
+		cluster.Run(cfg, func(r *cluster.Rank) {
+			body(New(r, cfg.Topo), &ls[r.ID])
+			ls[r.ID].Now = r.Now()
+		})
+		return ls
 	}
-	want := stats()
-	if got := stats(); !reflect.DeepEqual(got, want) {
+	want := run()
+	if got := run(); !reflect.DeepEqual(got, want) {
 		t.Errorf("a second Run differs:\n got %+v\nwant %+v", got, want)
 	}
 	return want
@@ -56,37 +96,52 @@ func TestForAllEqualsRankComms(t *testing.T) {
 				topo := fabric.NewPrunedFatTree(ranks, 12.5e9)
 				cfg := cluster.Config{Ranks: ranks, Topo: topo, Socket: perfmodel.CLX8280,
 					Backend: backend, Contention: contention}
-				// program issues one iteration's collectives through c;
-				// compute(f) charges f(rank) to every rank c stands for.
-				program := func(c *Comm, compute func(f func(rank int) float64)) {
-					var hs []cluster.Handle
+				// program issues one iteration's collectives through c,
+				// booking every rank c stands for — rs — in its ledger ls.
+				program := func(c *Comm, rs []*cluster.Rank, ls []*ledger) {
+					type op struct {
+						label string
+						h     cluster.Handle
+					}
+					compute := func(f func(rank int) float64) {
+						for i, r := range rs {
+							ls[i].Compute += r.Compute(f(r.ID))
+						}
+					}
+					issued := func(label string, h cluster.Handle) op {
+						for _, l := range ls {
+							l.issued(label, h)
+						}
+						return op{label, h}
+					}
+					var ops []op
 					for it := range 2 {
 						compute(func(rank int) float64 { return 1e-3 * float64(1+(rank*5+it)%3) })
-						hs = append(hs[:0], c.AlltoallSegs("a2a", 0, nil, nil, bytes/float64(ranks)),
-							c.ScatterSegs("sc", 1, 1, nil, nil, bytes/float64(ranks)),
-							c.GatherSegs("ga", -1, 2, nil, nil, bytes/float64(ranks)))
+						ops = append(ops[:0], issued("a2a", c.AlltoallSegs("a2a", 0, nil, nil, bytes/float64(ranks))),
+							issued("sc", c.ScatterSegs("sc", 1, 1, nil, nil, bytes/float64(ranks))),
+							issued("ga", c.GatherSegs("ga", -1, 2, nil, nil, bytes/float64(ranks))))
 						for i, algo := range append(AllreduceAlgos, AllreduceAuto) {
 							compute(func(int) float64 { return 2e-4 })
-							hs = append(hs, c.AllreduceSegs("ar", i, nil, false, bytes/float64(1+i), algo))
+							ops = append(ops, issued("ar", c.AllreduceSegs("ar", i, nil, false, bytes/float64(1+i), algo)))
 						}
-						for _, h := range hs {
-							c.waitAll(h)
+						for _, o := range ops {
+							for i, r := range rs {
+								ls[i].wait(r, o.label, o.h)
+							}
 						}
 					}
 				}
-				want := runTwice(t, cfg, func(c *Comm) {
-					program(c, func(f func(int) float64) { c.R.Compute(f(c.Rank())) })
+				want := runTwice(t, cfg, func(c *Comm, l *ledger) {
+					program(c, []*cluster.Rank{c.R}, []*ledger{l})
 				})
-				rs := cluster.NewRanks(cfg)
-				c := ForAll(rs, topo)
-				program(c, func(f func(int) float64) {
-					for _, r := range rs {
-						r.Compute(f(r.ID))
-					}
-				})
-				got := make([]cluster.Stats, ranks)
+				rs, got := cluster.NewRanks(cfg), newLedgers(ranks)
+				ls := make([]*ledger, ranks)
+				for i := range ls {
+					ls[i] = &got[i]
+				}
+				program(ForAll(rs, topo), rs, ls)
 				for i, r := range rs {
-					got[i] = r.Stats()
+					got[i].Now = r.Now()
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%d ranks, %v, contention=%v: ForAll differs from the ranks' own Comms:\n got %+v\nwant %+v",
@@ -97,23 +152,12 @@ func TestForAllEqualsRankComms(t *testing.T) {
 	}
 }
 
-// waitAll waits h on every rank c stands for.
-func (c *Comm) waitAll(h cluster.Handle) {
-	if c.all == nil {
-		c.R.Wait(h)
-		return
-	}
-	for _, r := range c.all {
-		r.Wait(h)
-	}
-}
-
 func TestAllreduceSums(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 7} {
-		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.MPIBackend, func(c *Comm, l *ledger) {
 			buf := []float32{float32(c.Rank()), 1, float32(2 * c.Rank())}
-			h := c.Allreduce("ar", buf, false)
-			c.R.Wait(h)
+			h := l.issued("ar", c.Allreduce("ar", buf, false))
+			l.wait(c.R, "ar", h)
 			sumIDs := float32(ranks*(ranks-1)) / 2
 			want := []float32{sumIDs, float32(ranks), 2 * sumIDs}
 			for i := range want {
@@ -126,10 +170,10 @@ func TestAllreduceSums(t *testing.T) {
 }
 
 func TestAllreduceAverage(t *testing.T) {
-	runComm(t, 4, cluster.CCLBackend, func(c *Comm) {
+	runComm(t, 4, cluster.CCLBackend, func(c *Comm, l *ledger) {
 		buf := []float32{float32(c.Rank())} // 0,1,2,3 → avg 1.5
-		h := c.Allreduce("ar", buf, true)
-		c.R.Wait(h)
+		h := l.issued("ar", c.Allreduce("ar", buf, true))
+		l.wait(c.R, "ar", h)
 		if buf[0] != 1.5 {
 			t.Errorf("avg allreduce got %g want 1.5", buf[0])
 		}
@@ -138,7 +182,7 @@ func TestAllreduceAverage(t *testing.T) {
 
 func TestAlltoallTransposesBlocks(t *testing.T) {
 	const ranks, bl = 4, 3
-	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm, l *ledger) {
 		send := make([]float32, ranks*bl)
 		for j := 0; j < ranks; j++ {
 			for i := 0; i < bl; i++ {
@@ -146,7 +190,7 @@ func TestAlltoallTransposesBlocks(t *testing.T) {
 			}
 		}
 		recv := make([]float32, ranks*bl)
-		c.R.Wait(c.AlltoallCost("a2a", send, recv, bl, 4*bl))
+		l.await(c.R, "a2a", c.AlltoallCost("a2a", send, recv, bl, 4*bl))
 		for src := 0; src < ranks; src++ {
 			for i := 0; i < bl; i++ {
 				want := float32(100*src + 10*c.Rank() + i)
@@ -160,7 +204,7 @@ func TestAlltoallTransposesBlocks(t *testing.T) {
 
 func TestScatterDistributes(t *testing.T) {
 	const ranks, bl = 5, 2
-	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm, l *ledger) {
 		var send [][]float32
 		const root = 2
 		if c.Rank() == root {
@@ -171,7 +215,7 @@ func TestScatterDistributes(t *testing.T) {
 			send = c.blocks(0, buf, ranks)
 		}
 		blk := make([]float32, bl)
-		c.R.Wait(c.ScatterSegs("sc", -1, root, send, [][]float32{blk}, 4*bl))
+		l.await(c.R, "sc", c.ScatterSegs("sc", -1, root, send, [][]float32{blk}, 4*bl))
 		for i := 0; i < bl; i++ {
 			if blk[i] != float32(c.Rank()*bl+i) {
 				t.Errorf("rank %d blk[%d]=%g", c.Rank(), i, blk[i])
@@ -296,10 +340,10 @@ func TestCollectivesUnderRandomData(t *testing.T) {
 			want[j] += v
 		}
 	}
-	runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.CCLBackend, func(c *Comm, l *ledger) {
 		buf := append([]float32(nil), inputs[c.Rank()]...)
-		h := c.Allreduce("ar", buf, false)
-		c.R.Wait(h)
+		h := l.issued("ar", c.Allreduce("ar", buf, false))
+		l.wait(c.R, "ar", h)
 		for j := range buf {
 			if math.Abs(float64(buf[j]-want[j])) > 1e-4 {
 				t.Errorf("rank %d mismatch at %d", c.Rank(), j)
@@ -324,11 +368,11 @@ func TestAlltoallInvolution(t *testing.T) {
 			}
 		}
 		okAll := true
-		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm, l *ledger) {
 			send := append([]float32(nil), inputs[c.Rank()]...)
 			recv, back := make([]float32, ranks*bl), make([]float32, ranks*bl)
-			c.R.Wait(c.AlltoallCost("a", send, recv, bl, float64(4*bl)))
-			c.R.Wait(c.AlltoallCost("b", recv, back, bl, float64(4*bl)))
+			l.await(c.R, "a", c.AlltoallCost("a", send, recv, bl, float64(4*bl)))
+			l.await(c.R, "b", c.AlltoallCost("b", recv, back, bl, float64(4*bl)))
 			for j := range back {
 				if back[j] != inputs[c.Rank()][j] {
 					okAll = false
@@ -346,13 +390,13 @@ func TestAlltoallInvolution(t *testing.T) {
 func TestAllreduceLinearity(t *testing.T) {
 	// Property: allreduce(αx) = α·allreduce(x).
 	const ranks = 3
-	runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
+	runComm(t, ranks, cluster.MPIBackend, func(c *Comm, l *ledger) {
 		x := []float32{float32(c.Rank() + 1), 2}
 		ax := []float32{3 * float32(c.Rank()+1), 6}
-		h1 := c.Allreduce("x", x, false)
-		c.R.Wait(h1)
-		h2 := c.Allreduce("ax", ax, false)
-		c.R.Wait(h2)
+		h1 := l.issued("x", c.Allreduce("x", x, false))
+		l.wait(c.R, "x", h1)
+		h2 := l.issued("ax", c.Allreduce("ax", ax, false))
+		l.wait(c.R, "ax", h2)
 		for i := range x {
 			if math.Abs(float64(ax[i]-3*x[i])) > 1e-4 {
 				t.Errorf("linearity violated at %d", i)

@@ -10,7 +10,7 @@ import (
 
 // runCommContention is runComm with the contention knob and channel count
 // under test control.
-func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Comm)) []cluster.Stats {
+func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Comm, l *ledger)) []ledger {
 	t.Helper()
 	return runTwice(t, cluster.Config{
 		Ranks: ranks, Topo: fabric.NewPrunedFatTree(ranks, 12.5e9), Socket: perfmodel.CLX8280,
@@ -29,16 +29,16 @@ func runCommContention(t testing.TB, ranks int, contention bool, body func(c *Co
 func TestConcurrentAllreducesShareTrunk(t *testing.T) {
 	const bytes = 64 << 20
 	run := func(cont bool) (iso, busy1, busy2 float64) {
-		stats := runCommContention(t, 64, cont, func(c *Comm) {
+		stats := runCommContention(t, 64, cont, func(c *Comm, l *ledger) {
 			if c.R.ID == 0 { // one writer: 64 ranks storing iso is a data race
 				iso = c.AllreduceTime(bytes)
 			}
-			h1 := c.AllreduceSegs("ar0", 0, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
-			h2 := c.AllreduceSegs("ar1", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
-			c.R.Wait(h1)
-			c.R.Wait(h2)
+			h1 := l.issued("ar0", c.AllreduceSegs("ar0", 0, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG))
+			h2 := l.issued("ar1", c.AllreduceSegs("ar1", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG))
+			l.wait(c.R, "ar0", h1)
+			l.wait(c.R, "ar1", h2)
 		})
-		return iso, stats[0].CommBusy["ar0"], stats[0].CommBusy["ar1"]
+		return iso, stats[0].Busy["ar0"], stats[0].Busy["ar1"]
 	}
 
 	iso, off1, off2 := run(false)
@@ -70,15 +70,15 @@ func TestContentionOffBitIdentical(t *testing.T) {
 	const bytes = 8 << 20
 	collect := func(cont bool) map[string]float64 {
 		var out map[string]float64
-		stats := runCommContention(t, 16, cont, func(c *Comm) {
+		stats := runCommContention(t, 16, cont, func(c *Comm, l *ledger) {
 			buf := make([]float32, 1)
-			c.R.Wait(c.AllreduceCost("ar", buf, false, bytes))
+			l.await(c.R, "ar", c.AllreduceCost("ar", buf, false, bytes))
 			send := make([]float32, 16)
 			recv := make([]float32, 16)
-			c.R.Wait(c.AlltoallCost("a2a", send, recv, 1, bytes/16))
-			c.R.Wait(c.AllreduceSegs("auto", 0, [][]float32{buf}, false, bytes, AllreduceAuto))
+			l.await(c.R, "a2a", c.AlltoallCost("a2a", send, recv, 1, bytes/16))
+			l.await(c.R, "auto", c.AllreduceSegs("auto", 0, [][]float32{buf}, false, bytes, AllreduceAuto))
 		})
-		out = stats[0].CommBusy
+		out = stats[0].Busy
 		return out
 	}
 	off, ref := collect(false), collect(false)
@@ -104,13 +104,13 @@ func TestContentionOffBitIdentical(t *testing.T) {
 func TestAutoAllreduceContentionChargesWinnerOnly(t *testing.T) {
 	const bytes = 64 << 20
 	run := func(algo AllreduceAlgo) (second float64) {
-		stats := runCommContention(t, 64, true, func(c *Comm) {
-			h1 := c.AllreduceSegs("first", 0, [][]float32{make([]float32, 1)}, false, bytes, algo)
-			h2 := c.AllreduceSegs("second", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG)
-			c.R.Wait(h1)
-			c.R.Wait(h2)
+		stats := runCommContention(t, 64, true, func(c *Comm, l *ledger) {
+			h1 := l.issued("first", c.AllreduceSegs("first", 0, [][]float32{make([]float32, 1)}, false, bytes, algo))
+			h2 := l.issued("second", c.AllreduceSegs("second", 1, [][]float32{make([]float32, 1)}, false, bytes, RingRSAG))
+			l.wait(c.R, "first", h1)
+			l.wait(c.R, "second", h2)
 		})
-		return stats[0].CommBusy["second"]
+		return stats[0].Busy["second"]
 	}
 	// At 64 MiB the auto policy resolves to a concrete algorithm; the
 	// second op must be charged exactly as if that algorithm had been
@@ -119,7 +119,7 @@ func TestAutoAllreduceContentionChargesWinnerOnly(t *testing.T) {
 	// variable is a data race (cluster.Run's join is the read barrier,
 	// but the 64 writers still race each other).
 	var c0 *Comm
-	runCommContention(t, 64, false, func(c *Comm) {
+	runCommContention(t, 64, false, func(c *Comm, l *ledger) {
 		if c.R.ID == 0 {
 			c0 = c
 		}

@@ -61,8 +61,8 @@ func TestMemoisedPriceIsTheRecomputedPrice(t *testing.T) {
 // collective is re-priced and its footprint re-collected.
 func TestContendedRunWithMemoEqualsWithout(t *testing.T) {
 	const ranks, bytes = 64, 64 << 20
-	run := func(memoised bool) []cluster.Stats {
-		return runCommContention(t, ranks, true, func(c *Comm) {
+	run := func(memoised bool) []ledger {
+		return runCommContention(t, ranks, true, func(c *Comm, l *ledger) {
 			if !memoised {
 				// Every rank, before it joins the first collective — so before
 				// the first leader prices anything.
@@ -71,33 +71,35 @@ func TestContendedRunWithMemoEqualsWithout(t *testing.T) {
 				c.Pricer.mu.Unlock()
 			}
 			for it := 0; it < 3; it++ {
-				c.R.Compute(1e-3 * float64(1+c.Rank()%3))
-				h0 := c.AllreduceSegs("ar0", 0, nil, false, bytes, AllreduceAuto)
-				h1 := c.AllreduceSegs("ar1", 1, nil, false, bytes/4, Hierarchical)
-				h2 := c.AlltoallSegs("a2a", 2, nil, nil, bytes/ranks)
-				h3 := c.AllreduceSegs("ar3", 3, nil, false, bytes, RingRSAG)
-				h4 := c.ScatterSegs("sc", 0, it, nil, nil, bytes/ranks)
-				for _, h := range []cluster.Handle{h0, h1, h2, h3, h4} {
-					c.R.Wait(h)
+				l.Compute += c.R.Compute(1e-3 * float64(1+c.Rank()%3))
+				hs := []cluster.Handle{
+					l.issued("ar0", c.AllreduceSegs("ar0", 0, nil, false, bytes, AllreduceAuto)),
+					l.issued("ar1", c.AllreduceSegs("ar1", 1, nil, false, bytes/4, Hierarchical)),
+					l.issued("a2a", c.AlltoallSegs("a2a", 2, nil, nil, bytes/ranks)),
+					l.issued("ar3", c.AllreduceSegs("ar3", 3, nil, false, bytes, RingRSAG)),
+					l.issued("sc", c.ScatterSegs("sc", 0, it, nil, nil, bytes/ranks)),
+				}
+				for i, label := range []string{"ar0", "ar1", "a2a", "ar3", "sc"} {
+					l.wait(c.R, label, hs[i])
 				}
 			}
 		})
 	}
 	with, without := run(true), run(false)
 	for r := range with {
-		for label, want := range without[r].CommBusy {
-			if got := with[r].CommBusy[label]; math.Float64bits(got) != math.Float64bits(want) {
+		for label, want := range without[r].Busy {
+			if got := with[r].Busy[label]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("rank %d %q: busy %v with the memo, %v without", r, label, got, want)
 			}
 		}
-		if with[r].TotalWait() != without[r].TotalWait() {
-			t.Fatalf("rank %d: total wait %v with the memo, %v without", r, with[r].TotalWait(), without[r].TotalWait())
+		if with[r].totalWait() != without[r].totalWait() {
+			t.Fatalf("rank %d: total wait %v with the memo, %v without", r, with[r].totalWait(), without[r].totalWait())
 		}
 	}
 	// The schedule really contends: the ring on channel 3 shares the trunk
 	// with three earlier flights and must cost more than in isolation.
 	iso := NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks).AllreduceTime(bytes)
-	if busy := with[0].CommBusy["ar3"]; busy <= 3*iso {
+	if busy := with[0].Busy["ar3"]; busy <= 3*iso {
 		t.Fatalf("nothing contended: ar3 busy %v over 3 iterations, ring alone %v each", busy, iso)
 	}
 }

@@ -49,10 +49,10 @@ func TestAllreducePropertyRandom(t *testing.T) {
 				want[j] /= float64(ranks)
 			}
 		}
-		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm, l *ledger) {
 			buf := append([]float32(nil), in[c.Rank()]...)
-			h := c.Allreduce("ar", buf, avg)
-			c.R.Wait(h)
+			h := l.issued("ar", c.Allreduce("ar", buf, avg))
+			l.wait(c.R, "ar", h)
 			for j := range buf {
 				if math.Abs(float64(buf[j])-want[j]) > 1e-4 {
 					t.Errorf("trial %d ranks=%d avg=%v: rank %d elem %d = %g want %g",
@@ -125,16 +125,16 @@ func TestAllreduceAlgoLeadersPropertyRandom(t *testing.T) {
 				want[j] *= 1 / float32(ranks)
 			}
 		}
-		stats := runComm(t, ranks, backend, func(c *Comm) {
+		stats := runComm(t, ranks, backend, func(c *Comm, l *ledger) {
 			buf := append([]float32(nil), in[c.Rank()]...)
-			c.R.Wait(c.AllreduceSegs("ar", ch, cut(buf, lens), avg, float64(4*n), algo))
+			l.await(c.R, "ar", c.AllreduceSegs("ar", ch, cut(buf, lens), avg, float64(4*n), algo))
 			if !slices.Equal(buf, want) {
 				t.Errorf("trial %d ranks=%d segments %v algo=%v ch=%d: rank %d holds %v, want %v",
 					trial, ranks, lens, algo, ch, c.Rank(), buf, want)
 			}
 		})
 		for rk, s := range stats {
-			if n > 0 && s.CommBusy["ar"] <= 0 {
+			if n > 0 && s.Busy["ar"] <= 0 {
 				t.Fatalf("trial %d algo=%v: rank %d recorded no allreduce busy time", trial, algo, rk)
 			}
 		}
@@ -175,10 +175,10 @@ func TestAlltoallPropertyRandom(t *testing.T) {
 		for r := range in {
 			in[r] = cut(randInputs(rng, 1, total(sendLens[r]))[0], sendLens[r])
 		}
-		runComm(t, ranks, cluster.MPIBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.MPIBackend, func(c *Comm, l *ledger) {
 			rl := recvLens[c.Rank()]
 			recv := cut(make([]float32, total(rl)), rl)
-			c.R.Wait(c.AlltoallSegs("a2a", -1, in[c.Rank()], recv, 64))
+			l.await(c.R, "a2a", c.AlltoallSegs("a2a", -1, in[c.Rank()], recv, 64))
 			for src := range ranks {
 				for s := range k {
 					if got, want := recv[src*k+s], in[src][c.Rank()*k+s]; !slices.Equal(got, want) {
@@ -212,14 +212,14 @@ func TestScatterGatherPropertyRandom(t *testing.T) {
 		for j := range in {
 			in[j] = cut(randInputs(rng, 1, n)[0], all[j*k:(j+1)*k])
 		}
-		runComm(t, ranks, cluster.CCLBackend, func(c *Comm) {
+		runComm(t, ranks, cluster.CCLBackend, func(c *Comm, l *ledger) {
 			var send [][]float32
 			if c.Rank() == root {
 				send = rootBuf
 			}
 			mine := all[c.Rank()*k : (c.Rank()+1)*k]
 			recv := cut(make([]float32, total(mine)), mine)
-			c.R.Wait(c.ScatterSegs("sc", -1, root, send, recv, 64))
+			l.await(c.R, "sc", c.ScatterSegs("sc", -1, root, send, recv, 64))
 			for s := range k {
 				if !slices.Equal(recv[s], rootBuf[c.Rank()*k+s]) {
 					t.Errorf("trial %d: scatter rank %d segment %d is %v, want %v", trial, c.Rank(), s, recv[s], rootBuf[c.Rank()*k+s])
@@ -230,7 +230,7 @@ func TestScatterGatherPropertyRandom(t *testing.T) {
 			if c.Rank() == root {
 				back = cut(make([]float32, n), all)
 			}
-			c.R.Wait(c.GatherSegs("ga", -1, root, in[c.Rank()], back, 64))
+			l.await(c.R, "ga", c.GatherSegs("ga", -1, root, in[c.Rank()], back, 64))
 			if c.Rank() == root {
 				for j := range ranks {
 					for s := range k {

@@ -352,8 +352,21 @@ func (r *DistResult) MeanLosses() []float64 {
 }
 
 // TotalCommPerIter returns the exposed communication time per iteration.
-func (r *DistResult) TotalCommPerIter() float64 {
-	return cluster.AddByLabel(0, r.WaitPerIter)
+func (r *DistResult) TotalCommPerIter() float64 { return sumByLabel(0, r.WaitPerIter) }
+
+// ComputeAndPrepPerIter returns the compute stream's own time per
+// iteration: compute plus framework (prep) time.
+func (r *DistResult) ComputeAndPrepPerIter() float64 {
+	return sumByLabel(r.ComputePerIter, r.PrepPerIter)
+}
+
+// sumByLabel adds the values of one of a DistResult's maps to acc in
+// ascending label order, so the sum is bit-reproducible.
+func sumByLabel(acc float64, m map[string]float64) float64 {
+	for _, l := range labelNames {
+		acc += m[l]
+	}
+	return acc
 }
 
 // Exposure decomposes one collective label's per-iteration time: Busy is
@@ -385,8 +398,8 @@ func (e Exposure) HiddenShare() float64 {
 // map, with no duplicates. Callers may rely on this — drivers index and
 // diff the listing across runs and schedules, and a fixed label list in a
 // driver is exactly the bug this contract replaces (a schedule that emits
-// different labels, e.g. bucketed "ar-top:0..n" vs flat "allreduce", would
-// silently print zeros). Labels that only ever waited (e.g. a barrier)
+// different labels, e.g. bucketed "ar-top" / "ar-bot" vs flat "allreduce",
+// would silently print zeros). Labels that only ever waited (e.g. a barrier)
 // appear with zero busy time. The order is pinned by a test.
 func (r *DistResult) Exposures() []Exposure {
 	labels := make([]string, 0, len(r.BusyPerIter)+len(r.WaitPerIter))
@@ -427,7 +440,6 @@ func (dc *DistConfig) ClusterConfig() cluster.Config {
 		Topo:         dc.Topo,
 		Socket:       dc.Socket,
 		Backend:      dc.Variant.Backend,
-		Blocking:     dc.Blocking,
 		CommCores:    dc.CommCores,
 		Contention:   dc.Contention,
 		Interference: dc.Interference,
@@ -453,12 +465,12 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 		wss = NewDistWorkspaces()
 	}
 	p := dc.buildPlan()
-	var ranks []*cluster.Rank
+	tallies := wss.tallies(dc.Ranks)
 	if evaluate {
-		ranks = cluster.NewRanks(dc.ClusterConfig())
-		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots))
+		ranks := cluster.NewRanks(dc.ClusterConfig())
+		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots), tallies)
 	} else {
-		ranks = cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
+		cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
 			ws := wss.get(r.ID)
 			ws.prepare(&dc, r.ID)
 			var x *executor
@@ -466,29 +478,38 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 				x = newRankExecutor(&dc, r, ws, res)
 				defer x.close()
 			}
-			p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), x)
+			p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), &tallies[r.ID], x)
 		})
 	}
-	iters := float64(dc.Iters)
+	iters, ranks := float64(dc.Iters), float64(dc.Ranks)
 	var maxNow float64
-	s := &wss.stats
-	for _, r := range ranks {
-		r.StatsInto(s)
-		// The rank's final clock, rebuilt from its accounting in a fixed
-		// (label) order so the result is bit-reproducible.
-		now := cluster.AddByLabel(s.Compute+s.TotalWait(), s.Prep)
+	for i := range tallies {
+		t := &tallies[i]
+		// The rank's final clock, rebuilt from its tally in a fixed order —
+		// compute plus the waits' sum, then each prep, labels ascending — so
+		// the result is bit-reproducible.
+		var wait float64
+		for l := range t.labels {
+			wait += t.labels[l].wait
+		}
+		now := t.compute + wait
+		for l := range t.labels {
+			now += t.labels[l].prep
+		}
 		if now > maxNow {
 			maxNow = now
 		}
-		res.ComputePerIter += s.Compute / iters / float64(dc.Ranks)
-		for k, v := range s.Wait {
-			res.WaitPerIter[k] += v / iters / float64(dc.Ranks)
-		}
-		for k, v := range s.CommBusy {
-			res.BusyPerIter[k] += v / iters / float64(dc.Ranks)
-		}
-		for k, v := range s.Prep {
-			res.PrepPerIter[k] += v / iters / float64(dc.Ranks)
+		res.ComputePerIter += t.compute / iters / ranks
+		for l, a := range t.labels {
+			if a.wait > 0 {
+				res.WaitPerIter[labelNames[l]] += a.wait / iters / ranks
+			}
+			if a.has&hasBusy != 0 {
+				res.BusyPerIter[labelNames[l]] += a.busy / iters / ranks
+			}
+			if a.has&hasPrep != 0 {
+				res.PrepPerIter[labelNames[l]] += a.prep / iters / ranks
+			}
 		}
 	}
 	res.IterSeconds = maxNow / iters

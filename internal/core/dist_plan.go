@@ -10,11 +10,12 @@ import (
 // The distributed iteration is a step list. buildPlan turns a validated
 // DistConfig into the ordered charges of one hybrid-parallel iteration
 // (Fig. 2) — every schedule decision (sync or overlapped, flat or bucketed,
-// strategy, loader mode, tiering, checkpoint cadence, channel placement) is
-// resolved there, into list order. plan.run runs the list on one rank (every
-// functional rank, on its own goroutine); plan.eval, timing mode's evaluator,
-// walks it for all ranks at once; both apply a step through one charge
-// switch (step.charge, step.issue). docs/ITERATION.md
+// strategy, loader mode, tiering, checkpoint cadence, channel placement,
+// blocking waits) is resolved there, into list order. plan.run runs the list
+// on one rank (every functional rank, on its own goroutine); plan.eval,
+// timing mode's evaluator, walks it for all ranks at once; both apply a step
+// through one charge switch (step.charge, step.issue) and book what it
+// charged, by the step's label, into the rank's tally. docs/ITERATION.md
 // prints the lists and states the float-order rules the builder must keep.
 
 // stepKind is what a step charges: the cluster.Rank / comm.Comm call the
@@ -23,11 +24,49 @@ type stepKind uint8
 
 const (
 	stepCompute    stepKind = iota // Rank.Compute(seconds)
-	stepPrep                       // Rank.Prep(label, seconds)
-	stepAsync                      // handles[slot] = Rank.Async(label, seconds)
+	stepPrep                       // Rank.Prep(seconds)
+	stepAsync                      // handles[slot] = Rank.Async(seconds)
 	stepCollective                 // handles[slot] = the coll collective on comm.Comm
 	stepWait                       // Rank.Wait(handles[slot])
 	stepKernel                     // no charge: the step only runs its kernel
+)
+
+// stepLabel is what a charge is booked under: DistResult's maps are keyed
+// by its name. The labels are declared in ascending name order, so a sum
+// over them in declaration order adds in the order the float-order rules fix
+// (docs/ITERATION.md).
+type stepLabel uint8
+
+const (
+	labAllreduce  stepLabel = iota // the flat schedule's gradient allreduces
+	labAlltoall                    // the embedding redistribution, whichever collective moves it
+	labArBot                       // bucketed bottom-MLP allreduces
+	labArTop                       // bucketed top-MLP allreduces
+	labCheckpoint                  // shard checkpoint drain
+	labColdTier                    // cold-tier miss fetch
+	labColdTierWB                  // cold-tier write-back drain
+	labLoader                      // data loader read
+	nLabels
+)
+
+var labelNames = [nLabels]string{"allreduce", "alltoall", "ar-bot", "ar-top", "checkpoint", "coldtier", "coldtier-wb", "loader"}
+
+// tally is one rank's accounting: the seconds its charges took, booked by
+// the walkers step by step — compute in one sum, the rest per label. A label
+// enters DistResult's WaitPerIter if it stalled (wait > 0); has records
+// whether it enters BusyPerIter and PrepPerIter (a label that only waited
+// has no Prep).
+type tally struct {
+	compute float64
+	labels  [nLabels]struct {
+		wait, busy, prep float64
+		has              uint8
+	}
+}
+
+const (
+	hasBusy uint8 = 1 << iota
+	hasPrep
 )
 
 // stepWhen restricts a step to some iterations or ranks.
@@ -93,7 +132,7 @@ type step struct {
 	cost   rankCost
 	kernel kernel
 
-	label   string
+	label   stepLabel
 	channel int     // CCL channel hint of a collective (< 0 = label hash)
 	slot    int     // handle written (async, collective) or waited (wait)
 	root    int     // scatter / gather root; the rank of an onRoot step
@@ -244,8 +283,9 @@ func (dc *DistConfig) EmbForward(rank, n int) (lookups, coldTier float64) {
 
 // planBuilder accumulates steps and hands out handle slots.
 type planBuilder struct {
-	steps []step
-	slots int
+	steps    []step
+	slots    int
+	blocking bool // wait every collective where it is issued
 }
 
 func (b *planBuilder) add(s step) { b.steps = append(b.steps, s) }
@@ -255,11 +295,23 @@ func (b *planBuilder) slot() int {
 	return b.slots - 1
 }
 
-// waits emits one wait per slot in [lo, hi).
-func (b *planBuilder) waits(lo, hi int) {
-	for s := lo; s < hi; s++ {
-		b.add(step{kind: stepWait, slot: s})
+// collective emits collective step s on a new slot and, when waitNow or the
+// plan is blocking, its wait right after; it returns the slot if s is left
+// pending, -1 if it was waited.
+func (b *planBuilder) collective(s step, waitNow bool) int {
+	s.kind, s.slot = stepCollective, b.slot()
+	b.add(s)
+	if waitNow || b.blocking {
+		b.wait(s.slot, s.label)
+		return -1
 	}
+	return s.slot
+}
+
+// wait emits a wait on slot, booked under l, the label of the step that
+// writes the slot.
+func (b *planBuilder) wait(slot int, l stepLabel) {
+	b.add(step{kind: stepWait, slot: slot, label: l})
 }
 
 // buildPlan resolves a validated configuration into its step lists. The
@@ -334,30 +386,29 @@ func (dc *DistConfig) buildPlan() *plan {
 	if dc.Variant.Strategy != Alltoall {
 		groups, _ = dc.groups()
 	}
-	b := planBuilder{steps: make([]step, 0, 5*(len(topSizes)+len(botSizes)+groups)+25)}
+	b := planBuilder{steps: make([]step, 0, 5*(len(topSizes)+len(botSizes)+groups)+25), blocking: dc.Blocking}
 
 	// redistribute emits one direction of the embedding redistribution
 	// (forward: model → data parallel; backward: gradients back to the
-	// owners) on channel ch and returns its handle slots. waitEach waits every
-	// collective where it is issued — the sync schedule; per-channel FIFO
-	// queueing makes issue-wait-issue-wait differ from issue-issue-wait-wait.
+	// owners) on channel ch and returns the handle slots it left pending.
+	// waitEach waits every collective where it is issued — the sync schedule;
+	// per-channel FIFO queueing makes issue-wait-issue-wait differ from
+	// issue-issue-wait-wait.
 	redistribute := func(forward bool, ch int, waitEach bool) (lo, hi int) {
-		lo = b.slots
+		lo, hi = b.slots, b.slots
 		emit := func(s step) {
-			s.kind, s.label, s.channel, s.slot = stepCollective, "alltoall", ch, b.slot()
-			s.kernel = kBackwardRows
+			s.label, s.channel, s.kernel = labAlltoall, ch, kBackwardRows
 			if forward {
 				s.kernel = kForwardRows
 			}
-			b.add(s)
-			if waitEach {
-				b.add(step{kind: stepWait, slot: s.slot})
+			if slot := b.collective(s, waitEach); slot >= 0 {
+				hi = slot + 1
 			}
 		}
 		if dc.Variant.Strategy == Alltoall {
-			b.add(step{kind: stepPrep, label: "alltoall", seconds: stream(2 * a2aBlockBytes * float64(ranks))})
+			b.add(step{kind: stepPrep, label: labAlltoall, seconds: stream(2 * a2aBlockBytes * float64(ranks))})
 			emit(step{coll: collAlltoall, bytes: a2aBlockBytes})
-			return lo, b.slots
+			return lo, hi
 		}
 		n, coalesce := dc.groups()
 		for g := 0; g < n; g++ {
@@ -371,13 +422,13 @@ func (dc *DistConfig) buildPlan() *plan {
 				if coalesce {
 					// The root's coalescing copy, the one the paper charges as
 					// framework time.
-					b.add(step{kind: stepPrep, when: onRoot, root: s.root, label: "alltoall",
+					b.add(step{kind: stepPrep, when: onRoot, root: s.root, label: labAlltoall,
 						seconds: stream(2 * float64(tables) * scatterBlockBytes * float64(ranks))})
 				}
 			}
 			emit(s)
 		}
-		return lo, b.slots
+		return lo, hi
 	}
 
 	// backward emits MLP mlp's backward pass: its compute charges — one per
@@ -386,10 +437,12 @@ func (dc *DistConfig) buildPlan() *plan {
 	// interaction backward) is merged into when given — and its allreduce
 	// buckets, each issued (after the flat-buffer Prep) once the charge
 	// covering its lowest layer is made. The flat schedule is one bucket per
-	// MLP. Every allreduce is noted in issue order for the SGD's waits.
+	// MLP. Every allreduce is noted in issue order for the SGD's waits (slot
+	// -1: waited where issued).
 	type issued struct {
 		comm.Bucket
 		slot, mlp int
+		label     stepLabel
 	}
 	allreduces := make([]issued, 0, len(topSizes)+len(botSizes))
 	nextCh := 0
@@ -400,9 +453,9 @@ func (dc *DistConfig) buildPlan() *plan {
 		}
 		buckets := comm.PlanBuckets(layerBytes, float64(dc.EffectiveBucketBytes()))
 		nextCh = buckets.AssignChannels(arChannels, nextCh)
-		label, charges := "allreduce", []float64{total}
+		label, charges := labAllreduce, []float64{total}
 		if !flat {
-			label, charges = [...]string{"ar-top", "ar-bot"}[mlp], layerBackwardTimes(sizes, shardN, sock, cores, total)
+			label, charges = [...]stepLabel{labArTop, labArBot}[mlp], layerBackwardTimes(sizes, shardN, sock, cores, total)
 		}
 		hi, next := len(sizes)-2, 0
 		for lo := len(charges) - 1; lo >= 0; lo-- {
@@ -417,9 +470,9 @@ func (dc *DistConfig) buildPlan() *plan {
 			if bk := buckets.Buckets[next]; bk.Lo == lo {
 				next++
 				b.add(step{kind: stepPrep, label: label, seconds: stream(2 * bk.Bytes)})
-				b.add(step{kind: stepCollective, coll: collAllreduce, label: label, channel: bk.Channel,
-					slot: b.slot(), bytes: bk.Bytes, algo: dc.Allreduce, kernel: kGrad, mlp: mlp, lo: bk.Lo, hi: bk.Hi})
-				allreduces = append(allreduces, issued{bk, b.slots - 1, mlp})
+				slot := b.collective(step{coll: collAllreduce, label: label, channel: bk.Channel,
+					bytes: bk.Bytes, algo: dc.Allreduce, kernel: kGrad, mlp: mlp, lo: bk.Lo, hi: bk.Hi}, false)
+				allreduces = append(allreduces, issued{bk, slot, mlp, label})
 			}
 		}
 	}
@@ -431,7 +484,7 @@ func (dc *DistConfig) buildPlan() *plan {
 	loaderSlot := -1
 	if overlapped && dc.Loader != LoaderNone {
 		loaderSlot = b.slot()
-		b.add(step{kind: stepAsync, label: "loader", cost: costLoader, slot: loaderSlot})
+		b.add(step{kind: stepAsync, label: labLoader, cost: costLoader, slot: loaderSlot})
 	}
 	prologue := len(b.steps)
 
@@ -440,17 +493,17 @@ func (dc *DistConfig) buildPlan() *plan {
 	// iteration), or charge the read serially (the paper's framework path).
 	switch {
 	case loaderSlot >= 0:
-		b.add(step{kind: stepWait, slot: loaderSlot})
-		b.add(step{kind: stepAsync, when: notLastIter, label: "loader", cost: costLoader, slot: loaderSlot})
+		b.wait(loaderSlot, labLoader)
+		b.add(step{kind: stepAsync, when: notLastIter, label: labLoader, cost: costLoader, slot: loaderSlot})
 	case dc.Loader != LoaderNone:
-		b.add(step{kind: stepPrep, label: "loader", cost: costLoader})
+		b.add(step{kind: stepPrep, label: labLoader, cost: costLoader})
 	}
 
 	// (1) Embedding forward for the LOCAL tables over the GLOBAL minibatch
 	// (model parallelism); under the tiered store the cold tail is fetched
 	// first.
 	if tiered {
-		b.add(step{kind: stepPrep, label: "coldtier", cost: costColdTier})
+		b.add(step{kind: stepPrep, label: labColdTier, cost: costColdTier})
 	}
 	b.add(step{kind: stepCompute, cost: costEmbFwd, kernel: kEmbForward})
 
@@ -458,7 +511,9 @@ func (dc *DistConfig) buildPlan() *plan {
 	// the local shard is the only compute that can hide it (§VI-D).
 	fwdLo, fwdHi := redistribute(true, chFwd, false)
 	b.add(step{kind: stepCompute, seconds: botFwd})
-	b.waits(fwdLo, fwdHi)
+	for s := fwdLo; s < fwdHi; s++ {
+		b.wait(s, labAlltoall)
+	}
 
 	// (5) Interaction + top MLP forward + loss: one charge, the loss's kernel
 	// a step of its own so the single-socket trainer can time it apart.
@@ -478,7 +533,9 @@ func (dc *DistConfig) buildPlan() *plan {
 		b.add(inter)
 		bwdLo, bwdHi := redistribute(false, chBwd, false)
 		backward(botMLP, botSizes, 2*botFwd, nil)
-		b.waits(bwdLo, bwdHi)
+		for s := bwdLo; s < bwdHi; s++ {
+			b.wait(s, labAlltoall)
+		}
 	case flat:
 		backward(botMLP, botSizes, 2*botFwd, &inter)
 		redistribute(false, -1, true)
@@ -493,8 +550,8 @@ func (dc *DistConfig) buildPlan() *plan {
 		// background stream; the previous iteration's drain must finish first
 		// (one write in flight per rank; the first wait is on a zero handle).
 		wb := b.slot()
-		b.add(step{kind: stepWait, slot: wb})
-		b.add(step{kind: stepAsync, label: "coldtier-wb", cost: costColdTier, slot: wb})
+		b.wait(wb, labColdTierWB)
+		b.add(step{kind: stepAsync, label: labColdTierWB, cost: costColdTier, slot: wb})
 	}
 
 	// (9) Wait for the gradient allreduces and run the MLP SGD: the flat
@@ -502,7 +559,9 @@ func (dc *DistConfig) buildPlan() *plan {
 	// bucket in issue order, so each slice of the optimizer sweep runs while
 	// later buckets still drain.
 	for _, ar := range allreduces {
-		b.add(step{kind: stepWait, slot: ar.slot})
+		if ar.slot >= 0 {
+			b.wait(ar.slot, ar.label)
+		}
 		if !flat {
 			b.add(step{kind: stepCompute, seconds: stream(3 * ar.Bytes), kernel: kSGD, mlp: ar.mlp, lo: ar.Lo, hi: ar.Hi})
 		}
@@ -516,8 +575,8 @@ func (dc *DistConfig) buildPlan() *plan {
 	// an interval shorter than the drain surfaces as a "checkpoint" stall.
 	if dc.seg.ckptEvery > 0 {
 		ck := b.slot()
-		b.add(step{kind: stepWait, when: atCheckpoint, slot: ck})
-		b.add(step{kind: stepAsync, when: atCheckpoint, label: "checkpoint", cost: costCheckpoint, slot: ck, kernel: kCheckpoint})
+		b.add(step{kind: stepWait, when: atCheckpoint, slot: ck, label: labCheckpoint})
+		b.add(step{kind: stepAsync, when: atCheckpoint, label: labCheckpoint, cost: costCheckpoint, slot: ck, kernel: kCheckpoint})
 	}
 
 	p.prologue, p.iter, p.slots = b.steps[:prologue], b.steps[prologue:], b.slots
@@ -546,12 +605,12 @@ type stage struct {
 
 // run is the interpreter, the SPMD program of one rank: it charges the rank
 // with each due step in order — the prologue once (as iteration −1), the
-// iteration list Iters times — and, when an executor is attached (x, nil in
-// timing mode), runs the step's kernel first. That attachment is the one
-// place timing and functional execution differ. Under cluster.Run every
-// rank runs it on its own goroutine; timing mode's evaluator (eval) walks
-// the same list for all ranks at once.
-func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *executor) {
+// iteration list Iters times —, books each charge into t and, when an
+// executor is attached (x, nil in timing mode), runs the step's kernel
+// first. That attachment is the one place timing and functional execution
+// differ. Under cluster.Run every rank runs it on its own goroutine; timing
+// mode's evaluator (eval) walks the same list for all ranks at once.
+func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, t *tally, x *executor) {
 	steps := p.prologue
 	for it := -1; it < p.iters; it++ {
 		for i := range steps {
@@ -565,8 +624,9 @@ func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *
 			}
 			if s.kind == stepCollective {
 				handles[s.slot] = s.issue(cm, buf)
+				t.issued(s.label, handles[s.slot], r.Eng.Cfg.CallOverhead)
 			} else {
-				s.charge(r, p.seconds(s, r.ID), handles)
+				s.charge(r, p.seconds(s, r.ID), handles, t)
 			}
 		}
 		steps = p.iter
@@ -580,8 +640,9 @@ func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, x *
 // and leaders run in issue order from the latest rank's ready time, so every
 // clock and charge is the one run gives under cluster.Run
 // (docs/ITERATION.md, "The timing evaluator"). handles holds every rank's
-// slots, rank-major.
-func (p *plan) eval(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Handle) {
+// slots, rank-major, and tallies every rank's tally.
+func (p *plan) eval(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Handle, tallies []tally) {
+	overhead := ranks[0].Eng.Cfg.CallOverhead
 	steps := p.prologue
 	for it := -1; it < p.iters; it++ {
 		for i := range steps {
@@ -591,13 +652,14 @@ func (p *plan) eval(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Hand
 					h := s.issue(cm, stage{})
 					for r := range ranks {
 						handles[r*p.slots+s.slot] = h
+						tallies[r].issued(s.label, h, overhead)
 					}
 				}
 				continue
 			}
 			for _, r := range ranks {
 				if p.due(s, it, r.ID) {
-					s.charge(r, p.seconds(s, r.ID), handles[r.ID*p.slots:(r.ID+1)*p.slots])
+					s.charge(r, p.seconds(s, r.ID), handles[r.ID*p.slots:(r.ID+1)*p.slots], &tallies[r.ID])
 				}
 			}
 		}
@@ -614,30 +676,46 @@ func (p *plan) seconds(s *step, rank int) float64 {
 }
 
 // charge applies a rank-local step — compute, prep, async, wait — to r, whose
-// handle slots are handles: the charge switch run and eval share.
-func (s *step) charge(r *cluster.Rank, seconds float64, handles []cluster.Handle) {
+// handle slots are handles, and books it into t: the charge switch run and
+// eval share.
+func (s *step) charge(r *cluster.Rank, seconds float64, handles []cluster.Handle, t *tally) {
+	a := &t.labels[s.label]
 	switch s.kind {
 	case stepCompute:
-		r.Compute(seconds)
+		t.compute += r.Compute(seconds)
 	case stepPrep:
-		r.Prep(s.label, seconds)
+		r.Prep(seconds)
+		a.prep += seconds
+		a.has |= hasPrep
 	case stepAsync:
-		handles[s.slot] = r.Async(s.label, seconds)
+		handles[s.slot] = r.Async(seconds)
+		a.busy += seconds
+		a.has |= hasBusy
 	case stepWait:
-		r.Wait(handles[s.slot])
+		a.wait += r.Wait(handles[s.slot])
 	}
+}
+
+// issued books a collective issued under label l: the call overhead its
+// arrival charged the rank as framework time, and its busy time.
+func (t *tally) issued(l stepLabel, h cluster.Handle, overhead float64) {
+	a := &t.labels[l]
+	a.prep += overhead
+	a.busy += h.Busy
+	a.has |= hasPrep | hasBusy
 }
 
 // issue issues collective step s through cm with the segment lists buf.
 func (s *step) issue(cm *comm.Comm, buf stage) cluster.Handle {
+	label := labelNames[s.label]
 	switch s.coll {
 	case collAlltoall:
-		return cm.AlltoallSegs(s.label, s.channel, buf.send, buf.recv, s.bytes)
+		return cm.AlltoallSegs(label, s.channel, buf.send, buf.recv, s.bytes)
 	case collScatter:
-		return cm.ScatterSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
+		return cm.ScatterSegs(label, s.channel, s.root, buf.send, buf.recv, s.bytes)
 	case collGather:
-		return cm.GatherSegs(s.label, s.channel, s.root, buf.send, buf.recv, s.bytes)
+		return cm.GatherSegs(label, s.channel, s.root, buf.send, buf.recv, s.bytes)
 	default: // collAllreduce
-		return cm.AllreduceSegs(s.label, s.channel, buf.send, false, s.bytes, s.algo)
+		return cm.AllreduceSegs(label, s.channel, buf.send, false, s.bytes, s.algo)
 	}
 }

@@ -37,7 +37,7 @@ func TestPlanValidMatrix(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	})
-	if want := 3 * 6 * 2 * 3 * 3 * 2 * 2; n != want {
+	if want := 3 * 6 * 2 * 3 * 3 * 2 * 2 * 2; n != want {
 		t.Errorf("matrix has %d configurations, want %d", n, want)
 	}
 }
@@ -50,7 +50,7 @@ func TestPlanIsSPMD(t *testing.T) {
 	t.Parallel()
 	type collective struct {
 		coll          collKind
-		label         string
+		label         stepLabel
 		channel, root int
 		bytes         float64
 	}
@@ -85,8 +85,10 @@ func TestPlanIsSPMD(t *testing.T) {
 
 // TestPlanHandleDiscipline: a handle slot is never reissued while pending
 // and never waited twice for one issue (a wait before the slot's first issue
-// is the free wait on a zero Handle the background drains start with), and
-// at the end of the run only the documented background drains — the last
+// is the free wait on a zero Handle the background drains start with), a
+// wait is booked under the label of the step that writes its slot, a
+// blocking plan waits each collective right where it is issued, and at the
+// end of the run only the documented background drains — the last
 // checkpoint and the last cold-tier write-back — are still pending.
 func TestPlanHandleDiscipline(t *testing.T) {
 	t.Parallel()
@@ -98,33 +100,78 @@ func TestPlanHandleDiscipline(t *testing.T) {
 	forEachPlanConfig(func(name string, dc DistConfig) {
 		p := dc.buildPlan()
 		for _, rank := range []int{0, dc.Ranks - 1} {
-			state, label := make([]int, p.slots), make([]string, p.slots)
+			state, label := make([]int, p.slots), make([]stepLabel, p.slots)
+			issued := -1 // the slot of the collective just issued, if any
 			p.walk(rank, func(s *step) {
+				if issued >= 0 && (s.kind != stepWait || s.slot != issued) {
+					t.Fatalf("%s rank %d: blocking plan does not wait slot %d (%s) where it is issued", name, rank, issued, labelNames[label[issued]])
+				}
+				issued = -1
+				if s.kind == stepCollective && dc.Blocking {
+					issued = s.slot
+				}
 				switch s.kind {
 				case stepAsync, stepCollective:
 					if state[s.slot] == pending {
-						t.Fatalf("%s rank %d: slot %d (%s) reissued as %s while pending", name, rank, s.slot, label[s.slot], s.label)
+						t.Fatalf("%s rank %d: slot %d (%s) reissued as %s while pending", name, rank, s.slot, labelNames[label[s.slot]], labelNames[s.label])
 					}
 					state[s.slot], label[s.slot] = pending, s.label
 				case stepWait:
 					if state[s.slot] == waited {
-						t.Fatalf("%s rank %d: slot %d (%s) waited twice for one issue", name, rank, s.slot, label[s.slot])
+						t.Fatalf("%s rank %d: slot %d (%s) waited twice for one issue", name, rank, s.slot, labelNames[label[s.slot]])
+					}
+					if state[s.slot] != fresh && s.label != label[s.slot] {
+						t.Fatalf("%s rank %d: wait on slot %d booked as %s, issued as %s", name, rank, s.slot, labelNames[s.label], labelNames[label[s.slot]])
 					}
 					if state[s.slot] == pending {
 						state[s.slot] = waited
 					}
 				}
 			})
+			if issued >= 0 {
+				t.Fatalf("%s rank %d: blocking plan ends without waiting slot %d (%s)", name, rank, issued, labelNames[label[issued]])
+			}
 			for slot, st := range state {
 				if st == fresh {
 					t.Errorf("%s rank %d: slot %d is never issued", name, rank, slot)
 				}
-				if st == pending && label[slot] != "checkpoint" && label[slot] != "coldtier-wb" {
-					t.Errorf("%s rank %d: slot %d (%s) is still pending at the end of the run", name, rank, slot, label[slot])
+				if st == pending && label[slot] != labCheckpoint && label[slot] != labColdTierWB {
+					t.Errorf("%s rank %d: slot %d (%s) is still pending at the end of the run", name, rank, slot, labelNames[label[slot]])
 				}
 			}
 		}
 	})
+}
+
+// TestPlanLabels: labelNames is strictly ascending — so runOn's fold over the
+// labels in declaration order adds in ascending name order, the order the
+// float-order rules fix — and every label is one some plan of the matrix
+// books a charge under, each with a name.
+func TestPlanLabels(t *testing.T) {
+	t.Parallel()
+	for l := 1; l < len(labelNames); l++ {
+		if labelNames[l-1] >= labelNames[l] {
+			t.Errorf("labelNames[%d] = %q does not sort after %q", l, labelNames[l], labelNames[l-1])
+		}
+	}
+	var booked [nLabels]bool
+	forEachPlanConfig(func(name string, dc DistConfig) {
+		p := dc.buildPlan()
+		p.walk(0, func(s *step) {
+			if s.kind == stepCompute || s.kind == stepKernel {
+				return // booked as compute, or not at all
+			}
+			if s.label >= nLabels || labelNames[s.label] == "" {
+				t.Fatalf("%s: step %+v books under label %d, which has no name", name, *s, s.label)
+			}
+			booked[s.label] = true
+		})
+	})
+	for l, ok := range booked {
+		if !ok {
+			t.Errorf("no plan books a charge under %q", labelNames[l])
+		}
+	}
 }
 
 // TestPlanFlatEqualsBucketedInTotal: bucketing changes the interleaving,

@@ -243,7 +243,9 @@ func TestEmbStoreLossParityDefaultSchedule(t *testing.T) {
 
 // checkExposures is hook 4, for timing runs. Per label, Hidden = max(Busy −
 // Exposed, 0) to 1e-12 (per-channel queueing can push exposure past busy),
-// no component is negative, HiddenShare is in [0, 1]. And the run is sane:
+// no component is negative, HiddenShare is in [0, 1]; a blocking run hides
+// no collective (every one is waited where it is issued, so its stall is at
+// least its busy time, to 1e-9). And the run is sane:
 // positive time and compute, alltoall traffic, gradients reduced under its
 // bucketing's labels ("allreduce" flat, "ar-top" and "ar-bot" bucketed, never
 // both), cold-tier fetch and write-back charged exactly when tiered.
@@ -260,6 +262,12 @@ func checkExposures(t *testing.T, dcs ...DistConfig) {
 				e.HiddenShare() < 0 || e.HiddenShare() > 1 {
 				t.Errorf("%s: %+v is not busy = exposed + hidden", name, e)
 			}
+			switch e.Label {
+			case "alltoall", "allreduce", "ar-top", "ar-bot":
+				if dc.Blocking && e.Exposed < e.Busy*(1-1e-9) {
+					t.Errorf("%s: blocking run hides %s: %+v", name, e.Label, e)
+				}
+			}
 		}
 		bucketed, busy := dc.EffectiveBucketBytes() > 0, res.BusyPerIter
 		if res.IterSeconds <= 0 || res.ComputePerIter <= 0 || busy["alltoall"] <= 0 ||
@@ -271,11 +279,12 @@ func checkExposures(t *testing.T, dcs ...DistConfig) {
 }
 
 // TestExposuresProperty holds hook 4 over every strategy × backend ×
-// schedule × allreduce algorithm, flat and bucketed, and the timing sample.
+// schedule × allreduce algorithm, flat and bucketed, blocking and not, and
+// the timing sample.
 func TestExposuresProperty(t *testing.T) {
 	t.Parallel()
 	dcs := timingSample.configs()
-	for _, dc := range tm.x(axLoader, 2).x(axVariant).x(axSync).x(axBucket, 0, 2).configs() {
+	for _, dc := range tm.x(axLoader, 2).x(axVariant).x(axSync).x(axBucket, 0, 2).x(axBlocking).configs() {
 		for _, a := range append(comm.AllreduceAlgos, comm.AllreduceAuto) {
 			dc.Allreduce = a
 			dcs = append(dcs, dc)

@@ -205,9 +205,8 @@ type DistWorkspaces struct {
 	// handles are the timing evaluator's handle slots, every rank's, in one
 	// block (see timingSlots).
 	handles []cluster.Handle
-	// stats holds one rank's accounting at a time while a run folds its
-	// ranks into the result, so the maps are built once per set.
-	stats cluster.Stats
+	// tally is every rank's accounting, one tally per rank (see tallies).
+	tally []tally
 }
 
 var errInUse = errors.New("core: DistWorkspaces already in use by another Run; concurrent runs need one DistWorkspaces each")
@@ -225,6 +224,15 @@ func (d *DistWorkspaces) timingSlots(n int) []cluster.Handle {
 	d.handles = slices.Grow(d.handles[:0], n)[:n]
 	clear(d.handles)
 	return d.handles
+}
+
+// tallies returns n cleared tallies, one per rank of a run.
+func (d *DistWorkspaces) tallies(n int) []tally {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tally = slices.Grow(d.tally[:0], n)[:n]
+	clear(d.tally)
+	return d.tally
 }
 
 // get returns rank's workspace, creating it on first use.

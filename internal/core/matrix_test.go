@@ -145,9 +145,9 @@ var timingSample, funcSample = tm.sample(10), tiny.sample(10)
 
 // forEachPlanConfig is the static view: every timing configuration of the
 // axes the plan builder reads (the algorithm only rides on the steps;
-// contention and blocking are the engine's), 1296 plans.
+// contention is the engine's), 2592 plans.
 func forEachPlanConfig(f func(name string, dc DistConfig)) {
-	for _, p := range tm.x(axShape).x(axVariant).x(axSync).x(axBucket).x(axLoader).x(axTier).x(axCheckpoint) {
+	for _, p := range tm.x(axShape).x(axVariant).x(axSync).x(axBucket).x(axLoader).x(axTier).x(axCheckpoint).x(axBlocking) {
 		dc := p.config()
 		f(label(dc), dc)
 	}

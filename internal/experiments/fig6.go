@@ -35,7 +35,10 @@ func fig6(Opts) *Table {
 		4*float64(ck)*(float64(ck)+2*float64(localN)), cores, localN)
 	sgdT := sock.StreamTime(3*layerBytes/float64(ranks), cores)
 
-	rs := cluster.Run(cfg, func(r *cluster.Rank) {
+	// Each rank books its passes' busy and exposed communication time.
+	type pass struct{ busy, exposed float64 }
+	bwd, upd := make([]pass, ranks), make([]pass, ranks)
+	cluster.Run(cfg, func(r *cluster.Rank) {
 		cm := comm.New(r, topo)
 		// Backward pass (Fig. 2 left): per layer, BWD-by-data and
 		// BWD-by-weights GEMMs; the reduce-scatter of this layer's weight
@@ -46,6 +49,7 @@ func fig6(Opts) *Table {
 			r.Compute(gemmT) // backward by data
 			r.Compute(gemmT) // backward by weights
 			rsHandles[l] = cm.AllreduceCost("reduce-scatter", nil, false, layerBytes/2)
+			bwd[r.ID].busy += rsHandles[l].Busy
 		}
 
 		// Update pass (Fig. 2 right): per layer, wait for the
@@ -55,22 +59,22 @@ func fig6(Opts) *Table {
 		// their reduce-scatters, so completions arrive in order.
 		agHandles := make([]cluster.Handle, layers)
 		for l := layers - 1; l >= 0; l-- {
-			r.Wait(rsHandles[l])
+			bwd[r.ID].exposed += r.Wait(rsHandles[l])
 			r.Compute(sgdT)
 			agHandles[l] = cm.AllreduceCost("allgather", nil, false, layerBytes/2)
+			upd[r.ID].busy += agHandles[l].Busy
 		}
 		for _, h := range agHandles {
-			r.Wait(h)
+			upd[r.ID].exposed += r.Wait(h)
 		}
 	})
 
 	var bwdBusy, bwdExposed, updBusy, updExposed float64
-	for _, r := range rs {
-		s := r.Stats()
-		updBusy += s.CommBusy["allgather"] / ranks
-		bwdBusy += s.CommBusy["reduce-scatter"] / ranks
-		updExposed += s.Wait["allgather"] / ranks
-		bwdExposed += s.Wait["reduce-scatter"] / ranks
+	for id := range ranks {
+		updBusy += upd[id].busy / ranks
+		bwdBusy += bwd[id].busy / ranks
+		updExposed += upd[id].exposed / ranks
+		bwdExposed += bwd[id].exposed / ranks
 	}
 
 	t := &Table{

@@ -158,7 +158,7 @@ func breakdown(o Opts, title string, weak, detail bool, notes ...string) *Table 
 						row = append(row, ms(res.PrepPerIter["alltoall"]), ms(res.PrepPerIter["allreduce"]),
 							ms(res.WaitPerIter["alltoall"]), ms(res.WaitPerIter["allreduce"]))
 					} else {
-						row = append(row, ms(cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)),
+						row = append(row, ms(res.ComputeAndPrepPerIter()),
 							ms(res.TotalCommPerIter()))
 					}
 					t.AddRow(row...)
@@ -200,7 +200,7 @@ func fig15(o Opts) *Table {
 				Sync:        true, // instrumented flat-sync schedule, as in the paper
 				BucketBytes: core.FlatBuckets,
 			})
-			compute := cluster.AddByLabel(res.ComputePerIter, res.PrepPerIter)
+			compute := res.ComputeAndPrepPerIter()
 			t.AddRow(fmt.Sprintf("%s (GN=%d)", c.cfg.Name, c.cfg.GlobalMB), fmt.Sprintf("%dR", r),
 				ms(compute), ms(res.WaitPerIter["allreduce"]), ms(res.WaitPerIter["alltoall"]))
 		}
