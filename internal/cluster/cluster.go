@@ -76,13 +76,12 @@ type Config struct {
 	// CallOverhead is the per-collective framework cost in seconds (enqueue,
 	// flat-buffer bookkeeping); the "Framework" component of Figs. 11/14.
 	CallOverhead float64
-	// Contention selects the contention-aware charging mode: collectives
-	// that register their per-link loads (comm's leaders do) are charged
-	// extra time for the residual bytes of concurrently in-flight
-	// collectives on shared links, via Engine.ChargeContended. Off by
-	// default — every collective is then priced in isolation, exactly as
-	// before the knob existed, so committed virtual baselines stay
-	// bit-identical.
+	// Contention is the job's switch for contention-aware charging. The
+	// engine does not read it; comm does: its leaders then charge each
+	// collective extra time for the residual bytes of concurrently in-flight
+	// collectives on shared links, as tracked by the job's comm.Pricer. Off
+	// by default — every collective is then priced in isolation, so
+	// committed virtual baselines stay bit-identical.
 	Contention bool
 
 	// Pools supplies each rank's persistent compute worker pool (the
@@ -190,21 +189,17 @@ type Engine struct {
 	waiting, finished int
 	abort             any
 
-	active []*slot // in-flight collectives (at most a handful; linear scan)
-	free   *slot   // recycled slot free list — steady state allocates none
-	pools  *Pools
+	// pair holds the rendezvous of collective seq in pair[seq&1]. Two are
+	// enough: a rank reaches collective k+2 only after k+1 is complete,
+	// which needs every rank to have arrived at k+1 — so every rank has
+	// left k and its slot is free. A slot is open while arrived > 0; its
+	// buffers are made on its first rendezvous (timing runs have none).
+	pair  [2]slot
+	pools *Pools
 
 	// shared is the job-wide value of a layer above (see Shared).
 	sharedMu sync.Mutex
 	shared   any
-
-	// The contention epoch (Cfg.Contention): time windows and link loads of
-	// charged collectives still in flight, shared across all channels and
-	// ranks. Mutated only from ChargeContended, which runs in leader
-	// context — one leader at a time — so no further locking is needed.
-	// Records are recycled through a free list; steady state allocates none.
-	inflight   []*flight
-	flightFree *flight
 }
 
 // Shared returns the engine's job-wide value, building it with mk on the
@@ -220,13 +215,6 @@ func (e *Engine) Shared(mk func() any) any {
 	return e.shared
 }
 
-// flight is one charged collective's window on the contention epoch.
-type flight struct {
-	start, finish float64 // scaled (post-CommSlowdown) virtual time
-	loads         fabric.LoadSet
-	next          *flight // free-list link
-}
-
 type slot struct {
 	seq      int64
 	label    string // the first arriver's, for the deadlock report
@@ -236,7 +224,6 @@ type slot struct {
 	done     bool
 	finish   float64
 	dur      float64
-	next     *slot // free-list link
 }
 
 // LeaderFunc computes a collective's virtual duration — and, for data-moving
@@ -278,8 +265,8 @@ type Handle struct {
 	// taken mod CCLChannels, or the label-hash pick), always 0 for MPI —
 	// which has a single channel and drops hints entirely — and -1 for
 	// Async work, which runs on the rank-local background stream rather
-	// than a communication channel. Placement tests and the contention
-	// figures read it to verify where an operation actually ran.
+	// than a communication channel. Only tests read it, to check where an
+	// operation actually ran.
 	Channel int
 	// Busy is the operation's duration: a collective's, stretched by the
 	// backend's slowdown, or an Async charge's seconds.
@@ -386,8 +373,8 @@ func (e *Engine) stalled() {
 	if e.abort != nil || e.waiting == 0 || e.waiting+e.finished < e.Cfg.Ranks {
 		return
 	}
-	for _, s := range e.active {
-		if s.done {
+	for i := range e.pair {
+		if s := &e.pair[i]; s.arrived > 0 && s.done {
 			return // its waiters are about to leave
 		}
 	}
@@ -398,11 +385,9 @@ func (e *Engine) stalled() {
 // deadlockReport describes the lowest open rendezvous once no rank can
 // move: everyone left waits for ranks that will never join.
 func (e *Engine) deadlockReport() string {
-	open := e.active[0]
-	for _, s := range e.active[1:] {
-		if s.seq < open.seq {
-			open = s
-		}
+	open := &e.pair[0]
+	if o := &e.pair[1]; o.arrived > 0 && (open.arrived == 0 || o.seq < open.seq) {
+		open = o
 	}
 	var missing []int
 	for _, r := range e.ranks {
@@ -586,48 +571,6 @@ func (r *Rank) Barrier() {
 	r.Wait(r.Collective("barrier", nil, nil, barrierLead))
 }
 
-// slotFor returns the rendezvous slot for sequence number seq, reusing a
-// recycled slot (or allocating one, only until the free list warms up) when
-// this rank is the first to arrive.
-func (e *Engine) slotFor(seq int64, label string) *slot {
-	for _, s := range e.active {
-		if s.seq == seq {
-			return s
-		}
-	}
-	s := e.free
-	if s != nil {
-		e.free = s.next
-		s.next = nil
-	} else {
-		s = &slot{
-			payloads: make([]any, e.Cfg.Ranks),
-			ready:    make([]float64, e.Cfg.Ranks),
-		}
-	}
-	s.seq, s.label, s.arrived, s.done, s.finish, s.dur = seq, label, 0, false, 0, 0
-	e.active = append(e.active, s)
-	return s
-}
-
-// release clears a drained slot's payload references and recycles it.
-func (e *Engine) release(s *slot) {
-	for i := range s.payloads {
-		s.payloads[i] = nil
-	}
-	last := len(e.active) - 1
-	for i, a := range e.active {
-		if a == s {
-			e.active[i] = e.active[last]
-			e.active[last] = nil
-			e.active = e.active[:last]
-			break
-		}
-	}
-	s.next = e.free
-	e.free = s
-}
-
 // exchange is Run's rendezvous: gathers payloads and ready times from all
 // ranks, runs the leader once, and releases everyone once the data has
 // moved and the duration is known.
@@ -637,7 +580,13 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 	if e.abort != nil {
 		panic(stopped{})
 	}
-	s := e.slotFor(seq, label)
+	s := &e.pair[seq&1]
+	if s.arrived == 0 { // the first arriver opens the slot
+		if s.payloads == nil {
+			s.payloads, s.ready = make([]any, e.Cfg.Ranks), make([]float64, e.Cfg.Ranks)
+		}
+		s.seq, s.label, s.done = seq, label, false
+	}
 	s.payloads[r.ID] = payload
 	s.ready[r.ID] = ready
 	s.arrived++
@@ -661,13 +610,11 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 		}
 		e.waiting--
 	}
-	finish, dur := s.finish, s.dur
-	// Last rank out recycles the slot.
-	s.arrived--
-	if s.arrived == 0 {
-		e.release(s)
+	// Last rank out drops the payload references, closing the slot.
+	if s.arrived--; s.arrived == 0 {
+		clear(s.payloads)
 	}
-	return finish, dur
+	return s.finish, s.dur
 }
 
 // lead runs a collective's leader from its start and returns the finish
@@ -675,101 +622,6 @@ func (e *Engine) exchange(r *Rank, seq int64, label string, payload any, ready f
 func (e *Engine) lead(lead LeaderFunc, arg any, payloads []any, start float64) (finish, dur float64) {
 	dur = lead(arg, payloads, start) * e.Cfg.CommSlowdown()
 	return start + dur, dur
-}
-
-// ChargeContended prices a collective against the contention epoch and
-// registers it there. start is the operation's virtual start (the
-// rendezvous start the leader received), iso its isolated duration from
-// the unchanged cost model (pre-CommSlowdown, i.e. exactly what the leader
-// would have returned), and loads its aggregate per-link byte footprint
-// (every phase summed, copy overhead included — what Scratch.Accumulate
-// collected). topo supplies the link bandwidths. The return value replaces
-// iso as the leader's result; the caller's CommSlowdown multiply then
-// reproduces the registered finish time.
-//
-// Sharing discipline — causal residual-drain (work-conserving shared
-// queue): each already-charged collective still in flight at start is
-// assumed to drain its link bytes at a uniform rate across its own window,
-// and the newcomer's bottleneck link additionally carries every such
-// operation's residual bytes — the fraction of its load falling inside
-// [start, its finish). The newcomer's duration becomes
-//
-//	iso + max over its links l of  Σ_f residual_f(l) / bandwidth(l)
-//
-// Earlier operations keep their already-charged finishes: their Waits may
-// already have resolved, so retroactive stretching would break causality —
-// instead the op that arrives second pays for the sharing. The discipline
-// is deterministic (leaders run in global issue order: every rank blocks
-// in each rendezvous, so collective k's leader always runs before
-// k+1's; CollectiveAll issues them in that order) and bounded both ways: the result is ≥ iso (the residual term is
-// non-negative) and each overlapping flight contributes at most its own
-// isolated duration (its per-link bytes/bandwidth never exceed its phase
-// times), so concurrent operations never finish later than they would
-// serialized. Operations whose windows do not overlap — including
-// everything on MPI's single in-order channel — are charged exactly iso.
-//
-// ChargeContended must only be called from leader context: leaders run one
-// at a time (inside Run's rendezvous under e.mu, or from CollectiveAll's
-// one caller), which is what makes the epoch safe to mutate without further
-// locking.
-func (e *Engine) ChargeContended(topo fabric.Topology, loads *fabric.LoadSet, start, iso float64) float64 {
-	slow := e.Cfg.CommSlowdown()
-	isoS := iso * slow
-	// Drop flights that ended before this operation starts. (A later
-	// charge on another channel can still start earlier in virtual time;
-	// a flight pruned here that would have overlapped it slightly
-	// under-counts that rare inversion, in exchange for a bounded epoch.)
-	kept := e.inflight[:0]
-	for _, f := range e.inflight {
-		if f.finish <= start {
-			f.loads.Reset()
-			f.next = e.flightFree
-			e.flightFree = f
-			continue
-		}
-		kept = append(kept, f)
-	}
-	for i := len(kept); i < len(e.inflight); i++ {
-		e.inflight[i] = nil
-	}
-	e.inflight = kept
-
-	var delta float64
-	for _, link := range loads.Links() {
-		var resid float64
-		for _, f := range e.inflight {
-			if l := f.loads.Load(link); l > 0 {
-				// Overlap window within f, as a fraction of f's drain.
-				lo := start
-				if f.start > lo {
-					lo = f.start
-				}
-				resid += l * (f.finish - lo) / (f.finish - f.start)
-			}
-		}
-		// Residual bytes drain at the backend's effective rate: CommSlowdown
-		// models a backend that cannot saturate the wire, so in scaled time
-		// every link runs at bandwidth/slow — for the queued residual just
-		// like for the newcomer's own bytes.
-		if d := resid * slow / topo.LinkBandwidth(link); d > delta {
-			delta = d
-		}
-	}
-
-	durS := isoS + delta
-	if durS > 0 && len(loads.Links()) > 0 {
-		f := e.flightFree
-		if f != nil {
-			e.flightFree = f.next
-			f.next = nil
-		} else {
-			f = &flight{}
-		}
-		f.start, f.finish = start, start+durS
-		f.loads.CopyFrom(loads)
-		e.inflight = append(e.inflight, f)
-	}
-	return durS / slow
 }
 
 func hashLabel(s string) int {

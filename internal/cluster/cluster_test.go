@@ -436,3 +436,58 @@ func TestTransientPoolsClosedAfterRun(t *testing.T) {
 		t.Fatal("Run must not close a caller-owned Pools set")
 	}
 }
+
+// TestHandleChannelResolution pins the Handle.Channel contract: resolved
+// CCL channel (hint mod CCLChannels), 0 under MPI's single channel, -1 for
+// the Async background stream.
+func TestHandleChannelResolution(t *testing.T) {
+	cfg := testCfg(2, CCLBackend)
+	runTwice(t, cfg, func(r *Rank, _ *ledger) {
+		x := &sumXchg{dur: 0.01}
+		if h := r.CollectiveOn("op", 2, x, x, sumLead); h.Channel != 2 {
+			t.Errorf("pinned channel 2 resolved to %d", h.Channel)
+		}
+		y := &sumXchg{dur: 0.01}
+		if h := r.CollectiveOn("op", 6, y, y, sumLead); h.Channel != 2 {
+			t.Errorf("channel hint 6 mod 4 should resolve to 2, got %d", h.Channel)
+		}
+		z := &sumXchg{dur: 0.01}
+		if h := r.Collective("op", z, z, sumLead); h.Channel < 0 || h.Channel >= 4 {
+			t.Errorf("label-hash channel %d outside [0,4)", h.Channel)
+		}
+		if h := r.Async(0.01); h.Channel != -1 {
+			t.Errorf("async channel %d, want -1", h.Channel)
+		}
+	})
+	runTwice(t, testCfg(2, MPIBackend), func(r *Rank, _ *ledger) {
+		x := &sumXchg{dur: 0.01}
+		if h := r.CollectiveOn("op", 3, x, x, sumLead); h.Channel != 0 {
+			t.Errorf("MPI drops hints and has one channel; resolved to %d", h.Channel)
+		}
+	})
+}
+
+// TestContentionOffIdenticalPricing: the engine never reads the contention
+// knob — comm's leaders do — so for leaders that do not read it either, a
+// Run with Contention on charges exactly what one with it off does, for
+// overlapped multi-channel traffic.
+func TestContentionOffIdenticalPricing(t *testing.T) {
+	run := func(cont bool) []ledger {
+		cfg := testCfg(2, CCLBackend)
+		cfg.Contention = cont
+		return runTwice(t, cfg, func(r *Rank, l *ledger) {
+			x1 := &sumXchg{dur: 0.4}
+			h1 := l.issued("a", r.CollectiveOn("a", 0, x1, x1, sumLead))
+			x2 := &sumXchg{dur: 0.3}
+			h2 := l.issued("b", r.CollectiveOn("b", 1, x2, x2, sumLead))
+			l.wait(r, "a", h1)
+			l.wait(r, "b", h2)
+		})
+	}
+	off, on := run(false), run(true)
+	for i := range off {
+		if off[i].totalWait() != on[i].totalWait() {
+			t.Fatalf("rank %d: off %g vs on %g", i, off[i].totalWait(), on[i].totalWait())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
 	"runtime"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fabric"
 	"repro/internal/par"
 )
 
@@ -71,34 +71,33 @@ func runTwice(t *testing.T, cfg Config, body func(r *Rank, l *ledger)) []ledger 
 	return want
 }
 
-// contendXchg is the args record of a collective that charges the
-// contention epoch the way comm's leaders do.
-type contendXchg struct {
-	eng   *Engine
-	topo  fabric.Topology
-	loads fabric.LoadSet
-	iso   float64
+// chainXchg is the args record of a collective whose leader reads and
+// updates job-wide state: the latest finish any earlier leader charged.
+// Overlapping that finish costs half the overlap on top of iso, so what a
+// collective charges depends on which collectives led before it — the shape
+// of comm's contention epoch, without its link model.
+type chainXchg struct {
+	last *float64 // job-wide, through Engine.Shared
+	iso  float64
 }
 
-func contendLead(arg any, _ []any, start float64) float64 {
-	a := arg.(*contendXchg)
-	if !a.eng.Cfg.Contention {
-		return a.iso
+func chainLead(arg any, _ []any, start float64) float64 {
+	a := arg.(*chainXchg)
+	dur := a.iso
+	if *a.last > start {
+		dur += (*a.last - start) / 2
 	}
-	return a.eng.ChargeContended(a.topo, &a.loads, start, a.iso)
+	*a.last = start + dur
+	return dur
 }
 
-// contendOps builds the three collectives of TestEnginesAgreeUnderContention
-// on eng, all crossing the pruned trunk so that they really share a link.
-func contendOps(eng *Engine, topo fabric.Topology) []*contendXchg {
-	var sc fabric.Scratch
-	ops := make([]*contendXchg, 3)
+// chainOps builds the three collectives of TestEnginesAgreeUnderContention
+// over eng's job-wide state.
+func chainOps(eng *Engine) []*chainXchg {
+	last := eng.Shared(func() any { return new(float64) }).(*float64)
+	ops := make([]*chainXchg, 3)
 	for i := range ops {
-		x := &contendXchg{eng: eng, topo: topo}
-		sc.Accumulate(&x.loads)
-		x.iso = sc.PhaseTime(topo, []fabric.Flow{{Src: i, Dst: 32 + i, Bytes: float64(1+i) * 1e8}})
-		sc.Accumulate(nil)
-		ops[i] = x
+		ops[i] = &chainXchg{last: last, iso: float64(1+i) * 1e-2}
 	}
 	return ops
 }
@@ -109,25 +108,24 @@ func skew(id, it int) float64 { return 1e-3 * float64(1+(id*7+it)%5) }
 // TestEnginesAgreeUnderContention: the same SPMD program, run as one body
 // per rank under Run and step by step for all ranks at once through
 // NewRanks and CollectiveAll, charges identical times. It is the case where
-// leader order matters: every leader reads and mutates the shared
-// contention epoch, and skewed ranks keep three overlapping collectives in
-// flight on distinct channels. Both backends, each collective waited where
-// it is issued (blocking) or after all three.
+// leader order matters: every leader reads and mutates job-wide state (as
+// comm's contention epoch does; comm's test of the same name runs the epoch
+// itself), and skewed ranks keep three overlapping collectives in flight on
+// distinct channels. Both backends, each collective waited where it is
+// issued (blocking) or after all three.
 func TestEnginesAgreeUnderContention(t *testing.T) {
 	const ranks, iters = 8, 4
-	topo := fabric.NewPrunedFatTree(64, 12.5e9)
 	for _, backend := range []Backend{CCLBackend, MPIBackend} {
 		for _, blocking := range []bool{false, true} {
 			cfg := testCfg(ranks, backend)
-			cfg.Topo, cfg.Contention = topo, true
 			labels := [3]string{"op0", "op1", "op2"}
 			body := func(r *Rank, l *ledger) {
-				ops := contendOps(r.Eng, topo) // per-rank records: any rank may lead
+				ops := chainOps(r.Eng) // per-rank records: any rank may lead
 				for it := range iters {
 					l.compute(r, skew(r.ID, it))
 					var hs [3]Handle
 					for i, x := range ops {
-						hs[i] = l.issued(labels[i], r.CollectiveOn(labels[i], i, x, x, contendLead))
+						hs[i] = l.issued(labels[i], r.CollectiveOn(labels[i], i, x, x, chainLead))
 						if blocking {
 							l.wait(r, labels[i], hs[i])
 						}
@@ -141,14 +139,14 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 			want := runTwice(t, cfg, body)
 
 			rs, got := NewRanks(cfg), newLedgers(ranks)
-			ops, payloads := contendOps(rs[0].Eng, topo), make([]any, ranks)
+			ops, payloads := chainOps(rs[0].Eng), make([]any, ranks)
 			for it := range iters {
 				for _, r := range rs {
 					got[r.ID].compute(r, skew(r.ID, it))
 				}
 				var hs [3]Handle
 				for i, x := range ops {
-					hs[i] = CollectiveAll(rs, labels[i], i, payloads, x, contendLead)
+					hs[i] = CollectiveAll(rs, labels[i], i, payloads, x, chainLead)
 					for _, r := range rs {
 						got[r.ID].issued(labels[i], hs[i])
 						if blocking {
@@ -171,13 +169,10 @@ func TestEnginesAgreeUnderContention(t *testing.T) {
 			}
 
 			if backend == MPIBackend || blocking {
-				continue // one operation in flight at a time: nothing to share
+				continue // one operation in flight at a time: nothing overlaps
 			}
-			cfg.Contention = false
-			alone := runTwice(t, cfg, body)
-			if want[0].Busy["op1"] <= alone[0].Busy["op1"] {
-				t.Errorf("op1 never paid for sharing the trunk: busy %g contended, %g alone",
-					want[0].Busy["op1"], alone[0].Busy["op1"])
+			if alone := iters * ops[1].iso * cfg.WithDefaults().CommSlowdown(); want[0].Busy["op1"] <= alone {
+				t.Errorf("op1 never overlapped an earlier leader's finish: busy %g, %g alone", want[0].Busy["op1"], alone)
 			}
 		}
 	}
@@ -288,5 +283,48 @@ func TestBodyPanicIsReraisedOnTheCaller(t *testing.T) {
 	mustPanic(t, func() { Run(testCfg(6, CCLBackend), body) })
 	if !pool.Closed() {
 		t.Error("the transient pool set must be closed when Run panics")
+	}
+}
+
+// TestRendezvousStress drives the two rendezvous slots through a long run
+// of collectives on skewed ranks: each rank yields its goroutine a varying
+// number of times and charges a varying compute between collectives, so
+// the leader of collective k often runs on into k+1 while other ranks are
+// still leaving k. Every collective's reduced value is checked on every
+// rank. Then a rank returns before collective k, for k of each parity, and
+// the deadlock report must name k.
+func TestRendezvousStress(t *testing.T) {
+	const ranks, n = 5, 1200
+	want := func(k int) float64 { return float64(ranks*(ranks-1)/2 + ranks*k) }
+	body := func(r *Rank, l *ledger, exitAt int) {
+		for k := range n {
+			if k == exitAt && r.ID == 3 {
+				return
+			}
+			for range (r.ID*3 + k) % 4 {
+				runtime.Gosched()
+			}
+			l.compute(r, 1e-4*float64(1+(r.ID+k)%3))
+			label := [2]string{"even", "odd"}[k&1]
+			got, h := sumCollective(r, l, label, float64(r.ID+k), 1e-4)
+			if got != want(k) {
+				t.Errorf("rank %d collective %d: sum %v, want %v", r.ID, k, got, want(k))
+			}
+			if k%3 == 0 {
+				l.wait(r, label, h)
+			}
+		}
+	}
+	runTwice(t, testCfg(ranks, CCLBackend), func(r *Rank, l *ledger) { body(r, l, -1) })
+
+	for _, exitAt := range []int{1000, 1001} {
+		p := mustPanic(t, func() {
+			Run(testCfg(ranks, MPIBackend), func(r *Rank) { body(r, &newLedgers(1)[0], exitAt) })
+		})
+		msg, _ := p.(string)
+		head := fmt.Sprintf(`collective #%d (%q) has 4 of 5 ranks waiting and rank(s) [3]`, exitAt, [2]string{"even", "odd"}[exitAt&1])
+		if !strings.Contains(msg, head) {
+			t.Errorf("exit before collective %d: report %q does not say %q", exitAt, msg, head)
+		}
 	}
 }

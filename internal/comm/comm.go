@@ -37,8 +37,9 @@ import (
 )
 
 // Comm binds a rank to its job's Pricer, providing collectives. The
-// embedded Pricer's time methods (AllreduceTime, AlltoallTime, …) and Topo
-// are the rank-free cost model; every Comm of one engine shares it.
+// embedded Pricer (AllreduceTimeAlgo, BestAllreduceAlgo, Topo) is the
+// rank-free cost model and the job's contention epoch; every Comm of one
+// engine shares it.
 type Comm struct {
 	R *cluster.Rank
 	*Pricer

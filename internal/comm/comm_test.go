@@ -235,7 +235,7 @@ func TestAllreduceTimeScaling(t *testing.T) {
 		cluster.Run(cfg, func(rk *cluster.Rank) {
 			c := New(rk, topo)
 			if rk.ID == 0 {
-				times[r] = c.AllreduceTime(9.5e6) // small config's 9.5 MB
+				times[r] = c.AllreduceTimeAlgo(RingRSAG, 9.5e6) // small config's 9.5 MB
 			}
 		})
 	}
@@ -262,7 +262,7 @@ func TestAlltoallTimeStrongScalingDecreases(t *testing.T) {
 		cluster.Run(cfg, func(rk *cluster.Rank) {
 			if rk.ID == 0 {
 				c := New(rk, topo)
-				times[r] = c.AlltoallTime(totalVol / float64(r*r))
+				times[r] = c.time(op{kind: opAlltoall, bytes: totalVol / float64(r*r)})
 			}
 		})
 	}
@@ -290,7 +290,7 @@ func TestTwistedHypercubeAlltoallSaturates(t *testing.T) {
 		cluster.Run(cfg, func(rk *cluster.Rank) {
 			if rk.ID == 0 {
 				c := New(rk, topo)
-				times[r] = c.AlltoallTime(totalVol / float64(r*r))
+				times[r] = c.time(op{kind: opAlltoall, bytes: totalVol / float64(r*r)})
 			}
 		})
 	}
@@ -312,7 +312,7 @@ func TestScatterRootSerialization(t *testing.T) {
 		}
 		c := New(rk, topo)
 		block := 1e7
-		scatter := c.ScatterTime(0, block)
+		scatter := c.time(op{kind: opScatter, root: 0, bytes: block})
 		var sc fabric.Scratch
 		single := sc.PhaseTime(topo, []fabric.Flow{{Src: 0, Dst: 1, Bytes: block}})
 		ratio := scatter / single

@@ -18,9 +18,11 @@ import (
 // memoises it under that key and returns the very float64 recomputing would,
 // so virtual times stay bit-identical while a steady-state iteration
 // re-prices and allocates nothing; under contention-aware charging the
-// per-link footprint is cached beside it. Safe for concurrent use: leaders
-// come one at a time, but rank-context callers (the *Time methods) can
-// overlap them under the goroutine engine.
+// per-link footprint is cached beside it, and the pricer keeps its job's
+// contention epoch (see contend). Safe for concurrent use: mu guards the
+// scratch, the memo and the epoch. Leaders charge one at a time, in global
+// issue order under either engine; rank-context callers (AllreduceTimeAlgo,
+// BestAllreduceAlgo) may overlap them under the goroutine engine.
 type Pricer struct {
 	Topo fabric.Topology
 	size int
@@ -31,6 +33,16 @@ type Pricer struct {
 	// memo maps an operation to its price. A nil map disables memoisation
 	// (tests compare the memoised pricer against a recomputing one).
 	memo map[op]*price
+	// inflight is the contention epoch: the charged collectives still in
+	// flight, in charge order, across every channel and rank of the job.
+	inflight []flight
+}
+
+// flight is one charged collective's window on the contention epoch. loads
+// is its memo entry's footprint, which is never written again once loaded.
+type flight struct {
+	start, finish float64 // scaled (post-CommSlowdown) virtual time
+	loads         *fabric.LoadSet
 }
 
 // NewPricer returns the cost model for ranks sockets of topo.
@@ -86,7 +98,6 @@ func (p *Pricer) lookup(o op, loads bool) *price {
 			ent = &price{}
 		}
 		if loads {
-			ent.loads.Reset()
 			p.fab.Accumulate(&ent.loads)
 		}
 		ent.dur, ent.loaded = p.compute(o), loads
@@ -105,9 +116,10 @@ func (p *Pricer) time(o op) float64 {
 	return p.lookup(o, false).dur
 }
 
-// charge prices o for a leader: the isolated duration, stretched against
-// eng's contention epoch from the rendezvous start when the engine charges
-// contention (the unchanged isolated time otherwise, bit-identically).
+// charge prices o for a leader of eng's job: the isolated duration,
+// stretched against the contention epoch from the rendezvous start when the
+// job charges contention (the unchanged isolated time otherwise,
+// bit-identically).
 func (p *Pricer) charge(eng *cluster.Engine, start float64, o op) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -115,7 +127,82 @@ func (p *Pricer) charge(eng *cluster.Engine, start float64, o op) float64 {
 		return p.lookup(o, false).dur
 	}
 	ent := p.lookup(o, true)
-	return eng.ChargeContended(p.Topo, &ent.loads, start, ent.dur)
+	return p.contend(eng.Cfg.CommSlowdown(), &ent.loads, start, ent.dur)
+}
+
+// contend prices a collective against the contention epoch and registers
+// it there. slow is the job's CommSlowdown, start the operation's virtual
+// start (the rendezvous start the leader received), iso its isolated
+// duration (pre-CommSlowdown, what the leader would otherwise return), and
+// loads its aggregate per-link byte footprint (every phase summed, copy
+// overhead included), which the epoch keeps a pointer to until the flight
+// ends. The result replaces iso as the leader's; the engine's CommSlowdown
+// multiply then reproduces the registered finish. Caller holds p.mu.
+//
+// Sharing discipline — causal residual-drain (work-conserving shared
+// queue): each already-charged collective still in flight at start is
+// assumed to drain its link bytes at a uniform rate across its own window,
+// and the newcomer's bottleneck link additionally carries every such
+// operation's residual bytes — the fraction of its load falling inside
+// [start, its finish). The newcomer's duration becomes
+//
+//	iso + max over its links l of  Σ_f residual_f(l) / bandwidth(l)
+//
+// Earlier operations keep their already-charged finishes: their Waits may
+// already have resolved, so retroactive stretching would break causality —
+// instead the op that arrives second pays for the sharing. The discipline
+// is deterministic (leaders run in global issue order: under cluster.Run
+// every rank blocks in each rendezvous, so collective k's leader always
+// runs before k+1's; CollectiveAll issues them in that order) and bounded
+// both ways: the result is ≥ iso (the residual term is non-negative) and
+// each overlapping flight contributes at most its own isolated duration
+// (its per-link bytes/bandwidth never exceed its phase times), so
+// concurrent operations never finish later than they would serialized.
+// Operations whose windows do not overlap — including everything on MPI's
+// single in-order channel — are charged exactly iso.
+func (p *Pricer) contend(slow float64, loads *fabric.LoadSet, start, iso float64) float64 {
+	isoS := iso * slow
+	// Drop flights that ended before this operation starts. (A later
+	// charge on another channel can still start earlier in virtual time;
+	// a flight pruned here that would have overlapped it slightly
+	// under-counts that rare inversion, in exchange for a bounded epoch.)
+	kept := p.inflight[:0]
+	for _, f := range p.inflight {
+		if f.finish <= start {
+			continue
+		}
+		kept = append(kept, f)
+	}
+	clear(p.inflight[len(kept):])
+	p.inflight = kept
+
+	var delta float64
+	for _, link := range loads.Links() {
+		var resid float64
+		for _, f := range p.inflight {
+			if l := f.loads.Load(link); l > 0 {
+				// Overlap window within f, as a fraction of f's drain.
+				lo := start
+				if f.start > lo {
+					lo = f.start
+				}
+				resid += l * (f.finish - lo) / (f.finish - f.start)
+			}
+		}
+		// Residual bytes drain at the backend's effective rate: CommSlowdown
+		// models a backend that cannot saturate the wire, so in scaled time
+		// every link runs at bandwidth/slow — for the queued residual just
+		// like for the newcomer's own bytes.
+		if d := resid * slow / p.Topo.LinkBandwidth(link); d > delta {
+			delta = d
+		}
+	}
+
+	durS := isoS + delta
+	if durS > 0 && len(loads.Links()) > 0 {
+		p.inflight = append(p.inflight, flight{start: start, finish: start + durS, loads: loads})
+	}
+	return durS / slow
 }
 
 // compute evaluates the flow model for one operation.
@@ -168,27 +255,4 @@ func (p *Pricer) ringFlows(bytes float64) []fabric.Flow {
 		p.flows = append(p.flows, fabric.Flow{Src: i, Dst: (i + 1) % p.size, Bytes: bytes})
 	}
 	return p.flows
-}
-
-// AllreduceTime returns the modeled duration of a ring reduce-scatter +
-// all-gather allreduce of bytes per rank: 2(R−1) neighbour phases moving
-// bytes/R each.
-func (p *Pricer) AllreduceTime(bytes float64) float64 {
-	return p.time(op{kind: opAllreduce, algo: RingRSAG, bytes: bytes})
-}
-
-// AlltoallTime returns the modeled duration of a pairwise-exchange alltoall
-// where every rank sends blockBytes to every other rank: R−1 phases, phase k
-// pairing i with (i+k) mod R. Multi-hop partners load shared links, which is
-// what keeps the 8-socket twisted hypercube from improving alltoall from 4
-// to 8 sockets (Fig. 15).
-func (p *Pricer) AlltoallTime(blockBytes float64) float64 {
-	return p.time(op{kind: opAlltoall, bytes: blockBytes})
-}
-
-// ScatterTime returns the modeled duration of one scatter: the root sends
-// blockBytes to every other rank; the root's injection link is the
-// bottleneck, so cost ≈ (R−1)·blockBytes / root bandwidth.
-func (p *Pricer) ScatterTime(root int, blockBytes float64) float64 {
-	return p.time(op{kind: opScatter, root: root, bytes: blockBytes})
 }

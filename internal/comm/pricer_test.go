@@ -98,7 +98,7 @@ func TestContendedRunWithMemoEqualsWithout(t *testing.T) {
 	}
 	// The schedule really contends: the ring on channel 3 shares the trunk
 	// with three earlier flights and must cost more than in isolation.
-	iso := NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks).AllreduceTime(bytes)
+	iso := NewPricer(fabric.NewPrunedFatTree(ranks, 12.5e9), ranks).AllreduceTimeAlgo(RingRSAG, bytes)
 	if busy := with[0].Busy["ar3"]; busy <= 3*iso {
 		t.Fatalf("nothing contended: ar3 busy %v over 3 iterations, ring alone %v each", busy, iso)
 	}

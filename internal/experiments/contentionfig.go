@@ -125,7 +125,7 @@ func contentionFig(o Opts) *Table {
 	t.AddRow("§VI-D1", "strong (Fig9)", "2:1 trunk", "CCL bucketed+overlapped", "on", ms(cclOn), delta(cclOn, cclOff))
 
 	t.AddNote("sharing discipline: causal residual-drain — a collective pays its isolated time plus the " +
-		"in-flight residual bytes of overlapping collectives on its bottleneck link (cluster.Engine.ChargeContended)")
+		"in-flight residual bytes of overlapping collectives on its bottleneck link (the job's comm.Pricer keeps the epoch)")
 	t.AddNote("contention off is the committed-baseline pricing (every collective against an empty fabric); " +
 		"the knob defaults off so archived virtual numbers stay bit-identical")
 	t.AddNote("§VI-D1 rows: the paper observes MPI communication interfering with the rest of the iteration; " +

@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Degraded wraps a Topology with per-link bandwidth derating — the
 // failure-injection hook: a flapping link, a misseated cable, or a switch
@@ -41,47 +38,3 @@ func (d *Degraded) LinkBandwidth(id int) float64 {
 
 // Name implements Topology.
 func (d *Degraded) Name() string { return d.Topology.Name() + " (degraded)" }
-
-// Bisection forwards PrunedFatTree.Bisection through the wrapper with the
-// derating applied: the embedded Topology's concrete method would report
-// the healthy trunk, so code that type-asserts for Bisection on a degraded
-// tree would silently see undegraded numbers. The reported cut is the
-// worse direction of the (possibly stacked) derated trunk. Wrapping a
-// topology without a bisection notion panics — asking is a bug.
-func (d *Degraded) Bisection() float64 {
-	topo := d.Topology
-	for {
-		dd, ok := topo.(*Degraded)
-		if !ok {
-			break
-		}
-		topo = dd.Topology
-	}
-	p, ok := topo.(*PrunedFatTree)
-	if !ok {
-		panic(fmt.Sprintf("fabric: Degraded.Bisection: wrapped topology %T has no bisection", topo))
-	}
-	trunk := p.TrunkLinks()
-	if trunk == nil {
-		return math.Inf(1) // single leaf, non-blocking
-	}
-	bw := math.Inf(1)
-	for _, id := range trunk {
-		// d.LinkBandwidth composes every Degraded layer's factors.
-		if b := d.LinkBandwidth(id); b < bw {
-			bw = b
-		}
-	}
-	return bw
-}
-
-// Hops returns the hop count between two sockets. Derating changes link
-// speeds, never routes, so this simply counts the unchanged route —
-// keeping TwistedHypercube.Hops-style analyses correct through the
-// wrapper instead of unreachable behind the embedded interface.
-func (d *Degraded) Hops(a, b int) int {
-	if a == b {
-		return 0
-	}
-	return len(d.Route(a, b))
-}

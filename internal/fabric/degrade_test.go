@@ -34,52 +34,6 @@ func TestNewDegradedValidatesFactors(t *testing.T) {
 	}
 }
 
-func TestDegradedBisectionSeesDerating(t *testing.T) {
-	base := NewPrunedFatTree(64, 12.5e9)
-	trunk := base.TrunkLinks()
-	if len(trunk) != 2 {
-		t.Fatalf("64-socket tree must expose 2 trunk directions, got %v", trunk)
-	}
-	// Derate one trunk direction to 40%: the embedded PrunedFatTree's
-	// concrete Bisection would still report the healthy 200 GB/s; the
-	// wrapper must report the worse derated direction.
-	deg := NewDegraded(base, map[int]float64{trunk[0]: 0.4})
-	want := 0.4 * base.Bisection()
-	if got := deg.Bisection(); math.Abs(got-want) > 1e-3 {
-		t.Fatalf("degraded bisection %g, want %g (healthy %g)", got, want, base.Bisection())
-	}
-	// Stacked wrappers compose factors.
-	deg2 := NewDegraded(deg, map[int]float64{trunk[0]: 0.5})
-	if got, want := deg2.Bisection(), 0.2*base.Bisection(); math.Abs(got-want) > 1e-3 {
-		t.Fatalf("stacked degraded bisection %g, want %g", got, want)
-	}
-	// A non-trunk derating leaves the cut alone.
-	if got := NewDegraded(base, map[int]float64{0: 0.1}).Bisection(); got != base.Bisection() {
-		t.Fatalf("uplink derating changed bisection: %g", got)
-	}
-	// Single-leaf trees stay non-blocking through the wrapper.
-	small := NewDegraded(NewPrunedFatTree(16, 12.5e9), map[int]float64{0: 0.5})
-	if !math.IsInf(small.Bisection(), 1) {
-		t.Fatal("degraded single-leaf tree must stay non-blocking")
-	}
-	// Asking a bisection of a topology that has none is a bug, not a zero.
-	mustPanic(t, "hypercube bisection", func() {
-		NewDegraded(NewTwistedHypercube(22e9), map[int]float64{0: 0.5}).Bisection()
-	})
-}
-
-func TestDegradedHopsForwarding(t *testing.T) {
-	deg := NewDegraded(NewTwistedHypercube(22e9), map[int]float64{0: 0.5})
-	base := NewTwistedHypercube(22e9)
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			if deg.Hops(a, b) != base.Hops(a, b) {
-				t.Fatalf("hops(%d,%d) changed under derating", a, b)
-			}
-		}
-	}
-}
-
 func TestPrunedFatTreeUplinks(t *testing.T) {
 	var sc Scratch
 	// The default 16-uplink tree is the paper's 2:1 pruning; fewer uplinks
@@ -113,9 +67,7 @@ func TestScratchAccumulate(t *testing.T) {
 	flows := []Flow{{Src: 0, Dst: 63, Bytes: 1e9}} // up, trunk, down
 	var s Scratch
 	var ls LoadSet
-	if prev := s.Accumulate(&ls); prev != nil {
-		t.Fatal("fresh scratch must have no accumulator")
-	}
+	s.Accumulate(&ls)
 	one := s.PhaseTime(topo, flows)
 	links := append([]int(nil), ls.Links()...)
 	if len(links) != 3 {
@@ -138,21 +90,11 @@ func TestScratchAccumulate(t *testing.T) {
 			t.Fatalf("PhaseTimeN link %d load %g, want %g", l, got, 5e9*ov)
 		}
 	}
-	// Detach: further phases accumulate nowhere; prev round-trips.
-	if prev := s.Accumulate(nil); prev != &ls {
-		t.Fatal("Accumulate must return the previous set")
-	}
+	// Detach: further phases accumulate nowhere.
+	s.Accumulate(nil)
 	before := ls.Load(links[0])
 	s.PhaseTime(topo, flows)
 	if ls.Load(links[0]) != before {
 		t.Fatal("detached accumulator must not collect loads")
-	}
-	// CopyFrom reproduces loads and touched set.
-	var cp LoadSet
-	cp.CopyFrom(&ls)
-	for _, l := range ls.Links() {
-		if cp.Load(l) != ls.Load(l) {
-			t.Fatalf("CopyFrom mismatch on link %d", l)
-		}
 	}
 }

@@ -48,8 +48,8 @@ type Scratch struct {
 // LoadSet aggregates per-link byte loads across phases — one collective's
 // total footprint on every link it touches, the record the contention epoch
 // shares bandwidth over, and a Scratch's one phase. It indexes by dense
-// link ID and reuses its slices, so accumulating and copying allocate
-// nothing after warmup. Not safe for concurrent use.
+// link ID and reuses its slices, so accumulating allocates nothing after
+// warmup. Not safe for concurrent use.
 type LoadSet struct {
 	load    []float64
 	touched []int
@@ -86,27 +86,12 @@ func (ls *LoadSet) Load(link int) float64 {
 	return ls.load[link]
 }
 
-// CopyFrom resets ls and copies src's loads into it, reusing capacity.
-func (ls *LoadSet) CopyFrom(src *LoadSet) {
-	ls.Reset()
-	for _, link := range src.touched {
-		ls.Add(link, src.load[link])
-	}
-}
-
 // Accumulate directs every subsequent PhaseTime call to also add each
 // flow's per-link bytes (copy overhead included) into ls, until called
-// again; nil detaches. It returns the previously attached set, so scopes
-// that must not pollute the caller's aggregate (e.g. probing candidate
-// algorithms before charging the winner) can save and restore. This is the
-// hook the contention model uses to collect a collective's whole-operation
-// link footprint from the existing multi-phase cost models without
-// duplicating them.
-func (s *Scratch) Accumulate(ls *LoadSet) *LoadSet {
-	prev := s.acc
-	s.acc = ls
-	return prev
-}
+// again; nil detaches. This is the hook the contention model uses to
+// collect a collective's whole-operation link footprint from the existing
+// multi-phase cost models without duplicating them.
+func (s *Scratch) Accumulate(ls *LoadSet) { s.acc = ls }
 
 // PhaseTimeN charges n identical phases of the given flows: the returned
 // duration is n × PhaseTime, and the flows' per-link loads accumulate
