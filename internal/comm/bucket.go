@@ -28,16 +28,6 @@ type BucketPlan struct {
 	Buckets []Bucket
 }
 
-// TotalBytes returns the summed modeled volume — identical to the flat
-// single-allreduce volume, only the segmentation differs.
-func (p BucketPlan) TotalBytes() float64 {
-	var t float64
-	for _, b := range p.Buckets {
-		t += b.Bytes
-	}
-	return t
-}
-
 // PlanBuckets partitions layers (layerBytes[i] = modeled gradient bytes of
 // layer i) into buckets of at least bucketBytes each, walking from the last
 // layer down — the backward execution order — and coalescing until the

@@ -31,6 +31,7 @@ func TestPlanBucketsPartition(t *testing.T) {
 		if last := p.Buckets[len(p.Buckets)-1]; last.Lo != 0 {
 			t.Fatalf("trial %d: last bucket starts at %d, want 0", trial, last.Lo)
 		}
+		var sum float64
 		for i, b := range p.Buckets {
 			if b.Lo > b.Hi {
 				t.Fatalf("trial %d: bucket %d inverted [%d,%d]", trial, i, b.Lo, b.Hi)
@@ -46,6 +47,7 @@ func TestPlanBucketsPartition(t *testing.T) {
 			if b.Bytes != want {
 				t.Fatalf("trial %d: bucket %d bytes %g want %g", trial, i, b.Bytes, want)
 			}
+			sum += b.Bytes
 			if i < len(p.Buckets)-1 && b.Bytes < bucketBytes {
 				t.Fatalf("trial %d: non-final bucket %d below threshold: %g < %g",
 					trial, i, b.Bytes, bucketBytes)
@@ -54,8 +56,8 @@ func TestPlanBucketsPartition(t *testing.T) {
 				t.Fatalf("trial %d: fresh plan bucket %d channel %d, want -1", trial, i, b.Channel)
 			}
 		}
-		if got := p.TotalBytes(); got != total {
-			t.Fatalf("trial %d: TotalBytes %g want %g", trial, got, total)
+		if sum != total {
+			t.Fatalf("trial %d: buckets sum to %g bytes, want %g", trial, sum, total)
 		}
 	}
 }

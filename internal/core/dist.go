@@ -425,11 +425,10 @@ func (r *DistResult) Exposures() []Exposure {
 
 // run executes an already-validated configuration (DistConfig.Run is the
 // public entry and the only caller). A timing run has no kernel to run, so
-// the evaluator walks the plan for all ranks at once on the caller's
-// goroutine. Functional ranks run on cluster.Run's goroutines, which overlap
-// each rank's model build, payload copies and serial kernel sections across
-// host cores (docs/PERF.md, "Why functional runs keep the goroutine
-// engine").
+// plan.run walks every rank at once on the caller's goroutine. Functional
+// ranks each walk the plan on cluster.Run's goroutines, which overlap each
+// rank's model build, payload copies and serial kernel sections across host
+// cores (docs/PERF.md, "Why functional runs keep the goroutine engine").
 func (dc DistConfig) run() *DistResult { return dc.runOn(dc.RunCfg == nil) }
 
 // ClusterConfig is the simulated machine the run's ranks execute on (the
@@ -447,11 +446,11 @@ func (dc *DistConfig) ClusterConfig() cluster.Config {
 	}
 }
 
-// runOn is run with the engine stated: the timing evaluator (plan.eval,
-// timing mode only), or every rank interpreting the plan on cluster.Run's
-// goroutines — tests hold the two to identical results. The iteration is
-// built once, as a step list (buildPlan); a functional run attaches an
-// executor to each rank that runs each step's kernel.
+// runOn is run with the engine stated: plan.run over every rank at once
+// through comm.ForAll (timing mode only), or over each rank alone on
+// cluster.Run's goroutines — tests hold the two to identical results. The
+// iteration is built once, as a step list (buildPlan); a functional rank
+// brings an executor that runs each step's kernel.
 func (dc DistConfig) runOn(evaluate bool) *DistResult {
 	res := &DistResult{
 		WaitPerIter: map[string]float64{},
@@ -465,20 +464,21 @@ func (dc DistConfig) runOn(evaluate bool) *DistResult {
 		wss = NewDistWorkspaces()
 	}
 	p := dc.buildPlan()
-	tallies := wss.tallies(dc.Ranks)
+	handles, tallies := wss.slots(dc.Ranks*p.slots), wss.tallies(dc.Ranks)
 	if evaluate {
 		ranks := cluster.NewRanks(dc.ClusterConfig())
-		p.eval(ranks, comm.ForAll(ranks, dc.Topo), wss.timingSlots(dc.Ranks*p.slots), tallies)
+		p.run(ranks, comm.ForAll(ranks, dc.Topo), handles, tallies, nil)
 	} else {
 		cluster.Run(dc.ClusterConfig(), func(r *cluster.Rank) {
-			ws := wss.get(r.ID)
-			ws.prepare(&dc, r.ID)
 			var x *executor
 			if dc.RunCfg != nil {
+				ws := wss.get(r.ID)
+				ws.prepare(&dc, r.ID)
 				x = newRankExecutor(&dc, r, ws, res)
 				defer x.close()
 			}
-			p.run(r, comm.New(r, dc.Topo), ws.slots(p.slots), &tallies[r.ID], x)
+			lo := r.ID * p.slots
+			p.run([]*cluster.Rank{r}, comm.New(r, dc.Topo), handles[lo:lo+p.slots], tallies[r.ID:r.ID+1], x)
 		})
 	}
 	iters, ranks := float64(dc.Iters), float64(dc.Ranks)

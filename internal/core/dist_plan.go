@@ -11,12 +11,13 @@ import (
 // DistConfig into the ordered charges of one hybrid-parallel iteration
 // (Fig. 2) — every schedule decision (sync or overlapped, flat or bucketed,
 // strategy, loader mode, tiering, checkpoint cadence, channel placement,
-// blocking waits) is resolved there, into list order. plan.run runs the list
-// on one rank (every functional rank, on its own goroutine); plan.eval,
-// timing mode's evaluator, walks it for all ranks at once; both apply a step
-// through one charge switch (step.charge, step.issue) and book what it
-// charged, by the step's label, into the rank's tally. docs/ITERATION.md
-// prints the lists and states the float-order rules the builder must keep.
+// blocking waits) is resolved there, into list order. plan.run is the one
+// interpreter: it walks the list step by step over a set of ranks — every
+// rank of a timing run at once, or one functional rank on its own goroutine
+// — applies each step through one charge switch (step.charge, step.issue)
+// and books what it charged, by the step's label, into the rank's tally.
+// docs/ITERATION.md prints the lists and states the float-order rules the
+// builder must keep.
 
 // stepKind is what a step charges: the cluster.Rank / comm.Comm call the
 // interpreter makes for it.
@@ -603,63 +604,43 @@ type stage struct {
 	send, recv [][]float32
 }
 
-// run is the interpreter, the SPMD program of one rank: it charges the rank
-// with each due step in order — the prologue once (as iteration −1), the
-// iteration list Iters times —, books each charge into t and, when an
-// executor is attached (x, nil in timing mode), runs the step's kernel
-// first. That attachment is the one place timing and functional execution
-// differ. Under cluster.Run every rank runs it on its own goroutine; timing
-// mode's evaluator (eval) walks the same list for all ranks at once.
-func (p *plan) run(r *cluster.Rank, cm *comm.Comm, handles []cluster.Handle, t *tally, x *executor) {
-	steps := p.prologue
-	for it := -1; it < p.iters; it++ {
-		for i := range steps {
-			s := &steps[i]
-			if !p.due(s, it, r.ID) {
-				continue
-			}
-			var buf stage
-			if x != nil {
-				buf = x.run(s, it)
-			}
-			if s.kind == stepCollective {
-				handles[s.slot] = s.issue(cm, buf)
-				t.issued(s.label, handles[s.slot], r.Eng.Cfg.CallOverhead)
-			} else {
-				s.charge(r, p.seconds(s, r.ID), handles, t)
-			}
-		}
-		steps = p.iter
-	}
-}
-
-// eval is the timing evaluator: run on all of ranks at once, step by step —
-// each step is applied to every rank, in rank order, before the next — with
-// every collective issued once for all of them through cm (a comm.ForAll
-// communicator). Each rank sees its own charges in list order,
-// and leaders run in issue order from the latest rank's ready time, so every
-// clock and charge is the one run gives under cluster.Run
-// (docs/ITERATION.md, "The timing evaluator"). handles holds every rank's
-// slots, rank-major, and tallies every rank's tally.
-func (p *plan) eval(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Handle, tallies []tally) {
+// run is the interpreter: it walks the list step-major over ranks — the
+// prologue once (as iteration −1), the iteration list Iters times, each due
+// step applied to every rank, in order, before the next — and books each
+// charge into the rank's tally. Rank ranks[k] owns handles[k·slots :
+// (k+1)·slots] and tallies[k]. A collective is issued once for all of ranks
+// through cm. A timing run passes every rank with a comm.ForAll communicator
+// (docs/ITERATION.md, "The timing evaluator"); a functional rank passes only
+// itself, its own comm.Comm and its executor x, on its cluster.Run
+// goroutine. x, which comes only with a set of one rank (runOn is the only
+// caller), runs each due step's kernel before the step's charge or issue:
+// the one place timing and functional execution differ.
+func (p *plan) run(ranks []*cluster.Rank, cm *comm.Comm, handles []cluster.Handle, tallies []tally, x *executor) {
 	overhead := ranks[0].Eng.Cfg.CallOverhead
 	steps := p.prologue
 	for it := -1; it < p.iters; it++ {
 		for i := range steps {
 			s := &steps[i]
-			if s.kind == stepCollective {
-				if p.due(s, it, 0) { // never rank-dependent (TestPlanIsSPMD)
-					h := s.issue(cm, stage{})
-					for r := range ranks {
-						handles[r*p.slots+s.slot] = h
-						tallies[r].issued(s.label, h, overhead)
+			// due is whether the step runs on ranks[0]: on every rank if it
+			// is a collective (never rank-dependent, TestPlanIsSPMD), and on
+			// x's rank.
+			due := p.due(s, it, ranks[0].ID)
+			var buf stage
+			if x != nil && due {
+				buf = x.run(s, it)
+			}
+			switch {
+			case s.kind != stepCollective:
+				for k, r := range ranks {
+					if p.due(s, it, r.ID) {
+						s.charge(r, p.seconds(s, r.ID), handles[k*p.slots:(k+1)*p.slots], &tallies[k])
 					}
 				}
-				continue
-			}
-			for _, r := range ranks {
-				if p.due(s, it, r.ID) {
-					s.charge(r, p.seconds(s, r.ID), handles[r.ID*p.slots:(r.ID+1)*p.slots], &tallies[r.ID])
+			case due:
+				h := s.issue(cm, buf)
+				for k := range ranks {
+					handles[k*p.slots+s.slot] = h
+					tallies[k].issued(s.label, h, overhead)
 				}
 			}
 		}
@@ -676,8 +657,7 @@ func (p *plan) seconds(s *step, rank int) float64 {
 }
 
 // charge applies a rank-local step — compute, prep, async, wait — to r, whose
-// handle slots are handles, and books it into t: the charge switch run and
-// eval share.
+// handle slots are handles, and books it into t.
 func (s *step) charge(r *cluster.Rank, seconds float64, handles []cluster.Handle, t *tally) {
 	a := &t.labels[s.label]
 	switch s.kind {

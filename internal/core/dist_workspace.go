@@ -18,21 +18,18 @@ type distKey struct {
 	ranks, globalN int
 	tables, embDim int
 	strategy       CommStrategy
-	functional     bool
 }
 
-// DistWorkspace owns everything one simulated rank reuses across distributed
-// training iterations: the handle slots of the run's plan and, in functional
-// mode, the tensors the executor exchanges — the owned tables' bag outputs
-// over the global batch and their assembled gradients, every table's shard
-// rows and their gradients — plus the per-table sparse gradient buffers, the
-// loss gradient, and the collectives' payloads. A payload is a segment list
-// of views into those tensors and the model's gradient tensors (see
-// comm.AllreduceSegs), built once per key, so a collective copies each row
-// straight from the tensor that produces it into the one that consumes it.
-// Together with the rank's persistent par.Pool this makes the steady-state
-// distributed iteration free of heap allocations in timing mode (enforced by
-// dist_alloc_test.go) and allocation-light in functional mode.
+// DistWorkspace owns everything one functional rank reuses across distributed
+// training iterations: the tensors the executor exchanges — the owned tables'
+// bag outputs over the global batch and their assembled gradients, every
+// table's shard rows and their gradients — plus the per-table sparse gradient
+// buffers, the loss gradient, and the collectives' payloads. A payload is a
+// segment list of views into those tensors and the model's gradient tensors
+// (see comm.AllreduceSegs), built once per key, so a collective copies each
+// row straight from the tensor that produces it into the one that consumes
+// it. Together with the rank's persistent par.Pool this makes the
+// steady-state functional iteration allocation-light.
 //
 // A DistWorkspace is owned by a DistWorkspaces set, or by a Trainer, and
 // used by exactly one rank goroutine per run; it is not safe for concurrent
@@ -40,8 +37,7 @@ type distKey struct {
 type DistWorkspace struct {
 	key distKey
 
-	handles []cluster.Handle // the plan's handle slots
-	locT    []int            // this rank's owned table ids (round-robin)
+	locT []int // this rank's owned table ids (round-robin)
 
 	// Functional-mode state; buffers are indexed by local table position li
 	// (table id t = rank + li·ranks) unless noted.
@@ -70,34 +66,20 @@ type DistWorkspace struct {
 	loaderBufs data.LoaderBuffers
 }
 
-// prepare sizes the workspace for one run: on a key change it rebuilds the
-// table lists and re-ensures every buffer for the new shape. Buffer growth is
-// monotonic, so a sweep alternating shapes pays allocation only on first
-// sight of each shape, never per iteration.
+// prepare sizes the workspace for one functional run: on a key change it
+// rebuilds the table lists and re-ensures every buffer for the new shape.
+// Buffer growth is monotonic, so a sweep alternating shapes pays allocation
+// only on first sight of each shape, never per iteration.
 func (ws *DistWorkspace) prepare(dc *DistConfig, rank int) {
 	key := distKey{
 		ranks: dc.Ranks, globalN: dc.GlobalN,
-		tables: dc.Cfg.Tables, strategy: dc.Variant.Strategy,
-		functional: dc.RunCfg != nil,
-	}
-	if key.functional {
-		key.embDim = dc.RunCfg.EmbDim
+		tables: dc.Cfg.Tables, embDim: dc.RunCfg.EmbDim, strategy: dc.Variant.Strategy,
 	}
 	if key != ws.key {
 		ws.locT = LocalTables(dc.Cfg, rank, key.ranks)
-		if key.functional {
-			ws.resize(dc, key, rank)
-		}
+		ws.resize(dc, key, rank)
 		ws.key = key
 	}
-}
-
-// slots returns n cleared handle slots (a zero Handle's Wait is free, which
-// is what the first wait on a background drain relies on).
-func (ws *DistWorkspace) slots(n int) []cluster.Handle {
-	ws.handles = slices.Grow(ws.handles[:0], n)[:n]
-	clear(ws.handles)
-	return ws.handles
 }
 
 // resize re-ensures the executor's buffers for a new key (every field of
@@ -202,8 +184,8 @@ type DistWorkspaces struct {
 	inUse atomic.Bool
 	mu    sync.Mutex
 	ws    []*DistWorkspace
-	// handles are the timing evaluator's handle slots, every rank's, in one
-	// block (see timingSlots).
+	// handles are every rank's handle slots, rank-major, in one block (see
+	// slots).
 	handles []cluster.Handle
 	// tally is every rank's accounting, one tally per rank (see tallies).
 	tally []tally
@@ -215,10 +197,10 @@ var errInUse = errors.New("core: DistWorkspaces already in use by another Run; c
 // first use.
 func NewDistWorkspaces() *DistWorkspaces { return &DistWorkspaces{} }
 
-// timingSlots returns n cleared handle slots for the timing evaluator, which
-// keeps every rank's slots in one block instead of in the per-rank
-// workspaces: a timing run needs nothing else from them.
-func (d *DistWorkspaces) timingSlots(n int) []cluster.Handle {
+// slots returns n cleared handle slots, every rank's plan slots in one block
+// (a zero Handle's Wait is free, which is what the first wait on a
+// background drain relies on).
+func (d *DistWorkspaces) slots(n int) []cluster.Handle {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.handles = slices.Grow(d.handles[:0], n)[:n]

@@ -204,7 +204,7 @@ func TestFailureRemapProperty(t *testing.T) {
 			}
 			// (c) The workspaces' prepared table lists match, per strategy.
 			for _, v := range Variants {
-				dc := distTestConfig(cfg, newRanks, globalN, 1, v, false)
+				dc := distTestConfig(cfg, newRanks, globalN, 1, v, true)
 				wss := NewDistWorkspaces()
 				for r := range newRanks {
 					ws := wss.get(r)

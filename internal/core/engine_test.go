@@ -49,24 +49,39 @@ func checkElasticEngines(t *testing.T, ec ElasticConfig, events ...cluster.Fault
 	}
 }
 
-// TestEvaluatorEqualsGoroutineEngine holds hook 3 over both samples and over
-// every Variant × schedule × flat / bucketed × contention × blocking with
-// the loader, the tiered store, checkpoints and per-bucket Auto all on; and
-// over elastic runs of the timing sample and the benchmark's churn case
-// through failures at the first or second boundary and a rescale.
-func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
-	t.Parallel() // counts no allocations
-	rows := tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3).
-		x(axVariant, paper...).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking)
-	checkEngines(t, slices.Concat(rows, timingSample, funcSample).configs()...)
+// engineRows are hook 3's hand-written timing rows: every Variant ×
+// schedule × flat / bucketed × contention × blocking with the loader, the
+// tiered store, checkpoints and per-bucket Auto all on.
+var engineRows = tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3).
+	x(axVariant, paper...).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking)
 
-	checkElasticEngines(t, ElasticConfig{Base: simStrong64(8), CheckpointEvery: 3},
-		cluster.FaultEvent{Kind: cluster.RankFail, Iter: 5, Rank: 13})
+// elasticCase is one elastic timing run: a configuration and its fault plan.
+type elasticCase struct {
+	ec     ElasticConfig
+	events []cluster.FaultEvent
+}
+
+// elasticCases are the benchmark's churn case and the timing sample through
+// failures at the first or second boundary and a rescale.
+func elasticCases() []elasticCase {
+	cases := []elasticCase{{ElasticConfig{Base: simStrong64(8), CheckpointEvery: 3},
+		[]cluster.FaultEvent{{Kind: cluster.RankFail, Iter: 5, Rank: 13}}}}
 	for i, dc := range timingSample.configs() {
 		dc.seg = segment{}
-		fail := cluster.FaultEvent{Kind: cluster.RankFail, Iter: 1 + i%2, Rank: i % dc.Ranks}
-		checkElasticEngines(t, ElasticConfig{Base: dc, CheckpointEvery: 1 + i%3}, fail,
-			cluster.FaultEvent{Kind: cluster.Rescale, Iter: 3, NewRanks: 2})
+		cases = append(cases, elasticCase{ElasticConfig{Base: dc, CheckpointEvery: 1 + i%3}, []cluster.FaultEvent{
+			{Kind: cluster.RankFail, Iter: 1 + i%2, Rank: i % dc.Ranks},
+			{Kind: cluster.Rescale, Iter: 3, NewRanks: 2}}})
+	}
+	return cases
+}
+
+// TestEvaluatorEqualsGoroutineEngine holds hook 3 over both samples, over
+// engineRows and over elasticCases.
+func TestEvaluatorEqualsGoroutineEngine(t *testing.T) {
+	t.Parallel() // counts no allocations
+	checkEngines(t, slices.Concat(engineRows, timingSample, funcSample).configs()...)
+	for _, c := range elasticCases() {
+		checkElasticEngines(t, c.ec, c.events...)
 	}
 }
 

@@ -82,17 +82,18 @@ func (dc *DistConfig) Validate() error {
 }
 
 // ValidateStore checks the tiered embedding store's knobs: no negative
-// budget, bandwidth or skew, a cache budget that states its cold tier, and no
+// budget and no negative or NaN bandwidth or skew (+Inf is a finite run
+// time, so it passes), a cache budget that states its cold tier, and no
 // tier knob without a budget. DistConfig.Validate checks through it, and the
 // serving tier checks its replicas' store through it too.
 func (dc *DistConfig) ValidateStore() error {
 	if dc.EmbCacheBytes < 0 {
 		return fmt.Errorf("core: EmbCacheBytes=%d, want >= 0", dc.EmbCacheBytes)
 	}
-	if dc.ColdTierBW < 0 {
+	if !(dc.ColdTierBW >= 0) {
 		return fmt.Errorf("core: ColdTierBW=%v, want >= 0", dc.ColdTierBW)
 	}
-	if dc.EmbSkew < 0 {
+	if !(dc.EmbSkew >= 0) {
 		return fmt.Errorf("core: EmbSkew=%v, want >= 0", dc.EmbSkew)
 	}
 	if dc.EmbCacheBytes > 0 && dc.ColdTierBW == 0 {

@@ -75,6 +75,8 @@ func TestValidateRejections(t *testing.T) {
 		{"negative emb cache", func(dc *DistConfig) { dc.EmbCacheBytes = -64 }, "EmbCacheBytes=-64"},
 		{"negative cold bw", func(dc *DistConfig) { dc.EmbCacheBytes, dc.ColdTierBW = 64<<20, -1 }, "ColdTierBW"},
 		{"negative emb skew", tiered(64<<20, -0.5), "EmbSkew"},
+		{"NaN cold bw", func(dc *DistConfig) { dc.EmbCacheBytes, dc.ColdTierBW = 64<<20, math.NaN() }, "ColdTierBW=NaN"},
+		{"NaN emb skew", tiered(64<<20, math.NaN()), "EmbSkew=NaN"},
 		{"cache without cold bw", func(dc *DistConfig) { dc.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"cold bw without cache", func(dc *DistConfig) { dc.ColdTierBW = DefaultColdTierBW }, "without EmbCacheBytes"},
 		{"emb skew without cache", func(dc *DistConfig) { dc.EmbSkew = 1.05 }, "without EmbCacheBytes"},

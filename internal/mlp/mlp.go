@@ -340,25 +340,3 @@ func (m *MLP) InvalidateTransposes() {
 		l.InvalidateTranspose()
 	}
 }
-
-// ParamBytes returns the total parameter size in bytes, the per-rank
-// allreduce volume of Eq. 1 (Σ_l f_i·f_o + f_o, times 4 bytes) — logical
-// widths, not counting padding.
-func (m *MLP) ParamBytes() int {
-	total := 0
-	for i := 0; i+1 < len(m.Sizes); i++ {
-		total += 4 * (m.Sizes[i]*m.Sizes[i+1] + m.Sizes[i+1])
-	}
-	return total
-}
-
-// FlopsPerSample returns the forward FLOP count per sample (2·C·K summed
-// over layers); backward-by-data and backward-by-weights each cost the same
-// again, which the performance model uses.
-func (m *MLP) FlopsPerSample() float64 {
-	var f float64
-	for i := 0; i+1 < len(m.Sizes); i++ {
-		f += 2 * float64(m.Sizes[i]) * float64(m.Sizes[i+1])
-	}
-	return f
-}

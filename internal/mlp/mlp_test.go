@@ -224,8 +224,7 @@ func TestStepInvalidatesTranspose(t *testing.T) {
 
 func TestVisitParamsGradsAligned(t *testing.T) {
 	// {4, 6, 2} stores every layer at its logical width; {383, 6, 2} pads
-	// its first layer to 384 columns, which the visited tensors hold and
-	// ParamBytes (Eq. 1's volume) does not count.
+	// its first layer to 384 columns, which the visited tensors hold.
 	for _, c := range []struct {
 		sizes []int
 		w0    int
@@ -245,19 +244,6 @@ func TestVisitParamsGradsAligned(t *testing.T) {
 					c.sizes, i, len(l.DW.Data), len(l.DBias), pLens[2*i], pLens[2*i+1])
 			}
 		}
-		wantBytes := 4 * (c.sizes[0]*6 + 6 + 6*2 + 2)
-		if m.ParamBytes() != wantBytes {
-			t.Fatalf("ParamBytes=%d want %d", m.ParamBytes(), wantBytes)
-		}
-	}
-}
-
-func TestFlopsPerSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := New([]int{10, 20, 5}, 2, ReLU, None, rng)
-	want := 2.0 * (10*20 + 20*5)
-	if m.FlopsPerSample() != want {
-		t.Fatalf("FlopsPerSample=%g want %g", m.FlopsPerSample(), want)
 	}
 }
 

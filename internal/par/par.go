@@ -19,7 +19,7 @@
 //	lo = (n * tid) / nThreads
 //	hi = (n * (tid+1)) / nThreads
 //
-// Allocation-free dispatch: the plain ForN/ForEachWorker/Run2D entry points
+// Allocation-free dispatch: the plain ForN/Run2D entry points
 // take closures, and a closure that captures variables costs one heap
 // allocation at the call site. Steady-state kernels that must not allocate
 // use the *Arg variants instead: the body is a package-level function (a
@@ -225,8 +225,11 @@ func (p *Pool) ForNArg(n int, body func(arg any, tid, lo, hi int), arg any) {
 	s.run(w)
 }
 
-// ForEachWorkerArg runs body(arg, tid, nWorkers) once per worker. See
-// ForNArg for the allocation-free calling convention.
+// ForEachWorkerArg runs body(arg, tid, nWorkers) once per worker regardless
+// of any iteration count: kernels that hand-partition 2-D iteration spaces
+// (such as the blocked GEMMs of Algorithm 5, line 1) compute their own work
+// assignment from tid. See ForNArg for the allocation-free calling
+// convention.
 func (p *Pool) ForEachWorkerArg(body func(arg any, tid, workers int), arg any) {
 	s := p.s
 	if s.workers <= 1 || s.closed.Load() {
@@ -272,12 +275,11 @@ func (p *Pool) Run2DArg(rows, cols int, body func(arg any, tid, row, col int), a
 	s.run(w)
 }
 
-// forNAdapter / workerAdapter / run2DAdapter let the closure-based entry
+// forNAdapter / run2DAdapter let the closure-based entry
 // points reuse the Arg machinery: the closure itself rides in arg (func
 // values are pointer-shaped, so the conversion does not allocate — only the
 // closure's own creation at the caller might).
 func forNAdapter(arg any, tid, lo, hi int)    { arg.(func(tid, lo, hi int))(tid, lo, hi) }
-func workerAdapter(arg any, tid, workers int) { arg.(func(tid, workers int))(tid, workers) }
 func run2DAdapter(arg any, tid, row, col int) { arg.(func(tid, row, col int))(tid, row, col) }
 
 // ForN runs body(tid, lo, hi) on each worker with [lo,hi) a static chunk of
@@ -286,14 +288,6 @@ func run2DAdapter(arg any, tid, row, col int) { arg.(func(tid, row, col int))(ti
 // ForNArg, which avoids the closure allocation.
 func (p *Pool) ForN(n int, body func(tid, lo, hi int)) {
 	p.ForNArg(n, forNAdapter, body)
-}
-
-// ForEachWorker runs body(tid, nWorkers) once per worker regardless of any
-// iteration count. Kernels that hand-partition 2-D iteration spaces (such as
-// the blocked GEMMs of Algorithm 5, line 1) use this entry point and compute
-// their own work assignment from tid.
-func (p *Pool) ForEachWorker(body func(tid, workers int)) {
-	p.ForEachWorkerArg(workerAdapter, body)
 }
 
 // Run2D partitions a rows×cols block grid among the workers, assigning each

@@ -104,12 +104,12 @@ func TestForEachWorkerRunsAll(t *testing.T) {
 	p := NewPool(6)
 	defer p.Close()
 	seen := make([]int32, 6)
-	p.ForEachWorker(func(tid, workers int) {
+	p.ForEachWorkerArg(func(_ any, tid, workers int) {
 		if workers != 6 {
 			t.Errorf("workers=%d want 6", workers)
 		}
 		atomic.AddInt32(&seen[tid], 1)
-	})
+	}, nil)
 	for tid, c := range seen {
 		if c != 1 {
 			t.Fatalf("tid %d ran %d times", tid, c)
@@ -261,11 +261,11 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 	if visited != 100 {
 		t.Fatalf("visited %d want 100", visited)
 	}
-	p.ForEachWorker(func(tid, workers int) {
+	p.ForEachWorkerArg(func(_ any, tid, workers int) {
 		if workers != 1 {
 			t.Errorf("closed pool reported %d workers", workers)
 		}
-	})
+	}, nil)
 }
 
 // TestCloseJoinsHelpers pins that Close returns only once the pool's helper
@@ -308,7 +308,7 @@ func TestCloseByCleanup(t *testing.T) {
 // startDefault runs a region on Default, the one pool these tests leave
 // open: a helper goroutine enters its loop only once it is first scheduled,
 // and until then it is not counted.
-func startDefault() { Default.ForEachWorker(func(tid, workers int) {}) }
+func startDefault() { Default.ForEachWorkerArg(func(any, int, int) {}, nil) }
 
 // helpers counts the goroutines in a pool's helper loop, every pool's, from
 // a dump of all goroutine stacks.

@@ -4,6 +4,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +35,7 @@ func TestServeValidateEmbStore(t *testing.T) {
 		{"negative emb cache", func(c *Config) { c.EmbCacheBytes = -1 }, "EmbCacheBytes=-1"},
 		{"cache without cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20 }, "without ColdTierBW"},
 		{"negative cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20; c.ColdTierBW = -2 }, "ColdTierBW"},
+		{"NaN cold bw", func(c *Config) { c.EmbCacheBytes = 64 << 20; c.ColdTierBW = math.NaN() }, "ColdTierBW=NaN"},
 		{"cold bw without cache", func(c *Config) { c.ColdTierBW = 8e9 }, "without EmbCacheBytes"},
 	}
 	for _, tc := range cases {
