@@ -64,15 +64,17 @@ func main() {
 	for _, r := range []int{1, 2, 4, 8} {
 		res, err := core.DistConfig{
 			Cfg: cfg, Ranks: r, GlobalN: cfg.GlobalMB - cfg.GlobalMB%r, Iters: 3,
-			Variant:  core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend},
-			Blocking: true,
-			Topo:     hyper, Socket: perfmodel.SKX8180,
+			Variant: core.Variant{Strategy: core.Alltoall, Backend: cluster.CCLBackend},
+			// Fig. 15's instrumented schedule: flat-sync, every collective
+			// waited where it is issued, so each one books its own wait.
+			Blocking: true, Sync: true, BucketBytes: core.FlatBuckets,
+			Topo: hyper, Socket: perfmodel.SKX8180,
 		}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-6d  %7.1fms  %9.1fms  %9.1fms\n", r,
-			res.ComputePerIter*1e3,
+			res.ComputeAndPrepPerIter()*1e3,
 			res.WaitPerIter["allreduce"]*1e3,
 			res.WaitPerIter["alltoall"]*1e3)
 	}

@@ -141,52 +141,3 @@ func TestSplitHiIsBF16Truncation(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitSGDStepExactFP32(t *testing.T) {
-	// Split-SGD must track plain FP32 SGD bit-for-bit.
-	rng := rand.New(rand.NewSource(4))
-	n := 128
-	w := make([]float32, n)
-	ref := make([]float32, n)
-	for i := range w {
-		w[i] = rng.Float32()*2 - 1
-		ref[i] = w[i]
-	}
-	s := NewSplit(w)
-	for iter := 0; iter < 50; iter++ {
-		g := make([]float32, n)
-		for i := range g {
-			g[i] = rng.Float32()*0.2 - 0.1
-		}
-		s.SGDStep(g, 0.01)
-		for i := range ref {
-			ref[i] -= 0.01 * g[i]
-		}
-	}
-	for i := range ref {
-		if s.At(i) != ref[i] {
-			t.Fatalf("Split-SGD diverged from FP32 SGD at %d: %g != %g", i, s.At(i), ref[i])
-		}
-	}
-}
-
-func TestSplitLoBits8LosesPrecision(t *testing.T) {
-	// With only 8 LSBs, small-update accumulation stalls: repeatedly adding
-	// a delta below the 24-bit mantissa resolution must leave w unchanged,
-	// while the full split keeps accumulating — the §VII ablation.
-	w := []float32{1.0}
-	full := NewSplit(append([]float32(nil), w...))
-	trunc := NewSplit(append([]float32(nil), w...))
-	g := []float32{-1e-7} // w += lr*1e-7 per step with lr=1
-	for i := 0; i < 1000; i++ {
-		full.SGDStep(g, 1)
-		trunc.SGDStep(g, 1)
-		trunc.LoBits8()
-	}
-	if full.At(0) <= 1.0 {
-		t.Fatal("full split failed to accumulate small updates")
-	}
-	if trunc.At(0) != 1.0 {
-		t.Fatalf("8-LSB split unexpectedly accumulated: %g", trunc.At(0))
-	}
-}

@@ -23,9 +23,6 @@ func NewSplit(w []float32) *Split {
 	return s
 }
 
-// Len returns the element count.
-func (s *Split) Len() int { return len(s.Hi) }
-
 // At reconstructs the exact FP32 value at index i.
 func (s *Split) At(i int) float32 {
 	return math.Float32frombits(uint32(s.Hi[i])<<16 | uint32(s.Lo[i]))
@@ -61,19 +58,6 @@ func (s *Split) Compose(dst []float32) {
 	}
 	for i := range dst {
 		dst[i] = s.At(i)
-	}
-}
-
-// SGDStep applies w -= lr·g elementwise at full FP32 accuracy by
-// recomposing hi|lo, updating, and re-splitting. This is the Split-SGD-BF16
-// update kernel.
-func (s *Split) SGDStep(g []float32, lr float32) {
-	if len(g) != len(s.Hi) {
-		panic("bf16: SGDStep length mismatch")
-	}
-	for i := range g {
-		w := s.At(i) - float32(lr*g[i])
-		s.SetFP32(i, w)
 	}
 }
 

@@ -59,3 +59,28 @@ func TestContentionOffBitIdenticalToBaselines(t *testing.T) {
 		}
 	}
 }
+
+// TestContentionFreeUnderMPI: MPI's single in-order channel never has two
+// collectives in flight, so the contention epoch has nothing to charge —
+// over the MPI rows of the timing sample, a run with contention on gives
+// the DistResult of the run with it off, bit for bit.
+func TestContentionFreeUnderMPI(t *testing.T) {
+	n := 0
+	for _, p := range timingSample {
+		if allVariants[p.at[axVariant]].Backend != cluster.MPIBackend {
+			continue
+		}
+		n++
+		var hash [2]string
+		for c := range hash {
+			p.at[axContention] = c
+			hash[c] = timingHash(mustRun(p.config()))
+		}
+		if hash[0] != hash[1] {
+			t.Errorf("%s: contention on prices the run differently", label(p.config()))
+		}
+	}
+	if n == 0 {
+		t.Fatal("no MPI row in the timing sample")
+	}
+}

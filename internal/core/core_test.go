@@ -212,18 +212,28 @@ func TestFusedEmbeddingMatchesTwoStep(t *testing.T) {
 
 // TestTrainerStepIndependentOfPoolSize: every parallel sweep of the step —
 // GEMM row groups, fused epilogue, dz sweep, block-range transposes, chunked
-// SGD (tensors here span a partial second chunk) — partitions work whose
-// result does not depend on the partition, so one worker and three produce
-// the same losses and weights bit for bit.
+// SGD (tensors here span a partial second chunk), the reduced-precision
+// table update's row partition — partitions work whose result does not
+// depend on the partition, so one worker and three produce the same losses
+// and weights bit for bit, at every precision.
 func TestTrainerStepIndependentOfPoolSize(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DenseIn, cfg.BotHidden, cfg.TopHidden = 64, []int{96}, []int{128, 64}
-	a, la := fit(cfg, 3, 1, 0.05, 3)
-	b, lb := fit(cfg, 3, 3, 0.05, 3)
-	if !slices.Equal(la, lb) {
-		t.Fatalf("losses %v on one worker, %v on three", la, lb)
+	ds := tinyDataset(cfg)
+	for _, prec := range []Precision{FP32, BF16Split, BF16Split8LSB, FP24} {
+		var trs [2]*Trainer
+		var losses [2][]float64
+		for i, workers := range []int{1, 3} {
+			trs[i] = NewTrainer(NewModel(cfg, 16, 3), par.NewPool(workers), embedding.RaceFree, 0.05, prec)
+			for s := range 3 {
+				losses[i] = append(losses[i], trs[i].Step(ds.Batch(s, cfg.MB)))
+			}
+		}
+		if !slices.Equal(losses[0], losses[1]) {
+			t.Fatalf("%v: losses %v on one worker, %v on three", prec, losses[0], losses[1])
+		}
+		checkModelsClose(t, fmt.Sprintf("%v, three workers", prec), trs[1].M, trs[0].M, 0)
 	}
-	checkModelsClose(t, "three workers", b.M, a.M, 0)
 }
 
 func TestBF16SplitTrainsCloseToFP32(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bf16"
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/embedding"
@@ -27,16 +26,17 @@ type executor struct {
 	pool  *par.Pool
 	nets  [2]*mlp.MLP // indexed topMLP, botMLP
 
-	// The numerics. prec and the optimizers are fixed when the executor is
-	// built; a distributed rank trains FP32 with the race-free, unfused
-	// update at dc.LR, and a Trainer sets strategy, fused and lr from its
-	// fields before every step.
-	prec     Precision
+	// The numerics. The stored precision is fixed when the executor is
+	// built: under BF16 and FP24, mlps holds one optim.Stored per MLP
+	// parameter tensor (aligned with ws.grads) and tables one per table;
+	// under FP32 both are nil and the update is SGD. A distributed rank
+	// trains FP32 with the race-free, unfused update at dc.LR, and a
+	// Trainer sets strategy, fused and lr from its fields before every step.
 	strategy embedding.Strategy
 	fused    bool
 	lr       float32
-	opts     [2][]optim.Optimizer // mixed precision: one per gradient tensor, aligned with ws.grads
-	splits   []*bf16.Split        // per table, the Split-SGD precisions only
+	mlps     [2][]*optim.Stored
+	tables   []*optim.Stored
 	sgd      sgdCall
 
 	// A distributed rank's run; a Trainer leaves them zero and sets rb to
@@ -53,56 +53,36 @@ type executor struct {
 }
 
 // newExecutor binds the kernels to model m and, under the BF16 and FP24
-// precisions, one optimizer per MLP parameter tensor and the tables'
-// reduced-precision storage (NewSplitSGD and QuantizeTable round the weights
-// here, once). FP32 needs no binding: its optimizer is the executor's SGD
-// sweep.
+// precisions, the reduced-precision storage of every MLP parameter tensor
+// and table (optim.NewStored rounds the weights to their working view here,
+// once).
 func newExecutor(dc *DistConfig, m *Model, pool *par.Pool, ws *DistWorkspace, prec Precision) *executor {
 	x := &executor{dc: dc, ws: ws, model: m, pool: pool, nets: [2]*mlp.MLP{m.Top, m.Bot},
-		prec: prec, strategy: embedding.RaceFree, lr: dc.LR}
+		strategy: embedding.RaceFree, lr: dc.LR}
 	for i, net := range x.nets {
 		g := ws.grads[i][:0]
 		for _, l := range net.Layers {
 			g = append(g, l.DW.Data, l.DBias)
 			if prec != FP32 {
-				x.opts[i] = append(x.opts[i], newOptimizer(prec, l.W.Data), newOptimizer(prec, l.Bias))
+				x.mlps[i] = append(x.mlps[i], optim.NewStored(prec, l.W.Data), optim.NewStored(prec, l.Bias))
 			}
 		}
 		ws.grads[i] = g
 		net.InvalidateTransposes()
 	}
-	switch prec {
-	case BF16Split, BF16Split8LSB:
-		x.splits = make([]*bf16.Split, len(m.Tables))
+	if prec != FP32 {
+		x.tables = make([]*optim.Stored, len(m.Tables))
 		for t, tab := range m.Tables {
-			if tab == nil {
-				continue
-			}
-			s := bf16.NewSplit(tab.W)
-			if prec == BF16Split8LSB {
-				s.LoBits8()
-			}
-			s.WriteHiTo(tab.W)
-			x.splits[t] = s
-		}
-	case FP24:
-		for _, tab := range m.Tables {
 			if tab != nil {
-				tab.QuantizeTable(bf16.RoundFP24)
+				x.tables[t] = optim.NewStored(prec, tab.W)
+				// A table settles once at binding, so its 8-LSB split drops
+				// the low bits of its initial values; an MLP tensor keeps
+				// them until its first step. TestTrainerGolden pins both.
+				x.tables[t].Settle()
 			}
 		}
 	}
 	return x
-}
-
-// newOptimizer binds one parameter tensor's mixed-precision optimizer.
-func newOptimizer(prec Precision, params []float32) optim.Optimizer {
-	if prec == FP24 {
-		return optim.NewQuantizedSGD(params, bf16.RoundFP24, "FP24")
-	}
-	s := optim.NewSplitSGD(params)
-	s.LimitLoTo8Bits = prec == BF16Split8LSB
-	return s
 }
 
 // newRankExecutor builds rank r's shard model and data pipeline for one run.
@@ -246,7 +226,7 @@ func (x *executor) embUpdate() {
 	ws := x.ws
 	for li, t := range ws.locT {
 		tab, ob, dOut := x.model.Tables[t], x.rb.Owned[li], ws.dOutFull[li]
-		if x.fused && x.prec == FP32 {
+		if x.fused && x.tables == nil {
 			tab.FusedBackwardUpdate(x.pool, ob, dOut, x.lr)
 			continue
 		}
@@ -255,13 +235,9 @@ func (x *executor) embUpdate() {
 		switch {
 		case x.store != nil:
 			x.store.Update(li, ob, dW, x.lr)
-		case x.splits != nil:
-			tab.UpdateSplitRaceFree(x.pool, x.splits[t], ob, dW, x.lr)
-			if x.prec == BF16Split8LSB {
-				x.splits[t].LoBits8()
-			}
-		case x.prec == FP24:
-			tab.UpdateQuantRaceFree(x.pool, ob, dW, x.lr, bf16.RoundFP24)
+		case x.tables != nil:
+			tab.UpdateStored(x.pool, x.tables[t], ob, dW, x.lr)
+			x.tables[t].Settle()
 		default:
 			tab.Update(x.pool, x.strategy, ob, dW, x.lr)
 		}
@@ -296,14 +272,14 @@ func (x *executor) step(mlp, lo, hi int) {
 	}
 }
 
-// update steps parameter tensor k of one MLP (ws.grads' numbering): the
-// mixed-precision optimizers whole, FP32 as optim.SGD in chunk ranges over
-// the pool — the update is elementwise, so any partition gives the same
-// bits.
+// update steps parameter tensor k of one MLP (ws.grads' numbering): a
+// stored tensor whole, FP32 as optim.SGD in chunk ranges over the pool —
+// the update is elementwise, so any partition gives the same bits.
 func (x *executor) update(mlp, k int, params []float32) {
 	grad := x.ws.grads[mlp][k]
-	if opts := x.opts[mlp]; opts != nil {
-		opts[k].Step(grad, x.lr)
+	if st := x.mlps[mlp]; st != nil {
+		st[k].Step(params, 0, grad, x.lr)
+		st[k].Settle()
 		return
 	}
 	x.sgd = sgdCall{opt: optim.SGD{Params: params}, grad: grad, lr: x.lr}

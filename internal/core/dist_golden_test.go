@@ -152,50 +152,26 @@ var timingHashes = []string{
 	// engineRows
 	"46e62781e087ca1fb6e2954df2d9ea8ca577a0ed0d4f2972c8915d162e535846",
 	"a4538a8aa7ff4f851f9cccd38f218f9958de76cd2beabc084c05f41c1cd2ee05",
-	"46e62781e087ca1fb6e2954df2d9ea8ca577a0ed0d4f2972c8915d162e535846",
-	"a4538a8aa7ff4f851f9cccd38f218f9958de76cd2beabc084c05f41c1cd2ee05",
-	"739756762dc957ac274f316b627d5edd2ddf682a321afcf8a30b2278ad3ef7c3",
-	"4b5f248c95eb886350c8664c1922b29eecfe71089f115f32e32d7e3ee5cbb73b",
 	"739756762dc957ac274f316b627d5edd2ddf682a321afcf8a30b2278ad3ef7c3",
 	"4b5f248c95eb886350c8664c1922b29eecfe71089f115f32e32d7e3ee5cbb73b",
 	"fe0fb16259bcc75653e99e7e8620e7345d26a6480800c1f75745c34d3ddfc286",
 	"c9afd5a803eb68b9fd8ff5a972feaeac9ea4f3f86073d5bb655a017c97eeae71",
-	"fe0fb16259bcc75653e99e7e8620e7345d26a6480800c1f75745c34d3ddfc286",
-	"c9afd5a803eb68b9fd8ff5a972feaeac9ea4f3f86073d5bb655a017c97eeae71",
-	"917f18e4d37b1591c50c587d85402ed733c04a920c0c82983bde4af183b6a7ad",
-	"32be55a6c433749b2c70e3bffc3016c5a5ccc98acade843b1ea6872b29ad0fb5",
 	"917f18e4d37b1591c50c587d85402ed733c04a920c0c82983bde4af183b6a7ad",
 	"32be55a6c433749b2c70e3bffc3016c5a5ccc98acade843b1ea6872b29ad0fb5",
 	"e12c4e1297b21f7d1ad58d897a4b0212d07912cbf4b150f58eef4f521b97b3b0",
 	"7cf9bffb7de1e102cd94f2f50d208e68d49339265e5aa1b17e2a8ba1ea5dbb00",
-	"e12c4e1297b21f7d1ad58d897a4b0212d07912cbf4b150f58eef4f521b97b3b0",
-	"7cf9bffb7de1e102cd94f2f50d208e68d49339265e5aa1b17e2a8ba1ea5dbb00",
-	"df925153cee6fc30aa59d0f04c16a1d7366acb09815676a6c486e352cb51f062",
-	"2bf23acf3988ddd62faf03a671ddea4d6c454375b67bf13b1b17be7dc9dcd81c",
 	"df925153cee6fc30aa59d0f04c16a1d7366acb09815676a6c486e352cb51f062",
 	"2bf23acf3988ddd62faf03a671ddea4d6c454375b67bf13b1b17be7dc9dcd81c",
 	"81daa0c08efe63d7a3d0cd79d02cada396c66d4cc03ae25c8e09bc42337703ce",
 	"e8c4cf0fca0e95038b0487a4ef4b89cf4c61e2ebf6e0f4d203eb0c30e0a9c70b",
-	"81daa0c08efe63d7a3d0cd79d02cada396c66d4cc03ae25c8e09bc42337703ce",
-	"e8c4cf0fca0e95038b0487a4ef4b89cf4c61e2ebf6e0f4d203eb0c30e0a9c70b",
-	"02da76e68a125b6c785616ce30801f9dab80dcc6c8b93f30fea09caf87ae7eef",
-	"37ad6786566916500c874ef1010e9a2f1b773fabc89da7153e0e7d2b700e8884",
 	"02da76e68a125b6c785616ce30801f9dab80dcc6c8b93f30fea09caf87ae7eef",
 	"37ad6786566916500c874ef1010e9a2f1b773fabc89da7153e0e7d2b700e8884",
 	"73d1aa9660274a3149278e4e284a6ae41c0d5a16529130f8d14ab6f5f08f25bc",
 	"b1a72c15b5257983834081d768dfe5e3b80103a06c7bb2ea3b81afbf14d34c8f",
-	"73d1aa9660274a3149278e4e284a6ae41c0d5a16529130f8d14ab6f5f08f25bc",
-	"b1a72c15b5257983834081d768dfe5e3b80103a06c7bb2ea3b81afbf14d34c8f",
-	"7e8ca8114845694b5eeb6b048b2651aa570dcfe445841e7a528d2062cc7b68b4",
-	"7106cb53352c568f0d9f09377c66942e44ff173afac14e1d1c29f69bbe9dc73c",
 	"7e8ca8114845694b5eeb6b048b2651aa570dcfe445841e7a528d2062cc7b68b4",
 	"7106cb53352c568f0d9f09377c66942e44ff173afac14e1d1c29f69bbe9dc73c",
 	"f45b216c9e6c30dc8c87635f15672c868d10502797c27ec32e151b8cc04f760a",
 	"33f7cd747e59063400274ded78b259a08903bb854e39edb0979ac13fe91a476d",
-	"f45b216c9e6c30dc8c87635f15672c868d10502797c27ec32e151b8cc04f760a",
-	"33f7cd747e59063400274ded78b259a08903bb854e39edb0979ac13fe91a476d",
-	"436bd6f2b35f49e4bb3665a539970ed65209e2e0469d458e03c9bfe3ad9eef58",
-	"4557dbc33f6779073e98b3b6a339641a29a8a4feaa65d4485dd9a50fb85db203",
 	"436bd6f2b35f49e4bb3665a539970ed65209e2e0469d458e03c9bfe3ad9eef58",
 	"4557dbc33f6779073e98b3b6a339641a29a8a4feaa65d4485dd9a50fb85db203",
 	"6023acfb947af0dd56df52f8afaa2ec3ea55eb8a282b8080f39626942bef7580",

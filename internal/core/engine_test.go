@@ -50,10 +50,16 @@ func checkElasticEngines(t *testing.T, ec ElasticConfig, events ...cluster.Fault
 }
 
 // engineRows are hook 3's hand-written timing rows: every Variant ×
-// schedule × flat / bucketed × contention × blocking with the loader, the
-// tiered store, checkpoints and per-bucket Auto all on.
-var engineRows = tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3).
-	x(axVariant, paper...).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking)
+// schedule × flat / bucketed × blocking with the loader, the tiered store,
+// checkpoints and per-bucket Auto all on, and the CCL variant's with
+// contention off and on. The MPI variants run contention off only: their
+// one in-order channel never has two collectives in flight, so contention
+// prices them as without (TestContentionFreeUnderMPI).
+var engineRows = slices.Concat(
+	engineBase.x(axVariant, paper[:3]...).x(axSync).x(axBucket, 0, 2).x(axBlocking),
+	engineBase.x(axVariant, paper[3]).x(axSync).x(axBucket, 0, 2).x(axContention).x(axBlocking))
+
+var engineBase = tm.x(axLoader, 2).x(axTier, 1).x(axCheckpoint, 1).x(axAllreduce, 3)
 
 // elasticCase is one elastic timing run: a configuration and its fault plan.
 type elasticCase struct {

@@ -7,42 +7,22 @@ import (
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/loss"
+	"repro/internal/optim"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
 )
 
-// Precision selects the training numerics of §VII.
-type Precision int
+// Precision selects the training numerics of §VII; optim.NewStored maps
+// each to its storage.
+type Precision = optim.Precision
 
+// The precisions of Fig. 16.
 const (
-	// FP32 is the reference full-precision training.
-	FP32 Precision = iota
-	// BF16Split is Split-SGD-BF16: BF16 working weights, exact FP32 updates
-	// through the hi/lo split, no master weights.
-	BF16Split
-	// BF16Split8LSB keeps only 8 extra LSBs — the §VII ablation that fails
-	// to reach reference accuracy.
-	BF16Split8LSB
-	// FP24 stores weights in the 1-8-15 format, losing update bits below
-	// its mantissa every step.
-	FP24
+	FP32          = optim.FP32
+	BF16Split     = optim.BF16Split
+	BF16Split8LSB = optim.BF16Split8LSB
+	FP24          = optim.FP24
 )
-
-// String returns the Fig. 16 label.
-func (p Precision) String() string {
-	switch p {
-	case FP32:
-		return "FP32 (Ref)"
-	case BF16Split:
-		return "BF16 (SplitSGD)"
-	case BF16Split8LSB:
-		return "BF16 (SplitSGD, 8 LSB)"
-	case FP24:
-		return "FP24 (1-8-15)"
-	default:
-		return fmt.Sprintf("Precision(%d)", int(p))
-	}
-}
 
 // Trainer runs single-socket DLRM training — the system whose optimization
 // Figs. 7/8 chart and whose mixed-precision variants Fig. 16 compares. A

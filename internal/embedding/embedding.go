@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bf16"
+	"repro/internal/optim"
 	"repro/internal/par"
 )
 
@@ -35,13 +35,12 @@ type Table struct {
 
 // kernArgs is the per-call state shared by every Table kernel body.
 type kernArgs struct {
-	b     *Batch
-	out   []float32
-	dOut  []float32
-	dW    []float32
-	lr    float32
-	split *bf16.Split
-	quant func(float32) float32
+	b    *Batch
+	out  []float32
+	dOut []float32
+	dW   []float32
+	lr   float32
+	st   *optim.Stored
 }
 
 // NewTable allocates an M×E table initialized uniform in [-scale, scale],

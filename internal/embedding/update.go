@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/optim"
 	"repro/internal/par"
 )
 
@@ -167,4 +168,27 @@ func (t *Table) updateRaceFree(p *par.Pool, b *Batch, dW []float32, lr float32) 
 	t.ka.b, t.ka.dW, t.ka.lr = b, dW, lr
 	p.ForEachWorkerArg(raceFreeBody, t)
 	t.ka.b, t.ka.dW = nil, nil
+}
+
+// storedBody steps the lookups whose rows tid owns through the table's
+// reduced-precision storage (Algorithm 4's partition, as raceFreeBody).
+func storedBody(arg any, tid, workers int) {
+	t := arg.(*Table)
+	b, dW, lr, st, e := t.ka.b, t.ka.dW, t.ka.lr, t.ka.st, t.E
+	lo, hi := par.Chunk(t.M, workers, tid)
+	for s, ind := range b.Indices {
+		if r := int(ind); r >= lo && r < hi {
+			st.Step(t.W, r*e, dW[s*e:(s+1)*e], lr)
+		}
+	}
+}
+
+// UpdateStored applies the sparse update to a table whose weights st keeps
+// in reduced precision (§VII; t.W is st's working view): every touched row
+// goes through st.Step, under the race-free row partition, so the result is
+// deterministic. The caller ends the step with st.Settle.
+func (t *Table) UpdateStored(p *par.Pool, st *optim.Stored, b *Batch, dW []float32, lr float32) {
+	t.ka.b, t.ka.dW, t.ka.lr, t.ka.st = b, dW, lr, st
+	p.ForEachWorkerArg(storedBody, t)
+	t.ka.b, t.ka.dW, t.ka.st = nil, nil, nil
 }

@@ -114,27 +114,30 @@ func FBStyleNT(p *par.Pool, x, w, y *tensor.Dense) {
 	const nTile, kTile, cTile = 16, 64, 128
 	nBlocks := (y.Rows + nTile - 1) / nTile
 	kBlocks := (y.Cols + kTile - 1) / kTile
-	p.Run2D(kBlocks, nBlocks, func(tid, kb, nb int) {
-		n0, n1 := nb*nTile, min((nb+1)*nTile, y.Rows)
-		k0, k1 := kb*kTile, min((kb+1)*kTile, y.Cols)
-		for n := n0; n < n1; n++ {
-			yRow := y.Row(n)
-			for k := k0; k < k1; k++ {
-				yRow[k] = 0
-			}
-		}
-		for c0 := 0; c0 < x.Cols; c0 += cTile {
-			c1 := min(c0+cTile, x.Cols)
+	p.ForN(kBlocks*nBlocks, func(tid, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			kb, nb := i/nBlocks, i%nBlocks
+			n0, n1 := nb*nTile, min((nb+1)*nTile, y.Rows)
+			k0, k1 := kb*kTile, min((kb+1)*kTile, y.Cols)
 			for n := n0; n < n1; n++ {
-				xRow := x.Row(n)
 				yRow := y.Row(n)
 				for k := k0; k < k1; k++ {
-					wRow := w.Row(k)
-					acc := yRow[k]
-					for c := c0; c < c1; c++ {
-						acc += xRow[c] * wRow[c]
+					yRow[k] = 0
+				}
+			}
+			for c0 := 0; c0 < x.Cols; c0 += cTile {
+				c1 := min(c0+cTile, x.Cols)
+				for n := n0; n < n1; n++ {
+					xRow := x.Row(n)
+					yRow := y.Row(n)
+					for k := k0; k < k1; k++ {
+						wRow := w.Row(k)
+						acc := yRow[k]
+						for c := c0; c < c1; c++ {
+							acc += xRow[c] * wRow[c]
+						}
+						yRow[k] = acc
 					}
-					yRow[k] = acc
 				}
 			}
 		}

@@ -70,28 +70,31 @@ func FBStyleNN(p *par.Pool, dy, w, dx *tensor.Dense) {
 	const nTile, cTile, kTile = 16, 64, 128
 	nBlocks := (dx.Rows + nTile - 1) / nTile
 	cBlocks := (dx.Cols + cTile - 1) / cTile
-	p.Run2D(cBlocks, nBlocks, func(tid, cb, nb int) {
-		n0, n1 := nb*nTile, min((nb+1)*nTile, dx.Rows)
-		c0, c1 := cb*cTile, min((cb+1)*cTile, dx.Cols)
-		for n := n0; n < n1; n++ {
-			row := dx.Row(n)
-			for c := c0; c < c1; c++ {
-				row[c] = 0
-			}
-		}
-		for k0 := 0; k0 < dy.Cols; k0 += kTile {
-			k1 := min(k0+kTile, dy.Cols)
+	p.ForN(cBlocks*nBlocks, func(tid, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cb, nb := i/nBlocks, i%nBlocks
+			n0, n1 := nb*nTile, min((nb+1)*nTile, dx.Rows)
+			c0, c1 := cb*cTile, min((cb+1)*cTile, dx.Cols)
 			for n := n0; n < n1; n++ {
-				dyRow := dy.Row(n)
-				dxRow := dx.Row(n)
-				for k := k0; k < k1; k++ {
-					g := dyRow[k]
-					if g == 0 {
-						continue
-					}
-					wRow := w.Row(k)
-					for c := c0; c < c1; c++ {
-						dxRow[c] += g * wRow[c]
+				row := dx.Row(n)
+				for c := c0; c < c1; c++ {
+					row[c] = 0
+				}
+			}
+			for k0 := 0; k0 < dy.Cols; k0 += kTile {
+				k1 := min(k0+kTile, dy.Cols)
+				for n := n0; n < n1; n++ {
+					dyRow := dy.Row(n)
+					dxRow := dx.Row(n)
+					for k := k0; k < k1; k++ {
+						g := dyRow[k]
+						if g == 0 {
+							continue
+						}
+						wRow := w.Row(k)
+						for c := c0; c < c1; c++ {
+							dxRow[c] += g * wRow[c]
+						}
 					}
 				}
 			}
@@ -107,26 +110,29 @@ func FBStyleTN(p *par.Pool, dy, x, dw *tensor.Dense) {
 	const kTile, cTile = 32, 128
 	kBlocks := (dw.Rows + kTile - 1) / kTile
 	cBlocks := (dw.Cols + cTile - 1) / cTile
-	p.Run2D(kBlocks, cBlocks, func(tid, kb, cb int) {
-		k0, k1 := kb*kTile, min((kb+1)*kTile, dw.Rows)
-		c0, c1 := cb*cTile, min((cb+1)*cTile, dw.Cols)
-		for k := k0; k < k1; k++ {
-			row := dw.Row(k)
-			for c := c0; c < c1; c++ {
-				row[c] = 0
-			}
-		}
-		for n := 0; n < dy.Rows; n++ {
-			dyRow := dy.Row(n)
-			xRow := x.Row(n)
+	p.ForN(kBlocks*cBlocks, func(tid, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			kb, cb := i/cBlocks, i%cBlocks
+			k0, k1 := kb*kTile, min((kb+1)*kTile, dw.Rows)
+			c0, c1 := cb*cTile, min((cb+1)*cTile, dw.Cols)
 			for k := k0; k < k1; k++ {
-				g := dyRow[k]
-				if g == 0 {
-					continue
-				}
-				dwRow := dw.Row(k)
+				row := dw.Row(k)
 				for c := c0; c < c1; c++ {
-					dwRow[c] += g * xRow[c]
+					row[c] = 0
+				}
+			}
+			for n := 0; n < dy.Rows; n++ {
+				dyRow := dy.Row(n)
+				xRow := x.Row(n)
+				for k := k0; k < k1; k++ {
+					g := dyRow[k]
+					if g == 0 {
+						continue
+					}
+					dwRow := dw.Row(k)
+					for c := c0; c < c1; c++ {
+						dwRow[c] += g * xRow[c]
+					}
 				}
 			}
 		}

@@ -1,27 +1,50 @@
-// Package optim implements the optimizers compared in §VII: plain FP32 SGD,
-// Split-SGD-BF16 (hi/lo split storage, FP32-accurate update, no master
-// weights) and quantized SGD (weights kept in a reduced precision such as
-// FP24, losing low bits every step).
+// Package optim implements the updates compared in §VII: plain FP32 SGD and
+// the reduced-precision storage of Fig. 16 — Split-SGD-BF16 (hi/lo split
+// storage, FP32-accurate update, no master weights), its 8-LSB ablation, and
+// FP24 weights that lose low bits every step.
 //
-// Optimizers are per-tensor: a model enumerates its parameter tensors (e.g.
-// mlp.MLP.VisitParams) and binds one optimizer instance to each. Step takes
-// the gradient tensor for the bound parameters.
+// One rule updates every reduced-precision tensor: Stored.Step, called per
+// MLP parameter tensor and per embedding-table row alike.
 package optim
 
 import (
+	"fmt"
+
 	"repro/internal/bf16"
 	"repro/internal/sweep"
 )
 
-// Optimizer updates one bound parameter tensor from a gradient tensor.
-type Optimizer interface {
-	// Step applies one update with learning rate lr.
-	Step(grad []float32, lr float32)
-	// Name identifies the optimizer variant in experiment output.
-	Name() string
-	// StateBytes reports optimizer-owned state (excluding the model's own
-	// working weights) — the capacity-overhead comparison of §VII.
-	StateBytes() int
+// Precision selects the training numerics of §VII.
+type Precision int
+
+const (
+	// FP32 is the reference full-precision training.
+	FP32 Precision = iota
+	// BF16Split is Split-SGD-BF16: BF16 working weights, exact FP32 updates
+	// through the hi/lo split, no master weights.
+	BF16Split
+	// BF16Split8LSB keeps only 8 extra LSBs — the §VII ablation that fails
+	// to reach reference accuracy.
+	BF16Split8LSB
+	// FP24 stores weights in the 1-8-15 format, losing update bits below
+	// its mantissa every step.
+	FP24
+)
+
+// String returns the Fig. 16 label.
+func (p Precision) String() string {
+	switch p {
+	case FP32:
+		return "FP32 (Ref)"
+	case BF16Split:
+		return "BF16 (SplitSGD)"
+	case BF16Split8LSB:
+		return "BF16 (SplitSGD, 8 LSB)"
+	case FP24:
+		return "FP24 (1-8-15)"
+	default:
+		return fmt.Sprintf("Precision(%d)", int(p))
+	}
 }
 
 // SGD is the reference FP32 stochastic gradient descent.
@@ -32,7 +55,7 @@ type SGD struct {
 // NewSGD binds plain SGD to params.
 func NewSGD(params []float32) *SGD { return &SGD{Params: params} }
 
-// Step implements Optimizer.
+// Step applies one update with learning rate lr to every parameter.
 func (s *SGD) Step(grad []float32, lr float32) { s.StepRange(grad, lr, 0, len(s.Params)) }
 
 // StepRange applies the update to parameters [lo, hi) only, through
@@ -46,91 +69,63 @@ func (s *SGD) StepRange(grad []float32, lr float32, lo, hi int) {
 	sweep.SGD(s.Params[lo:hi], grad[lo:hi], lr)
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "FP32 SGD" }
-
-// StateBytes implements Optimizer: plain SGD has no extra state.
-func (s *SGD) StateBytes() int { return 0 }
-
-// SplitSGD is Split-SGD-BF16 (§VII): the model's working weights hold the
-// BF16 (hi) view used by forward/backward, while the optimizer keeps the
-// 16 LSBs. The update recomposes exact FP32, applies SGD, re-splits, and
-// refreshes the working weights. Total storage equals FP32 training (16+16
-// bits), versus 48 bits for FP16+master-weights.
-type SplitSGD struct {
-	Params []float32 // model working weights, always the BF16 view
-	split  *bf16.Split
-	// LimitLoTo8Bits enables the §VII ablation that keeps only 8 extra LSBs.
-	LimitLoTo8Bits bool
+// Stored is one tensor's reduced-precision storage (§VII), kept beside the
+// caller's FP32 working view w — the values forward and backward read.
+// Under the BF16 splits it holds every weight exactly as its BF16 high half
+// and its 16 low bits (bf16.Split), and w holds the high half: FP32 accuracy
+// at FP32's footprint, with no master copy. Under FP24 the weights are the
+// storage: Stored keeps no state, and w holds their 1-8-15 rounding.
+type Stored struct {
+	split *bf16.Split // the BF16 splits only
+	lo8   bool        // BF16Split8LSB: Settle keeps 8 of the 16 low bits
 }
 
-// NewSplitSGD binds Split-SGD to params, initializing the split state from
-// the current FP32 values and immediately rounding the working weights to
-// their BF16 view.
-func NewSplitSGD(params []float32) *SplitSGD {
-	s := &SplitSGD{Params: params, split: bf16.NewSplit(params)}
-	s.split.WriteHiTo(params)
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SplitSGD) Step(grad []float32, lr float32) {
-	if len(grad) != len(s.Params) {
-		panic("optim: SplitSGD grad length mismatch")
+// NewStored binds prec's storage to w and rounds w to its working view in
+// place. FP32 needs none: NewStored returns nil, and the caller updates w
+// with SGD.
+func NewStored(prec Precision, w []float32) *Stored {
+	switch prec {
+	case BF16Split, BF16Split8LSB:
+		s := &Stored{split: bf16.NewSplit(w), lo8: prec == BF16Split8LSB}
+		s.split.WriteHiTo(w)
+		return s
+	case FP24:
+		for i := range w {
+			w[i] = bf16.RoundFP24(w[i])
+		}
+		return &Stored{}
 	}
-	s.split.SGDStep(grad, lr)
-	if s.LimitLoTo8Bits {
+	return nil
+}
+
+// Step applies w[off+i] −= lr·g[i] for every i of g in FP32 and stores the
+// result: the splits recompose hi|lo, subtract, re-split and refresh w's high
+// half; FP24 subtracts from w and re-rounds. The product is converted
+// explicitly, so it is rounded before the subtraction — two roundings, as in
+// SGD, never a fused multiply-add. Disjoint element ranges may be stepped
+// concurrently.
+func (s *Stored) Step(w []float32, off int, g []float32, lr float32) {
+	sp := s.split
+	for i, gi := range g {
+		j := off + i
+		v := w[j]
+		if sp != nil {
+			v = sp.At(j)
+		}
+		v -= float32(lr * gi)
+		if sp == nil {
+			w[j] = bf16.RoundFP24(v)
+			continue
+		}
+		sp.SetFP32(j, v)
+		w[j] = sp.HiFloat(j)
+	}
+}
+
+// Settle ends a step. The 8-LSB ablation truncates every low half, touched
+// or not, to its top 8 bits; the other precisions keep what Step stored.
+func (s *Stored) Settle() {
+	if s.lo8 {
 		s.split.LoBits8()
 	}
-	s.split.WriteHiTo(s.Params)
 }
-
-// Name implements Optimizer.
-func (s *SplitSGD) Name() string {
-	if s.LimitLoTo8Bits {
-		return "BF16 SplitSGD (8 LSB)"
-	}
-	return "BF16 SplitSGD"
-}
-
-// StateBytes implements Optimizer: the Lo tensor, 2 bytes per weight.
-func (s *SplitSGD) StateBytes() int { return 2 * len(s.Params) }
-
-// Exact materializes the exact FP32 weights (hi|lo) into dst, used by tests
-// and checkpointing.
-func (s *SplitSGD) Exact(dst []float32) { s.split.Compose(dst) }
-
-// QuantizedSGD keeps the weights themselves in a reduced precision: the
-// update runs in FP32 on the quantized weights and the result is immediately
-// re-quantized, so low-order bits of every update are lost. With
-// Quant=bf16.RoundFP24 this is the FP24 (1-8-15) curve of Fig. 16.
-type QuantizedSGD struct {
-	Params  []float32
-	Quant   func(float32) float32
-	Variant string
-}
-
-// NewQuantizedSGD binds quantized SGD to params, quantizing them in place.
-func NewQuantizedSGD(params []float32, quant func(float32) float32, name string) *QuantizedSGD {
-	for i := range params {
-		params[i] = quant(params[i])
-	}
-	return &QuantizedSGD{Params: params, Quant: quant, Variant: name}
-}
-
-// Step implements Optimizer. The product is converted explicitly: that
-// forbids fusing it into the subtraction, as in SGD.
-func (q *QuantizedSGD) Step(grad []float32, lr float32) {
-	if len(grad) != len(q.Params) {
-		panic("optim: QuantizedSGD grad length mismatch")
-	}
-	for i := range q.Params {
-		q.Params[i] = q.Quant(q.Params[i] - float32(lr*grad[i]))
-	}
-}
-
-// Name implements Optimizer.
-func (q *QuantizedSGD) Name() string { return q.Variant }
-
-// StateBytes implements Optimizer.
-func (q *QuantizedSGD) StateBytes() int { return 0 }

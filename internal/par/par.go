@@ -19,8 +19,8 @@
 //	lo = (n * tid) / nThreads
 //	hi = (n * (tid+1)) / nThreads
 //
-// Allocation-free dispatch: the plain ForN/Run2D entry points
-// take closures, and a closure that captures variables costs one heap
+// Allocation-free dispatch: the plain ForN entry point takes
+// closures, and a closure that captures variables costs one heap
 // allocation at the call site. Steady-state kernels that must not allocate
 // use the *Arg variants instead: the body is a package-level function (a
 // static func value, never allocated) and the per-call state travels through
@@ -53,7 +53,6 @@ const (
 	modeIdle   = iota
 	modeForN   // nbody over Chunk(n, active, tid)
 	modeWorker // wbody once per worker
-	mode2D     // dbody per flattened (row, col) cell of the tid's chunk
 )
 
 // state is the part of a pool shared with its worker goroutines. It is
@@ -76,12 +75,10 @@ type state struct {
 	// publishes these fields to the workers (happens-before), and wg.Done /
 	// wg.Wait publishes completion back.
 	mode   int
-	n      int // item count (ForN) or cell count (2D)
-	cols   int // 2D column count
+	n      int // item count (ForN)
 	active int // number of participating partitions
 	nbody  func(arg any, tid, lo, hi int)
 	wbody  func(arg any, tid, workers int)
-	dbody  func(arg any, tid, row, col int)
 	arg    any
 
 	closeOnce sync.Once
@@ -174,11 +171,6 @@ func (s *state) runChunk(tid int) {
 		s.nbody(s.arg, tid, lo, hi)
 	case modeWorker:
 		s.wbody(s.arg, tid, s.active)
-	case mode2D:
-		lo, hi := Chunk(s.n, s.active, tid)
-		for i := lo; i < hi; i++ {
-			s.dbody(s.arg, tid, i/s.cols, i%s.cols)
-		}
 	}
 }
 
@@ -196,7 +188,7 @@ func (s *state) run(active int) {
 	defer func() {
 		s.wg.Wait()
 		s.mode = modeIdle
-		s.nbody, s.wbody, s.dbody, s.arg = nil, nil, nil, nil
+		s.nbody, s.wbody, s.arg = nil, nil, nil
 	}()
 	s.runChunk(0)
 }
@@ -246,41 +238,11 @@ func (p *Pool) ForEachWorkerArg(body func(arg any, tid, workers int), arg any) {
 	s.run(s.workers)
 }
 
-// Run2DArg partitions a rows×cols block grid among the workers, assigning
-// each worker a contiguous run of flattened (row, col) cells, and invokes
-// body for every cell it owns. See ForNArg for the allocation-free calling
-// convention.
-func (p *Pool) Run2DArg(rows, cols int, body func(arg any, tid, row, col int), arg any) {
-	s := p.s
-	total := rows * cols
-	if s.workers <= 1 || total <= 1 || s.closed.Load() {
-		for i := 0; i < total; i++ {
-			body(arg, 0, i/cols, i%cols)
-		}
-		return
-	}
-	w := s.workers
-	if w > total {
-		w = total
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		for i := 0; i < total; i++ {
-			body(arg, 0, i/cols, i%cols)
-		}
-		return
-	}
-	s.mode, s.n, s.cols, s.dbody, s.arg = mode2D, total, cols, body, arg
-	s.run(w)
-}
-
-// forNAdapter / run2DAdapter let the closure-based entry
-// points reuse the Arg machinery: the closure itself rides in arg (func
-// values are pointer-shaped, so the conversion does not allocate — only the
-// closure's own creation at the caller might).
-func forNAdapter(arg any, tid, lo, hi int)    { arg.(func(tid, lo, hi int))(tid, lo, hi) }
-func run2DAdapter(arg any, tid, row, col int) { arg.(func(tid, row, col int))(tid, row, col) }
+// forNAdapter lets the closure-based ForN reuse the Arg machinery: the
+// closure itself rides in arg (func values are pointer-shaped, so the
+// conversion does not allocate — only the closure's own creation at the
+// caller might).
+func forNAdapter(arg any, tid, lo, hi int) { arg.(func(tid, lo, hi int))(tid, lo, hi) }
 
 // ForN runs body(tid, lo, hi) on each worker with [lo,hi) a static chunk of
 // [0,n). It blocks until every worker finishes. Chunks follow Chunk, so a
@@ -288,14 +250,6 @@ func run2DAdapter(arg any, tid, row, col int) { arg.(func(tid, row, col int))(ti
 // ForNArg, which avoids the closure allocation.
 func (p *Pool) ForN(n int, body func(tid, lo, hi int)) {
 	p.ForNArg(n, forNAdapter, body)
-}
-
-// Run2D partitions a rows×cols block grid among the workers, assigning each
-// worker a contiguous run of flattened (row, col) cells, and invokes body for
-// every cell it owns. This is the "assign output work items" step of
-// Algorithm 5: output blocks are distributed, inputs are shared read-only.
-func (p *Pool) Run2D(rows, cols int, body func(tid, row, col int)) {
-	p.Run2DArg(rows, cols, run2DAdapter, body)
 }
 
 // StateKey identifies a per-pool kernel-state attachment. Each client

@@ -117,23 +117,6 @@ func TestForEachWorkerRunsAll(t *testing.T) {
 	}
 }
 
-func TestRun2DCoversGrid(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const rows, cols = 13, 7
-	var grid [rows][cols]int32
-	p.Run2D(rows, cols, func(tid, r, c int) {
-		atomic.AddInt32(&grid[r][c], 1)
-	})
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if grid[r][c] != 1 {
-				t.Fatalf("cell (%d,%d) visited %d times", r, c, grid[r][c])
-			}
-		}
-	}
-}
-
 type sumArgs struct {
 	counts []int32
 }
@@ -343,21 +326,6 @@ func TestAttachedCreatesOnce(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Attached hit path allocated %v times per run, want 0", allocs)
-	}
-}
-
-func TestRun2DArgCoversGrid(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const rows, cols = 13, 7
-	a := &sumArgs{counts: make([]int32, rows*cols)}
-	p.Run2DArg(rows, cols, func(arg any, tid, r, c int) {
-		atomic.AddInt32(&arg.(*sumArgs).counts[r*cols+c], 1)
-	}, a)
-	for i, c := range a.counts {
-		if c != 1 {
-			t.Fatalf("cell %d visited %d times", i, c)
-		}
 	}
 }
 
