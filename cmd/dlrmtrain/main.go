@@ -44,7 +44,7 @@ func main() {
 	tune := flag.Bool("autotune", false, "with -dist: autotune the communication schedule before running")
 	ckptEvery := flag.Int("checkpoint-every", 0, "save a checkpoint every N steps (0 = off)")
 	ckptPath := flag.String("checkpoint", "dlrm.ckpt", "checkpoint file (with -checkpoint-every / -resume)")
-	resume := flag.Bool("resume", false, "resume training from -checkpoint")
+	resume := flag.Bool("resume", false, "resume training from -checkpoint (it keeps the working weights only: a BF16 split resumes with its low halves zeroed)")
 	churn := flag.Bool("churn", false, "with -dist: inject a mid-run rank failure and recover elastically")
 	embCache := flag.Int("emb-cache-bytes", 0, "with -dist: per-rank hot-row cache budget; 0 keeps shards in RAM")
 	coldBW := flag.Float64("cold-bw", 0, "with -dist: cold-tier bandwidth in B/s (required with -emb-cache-bytes)")
@@ -126,10 +126,9 @@ func main() {
 	const dataSeed = 7
 	ds := data.NewClickLog(dataSeed, scaled.DenseIn, scaled.Rows, scaled.Lookups)
 	model := core.NewModel(scaled, 16, 1)
-	tr := core.NewTrainer(model, par.Default, strat, float32(*lr), prec)
 	eval := ds.Batch(1<<20, 4096)
 
-	startIter := 0
+	startIter, runLR := 0, float32(*lr)
 	if *resume {
 		st, err := loadCheckpoint(model, *ckptPath)
 		if err != nil {
@@ -138,11 +137,14 @@ func main() {
 		if st != nil {
 			startIter = int(st.Iter)
 			if st.LR > 0 {
-				tr.LR = st.LR
+				runLR = st.LR
 			}
 		}
-		fmt.Printf("resumed from %s at step %d (lr=%g)\n", *ckptPath, startIter, tr.LR)
+		fmt.Printf("resumed from %s at step %d (lr=%g)\n", *ckptPath, startIter, runLR)
 	}
+	// Built after the load: a reduced-precision trainer binds its storage
+	// (optim.Stored) to the weights the model holds when it is built.
+	tr := core.NewTrainer(model, par.Default, strat, runLR, prec)
 
 	fmt.Printf("training %s (rows x%.3g), MB=%d, %s, %s, lr=%g, %s GEMM kernel, %s embedding kernel\n",
 		scaled.Name, *rowScale, batch, strat, prec, *lr, gemm.KernelISA(), embedding.KernelISA())

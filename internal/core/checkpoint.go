@@ -18,7 +18,9 @@ import (
 // ACROSS cluster shapes: restoring an R-rank run's shards into R′-rank
 // models is exactly loading every old shard blob into each new shard model
 // (the MLP replica is overwritten repeatedly with identical bytes; each
-// table lands in the one new model that owns it).
+// table lands in the one new model that owns it). The tensors are the FP32
+// working weights: a BF16 split's low halves (optim.Stored) are not written,
+// so a split resumed from a checkpoint starts with them zeroed.
 //
 // Two versions share the layout:
 //

@@ -408,3 +408,21 @@ func TestModelBuildEqualsRandStreams(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrainMLP is the benchmark's train-mlp op in-tree: one
+// Trainer.Step of Small with rows scaled 1/64 at N 128 and BN 16, race-free
+// FP32 update, on one uniform random batch reused, on par.Default after
+// three untimed steps.
+func BenchmarkTrainMLP(b *testing.B) {
+	cfg := Small.Scaled(1.0 / 64)
+	tr := NewTrainer(NewModel(cfg, 16, 1), par.Default, embedding.RaceFree, 0.1, FP32)
+	ds := &data.Random{Seed: 1, D: cfg.DenseIn, Tables: cfg.Tables, Rows: cfg.Rows[0], Lookups: cfg.Lookups}
+	mb := ds.Batch(0, 128)
+	for i := 0; i < 3; i++ {
+		tr.Step(mb)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		tr.Step(mb)
+	}
+}

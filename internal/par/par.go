@@ -5,19 +5,28 @@
 // (and the same race conditions, and the same fixes) arise as in the C++
 // kernels the paper describes.
 //
-// Workers are persistent: NewPool launches its goroutines once and every
-// parallel region is handed to them over per-worker channels, mirroring how
-// an OpenMP runtime parks its thread team between parallel regions instead
-// of re-spawning it. This keeps the per-region cost to one channel send and
-// receive per worker — no goroutine creation, no allocation — which matters
-// because DLRM's hot loop issues dozens of small parallel regions per
-// iteration (see docs/PERF.md for the handoff protocol).
+// Workers are persistent and behave like an OpenMP thread team between
+// regions: NewPool launches its goroutines once; the submitter publishes
+// each region with one atomic store of its epoch; a helper polls for the
+// next epoch for a short budget before it parks, so back-to-back regions
+// (DLRM's hot loop issues dozens per iteration) reach a running helper
+// instead of waking a parked one. Each chunk is claimed by a CAS on its
+// tid's epoch stamp, by its helper or by the submitter, which runs every
+// chunk no helper has started once its own is done: a helper the scheduler
+// starts late costs a failed CAS, not a wait. The join polls, without
+// yielding, only for chunks a running helper holds, and parks after the same
+// budget. No region creates a goroutine or allocates. See docs/PERF.md for
+// the protocol and the measurements behind the budget.
 //
 // Work items are closures receiving (tid, lo, hi) half-open ranges, and
 // partitioning is the exact integer split the paper's Algorithm 4 uses:
 //
 //	lo = (n * tid) / nThreads
 //	hi = (n * (tid+1)) / nThreads
+//
+// A body's result may depend only on (tid, lo, hi), never on which goroutine
+// runs it, and a body must never wait for another tid's chunk: the submitter
+// may run several tids' chunks one after another.
 //
 // Allocation-free dispatch: the plain ForN entry point takes
 // closures, and a closure that captures variables costs one heap
@@ -32,6 +41,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Chunk returns the half-open range [lo, hi) assigned to partition tid out
@@ -55,11 +65,51 @@ const (
 	modeWorker // wbody once per worker
 )
 
+const (
+	// spinBudget is how long a waiting helper polls for the next region, and
+	// the join for its helpers' chunks, before parking (docs/PERF.md gives
+	// the paired runs that chose it).
+	spinBudget = 20 * time.Microsecond
+	// pollsPerYield is how many polls a spinning helper makes between
+	// yields, and the join between clock reads.
+	pollsPerYield = 32
+)
+
+// spinners counts the helpers polling for a region, process-wide, and
+// spinCap bounds it at min(GOMAXPROCS, NumCPU) − 1, so that with one CPU no
+// goroutine busy-waits. runtime.GOMAXPROCS takes the scheduler lock, so the
+// cap is read by NewPool and when a helper parks, not per poll.
+var spinners, spinCap atomic.Int32
+
+func readSpinCap() {
+	spinCap.Store(int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU()) - 1))
+}
+
+// member is helper tid's slot, padded to a cache line: the helper and the
+// submitter both write it in every region.
+type member struct {
+	claim  atomic.Uint64 // epoch of the last region whose tid chunk was started, by anyone
+	parked atomic.Bool   // set by the helper before it blocks on wake, cleared by whoever wakes it
+	wake   chan struct{} // buffered 1: a token per cleared parked flag
+	_      [40]byte
+}
+
+// start claims tid's chunk of region e: false if someone already has. Every
+// claim stands at e-1 when region e is published (each chunk of a region is
+// started, or stamped if its tid sits the region out), so a helper still
+// holding an older epoch never takes a newer region's chunk.
+func (m *member) start(e uint64) bool {
+	return m.claim.Load() == e-1 && m.claim.CompareAndSwap(e-1, e)
+}
+
 // state is the part of a pool shared with its worker goroutines. It is
 // split from Pool so that an abandoned Pool can be garbage collected: the
 // workers reference only the state, and a runtime cleanup on the Pool shuts
 // them down once the Pool itself becomes unreachable.
 type state struct {
+	epoch atomic.Uint64 // the last region published; polled by spinning helpers
+	_     [56]byte
+
 	workers int         // immutable after NewPool
 	closed  atomic.Bool // set by close; closed pools run regions serially
 
@@ -67,13 +117,20 @@ type state struct {
 	// ranks sharing one pool) queue up rather than corrupting the region
 	// descriptor below.
 	mu     sync.Mutex
-	wg     sync.WaitGroup
-	wake   []chan struct{} // one per helper worker (tid 1..workers-1)
-	exited sync.WaitGroup  // one per helper goroutine, done as it ends
+	team   []member       // team[tid] for helper tid 1..workers-1
+	exited sync.WaitGroup // one per helper goroutine, done as it ends
 
-	// Region descriptor, valid from wake to wg.Wait. The channel send
-	// publishes these fields to the workers (happens-before), and wg.Done /
-	// wg.Wait publishes completion back.
+	// Join: left counts helper-started chunks still running (helpers
+	// subtract as they finish, the submitter adds how many they started);
+	// a parked join sets joining and takes a token from joined.
+	left    atomic.Int64
+	joining atomic.Bool
+	joined  chan struct{}
+
+	// Region descriptor, written under mu before the epoch store that
+	// publishes it, and read by a helper only after it has claimed a chunk of
+	// that epoch; the join orders those reads before the next region's
+	// writes.
 	mode   int
 	n      int // item count (ForN)
 	active int // number of participating partitions
@@ -107,12 +164,14 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	readSpinCap()
 	s := &state{workers: n}
 	if n > 1 {
-		s.wake = make([]chan struct{}, n)
+		s.team = make([]member, n)
+		s.joined = make(chan struct{}, 1)
 		s.exited.Add(n - 1)
 		for tid := 1; tid < n; tid++ {
-			s.wake[tid] = make(chan struct{}, 1)
+			s.team[tid].wake = make(chan struct{}, 1)
 			go func() {
 				s.worker(tid)
 				s.exited.Done() // outside worker: no helper loop is left once Close sees it
@@ -147,20 +206,94 @@ func (s *state) close() {
 		s.mu.Lock()
 		s.closed.Store(true)
 		for tid := 1; tid < s.workers; tid++ {
-			close(s.wake[tid])
+			close(s.team[tid].wake)
 		}
 		s.mu.Unlock()
 	})
 	s.exited.Wait()
 }
 
-// worker is the persistent helper loop for tid: park on the wake channel,
-// execute the published region chunk, signal completion.
+// worker is the persistent helper loop for tid: wait for the next region,
+// run tid's chunk of it unless the submitter already has, report it done.
 func (s *state) worker(tid int) {
-	for range s.wake[tid] {
-		s.runChunk(tid)
-		s.wg.Done()
+	m := &s.team[tid]
+	var seen uint64
+	for {
+		e, ok := s.await(m, seen)
+		if !ok {
+			return
+		}
+		seen = e
+		if m.start(e) {
+			s.runChunk(tid)
+			s.finish()
+		}
 	}
+}
+
+// await returns the first epoch after seen: it polls for spinBudget when
+// fewer than spinCap helpers are polling, yielding every pollsPerYield polls
+// so that a goroutine waiting for this CPU (the loader's, another rank's)
+// still runs, then parks on m.wake. ok is false once the pool is closed.
+func (s *state) await(m *member, seen uint64) (e uint64, ok bool) {
+	if spinners.Add(1) <= spinCap.Load() {
+		start := time.Now()
+		for i := 1; ; i++ {
+			if e = s.epoch.Load(); e != seen {
+				spinners.Add(-1)
+				return e, true
+			}
+			if i%pollsPerYield == 0 {
+				runtime.Gosched()
+				if time.Since(start) > spinBudget {
+					break
+				}
+			}
+		}
+	}
+	spinners.Add(-1)
+	readSpinCap()
+	m.parked.Store(true)
+	if e = s.epoch.Load(); e != seen && m.parked.CompareAndSwap(true, false) {
+		return e, true
+	}
+	// Parked, or a submitter cleared the flag and is sending the token.
+	if _, ok = <-m.wake; !ok {
+		return 0, false
+	}
+	return s.epoch.Load(), true
+}
+
+// finish reports a helper's chunk done, waking a parked join if it was the
+// last.
+func (s *state) finish() {
+	if s.left.Add(-1) == 0 && s.joining.CompareAndSwap(true, false) {
+		s.joined <- struct{}{}
+	}
+}
+
+// join returns once the k chunks helpers started in this region are done:
+// it polls without yielding (a helper holding a chunk is running) for
+// spinBudget, then parks.
+func (s *state) join(k int) {
+	if s.left.Add(int64(k)) == 0 {
+		return
+	}
+	if spinCap.Load() > 0 {
+		for i, start := 1, time.Now(); ; i++ {
+			if s.left.Load() == 0 {
+				return
+			}
+			if i%pollsPerYield == 0 && time.Since(start) > spinBudget {
+				break
+			}
+		}
+	}
+	s.joining.Store(true)
+	if s.left.Load() == 0 && s.joining.CompareAndSwap(true, false) {
+		return
+	}
+	<-s.joined
 }
 
 // runChunk executes tid's share of the current region.
@@ -174,23 +307,37 @@ func (s *state) runChunk(tid int) {
 	}
 }
 
-// run publishes the region descriptor already stored in s (under s.mu),
-// wakes active-1 helpers, executes tid 0's chunk inline, and waits. The
-// wait is deferred so that a panic in tid 0's chunk still drains the
-// helpers before unwinding, leaving the pool reusable if the panic is
-// recovered upstream.
+// run publishes the region descriptor already stored in s (under s.mu) as
+// the next epoch, wakes the parked helpers among tids 1..active-1, runs tid
+// 0's chunk and then every chunk no helper has started, and joins the rest.
+// The join is deferred so that a panic in a chunk the submitter runs still
+// drains the helpers (which start every chunk the submitter left) before
+// unwinding, leaving the pool reusable if the panic is recovered upstream.
 func (s *state) run(active int) {
+	e := s.epoch.Load() + 1
 	s.active = active
-	s.wg.Add(active - 1)
-	for tid := 1; tid < active; tid++ {
-		s.wake[tid] <- struct{}{}
+	for tid := active; tid < s.workers; tid++ {
+		s.team[tid].claim.Store(e) // no chunk in this region
 	}
+	s.epoch.Store(e)
+	for tid := 1; tid < active; tid++ {
+		if m := &s.team[tid]; m.parked.Load() && m.parked.CompareAndSwap(true, false) {
+			m.wake <- struct{}{}
+		}
+	}
+	mine := 0 // helper chunks the submitter started; helpers start the rest
 	defer func() {
-		s.wg.Wait()
+		s.join(active - 1 - mine)
 		s.mode = modeIdle
 		s.nbody, s.wbody, s.arg = nil, nil, nil
 	}()
 	s.runChunk(0)
+	for tid := 1; tid < active; tid++ {
+		if s.team[tid].start(e) {
+			mine++
+			s.runChunk(tid)
+		}
+	}
 }
 
 // ForNArg runs body(arg, tid, lo, hi) on each worker with [lo,hi) a static

@@ -1,7 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,29 +206,173 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 func TestPanicInBodyDoesNotWedgePool(t *testing.T) {
-	// A panic in tid 0's chunk (the submitter's inline share) that is
-	// recovered upstream must leave the pool usable: mutex released,
-	// WaitGroup drained.
-	p := NewPool(4)
+	// A panic that is recovered upstream must leave the pool usable (mutex
+	// released, every helper-started chunk joined): in tid 0's chunk, the
+	// submitter's own, and in a helper's chunk the submitter ran because the
+	// helper had not started it.
+	p := NewPool(2)
 	defer p.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic to propagate")
-			}
-		}()
-		p.ForN(100, func(tid, lo, hi int) {
-			if tid == 0 {
+	reusable := func() {
+		t.Helper()
+		var total int32
+		p.ForN(50, func(tid, lo, hi int) {
+			atomic.AddInt32(&total, int32(hi-lo))
+		})
+		if total != 50 {
+			t.Fatalf("pool wedged after recovered panic: total=%d", total)
+		}
+	}
+	panics := func(body func(tid, lo, hi int)) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		p.ForN(100, body)
+		return false
+	}
+	if !panics(func(tid, lo, hi int) {
+		if tid == 0 {
+			panic("kernel failure")
+		}
+	}) {
+		t.Fatal("expected the panic in tid 0's chunk to propagate")
+	}
+	reusable()
+	// The submitter runs tid 1's chunk when the helper has not started it,
+	// which is nearly always the case right after the helper parks.
+	for try := 0; ; try++ {
+		if try == 1000 {
+			t.Fatal("the submitter never ran the helper's chunk in 1000 regions")
+		}
+		for !p.s.team[1].parked.Load() {
+			time.Sleep(10 * time.Microsecond)
+		}
+		if panics(func(tid, lo, hi int) {
+			if tid == 1 && !onHelper() {
 				panic("kernel failure")
 			}
+		}) {
+			break
+		}
+	}
+	reusable()
+}
+
+// onHelper reports whether the calling goroutine is a pool helper.
+func onHelper() bool {
+	buf := make([]byte, 4096)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "par.(*state).worker(")
+}
+
+// chunkRecord counts the runs of one (region, tid) and keeps the range the
+// last one got.
+type chunkRecord struct {
+	runs   atomic.Int32
+	lo, hi atomic.Int64
+}
+
+type recordArgs struct {
+	region, workers int
+	recs            []chunkRecord // region*workers + tid
+}
+
+func recordBody(arg any, tid, lo, hi int) {
+	a := arg.(*recordArgs)
+	r := &a.recs[a.region*a.workers+tid]
+	r.runs.Add(1)
+	r.lo.Store(int64(lo))
+	r.hi.Store(int64(hi))
+}
+
+// TestEveryChunkRunsOnce records (region, tid, lo, hi) over 10⁴ regions of
+// a 4-worker pool, with item counts below, at and above the worker count and
+// a pause now and then that lets the helpers park: every chunk of every
+// region runs exactly once — on its helper or on the submitter — with
+// Chunk's range, and a tid past the region's partitions runs nothing.
+func TestEveryChunkRunsOnce(t *testing.T) {
+	const workers, regions = 4, 10_000
+	p := NewPool(workers)
+	defer p.Close()
+	a := &recordArgs{workers: workers, recs: make([]chunkRecord, regions*workers)}
+	ns := make([]int, regions)
+	for r := range ns {
+		a.region = r
+		ns[r] = r % 7
+		if r%1000 == 999 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		p.ForNArg(ns[r], recordBody, a)
+	}
+	for r, n := range ns {
+		active := min(workers, n)
+		if n <= 1 {
+			active = 1
+		}
+		for tid := 0; tid < workers; tid++ {
+			rec := &a.recs[r*workers+tid]
+			want := int32(0)
+			if tid < active {
+				want = 1
+			}
+			if got := rec.runs.Load(); got != want {
+				t.Fatalf("region %d (n=%d) tid %d ran %d times, want %d", r, n, tid, got, want)
+			}
+			if want == 0 {
+				continue
+			}
+			lo, hi := Chunk(n, active, tid)
+			if n <= 1 {
+				lo, hi = 0, n
+			}
+			if rec.lo.Load() != int64(lo) || rec.hi.Load() != int64(hi) {
+				t.Fatalf("region %d (n=%d) tid %d ran [%d,%d), want [%d,%d)", r, n, tid, rec.lo.Load(), rec.hi.Load(), lo, hi)
+			}
+		}
+	}
+}
+
+// TestRegionWithParkedHelper submits regions only once the helper has
+// parked: each still runs every index once.
+func TestRegionWithParkedHelper(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for i := 0; i < 20; i++ {
+		for !p.s.team[1].parked.Load() {
+			time.Sleep(10 * time.Microsecond)
+		}
+		a := &sumArgs{counts: make([]int32, 64)}
+		p.ForNArg(64, sumBody, a)
+		for j, c := range a.counts {
+			if c != 1 {
+				t.Fatalf("region %d: index %d visited %d times", i, j, c)
+			}
+		}
+	}
+}
+
+// TestRegionWithHelperBusyInAnotherPool runs regions whose every chunk
+// submits a region to a second pool, so the first pool's helper waits there
+// (for the second pool's mutex or its join) while its own submitter finishes:
+// every region of both pools still completes, each index once.
+func TestRegionWithHelperBusyInAnotherPool(t *testing.T) {
+	outer, inner := NewPool(3), NewPool(3)
+	defer outer.Close()
+	defer inner.Close()
+	const n = 40
+	counts := make([]int32, n*n)
+	for iter := 0; iter < 50; iter++ {
+		clear(counts)
+		outer.ForN(n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				inner.ForN(n, func(_, lo2, hi2 int) {
+					for j := lo2; j < hi2; j++ {
+						atomic.AddInt32(&counts[i*n+j], 1)
+					}
+				})
+			}
 		})
-	}()
-	var total int32
-	p.ForN(50, func(tid, lo, hi int) {
-		atomic.AddInt32(&total, int32(hi-lo))
-	})
-	if total != 50 {
-		t.Fatalf("pool wedged after recovered panic: total=%d", total)
+		for k, c := range counts {
+			if c != 1 {
+				t.Fatalf("iteration %d: index %d visited %d times", iter, k, c)
+			}
+		}
 	}
 }
 
@@ -256,11 +402,11 @@ func TestCloseFallsBackToSerial(t *testing.T) {
 // its value before NewPool when Close returns, with no waiting. (The count of
 // all goroutines would also move with the test runner's own.)
 func TestCloseJoinsHelpers(t *testing.T) {
-	startDefault()
+	startHelpers(Default)
 	for _, workers := range []int{2, 5, 16} {
 		before := helpers()
 		p := NewPool(workers)
-		p.ForN(100, func(tid, lo, hi int) {})
+		startHelpers(p)
 		if got := helpers(); got != before+workers-1 {
 			t.Fatalf("workers=%d: %d helper goroutines with the pool open, want %d", workers, got, before+workers-1)
 		}
@@ -275,10 +421,10 @@ func TestCloseJoinsHelpers(t *testing.T) {
 // runtime cleanup closes each (Close waits there for the helpers too), so
 // the first wait must not wedge the cleanup queue the second needs.
 func TestCloseByCleanup(t *testing.T) {
-	startDefault()
+	startHelpers(Default)
 	before := helpers()
 	for i := 0; i < 2; i++ {
-		func() { NewPool(4).ForN(100, func(tid, lo, hi int) {}) }()
+		func() { startHelpers(NewPool(4)) }()
 		for deadline := time.Now().Add(10 * time.Second); helpers() != before; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("pool %d: %d helper goroutines 10 s after it became unreachable, %d before", i, helpers(), before)
@@ -288,10 +434,27 @@ func TestCloseByCleanup(t *testing.T) {
 	}
 }
 
-// startDefault runs a region on Default, the one pool these tests leave
-// open: a helper goroutine enters its loop only once it is first scheduled,
-// and until then it is not counted.
-func startDefault() { Default.ForEachWorkerArg(func(any, int, int) {}, nil) }
+// startHelpers returns once every helper of p has entered its loop, where
+// helpers() counts it: a helper goroutine the scheduler has not started has
+// no worker frame, and since the submitter may run every chunk of a region,
+// a region alone does not start one. Here tid 0's chunk, which the
+// submitter runs first, waits until every other tid's chunk has run, and
+// only the helpers can run those meanwhile. (The frame that every helper
+// has from creation, its goroutine's entry, is no substitute: it outlives
+// the helper's exited.Done, so a helper may still show it when Close
+// returns.)
+func startHelpers(p *Pool) {
+	var ran atomic.Int32
+	p.ForEachWorkerArg(func(_ any, tid, workers int) {
+		if tid != 0 {
+			ran.Add(1)
+			return
+		}
+		for ran.Load() < int32(workers-1) {
+			runtime.Gosched()
+		}
+	}, nil)
+}
 
 // helpers counts the goroutines in a pool's helper loop, every pool's, from
 // a dump of all goroutine stacks.
@@ -340,4 +503,61 @@ func TestNewPoolDefaults(t *testing.T) {
 	if p3.NumWorkers() != 3 {
 		t.Fatal("explicit worker count not honored")
 	}
+}
+
+// spinArgs is BenchmarkRegion's body state: iters dependent multiply-adds
+// per chunk, each tid's result kept on its own cache line.
+type spinArgs struct {
+	iters int
+	sink  [][8]float64
+}
+
+func spinBody(arg any, tid, lo, hi int) {
+	a := arg.(*spinArgs)
+	x := float64(tid)
+	for i := 0; i < a.iters; i++ {
+		x = x*0.999999 + 1e-9
+	}
+	a.sink[tid][0] = x
+}
+
+// BenchmarkRegion times one parallel region of NumWorkers equal chunks on
+// Default at chunk lengths of about 1, 10, 40 and 160 µs: ns/op is the
+// region, speedup the serial time of its chunks (each timed alone, the
+// median of 21) over the region's.
+func BenchmarkRegion(b *testing.B) {
+	w := Default.NumWorkers()
+	a := &spinArgs{sink: make([][8]float64, w)}
+	perUS := itersPerMicrosecond(a)
+	for _, us := range []int{1, 10, 40, 160} {
+		b.Run(fmt.Sprintf("chunk=%dus", us), func(b *testing.B) {
+			a.iters = us * perUS
+			serial := make([]time.Duration, 21)
+			for i := range serial {
+				t0 := time.Now()
+				spinBody(a, 0, 0, 1)
+				serial[i] = time.Since(t0)
+			}
+			slices.Sort(serial)
+			Default.ForNArg(w, spinBody, a)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Default.ForNArg(w, spinBody, a)
+			}
+			region := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(float64(w)*float64(serial[len(serial)/2].Nanoseconds())/region, "speedup")
+		})
+	}
+}
+
+// itersPerMicrosecond calibrates spinBody: its iteration count per µs.
+func itersPerMicrosecond(a *spinArgs) int {
+	a.iters = 1 << 16
+	best := time.Duration(1 << 62)
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		spinBody(a, 0, 0, 1)
+		best = min(best, time.Since(t0))
+	}
+	return max(1, int(float64(a.iters)*float64(time.Microsecond)/float64(best)))
 }
