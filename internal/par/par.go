@@ -16,7 +16,10 @@
 // starts late costs a failed CAS, not a wait. The join polls, without
 // yielding, only for chunks a running helper holds, and parks after the same
 // budget. No region creates a goroutine or allocates. See docs/PERF.md for
-// the protocol and the measurements behind the budget.
+// the protocol and the measurements behind the budget. No goroutine polls
+// when min(GOMAXPROCS, NumCPU) is 1; GOMAXPROCS is read by NewPool, by a
+// helper as it parks and every 64th region, so a pool in constant use
+// follows a change of it within 64 regions.
 //
 // Work items are closures receiving (tid, lo, hi) half-open ranges, and
 // partitioning is the exact integer split the paper's Algorithm 4 uses:
@@ -73,12 +76,20 @@ const (
 	// pollsPerYield is how many polls a spinning helper makes between
 	// yields, and the join between clock reads.
 	pollsPerYield = 32
+	// capEvery is how many regions a pool runs between reads of spinCap's
+	// inputs, besides the reads by NewPool and by a parking helper.
+	capEvery = 64
 )
 
 // spinners counts the helpers polling for a region, process-wide, and
 // spinCap bounds it at min(GOMAXPROCS, NumCPU) − 1, so that with one CPU no
-// goroutine busy-waits. runtime.GOMAXPROCS takes the scheduler lock, so the
-// cap is read by NewPool and when a helper parks, not per poll.
+// goroutine busy-waits; a join polls only while spinCap is above 0. The join
+// does not count itself among the spinners: it polls only while a helper
+// holding a chunk runs, which the helper's own CPU pays for.
+// runtime.GOMAXPROCS takes the scheduler lock, so the cap is read by NewPool,
+// when a helper parks and every capEvery regions, not per poll: after a
+// GOMAXPROCS change a pool in constant use polls by the old cap for at most
+// capEvery regions.
 var spinners, spinCap atomic.Int32
 
 func readSpinCap() {
@@ -122,9 +133,13 @@ type state struct {
 
 	// Join: left counts helper-started chunks still running (helpers
 	// subtract as they finish, the submitter adds how many they started);
-	// a parked join sets joining and takes a token from joined.
+	// the join of region e parks by setting joining to e, and the helper that
+	// brings left to 0 in region e sends it a token on joined if joining
+	// still holds e. A helper delayed between the two steps may get there
+	// after its region's join has returned; the epoch keeps it from waking
+	// a later region's join.
 	left    atomic.Int64
-	joining atomic.Bool
+	joining atomic.Uint64
 	joined  chan struct{}
 
 	// Region descriptor, written under mu before the epoch store that
@@ -226,7 +241,7 @@ func (s *state) worker(tid int) {
 		seen = e
 		if m.start(e) {
 			s.runChunk(tid)
-			s.finish()
+			s.finish(e)
 		}
 	}
 }
@@ -264,18 +279,25 @@ func (s *state) await(m *member, seen uint64) (e uint64, ok bool) {
 	return s.epoch.Load(), true
 }
 
-// finish reports a helper's chunk done, waking a parked join if it was the
-// last.
-func (s *state) finish() {
-	if s.left.Add(-1) == 0 && s.joining.CompareAndSwap(true, false) {
+// finish reports a helper's chunk of region e done, waking region e's
+// join if it was the last.
+func (s *state) finish(e uint64) {
+	if s.left.Add(-1) == 0 {
+		s.wakeJoin(e)
+	}
+}
+
+// wakeJoin hands region e's join its token if that join has parked.
+func (s *state) wakeJoin(e uint64) {
+	if s.joining.CompareAndSwap(e, 0) {
 		s.joined <- struct{}{}
 	}
 }
 
-// join returns once the k chunks helpers started in this region are done:
-// it polls without yielding (a helper holding a chunk is running) for
+// join returns once the k chunks helpers started in region e are done: it
+// polls without yielding (a helper holding a chunk is running) for
 // spinBudget, then parks.
-func (s *state) join(k int) {
+func (s *state) join(e uint64, k int) {
 	if s.left.Add(int64(k)) == 0 {
 		return
 	}
@@ -289,8 +311,8 @@ func (s *state) join(k int) {
 			}
 		}
 	}
-	s.joining.Store(true)
-	if s.left.Load() == 0 && s.joining.CompareAndSwap(true, false) {
+	s.joining.Store(e)
+	if s.left.Load() == 0 && s.joining.CompareAndSwap(e, 0) {
 		return
 	}
 	<-s.joined
@@ -315,6 +337,9 @@ func (s *state) runChunk(tid int) {
 // unwinding, leaving the pool reusable if the panic is recovered upstream.
 func (s *state) run(active int) {
 	e := s.epoch.Load() + 1
+	if e%capEvery == 0 {
+		readSpinCap()
+	}
 	s.active = active
 	for tid := active; tid < s.workers; tid++ {
 		s.team[tid].claim.Store(e) // no chunk in this region
@@ -327,7 +352,7 @@ func (s *state) run(active int) {
 	}
 	mine := 0 // helper chunks the submitter started; helpers start the rest
 	defer func() {
-		s.join(active - 1 - mine)
+		s.join(e, active-1-mine)
 		s.mode = modeIdle
 		s.nbody, s.wbody, s.arg = nil, nil, nil
 	}()

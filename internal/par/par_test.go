@@ -207,44 +207,37 @@ func TestConcurrentSubmitters(t *testing.T) {
 
 func TestPanicInBodyDoesNotWedgePool(t *testing.T) {
 	// A panic that is recovered upstream must leave the pool usable (mutex
-	// released, every helper-started chunk joined): in tid 0's chunk, the
-	// submitter's own, and in a helper's chunk the submitter ran because the
-	// helper had not started it.
-	p := NewPool(2)
+	// released, every helper-started chunk joined). In tid 0's chunk, the
+	// submitter's own, the submitter leaves tids 1..3 to the helpers, and the
+	// region ends only once they have run.
+	p := NewPool(4)
 	defer p.Close()
-	reusable := func() {
-		t.Helper()
-		var total int32
-		p.ForN(50, func(tid, lo, hi int) {
-			atomic.AddInt32(&total, int32(hi-lo))
-		})
-		if total != 50 {
-			t.Fatalf("pool wedged after recovered panic: total=%d", total)
-		}
-	}
-	panics := func(body func(tid, lo, hi int)) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		p.ForN(100, body)
-		return false
-	}
-	if !panics(func(tid, lo, hi int) {
+	var helpers atomic.Int32
+	if !panicked(p, func(tid, lo, hi int) {
 		if tid == 0 {
 			panic("kernel failure")
 		}
+		helpers.Add(1)
 	}) {
 		t.Fatal("expected the panic in tid 0's chunk to propagate")
 	}
-	reusable()
-	// The submitter runs tid 1's chunk when the helper has not started it,
-	// which is nearly always the case right after the helper parks.
+	if got := helpers.Load(); got != 3 {
+		t.Fatalf("%d of 3 helper chunks ran before the panic propagated", got)
+	}
+	reusable(t, p)
+
+	// In a helper's chunk that the submitter ran, because the helper had not
+	// started it: nearly always the case right after the helper parks.
+	p2 := NewPool(2)
+	defer p2.Close()
 	for try := 0; ; try++ {
 		if try == 1000 {
 			t.Fatal("the submitter never ran the helper's chunk in 1000 regions")
 		}
-		for !p.s.team[1].parked.Load() {
+		for !p2.s.team[1].parked.Load() {
 			time.Sleep(10 * time.Microsecond)
 		}
-		if panics(func(tid, lo, hi int) {
+		if panicked(p2, func(tid, lo, hi int) {
 			if tid == 1 && !onHelper() {
 				panic("kernel failure")
 			}
@@ -252,7 +245,58 @@ func TestPanicInBodyDoesNotWedgePool(t *testing.T) {
 			break
 		}
 	}
-	reusable()
+	reusable(t, p2)
+}
+
+// panicked runs a 100-item region of body on p and reports whether it
+// panicked.
+func panicked(p *Pool, body func(tid, lo, hi int)) (yes bool) {
+	defer func() { yes = recover() != nil }()
+	p.ForN(100, body)
+	return false
+}
+
+// reusable fails t unless a region on p visits each of its items once.
+func reusable(t *testing.T, p *Pool) {
+	t.Helper()
+	var total int32
+	p.ForN(50, func(tid, lo, hi int) {
+		atomic.AddInt32(&total, int32(hi-lo))
+	})
+	if total != 50 {
+		t.Fatalf("pool wedged after recovered panic: total=%d", total)
+	}
+}
+
+// TestLateWakeSkipsNextJoin replays, step by step on a bare state, a helper
+// held between the decrement that ends region 1 and its wake-up of region 1's
+// join. Region 1's join returns without the wake-up (it saw the count reach
+// 0 while polling); region 2's join parks on a chunk another helper still
+// runs. The held helper's wake-up must not end region 2's join.
+func TestLateWakeSkipsNextJoin(t *testing.T) {
+	s := &state{joined: make(chan struct{}, 1)}
+	s.left.Add(-1) // region 1: its one helper chunk finishes, then the helper is held
+	s.join(1, 1)   // ...and the join sees the count at 0
+	done := make(chan struct{})
+	go func() {
+		s.join(2, 1) // region 2: one helper chunk, still running
+		close(done)
+	}()
+	for s.joining.Load() != 2 {
+		time.Sleep(10 * time.Microsecond)
+	}
+	s.wakeJoin(1) // the held helper resumes
+	select {
+	case <-done:
+		t.Fatal("a wake-up from region 1 ended region 2's join while its chunk ran")
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.finish(2)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("region 2's join did not return once its chunk finished")
+	}
 }
 
 // onHelper reports whether the calling goroutine is a pool helper.
@@ -560,4 +604,26 @@ func itersPerMicrosecond(a *spinArgs) int {
 		best = min(best, time.Since(t0))
 	}
 	return max(1, int(float64(a.iters)*float64(time.Microsecond)/float64(best)))
+}
+
+// TestSpinCapFollowsGOMAXPROCS lowers GOMAXPROCS to 1 under a pool in
+// constant use: within capEvery regions nothing may poll any more.
+func TestSpinCapFollowsGOMAXPROCS(t *testing.T) {
+	defer func(procs int) {
+		runtime.GOMAXPROCS(procs)
+		readSpinCap() // later tests poll as before
+	}(runtime.GOMAXPROCS(0))
+	p := NewPool(2)
+	defer p.Close()
+	a := &sumArgs{counts: make([]int32, 64)}
+	for range capEvery {
+		p.ForNArg(64, sumBody, a)
+	}
+	runtime.GOMAXPROCS(1)
+	for range capEvery {
+		p.ForNArg(64, sumBody, a)
+	}
+	if c := spinCap.Load(); c > 0 {
+		t.Fatalf("spinCap %d at GOMAXPROCS 1", c)
+	}
 }
